@@ -104,20 +104,19 @@ def read_tracks(path):
     return header, rows
 
 
-def tracking_oracle_report(stream: VideoStream, truth: GroundTruth,
-                           config: TrackerConfig | None = None,
-                           match_iou: float = 0.3) -> dict:
-    """Compare tracker output against generator ground truth.
+def tracking_oracle_report(rows, truth: GroundTruth, match_iou: float = 0.3) -> dict:
+    """Compare tracker output rows (from `track_stream`) against generator
+    ground truth.
 
     Reports whether emitted track ids form a bijection onto true hand ids and
     how many identity switches occurred (changes in the track id following
     each true hand between consecutive matched frames).
     """
-    tracker = SortTracker(config)
     follow = {h: [] for h in truth.hand_ids}
     track_to_gt = {}
-    for fr, frame_truth in zip(stream.frames, truth.true_boxes):
-        for tid, box in tracker.step(fr):
+    for row, frame_truth in zip(rows, truth.true_boxes):
+        for tid, corners in row["tracks"].items():
+            tid, box = int(tid), BBox(*corners)
             best_h, best_v = None, match_iou
             for h, gt_box in frame_truth.items():
                 v = iou(box, gt_box)
@@ -379,13 +378,17 @@ def run_pipeline(config: dict, out_dir) -> dict:
     eval_reports = []
     for index in range(spec.n_videos):
         stream, truth = generate_stream(spec, index)
-        stream_path = out / "streams" / f"{stream.video_id}.jsonl"
-        write_stream(stream, stream_path)
-        (out / "streams" / f"{stream.video_id}.truth.json").write_text(
+        vid = stream.video_id
+        stream_rel, truth_rel = f"streams/{vid}.jsonl", f"streams/{vid}.truth.json"
+        tracks_rel = f"tracks/{vid}.tracks.jsonl"
+        write_stream(stream, out / stream_rel)
+        (out / truth_rel).write_text(
             json.dumps(truth.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
         rows = track_stream(stream, tracker_config)
-        write_tracks(stream, rows, out / "tracks" / f"{stream.video_id}.tracks.jsonl")
-        tracking_reports.append(tracking_oracle_report(stream, truth, tracker_config))
+        write_tracks(stream, rows, out / tracks_rel)
+        manifest.update({f"streams/{vid}": stream_rel, f"streams/{vid}.truth": truth_rel,
+                         f"tracks/{vid}.tracks": tracks_rel})
+        tracking_reports.append(tracking_oracle_report(rows, truth))
 
         truth_stream = truth_stream_from_ground_truth(stream, truth)
         with warnings.catch_warnings():

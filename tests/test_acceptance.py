@@ -35,7 +35,7 @@ from scenestream.kinematics import (
     summarize_clip,
     velocity_series,
 )
-from scenestream.pipeline import run_pipeline, tracking_oracle_report
+from scenestream.pipeline import run_pipeline, track_stream, tracking_oracle_report
 from scenestream.signatures import (
     build_signature,
     featurize,
@@ -71,14 +71,15 @@ def test_acceptance_1_tracking_oracle_equivalence():
     clean_spec = SynthSpec(seed=101, fps=30.0, duration_s=duration)
     stream, truth = generate_stream(clean_spec, 0)
     assert len(stream.frames) == n_frames
-    clean = tracking_oracle_report(stream, truth, TrackerConfig(min_hits=1))
+    clean = tracking_oracle_report(track_stream(stream, TrackerConfig(min_hits=1)), truth)
 
     noisy_spec = SynthSpec(
         seed=102, fps=30.0, duration_s=duration,
         corruption=CorruptionSpec(dropout_rate=0.05, jitter_sigma=2.0,
                                   confidence_mean=0.9, confidence_sigma=0.05))
     noisy_stream, noisy_truth = generate_stream(noisy_spec, 0)
-    noisy = tracking_oracle_report(noisy_stream, noisy_truth, TrackerConfig(min_hits=1))
+    noisy = tracking_oracle_report(
+        track_stream(noisy_stream, TrackerConfig(min_hits=1)), noisy_truth)
     elapsed = time.perf_counter() - started
 
     ok = (clean["bijection"] and clean["id_switches"] == 0

@@ -12,6 +12,7 @@ from scenestream.pipeline import (
     tracking_oracle_report,
     write_tracks,
 )
+from scenestream.streams import BBox, Detection, FrameRecord, VideoStream, write_stream
 from scenestream.synth import SynthSpec, generate_stream
 from scenestream.tracking import TrackerConfig
 
@@ -37,6 +38,26 @@ def test_cli_synth_track_roundtrip(tmp_path, capsys):
     emitted = [r for r in rows if r["tracks"]]
     assert emitted, "tracker never emitted"
     assert any("kps" in r for r in rows)
+
+
+def test_cli_track_coasts_past_left_edge(tmp_path):
+    # a hand leaves over the left edge; its coasting prediction crosses x = 0
+    # while the only detection left is far away
+    def frame(k, box):
+        det = Detection(box=box, category="hand", confidence=1.0)
+        return FrameRecord(frame_index=k, timestamp_s=k / 30.0, detections=(det,))
+
+    frames = [frame(k, BBox(150 - 10 * k, 100, 190 - 10 * k, 140)) for k in range(12)]
+    frames += [frame(k, BBox(900, 500, 940, 540)) for k in range(12, 40)]
+    stream = VideoStream(video_id="left-exit", fps=30.0, width=1280, height=720,
+                         frames=tuple(frames))
+    stream_path, tracks_path = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
+    write_stream(stream, stream_path)
+    assert main(["track", "--in", str(stream_path), "--out", str(tracks_path),
+                 "--min-hits", "1"]) == 0
+    _, rows = read_tracks(tracks_path)
+    assert [r["frame"] for r in rows] == list(range(40))
+    assert all(len(r["tracks"]) == 1 for r in rows)
 
 
 def test_cli_skill_from_tracks(tmp_path):
@@ -80,7 +101,7 @@ def test_clips_from_tracks_explicit_and_inferred(tmp_path):
 def test_tracking_oracle_report_clean_stream():
     spec = SynthSpec(seed=6, n_videos=1, fps=30.0, duration_s=5.0)
     stream, truth = generate_stream(spec, 0)
-    report = tracking_oracle_report(stream, truth, TrackerConfig(min_hits=1))
+    report = tracking_oracle_report(track_stream(stream, TrackerConfig(min_hits=1)), truth)
     assert report["bijection"] is True
     assert report["id_switches"] == 0
 
@@ -173,6 +194,8 @@ def test_cli_run_produces_bundle(tmp_path):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     for artifact in manifest.values():
         assert (out_dir / artifact).exists()
+    written = {p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*") if p.is_file()}
+    assert written - {"manifest.json"} == set(manifest.values())
     tracking = json.loads((out_dir / "tracking_report.json").read_text())
     assert tracking[0]["bijection"] in (True, False)
 

@@ -4,14 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_assignment
-from scenestream import BBox, Detection, FrameRecord, InvariantError
+from scenestream import BBox, Detection, FrameRecord, InvariantError, tracking
+from scenestream.synth import CorruptionSpec, HandMotionSpec, SynthSpec, generate_stream
 from scenestream.tracking import (
     KalmanState,
     SortTracker,
     Track,
     TrackerConfig,
+    _lexmin_optimal_pairs,
     associate,
+    box_corners,
     box_to_measurement,
+    iou_matrix,
     measurement_to_box,
     new_track,
     predict,
@@ -143,7 +147,7 @@ def test_associate_matches_brute_force_up_to_6x6(n, m, seed):
 def test_update_zero_innovation_keeps_mean_shrinks_covariance():
     box = BBox(40, 50, 60, 90)
     tr = track_with_state(list(box_to_measurement(box)) + [0, 0, 0])
-    out = update(tr, box, CFG, frame_index=1)
+    out = update(tr, box, CFG)
     assert out.state.mean == pytest.approx(tr.state.mean, abs=1e-12)
     assert np.trace(out.state.covariance) < np.trace(tr.state.covariance)
     assert out.hits == tr.hits + 1
@@ -153,10 +157,10 @@ def test_update_zero_innovation_keeps_mean_shrinks_covariance():
 def test_update_repeated_measurements_converge_to_measurement():
     target = BBox(200, 100, 260, 180)
     z = box_to_measurement(target)
-    tr = new_track(1, BBox(100, 60, 140, 120), 0, CFG)
+    tr = new_track(1, BBox(100, 60, 140, 120))
     errs = []
     for k in range(2000):
-        tr = update(predict(tr, CFG), target, CFG, frame_index=k + 1)
+        tr = update(predict(tr, CFG), target, CFG)
         rel = np.abs(tr.state.mean[:4] - z) / np.maximum(np.abs(z), 1.0)
         errs.append(np.max(rel))
     assert errs[-1] < 1e-9
@@ -164,12 +168,12 @@ def test_update_repeated_measurements_converge_to_measurement():
 
 
 def test_update_covariance_symmetric_psd():
-    tr = new_track(1, BBox(10, 10, 40, 60), 0, CFG)
+    tr = new_track(1, BBox(10, 10, 40, 60))
     rng = np.random.default_rng(3)
     for k in range(25):
         jitter = rng.normal(0, 2, size=2)
         box = BBox(10 + jitter[0] + k, 10 + jitter[1], 40 + jitter[0] + k, 60 + jitter[1])
-        tr = update(predict(tr, CFG), box, CFG, frame_index=k + 1)
+        tr = update(predict(tr, CFG), box, CFG)
         cov = tr.state.covariance
         assert np.max(np.abs(cov - cov.T)) <= 1e-9
         assert np.min(np.linalg.eigvalsh(cov)) > -1e-9
@@ -185,7 +189,7 @@ def test_update_singular_innovation_raises():
                         covariance=np.zeros((7, 7)))
     tr = Track(track_id=1, state=state)
     with pytest.raises(InvariantError, match="singular"):
-        update(tr, BBox(5, 5, 15, 15), cfg, frame_index=1)
+        update(tr, BBox(5, 5, 15, 15), cfg)
 
 
 # ---------------------------------------------------------------- lifecycle
@@ -269,3 +273,94 @@ def test_cycle_matches_least_squares_line_after_burn_in():
         ex, ey = est[k]
         assert ex == pytest.approx(np.polyval(px, k), abs=1e-6)
         assert ey == pytest.approx(np.polyval(py, k), abs=1e-6)
+
+
+# ---------------------------------------------------------------- batched geometry and ties
+
+def test_iou_matrix_equals_scalar_iou_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        boxes = []
+        for _ in range(int(rng.integers(2, 10))):
+            if rng.random() < 0.5:
+                # lattice boxes share edges, sit at x = 0 or y = 0, or are disjoint
+                x, y = (float(v) for v in rng.integers(0, 6, size=2) * 5)
+                w, h = (float(v) for v in rng.integers(1, 4, size=2) * 5)
+            else:
+                # clamped at 0 the way the tracker clamps predicted boxes
+                x, y = (max(float(v), 0.0) for v in rng.uniform(-10, 30, size=2))
+                w, h = (float(v) for v in rng.uniform(0.5, 20, size=2))
+            boxes.append(BBox(x, y, x + w, y + h))
+        cut = int(rng.integers(1, len(boxes)))
+        a, b = boxes[:cut], boxes[cut:]
+        want = np.array([[_iou(p, q) for q in b] for p in a])
+        assert np.array_equal(iou_matrix(box_corners(a), box_corners(b)), want)
+
+
+def test_iou_matrix_scores_predictions_past_the_edge_zero():
+    # corners of predictions that left over the left or top edge after clamping
+    gone = np.array([[0.0, 10.0, -4.0, 50.0], [0.0, 0.0, 30.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    dets = box_corners([BBox(0, 0, 40, 40), BBox(0, 10, 1, 50)])
+    assert np.array_equal(iou_matrix(gone, dets), np.zeros((3, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), m=st.integers(1, 6),
+       values=st.sampled_from([(0, 1, 2), (0, 0, 0, 0, 0, 1, 2)]))
+def test_lexmin_pairs_break_exact_ties_like_brute_force(data, n, m, values):
+    # integer scores (dense 0-2, or zero-heavy) sum exactly, so ties are real
+    cells = data.draw(st.lists(st.sampled_from(values), min_size=n * m, max_size=n * m))
+    score = np.array(cells, dtype=float).reshape(n, m)
+    want, _, _ = brute_force_assignment(score, -1.0)
+    assert _lexmin_optimal_pairs(score) == want
+
+
+def _lane_stream(seed):
+    # 12 hands in lanes 103 px apart, 5% of detections dropped
+    hands = tuple(HandMotionSpec(region=(60.0 + 103.0 * i, 150.0, 90.0 + 103.0 * i, 570.0))
+                  for i in range(12))
+    spec = SynthSpec(seed=seed, fps=30.0, duration_s=5.0, hands=hands,
+                     corruption=CorruptionSpec(dropout_rate=0.05, jitter_sigma=2.0))
+    return generate_stream(spec, 0)[0]
+
+
+@pytest.mark.parametrize("seed", [7, 22])
+def test_one_assignment_solve_per_frame_on_twelve_lanes(seed, monkeypatch):
+    calls = []
+    real = tracking.linear_sum_assignment
+    monkeypatch.setattr(tracking, "linear_sum_assignment",
+                        lambda cost: calls.append(cost.shape) or real(cost))
+    tracker = SortTracker()
+    nonempty = 0
+    for frame in _lane_stream(seed).frames:
+        nonempty += bool(len(tracker.ids) and frame.detections)
+        tracker.step(frame)
+    assert nonempty > 100
+    assert len(calls) <= 1.02 * nonempty
+
+
+def test_batched_kernels_equal_per_track_wrappers_bit_for_bit():
+    # a row's arithmetic must not depend on how many rows share the batch
+    rng = np.random.default_rng(5)
+    tracks, dets = [], []
+    for k in range(6):
+        x, y = rng.uniform(50, 500, size=2)
+        tr = new_track(k, BBox(x, y, x + 60, y + 80))
+        for _ in range(int(rng.integers(0, 6))):
+            dx, dy = rng.normal(0, 3, size=2)
+            tr = update(predict(tr, CFG), BBox(x + dx, y + dy, x + dx + 60, y + dy + 80), CFG)
+        tracks.append(tr)
+        dets.append(BBox(x + 2, y + 1, x + 63, y + 80))
+    means = np.array([t.state.mean for t in tracks])
+    covs = np.array([t.state.covariance for t in tracks])
+    p_means, p_covs, _ = tracking._predict(means, covs, CFG.process_cov())
+    z = np.array([box_to_measurement(d) for d in dets])
+    u_means, u_covs, ok, _ = tracking._update(means, covs, z, CFG.measurement_cov())
+    assert ok.all()
+    for k, tr in enumerate(tracks):
+        one = predict(tr, CFG)
+        assert np.array_equal(p_means[k], one.state.mean)
+        assert np.array_equal(p_covs[k], one.state.covariance)
+        one = update(tr, dets[k], CFG)
+        assert np.array_equal(u_means[k], one.state.mean)
+        assert np.array_equal(u_covs[k], one.state.covariance)
