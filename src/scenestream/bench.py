@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signatures import majority_action
 from .streams import VideoStream, centroid, hand_size
 from .tracking import SortTracker, TrackerConfig
 
@@ -95,8 +96,7 @@ def _characterize_window(frames) -> dict:
         if fr.action is not None:
             histogram[fr.action] = histogram.get(fr.action, 0) + 1
         tool_total += sum(1 for d in fr.detections if d.category != "hand")
-    majority = max(histogram, key=histogram.get) if histogram else None
-    return {"majority_action": majority, "histogram": histogram,
+    return {"majority_action": majority_action(histogram), "histogram": histogram,
             "mean_tool_count": tool_total / max(len(frames), 1)}
 
 

@@ -15,33 +15,22 @@ from pathlib import Path
 from .bench import bench_stream
 from .errors import InvariantError, SceneStreamError, StreamFormatError
 from .evaluation import evaluate_actions, evaluate_boxes, evaluate_keypoints
-from .kinematics import group_centroids, leave_one_out, summarize_clip
 from .pipeline import (
     clips_from_tracks,
+    features_stage,
+    lda_stage,
     read_features_csv,
     read_tracks,
     run_pipeline,
     sequences_from_stream_dir,
+    signature_stage,
+    skill_stage,
     track_stream,
-    write_features_csv,
-    write_projection_csv,
-    write_signature_csv,
-    write_skill_csv,
+    write_json,
     write_tracks,
-    write_weights_csv,
 )
-from .signatures import (
-    BUILTIN_RULES,
-    build_signature,
-    featurize,
-    filter_videos,
-    lda_fit,
-    lda_project,
-    normalize_tool_features,
-    top_features,
-    zscore,
-)
-from .streams import parse_stream
+from .signatures import BUILTIN_RULES, filter_videos, top_features
+from .streams import iter_json_lines, parse_stream
 from .synth import CorruptionSpec, SynthSpec, generate_stream, synth_generate
 from .tracking import TrackerConfig
 
@@ -49,11 +38,6 @@ from .tracking import TrackerConfig
 def _tracker_config(args) -> TrackerConfig:
     return TrackerConfig(iou_threshold=args.iou, max_age=args.max_age,
                          min_hits=args.min_hits)
-
-
-def _write_json(obj, path):
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n",
-                          encoding="utf-8")
 
 
 def cmd_synth(args) -> int:
@@ -84,67 +68,41 @@ def cmd_skill(args) -> int:
     header, rows = read_tracks(args.tracks)
     clip_defs = json.loads(Path(args.clips).read_text(encoding="utf-8"))
     clips = clips_from_tracks(header, rows, clip_defs)
-    summaries = [summarize_clip(clip, args.fps, per_frame_size=args.per_frame_size)
-                 for clip in clips]
-    write_skill_csv(summaries, args.out)
+    fps = header["fps"] if args.fps is None else args.fps
+    skill_stage(clips, fps, args.out, args.metric, args.centroids, args.per_frame_size)
     print(args.out)
     if args.centroids:
-        metric = {"distance": "distance", "pose": "pose"}[args.metric]
-        cents = group_centroids(summaries, metric)
-        loo = leave_one_out(summaries, metric)
-        _write_json({"metric": metric,
-                     "centroids": {k: list(v) for k, v in cents.items()},
-                     "leave_one_out": {op: {k: list(v) for k, v in c.items()}
-                                       for op, c in loo.items()}}, args.centroids)
         print(args.centroids)
     return 0
 
 
-def _load_class_map(path):
-    if not path:
-        return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def _labelled_sequences(args, default_label):
+    """{video_id: (ActionSequence, ToolSequence, class)} over the stream files
+    of --streams, in file order; a video missing from --class-map gets
+    `default_label`."""
+    pairs = sequences_from_stream_dir(args.streams, resolution_s=args.resolution)
+    class_map = {}
+    if args.class_map:
+        class_map = json.loads(Path(args.class_map).read_text(encoding="utf-8"))
+    return {vid: (seq, tools, class_map.get(vid, default_label))
+            for vid, (seq, tools) in pairs.items()}
 
 
 def cmd_signature(args) -> int:
-    pairs = sequences_from_stream_dir(args.streams, resolution_s=args.resolution)
-    if not pairs:
-        raise StreamFormatError(f"no stream files found in {args.streams}")
-    class_map = _load_class_map(args.class_map)
-    by_class = {}
-    for vid, (seq, tools) in pairs.items():
-        by_class.setdefault(class_map.get(vid, "all"), []).append((seq, tools))
-    signatures = {label: build_signature([s for s, _ in group],
-                                         [t for _, t in group], window=args.window)
-                  for label, group in by_class.items()}
-    write_signature_csv(signatures, args.out)
+    signature_stage(_labelled_sequences(args, "all").values(), args.window, args.out)
     print(args.out)
     return 0
 
 
 def cmd_featurize(args) -> int:
-    pairs = sequences_from_stream_dir(args.streams, resolution_s=args.resolution)
-    if not pairs:
-        raise StreamFormatError(f"no stream files found in {args.streams}")
-    class_map = _load_class_map(args.class_map)
-    features = [featurize(seq, tools, label=class_map.get(vid))
-                for vid, (seq, tools) in sorted(pairs.items())]
-    features = normalize_tool_features(features)
-    write_features_csv(features, args.out)
+    labelled = _labelled_sequences(args, None)
+    features_stage([labelled[vid] for vid in sorted(labelled)], args.out)
     print(args.out)
     return 0
 
 
 def cmd_lda(args) -> int:
-    features = read_features_csv(args.features)
-    labels = [f.label for f in features]
-    if any(lab is None for lab in labels):
-        raise StreamFormatError("all rows in the feature table need a class label")
-    z, _, _ = zscore(features)
-    model = lda_fit(z, labels)
-    points = lda_project(z, model)
-    write_projection_csv(features, points, args.out)
-    write_weights_csv(model, args.weights)
+    model = lda_stage(read_features_csv(args.features), args.out, args.weights)
     print(args.out)
     print(args.weights)
     for axis in (0, 1):
@@ -158,17 +116,7 @@ def cmd_filter(args) -> int:
     if rule is None:
         raise StreamFormatError(
             f"unknown rule {args.rule!r}; choose from {sorted(BUILTIN_RULES)}")
-    catalog = []
-    with Path(args.catalog).open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                catalog.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise StreamFormatError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-    selected = filter_videos(catalog, rule)
+    selected = filter_videos([obj for _, obj in iter_json_lines(args.catalog)], rule)
     if args.out:
         Path(args.out).write_text("\n".join(selected) + ("\n" if selected else ""),
                                   encoding="utf-8")
@@ -188,7 +136,7 @@ def cmd_eval(args) -> int:
         report = evaluate_boxes(pred, truth, iou_thresh=args.iou)
     else:
         report = evaluate_keypoints(pred, truth, alpha=args.alpha, ref=args.ref)
-    _write_json(report.to_dict(), args.out)
+    write_json(report.to_dict(), args.out)
     print(args.out)
     return 0
 
@@ -201,7 +149,7 @@ def cmd_bench(args) -> int:
                          duration_s=args.minutes * 60.0)
         stream, _ = generate_stream(spec, 0)
     report = bench_stream(stream, window_s=args.window)
-    _write_json(report.to_dict(), args.out)
+    write_json(report.to_dict(), args.out)
     per_frame, per_window = report.per_frame, report.per_window
     print(f"per-frame analytics: p95 {per_frame.p95_s * 1e3:.3f} ms "
           f"(budget {per_frame.budget_s * 1e3:.0f} ms) -> "
@@ -253,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("skill", help="kinematic summaries over tie clips")
     p.add_argument("--tracks", required=True)
     p.add_argument("--clips", required=True, help="clips.json definitions")
-    p.add_argument("--fps", type=float, default=30.0)
+    p.add_argument("--fps", type=float,
+                   help="frames per second (default: the tracks header's fps)")
     p.add_argument("--metric", choices=("distance", "pose"), default="distance")
     p.add_argument("--per-frame-size", action="store_true",
                    help="normalize velocity by per-frame hand size")

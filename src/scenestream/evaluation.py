@@ -119,12 +119,6 @@ class MatchResult:
         for c, n in other.gt_counts.items():
             self.gt_counts[c] = self.gt_counts.get(c, 0) + n
 
-    def merge(self, other: "MatchResult") -> "MatchResult":
-        out = MatchResult(records={k: list(v) for k, v in self.records.items()},
-                          gt_counts=dict(self.gt_counts))
-        out.update(other)
-        return out
-
 
 def _greedy_match_class(preds, truth_boxes, iou_thresh):
     """Greedy confidence-ordered matching for one class in one frame.
@@ -367,13 +361,15 @@ def evaluate_keypoints(pred_stream: VideoStream, truth_stream: VideoStream,
     """Pooled PCK over all frames.
 
     Hand instances are paired within each frame by owner-box IoU; unmatched
-    ground-truth hands count their visible keypoints as misses. `ref` selects
+    ground-truth hands, including every hand on a frame with no prediction
+    frame, count their visible keypoints as misses. `ref` selects
     the normalizing box: the ground-truth owner box ("truth") or the detected
     owner box ("pred").
     """
     if ref not in ("truth", "pred"):
         raise InvariantError(f"ref must be 'truth' or 'pred', got {ref!r}")
     truth_by_frame = {fr.frame_index: fr for fr in truth_stream.frames}
+    pred_frames = {fr.frame_index for fr in pred_stream.frames}
     agg = PckAggregate()
     for fr in pred_stream.frames:
         gt = truth_by_frame.get(fr.frame_index)
@@ -388,6 +384,10 @@ def evaluate_keypoints(pred_stream: VideoStream, truth_stream: VideoStream,
             agg.add(pck(preds[pi], truths[ti], ref_box, alpha))
         for ti in unmatched_truth:
             agg.add_missed_instance(truths[ti])
+    for fr in truth_stream.frames:  # ground truth on frames with no predictions
+        if fr.frame_index not in pred_frames:
+            for truth_kps in fr.keypoints:
+                agg.add_missed_instance(truth_kps)
     return MetricReport(
         strata=dict(truth_stream.metadata.get("strata", {})),
         alpha=alpha, pck_per_keypoint=agg.per_keypoint(), mean_pck=agg.mean(),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataWarning, InvariantError
-from .streams import BBox, HandKeypoints, centroid, hand_size
+from .streams import HandKeypoints, centroid, hand_size
 from .streams import INDEX_CHAIN, PALM_INDEX, THUMB_CHAIN
 
 EXPERIENCE_LEVELS = ("experienced", "trainee")
@@ -53,7 +53,7 @@ class Trajectory:
 
     @classmethod
     def from_boxes(cls, track_id: int, items) -> "Trajectory":
-        """Build from (frame_index, BBox) pairs, e.g. a tracker history."""
+        """Build from (frame_index, BBox) pairs, e.g. one track's rows of a tracks file."""
         items = list(items)
         frames = [i for i, _ in items]
         cents = [centroid(b) for _, b in items]

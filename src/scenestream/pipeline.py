@@ -1,9 +1,11 @@
 """Composable pipeline stages and the single-command report bundle.
 
-Stages exchange immutable snapshots (streams, track rows, summaries); every
-artifact is written with sorted keys and repr floats so identical inputs
-produce byte-identical bundles. Wall-clock measurements are deliberately not
-part of the bundle; `bench` writes those separately.
+Each job is one stage that writes its artifact and returns its data; the
+CLI subcommands and `run_pipeline` call the same stages. Stages exchange
+immutable snapshots (streams, track rows, summaries); every artifact is
+written with sorted keys and repr floats so identical inputs produce
+byte-identical bundles. Wall-clock measurements are deliberately not part of
+the bundle; `bench` writes those separately.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .kinematics import (
 )
 from .signatures import (
     FEATURE_NAMES,
+    FeatureVector30,
     action_sequence_from_stream,
     background_mask,
     build_signature,
@@ -40,7 +43,17 @@ from .signatures import (
     top_features,
     zscore,
 )
-from .streams import BBox, Detection, FrameRecord, HandKeypoints, VideoStream, iou
+from .streams import (
+    BBox,
+    Detection,
+    FrameRecord,
+    HandKeypoints,
+    VideoStream,
+    header_line,
+    iou,
+    iter_json_lines,
+    parse_stream,
+)
 from .synth import (
     CorruptionSpec,
     GroundTruth,
@@ -49,10 +62,16 @@ from .synth import (
     generate_procedure_sequences,
     generate_stream,
     generate_tie_clips,
+    write_synth_files,
 )
 from .tracking import SortTracker, TrackerConfig
 
 TRACK_KP_MATCH_IOU = 0.5
+
+
+def write_json(obj, path) -> None:
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n",
+                          encoding="utf-8")
 
 
 # ------------------------------------------------------------------ tracking
@@ -85,23 +104,21 @@ def track_stream(stream: VideoStream, config: TrackerConfig | None = None):
 
 
 def write_tracks(stream: VideoStream, rows, path) -> None:
-    header = {"video_id": stream.video_id, "fps": stream.fps,
-              "width": stream.width, "height": stream.height,
-              "metadata": dict(stream.metadata)}
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(json.dumps(row, sort_keys=True) for row in rows)
+    lines = [header_line(stream), *(json.dumps(row, sort_keys=True) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_tracks(path):
     """(header, rows) from a tracks.jsonl file."""
-    path = Path(path)
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = list(iter_json_lines(path))
     if not lines:
         raise StreamFormatError(f"empty tracks file: {path}")
-    header = json.loads(lines[0])
-    rows = [json.loads(ln) for ln in lines[1:]]
-    return header, rows
+    line_no, header = lines[0]
+    fps = header.get("fps") if isinstance(header, dict) else None
+    if not isinstance(fps, (int, float)) or not fps > 0 or "video_id" not in header:
+        raise StreamFormatError("first line must be a header with video_id and a "
+                                "positive fps", line=line_no)
+    return header, [obj for _, obj in lines[1:]]
 
 
 def tracking_oracle_report(rows, truth: GroundTruth, match_iou: float = 0.3) -> dict:
@@ -173,13 +190,26 @@ def clips_from_tracks(header, rows, clip_defs):
     Each definition carries video_id/start/end/operator_id/experience/
     knot_count and optionally explicit left_track/right_track ids; otherwise
     the two longest tracks in range are used, leftmost (mean centroid x)
-    first.
+    first. Every clip's video_id must be the tracks header's.
     """
     trajectories = _trajectories_by_track(rows)
     poses = _poses_by_track(rows)
     clips = []
-    for definition in clip_defs:
-        start, end = int(definition["start"]), int(definition["end"])
+    for number, definition in enumerate(clip_defs, start=1):
+        try:
+            video_id = str(definition["video_id"])
+            start, end = int(definition["start"]), int(definition["end"])
+            operator_id = str(definition["operator_id"])
+            experience = str(definition["experience"])
+            knot_count = int(definition["knot_count"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StreamFormatError(
+                f"clip {number} needs video_id, start, end, operator_id, experience "
+                f"and knot_count: {exc!r}") from exc
+        if video_id != str(header["video_id"]):
+            raise StreamFormatError(
+                f"clip {number} is for video {video_id!r}, but the tracks file is "
+                f"for video {header['video_id']!r}")
         in_range = {tid: traj.slice(start, end) for tid, traj in trajectories.items()}
         in_range = {tid: t for tid, t in in_range.items() if len(t) >= 2}
         if "left_track" in definition or "right_track" in definition:
@@ -189,7 +219,7 @@ def clips_from_tracks(header, rows, clip_defs):
             by_len = sorted(in_range, key=lambda tid: -len(in_range[tid]))[:2]
             if len(by_len) < 2:
                 warnings.warn(
-                    f"clip {definition.get('video_id')}@{start}-{end} has "
+                    f"clip {video_id}@{start}-{end} has "
                     f"{len(by_len)} usable tracks; hands missing", DataWarning,
                     stacklevel=2)
                 by_len += [None] * (2 - len(by_len))
@@ -209,12 +239,17 @@ def clips_from_tracks(header, rows, clip_defs):
         left, left_poses = hand_data(left_id)
         right, right_poses = hand_data(right_id)
         clips.append(TieClip(
-            video_id=str(definition["video_id"]), start=start, end=end,
-            operator_id=str(definition["operator_id"]),
-            experience=str(definition["experience"]),
-            knot_count=int(definition["knot_count"]),
-            left=left, right=right, left_poses=left_poses, right_poses=right_poses))
+            video_id=video_id, start=start, end=end, operator_id=operator_id,
+            experience=experience, knot_count=knot_count, left=left, right=right,
+            left_poses=left_poses, right_poses=right_poses))
     return clips
+
+
+def _write_csv(path, header, rows) -> None:
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 _SUMMARY_FIELDS = (
@@ -223,29 +258,44 @@ _SUMMARY_FIELDS = (
     "integrated_pose_distance", "pose_distance_per_knot")
 
 
-def write_skill_csv(summaries, path) -> None:
+def _skill_rows(summaries):
     """One row per (clip, hand); hands missing from a clip leave empty cells."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["video_id", "operator_id", "experience", "knot_count",
-                         "hand", *_SUMMARY_FIELDS])
-        for summary in summaries:
-            for hand in ("left", "right"):
-                hand_summary = summary.hand(hand)
-                cells = [summary.video_id, summary.operator_id, summary.experience,
-                         summary.knot_count, hand]
-                if hand_summary is None:
-                    cells.extend([""] * len(_SUMMARY_FIELDS))
-                else:
-                    cells.extend(repr(getattr(hand_summary, f)) for f in _SUMMARY_FIELDS)
-                writer.writerow(cells)
+    for summary in summaries:
+        for hand in ("left", "right"):
+            hand_summary = summary.hand(hand)
+            cells = [summary.video_id, summary.operator_id, summary.experience,
+                     summary.knot_count, hand]
+            if hand_summary is None:
+                cells.extend([""] * len(_SUMMARY_FIELDS))
+            else:
+                cells.extend(repr(getattr(hand_summary, f)) for f in _SUMMARY_FIELDS)
+            yield cells
+
+
+def skill_stage(clips, fps, csv_path, metric="distance", centroids_path=None,
+                per_frame_size=False):
+    """Kinematic summaries of tie clips, written as the skill CSV; with
+    `centroids_path`, also the per-experience centroids of `metric` and their
+    leave-one-out recomputations as JSON. Returns the summaries."""
+    summaries = [summarize_clip(clip, fps, per_frame_size=per_frame_size)
+                 for clip in clips]
+    _write_csv(csv_path, ["video_id", "operator_id", "experience", "knot_count", "hand",
+                          *_SUMMARY_FIELDS], _skill_rows(summaries))
+    if centroids_path is not None:
+        centroids = group_centroids(summaries, metric)
+        loo = leave_one_out(summaries, metric)
+        write_json({"metric": metric,
+                    "centroids": {k: list(v) for k, v in centroids.items()},
+                    "leave_one_out": {op: {k: list(v) for k, v in cents.items()}
+                                      for op, cents in loo.items()}},
+                   centroids_path)
+    return summaries
 
 
 # ------------------------------------------------------------------ signatures
 
 def sequences_from_stream_dir(stream_dir, resolution_s=5.0):
     """Excised (ActionSequence, ToolSequence) pairs per stream file, sorted."""
-    from .streams import parse_stream
     out = {}
     for path in sorted(Path(stream_dir).glob("*.jsonl")):
         if path.name.endswith((".truth.jsonl", ".tracks.jsonl")):
@@ -255,70 +305,79 @@ def sequences_from_stream_dir(stream_dir, resolution_s=5.0):
         tools = tool_sequence_from_stream(stream, resolution_s)
         mask = background_mask(seq)
         out[stream.video_id] = (excise_background(seq), excise_tool_steps(tools, mask))
+    if not out:
+        raise StreamFormatError(f"no stream files found in {stream_dir}")
     return out
 
 
-def write_signature_csv(signatures, path) -> None:
-    """Signature curves for each class: one row per normalized-time point."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class", "t", "cutting", "tying", "suturing",
-                         "electrocautery", "needle_driver", "forceps"])
-        for name in sorted(signatures):
-            sig = signatures[name]
-            grid = sig.grid
-            for i in range(len(sig.action_curves)):
-                writer.writerow([name, repr(float(grid[i])),
-                                 *(repr(float(v)) for v in sig.action_curves[i]),
-                                 *(repr(float(v)) for v in sig.tool_curves[i])])
+def _floats(values):
+    return [repr(float(v)) for v in values]
 
 
-def write_features_csv(features, path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["video_id", "label", *FEATURE_NAMES])
-        for f in features:
-            writer.writerow([f.video_id, f.label or "",
-                             *(repr(float(v)) for v in f.values)])
+def signature_stage(labelled, window, path):
+    """Per-class signatures of (ActionSequence, ToolSequence, class) triples,
+    written as one CSV row per class and normalized-time point. Returns
+    {class: Signature}."""
+    by_class = {}
+    for seq, tools, label in labelled:
+        by_class.setdefault(label, []).append((seq, tools))
+    signatures = {label: build_signature([s for s, _ in group], [t for _, t in group],
+                                         window=window)
+                  for label, group in by_class.items()}
+    _write_csv(path, ["class", "t", "cutting", "tying", "suturing",
+                      "electrocautery", "needle_driver", "forceps"],
+               ([name, repr(float(t)), *_floats(actions), *_floats(tools)]
+                for name, sig in sorted(signatures.items())
+                for t, actions, tools in zip(sig.grid, sig.action_curves, sig.tool_curves)))
+    return signatures
+
+
+def features_stage(labelled, path):
+    """30-feature vectors of (ActionSequence, ToolSequence, label) triples,
+    tool counts min-max normalized across them, written as the feature CSV.
+    Returns the normalized features."""
+    features = normalize_tool_features(
+        [featurize(seq, tools, label=label) for seq, tools, label in labelled])
+    _write_csv(path, ["video_id", "label", *FEATURE_NAMES],
+               ([f.video_id, f.label or "", *_floats(f.values)] for f in features))
+    return features
 
 
 def read_features_csv(path):
-    from .signatures import FeatureVector30
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[2:] != list(FEATURE_NAMES):
+        if next(reader, [])[2:] != list(FEATURE_NAMES):
             raise StreamFormatError(f"unexpected feature columns in {path}")
-        out = []
+        features = []
         for row in reader:
-            out.append(FeatureVector30(video_id=row[0], label=row[1] or None,
-                                       values=np.array([float(v) for v in row[2:]])))
-    return out
+            try:
+                values = np.array([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise StreamFormatError(f"feature values must be numbers: {exc}",
+                                        line=reader.line_num) from exc
+            features.append(FeatureVector30(video_id=row[0], label=row[1] or None,
+                                            values=values))
+        return features
 
 
-def write_projection_csv(features, points, path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["video_id", "label", "x", "y"])
-        for f, (x, y) in zip(features, points):
-            writer.writerow([f.video_id, f.label or "", repr(float(x)), repr(float(y))])
-
-
-def write_weights_csv(model, path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature", "axis1_weight", "axis2_weight"])
-        for k, name in enumerate(FEATURE_NAMES):
-            writer.writerow([name, repr(float(model.projection[k, 0])),
-                             repr(float(model.projection[k, 1]))])
+def lda_stage(features, projection_path, weights_path):
+    """LDA of z-scored, labelled features; writes the 2-D projection and the
+    per-feature weights as CSV. Returns the model."""
+    labels = [f.label for f in features]
+    if any(lab is None for lab in labels):
+        raise StreamFormatError("all rows in the feature table need a class label")
+    z, _, _ = zscore(features)
+    model = lda_fit(z, labels)
+    _write_csv(projection_path, ["video_id", "label", "x", "y"],
+               ([f.video_id, f.label or "", *_floats(point)]
+                for f, point in zip(features, lda_project(z, model))))
+    _write_csv(weights_path, ["feature", "axis1_weight", "axis2_weight"],
+               ([name, *_floats(model.projection[k, :2])]
+                for k, name in enumerate(FEATURE_NAMES)))
+    return model
 
 
 # ------------------------------------------------------------------ run
-
-def _json_dump(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n",
-                          encoding="utf-8")
-
 
 def truth_stream_from_ground_truth(stream: VideoStream, truth: GroundTruth) -> VideoStream:
     """A ground-truth twin stream: true hand boxes and actions, confidence 1."""
@@ -359,7 +418,11 @@ def run_pipeline(config: dict, out_dir) -> dict:
     (out / "streams").mkdir(parents=True, exist_ok=True)
     (out / "tracks").mkdir(exist_ok=True)
     seed = int(cfg["seed"])
-    manifest = {}
+    written = []
+
+    def artifact(rel):
+        written.append(out / rel)
+        return out / rel
 
     # ---- synth + track + tracking oracle
     s_cfg = cfg["synth"]
@@ -373,21 +436,13 @@ def run_pipeline(config: dict, out_dir) -> dict:
         iou_threshold=float(cfg["tracker"]["iou"]),
         max_age=int(cfg["tracker"]["max_age"]),
         min_hits=int(cfg["tracker"]["min_hits"]))
-    from .streams import write_stream
     tracking_reports = []
     eval_reports = []
     for index in range(spec.n_videos):
         stream, truth = generate_stream(spec, index)
-        vid = stream.video_id
-        stream_rel, truth_rel = f"streams/{vid}.jsonl", f"streams/{vid}.truth.json"
-        tracks_rel = f"tracks/{vid}.tracks.jsonl"
-        write_stream(stream, out / stream_rel)
-        (out / truth_rel).write_text(
-            json.dumps(truth.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
+        written.extend(write_synth_files(stream, truth, out / "streams"))
         rows = track_stream(stream, tracker_config)
-        write_tracks(stream, rows, out / tracks_rel)
-        manifest.update({f"streams/{vid}": stream_rel, f"streams/{vid}.truth": truth_rel,
-                         f"tracks/{vid}.tracks": tracks_rel})
+        write_tracks(stream, rows, artifact(f"tracks/{stream.video_id}.tracks.jsonl"))
         tracking_reports.append(tracking_oracle_report(rows, truth))
 
         truth_stream = truth_stream_from_ground_truth(stream, truth)
@@ -399,10 +454,8 @@ def run_pipeline(config: dict, out_dir) -> dict:
         eval_reports.append({"video_id": stream.video_id,
                              "actions": actions_report.to_dict(),
                              "boxes": boxes_report.to_dict()})
-    _json_dump(tracking_reports, out / "tracking_report.json")
-    _json_dump(eval_reports, out / "eval_report.json")
-    manifest["tracking_report"] = "tracking_report.json"
-    manifest["eval_report"] = "eval_report.json"
+    write_json(tracking_reports, artifact("tracking_report.json"))
+    write_json(eval_reports, artifact("eval_report.json"))
 
     # ---- skill cohort
     k_cfg = cfg["skill"]
@@ -411,50 +464,27 @@ def run_pipeline(config: dict, out_dir) -> dict:
         clips_per_operator=int(k_cfg["clips_per_operator"]),
         clip_duration_s=float(k_cfg["clip_duration_s"]))
     clips, _ = generate_tie_clips(cohort)
-    summaries = [summarize_clip(clip, cohort.fps) for clip in clips]
-    write_skill_csv(summaries, out / "skill_summary.csv")
-    metric = str(k_cfg["metric"])
-    centroids = group_centroids(summaries, metric)
-    loo = leave_one_out(summaries, metric)
-    _json_dump({"metric": metric,
-                "centroids": {k: list(v) for k, v in centroids.items()},
-                "leave_one_out": {op: {k: list(v) for k, v in cents.items()}
-                                  for op, cents in loo.items()}},
-               out / "skill_centroids.json")
-    manifest["skill_summary"] = "skill_summary.csv"
-    manifest["skill_centroids"] = "skill_centroids.json"
+    skill_stage(clips, cohort.fps, artifact("skill_summary.csv"), str(k_cfg["metric"]),
+                artifact("skill_centroids.json"))
 
     # ---- signatures + features + LDA
     g_cfg = cfg["signature"]
     triples = generate_procedure_sequences(seed=seed, n_per_class=int(g_cfg["n_per_class"]))
-    by_class = {}
-    for seq, tools, label in triples:
-        by_class.setdefault(label, []).append((seq, tools))
-    signatures = {label: build_signature([s for s, _ in pairs],
-                                         [t for _, t in pairs],
-                                         window=int(g_cfg["window"]))
-                  for label, pairs in by_class.items()}
-    write_signature_csv(signatures, out / "signature.csv")
-    manifest["signature"] = "signature.csv"
-
+    signature_stage(triples, int(g_cfg["window"]), artifact("signature.csv"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataWarning)
-        features = normalize_tool_features(
-            [featurize(seq, tools, label=label) for seq, tools, label in triples])
-        write_features_csv(features, out / "features.csv")
-        z, _, _ = zscore(features)
-        model = lda_fit(z, [f.label for f in features])
-        points = lda_project(z, model)
-    write_projection_csv(features, points, out / "lda_projection.csv")
-    write_weights_csv(model, out / "lda_weights.csv")
-    _json_dump({"eigenvalues": [float(v) for v in model.eigenvalues[:3]],
+        features = features_stage(triples, artifact("features.csv"))
+        model = lda_stage(features, artifact("lda_projection.csv"),
+                          artifact("lda_weights.csv"))
+    write_json({"eigenvalues": [float(v) for v in model.eigenvalues[:3]],
                 "axis1_top_features": top_features(model, 0, 3),
                 "axis2_top_features": top_features(model, 1, 3)},
-               out / "lda_summary.json")
-    manifest["features"] = "features.csv"
-    manifest["lda_projection"] = "lda_projection.csv"
-    manifest["lda_weights"] = "lda_weights.csv"
-    manifest["lda_summary"] = "lda_summary.json"
+               artifact("lda_summary.json"))
 
-    _json_dump(manifest, out / "manifest.json")
+    # each artifact is listed under its bundle path without the extension
+    manifest = {}
+    for path in written:
+        rel = path.relative_to(out)
+        manifest[rel.with_suffix("").as_posix()] = rel.as_posix()
+    write_json(manifest, out / "manifest.json")
     return manifest

@@ -76,6 +76,17 @@ class ToolSequence:
         return len(self.counts)
 
 
+def majority_action(votes) -> str | None:
+    """The most-voted label of a {label: count} dict, None when it is empty.
+
+    Ties break by the canonical label order, so the result does not depend
+    on the order the votes arrived in.
+    """
+    if not votes:
+        return None
+    return max(ACTION_LABELS, key=lambda lab: votes.get(lab, 0))
+
+
 def action_sequence_from_stream(stream: VideoStream, resolution_s: float = DEFAULT_RESOLUTION_S):
     """Majority action label per resolution window; unlabeled windows are background."""
     n_steps = max(1, int(np.ceil(stream.duration_s / resolution_s)))
@@ -85,13 +96,7 @@ def action_sequence_from_stream(stream: VideoStream, resolution_s: float = DEFAU
             continue
         step = min(int(fr.timestamp_s / resolution_s), n_steps - 1)
         votes[step][fr.action] = votes[step].get(fr.action, 0) + 1
-    labels = []
-    for v in votes:
-        if not v:
-            labels.append(BACKGROUND)
-        else:
-            # ties break by the canonical label order for determinism
-            labels.append(max(ACTION_LABELS, key=lambda lab: v.get(lab, 0)))
+    labels = [majority_action(v) or BACKGROUND for v in votes]
     return ActionSequence(video_id=stream.video_id, labels=tuple(labels),
                           resolution_s=resolution_s)
 

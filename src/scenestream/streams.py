@@ -169,9 +169,6 @@ class FrameRecord:
         object.__setattr__(self, "detections", tuple(self.detections))
         object.__setattr__(self, "keypoints", tuple(self.keypoints))
 
-    def hand_detections(self) -> tuple[Detection, ...]:
-        return tuple(d for d in self.detections if d.category == HAND)
-
 
 @dataclass(frozen=True, eq=False)
 class VideoStream:
@@ -263,17 +260,26 @@ def _parse_frame(obj, line_no):
                        detections=dets, keypoints=kps, action=action)
 
 
-def parse_stream(path) -> VideoStream:
-    """Parse a line-delimited stream file into a validated VideoStream.
+def _parse_header(obj, line_no) -> dict:
+    if not isinstance(obj, dict) or "video_id" not in obj or "fps" not in obj:
+        raise StreamFormatError("first line must be a header with video_id and fps",
+                                line=line_no)
+    metadata = obj.get("metadata") or {}
+    if not isinstance(metadata, dict):
+        raise StreamFormatError(f"header metadata must be an object, got {metadata!r}",
+                                line=line_no)
+    try:
+        return {"video_id": str(obj["video_id"]), "fps": float(obj["fps"]),
+                "width": int(obj.get("width", 0)), "height": int(obj.get("height", 0)),
+                "metadata": metadata}
+    except (TypeError, ValueError) as exc:
+        raise StreamFormatError(f"header fps, width and height must be numbers: {exc}",
+                                line=line_no) from exc
 
-    Frames arriving out of order are re-sorted with a DataWarning; duplicate
-    frame indices and invariant violations raise InvariantError, malformed
-    lines raise StreamFormatError with the line number.
-    """
-    path = Path(path)
-    header = None
-    frames = []
-    with path.open("r", encoding="utf-8") as fh:
+
+def iter_json_lines(path):
+    """(line number, object) for each non-blank line of a line-delimited JSON file."""
+    with Path(path).open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -282,17 +288,30 @@ def parse_stream(path) -> VideoStream:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise StreamFormatError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-            if header is None:
-                if "video_id" not in obj or "fps" not in obj:
-                    raise StreamFormatError(
-                        "first line must be a header with video_id and fps", line=line_no
-                    )
-                header = obj
-                continue
-            try:
-                frames.append(_parse_frame(obj, line_no))
-            except InvariantError as exc:
-                raise InvariantError(f"line {line_no}: {exc}") from exc
+            yield line_no, obj
+
+
+def parse_stream(path) -> VideoStream:
+    """Parse a line-delimited stream file into a validated VideoStream.
+
+    Frames arriving out of order are re-sorted with a DataWarning; duplicate
+    frame indices and invariant violations raise InvariantError, malformed
+    lines (bad JSON, non-numeric values) raise StreamFormatError with the
+    line number.
+    """
+    path = Path(path)
+    header = None
+    frames = []
+    for line_no, obj in iter_json_lines(path):
+        if header is None:
+            header = _parse_header(obj, line_no)
+            continue
+        try:
+            frames.append(_parse_frame(obj, line_no))
+        except InvariantError as exc:
+            raise InvariantError(f"line {line_no}: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise StreamFormatError(f"malformed frame record: {exc}", line=line_no) from exc
     if header is None:
         raise StreamFormatError(f"empty stream file: {path}")
     if not frames:
@@ -311,14 +330,7 @@ def parse_stream(path) -> VideoStream:
         )
         frames.sort(key=lambda fr: fr.frame_index)
 
-    return VideoStream(
-        video_id=str(header["video_id"]),
-        fps=float(header["fps"]),
-        width=int(header.get("width", 0)),
-        height=int(header.get("height", 0)),
-        frames=tuple(frames),
-        metadata=header.get("metadata") or {},
-    )
+    return VideoStream(frames=tuple(frames), **header)
 
 
 def _frame_to_obj(fr: FrameRecord) -> dict:
@@ -330,16 +342,16 @@ def _frame_to_obj(fr: FrameRecord) -> dict:
     return obj
 
 
+def header_line(stream: VideoStream) -> str:
+    """The header line that stream files and tracks files start with."""
+    return json.dumps({"video_id": stream.video_id, "fps": stream.fps,
+                       "width": stream.width, "height": stream.height,
+                       "metadata": dict(stream.metadata)}, sort_keys=True)
+
+
 def stream_to_lines(stream: VideoStream) -> list[str]:
     """Serialize a stream to its line-delimited form (header first)."""
-    header = {
-        "video_id": stream.video_id,
-        "fps": stream.fps,
-        "width": stream.width,
-        "height": stream.height,
-        "metadata": dict(stream.metadata),
-    }
-    lines = [json.dumps(header, sort_keys=True)]
+    lines = [header_line(stream)]
     lines.extend(json.dumps(_frame_to_obj(fr), sort_keys=True) for fr in stream.frames)
     return lines
 

@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import streams
 from .errors import InvariantError
 from .kinematics import PoseFrame, TieClip, Trajectory
 from .signatures import ActionSequence, ToolSequence
 from .streams import (
     ACTIONS,
-    BACKGROUND,
     BBox,
     Detection,
     FrameRecord,
@@ -29,7 +29,6 @@ from .streams import (
     HandKeypoints,
     TOOL_CLASSES,
     VideoStream,
-    write_stream,
 )
 
 # unit hand-keypoint template: palm at origin, thumb and index chains spread
@@ -76,11 +75,6 @@ class CorruptionSpec:
             raise InvariantError("dropout_rate must be in [0,1)")
         if self.jitter_sigma < 0 or self.confidence_sigma < 0:
             raise InvariantError("sigmas must be >= 0")
-
-    @property
-    def is_zero(self) -> bool:
-        return (self.dropout_rate == 0 and self.jitter_sigma == 0
-                and self.confidence_mean == 1.0 and self.confidence_sigma == 0)
 
 
 @dataclass(frozen=True)
@@ -279,24 +273,23 @@ def generate_stream(spec: SynthSpec, index: int = 0):
     return stream, truth
 
 
-def generate_cohort(spec: SynthSpec):
-    return [generate_stream(spec, index) for index in range(spec.n_videos)]
+def write_synth_files(stream: VideoStream, truth: GroundTruth, out_dir):
+    """Write `<video_id>.jsonl` and its `<video_id>.truth.json` sidecar into
+    `out_dir`; returns both paths."""
+    out_dir = Path(out_dir)
+    stream_path = out_dir / f"{stream.video_id}.jsonl"
+    truth_path = out_dir / f"{stream.video_id}.truth.json"
+    streams.write_stream(stream, stream_path)  # looked up on the module, so wrappers see it
+    truth_path.write_text(json.dumps(truth.to_dict(), sort_keys=True) + "\n",
+                          encoding="utf-8")
+    return stream_path, truth_path
 
 
 def synth_generate(spec: SynthSpec, out_dir) -> list:
     """Write stream files plus ground-truth sidecars; returns written paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for index in range(spec.n_videos):
-        stream, truth = generate_stream(spec, index)
-        stream_path = out_dir / f"{stream.video_id}.jsonl"
-        truth_path = out_dir / f"{stream.video_id}.truth.json"
-        write_stream(stream, stream_path)
-        truth_path.write_text(json.dumps(truth.to_dict(), sort_keys=True) + "\n",
-                              encoding="utf-8")
-        written.append((stream_path, truth_path))
-    return written
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return [write_synth_files(*generate_stream(spec, index), out_dir)
+            for index in range(spec.n_videos)]
 
 
 # ------------------------------------------------------------- skill cohort

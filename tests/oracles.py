@@ -183,3 +183,47 @@ def naive_average_precision(dets, gts, iou_fn, iou_thresh=0.5):
             ap += (recall - prev_recall) * peak
             prev_recall = recall
     return ap
+
+
+def _naive_box_iou(a, b):
+    """IoU of two (x0, y0, x1, y1) tuples by the textbook formula."""
+    w = min(a[2], b[2]) - max(a[0], b[0])
+    h = min(a[3], b[3]) - max(a[1], b[1])
+    if w <= 0 or h <= 0:
+        return 0.0
+    inter = w * h
+    return inter / ((a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter)
+
+
+def naive_pck(pred_frames, truth_frames, alpha, match_iou=0.5):
+    """Pooled PCK by walking every ground-truth frame.
+
+    pred_frames / truth_frames: {frame_index: [(points, box), ...]} with
+    points 21 (x, y, visible) rows and box (x0, y0, x1, y1). Hands pair by
+    permutation search over owner-box IoU (pairs below `match_iou` dropped).
+    Every visible truth keypoint counts once; it is a hit when a paired
+    prediction lies within alpha * (width + height) / 2 of the truth box.
+    A truth frame with no prediction frame counts all its keypoints as misses.
+    """
+    hits = valid = 0
+    for f, truths in truth_frames.items():
+        preds = pred_frames.get(f, [])
+        score = np.zeros((len(preds), len(truths)))
+        for i, (_, p_box) in enumerate(preds):
+            for j, (_, t_box) in enumerate(truths):
+                score[i, j] = _naive_box_iou(p_box, t_box)
+        matches, _, _ = brute_force_assignment(score, match_iou)
+        pred_of = {j: i for i, j in matches}
+        for j, (t_pts, t_box) in enumerate(truths):
+            size = ((t_box[2] - t_box[0]) + (t_box[3] - t_box[1])) / 2.0
+            for k in range(21):
+                if t_pts[k][2] <= 0.5:
+                    continue
+                valid += 1
+                if j in pred_of:
+                    p_pts = preds[pred_of[j]][0]
+                    dist = ((p_pts[k][0] - t_pts[k][0]) ** 2
+                            + (p_pts[k][1] - t_pts[k][1]) ** 2) ** 0.5
+                    if dist <= alpha * size:
+                        hits += 1
+    return hits / valid if valid else None

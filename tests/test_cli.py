@@ -1,8 +1,15 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scenestream.cli import main
 from scenestream.pipeline import (
@@ -12,7 +19,15 @@ from scenestream.pipeline import (
     tracking_oracle_report,
     write_tracks,
 )
-from scenestream.streams import BBox, Detection, FrameRecord, VideoStream, write_stream
+from scenestream.streams import (
+    ACTION_LABELS,
+    CATEGORIES,
+    BBox,
+    Detection,
+    FrameRecord,
+    VideoStream,
+    write_stream,
+)
 from scenestream.synth import SynthSpec, generate_stream
 from scenestream.tracking import TrackerConfig
 
@@ -258,3 +273,167 @@ def test_cli_exit_codes(tmp_path):
     assert main(["track", "--in", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert main(["synth", "--seed", "1", "--duration", "0", "--out",
                  str(tmp_path / "x")]) == 2
+
+
+# ------------------------------------------------------- malformed inputs
+
+GOLDEN = Path(__file__).resolve().parent.parent / "docs" / "golden_stream.jsonl"
+
+
+def _golden_with_keypoints():
+    """The golden stream's objects, with one keypoint entry on frame 0."""
+    objs = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    objs[1]["kps"] = [{"points": [[110.0 + k, 120.0 + k, 1] for k in range(21)],
+                       "box": [100, 100, 180, 170]}]
+    return objs
+
+
+def _leaf_fields(obj, path=()):
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [path]
+    return [leaf for key, value in items for leaf in _leaf_fields(value, path + (key,))]
+
+
+# every field a reader converts: header numbers and metadata, and every
+# scalar of the frame lines (the header's video_id and the contents of
+# metadata are free-form)
+_BASE = _golden_with_keypoints()
+_FIELDS = ([(0, (key,)) for key in ("fps", "width", "height", "metadata")]
+           + [(line, path) for line in range(1, len(_BASE))
+              for path in _leaf_fields(_BASE[line])])
+
+
+def _parses_as_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+_MALFORMED = st.one_of(
+    st.text(min_size=1, max_size=6).filter(
+        lambda t: not _parses_as_number(t) and t not in ACTION_LABELS + CATEGORIES),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    st.dictionaries(st.sampled_from("ab"), st.integers(0, 3), min_size=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(_FIELDS), value=_MALFORMED)
+def test_malformed_field_is_an_input_error_with_line_number(field, value):
+    line, path = field
+    assume(not (path == ("metadata",) and isinstance(value, dict)))  # valid metadata
+    objs = copy.deepcopy(_BASE)
+    target = objs[line]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        stream_path = Path(tmp) / "s.jsonl"
+        stream_path.write_text("\n".join(json.dumps(o) for o in objs) + "\n")
+        with contextlib.redirect_stderr(stderr):  # an escaping exception fails the test
+            code = main(["track", "--in", str(stream_path), "--out", str(Path(tmp) / "t")])
+    assert code in (1, 2)
+    assert f"line {line + 1}:" in stderr.getvalue()
+
+
+def test_golden_with_keypoints_tracks(tmp_path):
+    stream_path = tmp_path / "s.jsonl"
+    stream_path.write_text("\n".join(json.dumps(o) for o in _BASE) + "\n")
+    assert main(["track", "--in", str(stream_path), "--out", str(tmp_path / "t")]) == 0
+
+
+def _skill_inputs(tmp_path, fps=15.0):
+    spec = SynthSpec(seed=4, n_videos=1, fps=fps, duration_s=6.0, with_keypoints=True)
+    stream, _ = generate_stream(spec, 0)
+    tracks_path = tmp_path / "t.jsonl"
+    write_tracks(stream, track_stream(stream, TrackerConfig(min_hits=1)), tracks_path)
+    clip = {"video_id": stream.video_id, "start": 0, "end": 80,
+            "operator_id": "op-1", "experience": "trainee", "knot_count": 4}
+    return tracks_path, clip
+
+
+def _run_skill(tmp_path, tracks_path, clips, name, *extra):
+    clips_path = tmp_path / f"{name}.json"
+    clips_path.write_text(json.dumps(clips))
+    out = tmp_path / f"{name}.csv"
+    code = main(["skill", "--tracks", str(tracks_path), "--clips", str(clips_path),
+                 "--out", str(out), *extra])
+    return code, out
+
+
+def test_cli_skill_fps_defaults_to_tracks_header(tmp_path):
+    tracks_path, clip = _skill_inputs(tmp_path, fps=15.0)
+    code, derived = _run_skill(tmp_path, tracks_path, [clip], "derived")
+    assert code == 0
+    _, explicit = _run_skill(tmp_path, tracks_path, [clip], "explicit", "--fps", "15")
+    _, other = _run_skill(tmp_path, tracks_path, [clip], "other", "--fps", "30")
+    assert derived.read_bytes() == explicit.read_bytes()
+    assert derived.read_bytes() != other.read_bytes()  # velocities scale with fps
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"video_id": "other"}, "clip 2 is for video 'other'"),
+    ({"knot_count": "many"}, "clip 2 needs"),
+    ({"start": None}, "clip 2 needs"),  # None: the key is missing
+])
+def test_cli_skill_rejects_bad_clip(tmp_path, capsys, changes, message):
+    tracks_path, clip = _skill_inputs(tmp_path)
+    bad = {k: v for k, v in {**clip, **changes}.items() if v is not None}
+    code, out = _run_skill(tmp_path, tracks_path, [clip, bad], "bad")
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("index, replacement, message", [
+    (2, "{not json", "line 4:"),  # file lines count the blank first line
+    (0, '{"video_id": "v"}', "line 2:"),  # a header without fps
+])
+def test_cli_skill_reports_bad_tracks_line(tmp_path, capsys, index, replacement, message):
+    tracks_path, clip = _skill_inputs(tmp_path)
+    lines = tracks_path.read_text().splitlines()
+    lines[index] = replacement
+    tracks_path.write_text("\n".join(["", *lines]) + "\n")
+    code, _ = _run_skill(tmp_path, tracks_path, [clip], "badline")
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_cli_lda_reproduces_run_bundle(tmp_path):
+    # one LDA stage: `lda` over the bundle's feature table writes the
+    # bundle's projection and weights byte for byte
+    config = {"synth": {"n_videos": 1, "duration_s": 2.0},
+              "skill": {"operators_per_group": 2, "clips_per_operator": 1,
+                        "clip_duration_s": 2.0},
+              "signature": {"n_per_class": 5}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    bundle = tmp_path / "bundle"
+    assert main(["run", "--config", str(cfg_path), "--out", str(bundle)]) == 0
+    proj, weights = tmp_path / "proj.csv", tmp_path / "weights.csv"
+    assert main(["lda", "--features", str(bundle / "features.csv"), "--out", str(proj),
+                 "--weights", str(weights)]) == 0
+    assert proj.read_bytes() == (bundle / "lda_projection.csv").read_bytes()
+    assert weights.read_bytes() == (bundle / "lda_weights.csv").read_bytes()
+
+
+def test_cli_lda_reports_bad_feature_line(tmp_path, capsys):
+    from scenestream.pipeline import features_stage
+    from scenestream.synth import generate_procedure_sequences
+
+    features_path = tmp_path / "features.csv"
+    features_stage(generate_procedure_sequences(seed=1, n_per_class=2), features_path)
+    lines = features_path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[2] = "abc"  # the first feature of the second video
+    lines[2] = ",".join(cells)
+    features_path.write_text("\n".join(lines) + "\n")
+    assert main(["lda", "--features", str(features_path), "--out", str(tmp_path / "p.csv"),
+                 "--weights", str(tmp_path / "w.csv")]) == 1
+    assert "line 3:" in capsys.readouterr().err

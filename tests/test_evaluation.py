@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import naive_average_precision, naive_confusion_counts
-from scenestream import BBox, DataWarning, Detection, HandKeypoints, InvariantError, iou
+from oracles import naive_average_precision, naive_confusion_counts, naive_pck
+from scenestream import (
+    BBox,
+    DataWarning,
+    Detection,
+    HandKeypoints,
+    InvariantError,
+    VideoStream,
+    iou,
+)
 from scenestream.evaluation import (
     MatchResult,
     MetricReport,
@@ -10,10 +18,13 @@ from scenestream.evaluation import (
     action_precision_recall,
     ap_from_records,
     average_precision,
+    evaluate_boxes,
+    evaluate_keypoints,
     match_detections,
     mean_ap,
     pck,
 )
+from scenestream.synth import CorruptionSpec, SynthSpec, generate_stream
 
 CUT, TIE, SUT, BG = "cutting", "tying", "suturing", "background"
 
@@ -175,14 +186,15 @@ def test_mean_ap_excludes_undefined():
     assert mean_ap({"a": None}) is None
 
 
-def test_match_result_merge():
+def test_match_result_update():
     a = MatchResult(records={"hand": [(0.9, True)]}, gt_counts={"hand": 2})
     b = MatchResult(records={"hand": [(0.5, False)], "forceps": [(0.7, True)]},
                     gt_counts={"hand": 1, "forceps": 1})
-    merged = a.merge(b)
-    assert merged.gt_counts == {"hand": 3, "forceps": 1}
-    assert len(merged.records["hand"]) == 2
-    assert a.gt_counts == {"hand": 2}  # merge is pure
+    a.update(b)
+    assert a.gt_counts == {"hand": 3, "forceps": 1}
+    assert a.records["hand"] == [(0.9, True), (0.5, False)]
+    assert a.records["forceps"] == [(0.7, True)]
+    assert b.gt_counts == {"hand": 1, "forceps": 1}  # the argument is left as it was
 
 
 def test_match_detections_tp_bounded_by_gt():
@@ -267,6 +279,42 @@ def test_pck_aggregate_groups():
     assert agg.mean() == pytest.approx(17 / 21)
     per_kp = agg.per_keypoint()
     assert per_kp[0] == 1.0 and per_kp[1] == 0.0
+
+
+def _keypoints_by_frame(stream):
+    return {fr.frame_index: [(k.points.tolist(), tuple(k.owner_box.as_list()))
+                             for k in fr.keypoints] for fr in stream.frames}
+
+
+def _first_frames(stream, n):
+    return VideoStream(video_id=stream.video_id, fps=stream.fps, width=stream.width,
+                       height=stream.height, frames=stream.frames[:n])
+
+
+def test_pck_counts_truth_frames_the_predictor_skipped():
+    # a predictor that emits only the first half of the stream finds half
+    # the hands: PCK agrees with hand AP instead of reading 1.0
+    stream, _ = generate_stream(SynthSpec(seed=3, fps=10, duration_s=4,
+                                          with_keypoints=True), 0)
+    half = _first_frames(stream, len(stream.frames) // 2)
+    report = evaluate_keypoints(half, stream)
+    assert report.mean_pck == 0.5
+    assert evaluate_boxes(half, stream).hand_ap == 0.5
+    assert report.mean_pck == naive_pck(_keypoints_by_frame(half),
+                                        _keypoints_by_frame(stream), alpha=0.2)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_pck_matches_naive_oracle_on_partial_corrupted_predictions(seed):
+    truth, _ = generate_stream(SynthSpec(seed=seed, fps=10, duration_s=4,
+                                         with_keypoints=True), 0)
+    spec = SynthSpec(seed=seed, fps=10, duration_s=4, with_keypoints=True,
+                     corruption=CorruptionSpec(dropout_rate=0.2, jitter_sigma=3.0))
+    pred = _first_frames(generate_stream(spec, 0)[0], 25)
+    for alpha in (0.05, 0.2):
+        report = evaluate_keypoints(pred, truth, alpha=alpha)
+        assert report.mean_pck == naive_pck(_keypoints_by_frame(pred),
+                                            _keypoints_by_frame(truth), alpha=alpha)
 
 
 def test_metric_report_rejects_out_of_range():
