@@ -44,6 +44,7 @@ from .signatures import (
     zscore,
 )
 from .streams import (
+    N_KEYPOINTS,
     BBox,
     Detection,
     FrameRecord,
@@ -108,8 +109,30 @@ def write_tracks(stream: VideoStream, rows, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _numbers(values, n) -> bool:
+    """Whether `values` is a list of exactly n JSON numbers."""
+    return (isinstance(values, list) and len(values) == n
+            and all(isinstance(v, (int, float)) for v in values))
+
+
+def _check_tracks_row(row, line_no) -> None:
+    frame = row.get("frame") if isinstance(row, dict) else None
+    if not isinstance(frame, int):
+        raise StreamFormatError("tracks row needs an integer 'frame'", line=line_no)
+    tracks, kps = row.get("tracks"), row.get("kps", {})
+    if not isinstance(tracks, dict) or not all(_numbers(b, 4) for b in tracks.values()):
+        raise StreamFormatError("tracks row needs 'tracks' mapping track ids to "
+                                "[x_min, y_min, x_max, y_max]", line=line_no)
+    if not isinstance(kps, dict) or not all(
+            isinstance(pts, list) and len(pts) == N_KEYPOINTS and all(_numbers(p, 3) for p in pts)
+            for pts in kps.values()):
+        raise StreamFormatError(f"tracks row 'kps' must map track ids to {N_KEYPOINTS} "
+                                "[x, y, v] triples", line=line_no)
+
+
 def read_tracks(path):
-    """(header, rows) from a tracks.jsonl file."""
+    """(header, rows) from a tracks.jsonl file; a malformed line is a
+    StreamFormatError naming its line number."""
     lines = list(iter_json_lines(path))
     if not lines:
         raise StreamFormatError(f"empty tracks file: {path}")
@@ -118,6 +141,8 @@ def read_tracks(path):
     if not isinstance(fps, (int, float)) or not fps > 0 or "video_id" not in header:
         raise StreamFormatError("first line must be a header with video_id and a "
                                 "positive fps", line=line_no)
+    for line_no, row in lines[1:]:
+        _check_tracks_row(row, line_no)
     return header, [obj for _, obj in lines[1:]]
 
 

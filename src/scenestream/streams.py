@@ -268,6 +268,10 @@ def _parse_header(obj, line_no) -> dict:
     if not isinstance(metadata, dict):
         raise StreamFormatError(f"header metadata must be an object, got {metadata!r}",
                                 line=line_no)
+    duration = metadata.get("duration_s")
+    if duration is not None and not isinstance(duration, (int, float)):
+        raise StreamFormatError(f"header metadata.duration_s must be a number, got "
+                                f"{duration!r}", line=line_no)
     try:
         return {"video_id": str(obj["video_id"]), "fps": float(obj["fps"]),
                 "width": int(obj.get("width", 0)), "height": int(obj.get("height", 0)),

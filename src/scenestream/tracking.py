@@ -4,21 +4,22 @@ Constant-velocity Kalman filters over (center, area, aspect) box states,
 IoU-cost optimal assignment per frame, and a birth/death lifecycle. Only
 hand-category detections are tracked; tools are reported per frame elsewhere.
 
-The tracker keeps its tracks as rows of plain arrays and runs each frame as
-batched numpy kernels: one predict, one IoU matrix, one assignment, one
-Joseph-form update over the matched rows. The per-track `predict`, `update`
-and `new_track` are batch-of-one wrappers over the same kernels.
+A track is one row of plain arrays: a (7,) state mean and a (7,7)
+covariance, plus its id, hit count, frames since its last update and a
+degenerate flag. Each frame runs as batched numpy kernels over all rows: one
+`predict`, one IoU matrix, one assignment and one Joseph-form `update` over
+the matched rows; `new_track` gives a birth's initial mean and covariance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InvariantError
-# `iou` is the scalar form of `iou_matrix`, re-exported as part of this module's API
+# `iou` is imported so the traced benchmark can count calls to it here
 from .streams import BBox, FrameRecord, HAND, iou  # noqa: F401
 
 STATE_DIM = 7  # (u, v, s, r, du, dv, ds); r has no velocity
@@ -59,40 +60,6 @@ class TrackerConfig:
 
     def measurement_cov(self) -> np.ndarray:
         return np.diag([1.0, 1.0, 10.0, 10.0]) * self.measurement_noise
-
-
-@dataclass(frozen=True, eq=False)
-class KalmanState:
-    mean: np.ndarray  # (7,)
-    covariance: np.ndarray  # (7,7) symmetric PSD
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).copy()
-        cov = np.asarray(self.covariance, dtype=float).copy()
-        if mean.shape != (STATE_DIM,) or cov.shape != (STATE_DIM, STATE_DIM):
-            raise InvariantError("KalmanState needs a 7-vector mean and 7x7 covariance")
-        if np.max(np.abs(cov - cov.T)) > _COV_ASYM_TOL:
-            raise InvariantError("KalmanState.covariance must be symmetric")
-        if mean[2] <= 0 or mean[3] <= 0:
-            raise InvariantError("KalmanState scale and aspect ratio must stay positive")
-        cov = (cov + cov.T) / 2.0
-        mean.flags.writeable = False
-        cov.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-
-
-@dataclass(frozen=True, eq=False)
-class Track:
-    track_id: int
-    state: KalmanState
-    hits: int = 1
-    age: int = 0
-    time_since_update: int = 0
-    degenerate: bool = False
-
-    def box(self) -> BBox:
-        return measurement_to_box(self.state.mean[:MEAS_DIM])
 
 
 # ------------------------------------------------------------ box geometry
@@ -137,14 +104,6 @@ def _state_corners(states: np.ndarray) -> np.ndarray:
                      u + w / 2.0, v + h / 2.0], axis=1)
 
 
-def box_to_measurement(box: BBox) -> np.ndarray:
-    return _measurements(box_corners([box]))[0]
-
-
-def measurement_to_box(z) -> BBox:
-    return BBox(*_state_corners(np.asarray(z, dtype=float).reshape(1, -1))[0].tolist())
-
-
 # ------------------------------------------------------------ Kalman kernels
 
 def _symmetrized(covs: np.ndarray):
@@ -168,7 +127,7 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
-def _predict(means: np.ndarray, covs: np.ndarray, process_cov: np.ndarray):
+def predict(means: np.ndarray, covs: np.ndarray, process_cov: np.ndarray):
     """Advance every row one frame under constant-velocity dynamics.
 
     Returns (means, covs, clamped); clamped rows had their area forced positive.
@@ -176,13 +135,13 @@ def _predict(means: np.ndarray, covs: np.ndarray, process_cov: np.ndarray):
     means = (_F @ means[..., None])[..., 0]
     covs, within = _symmetrized(_F @ covs @ _F.T + process_cov)
     if not within.all():
-        raise InvariantError("KalmanState.covariance must be symmetric")
+        raise InvariantError("track covariance must stay symmetric")
     clamped = means[:, 2] <= 0
     means[clamped, 2] = _AREA_EPS
     return means, covs, clamped
 
 
-def _update(means: np.ndarray, covs: np.ndarray, z: np.ndarray, meas_cov: np.ndarray):
+def update(means: np.ndarray, covs: np.ndarray, z: np.ndarray, meas_cov: np.ndarray):
     """Joseph-form measurement update of every row against its measurement z.
 
     Returns (means, covs, ok, clamped). A row is not ok when its innovation
@@ -204,34 +163,11 @@ def _update(means: np.ndarray, covs: np.ndarray, z: np.ndarray, meas_cov: np.nda
     return means, covs, ok & within, clamped
 
 
-def new_track(track_id: int, box: BBox) -> Track:
+def new_track(corners: np.ndarray):
+    """(mean, covariance) of a track born on one (4,) corner row, at rest."""
     mean = np.zeros(STATE_DIM)
-    mean[:MEAS_DIM] = box_to_measurement(box)
-    return Track(track_id=track_id, state=KalmanState(mean=mean, covariance=_INITIAL_COV))
-
-
-def predict(track: Track, config: TrackerConfig) -> Track:
-    """Advance one frame under constant-velocity dynamics and grow covariance."""
-    means, covs, clamped = _predict(track.state.mean[None], track.state.covariance[None],
-                                    config.process_cov())
-    return replace(track, state=KalmanState(mean=means[0], covariance=covs[0]),
-                   age=track.age + 1, time_since_update=track.time_since_update + 1,
-                   degenerate=track.degenerate or bool(clamped[0]))
-
-
-def update(track: Track, det: BBox, config: TrackerConfig) -> Track:
-    """Kalman measurement update from a matched detection box.
-
-    Raises InvariantError on a singular innovation covariance (or a lost
-    covariance symmetry); the tracker drops such tracks.
-    """
-    means, covs, ok, clamped = _update(track.state.mean[None], track.state.covariance[None],
-                                       box_to_measurement(det)[None], config.measurement_cov())
-    if not ok[0]:
-        raise InvariantError("singular innovation covariance or asymmetric covariance")
-    return replace(track, state=KalmanState(mean=means[0], covariance=covs[0]),
-                   hits=track.hits + 1, time_since_update=0,
-                   degenerate=track.degenerate or bool(clamped[0]))
+    mean[:MEAS_DIM] = _measurements(corners[None])[0]
+    return mean, _INITIAL_COV.copy()
 
 
 # ------------------------------------------------------------ association
@@ -317,17 +253,6 @@ def associate(track_boxes, det_boxes, iou_threshold):
 
 # ------------------------------------------------------------ tracker
 
-def _track_rows(tracks: list[Track]) -> tuple:
-    """The tracker's state-array rows (ids, means, covs, hits, time since
-    update, degenerate) of Track records."""
-    return (np.array([t.track_id for t in tracks], dtype=np.int64),
-            np.array([t.state.mean for t in tracks]),
-            np.array([t.state.covariance for t in tracks]),
-            np.array([t.hits for t in tracks], dtype=np.int64),
-            np.array([t.time_since_update for t in tracks], dtype=np.int64),
-            np.array([t.degenerate for t in tracks], dtype=bool))
-
-
 class SortTracker:
     """Stateful per-video tracker; feed frames in order through step().
 
@@ -359,10 +284,9 @@ class SortTracker:
         """
         cfg = self.config
         self.frame_count += 1
-        dets = [d.box for d in frame.detections if d.category == HAND]
-        det_corners = box_corners(dets)
+        det_corners = box_corners([d.box for d in frame.detections if d.category == HAND])
 
-        means, covs, degenerate = _predict(self.means, self.covs, self._process_cov)
+        means, covs, degenerate = predict(self.means, self.covs, self._process_cov)
         degenerate |= self.degenerate
         hits, since = self.hits.copy(), self.time_since_update + 1
         matches, _, unmatched_dets = associate(
@@ -370,7 +294,7 @@ class SortTracker:
         keep = since <= cfg.max_age
         if matches:
             hit, det_idx = (list(ix) for ix in zip(*matches))
-            means[hit], covs[hit], ok, clamped = _update(
+            means[hit], covs[hit], ok, clamped = update(
                 means[hit], covs[hit], _measurements(det_corners[det_idx]), self._meas_cov)
             keep[hit] = ok  # a failed update drops the track
             degenerate[hit] |= clamped
@@ -381,9 +305,13 @@ class SortTracker:
         if not keep.all():
             state = tuple(a[keep] for a in state)
         if unmatched_dets:
-            born = [new_track(self._next_id + k, dets[j]) for k, j in enumerate(unmatched_dets)]
-            self._next_id += len(born)
-            state = tuple(np.concatenate(pair) for pair in zip(state, _track_rows(born)))
+            n = len(unmatched_dets)
+            born_means, born_covs = zip(*(new_track(det_corners[j]) for j in unmatched_dets))
+            born = (np.arange(self._next_id, self._next_id + n, dtype=np.int64),
+                    np.array(born_means), np.array(born_covs), np.ones(n, dtype=np.int64),
+                    np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool))
+            self._next_id += n
+            state = tuple(np.concatenate(pair) for pair in zip(state, born))
         (self.ids, self.means, self.covs, self.hits, self.time_since_update,
          self.degenerate) = state
 

@@ -394,6 +394,10 @@ def test_cli_skill_rejects_bad_clip(tmp_path, capsys, changes, message):
 @pytest.mark.parametrize("index, replacement, message", [
     (2, "{not json", "line 4:"),  # file lines count the blank first line
     (0, '{"video_id": "v"}', "line 2:"),  # a header without fps
+    (2, '{"frame": 0, "t": 0.0, "tracks": {"1": "abc"}}', "line 4: tracks row needs 'tracks'"),
+    (3, '{"t": 0.0, "tracks": {}}', "line 5: tracks row needs an integer 'frame'"),
+    (4, '{"frame": 3, "t": 0.2, "tracks": {"1": [1, 2, 3, 4]}, "kps": {"1": [[0, 0, 1]]}}',
+     "line 6: tracks row 'kps'"),
 ])
 def test_cli_skill_reports_bad_tracks_line(tmp_path, capsys, index, replacement, message):
     tracks_path, clip = _skill_inputs(tmp_path)

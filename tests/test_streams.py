@@ -221,3 +221,11 @@ def test_parse_timestamp_mismatch_is_invariant_error(tmp_path):
     path.write_text(make_stream_lines([frame_obj(0), bad]))
     with pytest.raises(InvariantError, match="timestamp_s"):
         parse_stream(path)
+
+
+def test_parse_non_numeric_duration_reports_header_line(tmp_path):
+    path = tmp_path / "dur.jsonl"
+    header = {"video_id": "v", "fps": 30, "metadata": {"duration_s": "abc"}}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(frame_obj(0)) + "\n")
+    with pytest.raises(StreamFormatError, match="line 1: header metadata.duration_s"):
+        parse_stream(path)

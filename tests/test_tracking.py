@@ -7,28 +7,32 @@ from oracles import brute_force_assignment
 from scenestream import BBox, Detection, FrameRecord, InvariantError, tracking
 from scenestream.synth import CorruptionSpec, HandMotionSpec, SynthSpec, generate_stream
 from scenestream.tracking import (
-    KalmanState,
     SortTracker,
-    Track,
     TrackerConfig,
     _lexmin_optimal_pairs,
+    _measurements,
+    _state_corners,
     associate,
     box_corners,
-    box_to_measurement,
     iou_matrix,
-    measurement_to_box,
     new_track,
     predict,
     update,
 )
 
 CFG = TrackerConfig()
+Q, R = CFG.process_cov(), CFG.measurement_cov()
 
 
-def track_with_state(mean, cov_scale=10.0):
-    state = KalmanState(mean=np.asarray(mean, dtype=float),
-                        covariance=np.eye(7) * cov_scale)
-    return Track(track_id=1, state=state)
+def one_row(mean, cov_scale=10.0):
+    """(means, covs) of a batch of one track with the given state mean."""
+    return np.asarray(mean, dtype=float)[None], (np.eye(7) * cov_scale)[None]
+
+
+def born(box):
+    """(means, covs) of a batch of one track born on `box`."""
+    mean, cov = new_track(box_corners([box])[0])
+    return mean[None], cov[None]
 
 
 def hand_frame(idx, boxes, fps=30.0):
@@ -48,46 +52,53 @@ def test_tracker_config_validation():
 
 
 def test_box_measurement_roundtrip():
-    box = BBox(10, 20, 50, 100)
-    z = box_to_measurement(box)
-    back = measurement_to_box(z)
-    assert back.as_list() == pytest.approx(box.as_list(), abs=1e-9)
+    corners = box_corners([BBox(10, 20, 50, 100)])
+    means, covs = born(BBox(10, 20, 50, 100))
+    assert means[0].tolist() == [30.0, 60.0, 3200.0, 0.5, 0.0, 0.0, 0.0]
+    assert np.array_equal(covs[0], np.diag([10.0] * 4 + [1e4] * 3))
+    assert _state_corners(means)[0] == pytest.approx(corners[0], abs=1e-9)
+    assert _state_corners(_measurements(corners)) == pytest.approx(corners, abs=1e-9)
 
 
 # ---------------------------------------------------------------- predict
 
 def test_predict_zero_velocity_keeps_box_and_grows_covariance():
-    tr = track_with_state([50, 60, 400, 1.0, 0, 0, 0])
-    out = predict(tr, CFG)
-    assert out.box().as_list() == pytest.approx(tr.box().as_list(), abs=1e-9)
-    assert np.trace(out.state.covariance) > np.trace(tr.state.covariance)
-    assert out.age == tr.age + 1
-    assert out.time_since_update == tr.time_since_update + 1
+    means, covs = one_row([50, 60, 400, 1.0, 0, 0, 0])
+    out_means, out_covs, clamped = predict(means, covs, Q)
+    assert _state_corners(out_means) == pytest.approx(_state_corners(means), abs=1e-9)
+    assert np.trace(out_covs[0]) > np.trace(covs[0])
+    assert not clamped[0]
+    # the tracker counts the frames a coasting track goes without an update
+    tracker = SortTracker(TrackerConfig(min_hits=1))
+    box = BBox(100, 100, 160, 160)
+    tracker.step(hand_frame(0, [box]))
+    assert tracker.time_since_update.tolist() == [0]
+    for k in range(1, 4):
+        assert tracker.step(hand_frame(k, [])) == []
+        assert tracker.time_since_update.tolist() == [k]
+        assert tracker.hits.tolist() == [1]
 
 
 def test_predict_advances_center_by_velocity():
-    tr = track_with_state([50, 60, 400, 1.0, 2.0, 0, 0])
-    out = predict(tr, CFG)
-    assert out.state.mean[0] == pytest.approx(52.0, abs=1e-12)
-    assert out.state.mean[1] == pytest.approx(60.0, abs=1e-12)
+    out_means, _, _ = predict(*one_row([50, 60, 400, 1.0, 2.0, 0, 0]), Q)
+    assert out_means[0, 0] == pytest.approx(52.0, abs=1e-12)
+    assert out_means[0, 1] == pytest.approx(60.0, abs=1e-12)
 
 
 def test_predict_ten_steps_matches_linear_extrapolation():
     mean = [100.0, 80.0, 900.0, 1.0, 1.5, -0.5, 0.0]
-    tr = track_with_state(mean)
-    cur = tr
+    means, covs = one_row(mean)
     for _ in range(10):
-        cur = predict(cur, CFG)
+        means, covs, _ = predict(means, covs, Q)
     # closed-form straight-line oracle
-    assert cur.state.mean[0] == pytest.approx(mean[0] + 10 * mean[4], abs=1e-9)
-    assert cur.state.mean[1] == pytest.approx(mean[1] + 10 * mean[5], abs=1e-9)
+    assert means[0, 0] == pytest.approx(mean[0] + 10 * mean[4], abs=1e-9)
+    assert means[0, 1] == pytest.approx(mean[1] + 10 * mean[5], abs=1e-9)
 
 
 def test_predict_clamps_degenerate_area():
-    tr = track_with_state([50, 60, 1.0, 1.0, 0, 0, -5.0])
-    out = predict(tr, CFG)
-    assert out.state.mean[2] > 0
-    assert out.degenerate
+    out_means, _, clamped = predict(*one_row([50, 60, 1.0, 1.0, 0, 0, -5.0]), Q)
+    assert out_means[0, 2] > 0
+    assert clamped[0]
 
 
 # ---------------------------------------------------------------- associate
@@ -145,51 +156,65 @@ def test_associate_matches_brute_force_up_to_6x6(n, m, seed):
 # ---------------------------------------------------------------- update
 
 def test_update_zero_innovation_keeps_mean_shrinks_covariance():
-    box = BBox(40, 50, 60, 90)
-    tr = track_with_state(list(box_to_measurement(box)) + [0, 0, 0])
-    out = update(tr, box, CFG)
-    assert out.state.mean == pytest.approx(tr.state.mean, abs=1e-12)
-    assert np.trace(out.state.covariance) < np.trace(tr.state.covariance)
-    assert out.hits == tr.hits + 1
-    assert out.time_since_update == 0
+    z = _measurements(box_corners([BBox(40, 50, 60, 90)]))
+    means, covs = one_row(list(z[0]) + [0, 0, 0])
+    out_means, out_covs, ok, clamped = update(means, covs, z, R)
+    assert ok[0] and not clamped[0]
+    assert out_means[0] == pytest.approx(means[0], abs=1e-12)
+    assert np.trace(out_covs[0]) < np.trace(covs[0])
+    # the tracker counts a matched frame as a hit and resets the coasting count
+    tracker = SortTracker(TrackerConfig(min_hits=1))
+    box = BBox(100, 100, 160, 160)
+    tracker.step(hand_frame(0, [box]))
+    tracker.step(hand_frame(1, []))
+    assert (tracker.hits.tolist(), tracker.time_since_update.tolist()) == ([1], [1])
+    tracker.step(hand_frame(2, [box]))
+    assert (tracker.hits.tolist(), tracker.time_since_update.tolist()) == ([2], [0])
 
 
 def test_update_repeated_measurements_converge_to_measurement():
-    target = BBox(200, 100, 260, 180)
-    z = box_to_measurement(target)
-    tr = new_track(1, BBox(100, 60, 140, 120))
+    z = _measurements(box_corners([BBox(200, 100, 260, 180)]))
+    means, covs = born(BBox(100, 60, 140, 120))
     errs = []
     for k in range(2000):
-        tr = update(predict(tr, CFG), target, CFG)
-        rel = np.abs(tr.state.mean[:4] - z) / np.maximum(np.abs(z), 1.0)
+        means, covs, _ = predict(means, covs, Q)
+        means, covs, ok, _ = update(means, covs, z, R)
+        assert ok[0]
+        rel = np.abs(means[0, :4] - z[0]) / np.maximum(np.abs(z[0]), 1.0)
         errs.append(np.max(rel))
     assert errs[-1] < 1e-9
     assert errs[-1] < errs[20]
 
 
 def test_update_covariance_symmetric_psd():
-    tr = new_track(1, BBox(10, 10, 40, 60))
+    means, covs = born(BBox(10, 10, 40, 60))
     rng = np.random.default_rng(3)
     for k in range(25):
         jitter = rng.normal(0, 2, size=2)
         box = BBox(10 + jitter[0] + k, 10 + jitter[1], 40 + jitter[0] + k, 60 + jitter[1])
-        tr = update(predict(tr, CFG), box, CFG)
-        cov = tr.state.covariance
+        means, covs, _ = predict(means, covs, Q)
+        means, covs, ok, _ = update(means, covs, _measurements(box_corners([box])), R)
+        assert ok[0]
+        cov = covs[0]
         assert np.max(np.abs(cov - cov.T)) <= 1e-9
         assert np.min(np.linalg.eigvalsh(cov)) > -1e-9
 
 
-def test_update_singular_innovation_raises():
-    class ZeroMeasurementNoise(TrackerConfig):
-        def measurement_cov(self):
-            return np.zeros((4, 4))
-
-    cfg = ZeroMeasurementNoise()
-    state = KalmanState(mean=np.array([10, 10, 100, 1.0, 0, 0, 0]),
-                        covariance=np.zeros((7, 7)))
-    tr = Track(track_id=1, state=state)
-    with pytest.raises(InvariantError, match="singular"):
-        update(tr, BBox(5, 5, 15, 15), cfg)
+def test_update_singular_innovation_is_not_ok():
+    # zero covariance and zero measurement noise make the innovation
+    # covariance singular: that row is not ok, so the tracker drops it, while
+    # a regular row in the same batch updates as it would alone
+    mean = [10, 10, 100, 1.0, 0, 0, 0]
+    z = _measurements(box_corners([BBox(5, 5, 15, 15)]))
+    out = update(*one_row(mean, cov_scale=0.0), z, np.zeros((4, 4)))
+    assert not out[2][0]
+    means = np.array([mean, mean], dtype=float)
+    covs = np.stack([np.zeros((7, 7)), np.eye(7)])
+    out_means, out_covs, ok, _ = update(means, covs, np.repeat(z, 2, axis=0), np.zeros((4, 4)))
+    assert ok.tolist() == [False, True]
+    alone = update(means[1:], covs[1:], z, np.zeros((4, 4)))
+    assert np.array_equal(out_means[1], alone[0][0])
+    assert np.array_equal(out_covs[1], alone[1][0])
 
 
 # ---------------------------------------------------------------- lifecycle
@@ -339,28 +364,30 @@ def test_one_assignment_solve_per_frame_on_twelve_lanes(seed, monkeypatch):
     assert len(calls) <= 1.02 * nonempty
 
 
-def test_batched_kernels_equal_per_track_wrappers_bit_for_bit():
+def test_batched_kernels_equal_batch_of_one_bit_for_bit():
     # a row's arithmetic must not depend on how many rows share the batch
     rng = np.random.default_rng(5)
-    tracks, dets = [], []
+    rows, dets = [], []
     for k in range(6):
         x, y = rng.uniform(50, 500, size=2)
-        tr = new_track(k, BBox(x, y, x + 60, y + 80))
+        means, covs = born(BBox(x, y, x + 60, y + 80))
         for _ in range(int(rng.integers(0, 6))):
             dx, dy = rng.normal(0, 3, size=2)
-            tr = update(predict(tr, CFG), BBox(x + dx, y + dy, x + dx + 60, y + dy + 80), CFG)
-        tracks.append(tr)
+            z = _measurements(box_corners([BBox(x + dx, y + dy, x + dx + 60, y + dy + 80)]))
+            means, covs, _ = predict(means, covs, Q)
+            means, covs, _, _ = update(means, covs, z, R)
+        rows.append((means[0], covs[0]))
         dets.append(BBox(x + 2, y + 1, x + 63, y + 80))
-    means = np.array([t.state.mean for t in tracks])
-    covs = np.array([t.state.covariance for t in tracks])
-    p_means, p_covs, _ = tracking._predict(means, covs, CFG.process_cov())
-    z = np.array([box_to_measurement(d) for d in dets])
-    u_means, u_covs, ok, _ = tracking._update(means, covs, z, CFG.measurement_cov())
+    means = np.array([m for m, _ in rows])
+    covs = np.array([c for _, c in rows])
+    z = _measurements(box_corners(dets))
+    p_means, p_covs, _ = predict(means, covs, Q)
+    u_means, u_covs, ok, _ = update(means, covs, z, R)
     assert ok.all()
-    for k, tr in enumerate(tracks):
-        one = predict(tr, CFG)
-        assert np.array_equal(p_means[k], one.state.mean)
-        assert np.array_equal(p_covs[k], one.state.covariance)
-        one = update(tr, dets[k], CFG)
-        assert np.array_equal(u_means[k], one.state.mean)
-        assert np.array_equal(u_covs[k], one.state.covariance)
+    for k in range(6):
+        one = predict(means[k:k + 1], covs[k:k + 1], Q)
+        assert np.array_equal(p_means[k], one[0][0])
+        assert np.array_equal(p_covs[k], one[1][0])
+        one = update(means[k:k + 1], covs[k:k + 1], z[k:k + 1], R)
+        assert np.array_equal(u_means[k], one[0][0])
+        assert np.array_equal(u_covs[k], one[1][0])
