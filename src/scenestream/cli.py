@@ -30,7 +30,7 @@ from .pipeline import (
     write_tracks,
 )
 from .signatures import BUILTIN_RULES, filter_videos, top_features
-from .streams import iter_json_lines, parse_stream
+from .streams import iter_json_lines, open_stream, parse_stream
 from .synth import CorruptionSpec, SynthSpec, generate_stream, synth_generate
 from .tracking import TrackerConfig
 
@@ -56,10 +56,30 @@ def cmd_synth(args) -> int:
     return 0
 
 
+class _OutOfOrder(Exception):
+    """A frame_index that does not increase on the one before it."""
+
+
+def _in_order(frames):
+    last = -1
+    for fr in frames:
+        if fr.frame_index <= last:
+            raise _OutOfOrder
+        last = fr.frame_index
+        yield fr
+
+
 def cmd_track(args) -> int:
-    stream = parse_stream(args.infile)
-    rows = track_stream(stream, _tracker_config(args))
-    write_tracks(stream, rows, args.out)
+    """Stream the file through the tracker into the tracks file; at the first
+    frame out of order, start over from the buffered parse, which re-sorts
+    the frames with a DataWarning (or rejects a duplicate)."""
+    config = _tracker_config(args)
+    header, frames = open_stream(args.infile)
+    try:
+        write_tracks(header, track_stream(_in_order(frames), config), args.out)
+    except _OutOfOrder:
+        stream = parse_stream(args.infile)
+        write_tracks(stream, track_stream(stream.frames, config), args.out)
     print(args.out)
     return 0
 

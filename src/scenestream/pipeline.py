@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import warnings
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -77,42 +80,74 @@ def write_json(obj, path) -> None:
 
 # ------------------------------------------------------------------ tracking
 
-def track_stream(stream: VideoStream, config: TrackerConfig | None = None):
-    """Run SORT over a stream; one row per frame with boxes keyed by track id.
+# Reading, stepping and writing frame by frame slows each of them; the first
+# step after a block is read runs cold, so small blocks raise the step p99.
+TRACK_BLOCK_FRAMES = 256
+
+
+def _track_row(tracker: SortTracker, fr: FrameRecord) -> dict:
+    emitted = tracker.step(fr)
+    row = {"frame": fr.frame_index, "t": fr.timestamp_s,
+           "tracks": {str(tid): box.as_list() for tid, box in emitted}}
+    kps = {}
+    for kp in fr.keypoints:
+        best_tid, best_v = None, TRACK_KP_MATCH_IOU
+        for tid, box in emitted:
+            v = iou(kp.owner_box, box)
+            if v >= best_v:
+                best_tid, best_v = tid, v
+        if best_tid is not None:
+            kps[str(best_tid)] = kp.points
+    if kps:
+        row["kps"] = kps
+    return row
+
+
+def track_stream(frames, config: TrackerConfig | None = None):
+    """Run SORT over frames in frame order; yield one row per frame with
+    boxes keyed by track id.
 
     Input keypoints are re-keyed by track id when their owner box overlaps
-    the emitted track box (IoU >= 0.5).
+    the emitted track box (IoU >= 0.5); they stay (21, 3) arrays until
+    `write_tracks` serializes them. Frames are taken TRACK_BLOCK_FRAMES at a
+    time and a block's rows are all made before the first is yielded, so
+    reading, tracking and writing a file each run a block at a stretch.
     """
     tracker = SortTracker(config)
-    rows = []
-    for fr in stream.frames:
-        emitted = tracker.step(fr)
-        tracks = {str(tid): box.as_list() for tid, box in emitted}
-        kps = {}
-        for kp in fr.keypoints:
-            best_tid, best_v = None, TRACK_KP_MATCH_IOU
-            for tid, box in emitted:
-                v = iou(kp.owner_box, box)
-                if v >= best_v:
-                    best_tid, best_v = tid, v
-            if best_tid is not None:
-                kps[str(best_tid)] = kp.points.tolist()
-        row = {"frame": fr.frame_index, "t": fr.timestamp_s, "tracks": tracks}
-        if kps:
-            row["kps"] = kps
-        rows.append(row)
-    return rows
+    frames = iter(frames)
+    while block := list(islice(frames, TRACK_BLOCK_FRAMES)):
+        yield from [_track_row(tracker, fr) for fr in block]
 
 
 def write_tracks(stream: VideoStream, rows, path) -> None:
-    lines = [header_line(stream), *(json.dumps(row, sort_keys=True) for row in rows)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the stream's header line, then each row as `rows` yields it.
+
+    Lines go to `<path>.tmp`, which replaces `path` once the last row is
+    written; if anything fails it is removed and `path` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write(header_line(stream) + "\n")
+            for row in rows:
+                fh.write(json.dumps(row, sort_keys=True, default=np.ndarray.tolist) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _numbers(values, n) -> bool:
-    """Whether `values` is a list of exactly n JSON numbers."""
+    """Whether `values` is a list of exactly n finite JSON numbers."""
     return (isinstance(values, list) and len(values) == n
-            and all(isinstance(v, (int, float)) for v in values))
+            and all(isinstance(v, (int, float)) and math.isfinite(v) for v in values))
+
+
+def _is_box(values) -> bool:
+    """Whether `values` is 4 numbers that make a BBox: 0 <= min < max."""
+    return (_numbers(values, 4) and 0 <= values[0] < values[2]
+            and 0 <= values[1] < values[3])
 
 
 def _check_tracks_row(row, line_no) -> None:
@@ -120,9 +155,10 @@ def _check_tracks_row(row, line_no) -> None:
     if not isinstance(frame, int):
         raise StreamFormatError("tracks row needs an integer 'frame'", line=line_no)
     tracks, kps = row.get("tracks"), row.get("kps", {})
-    if not isinstance(tracks, dict) or not all(_numbers(b, 4) for b in tracks.values()):
+    if not isinstance(tracks, dict) or not all(_is_box(b) for b in tracks.values()):
         raise StreamFormatError("tracks row needs 'tracks' mapping track ids to "
-                                "[x_min, y_min, x_max, y_max]", line=line_no)
+                                "[x_min, y_min, x_max, y_max] with 0 <= x_min < x_max "
+                                "and 0 <= y_min < y_max", line=line_no)
     if not isinstance(kps, dict) or not all(
             isinstance(pts, list) and len(pts) == N_KEYPOINTS and all(_numbers(p, 3) for p in pts)
             for pts in kps.values()):
@@ -466,7 +502,7 @@ def run_pipeline(config: dict, out_dir) -> dict:
     for index in range(spec.n_videos):
         stream, truth = generate_stream(spec, index)
         written.extend(write_synth_files(stream, truth, out / "streams"))
-        rows = track_stream(stream, tracker_config)
+        rows = list(track_stream(stream.frames, tracker_config))
         write_tracks(stream, rows, artifact(f"tracks/{stream.video_id}.tracks.jsonl"))
         tracking_reports.append(tracking_oracle_report(rows, truth))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
 
@@ -170,6 +170,25 @@ class FrameRecord:
         object.__setattr__(self, "keypoints", tuple(self.keypoints))
 
 
+def _check_timestamp(fr: FrameRecord, fps: float) -> None:
+    expected = fr.frame_index / fps
+    if abs(fr.timestamp_s - expected) > TIMESTAMP_TOL_S:
+        raise InvariantError(
+            f"FrameRecord.timestamp_s inconsistent with frame_index/fps at frame "
+            f"{fr.frame_index}: {fr.timestamp_s} vs {expected}"
+        )
+
+
+def _check_duration(metadata, last_index: int, fps: float) -> None:
+    dur = metadata.get("duration_s")
+    if dur is not None:
+        span = (last_index + 1) / fps
+        if abs(dur - span) > 1.0 / fps:
+            raise InvariantError(
+                f"metadata duration_s {dur} inconsistent with frame span {span:.6f}"
+            )
+
+
 @dataclass(frozen=True, eq=False)
 class VideoStream:
     """One video's ordered frame records plus header metadata."""
@@ -194,21 +213,11 @@ class VideoStream:
                 raise InvariantError(
                     f"frame_index must be strictly increasing, got {fr.frame_index} after {last}"
                 )
-            expected = fr.frame_index / self.fps
-            if abs(fr.timestamp_s - expected) > TIMESTAMP_TOL_S:
-                raise InvariantError(
-                    f"FrameRecord.timestamp_s inconsistent with frame_index/fps at frame "
-                    f"{fr.frame_index}: {fr.timestamp_s} vs {expected}"
-                )
+            _check_timestamp(fr, self.fps)
             last = fr.frame_index
         meta = dict(self.metadata) if self.metadata else {}
-        dur = meta.get("duration_s")
-        if dur is not None and frames:
-            span = (frames[-1].frame_index + 1) / self.fps
-            if abs(dur - span) > 1.0 / self.fps:
-                raise InvariantError(
-                    f"metadata duration_s {dur} inconsistent with frame span {span:.6f}"
-                )
+        if frames:
+            _check_duration(meta, frames[-1].frame_index, self.fps)
         object.__setattr__(self, "metadata", MappingProxyType(meta))
 
     @property
@@ -295,32 +304,61 @@ def iter_json_lines(path):
             yield line_no, obj
 
 
-def parse_stream(path) -> VideoStream:
-    """Parse a line-delimited stream file into a validated VideoStream.
+def open_stream(path):
+    """The header of a stream file, as a VideoStream without frames, and an
+    iterator over its FrameRecords in file order.
 
-    Frames arriving out of order are re-sorted with a DataWarning; duplicate
-    frame indices and invariant violations raise InvariantError, malformed
-    lines (bad JSON, non-numeric values) raise StreamFormatError with the
-    line number.
+    Each line is parsed and checked when the iterator reaches it, so the
+    first bad line in file order is the one reported: a malformed line
+    raises StreamFormatError, a frame breaking an invariant (a timestamp off
+    frame_index/fps included) raises InvariantError, both naming the line.
+    After the last line, the header's duration_s is checked against the span
+    up to the largest frame_index, naming that frame's line. Frame order is
+    left to the caller.
     """
     path = Path(path)
-    header = None
-    frames = []
-    for line_no, obj in iter_json_lines(path):
-        if header is None:
-            header = _parse_header(obj, line_no)
-            continue
+    lines = iter_json_lines(path)
+    first = next(lines, None)
+    if first is None:
+        raise StreamFormatError(f"empty stream file: {path}")
+    line_no, obj = first
+    try:
+        header = VideoStream(**_parse_header(obj, line_no))
+    except InvariantError as exc:
+        raise InvariantError(f"line {line_no}: {exc}") from exc
+    return header, _checked_frames(path, header, lines)
+
+
+def _checked_frames(path, header: VideoStream, lines):
+    last_line, last_index = None, -1
+    for line_no, obj in lines:
         try:
-            frames.append(_parse_frame(obj, line_no))
+            fr = _parse_frame(obj, line_no)
+            _check_timestamp(fr, header.fps)
         except InvariantError as exc:
             raise InvariantError(f"line {line_no}: {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise StreamFormatError(f"malformed frame record: {exc}", line=line_no) from exc
-    if header is None:
-        raise StreamFormatError(f"empty stream file: {path}")
-    if not frames:
+        if fr.frame_index > last_index:
+            last_line, last_index = line_no, fr.frame_index
+        yield fr
+    if last_line is None:
         raise StreamFormatError(f"stream {path} has a header but no frames")
+    try:
+        _check_duration(header.metadata, last_index, header.fps)
+    except InvariantError as exc:
+        raise InvariantError(f"line {last_line}: {exc}") from exc
 
+
+def parse_stream(path) -> VideoStream:
+    """Parse a line-delimited stream file into a validated VideoStream.
+
+    Lines are checked as `open_stream` checks them. Frames arriving out of
+    order are then re-sorted with a DataWarning; a duplicate frame index
+    raises InvariantError.
+    """
+    header, frames = open_stream(path)
+    frames = list(frames)
     indices = [fr.frame_index for fr in frames]
     if any(b <= a for a, b in zip(indices, indices[1:])):
         seen = set()
@@ -334,7 +372,7 @@ def parse_stream(path) -> VideoStream:
         )
         frames.sort(key=lambda fr: fr.frame_index)
 
-    return VideoStream(frames=tuple(frames), **header)
+    return replace(header, frames=tuple(frames))
 
 
 def _frame_to_obj(fr: FrameRecord) -> dict:

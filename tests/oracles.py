@@ -27,30 +27,28 @@ def grid_iou(a, b, scale=4):
     return int(np.logical_and(ma, mb).sum()) / union
 
 
-def brute_force_assignment(score, threshold):
+def brute_force_assignment(score, threshold, tol=1e-9):
     """Optimal one-to-one assignment by permutation search, maximizing total score.
 
     Returns (matches, unmatched_rows, unmatched_cols) with matches sorted by
-    row index; pairs below threshold dissolved. Ties between equally scoring
-    assignments break toward the lexicographically smallest sorted pair list.
+    row index; pairs below threshold dissolved. Totals within `tol` of the
+    best count as tied, and ties break toward the lexicographically smallest
+    sorted pair list.
     """
     score = np.asarray(score, dtype=float)
     n, m = score.shape
     if n == 0 or m == 0:
         return [], list(range(n)), list(range(m))
-    best_total, best_pairs = -np.inf, None
     if n <= m:
-        for perm in itertools.permutations(range(m), n):
-            pairs = sorted(zip(range(n), perm))
-            total = sum(score[i, j] for i, j in pairs)
-            if total > best_total or (total == best_total and pairs < best_pairs):
-                best_total, best_pairs = total, pairs
+        candidates = [sorted(zip(range(n), perm))
+                      for perm in itertools.permutations(range(m), n)]
     else:
-        for perm in itertools.permutations(range(n), m):
-            pairs = sorted(zip(perm, range(m)))
-            total = sum(score[i, j] for i, j in pairs)
-            if total > best_total or (total == best_total and pairs < best_pairs):
-                best_total, best_pairs = total, pairs
+        candidates = [sorted(zip(perm, range(m)))
+                      for perm in itertools.permutations(range(n), m)]
+    totals = [sum(score[i, j] for i, j in pairs) for pairs in candidates]
+    best_total = max(totals)
+    best_pairs = min(pairs for pairs, total in zip(candidates, totals)
+                     if total >= best_total - tol)
     matches = [(i, j) for i, j in best_pairs if score[i, j] >= threshold]
     matched_rows = {i for i, _ in matches}
     matched_cols = {j for _, j in matches}

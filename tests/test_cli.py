@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scenestream.cli import main
+from scenestream.errors import DataWarning
 from scenestream.pipeline import (
     clips_from_tracks,
     read_tracks,
@@ -28,7 +29,7 @@ from scenestream.streams import (
     VideoStream,
     write_stream,
 )
-from scenestream.synth import SynthSpec, generate_stream
+from scenestream.synth import CorruptionSpec, SynthSpec, generate_stream
 from scenestream.tracking import TrackerConfig
 
 
@@ -75,10 +76,83 @@ def test_cli_track_coasts_past_left_edge(tmp_path):
     assert all(len(r["tracks"]) == 1 for r in rows)
 
 
+def _keypoint_stream_file(path, seconds):
+    """A 2-hand keypoint stream (dropout 0.05, jitter 2 px) written to `path`."""
+    spec = SynthSpec(seed=1, fps=30.0, duration_s=seconds, with_keypoints=True,
+                     corruption=CorruptionSpec(dropout_rate=0.05, jitter_sigma=2.0))
+    stream, _ = generate_stream(spec, 0)
+    write_stream(stream, path)
+    return path
+
+
+def test_cli_track_memory_is_flat_in_stream_length(tmp_path):
+    import tracemalloc
+
+    short = _keypoint_stream_file(tmp_path / "short.jsonl", 20.0)
+    long = _keypoint_stream_file(tmp_path / "long.jsonl", 80.0)
+    argv = ["track", "--out", str(tmp_path / "t.jsonl"), "--in"]
+    assert main([*argv, str(short)]) == 0  # lazy imports stay out of the peaks
+
+    def peak(path):
+        tracemalloc.start()
+        try:
+            assert main([*argv, str(path)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short_peak, long_peak = peak(short), peak(long)
+    assert long_peak <= 1.5 * short_peak, (short_peak, long_peak)
+
+
+def test_cli_track_out_of_order_stream_matches_sorted_stream(tmp_path):
+    in_order = _keypoint_stream_file(tmp_path / "sorted.jsonl", 12.0)
+    lines = in_order.read_text().splitlines()
+    lines[301], lines[302] = lines[302], lines[301]  # frames 300 and 301, past a block
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("\n".join(lines) + "\n")
+    want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+    assert main(["track", "--in", str(in_order), "--out", str(want)]) == 0
+    with pytest.warns(DataWarning, match="re-sorted"):
+        assert main(["track", "--in", str(shuffled), "--out", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_cli_track_malformed_line_leaves_no_output(tmp_path, capsys):
+    path = _keypoint_stream_file(tmp_path / "s.jsonl", 11.0)
+    lines = path.read_text().splitlines()
+    lines[301] = "{not json"  # after 300 good frames
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "t.jsonl"
+    assert main(["track", "--in", str(path), "--out", str(out)]) == 1
+    assert "line 302:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl"]
+    out.write_text("earlier tracks\n")
+    assert main(["track", "--in", str(path), "--out", str(out)]) == 1
+    assert out.read_text() == "earlier tracks\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl", "t.jsonl"]
+
+
+@pytest.mark.parametrize("header, frame_5_t, message", [
+    ({}, 0.5, "line 7: FrameRecord.timestamp_s"),
+    ({"metadata": {"duration_s": 10.0}}, 5 / 30.0, "line 11: metadata duration_s"),
+])
+def test_cli_track_invariant_error_names_its_line(tmp_path, capsys, header, frame_5_t,
+                                                  message):
+    # ten empty frames on lines 2-11; frame 5 sits on line 7
+    lines = [json.dumps({"video_id": "v", "fps": 30.0, **header})]
+    lines += [json.dumps({"frame": k, "t": frame_5_t if k == 5 else k / 30.0, "dets": []})
+              for k in range(10)]
+    path = tmp_path / "s.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["track", "--in", str(path), "--out", str(tmp_path / "t.jsonl")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_skill_from_tracks(tmp_path):
     spec = SynthSpec(seed=4, n_videos=1, fps=30.0, duration_s=6.0, with_keypoints=True)
     stream, _ = generate_stream(spec, 0)
-    rows = track_stream(stream, TrackerConfig(min_hits=1))
+    rows = track_stream(stream.frames, TrackerConfig(min_hits=1))
     tracks_path = tmp_path / "t.jsonl"
     write_tracks(stream, rows, tracks_path)
     clips = [{"video_id": stream.video_id, "start": 0, "end": 170,
@@ -99,7 +173,7 @@ def test_cli_skill_from_tracks(tmp_path):
 def test_clips_from_tracks_explicit_and_inferred(tmp_path):
     spec = SynthSpec(seed=5, n_videos=1, fps=30.0, duration_s=5.0)
     stream, _ = generate_stream(spec, 0)
-    rows = track_stream(stream, TrackerConfig(min_hits=1))
+    rows = list(track_stream(stream.frames, TrackerConfig(min_hits=1)))
     header = {"video_id": stream.video_id}
     base = {"video_id": stream.video_id, "start": 0, "end": 140,
             "operator_id": "o", "experience": "experienced", "knot_count": 3}
@@ -116,7 +190,7 @@ def test_clips_from_tracks_explicit_and_inferred(tmp_path):
 def test_tracking_oracle_report_clean_stream():
     spec = SynthSpec(seed=6, n_videos=1, fps=30.0, duration_s=5.0)
     stream, truth = generate_stream(spec, 0)
-    report = tracking_oracle_report(track_stream(stream, TrackerConfig(min_hits=1)), truth)
+    report = tracking_oracle_report(track_stream(stream.frames, TrackerConfig(min_hits=1)), truth)
     assert report["bijection"] is True
     assert report["id_switches"] == 0
 
@@ -239,7 +313,7 @@ def test_zero_corruption_pipeline_recovers_ground_truth():
     spec = SynthSpec(seed=31, n_videos=1, fps=30.0, duration_s=40.0)
     stream, truth = generate_stream(spec, 0)
     config = TrackerConfig(measurement_noise=1e-12, process_noise=1e-6, min_hits=1)
-    rows = track_stream(stream, config)
+    rows = track_stream(stream.frames, config)
 
     from scenestream.pipeline import _trajectories_by_track
     from scenestream.kinematics import path_distance, clip_mean_hand_size
@@ -352,7 +426,7 @@ def _skill_inputs(tmp_path, fps=15.0):
     spec = SynthSpec(seed=4, n_videos=1, fps=fps, duration_s=6.0, with_keypoints=True)
     stream, _ = generate_stream(spec, 0)
     tracks_path = tmp_path / "t.jsonl"
-    write_tracks(stream, track_stream(stream, TrackerConfig(min_hits=1)), tracks_path)
+    write_tracks(stream, track_stream(stream.frames, TrackerConfig(min_hits=1)), tracks_path)
     clip = {"video_id": stream.video_id, "start": 0, "end": 80,
             "operator_id": "op-1", "experience": "trainee", "knot_count": 4}
     return tracks_path, clip
@@ -398,6 +472,11 @@ def test_cli_skill_rejects_bad_clip(tmp_path, capsys, changes, message):
     (3, '{"t": 0.0, "tracks": {}}', "line 5: tracks row needs an integer 'frame'"),
     (4, '{"frame": 3, "t": 0.2, "tracks": {"1": [1, 2, 3, 4]}, "kps": {"1": [[0, 0, 1]]}}',
      "line 6: tracks row 'kps'"),
+    (1, '{"frame": 0, "t": 0.0, "tracks": {"1": [50, 50, 10, 10]}}',  # inverted corners
+     "line 3: tracks row needs 'tracks'"),
+    (1, json.dumps({"frame": 0, "t": 0.0, "tracks": {"1": [1, 2, 3, 4]},  # a NaN keypoint
+                    "kps": {"1": [[float("nan"), 0, 1]] + [[0, 0, 1]] * 20}}),
+     "line 3: tracks row 'kps'"),
 ])
 def test_cli_skill_reports_bad_tracks_line(tmp_path, capsys, index, replacement, message):
     tracks_path, clip = _skill_inputs(tmp_path)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_assignment
@@ -336,6 +336,17 @@ def test_lexmin_pairs_break_exact_ties_like_brute_force(data, n, m, values):
     # integer scores (dense 0-2, or zero-heavy) sum exactly, so ties are real
     cells = data.draw(st.lists(st.sampled_from(values), min_size=n * m, max_size=n * m))
     score = np.array(cells, dtype=float).reshape(n, m)
+    want, _, _ = brute_force_assignment(score, -1.0)
+    assert _lexmin_optimal_pairs(score) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 6), seed=st.integers(0, 10_000))
+@example(n=3, m=3, seed=4)  # optimal totals 2.4 and 2.4000000000000004
+def test_lexmin_pairs_break_one_decimal_ties_like_brute_force(n, m, seed):
+    # one-decimal scores: equal totals summed in another order can differ in
+    # the last bit, and totals within 1e-9 count as tied
+    score = np.round(np.random.default_rng(seed).uniform(0, 1, size=(n, m)), 1)
     want, _, _ = brute_force_assignment(score, -1.0)
     assert _lexmin_optimal_pairs(score) == want
 
