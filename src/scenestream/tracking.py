@@ -4,11 +4,18 @@ Constant-velocity Kalman filters over (center, area, aspect) box states,
 IoU-cost optimal assignment per frame, and a birth/death lifecycle. Only
 hand-category detections are tracked; tools are reported per frame elsewhere.
 
-A track is one row of plain arrays: a (7,) state mean and a (7,7)
-covariance, plus its id, hit count, frames since its last update and a
-degenerate flag. Each frame runs as batched numpy kernels over all rows: one
-`predict`, one IoU matrix, one assignment and one Joseph-form `update` over
-the matched rows; `new_track` gives a birth's initial mean and covariance.
+SORT's 7-state filter (u, v, s, r, du, dv, ds) splits exactly into four
+independent filters, one per measured axis: F couples each of u, v, s only
+to its own velocity, H reads each axis directly, and the process, measurement
+and initial covariances are diagonal. Its covariance therefore stays
+block-diagonal, a symmetric 2x2 (position, velocity) block per axis whose
+off-block entries start at 0 and stay exactly 0; the aspect r is the same
+block with its velocity and velocity variance pinned at 0. The filters of N
+tracks are one (5, N, 4) array whose planes are (N, 4) arrays over the axes
+(u, v, s, r): position, velocity, and each block's p00, p01 and p11. Each
+frame runs one elementwise `predict` over every track, one IoU matrix, one
+assignment and one closed-form Joseph-form `update` over the matched tracks;
+`new_track` gives a birth's initial filter.
 """
 
 from __future__ import annotations
@@ -22,18 +29,9 @@ from .errors import InvariantError
 # `iou` is imported so the traced benchmark can count calls to it here
 from .streams import BBox, FrameRecord, HAND, iou  # noqa: F401
 
-STATE_DIM = 7  # (u, v, s, r, du, dv, ds); r has no velocity
-MEAS_DIM = 4
-
-_F = np.eye(STATE_DIM)
-_F[0, 4] = _F[1, 5] = _F[2, 6] = 1.0
-_H = np.zeros((MEAS_DIM, STATE_DIM))
-_H[0, 0] = _H[1, 1] = _H[2, 2] = _H[3, 3] = 1.0
-_I = np.eye(STATE_DIM)
-_INITIAL_COV = np.diag([10.0, 10.0, 10.0, 10.0, 1e4, 1e4, 1e4])
-
+# (position, velocity) variances of a newborn track per axis (u, v, s, r)
+_INITIAL_VAR = np.array([[10.0, 10.0, 10.0, 10.0], [1e4, 1e4, 1e4, 0.0]])
 _AREA_EPS = 1e-6
-_COV_ASYM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,14 +50,13 @@ class TrackerConfig:
         if self.process_noise <= 0 or self.measurement_noise <= 0:
             raise InvariantError("noise scales must be positive")
 
-    def process_cov(self) -> np.ndarray:
-        q = np.ones(STATE_DIM)
-        q[4:] = 0.01
-        q[6] = 1e-4
-        return np.diag(q) * self.process_noise
+    def process_var(self) -> np.ndarray:
+        """(2, 4) diagonal process noise: position and velocity variance per axis."""
+        return np.array([[1.0, 1.0, 1.0, 1.0], [0.01, 0.01, 1e-4, 0.0]]) * self.process_noise
 
-    def measurement_cov(self) -> np.ndarray:
-        return np.diag([1.0, 1.0, 10.0, 10.0]) * self.measurement_noise
+    def measurement_var(self) -> np.ndarray:
+        """(4,) diagonal measurement noise of (u, v, s, r)."""
+        return np.array([1.0, 1.0, 10.0, 10.0]) * self.measurement_noise
 
 
 # ------------------------------------------------------------ box geometry
@@ -89,85 +86,76 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _measurements(corners: np.ndarray) -> np.ndarray:
     """(N,4) measurements (u, v, s, r) of corner rows."""
-    x0, y0, x1, y1 = corners.T
-    w, h = x1 - x0, y1 - y0
-    return np.stack([(x0 + x1) / 2.0, (y0 + y1) / 2.0, w * h, w / h], axis=1)
+    z = np.empty(corners.shape)
+    z[:, :2] = (corners[:, :2] + corners[:, 2:]) / 2.0
+    size = corners[:, 2:] - corners[:, :2]
+    z[:, 2] = size[:, 0] * size[:, 1]
+    z[:, 3] = size[:, 0] / size[:, 1]
+    return z
 
 
-def _state_corners(states: np.ndarray) -> np.ndarray:
-    """(N,4) corners, clamped at 0, of the boxes whose (u, v, s, r) lead each row."""
-    u, v = states[:, 0], states[:, 1]
-    s = np.maximum(states[:, 2], _AREA_EPS)
-    w = np.sqrt(s * np.maximum(states[:, 3], _AREA_EPS))
-    h = s / w
-    return np.stack([np.maximum(u - w / 2.0, 0.0), np.maximum(v - h / 2.0, 0.0),
-                     u + w / 2.0, v + h / 2.0], axis=1)
+def _state_corners(positions: np.ndarray) -> np.ndarray:
+    """(N,4) corners, clamped at 0, of the boxes at (N,4) positions (u, v, s, r)."""
+    s = np.maximum(positions[:, 2], _AREA_EPS)
+    half = np.empty((len(positions), 2))
+    half[:, 0] = np.sqrt(s * np.maximum(positions[:, 3], _AREA_EPS))
+    half[:, 1] = s / half[:, 0]
+    half /= 2.0
+    corners = np.empty(positions.shape)
+    corners[:, :2] = np.maximum(positions[:, :2] - half, 0.0)
+    corners[:, 2:] = positions[:, :2] + half
+    return corners
 
 
 # ------------------------------------------------------------ Kalman kernels
 
-def _symmetrized(covs: np.ndarray):
-    """((P + P^T) / 2 per row, mask of rows whose asymmetry is within tolerance)."""
-    covs_t = covs.transpose(0, 2, 1)
-    within = np.abs(covs - covs_t).max(axis=(1, 2), initial=0.0) <= _COV_ASYM_TOL
-    return (covs + covs_t) / 2.0, within
+def predict(kalman: np.ndarray, process_var: np.ndarray):
+    """Advance every track's (5, N, 4) filter one frame under constant velocity.
 
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched np.linalg.solve; the rows of a singular matrix come back as NaN."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        for k in range(len(a)):
-            try:
-                out[k] = np.linalg.solve(a[k], b[k])
-            except np.linalg.LinAlgError:
-                continue
-        return out
-
-
-def predict(means: np.ndarray, covs: np.ndarray, process_cov: np.ndarray):
-    """Advance every row one frame under constant-velocity dynamics.
-
-    Returns (means, covs, clamped); clamped rows had their area forced positive.
+    Per axis the block P becomes F P F^T + Q with F = [[1, 1], [0, 1]].
+    Returns (kalman, clamped); clamped tracks had their area forced positive.
     """
-    means = (_F @ means[..., None])[..., 0]
-    covs, within = _symmetrized(_F @ covs @ _F.T + process_cov)
-    if not within.all():
-        raise InvariantError("track covariance must stay symmetric")
-    clamped = means[:, 2] <= 0
-    means[clamped, 2] = _AREA_EPS
-    return means, covs, clamped
+    pos, vel, p00, p01, p11 = kalman
+    kalman = np.array([pos + vel, vel, p00 + 2.0 * p01 + p11 + process_var[0],
+                       p01 + p11, p11 + process_var[1]])
+    area = kalman[0, :, 2]
+    clamped = area <= 0
+    area[clamped] = _AREA_EPS
+    return kalman, clamped
 
 
-def update(means: np.ndarray, covs: np.ndarray, z: np.ndarray, meas_cov: np.ndarray):
-    """Joseph-form measurement update of every row against its measurement z.
+def update(kalman: np.ndarray, z: np.ndarray, meas_var: np.ndarray):
+    """Joseph-form measurement update of every track's filter against its (N,4) z.
 
-    Returns (means, covs, ok, clamped). A row is not ok when its innovation
-    covariance is singular, its gain is not finite or its updated covariance
-    is asymmetric beyond tolerance; clamped rows had area or aspect forced
-    positive.
+    Per axis, with innovation variance S = p00 + R and gain k = (p00, p01) / S,
+    the block becomes (I - kH) P (I - kH)^T + R k k^T with H = [1, 0].
+    Returns (kalman, ok, clamped). A track is ok while its gain and updated
+    covariance are finite (S = 0 gives a NaN gain); clamped tracks had area or
+    aspect forced positive.
     """
-    hp = _H @ covs
-    gain = _solve(hp @ _H.T + meas_cov, hp).transpose(0, 2, 1)  # (N,7,4)
-    ok = np.isfinite(gain).all(axis=(1, 2))
-    innovation = z - (_H @ means[..., None])[..., 0]
-    means = means + (gain @ innovation[..., None])[..., 0]
-    ikh = _I - gain @ _H
-    covs, within = _symmetrized(ikh @ covs @ ikh.transpose(0, 2, 1)
-                                + gain @ meas_cov @ gain.transpose(0, 2, 1))
-    shape = means[:, 2:MEAS_DIM]
+    pos, vel, p00, p01, p11 = kalman
+    s = p00 + meas_var
+    gain = kalman[2:4] / s
+    k0, k1 = gain
+    innovation = z - pos
+    j = 1.0 - k0
+    kalman = np.array([pos + k0 * innovation, vel + k1 * innovation,
+                       j * j * p00 + k0 * k0 * meas_var,
+                       j * (p01 - k1 * p00) + k0 * k1 * meas_var,
+                       p11 - k1 * (2.0 * p01 - k1 * s)])
+    ok = np.isfinite(gain).all(axis=(0, 2)) & np.isfinite(kalman[2:]).all(axis=(0, 2))
+    shape = kalman[0, :, 2:]
     clamped = (shape <= 0).any(axis=1)
     shape[shape <= 0] = _AREA_EPS
-    return means, covs, ok & within, clamped
+    return kalman, ok, clamped
 
 
-def new_track(corners: np.ndarray):
-    """(mean, covariance) of a track born on one (4,) corner row, at rest."""
-    mean = np.zeros(STATE_DIM)
-    mean[:MEAS_DIM] = _measurements(corners[None])[0]
-    return mean, _INITIAL_COV.copy()
+def new_track(corners: np.ndarray) -> np.ndarray:
+    """(5, 4) filter of a track born on one (4,) corner row, at rest."""
+    kalman = np.zeros((5, 4))
+    kalman[0] = _measurements(corners[None])[0]
+    kalman[2], kalman[4] = _INITIAL_VAR
+    return kalman
 
 
 # ------------------------------------------------------------ association
@@ -256,21 +244,19 @@ def associate(track_boxes, det_boxes, iou_threshold):
 class SortTracker:
     """Stateful per-video tracker; feed frames in order through step().
 
-    Track k is row k of `ids`, `means` (N,7), `covs` (N,7,7), `hits`,
-    `time_since_update` and `degenerate`. Births append rows and deaths
-    delete them, so rows stay in increasing id order.
+    Track k is entry k of `ids`, `hits` and `time_since_update` and column k
+    of the (5, N, 4) `kalman` array. Births append tracks and deaths delete
+    them, so tracks stay in increasing id order.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
-        self._process_cov = self.config.process_cov()
-        self._meas_cov = self.config.measurement_cov()
+        self._process_var = self.config.process_var()
+        self._meas_var = self.config.measurement_var()
         self.ids = np.zeros(0, dtype=np.int64)
-        self.means = np.zeros((0, STATE_DIM))
-        self.covs = np.zeros((0, STATE_DIM, STATE_DIM))
+        self.kalman = np.zeros((5, 0, 4))
         self.hits = np.zeros(0, dtype=np.int64)
         self.time_since_update = np.zeros(0, dtype=np.int64)
-        self.degenerate = np.zeros(0, dtype=bool)
         self.frame_count = 0
         self._next_id = 1
 
@@ -286,41 +272,38 @@ class SortTracker:
         self.frame_count += 1
         det_corners = box_corners([d.box for d in frame.detections if d.category == HAND])
 
-        means, covs, degenerate = predict(self.means, self.covs, self._process_cov)
-        degenerate |= self.degenerate
-        hits, since = self.hits.copy(), self.time_since_update + 1
+        kalman, _ = predict(self.kalman, self._process_var)
+        ids, hits, since = self.ids, self.hits.copy(), self.time_since_update + 1
         matches, _, unmatched_dets = associate(
-            _state_corners(means), det_corners, cfg.iou_threshold)
+            _state_corners(kalman[0]), det_corners, cfg.iou_threshold)
         keep = since <= cfg.max_age
         if matches:
             hit, det_idx = (list(ix) for ix in zip(*matches))
-            means[hit], covs[hit], ok, clamped = update(
-                means[hit], covs[hit], _measurements(det_corners[det_idx]), self._meas_cov)
+            kalman[:, hit], ok, _ = update(
+                kalman[:, hit], _measurements(det_corners[det_idx]), self._meas_var)
             keep[hit] = ok  # a failed update drops the track
-            degenerate[hit] |= clamped
             hits[hit] += 1
             since[hit] = 0
 
-        state = (self.ids, means, covs, hits, since, degenerate)
         if not keep.all():
-            state = tuple(a[keep] for a in state)
+            ids, kalman, hits, since = ids[keep], kalman[:, keep], hits[keep], since[keep]
         if unmatched_dets:
             n = len(unmatched_dets)
-            born_means, born_covs = zip(*(new_track(det_corners[j]) for j in unmatched_dets))
-            born = (np.arange(self._next_id, self._next_id + n, dtype=np.int64),
-                    np.array(born_means), np.array(born_covs), np.ones(n, dtype=np.int64),
-                    np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool))
+            ids = np.concatenate([ids, np.arange(self._next_id, self._next_id + n)])
+            kalman = np.concatenate(
+                [kalman, np.stack([new_track(det_corners[j]) for j in unmatched_dets], axis=1)],
+                axis=1)
+            hits = np.concatenate([hits, np.ones(n, dtype=np.int64)])
+            since = np.concatenate([since, np.zeros(n, dtype=np.int64)])
             self._next_id += n
-            state = tuple(np.concatenate(pair) for pair in zip(state, born))
-        (self.ids, self.means, self.covs, self.hits, self.time_since_update,
-         self.degenerate) = state
+        self.ids, self.kalman, self.hits, self.time_since_update = ids, kalman, hits, since
 
         emit = self.time_since_update == 0
         if self.frame_count > cfg.min_hits:
             emit &= self.hits >= cfg.min_hits
         emitted = []
         for tid, corners in zip(self.ids[emit].tolist(),
-                                _state_corners(self.means[emit]).tolist()):
+                                _state_corners(self.kalman[0, emit]).tolist()):
             try:
                 emitted.append((tid, BBox(*corners)))
             except InvariantError:

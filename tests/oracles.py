@@ -57,6 +57,48 @@ def brute_force_assignment(score, threshold, tol=1e-9):
             [j for j in range(m) if j not in matched_cols])
 
 
+class SevenStateKalman:
+    """One track's SORT filter over the full 7-state (u, v, s, r, du, dv, ds)
+    model: dense 7x7 covariance, `np.linalg.solve` for the gain and a
+    Joseph-form update. Area and aspect are clamped positive the way the
+    tracker clamps them.
+    """
+
+    AREA_EPS = 1e-6
+
+    def __init__(self, corners, process_noise=1.0, measurement_noise=1.0):
+        self.F = np.eye(7)
+        self.F[0, 4] = self.F[1, 5] = self.F[2, 6] = 1.0
+        self.H = np.eye(4, 7)
+        self.Q = np.diag([1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 1e-4]) * process_noise
+        self.R = np.diag([1.0, 1.0, 10.0, 10.0]) * measurement_noise
+        self.x = np.zeros(7)
+        self.x[:4] = self.measure(corners)
+        self.P = np.diag([10.0, 10.0, 10.0, 10.0, 1e4, 1e4, 1e4])
+
+    @staticmethod
+    def measure(corners):
+        x0, y0, x1, y1 = corners
+        w, h = x1 - x0, y1 - y0
+        return np.array([(x0 + x1) / 2.0, (y0 + y1) / 2.0, w * h, w / h])
+
+    def predict(self):
+        self.x = self.F @ self.x
+        self.P = self.F @ self.P @ self.F.T + self.Q
+        if self.x[2] <= 0:
+            self.x[2] = self.AREA_EPS
+
+    def update(self, corners):
+        hp = self.H @ self.P
+        gain = np.linalg.solve(hp @ self.H.T + self.R, hp).T
+        self.x = self.x + gain @ (self.measure(corners) - self.H @ self.x)
+        ikh = np.eye(7) - gain @ self.H
+        self.P = ikh @ self.P @ ikh.T + gain @ self.R @ gain.T
+        for k in (2, 3):
+            if self.x[k] <= 0:
+                self.x[k] = self.AREA_EPS
+
+
 def naive_path_distance(points, mean_size):
     total = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):

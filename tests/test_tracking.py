@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_assignment
+from oracles import SevenStateKalman, brute_force_assignment
 from scenestream import BBox, Detection, FrameRecord, InvariantError, tracking
 from scenestream.synth import CorruptionSpec, HandMotionSpec, SynthSpec, generate_stream
 from scenestream.tracking import (
@@ -21,18 +21,28 @@ from scenestream.tracking import (
 )
 
 CFG = TrackerConfig()
-Q, R = CFG.process_cov(), CFG.measurement_cov()
+Q, R = CFG.process_var(), CFG.measurement_var()
 
 
-def one_row(mean, cov_scale=10.0):
-    """(means, covs) of a batch of one track with the given state mean."""
-    return np.asarray(mean, dtype=float)[None], (np.eye(7) * cov_scale)[None]
+def one_track(pos, vel=(0.0, 0.0, 0.0), var=10.0):
+    """(5, 1, 4) filter of one track at `pos` (u, v, s, r) moving at `vel`
+    (du, dv, ds); every position and velocity variance is `var`."""
+    kalman = np.zeros((5, 1, 4))
+    kalman[0, 0] = pos
+    kalman[1, 0, :3] = vel
+    kalman[2, 0] = var
+    kalman[4, 0, :3] = var
+    return kalman
 
 
 def born(box):
-    """(means, covs) of a batch of one track born on `box`."""
-    mean, cov = new_track(box_corners([box])[0])
-    return mean[None], cov[None]
+    """(5, 1, 4) filter of one track born on `box`."""
+    return new_track(box_corners([box])[0])[:, None]
+
+
+def trace(kalman):
+    """Per-track trace of the covariance: position plus velocity variances."""
+    return (kalman[2] + kalman[4]).sum(axis=1)
 
 
 def hand_frame(idx, boxes, fps=30.0):
@@ -53,20 +63,21 @@ def test_tracker_config_validation():
 
 def test_box_measurement_roundtrip():
     corners = box_corners([BBox(10, 20, 50, 100)])
-    means, covs = born(BBox(10, 20, 50, 100))
-    assert means[0].tolist() == [30.0, 60.0, 3200.0, 0.5, 0.0, 0.0, 0.0]
-    assert np.array_equal(covs[0], np.diag([10.0] * 4 + [1e4] * 3))
-    assert _state_corners(means)[0] == pytest.approx(corners[0], abs=1e-9)
+    kalman = born(BBox(10, 20, 50, 100))
+    assert kalman[:2, 0].tolist() == [[30.0, 60.0, 3200.0, 0.5], [0.0] * 4]
+    # p00, p01 and p11 of the (u, v, s, r) blocks; r has no velocity
+    assert kalman[2:, 0].tolist() == [[10.0] * 4, [0.0] * 4, [1e4, 1e4, 1e4, 0.0]]
+    assert _state_corners(kalman[0])[0] == pytest.approx(corners[0], abs=1e-9)
     assert _state_corners(_measurements(corners)) == pytest.approx(corners, abs=1e-9)
 
 
 # ---------------------------------------------------------------- predict
 
 def test_predict_zero_velocity_keeps_box_and_grows_covariance():
-    means, covs = one_row([50, 60, 400, 1.0, 0, 0, 0])
-    out_means, out_covs, clamped = predict(means, covs, Q)
-    assert _state_corners(out_means) == pytest.approx(_state_corners(means), abs=1e-9)
-    assert np.trace(out_covs[0]) > np.trace(covs[0])
+    kalman = one_track([50, 60, 400, 1.0])
+    out, clamped = predict(kalman, Q)
+    assert _state_corners(out[0]) == pytest.approx(_state_corners(kalman[0]), abs=1e-9)
+    assert trace(out)[0] > trace(kalman)[0]
     assert not clamped[0]
     # the tracker counts the frames a coasting track goes without an update
     tracker = SortTracker(TrackerConfig(min_hits=1))
@@ -80,24 +91,24 @@ def test_predict_zero_velocity_keeps_box_and_grows_covariance():
 
 
 def test_predict_advances_center_by_velocity():
-    out_means, _, _ = predict(*one_row([50, 60, 400, 1.0, 2.0, 0, 0]), Q)
-    assert out_means[0, 0] == pytest.approx(52.0, abs=1e-12)
-    assert out_means[0, 1] == pytest.approx(60.0, abs=1e-12)
+    out, _ = predict(one_track([50, 60, 400, 1.0], vel=[2.0, 0, 0]), Q)
+    assert out[0, 0, 0] == pytest.approx(52.0, abs=1e-12)
+    assert out[0, 0, 1] == pytest.approx(60.0, abs=1e-12)
 
 
 def test_predict_ten_steps_matches_linear_extrapolation():
-    mean = [100.0, 80.0, 900.0, 1.0, 1.5, -0.5, 0.0]
-    means, covs = one_row(mean)
+    pos, vel = [100.0, 80.0, 900.0, 1.0], [1.5, -0.5, 0.0]
+    kalman = one_track(pos, vel)
     for _ in range(10):
-        means, covs, _ = predict(means, covs, Q)
+        kalman, _ = predict(kalman, Q)
     # closed-form straight-line oracle
-    assert means[0, 0] == pytest.approx(mean[0] + 10 * mean[4], abs=1e-9)
-    assert means[0, 1] == pytest.approx(mean[1] + 10 * mean[5], abs=1e-9)
+    assert kalman[0, 0, 0] == pytest.approx(pos[0] + 10 * vel[0], abs=1e-9)
+    assert kalman[0, 0, 1] == pytest.approx(pos[1] + 10 * vel[1], abs=1e-9)
 
 
 def test_predict_clamps_degenerate_area():
-    out_means, _, clamped = predict(*one_row([50, 60, 1.0, 1.0, 0, 0, -5.0]), Q)
-    assert out_means[0, 2] > 0
+    out, clamped = predict(one_track([50, 60, 1.0, 1.0], vel=[0, 0, -5.0]), Q)
+    assert out[0, 0, 2] > 0
     assert clamped[0]
 
 
@@ -157,11 +168,11 @@ def test_associate_matches_brute_force_up_to_6x6(n, m, seed):
 
 def test_update_zero_innovation_keeps_mean_shrinks_covariance():
     z = _measurements(box_corners([BBox(40, 50, 60, 90)]))
-    means, covs = one_row(list(z[0]) + [0, 0, 0])
-    out_means, out_covs, ok, clamped = update(means, covs, z, R)
+    kalman = one_track(z[0])
+    out, ok, clamped = update(kalman, z, R)
     assert ok[0] and not clamped[0]
-    assert out_means[0] == pytest.approx(means[0], abs=1e-12)
-    assert np.trace(out_covs[0]) < np.trace(covs[0])
+    assert out[:2, 0] == pytest.approx(kalman[:2, 0], abs=1e-12)
+    assert trace(out)[0] < trace(kalman)[0]
     # the tracker counts a matched frame as a hit and resets the coasting count
     tracker = SortTracker(TrackerConfig(min_hits=1))
     box = BBox(100, 100, 160, 160)
@@ -174,47 +185,48 @@ def test_update_zero_innovation_keeps_mean_shrinks_covariance():
 
 def test_update_repeated_measurements_converge_to_measurement():
     z = _measurements(box_corners([BBox(200, 100, 260, 180)]))
-    means, covs = born(BBox(100, 60, 140, 120))
+    kalman = born(BBox(100, 60, 140, 120))
     errs = []
     for k in range(2000):
-        means, covs, _ = predict(means, covs, Q)
-        means, covs, ok, _ = update(means, covs, z, R)
+        kalman, _ = predict(kalman, Q)
+        kalman, ok, _ = update(kalman, z, R)
         assert ok[0]
-        rel = np.abs(means[0, :4] - z[0]) / np.maximum(np.abs(z[0]), 1.0)
+        rel = np.abs(kalman[0, 0] - z[0]) / np.maximum(np.abs(z[0]), 1.0)
         errs.append(np.max(rel))
     assert errs[-1] < 1e-9
     assert errs[-1] < errs[20]
 
 
 def test_update_covariance_symmetric_psd():
-    means, covs = born(BBox(10, 10, 40, 60))
+    # each block is symmetric by construction (p01 is stored once); a 2x2
+    # symmetric block is PSD when its diagonal and determinant are >= 0
+    kalman = born(BBox(10, 10, 40, 60))
     rng = np.random.default_rng(3)
     for k in range(25):
         jitter = rng.normal(0, 2, size=2)
         box = BBox(10 + jitter[0] + k, 10 + jitter[1], 40 + jitter[0] + k, 60 + jitter[1])
-        means, covs, _ = predict(means, covs, Q)
-        means, covs, ok, _ = update(means, covs, _measurements(box_corners([box])), R)
+        kalman, _ = predict(kalman, Q)
+        kalman, ok, _ = update(kalman, _measurements(box_corners([box])), R)
         assert ok[0]
-        cov = covs[0]
-        assert np.max(np.abs(cov - cov.T)) <= 1e-9
-        assert np.min(np.linalg.eigvalsh(cov)) > -1e-9
+        p00, p01, p11 = kalman[2:, 0]
+        assert p00.min() >= -1e-9 and p11.min() >= -1e-9
+        assert (p00 * p11 - p01 * p01).min() >= -1e-9
 
 
 def test_update_singular_innovation_is_not_ok():
-    # zero covariance and zero measurement noise make the innovation
-    # covariance singular: that row is not ok, so the tracker drops it, while
-    # a regular row in the same batch updates as it would alone
-    mean = [10, 10, 100, 1.0, 0, 0, 0]
+    # zero variance and zero measurement noise make the innovation variance
+    # S = 0 and the gain 0/0: that track is not ok, so the tracker drops it,
+    # while a regular track in the same batch updates as it would alone
+    pos = [10, 10, 100, 1.0]
     z = _measurements(box_corners([BBox(5, 5, 15, 15)]))
-    out = update(*one_row(mean, cov_scale=0.0), z, np.zeros((4, 4)))
-    assert not out[2][0]
-    means = np.array([mean, mean], dtype=float)
-    covs = np.stack([np.zeros((7, 7)), np.eye(7)])
-    out_means, out_covs, ok, _ = update(means, covs, np.repeat(z, 2, axis=0), np.zeros((4, 4)))
+    with np.errstate(invalid="ignore"):
+        _, ok, _ = update(one_track(pos, var=0.0), z, np.zeros(4))
+        assert not ok[0]
+        kalman = np.concatenate([one_track(pos, var=0.0), one_track(pos, var=1.0)], axis=1)
+        out, ok, _ = update(kalman, np.repeat(z, 2, axis=0), np.zeros(4))
     assert ok.tolist() == [False, True]
-    alone = update(means[1:], covs[1:], z, np.zeros((4, 4)))
-    assert np.array_equal(out_means[1], alone[0][0])
-    assert np.array_equal(out_covs[1], alone[1][0])
+    alone, _, _ = update(kalman[:, 1:], z, np.zeros(4))
+    assert np.array_equal(out[:, 1], alone[:, 0])
 
 
 # ---------------------------------------------------------------- lifecycle
@@ -378,27 +390,106 @@ def test_one_assignment_solve_per_frame_on_twelve_lanes(seed, monkeypatch):
 def test_batched_kernels_equal_batch_of_one_bit_for_bit():
     # a row's arithmetic must not depend on how many rows share the batch
     rng = np.random.default_rng(5)
-    rows, dets = [], []
+    tracks, dets = [], []
     for k in range(6):
         x, y = rng.uniform(50, 500, size=2)
-        means, covs = born(BBox(x, y, x + 60, y + 80))
+        kalman = born(BBox(x, y, x + 60, y + 80))
         for _ in range(int(rng.integers(0, 6))):
             dx, dy = rng.normal(0, 3, size=2)
             z = _measurements(box_corners([BBox(x + dx, y + dy, x + dx + 60, y + dy + 80)]))
-            means, covs, _ = predict(means, covs, Q)
-            means, covs, _, _ = update(means, covs, z, R)
-        rows.append((means[0], covs[0]))
+            kalman, _ = predict(kalman, Q)
+            kalman, _, _ = update(kalman, z, R)
+        tracks.append(kalman)
         dets.append(BBox(x + 2, y + 1, x + 63, y + 80))
-    means = np.array([m for m, _ in rows])
-    covs = np.array([c for _, c in rows])
+    kalman = np.concatenate(tracks, axis=1)
     z = _measurements(box_corners(dets))
-    p_means, p_covs, _ = predict(means, covs, Q)
-    u_means, u_covs, ok, _ = update(means, covs, z, R)
+    predicted, _ = predict(kalman, Q)
+    updated, ok, _ = update(kalman, z, R)
     assert ok.all()
     for k in range(6):
-        one = predict(means[k:k + 1], covs[k:k + 1], Q)
-        assert np.array_equal(p_means[k], one[0][0])
-        assert np.array_equal(p_covs[k], one[1][0])
-        one = update(means[k:k + 1], covs[k:k + 1], z[k:k + 1], R)
-        assert np.array_equal(u_means[k], one[0][0])
-        assert np.array_equal(u_covs[k], one[1][0])
+        one, _ = predict(kalman[:, k:k + 1], Q)
+        assert np.array_equal(predicted[:, k], one[:, 0])
+        one, _, _ = update(kalman[:, k:k + 1], z[k:k + 1], R)
+        assert np.array_equal(updated[:, k], one[:, 0])
+
+
+# ---------------------------------------------------------------- seven-state oracle
+
+def _oracle_sequence(seed, frames=60):
+    """Drive the kernels and one `SevenStateKalman` per track through random
+    births, predicts, updates and coasting gaps; yields (kalman, oracles)
+    after every kernel call."""
+    rng = np.random.default_rng(seed)
+    kalman, oracles, truth, gap = np.zeros((5, 0, 4)), [], [], []
+    for _ in range(frames):
+        if not oracles or (len(oracles) < 6 and rng.random() < 0.15):
+            x, y = rng.uniform(50, 800, size=2)
+            w, h = rng.uniform(30, 120, size=2)
+            truth.append([x, y, w, h, *rng.normal(0, 3, size=2), rng.normal(0, 0.5)])
+            gap.append(0)
+            corners = np.array([x, y, x + w, y + h])
+            oracles.append(SevenStateKalman(corners))
+            kalman = np.concatenate([kalman, new_track(corners)[:, None]], axis=1)
+            yield kalman, oracles
+        kalman, _ = predict(kalman, Q)
+        for oracle in oracles:
+            oracle.predict()
+        yield kalman, oracles
+        hit, corners = [], []
+        for k, t in enumerate(truth):
+            t[0] += t[4]
+            t[1] += t[5]
+            t[2] = max(t[2] + t[6], 5.0)
+            if gap[k] == 0 and rng.random() < 0.05:
+                gap[k] = int(rng.integers(2, 12))  # the track coasts this many frames
+            if gap[k] > 0:
+                gap[k] -= 1
+                continue
+            x, y = t[0] + rng.normal(0, 2), t[1] + rng.normal(0, 2)
+            hit.append(k)
+            corners.append([x, y, x + t[2] + rng.normal(0, 2), y + t[3] + rng.normal(0, 2)])
+        if hit:
+            corners = np.array(corners)
+            kalman[:, hit], ok, _ = update(kalman[:, hit], _measurements(corners), R)
+            assert ok.all()
+            for k, c in zip(hit, corners):
+                oracles[k].update(c)
+            yield kalman, oracles
+
+
+def _blocks(oracle):
+    """(pos, vel, p00, p01, p11), each over (u, v, s, r), of a 7-state filter."""
+    x, P = oracle.x, oracle.P
+    vel, p01, p11 = (np.append(a, 0.0)  # r has no velocity
+                     for a in (x[4:], P[:3, 4:].diagonal(), P[4:, 4:].diagonal()))
+    return np.array([x[:4], vel, P[:4, :4].diagonal(), p01, p11])
+
+
+def test_kernels_match_seven_state_oracle():
+    # per axis, the (position, velocity) pair and the 2x2 block each match
+    # within 1e-9 relative to their largest entry: a velocity near 0 is the
+    # difference of positions near 1e3, so its own relative error is not
+    # bounded by rounding
+    for seed in range(20):
+        calls = 0
+        for kalman, oracles in _oracle_sequence(seed):
+            calls += 1
+            for k, oracle in enumerate(oracles):
+                want = _blocks(oracle)
+                err = np.abs(kalman[:, k] - want)
+                for planes in (slice(0, 2), slice(2, 5)):
+                    scale = np.abs(want[planes]).max(axis=0)
+                    assert (err[planes].max(axis=0) <= 1e-9 * scale).all(), (seed, calls, k)
+        assert calls > 100
+
+
+def test_seven_state_covariance_stays_block_diagonal():
+    # the reason the per-axis split is exact: F, H, Q, R and P0 never couple
+    # two axes, so every entry outside the (axis, axis velocity) blocks is 0.0
+    block = np.eye(7, dtype=bool)
+    for a in range(3):
+        block[a, a + 4] = block[a + 4, a] = True
+    for seed in range(20):
+        for _, oracles in _oracle_sequence(seed):
+            for oracle in oracles:
+                assert np.all(oracle.P[~block] == 0.0), seed
