@@ -15,6 +15,7 @@ from pathlib import Path
 from .bench import bench_stream
 from .errors import InvariantError, SceneStreamError, StreamFormatError
 from .evaluation import evaluate_actions, evaluate_boxes, evaluate_keypoints
+from .kinematics import SKILL_METRICS
 from .pipeline import (
     clips_from_tracks,
     features_stage,
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clips", required=True, help="clips.json definitions")
     p.add_argument("--fps", type=float,
                    help="frames per second (default: the tracks header's fps)")
-    p.add_argument("--metric", choices=("distance", "pose"), default="distance")
+    p.add_argument("--metric", choices=SKILL_METRICS, default="distance")
     p.add_argument("--per-frame-size", action="store_true",
                    help="normalize velocity by per-frame hand size")
     p.add_argument("--out", required=True, help="summary CSV")

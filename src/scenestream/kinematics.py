@@ -55,12 +55,9 @@ class Trajectory:
     def from_boxes(cls, track_id: int, items) -> "Trajectory":
         """Build from (frame_index, BBox) pairs, e.g. one track's rows of a tracks file."""
         items = list(items)
-        frames = [i for i, _ in items]
-        cents = [centroid(b) for _, b in items]
-        sizes = [hand_size(b) for _, b in items]
-        return cls(track_id=track_id, frames=np.array(frames, dtype=int),
-                   centroids=np.array(cents, dtype=float).reshape(-1, 2),
-                   sizes=np.array(sizes, dtype=float))
+        return cls(track_id=track_id, frames=[i for i, _ in items],
+                   centroids=[centroid(b) for _, b in items],
+                   sizes=[hand_size(b) for _, b in items])
 
     def slice(self, start: int, end: int) -> "Trajectory":
         keep = (self.frames >= start) & (self.frames <= end)
@@ -193,12 +190,15 @@ def velocity_series(traj: Trajectory, mean_size: float, fps: float,
     return velocity, acceleration, jerk
 
 
+def _chain_vectors(points: np.ndarray) -> np.ndarray:
+    """(..., 9, 2) skill points -> (..., 8, 2) chain vectors, each from the
+    joint before it: palm->thumb1..4, then palm->index1..4."""
+    return points[..., 1:, :] - points[..., [0, 1, 2, 3, 0, 5, 6, 7], :]
+
+
 def pose_vectors(pose: PoseFrame) -> np.ndarray:
     """Eight chain vectors: palm->thumb joints then palm->index joints, (8, 2)."""
-    p = pose.points
-    thumb = np.diff(p[0:5], axis=0)  # palm, thumb1..4
-    index = np.diff(np.vstack([p[0:1], p[5:9]]), axis=0)  # palm, index1..4
-    return np.vstack([thumb, index])
+    return _chain_vectors(pose.points)
 
 
 def pose_change(p_t: PoseFrame, p_t1: PoseFrame) -> float:
@@ -209,28 +209,27 @@ def pose_change(p_t: PoseFrame, p_t1: PoseFrame) -> float:
 
 
 def integrated_pose_distance(seq) -> float:
-    """Sum of pose_change over consecutive frames of one contiguous sequence."""
+    """Sum of pose_change over consecutive frames of one contiguous sequence,
+    added left to right so it equals summing the pose_change values in order."""
     seq = list(seq)
     if len(seq) < 2:
         warnings.warn("integrated_pose_distance needs >= 2 pose frames; returning 0",
                       DataWarning, stacklevel=2)
         return 0.0
-    return float(sum(pose_change(a, b) for a, b in zip(seq, seq[1:])))
+    vectors = _chain_vectors(np.stack([p.points for p in seq]))
+    # a row of 16 sums in the same order as .sum() of one (8, 2) delta
+    l1 = np.abs(vectors[1:] - vectors[:-1]).reshape(len(seq) - 1, 16).sum(axis=1)
+    values = l1 / np.array([p.hand_size for p in seq[:-1]], dtype=float)
+    return float(sum(values.tolist()))  # np.sum adds pairwise, off in the last bit
 
 
 def split_pose_segments(poses, fps: float, max_gap_s: float = POSE_GAP_SPLIT_S):
     """Split a pose sequence wherever consecutive frames are further apart
     than max_gap_s; frames with missing keypoints were already dropped."""
-    segments, current = [], []
-    max_gap = max_gap_s * fps
-    for pose in poses:
-        if current and pose.frame_index - current[-1].frame_index > max_gap:
-            segments.append(current)
-            current = []
-        current.append(pose)
-    if current:
-        segments.append(current)
-    return segments
+    poses, max_gap = list(poses), max_gap_s * fps
+    cuts = [k for k in range(1, len(poses))
+            if poses[k].frame_index - poses[k - 1].frame_index > max_gap]
+    return [poses[a:b] for a, b in zip([0, *cuts], [*cuts, len(poses)]) if a < b]
 
 
 def _summarize_hand(traj, poses, knot_count, fps, per_frame_size):
@@ -241,10 +240,8 @@ def _summarize_hand(traj, poses, knot_count, fps, per_frame_size):
         warnings.simplefilter("ignore", DataWarning)
         dist = path_distance(traj, mean_size)
         vel, acc, jerk = velocity_series(traj, mean_size, fps, per_frame_size)
-    pose_total = 0.0
-    for segment in split_pose_segments(poses, fps):
-        if len(segment) >= 2:
-            pose_total += integrated_pose_distance(segment)
+    pose_total = sum((integrated_pose_distance(segment)
+                      for segment in split_pose_segments(poses, fps) if len(segment) >= 2), 0.0)
 
     def stats(series):
         if series.size == 0:
@@ -285,6 +282,7 @@ _METRIC_FIELDS = {
     "pose": "integrated_pose_distance",
     "pose_per_knot": "pose_distance_per_knot",
 }
+SKILL_METRICS = tuple(_METRIC_FIELDS)  # the names `skill --metric` and `run` accept
 
 
 def metric_pair(summary: KinematicSummary, metric: str = "distance"):

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DataWarning, StreamFormatError
 from .evaluation import evaluate_actions, evaluate_boxes
 from .kinematics import (
+    SKILL_METRICS,
     PoseFrame,
     TieClip,
     Trajectory,
@@ -465,20 +466,59 @@ DEFAULT_RUN_CONFIG = {
 }
 
 
+def _config_value(key, default, value):
+    """`value` checked against the run config's `default` at `key`; a section
+    is the default updated key by key. A value not of its default's kind (an
+    object, true/false, a finite number, an integer, a metric name) raises
+    StreamFormatError naming the key."""
+    if isinstance(default, dict) and isinstance(value, dict):
+        return {k: _config_value(f"{key}.{k}" if key else k, default[k], v)
+                if k in default else v for k, v in {**default, **value}.items()}
+    if isinstance(default, dict):
+        want = "an object"
+    elif key == "skill.metric":
+        want = None if value in SKILL_METRICS else f"one of {', '.join(SKILL_METRICS)}"
+    elif isinstance(default, bool):
+        want = None if isinstance(value, bool) else "true or false"
+    elif (isinstance(value, bool) or not isinstance(value, (int, float))
+          or (isinstance(value, float) and not math.isfinite(value))):
+        want = "a finite number"
+    elif key == "seed":  # what the random generators accept
+        want = None if value == int(value) and value >= 0 else "a non-negative integer"
+    else:
+        want = "an integer" if isinstance(default, int) and value != int(value) else None
+    if want is None:
+        return value
+    raise StreamFormatError(
+        f"run config{': ' + key if key else ''} must be {want}, got {value!r}")
+
+
 def run_pipeline(config: dict, out_dir) -> dict:
     """Full desk-scale pipeline: synth -> track -> skill -> signature -> lda
     -> eval. Returns the manifest of written artifacts (also saved as
-    manifest.json). Output bytes depend only on the config."""
-    cfg = json.loads(json.dumps(DEFAULT_RUN_CONFIG))  # deep default copy
-    for key, value in (config or {}).items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
-            cfg[key].update(value)
-        else:
-            cfg[key] = value
+    manifest.json). Output bytes depend only on the config, which is checked
+    in full before anything is written."""
+    cfg = _config_value("", DEFAULT_RUN_CONFIG, config)
+    seed = int(cfg["seed"])
+    s_cfg, k_cfg = cfg["synth"], cfg["skill"]
+    spec = SynthSpec(
+        seed=seed, n_videos=int(s_cfg["n_videos"]), fps=float(s_cfg["fps"]),
+        duration_s=float(s_cfg["duration_s"]),
+        corruption=CorruptionSpec(dropout_rate=float(s_cfg["dropout"]),
+                                  jitter_sigma=float(s_cfg["jitter"])),
+        with_keypoints=s_cfg["with_keypoints"])
+    tracker_config = TrackerConfig(
+        iou_threshold=float(cfg["tracker"]["iou"]),
+        max_age=int(cfg["tracker"]["max_age"]),
+        min_hits=int(cfg["tracker"]["min_hits"]))
+    cohort = SkillCohortSpec(
+        seed=seed, operators_per_group=int(k_cfg["operators_per_group"]),
+        clips_per_operator=int(k_cfg["clips_per_operator"]),
+        clip_duration_s=float(k_cfg["clip_duration_s"]))
+
     out = Path(out_dir)
     (out / "streams").mkdir(parents=True, exist_ok=True)
     (out / "tracks").mkdir(exist_ok=True)
-    seed = int(cfg["seed"])
     written = []
 
     def artifact(rel):
@@ -486,17 +526,6 @@ def run_pipeline(config: dict, out_dir) -> dict:
         return out / rel
 
     # ---- synth + track + tracking oracle
-    s_cfg = cfg["synth"]
-    spec = SynthSpec(
-        seed=seed, n_videos=int(s_cfg["n_videos"]), fps=float(s_cfg["fps"]),
-        duration_s=float(s_cfg["duration_s"]),
-        corruption=CorruptionSpec(dropout_rate=float(s_cfg["dropout"]),
-                                  jitter_sigma=float(s_cfg["jitter"])),
-        with_keypoints=bool(s_cfg["with_keypoints"]))
-    tracker_config = TrackerConfig(
-        iou_threshold=float(cfg["tracker"]["iou"]),
-        max_age=int(cfg["tracker"]["max_age"]),
-        min_hits=int(cfg["tracker"]["min_hits"]))
     tracking_reports = []
     eval_reports = []
     for index in range(spec.n_videos):
@@ -519,13 +548,8 @@ def run_pipeline(config: dict, out_dir) -> dict:
     write_json(eval_reports, artifact("eval_report.json"))
 
     # ---- skill cohort
-    k_cfg = cfg["skill"]
-    cohort = SkillCohortSpec(
-        seed=seed, operators_per_group=int(k_cfg["operators_per_group"]),
-        clips_per_operator=int(k_cfg["clips_per_operator"]),
-        clip_duration_s=float(k_cfg["clip_duration_s"]))
     clips, _ = generate_tie_clips(cohort)
-    skill_stage(clips, cohort.fps, artifact("skill_summary.csv"), str(k_cfg["metric"]),
+    skill_stage(clips, cohort.fps, artifact("skill_summary.csv"), k_cfg["metric"],
                 artifact("skill_centroids.json"))
 
     # ---- signatures + features + LDA

@@ -322,62 +322,40 @@ class SkillCohortSpec:
 
 def _bounded_walk(rng, n_steps, step_len, start, lo=150.0, hi=1800.0):
     """Random-direction walk with exact step lengths, reflected at bounds."""
-    pos = np.empty((n_steps + 1, 2))
-    pos[0] = start
+    x, y = start
+    pos = [(x, y)]
     theta = rng.uniform(0, 2 * np.pi)
-    for k in range(n_steps):
-        theta += rng.normal(0, 0.5)
-        step = np.array([math.cos(theta), math.sin(theta)]) * step_len
-        nxt = pos[k] + step
-        for d in range(2):
-            if nxt[d] < lo or nxt[d] > hi:
-                step[d] = -step[d]
-                nxt[d] = pos[k][d] + step[d]
-        pos[k + 1] = nxt
-    return pos
+    for turn in rng.normal(0, 0.5, size=n_steps).tolist():
+        theta += turn
+        dx, dy = math.cos(theta) * step_len, math.sin(theta) * step_len
+        x = x + dx if lo <= x + dx <= hi else x - dx
+        y = y + dy if lo <= y + dy <= hi else y - dy
+        pos.append((x, y))
+    return np.array(pos)
 
 
 def _pose_sequence(rng, n_frames, size, pose_rate):
-    """Deforming keypoint chains; returns (pose frames, naive pose distance)."""
-    base = _HAND_TEMPLATE[:9] * size
-    deform = np.zeros((9, 2))
-    frames, nine = [], []
-    for k in range(n_frames):
-        if k > 0 and pose_rate > 0:
-            deform = np.clip(deform + rng.normal(0, pose_rate * size, size=(9, 2)),
-                             -0.3 * size, 0.3 * size)
-        pts = base + deform
-        nine.append(pts.copy())
-        frames.append(PoseFrame(frame_index=k, points=pts, hand_size=size))
-
-    # naive integrated pose change: chain vectors, L1, earlier-frame size
-    def chain_vectors(p):
-        vecs = []
-        prev = p[0]
-        for idx in range(1, 5):
-            vecs.append(p[idx] - prev)
-            prev = p[idx]
-        prev = p[0]
-        for idx in range(5, 9):
-            vecs.append(p[idx] - prev)
-            prev = p[idx]
-        return vecs
-
-    total = 0.0
-    for k in range(1, n_frames):
-        va, vb = chain_vectors(nine[k - 1]), chain_vectors(nine[k])
-        step = 0.0
-        for a, b in zip(va, vb):
-            step += abs(b[0] - a[0]) + abs(b[1] - a[1])
-        total += step / size
-    return frames, total
+    """Deforming keypoint chains: a clipped random walk of the nine skill
+    points around the hand template, one PoseFrame per frame."""
+    points = np.broadcast_to(_HAND_TEMPLATE[:9] * size, (n_frames, 9, 2)).copy()
+    if pose_rate > 0:
+        # one draw yields the same numbers as one (9, 2) draw per frame
+        noise = rng.normal(0, pose_rate * size, size=(n_frames - 1, 9, 2))
+        deform = np.zeros((9, 2))
+        for k in range(1, n_frames):
+            deform += noise[k - 1]
+            np.clip(deform, -0.3 * size, 0.3 * size, out=deform)
+            points[k] += deform
+    return tuple(PoseFrame(frame_index=k, points=pts, hand_size=size)
+                 for k, pts in enumerate(points))
 
 
 def generate_tie_clips(spec: SkillCohortSpec):
-    """A cohort of TieClips plus the generator's own per-clip metric totals.
+    """A cohort of TieClips plus the generator's own per-clip design values.
 
     Returns (clips, truths) where truths[i] maps hand name to
-    {"path_hand_lengths", "pose_distance"} for clips[i].
+    {"path_hand_lengths"} for clips[i]: the walk's designed travel. Pose
+    change has no design value; tests check it against a naive oracle.
     """
     rng = np.random.default_rng([spec.seed, 977])
     n_frames = max(int(round(spec.clip_duration_s * spec.fps)), 2)
@@ -397,22 +375,18 @@ def generate_tie_clips(spec: SkillCohortSpec):
                     hand_mult = float(np.clip(rng.normal(1.0, spec.clip_sigma / 2), 0.8, 1.2))
                     length_hl = target * op_mult * clip_mult * hand_mult
                     step_len = length_hl * size / n_steps
-                    pos = _bounded_walk(rng, n_steps, step_len, np.array(home))
-                    traj = Trajectory(track_id=0 if hand == "left" else 1,
-                                      frames=np.arange(n_frames),
-                                      centroids=pos, sizes=np.full(n_frames, size))
-                    poses, pose_total = _pose_sequence(rng, n_frames, size,
-                                                       pose_rates[experience])
-                    hands[hand] = (traj, tuple(poses))
+                    hands[hand] = Trajectory(
+                        track_id=0 if hand == "left" else 1, frames=np.arange(n_frames),
+                        centroids=_bounded_walk(rng, n_steps, step_len, home),
+                        sizes=np.full(n_frames, size))
+                    hands[f"{hand}_poses"] = _pose_sequence(rng, n_frames, size,
+                                                            pose_rates[experience])
                     # the walk takes n_steps of exactly step_len
-                    truth[hand] = {"path_hand_lengths": step_len * n_steps / size,
-                                   "pose_distance": pose_total}
+                    truth[hand] = {"path_hand_lengths": step_len * n_steps / size}
                 clips.append(TieClip(
                     video_id=f"tie-{experience}-{op_idx}-{clip_idx}",
                     start=0, end=n_frames - 1, operator_id=operator_id,
-                    experience=experience, knot_count=int(rng.integers(3, 8)),
-                    left=hands["left"][0], right=hands["right"][0],
-                    left_poses=hands["left"][1], right_poses=hands["right"][1]))
+                    experience=experience, knot_count=int(rng.integers(3, 8)), **hands))
                 truths.append(truth)
     return clips, truths
 

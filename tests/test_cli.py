@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scenestream.cli import main
-from scenestream.errors import DataWarning
+from scenestream.errors import DataWarning, StreamFormatError
 from scenestream.pipeline import (
     clips_from_tracks,
     read_tracks,
@@ -304,6 +304,56 @@ def test_cli_run_byte_identical(tmp_path):
     assert files1 == files2
     for rel in files1:
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"skill": {"metric": "bogus"}}, "skill.metric"),
+    ({"skill": {"clip_duration_s": "abc"}}, "skill.clip_duration_s"),
+    ({"seed": "abc"}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ([1, 2], "run config must be an object"),
+    ({"synth": 5}, "synth"),
+    ({"tracker": {"max_age": 2.5}}, "tracker.max_age"),
+    ({"synth": {"with_keypoints": "no"}}, "synth.with_keypoints"),
+    ({"eval": {"iou": None}}, "eval.iou"),
+])
+def test_cli_run_rejects_malformed_config(tmp_path, capsys, config, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "bundle"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_skill_and_run_accept_the_same_metric_names():
+    from scenestream.cli import build_parser
+    from scenestream.kinematics import SKILL_METRICS
+    from scenestream.pipeline import DEFAULT_RUN_CONFIG, _config_value
+
+    def cli_accepts(name):
+        try:
+            build_parser().parse_args(["skill", "--tracks", "t", "--clips", "c",
+                                       "--out", "o", "--metric", name])
+        except SystemExit:
+            return False
+        return True
+
+    def run_accepts(name):
+        try:
+            _config_value("", DEFAULT_RUN_CONFIG, {"skill": {"metric": name}})
+        except StreamFormatError:
+            return False
+        return True
+
+    candidates = {*SKILL_METRICS, "bogus", "integrated_pose_distance", ""}
+    accepted = {name for name in candidates if cli_accepts(name)}
+    assert accepted == {name for name in candidates if run_accepts(name)}
+    assert accepted == set(SKILL_METRICS)
+    assert {"distance", "pose", "distance_per_knot", "pose_per_knot"} <= accepted
 
 
 def test_zero_corruption_pipeline_recovers_ground_truth():

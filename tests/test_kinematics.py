@@ -245,6 +245,17 @@ def test_integrated_pose_distance_matches_naive():
     assert integrated_pose_distance(seq) == pytest.approx(want, rel=1e-9)
 
 
+def test_integrated_pose_distance_equals_summed_pose_changes():
+    # the one-pass form must add the very same per-pair values, left to right
+    rng = np.random.default_rng(8)
+    for n in range(2, 41):
+        seq = [pose(rng.uniform(0, 300, (9, 2)), size=float(rng.uniform(20, 200)), frame=k)
+               for k in range(n)]
+        want = sum(pose_change(a, b) for a, b in zip(seq, seq[1:]))
+        assert integrated_pose_distance(seq) == want
+        assert integrated_pose_distance(p for p in seq) == want
+
+
 def test_split_pose_segments_on_gaps():
     frames = [0, 1, 2, 40, 41, 90]
     seq = [pose(BASE_POSE, frame=f) for f in frames]

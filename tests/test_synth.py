@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from oracles import naive_integrated_pose_distance
 from scenestream import InvariantError, iou, parse_stream, stream_to_lines
 from scenestream.kinematics import (
     clip_mean_hand_size,
@@ -11,6 +13,8 @@ from scenestream.kinematics import (
     summarize_clip,
 )
 from scenestream.synth import (
+    _HAND_TEMPLATE,
+    _bounded_walk,
     CorruptionSpec,
     HandMotionSpec,
     PhaseSpec,
@@ -20,6 +24,7 @@ from scenestream.synth import (
     generate_stream,
     generate_tie_clips,
     synth_generate,
+    _pose_sequence,
 )
 from scenestream.tracking import SortTracker, TrackerConfig
 
@@ -166,8 +171,48 @@ def test_tie_clip_truth_matches_library_kinematics():
             traj = clip.trajectory(hand)
             got = path_distance(traj, clip_mean_hand_size(traj))
             assert got == pytest.approx(truth[hand]["path_hand_lengths"], rel=1e-9)
-            got_pose = integrated_pose_distance(clip.poses(hand))
-            assert got_pose == pytest.approx(truth[hand]["pose_distance"], rel=1e-9)
+            poses = clip.poses(hand)
+            want_pose = naive_integrated_pose_distance([p.points for p in poses],
+                                                       [p.hand_size for p in poses])
+            assert integrated_pose_distance(poses) == pytest.approx(want_pose, rel=1e-9)
+
+
+def test_pose_sequence_draws_noise_like_per_frame_draws():
+    # one (149, 9, 2) draw must consume the generator exactly as 149 per-frame
+    # (9, 2) draws, or every later draw of the cohort and the bundle bytes change
+    size, rate, n_frames = 100.0, 0.016, 150
+    rng, ref_rng = np.random.default_rng([3, 977]), np.random.default_rng([3, 977])
+    poses = _pose_sequence(rng, n_frames, size, rate)
+    base = _HAND_TEMPLATE[:9] * size
+    deform = np.zeros((9, 2))
+    want = [base + deform]
+    for _ in range(n_frames - 1):
+        deform = np.clip(deform + ref_rng.normal(0, rate * size, size=(9, 2)),
+                         -0.3 * size, 0.3 * size)
+        want.append(base + deform)
+    assert len(poses) == n_frames
+    for k, (pose, pts) in enumerate(zip(poses, want)):
+        assert pose.frame_index == k and pose.hand_size == size
+        assert np.array_equal(pose.points, pts), k
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_bounded_walk_matches_per_step_draws():
+    # the walk draws its turns in one call; steps that leave [150, 1800]
+    # reflect, which long steps from near a bound make happen often
+    rng, ref_rng = np.random.default_rng([5, 977]), np.random.default_rng([5, 977])
+    got = _bounded_walk(rng, 299, 60.0, (200.0, 1750.0))
+    want = [np.array([200.0, 1750.0])]
+    theta = ref_rng.uniform(0, 2 * np.pi)
+    for _ in range(299):
+        theta += ref_rng.normal(0, 0.5)
+        step = np.array([math.cos(theta), math.sin(theta)]) * 60.0
+        nxt = want[-1] + step
+        outside = (nxt < 150.0) | (nxt > 1800.0)
+        nxt[outside] = want[-1][outside] - step[outside]
+        want.append(nxt)
+    assert np.array_equal(got, np.array(want))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_tie_clip_cohort_reflects_experience_targets():
