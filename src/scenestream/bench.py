@@ -1,23 +1,22 @@
 """Throughput benchmark for the analytics layer.
 
-Measures per-frame latency of tracking plus incremental kinematics, and the
-latency of temporal action characterization over fixed windows, against the
-0.08 s spatial and 0.33 s temporal real-time budgets.
+Measures the per-frame latency of the tracker step, and the latency of
+temporal action characterization over fixed windows, against the 0.08 s
+spatial and 0.33 s temporal real-time budgets.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .signatures import majority_action
-from .streams import VideoStream, centroid, hand_size
+from .streams import VideoStream
 from .tracking import SortTracker, TrackerConfig
 
-SPATIAL_BUDGET_S = 0.08  # per-frame tracking + kinematics
+SPATIAL_BUDGET_S = 0.08  # per-frame tracker step
 TEMPORAL_BUDGET_S = 0.33  # per-window action characterization
 DEFAULT_WINDOW_S = 5.0
 
@@ -67,27 +66,6 @@ class BenchReport:
                 "per_window": self.per_window.to_dict()}
 
 
-class _RunningKinematics:
-    """Per-track incremental path length and speed, updated every frame."""
-
-    __slots__ = ("last", "path_px", "speed_px")
-
-    def __init__(self):
-        self.last = {}
-        self.path_px = {}
-        self.speed_px = {}
-
-    def update(self, emitted):
-        for tid, box in emitted:
-            c = centroid(box)
-            prev = self.last.get(tid)
-            if prev is not None:
-                step = math.hypot(c[0] - prev[0], c[1] - prev[1])
-                self.path_px[tid] = self.path_px.get(tid, 0.0) + step
-                self.speed_px[tid] = step / max(hand_size(box), 1e-9)
-            self.last[tid] = c
-
-
 def _characterize_window(frames) -> dict:
     """Temporal summary of one window: action histogram and tool activity."""
     histogram = {}
@@ -102,17 +80,15 @@ def _characterize_window(frames) -> dict:
 
 def bench_stream(stream: VideoStream, config: TrackerConfig | None = None,
                  window_s: float = DEFAULT_WINDOW_S) -> BenchReport:
-    """Replay a stream through tracking + incremental kinematics, timing each
-    frame, and time the per-window action characterization."""
+    """Replay a stream through the tracker, timing each frame's step, and
+    time the per-window action characterization."""
     tracker = SortTracker(config)
-    kin = _RunningKinematics()
     frame_lat, window_lat = [], []
     window: list = []
     window_len = max(int(round(window_s * stream.fps)), 1)
     for fr in stream.frames:
         t0 = time.perf_counter()
-        emitted = tracker.step(fr)
-        kin.update(emitted)
+        tracker.step(fr)
         frame_lat.append(time.perf_counter() - t0)
         window.append(fr)
         if len(window) == window_len:

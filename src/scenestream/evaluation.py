@@ -328,7 +328,9 @@ def evaluate_actions(pred_stream: VideoStream, truth_stream: VideoStream,
 def evaluate_boxes(pred_stream: VideoStream, truth_stream: VideoStream,
                    iou_thresh: float = DEFAULT_IOU_THRESHOLD) -> MetricReport:
     """Frame-aligned detection AP per class; hands reported separately from
-    the tool mAP."""
+    the tool mAP. `iou_thresh` must lie in (0, 1]."""
+    if not 0.0 < iou_thresh <= 1.0:
+        raise InvariantError(f"iou_thresh must be in (0, 1], got {iou_thresh}")
     truth_by_frame = {fr.frame_index: fr for fr in truth_stream.frames}
     pred_frames = {fr.frame_index for fr in pred_stream.frames}
     pooled = MatchResult()

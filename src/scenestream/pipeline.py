@@ -466,14 +466,26 @@ DEFAULT_RUN_CONFIG = {
 }
 
 
+# (check, wanted) per key: the range its stage enforces (the generators' seed,
+# LDA's 2 procedures a class, the odd smoothing window, box matching's IoU)
+_CONFIG_RANGES = {
+    "seed": (lambda v: v >= 0, "a non-negative integer"),
+    "signature.n_per_class": (lambda v: v >= 2, "an integer >= 2"),
+    "signature.window": (lambda v: v >= 1 and v % 2 == 1, "an odd integer >= 1"),
+    "eval.iou": (lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
+}
+
+
 def _config_value(key, default, value):
     """`value` checked against the run config's `default` at `key`; a section
-    is the default updated key by key. A value not of its default's kind (an
-    object, true/false, a finite number, an integer, a metric name) raises
-    StreamFormatError naming the key."""
+    is the default updated key by key. A key the default lacks, or a value not
+    of its default's kind (an object, true/false, a finite number, an integer,
+    a metric name) or out of its range, raises StreamFormatError naming the key."""
     if isinstance(default, dict) and isinstance(value, dict):
-        return {k: _config_value(f"{key}.{k}" if key else k, default[k], v)
-                if k in default else v for k, v in {**default, **value}.items()}
+        return {k: _config_value(f"{key}.{k}" if key else k, default.get(k), v)
+                for k, v in {**default, **value}.items()}
+    if default is None:
+        raise StreamFormatError(f"run config: unknown key {key}")
     if isinstance(default, dict):
         want = "an object"
     elif key == "skill.metric":
@@ -483,10 +495,12 @@ def _config_value(key, default, value):
     elif (isinstance(value, bool) or not isinstance(value, (int, float))
           or (isinstance(value, float) and not math.isfinite(value))):
         want = "a finite number"
-    elif key == "seed":  # what the random generators accept
-        want = None if value == int(value) and value >= 0 else "a non-negative integer"
+    elif isinstance(default, int) and value != int(value):
+        want = "an integer"
+    elif key in _CONFIG_RANGES and not _CONFIG_RANGES[key][0](value):
+        want = _CONFIG_RANGES[key][1]
     else:
-        want = "an integer" if isinstance(default, int) and value != int(value) else None
+        want = None
     if want is None:
         return value
     raise StreamFormatError(

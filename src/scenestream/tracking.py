@@ -10,17 +10,20 @@ to its own velocity, H reads each axis directly, and the process, measurement
 and initial covariances are diagonal. Its covariance therefore stays
 block-diagonal, a symmetric 2x2 (position, velocity) block per axis whose
 off-block entries start at 0 and stay exactly 0; the aspect r is the same
-block with its velocity and velocity variance pinned at 0. The filters of N
-tracks are one (5, N, 4) array whose planes are (N, 4) arrays over the axes
-(u, v, s, r): position, velocity, and each block's p00, p01 and p11. Each
-frame runs one elementwise `predict` over every track, one IoU matrix, one
-assignment and one closed-form Joseph-form `update` over the matched tracks;
-`new_track` gives a birth's initial filter.
+block with its velocity and velocity variance pinned at 0. A track's filter
+is four lists of Python floats, one per axis (u, v, s, r): position,
+velocity, and the block's p00, p01 and p11. At a few hands these scalar loops
+cost less than numpy calls on arrays of 2-8 elements, and they keep numpy's
+operation order (float64 `+ - * /` and `sqrt` round correctly in both), so
+every box is bit-identical to the array form. Each frame runs one `predict`
+over every track, one IoU matrix and one assignment (numpy: their work grows
+with tracks x detections) and one Joseph-form `update` over matched tracks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite, nan, sqrt
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -30,7 +33,7 @@ from .errors import InvariantError
 from .streams import BBox, FrameRecord, HAND, iou  # noqa: F401
 
 # (position, velocity) variances of a newborn track per axis (u, v, s, r)
-_INITIAL_VAR = np.array([[10.0, 10.0, 10.0, 10.0], [1e4, 1e4, 1e4, 0.0]])
+_INITIAL_VAR = ((10.0, 1e4), (10.0, 1e4), (10.0, 1e4), (10.0, 0.0))
 _AREA_EPS = 1e-6
 
 
@@ -50,13 +53,13 @@ class TrackerConfig:
         if self.process_noise <= 0 or self.measurement_noise <= 0:
             raise InvariantError("noise scales must be positive")
 
-    def process_var(self) -> np.ndarray:
-        """(2, 4) diagonal process noise: position and velocity variance per axis."""
-        return np.array([[1.0, 1.0, 1.0, 1.0], [0.01, 0.01, 1e-4, 0.0]]) * self.process_noise
+    def process_var(self) -> tuple:
+        """Diagonal process noise: (position, velocity) variance per axis (u, v, s, r)."""
+        return tuple((self.process_noise, q * self.process_noise) for q in (0.01, 0.01, 1e-4, 0.0))
 
-    def measurement_var(self) -> np.ndarray:
-        """(4,) diagonal measurement noise of (u, v, s, r)."""
-        return np.array([1.0, 1.0, 10.0, 10.0]) * self.measurement_noise
+    def measurement_var(self) -> tuple:
+        """Diagonal measurement noise of (u, v, s, r)."""
+        return tuple(r * self.measurement_noise for r in (1.0, 1.0, 10.0, 10.0))
 
 
 # ------------------------------------------------------------ box geometry
@@ -84,78 +87,86 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=(ix > 0) & (iy > 0))
 
 
-def _measurements(corners: np.ndarray) -> np.ndarray:
-    """(N,4) measurements (u, v, s, r) of corner rows."""
-    z = np.empty(corners.shape)
-    z[:, :2] = (corners[:, :2] + corners[:, 2:]) / 2.0
-    size = corners[:, 2:] - corners[:, :2]
-    z[:, 2] = size[:, 0] * size[:, 1]
-    z[:, 3] = size[:, 0] / size[:, 1]
+def _measurements(corners) -> list[list[float]]:
+    """Measurements [u, v, s, r] of (x_min, y_min, x_max, y_max) float rows."""
+    z = []
+    for x0, y0, x1, y1 in corners:
+        w, h = x1 - x0, y1 - y0
+        z.append([(x0 + x1) / 2.0, (y0 + y1) / 2.0, w * h, w / h])
     return z
 
 
-def _state_corners(positions: np.ndarray) -> np.ndarray:
-    """(N,4) corners, clamped at 0, of the boxes at (N,4) positions (u, v, s, r)."""
-    s = np.maximum(positions[:, 2], _AREA_EPS)
-    half = np.empty((len(positions), 2))
-    half[:, 0] = np.sqrt(s * np.maximum(positions[:, 3], _AREA_EPS))
-    half[:, 1] = s / half[:, 0]
-    half /= 2.0
-    corners = np.empty(positions.shape)
-    corners[:, :2] = np.maximum(positions[:, :2] - half, 0.0)
-    corners[:, 2:] = positions[:, :2] + half
+def _state_corners(filters) -> list[list[float]]:
+    """Corners, clamped at 0, of each filter's box. Each clamp is `lo if x <= lo
+    else x`, which is np.maximum(x, lo): a NaN position stays NaN."""
+    corners = []
+    for fu, fv, fs, fr in filters:
+        u, v, s, r = fu[0], fv[0], fs[0], fr[0]
+        s = _AREA_EPS if s <= _AREA_EPS else s
+        half_w = sqrt(s * (_AREA_EPS if r <= _AREA_EPS else r))
+        half_w, half_h = half_w / 2.0, s / half_w / 2.0
+        x0, y0 = u - half_w, v - half_h
+        corners.append([0.0 if x0 <= 0.0 else x0, 0.0 if y0 <= 0.0 else y0,
+                        u + half_w, v + half_h])
     return corners
 
 
 # ------------------------------------------------------------ Kalman kernels
 
-def predict(kalman: np.ndarray, process_var: np.ndarray):
-    """Advance every track's (5, N, 4) filter one frame under constant velocity.
+def predict(filters, process_var):
+    """Advance every track's filter one frame under constant velocity.
 
     Per axis the block P becomes F P F^T + Q with F = [[1, 1], [0, 1]].
-    Returns (kalman, clamped); clamped tracks had their area forced positive.
+    Returns (filters, clamped); clamped tracks had their area forced positive.
     """
-    pos, vel, p00, p01, p11 = kalman
-    kalman = np.array([pos + vel, vel, p00 + 2.0 * p01 + p11 + process_var[0],
-                       p01 + p11, p11 + process_var[1]])
-    area = kalman[0, :, 2]
-    clamped = area <= 0
-    area[clamped] = _AREA_EPS
-    return kalman, clamped
+    out, clamped = [], []
+    for filt in filters:
+        axes = [[pos + vel, vel, p00 + 2.0 * p01 + p11 + q0, p01 + p11, p11 + q1]
+                for (pos, vel, p00, p01, p11), (q0, q1) in zip(filt, process_var)]
+        clamped.append(axes[2][0] <= 0)
+        if clamped[-1]:
+            axes[2][0] = _AREA_EPS  # area
+        out.append(axes)
+    return out, clamped
 
 
-def update(kalman: np.ndarray, z: np.ndarray, meas_var: np.ndarray):
-    """Joseph-form measurement update of every track's filter against its (N,4) z.
+def update(filters, z, meas_var):
+    """Joseph-form update of every track's filter against its measurement z.
 
     Per axis, with innovation variance S = p00 + R and gain k = (p00, p01) / S,
     the block becomes (I - kH) P (I - kH)^T + R k k^T with H = [1, 0].
-    Returns (kalman, ok, clamped). A track is ok while its gain and updated
+    Returns (filters, ok, clamped). A track is ok while its gain and updated
     covariance are finite (S = 0 gives a NaN gain); clamped tracks had area or
     aspect forced positive.
     """
-    pos, vel, p00, p01, p11 = kalman
-    s = p00 + meas_var
-    gain = kalman[2:4] / s
-    k0, k1 = gain
-    innovation = z - pos
-    j = 1.0 - k0
-    kalman = np.array([pos + k0 * innovation, vel + k1 * innovation,
-                       j * j * p00 + k0 * k0 * meas_var,
-                       j * (p01 - k1 * p00) + k0 * k1 * meas_var,
-                       p11 - k1 * (2.0 * p01 - k1 * s)])
-    ok = np.isfinite(gain).all(axis=(0, 2)) & np.isfinite(kalman[2:]).all(axis=(0, 2))
-    shape = kalman[0, :, 2:]
-    clamped = (shape <= 0).any(axis=1)
-    shape[shape <= 0] = _AREA_EPS
-    return kalman, ok, clamped
+    out, ok, clamped = [], [], []
+    for filt, zt in zip(filters, z):
+        axes, finite = [], True
+        for (pos, vel, p00, p01, p11), za, r in zip(filt, zt, meas_var):
+            s = p00 + r
+            k0, k1 = (p00 / s, p01 / s) if s else (nan, nan)
+            innovation = za - pos
+            j = 1.0 - k0
+            q00 = j * j * p00 + k0 * k0 * r
+            q01 = j * (p01 - k1 * p00) + k0 * k1 * r
+            q11 = p11 - k1 * (2.0 * p01 - k1 * s)
+            finite = (finite and isfinite(k0) and isfinite(k1)
+                      and isfinite(q00) and isfinite(q01) and isfinite(q11))
+            axes.append([pos + k0 * innovation, vel + k1 * innovation, q00, q01, q11])
+        degenerate = [axis for axis in axes[2:] if axis[0] <= 0]  # area or aspect
+        for axis in degenerate:
+            axis[0] = _AREA_EPS
+        clamped.append(bool(degenerate))
+        out.append(axes)
+        ok.append(finite)
+    return out, ok, clamped
 
 
-def new_track(corners: np.ndarray) -> np.ndarray:
-    """(5, 4) filter of a track born on one (4,) corner row, at rest."""
-    kalman = np.zeros((5, 4))
-    kalman[0] = _measurements(corners[None])[0]
-    kalman[2], kalman[4] = _INITIAL_VAR
-    return kalman
+def new_track(corners) -> list[list[float]]:
+    """Filter of a track born at rest on one (x_min, y_min, x_max, y_max) float
+    row: per axis (u, v, s, r), [position, velocity, p00, p01, p11]."""
+    return [[z, 0.0, p00, 0.0, p11]
+            for z, (p00, p11) in zip(_measurements([corners])[0], _INITIAL_VAR)]
 
 
 # ------------------------------------------------------------ association
@@ -244,19 +255,16 @@ def associate(track_boxes, det_boxes, iou_threshold):
 class SortTracker:
     """Stateful per-video tracker; feed frames in order through step().
 
-    Track k is entry k of `ids`, `hits` and `time_since_update` and column k
-    of the (5, N, 4) `kalman` array. Births append tracks and deaths delete
-    them, so tracks stay in increasing id order.
+    Track k is entry k of the lists `ids`, `filters` (see `new_track`), `hits`
+    and `time_since_update`. Births append tracks and deaths delete them, so
+    tracks stay in increasing id order.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         self._process_var = self.config.process_var()
         self._meas_var = self.config.measurement_var()
-        self.ids = np.zeros(0, dtype=np.int64)
-        self.kalman = np.zeros((5, 0, 4))
-        self.hits = np.zeros(0, dtype=np.int64)
-        self.time_since_update = np.zeros(0, dtype=np.int64)
+        self.ids, self.filters, self.hits, self.time_since_update = [], [], [], []
         self.frame_count = 0
         self._next_id = 1
 
@@ -271,41 +279,41 @@ class SortTracker:
         cfg = self.config
         self.frame_count += 1
         det_corners = box_corners([d.box for d in frame.detections if d.category == HAND])
+        det_rows = det_corners.tolist()
 
-        kalman, _ = predict(self.kalman, self._process_var)
-        ids, hits, since = self.ids, self.hits.copy(), self.time_since_update + 1
+        filters, _ = predict(self.filters, self._process_var)
+        ids, hits = self.ids, self.hits
+        since = [t + 1 for t in self.time_since_update]
         matches, _, unmatched_dets = associate(
-            _state_corners(kalman[0]), det_corners, cfg.iou_threshold)
-        keep = since <= cfg.max_age
+            np.array(_state_corners(filters)), det_corners, cfg.iou_threshold)
+        keep = [t <= cfg.max_age for t in since]
         if matches:
-            hit, det_idx = (list(ix) for ix in zip(*matches))
-            kalman[:, hit], ok, _ = update(
-                kalman[:, hit], _measurements(det_corners[det_idx]), self._meas_var)
-            keep[hit] = ok  # a failed update drops the track
-            hits[hit] += 1
-            since[hit] = 0
+            hit, det_idx = zip(*matches)
+            z = _measurements([det_rows[j] for j in det_idx])
+            updated, ok, _ = update([filters[i] for i in hit], z, self._meas_var)
+            for i, filt, good in zip(hit, updated, ok):
+                filters[i], keep[i] = filt, good  # a failed update drops the track
+                hits[i] += 1
+                since[i] = 0
 
-        if not keep.all():
-            ids, kalman, hits, since = ids[keep], kalman[:, keep], hits[keep], since[keep]
-        if unmatched_dets:
-            n = len(unmatched_dets)
-            ids = np.concatenate([ids, np.arange(self._next_id, self._next_id + n)])
-            kalman = np.concatenate(
-                [kalman, np.stack([new_track(det_corners[j]) for j in unmatched_dets], axis=1)],
-                axis=1)
-            hits = np.concatenate([hits, np.ones(n, dtype=np.int64)])
-            since = np.concatenate([since, np.zeros(n, dtype=np.int64)])
-            self._next_id += n
-        self.ids, self.kalman, self.hits, self.time_since_update = ids, kalman, hits, since
+        if not all(keep):
+            ids, filters, hits, since = ([x for x, k in zip(column, keep) if k]
+                                         for column in (ids, filters, hits, since))
+        for j in unmatched_dets:
+            ids.append(self._next_id)
+            filters.append(new_track(det_rows[j]))
+            hits.append(1)
+            since.append(0)
+            self._next_id += 1
+        self.ids, self.filters, self.hits, self.time_since_update = ids, filters, hits, since
 
-        emit = self.time_since_update == 0
-        if self.frame_count > cfg.min_hits:
-            emit &= self.hits >= cfg.min_hits
+        young = self.frame_count <= cfg.min_hits
+        emit = [k for k, (t, h) in enumerate(zip(since, hits))
+                if t == 0 and (young or h >= cfg.min_hits)]
         emitted = []
-        for tid, corners in zip(self.ids[emit].tolist(),
-                                _state_corners(self.kalman[0, emit]).tolist()):
+        for k, corners in zip(emit, _state_corners([filters[k] for k in emit])):
             try:
-                emitted.append((tid, BBox(*corners)))
+                emitted.append((ids[k], BBox(*corners)))
             except InvariantError:
                 continue  # fully outside the frame after clamping
         return emitted

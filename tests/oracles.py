@@ -99,6 +99,39 @@ class SevenStateKalman:
                 self.x[k] = self.AREA_EPS
 
 
+def array_predict(kalman, process_var):
+    """Constant-velocity predict of every track at once, in the array form
+    the per-track float kernels replaced: `kalman` is a (5, N, 4) array of
+    position, velocity, p00, p01 and p11 planes over the axes (u, v, s, r),
+    `process_var` a (2, 4) array. Returns (kalman, clamped)."""
+    pos, vel, p00, p01, p11 = kalman
+    kalman = np.array([pos + vel, vel, p00 + 2.0 * p01 + p11 + process_var[0],
+                       p01 + p11, p11 + process_var[1]])
+    area = kalman[0, :, 2]
+    clamped = area <= 0
+    area[clamped] = SevenStateKalman.AREA_EPS
+    return kalman, clamped
+
+
+def array_update(kalman, z, meas_var):
+    """Joseph-form update of every (5, N, 4) filter against its (N, 4)
+    measurement, in the same array form. Returns (kalman, ok, clamped)."""
+    pos, vel, p00, p01, p11 = kalman
+    s = p00 + meas_var
+    k0, k1 = gain = kalman[2:4] / s
+    innovation = z - pos
+    j = 1.0 - k0
+    kalman = np.array([pos + k0 * innovation, vel + k1 * innovation,
+                       j * j * p00 + k0 * k0 * meas_var,
+                       j * (p01 - k1 * p00) + k0 * k1 * meas_var,
+                       p11 - k1 * (2.0 * p01 - k1 * s)])
+    ok = np.isfinite(gain).all(axis=(0, 2)) & np.isfinite(kalman[2:]).all(axis=(0, 2))
+    shape = kalman[0, :, 2:]
+    clamped = (shape <= 0).any(axis=1)
+    shape[shape <= 0] = SevenStateKalman.AREA_EPS
+    return kalman, ok, clamped
+
+
 def naive_path_distance(points, mean_size):
     total = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):

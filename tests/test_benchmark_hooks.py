@@ -6,14 +6,18 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _trace_points():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TRACE_POINTS
+    return _perfbench_module("tracing").TRACE_POINTS
 
 
 def test_every_trace_point_resolves():
@@ -30,6 +34,17 @@ def test_benchmark_entry_points_exist():
 
     assert callable(SortTracker.step)
     assert callable(bench_stream)
+
+
+def test_benchmark_run_configs_pass_the_config_check():
+    # the run-bundle workload sends keys `run` does not read (eval.alpha);
+    # the check must accept every key of the default config
+    from scenestream.pipeline import DEFAULT_RUN_CONFIG, _config_value
+
+    workloads = _perfbench_module("workloads")
+    for warmup in (False, True):
+        config = workloads.run_config(1, warmup)
+        assert _config_value("", DEFAULT_RUN_CONFIG, config)["seed"] == 1
 
 
 def test_tracker_step_calls_the_traced_kernels(monkeypatch):

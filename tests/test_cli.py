@@ -263,6 +263,16 @@ def test_cli_eval_all_modes(tmp_path):
             assert report["mean_pck"] == 1.0
 
 
+@pytest.mark.parametrize("iou", ["0", "-0.5", "1.5", "nan"])
+def test_cli_eval_boxes_rejects_iou_out_of_range(tmp_path, capsys, iou):
+    stream_path = Path(__file__).resolve().parent.parent / "docs" / "golden_stream.jsonl"
+    out = tmp_path / "report.json"
+    assert main(["eval", "boxes", "--pred", str(stream_path), "--truth", str(stream_path),
+                 "--iou", iou, "--out", str(out)]) == 2
+    assert "iou_thresh must be in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_bench_small(tmp_path, capsys):
     out = tmp_path / "bench.json"
     assert main(["bench", "--minutes", "0.05", "--fps", "30", "--out", str(out)]) == 0
@@ -317,6 +327,15 @@ def test_cli_run_byte_identical(tmp_path):
     ({"tracker": {"max_age": 2.5}}, "tracker.max_age"),
     ({"synth": {"with_keypoints": "no"}}, "synth.with_keypoints"),
     ({"eval": {"iou": None}}, "eval.iou"),
+    ({"signature": {"n_per_class": 0}}, "signature.n_per_class"),
+    ({"signature": {"n_per_class": 1}}, "signature.n_per_class"),
+    ({"signature": {"window": 4}}, "signature.window"),
+    ({"signature": {"window": -1}}, "signature.window"),
+    ({"eval": {"iou": 1.5}}, "eval.iou"),
+    ({"eval": {"iou": 0}}, "eval.iou"),
+    ({"eval": {"iou": -1}}, "eval.iou"),
+    ({"skill": {"metrc": "pose"}}, "skill.metrc"),
+    ({"sed": 3}, "sed"),
 ])
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, config, key):
     cfg_path = tmp_path / "cfg.json"

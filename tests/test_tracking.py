@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import SevenStateKalman, brute_force_assignment
 from scenestream import BBox, Detection, FrameRecord, InvariantError, tracking
 from scenestream.synth import CorruptionSpec, HandMotionSpec, SynthSpec, generate_stream
@@ -25,24 +28,36 @@ Q, R = CFG.process_var(), CFG.measurement_var()
 
 
 def one_track(pos, vel=(0.0, 0.0, 0.0), var=10.0):
-    """(5, 1, 4) filter of one track at `pos` (u, v, s, r) moving at `vel`
-    (du, dv, ds); every position and velocity variance is `var`."""
-    kalman = np.zeros((5, 1, 4))
-    kalman[0, 0] = pos
-    kalman[1, 0, :3] = vel
-    kalman[2, 0] = var
-    kalman[4, 0, :3] = var
-    return kalman
+    """Filters of one track at `pos` (u, v, s, r) moving at `vel` (du, dv, ds);
+    every position and velocity variance is `var` (r has no velocity)."""
+    vel = [*vel, 0.0]
+    return [[[float(pos[a]), float(vel[a]), var, 0.0, var if a < 3 else 0.0]
+             for a in range(4)]]
 
 
 def born(box):
-    """(5, 1, 4) filter of one track born on `box`."""
-    return new_track(box_corners([box])[0])[:, None]
+    """Filters of one track born on `box`."""
+    return [new_track(box_corners([box]).tolist()[0])]
 
 
-def trace(kalman):
+def rows(box):
+    """Float corner rows of one BBox."""
+    return box_corners([box]).tolist()
+
+
+def positions(filters):
+    """Per-track (u, v, s, r) positions."""
+    return [[axis[0] for axis in filt] for filt in filters]
+
+
+def stacked(filters):
+    """(5, N, 4) array of position, velocity, p00, p01 and p11 over (u, v, s, r)."""
+    return np.array(filters, dtype=float).reshape(-1, 4, 5).transpose(2, 0, 1)
+
+
+def trace(filters):
     """Per-track trace of the covariance: position plus velocity variances."""
-    return (kalman[2] + kalman[4]).sum(axis=1)
+    return [sum(axis[2] + axis[4] for axis in filt) for filt in filters]
 
 
 def hand_frame(idx, boxes, fps=30.0):
@@ -62,13 +77,14 @@ def test_tracker_config_validation():
 
 
 def test_box_measurement_roundtrip():
-    corners = box_corners([BBox(10, 20, 50, 100)])
+    corners = rows(BBox(10, 20, 50, 100))
     kalman = born(BBox(10, 20, 50, 100))
-    assert kalman[:2, 0].tolist() == [[30.0, 60.0, 3200.0, 0.5], [0.0] * 4]
+    assert stacked(kalman)[:2, 0].tolist() == [[30.0, 60.0, 3200.0, 0.5], [0.0] * 4]
     # p00, p01 and p11 of the (u, v, s, r) blocks; r has no velocity
-    assert kalman[2:, 0].tolist() == [[10.0] * 4, [0.0] * 4, [1e4, 1e4, 1e4, 0.0]]
-    assert _state_corners(kalman[0])[0] == pytest.approx(corners[0], abs=1e-9)
-    assert _state_corners(_measurements(corners)) == pytest.approx(corners, abs=1e-9)
+    assert stacked(kalman)[2:, 0].tolist() == [[10.0] * 4, [0.0] * 4, [1e4, 1e4, 1e4, 0.0]]
+    assert _state_corners(kalman)[0] == pytest.approx(corners[0], abs=1e-9)
+    assert _state_corners(one_track(_measurements(corners)[0]))[0] == \
+        pytest.approx(corners[0], abs=1e-9)
 
 
 # ---------------------------------------------------------------- predict
@@ -76,24 +92,24 @@ def test_box_measurement_roundtrip():
 def test_predict_zero_velocity_keeps_box_and_grows_covariance():
     kalman = one_track([50, 60, 400, 1.0])
     out, clamped = predict(kalman, Q)
-    assert _state_corners(out[0]) == pytest.approx(_state_corners(kalman[0]), abs=1e-9)
+    assert _state_corners(out)[0] == pytest.approx(_state_corners(kalman)[0], abs=1e-9)
     assert trace(out)[0] > trace(kalman)[0]
     assert not clamped[0]
     # the tracker counts the frames a coasting track goes without an update
     tracker = SortTracker(TrackerConfig(min_hits=1))
     box = BBox(100, 100, 160, 160)
     tracker.step(hand_frame(0, [box]))
-    assert tracker.time_since_update.tolist() == [0]
+    assert tracker.time_since_update == [0]
     for k in range(1, 4):
         assert tracker.step(hand_frame(k, [])) == []
-        assert tracker.time_since_update.tolist() == [k]
-        assert tracker.hits.tolist() == [1]
+        assert tracker.time_since_update == [k]
+        assert tracker.hits == [1]
 
 
 def test_predict_advances_center_by_velocity():
     out, _ = predict(one_track([50, 60, 400, 1.0], vel=[2.0, 0, 0]), Q)
-    assert out[0, 0, 0] == pytest.approx(52.0, abs=1e-12)
-    assert out[0, 0, 1] == pytest.approx(60.0, abs=1e-12)
+    assert positions(out)[0][0] == pytest.approx(52.0, abs=1e-12)
+    assert positions(out)[0][1] == pytest.approx(60.0, abs=1e-12)
 
 
 def test_predict_ten_steps_matches_linear_extrapolation():
@@ -102,14 +118,37 @@ def test_predict_ten_steps_matches_linear_extrapolation():
     for _ in range(10):
         kalman, _ = predict(kalman, Q)
     # closed-form straight-line oracle
-    assert kalman[0, 0, 0] == pytest.approx(pos[0] + 10 * vel[0], abs=1e-9)
-    assert kalman[0, 0, 1] == pytest.approx(pos[1] + 10 * vel[1], abs=1e-9)
+    assert positions(kalman)[0][0] == pytest.approx(pos[0] + 10 * vel[0], abs=1e-9)
+    assert positions(kalman)[0][1] == pytest.approx(pos[1] + 10 * vel[1], abs=1e-9)
 
 
 def test_predict_clamps_degenerate_area():
     out, clamped = predict(one_track([50, 60, 1.0, 1.0], vel=[0, 0, -5.0]), Q)
-    assert out[0, 0, 2] > 0
+    assert positions(out)[0][2] > 0
     assert clamped[0]
+
+
+def test_state_corners_clamp_like_np_maximum():
+    # the array form the scalar loop replaced: NaN passes every clamp, and
+    # a tie with the bound returns the bound, as np.maximum does
+    def array_corners(pos):
+        s = np.maximum(pos[:, 2], 1e-6)
+        half = np.empty((len(pos), 2))
+        half[:, 0] = np.sqrt(s * np.maximum(pos[:, 3], 1e-6))
+        half[:, 1] = s / half[:, 0]
+        half /= 2.0
+        return np.hstack([np.maximum(pos[:, :2] - half, 0.0), pos[:, :2] + half])
+
+    nan = float("nan")
+    pos = [[nan, 60.0, 400.0, 1.0], [50.0, 60.0, nan, 1.0], [50.0, 60.0, 400.0, nan],
+           [10.0, 5.0, 400.0, 1.0], [-0.0, 0.0, 1e-6, 1e-6], [50.0, 60.0, -3.0, -1.0],
+           [3.0, 2.0, 36.0, 1.0]]
+    got = np.array(_state_corners([one_track(p)[0] for p in pos]))
+    want = array_corners(np.array(pos))
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    out, clamped = predict(one_track([50.0, 60.0, nan, 1.0]), Q)
+    assert clamped == [False] and math.isnan(positions(out)[0][2])
 
 
 # ---------------------------------------------------------------- associate
@@ -167,31 +206,31 @@ def test_associate_matches_brute_force_up_to_6x6(n, m, seed):
 # ---------------------------------------------------------------- update
 
 def test_update_zero_innovation_keeps_mean_shrinks_covariance():
-    z = _measurements(box_corners([BBox(40, 50, 60, 90)]))
+    z = _measurements(rows(BBox(40, 50, 60, 90)))
     kalman = one_track(z[0])
     out, ok, clamped = update(kalman, z, R)
     assert ok[0] and not clamped[0]
-    assert out[:2, 0] == pytest.approx(kalman[:2, 0], abs=1e-12)
+    assert stacked(out)[:2, 0] == pytest.approx(stacked(kalman)[:2, 0], abs=1e-12)
     assert trace(out)[0] < trace(kalman)[0]
     # the tracker counts a matched frame as a hit and resets the coasting count
     tracker = SortTracker(TrackerConfig(min_hits=1))
     box = BBox(100, 100, 160, 160)
     tracker.step(hand_frame(0, [box]))
     tracker.step(hand_frame(1, []))
-    assert (tracker.hits.tolist(), tracker.time_since_update.tolist()) == ([1], [1])
+    assert (tracker.hits, tracker.time_since_update) == ([1], [1])
     tracker.step(hand_frame(2, [box]))
-    assert (tracker.hits.tolist(), tracker.time_since_update.tolist()) == ([2], [0])
+    assert (tracker.hits, tracker.time_since_update) == ([2], [0])
 
 
 def test_update_repeated_measurements_converge_to_measurement():
-    z = _measurements(box_corners([BBox(200, 100, 260, 180)]))
+    z = _measurements(rows(BBox(200, 100, 260, 180)))
     kalman = born(BBox(100, 60, 140, 120))
     errs = []
     for k in range(2000):
         kalman, _ = predict(kalman, Q)
         kalman, ok, _ = update(kalman, z, R)
         assert ok[0]
-        rel = np.abs(kalman[0, 0] - z[0]) / np.maximum(np.abs(z[0]), 1.0)
+        rel = np.abs(np.subtract(positions(kalman)[0], z[0])) / np.maximum(np.abs(z[0]), 1.0)
         errs.append(np.max(rel))
     assert errs[-1] < 1e-9
     assert errs[-1] < errs[20]
@@ -206,27 +245,28 @@ def test_update_covariance_symmetric_psd():
         jitter = rng.normal(0, 2, size=2)
         box = BBox(10 + jitter[0] + k, 10 + jitter[1], 40 + jitter[0] + k, 60 + jitter[1])
         kalman, _ = predict(kalman, Q)
-        kalman, ok, _ = update(kalman, _measurements(box_corners([box])), R)
+        kalman, ok, _ = update(kalman, _measurements(rows(box)), R)
         assert ok[0]
-        p00, p01, p11 = kalman[2:, 0]
+        p00, p01, p11 = stacked(kalman)[2:, 0]
         assert p00.min() >= -1e-9 and p11.min() >= -1e-9
         assert (p00 * p11 - p01 * p01).min() >= -1e-9
 
 
 def test_update_singular_innovation_is_not_ok():
     # zero variance and zero measurement noise make the innovation variance
-    # S = 0 and the gain 0/0: that track is not ok, so the tracker drops it,
-    # while a regular track in the same batch updates as it would alone
+    # S = 0 and the gain 0/0: that track is not ok (and nothing raises
+    # ZeroDivisionError), so the tracker drops it, while a regular track in
+    # the same batch updates as it would alone
     pos = [10, 10, 100, 1.0]
-    z = _measurements(box_corners([BBox(5, 5, 15, 15)]))
-    with np.errstate(invalid="ignore"):
-        _, ok, _ = update(one_track(pos, var=0.0), z, np.zeros(4))
-        assert not ok[0]
-        kalman = np.concatenate([one_track(pos, var=0.0), one_track(pos, var=1.0)], axis=1)
-        out, ok, _ = update(kalman, np.repeat(z, 2, axis=0), np.zeros(4))
-    assert ok.tolist() == [False, True]
-    alone, _, _ = update(kalman[:, 1:], z, np.zeros(4))
-    assert np.array_equal(out[:, 1], alone[:, 0])
+    z = _measurements(rows(BBox(5, 5, 15, 15)))
+    no_noise = (0.0,) * 4
+    _, ok, _ = update(one_track(pos, var=0.0), z, no_noise)
+    assert ok == [False]
+    kalman = one_track(pos, var=0.0) + one_track(pos, var=1.0)
+    out, ok, _ = update(kalman, z * 2, no_noise)
+    assert ok == [False, True]
+    alone, _, _ = update(kalman[1:], z, no_noise)
+    assert out[1] == alone[0]
 
 
 # ---------------------------------------------------------------- lifecycle
@@ -381,7 +421,7 @@ def test_one_assignment_solve_per_frame_on_twelve_lanes(seed, monkeypatch):
     tracker = SortTracker()
     nonempty = 0
     for frame in _lane_stream(seed).frames:
-        nonempty += bool(len(tracker.ids) and frame.detections)
+        nonempty += bool(tracker.ids and frame.detections)
         tracker.step(frame)
     assert nonempty > 100
     assert len(calls) <= 1.02 * nonempty
@@ -396,21 +436,50 @@ def test_batched_kernels_equal_batch_of_one_bit_for_bit():
         kalman = born(BBox(x, y, x + 60, y + 80))
         for _ in range(int(rng.integers(0, 6))):
             dx, dy = rng.normal(0, 3, size=2)
-            z = _measurements(box_corners([BBox(x + dx, y + dy, x + dx + 60, y + dy + 80)]))
+            z = _measurements(rows(BBox(x + dx, y + dy, x + dx + 60, y + dy + 80)))
             kalman, _ = predict(kalman, Q)
             kalman, _, _ = update(kalman, z, R)
-        tracks.append(kalman)
+        tracks += kalman
         dets.append(BBox(x + 2, y + 1, x + 63, y + 80))
-    kalman = np.concatenate(tracks, axis=1)
-    z = _measurements(box_corners(dets))
-    predicted, _ = predict(kalman, Q)
-    updated, ok, _ = update(kalman, z, R)
-    assert ok.all()
+    z = _measurements(box_corners(dets).tolist())
+    predicted, _ = predict(tracks, Q)
+    updated, ok, _ = update(tracks, z, R)
+    assert all(ok)
     for k in range(6):
-        one, _ = predict(kalman[:, k:k + 1], Q)
-        assert np.array_equal(predicted[:, k], one[:, 0])
-        one, _, _ = update(kalman[:, k:k + 1], z[k:k + 1], R)
-        assert np.array_equal(updated[:, k], one[:, 0])
+        one, _ = predict(tracks[k:k + 1], Q)
+        assert predicted[k] == one[0]
+        one, _, _ = update(tracks[k:k + 1], z[k:k + 1], R)
+        assert updated[k] == one[0]
+
+
+def test_kernels_equal_the_array_form_bit_for_bit():
+    # the per-track loops keep the operation order of the (5, N, 4) array
+    # kernels they replaced, so every state, ok and clamp flag is identical;
+    # shrinking areas and aspects drive the clamps
+    rng = np.random.default_rng(13)
+    q = np.array(Q).T
+    for _ in range(20):
+        boxes = rng.uniform(5, 300, size=(int(rng.integers(1, 7)), 4)).tolist()
+        kalman = [new_track([x, y, x + w, y + h]) for x, y, w, h in boxes]
+        for filt in kalman:
+            for axis, v in zip(filt, rng.normal(0, 3, size=3)):
+                axis[1] = float(v)
+        kalman[0][2][1] = -float(rng.uniform(1e3, 1e5))  # area shrinks past 0
+        for _ in range(15):
+            want, want_clamped = oracles.array_predict(stacked(kalman), q)
+            kalman, clamped = predict(kalman, Q)
+            assert np.array_equal(stacked(kalman), want) and clamped == want_clamped.tolist()
+            hit = sorted(rng.choice(len(kalman), size=int(rng.integers(1, len(kalman) + 1)),
+                                    replace=False).tolist())
+            z = [[float(v) for v in rng.normal(positions(kalman)[k], [3, 3, 200, 0.4])]
+                 for k in hit]
+            want, want_ok, want_clamped = oracles.array_update(
+                stacked(kalman)[:, hit], np.array(z), np.array(R))
+            updated, ok, clamped = update([kalman[k] for k in hit], z, R)
+            assert np.array_equal(stacked(updated), want)
+            assert (ok, clamped) == (want_ok.tolist(), want_clamped.tolist())
+            for k, filt in zip(hit, updated):
+                kalman[k] = filt
 
 
 # ---------------------------------------------------------------- seven-state oracle
@@ -420,7 +489,7 @@ def _oracle_sequence(seed, frames=60):
     births, predicts, updates and coasting gaps; yields (kalman, oracles)
     after every kernel call."""
     rng = np.random.default_rng(seed)
-    kalman, oracles, truth, gap = np.zeros((5, 0, 4)), [], [], []
+    kalman, oracles, truth, gap = [], [], [], []
     for _ in range(frames):
         if not oracles or (len(oracles) < 6 and rng.random() < 0.15):
             x, y = rng.uniform(50, 800, size=2)
@@ -429,7 +498,7 @@ def _oracle_sequence(seed, frames=60):
             gap.append(0)
             corners = np.array([x, y, x + w, y + h])
             oracles.append(SevenStateKalman(corners))
-            kalman = np.concatenate([kalman, new_track(corners)[:, None]], axis=1)
+            kalman.append(new_track(corners.tolist()))
             yield kalman, oracles
         kalman, _ = predict(kalman, Q)
         for oracle in oracles:
@@ -450,9 +519,10 @@ def _oracle_sequence(seed, frames=60):
             corners.append([x, y, x + t[2] + rng.normal(0, 2), y + t[3] + rng.normal(0, 2)])
         if hit:
             corners = np.array(corners)
-            kalman[:, hit], ok, _ = update(kalman[:, hit], _measurements(corners), R)
-            assert ok.all()
-            for k, c in zip(hit, corners):
+            updated, ok, _ = update([kalman[k] for k in hit], _measurements(corners.tolist()), R)
+            assert all(ok)
+            for k, filt, c in zip(hit, updated, corners):
+                kalman[k] = filt
                 oracles[k].update(c)
             yield kalman, oracles
 
@@ -476,7 +546,7 @@ def test_kernels_match_seven_state_oracle():
             calls += 1
             for k, oracle in enumerate(oracles):
                 want = _blocks(oracle)
-                err = np.abs(kalman[:, k] - want)
+                err = np.abs(stacked(kalman)[:, k] - want)
                 for planes in (slice(0, 2), slice(2, 5)):
                     scale = np.abs(want[planes]).max(axis=0)
                     assert (err[planes].max(axis=0) <= 1e-9 * scale).all(), (seed, calls, k)
