@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_finite
 from .signatures import majority_action
 from .streams import VideoStream
 from .tracking import SortTracker, TrackerConfig
@@ -82,6 +83,7 @@ def bench_stream(stream: VideoStream, config: TrackerConfig | None = None,
                  window_s: float = DEFAULT_WINDOW_S) -> BenchReport:
     """Replay a stream through the tracker, timing each frame's step, and
     time the per-window action characterization."""
+    check_finite("window_s", window_s)
     tracker = SortTracker(config)
     frame_lat, window_lat = [], []
     window: list = []

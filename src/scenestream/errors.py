@@ -1,4 +1,6 @@
-"""Exceptions and warning categories shared across the package."""
+"""Exceptions, warning categories and the number check shared across the package."""
+
+import math
 
 
 class SceneStreamError(Exception):
@@ -17,6 +19,14 @@ class StreamFormatError(SceneStreamError):
 
 class InvariantError(SceneStreamError):
     """A domain invariant was violated (bad box, bad config, inconsistent stream)."""
+
+
+def check_finite(name: str, value: float, strict: bool = True) -> None:
+    """Raise InvariantError naming `value` unless it is a finite number > 0
+    (>= 0 when not `strict`); a bare `value <= 0` check lets NaN through."""
+    if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
+        raise InvariantError(
+            f"{name} must be a finite number {'>' if strict else '>='} 0, got {value!r}")
 
 
 class DataWarning(UserWarning):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataWarning, InvariantError
+from .errors import DataWarning, InvariantError, check_finite
 from .streams import (
     ACTIONS,
     ACTION_LABELS,
@@ -370,6 +370,7 @@ def evaluate_keypoints(pred_stream: VideoStream, truth_stream: VideoStream,
     """
     if ref not in ("truth", "pred"):
         raise InvariantError(f"ref must be 'truth' or 'pred', got {ref!r}")
+    check_finite("alpha", alpha)
     truth_by_frame = {fr.frame_index: fr for fr in truth_stream.frames}
     pred_frames = {fr.frame_index for fr in pred_stream.frames}
     agg = PckAggregate()

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataWarning, StreamFormatError
+from .errors import DataWarning, StreamFormatError, check_finite
 from .evaluation import evaluate_actions, evaluate_boxes
 from .kinematics import (
     SKILL_METRICS,
@@ -339,6 +339,7 @@ def skill_stage(clips, fps, csv_path, metric="distance", centroids_path=None,
     """Kinematic summaries of tie clips, written as the skill CSV; with
     `centroids_path`, also the per-experience centroids of `metric` and their
     leave-one-out recomputations as JSON. Returns the summaries."""
+    check_finite("fps", fps)
     summaries = [summarize_clip(clip, fps, per_frame_size=per_frame_size)
                  for clip in clips]
     _write_csv(csv_path, ["video_id", "operator_id", "experience", "knot_count", "hand",
@@ -467,12 +468,14 @@ DEFAULT_RUN_CONFIG = {
 
 
 # (check, wanted) per key: the range its stage enforces (the generators' seed,
-# LDA's 2 procedures a class, the odd smoothing window, box matching's IoU)
+# LDA's 2 procedures a class, the odd smoothing window, box matching's IoU,
+# the PCK alpha)
 _CONFIG_RANGES = {
     "seed": (lambda v: v >= 0, "a non-negative integer"),
     "signature.n_per_class": (lambda v: v >= 2, "an integer >= 2"),
     "signature.window": (lambda v: v >= 1 and v % 2 == 1, "an odd integer >= 1"),
     "eval.iou": (lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
+    "eval.alpha": (lambda v: v > 0.0, "a number > 0"),
 }
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DataWarning, InvariantError
+from .errors import DataWarning, InvariantError, check_finite
 from .streams import ACTIONS, ACTION_LABELS, BACKGROUND, TOOL_CLASSES, VideoStream
 
 DEFAULT_RESOLUTION_S = 5.0
@@ -43,8 +43,7 @@ class ActionSequence:
     resolution_s: float = DEFAULT_RESOLUTION_S
 
     def __post_init__(self):
-        if self.resolution_s <= 0:
-            raise InvariantError(f"resolution_s must be > 0, got {self.resolution_s}")
+        check_finite("resolution_s", self.resolution_s)
         labels = tuple(self.labels)
         for lab in labels:
             if lab not in ACTION_LABELS:
@@ -65,8 +64,7 @@ class ToolSequence:
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=float).reshape(-1, len(TOOL_CLASSES)).copy()
-        if self.resolution_s <= 0:
-            raise InvariantError(f"resolution_s must be > 0, got {self.resolution_s}")
+        check_finite("resolution_s", self.resolution_s)
         if np.any(counts < 0):
             raise InvariantError("tool counts must be >= 0")
         counts.flags.writeable = False
@@ -89,6 +87,7 @@ def majority_action(votes) -> str | None:
 
 def action_sequence_from_stream(stream: VideoStream, resolution_s: float = DEFAULT_RESOLUTION_S):
     """Majority action label per resolution window; unlabeled windows are background."""
+    check_finite("resolution_s", resolution_s)
     n_steps = max(1, int(np.ceil(stream.duration_s / resolution_s)))
     votes = [dict() for _ in range(n_steps)]
     for fr in stream.frames:
@@ -103,6 +102,7 @@ def action_sequence_from_stream(stream: VideoStream, resolution_s: float = DEFAU
 
 def tool_sequence_from_stream(stream: VideoStream, resolution_s: float = DEFAULT_RESOLUTION_S):
     """Mean per-frame count of each tool class within each resolution window."""
+    check_finite("resolution_s", resolution_s)
     n_steps = max(1, int(np.ceil(stream.duration_s / resolution_s)))
     totals = np.zeros((n_steps, len(TOOL_CLASSES)))
     frames_per_step = np.zeros(n_steps)

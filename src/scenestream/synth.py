@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import streams
-from .errors import InvariantError
+from .errors import InvariantError, check_finite
 from .kinematics import PoseFrame, TieClip, Trajectory
 from .signatures import ActionSequence, ToolSequence
 from .streams import (
@@ -57,8 +57,8 @@ class HandMotionSpec:
     waypoints: tuple | None = None
 
     def __post_init__(self):
-        if self.speed_px < 0 or self.noise_px < 0:
-            raise InvariantError("speed and noise must be >= 0")
+        check_finite("speed_px", self.speed_px, strict=False)
+        check_finite("noise_px", self.noise_px, strict=False)
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,10 @@ class CorruptionSpec:
     def __post_init__(self):
         if not (0.0 <= self.dropout_rate < 1.0):
             raise InvariantError("dropout_rate must be in [0,1)")
-        if self.jitter_sigma < 0 or self.confidence_sigma < 0:
-            raise InvariantError("sigmas must be >= 0")
+        if not (0.0 <= self.confidence_mean <= 1.0):
+            raise InvariantError(f"confidence_mean must be in [0,1], got {self.confidence_mean!r}")
+        check_finite("jitter_sigma", self.jitter_sigma, strict=False)
+        check_finite("confidence_sigma", self.confidence_sigma, strict=False)
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,7 @@ class PhaseSpec:
     tool_rates: tuple = ()  # (tool_class, mean count per frame) pairs
 
     def __post_init__(self):
-        if self.fraction <= 0:
-            raise InvariantError("phase fraction must be > 0")
+        check_finite("phase fraction", self.fraction)
         for tool, rate in self.tool_rates:
             if tool not in TOOL_CLASSES or rate < 0:
                 raise InvariantError(f"bad tool rate {tool}={rate}")
@@ -118,8 +119,10 @@ class SynthSpec:
     with_keypoints: bool = False
 
     def __post_init__(self):
-        if self.duration_s <= 0 or self.fps <= 0:
-            raise InvariantError("duration_s and fps must be > 0")
+        check_finite("duration_s", self.duration_s)
+        check_finite("fps", self.fps)
+        if self.seed < 0:
+            raise InvariantError(f"seed must be >= 0, got {self.seed}")
         if self.n_videos < 1:
             raise InvariantError("n_videos must be >= 1")
         if not self.hands:
@@ -221,7 +224,7 @@ def generate_stream(spec: SynthSpec, index: int = 0):
         frame_truth = {}
         kps = []
         for h, motion in enumerate(spec.hands):
-            cx, cy = positions[h][k]
+            cx, cy = positions[h][k].tolist()  # floats, as a parsed stream has
             half_w, half_h = motion.box_width / 2.0, motion.box_height / 2.0
             box = BBox(max(cx - half_w, 0.0), max(cy - half_h, 0.0),
                        cx + half_w, cy + half_h)
@@ -230,7 +233,7 @@ def generate_stream(spec: SynthSpec, index: int = 0):
                 continue
             out_box = box
             if corruption.jitter_sigma > 0:
-                dx, dy = rng.normal(0, corruption.jitter_sigma, size=2)
+                dx, dy = rng.normal(0, corruption.jitter_sigma, size=2).tolist()
                 out_box = BBox(max(box.x_min + dx, 0.0), max(box.y_min + dy, 0.0),
                                box.x_max + dx, box.y_max + dy)
             conf = corruption.confidence_mean
@@ -314,8 +317,8 @@ class SkillCohortSpec:
     clip_sigma: float = 0.03  # relative spread between clips
 
     def __post_init__(self):
-        if self.clip_duration_s <= 0 or self.fps <= 0:
-            raise InvariantError("clip duration and fps must be > 0")
+        check_finite("clip_duration_s", self.clip_duration_s)
+        check_finite("fps", self.fps)
         if self.operators_per_group < 1 or self.clips_per_operator < 1:
             raise InvariantError("cohort sizes must be >= 1")
 

@@ -16,8 +16,12 @@ velocity, and the block's p00, p01 and p11. At a few hands these scalar loops
 cost less than numpy calls on arrays of 2-8 elements, and they keep numpy's
 operation order (float64 `+ - * /` and `sqrt` round correctly in both), so
 every box is bit-identical to the array form. Each frame runs one `predict`
-over every track, one IoU matrix and one assignment (numpy: their work grows
-with tracks x detections) and one Joseph-form `update` over matched tracks.
+over every track, one `associate` and one Joseph-form `update` over matched
+tracks. `associate` scores only the track/detection pairs that overlap, on
+Python float corner rows, and returns each track's best detection when the
+scores alone prove that pairing optimal (tracks apart from each other, the
+common case); only otherwise does it fill a numpy score matrix and run the
+assignment solver.
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ from math import isfinite, nan, sqrt
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InvariantError
+from .errors import InvariantError, check_finite
 # `iou` is imported so the traced benchmark can count calls to it here
 from .streams import BBox, FrameRecord, HAND, iou  # noqa: F401
 
 # (position, velocity) variances of a newborn track per axis (u, v, s, r)
 _INITIAL_VAR = ((10.0, 1e4), (10.0, 1e4), (10.0, 1e4), (10.0, 0.0))
 _AREA_EPS = 1e-6
+_TIE_TOL = 1e-9  # assignment totals within this of the optimum count as tied
 
 
 @dataclass(frozen=True)
@@ -50,8 +55,8 @@ class TrackerConfig:
             raise InvariantError(f"iou_threshold must be in (0,1), got {self.iou_threshold}")
         if self.max_age <= 0 or self.min_hits <= 0:
             raise InvariantError("max_age and min_hits must be positive")
-        if self.process_noise <= 0 or self.measurement_noise <= 0:
-            raise InvariantError("noise scales must be positive")
+        check_finite("process_noise", self.process_noise)
+        check_finite("measurement_noise", self.measurement_noise)
 
     def process_var(self) -> tuple:
         """Diagonal process noise: (position, velocity) variance per axis (u, v, s, r)."""
@@ -63,29 +68,6 @@ class TrackerConfig:
 
 
 # ------------------------------------------------------------ box geometry
-
-def box_corners(boxes) -> np.ndarray:
-    """(N,4) array of (x_min, y_min, x_max, y_max) rows from BBoxes; arrays pass through."""
-    if isinstance(boxes, np.ndarray):
-        return boxes
-    return np.array([b.as_list() for b in boxes], dtype=float).reshape(-1, 4)
-
-
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every row of corner array `a` against every row of `b`.
-
-    Same arithmetic as `streams.iou`, so each entry equals it bit for bit.
-    Pairs that do not overlap, including boxes whose corners cross after
-    clamping (a prediction that left the frame), score 0.
-    """
-    overlap = (np.minimum(a[:, None, 2:], b[None, :, 2:])
-               - np.maximum(a[:, None, :2], b[None, :, :2]))
-    ix, iy = overlap[..., 0], overlap[..., 1]
-    inter = ix * iy
-    size_a, size_b = a[:, 2:] - a[:, :2], b[:, 2:] - b[:, :2]
-    union = (size_a[:, 0] * size_a[:, 1])[:, None] + size_b[:, 0] * size_b[:, 1] - inter
-    return np.divide(inter, union, out=np.zeros_like(inter), where=(ix > 0) & (iy > 0))
-
 
 def _measurements(corners) -> list[list[float]]:
     """Measurements [u, v, s, r] of (x_min, y_min, x_max, y_max) float rows."""
@@ -188,7 +170,7 @@ def _assignment_bound(score: np.ndarray) -> float:
                float(score.max(axis=0).clip(min=0.0).sum()))
 
 
-def _lexmin_optimal_pairs(score: np.ndarray, tol: float = 1e-9) -> list[tuple[int, int]]:
+def _lexmin_optimal_pairs(score: np.ndarray) -> list[tuple[int, int]]:
     """Max-total assignment; ties break toward the lexicographically smallest
     (row, col) pair list so repeated runs and reimplementations agree.
 
@@ -213,10 +195,10 @@ def _lexmin_optimal_pairs(score: np.ndarray, tol: float = 1e-9) -> list[tuple[in
                 break
             rest_cols = [c for c in cols_left if c != j]
             rest = score[np.ix_(rows_left, rest_cols)]
-            if base + score[i, j] + _assignment_bound(rest) < best - tol:
+            if base + score[i, j] + _assignment_bound(rest) < best - _TIE_TOL:
                 continue  # no completion through (i, j) is optimal
             rest_rows, rest_picks, total = _max_assignment(rest)
-            if base + score[i, j] + total >= best - tol:
+            if base + score[i, j] + total >= best - _TIE_TOL:
                 chosen = j
                 known = {rows_left[r]: rest_cols[c] for r, c in zip(rest_rows, rest_picks)}
                 break
@@ -229,25 +211,72 @@ def _lexmin_optimal_pairs(score: np.ndarray, tol: float = 1e-9) -> list[tuple[in
     return pairs
 
 
+def _overlap_scores(tracks, dets) -> list[dict[int, float]]:
+    """Per track corner row, {detection index: IoU} over the detection rows
+    it overlaps. The operation order is that of `streams.iou`, so each score
+    equals it bit for bit. A NaN track corner propagates through each min/max
+    as it does through np.minimum/np.maximum, which leaves its pairs out; so
+    are boxes whose corners cross after clamping (a prediction that left the
+    frame)."""
+    det_areas = [(c2 - c0) * (c3 - c1) for c0, c1, c2, c3 in dets]
+    scores = []
+    for a0, a1, a2, a3 in tracks:
+        area, row = (a2 - a0) * (a3 - a1), {}
+        for j, (c0, c1, c2, c3) in enumerate(dets):
+            ix = (c2 if c2 < a2 else a2) - (c0 if c0 > a0 else a0)
+            if ix > 0:
+                iy = (c3 if c3 < a3 else a3) - (c1 if c1 > a1 else a1)
+                if iy > 0:
+                    inter = ix * iy
+                    row[j] = inter / (area + det_areas[j] - inter)
+        scores.append(row)
+    return scores
+
+
 def associate(track_boxes, det_boxes, iou_threshold):
     """Optimal one-to-one IoU matching between predicted boxes and detections.
 
-    Boxes are BBox sequences or (N,4) corner arrays. Returns (matches,
-    unmatched_tracks, unmatched_dets); matches maximize the total IoU, then
-    pairs with IoU < iou_threshold are dissolved.
+    Boxes are BBox sequences or lists of (x_min, y_min, x_max, y_max) float
+    rows. Returns (matches, unmatched_tracks, unmatched_dets); matches
+    maximize the total IoU with ties broken as `_lexmin_optimal_pairs` breaks
+    them, then pairs with IoU < iou_threshold (which must be > 0) dissolve.
+
+    The solver runs only when the overlap scores leave the optimum open.
+    Suppose each track with an overlap has a best score more than
+    2 * _TIE_TOL above its second best (0.0 for a single overlap), and no two
+    tracks share a best detection. Then the best scores sum to the optimum,
+    and an assignment that gives such a track another detection loses more
+    than 2 * _TIE_TOL on it and gains on no track, so every assignment within
+    _TIE_TOL of the optimum pairs each such track with its best detection
+    (the factor 2 leaves room for rounding in the solver's summed totals).
+    Tracks with no overlap pair only at score 0, which the threshold
+    dissolves. The best pairs at or above the threshold are therefore the
+    solver's matches.
     """
-    tracks, dets = box_corners(track_boxes), box_corners(det_boxes)
-    n, m = len(tracks), len(dets)
-    if n == 0 or m == 0:
-        return [], list(range(n)), list(range(m))
-    score = iou_matrix(tracks, dets)
-    pairs = _lexmin_optimal_pairs(score)
-    matches = [(i, j) for i, j in pairs if score[i, j] >= iou_threshold]
+    tracks = [b.as_list() if isinstance(b, BBox) else b for b in track_boxes]
+    dets = [b.as_list() if isinstance(b, BBox) else b for b in det_boxes]
+    scores = _overlap_scores(tracks, dets)
+    pairs, taken, certain = [], set(), True
+    for i, row in enumerate(scores):
+        best, top, second = None, 0.0, 0.0
+        for j, score in row.items():
+            if score > top:
+                best, top, second = j, score, top
+            elif score > second:
+                second = score
+        if best is not None:
+            certain = certain and top - second > 2 * _TIE_TOL and best not in taken
+            taken.add(best)
+            pairs.append((i, best))
+    if not certain:
+        pairs = _lexmin_optimal_pairs(
+            np.array([[row.get(j, 0.0) for j in range(len(dets))] for row in scores]))
+    matches = [(i, j) for i, j in pairs if scores[i].get(j, 0.0) >= iou_threshold]
     matched_t = {i for i, _ in matches}
     matched_d = {j for _, j in matches}
     return (matches,
-            [i for i in range(n) if i not in matched_t],
-            [j for j in range(m) if j not in matched_d])
+            [i for i in range(len(tracks)) if i not in matched_t],
+            [j for j in range(len(dets)) if j not in matched_d])
 
 
 # ------------------------------------------------------------ tracker
@@ -278,14 +307,13 @@ class SortTracker:
         """
         cfg = self.config
         self.frame_count += 1
-        det_corners = box_corners([d.box for d in frame.detections if d.category == HAND])
-        det_rows = det_corners.tolist()
+        det_rows = [d.box.as_list() for d in frame.detections if d.category == HAND]
 
         filters, _ = predict(self.filters, self._process_var)
         ids, hits = self.ids, self.hits
         since = [t + 1 for t in self.time_since_update]
         matches, _, unmatched_dets = associate(
-            np.array(_state_corners(filters)), det_corners, cfg.iou_threshold)
+            _state_corners(filters), det_rows, cfg.iou_threshold)
         keep = [t <= cfg.max_age for t in since]
         if matches:
             hit, det_idx = zip(*matches)

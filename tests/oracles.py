@@ -1,12 +1,15 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately naive (loops, enumeration, rasterization) and
-shares no code with the library paths it checks.
+shares no code with the library paths it checks, except that `array_associate`
+runs the library's assignment solver, which the brute-force tests check alone.
 """
 
 import itertools
 
 import numpy as np
+
+from scenestream.tracking import _lexmin_optimal_pairs
 
 
 def grid_iou(a, b, scale=4):
@@ -130,6 +133,45 @@ def array_update(kalman, z, meas_var):
     clamped = (shape <= 0).any(axis=1)
     shape[shape <= 0] = SevenStateKalman.AREA_EPS
     return kalman, ok, clamped
+
+
+def box_corners(boxes):
+    """(N, 4) array of (x_min, y_min, x_max, y_max) rows from BBoxes; arrays pass through."""
+    if isinstance(boxes, np.ndarray):
+        return boxes
+    return np.array([b.as_list() for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def iou_matrix(a, b):
+    """IoU of every row of corner array `a` against every row of `b`, in the
+    array form the overlap scorer of `tracking.associate` replaced. Pairs that
+    do not overlap, including boxes whose corners cross after clamping, or a
+    NaN corner, score 0."""
+    overlap = (np.minimum(a[:, None, 2:], b[None, :, 2:])
+               - np.maximum(a[:, None, :2], b[None, :, :2]))
+    ix, iy = overlap[..., 0], overlap[..., 1]
+    inter = ix * iy
+    size_a, size_b = a[:, 2:] - a[:, :2], b[:, 2:] - b[:, :2]
+    union = (size_a[:, 0] * size_a[:, 1])[:, None] + size_b[:, 0] * size_b[:, 1] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=(ix > 0) & (iy > 0))
+
+
+def array_associate(track_boxes, det_boxes, iou_threshold):
+    """Association through the dense IoU matrix and the tie-breaking solver on
+    every call, as `tracking.associate` did before it scored only overlapping
+    pairs: (matches, unmatched_tracks, unmatched_dets). The solver is the
+    library's, bound here at import; brute-force tests check it on its own."""
+    tracks, dets = box_corners(track_boxes), box_corners(det_boxes)
+    n, m = len(tracks), len(dets)
+    if n == 0 or m == 0:
+        return [], list(range(n)), list(range(m))
+    score = iou_matrix(tracks, dets)
+    matches = [(i, j) for i, j in _lexmin_optimal_pairs(score) if score[i, j] >= iou_threshold]
+    matched_t = {i for i, _ in matches}
+    matched_d = {j for _, j in matches}
+    return (matches,
+            [i for i in range(n) if i not in matched_t],
+            [j for j in range(m) if j not in matched_d])
 
 
 def naive_path_distance(points, mean_size):

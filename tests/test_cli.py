@@ -336,6 +336,8 @@ def test_cli_run_byte_identical(tmp_path):
     ({"eval": {"iou": -1}}, "eval.iou"),
     ({"skill": {"metrc": "pose"}}, "skill.metrc"),
     ({"sed": 3}, "sed"),
+    ({"eval": {"alpha": 0}}, "eval.alpha"),
+    ({"eval": {"alpha": -1}}, "eval.alpha"),
 ])
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, config, key):
     cfg_path = tmp_path / "cfg.json"
@@ -589,3 +591,83 @@ def test_cli_lda_reports_bad_feature_line(tmp_path, capsys):
     assert main(["lda", "--features", str(features_path), "--out", str(tmp_path / "p.csv"),
                  "--weights", str(tmp_path / "w.csv")]) == 1
     assert "line 3:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- numeric option sweep
+
+def _numeric_options():
+    """(subcommand, option) for every int or float option of the CLI."""
+    import argparse
+
+    from scenestream.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[-1])
+            for name, parser in sub.choices.items()
+            for action in parser._actions if action.type in (int, float)]
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    """1-2 s inputs for every subcommand with a numeric option."""
+    root = tmp_path_factory.mktemp("sweep")
+    streams = root / "streams"
+    streams.mkdir()
+    for seed in (1, 2):
+        spec = SynthSpec(seed=seed, fps=15.0, duration_s=2.0, with_keypoints=True)
+        write_stream(generate_stream(spec, 0)[0], streams / f"v{seed}.jsonl")
+    stream = streams / "v1.jsonl"
+    tracks_path, clip = _skill_inputs(root)
+    clips = root / "clips.json"
+    clips.write_text(json.dumps([clip]))
+    return {  # argument lists per subcommand; eval runs each mode
+        "synth": [["synth", "--duration", "1"]],
+        "track": [["track", "--in", str(stream)]],
+        "skill": [["skill", "--tracks", str(tracks_path), "--clips", str(clips)]],
+        "signature": [["signature", "--streams", str(streams)]],
+        "featurize": [["featurize", "--streams", str(streams)]],
+        "eval": [["eval", mode, "--pred", str(stream), "--truth", str(stream)]
+                 for mode in ("actions", "boxes", "keypoints")],
+        "bench": [["bench", "--minutes", "0.02"]],
+    }
+
+
+@pytest.mark.parametrize("command, option", _numeric_options())
+def test_cli_numeric_option_sweep_exits_cleanly(sweep_inputs, tmp_path, capsys,
+                                                command, option):
+    # every exit is 0, 1 or 2 with no traceback, and a rejected value writes
+    # nothing; argparse turns a non-integer for an int option into exit 2
+    for base in sweep_inputs[command]:
+        for value in ("0", "-1", "nan", "inf"):
+            out = tmp_path / f"{base[1]}{option}{value}.out"
+            try:
+                code = main([*base, option, value, "--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            assert code in (0, 1, 2), (base, option, value)
+            if code == 2:
+                assert not out.exists(), (base, option, value)
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("synth", "--fps", "nan"), ("synth", "--duration", "nan"), ("synth", "--duration", "inf"),
+    ("synth", "--jitter", "nan"), ("synth", "--conf-sigma", "nan"), ("synth", "--seed", "-1"),
+    ("synth", "--conf-mean", "nan"),
+    ("bench", "--minutes", "nan"), ("bench", "--minutes", "inf"), ("bench", "--fps", "nan"),
+    ("bench", "--window", "nan"), ("bench", "--window", "inf"), ("bench", "--window", "0"),
+    ("bench", "--window", "-1"),
+    ("signature", "--resolution", "0"), ("signature", "--resolution", "nan"),
+    ("featurize", "--resolution", "inf"),
+    ("skill", "--fps", "0"), ("skill", "--fps", "nan"), ("skill", "--fps", "-30"),
+    ("skill", "--fps", "inf"),
+    ("eval", "--alpha", "-1"), ("eval", "--alpha", "0"), ("eval", "--alpha", "inf"),
+    ("eval", "--alpha", "nan"),
+])
+def test_cli_rejects_non_finite_or_out_of_range_number(sweep_inputs, tmp_path, capsys,
+                                                       command, option, value):
+    base = sweep_inputs[command][-1]  # eval: keypoints
+    out = tmp_path / "out"
+    assert main([*base, option, value, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "must be" in capsys.readouterr().err

@@ -14,10 +14,9 @@ from scenestream.tracking import (
     TrackerConfig,
     _lexmin_optimal_pairs,
     _measurements,
+    _overlap_scores,
     _state_corners,
     associate,
-    box_corners,
-    iou_matrix,
     new_track,
     predict,
     update,
@@ -37,12 +36,12 @@ def one_track(pos, vel=(0.0, 0.0, 0.0), var=10.0):
 
 def born(box):
     """Filters of one track born on `box`."""
-    return [new_track(box_corners([box]).tolist()[0])]
+    return [new_track(box.as_list())]
 
 
 def rows(box):
     """Float corner rows of one BBox."""
-    return box_corners([box]).tolist()
+    return [box.as_list()]
 
 
 def positions(filters):
@@ -354,7 +353,7 @@ def test_cycle_matches_least_squares_line_after_burn_in():
 
 # ---------------------------------------------------------------- batched geometry and ties
 
-def test_iou_matrix_equals_scalar_iou_bit_for_bit():
+def test_overlap_scores_equal_scalar_iou_bit_for_bit():
     rng = np.random.default_rng(11)
     for _ in range(300):
         boxes = []
@@ -370,15 +369,89 @@ def test_iou_matrix_equals_scalar_iou_bit_for_bit():
             boxes.append(BBox(x, y, x + w, y + h))
         cut = int(rng.integers(1, len(boxes)))
         a, b = boxes[:cut], boxes[cut:]
-        want = np.array([[_iou(p, q) for q in b] for p in a])
-        assert np.array_equal(iou_matrix(box_corners(a), box_corners(b)), want)
+        scores = _overlap_scores([p.as_list() for p in a], [q.as_list() for q in b])
+        assert scores == [{j: _iou(p, q) for j, q in enumerate(b) if _iou(p, q) > 0}
+                          for p in a]
+        dense = np.array([[row.get(j, 0.0) for j in range(len(b))] for row in scores])
+        assert np.array_equal(dense, oracles.iou_matrix(oracles.box_corners(a),
+                                                        oracles.box_corners(b)))
 
 
-def test_iou_matrix_scores_predictions_past_the_edge_zero():
-    # corners of predictions that left over the left or top edge after clamping
-    gone = np.array([[0.0, 10.0, -4.0, 50.0], [0.0, 0.0, 30.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    dets = box_corners([BBox(0, 0, 40, 40), BBox(0, 10, 1, 50)])
-    assert np.array_equal(iou_matrix(gone, dets), np.zeros((3, 2)))
+def test_overlap_scores_leave_out_predictions_past_the_edge_and_nan():
+    # corners of predictions that left over the left or top edge after
+    # clamping, and a NaN in each corner; the array form scores them all 0
+    nan = math.nan
+    gone = [[0.0, 10.0, -4.0, 50.0], [0.0, 0.0, 30.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+            [nan, 0.0, 40.0, 40.0], [0.0, nan, 40.0, 40.0],
+            [0.0, 0.0, nan, 40.0], [0.0, 0.0, 40.0, nan]]
+    dets = [BBox(0, 0, 40, 40), BBox(0, 10, 1, 50)]
+    assert _overlap_scores(gone, [d.as_list() for d in dets]) == [{}] * len(gone)
+    assert np.array_equal(oracles.iou_matrix(np.array(gone), oracles.box_corners(dets)),
+                          np.zeros((len(gone), 2)))
+
+
+def _tied_pair(rng, gap):
+    """A track row and two detection rows whose IoUs with it differ by about
+    `gap`: widening a 10 x 10 box by e gives IoU 10 / (10 + e)."""
+    x, y = (float(v) for v in rng.uniform(0, 40, size=2))
+    e1 = float(rng.uniform(0.5, 4.0))
+    e2 = 10.0 / (10.0 / (10.0 + e1) - gap) - 10.0
+    return ([x, y, x + 10.0, y + 10.0],
+            [[x, y, x + 10.0, y + 10.0 + e1], [x, y, x + 10.0 + e2, y + 10.0]])
+
+
+def _association_case(rng):
+    """Track rows, detection rows and a threshold from one of the input kinds
+    where the certificate of `associate` holds, fails, or sits at its bound."""
+    def box():
+        x, y = (float(v) for v in rng.uniform(0, 60, size=2))
+        w, h = (float(v) for v in rng.uniform(5, 30, size=2))
+        return [x, y, x + w, y + h]
+
+    n, m = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+    tracks, dets = [box() for _ in range(n)], [box() for _ in range(m)]
+    kind = int(rng.integers(0, 6))
+    if kind == 1 and tracks:  # exact duplicate boxes
+        dets += [list(tracks[int(rng.integers(0, n))]) for _ in range(2)]
+    elif kind == 2 and tracks:  # symmetric rows: two tracks on the same box
+        tracks.insert(int(rng.integers(0, n)), list(tracks[int(rng.integers(0, n))]))
+    elif kind == 3:  # a gap near the certificate bound of 2e-9
+        track, pair = _tied_pair(rng, float(rng.uniform(0.5e-9, 5e-9)))
+        tracks.insert(int(rng.integers(0, n + 1)), track)
+        for det in pair:
+            dets.insert(int(rng.integers(0, len(dets) + 1)), det)
+    elif kind == 4 and tracks:  # a NaN corner, or corners crossed by the clamp
+        row = tracks[int(rng.integers(0, n))]
+        if rng.random() < 0.5:
+            row[int(rng.integers(0, 4))] = math.nan
+        else:
+            row[0], row[2] = 0.0, -float(rng.uniform(0.0, 5.0))
+    threshold = float(rng.choice([0.05, 0.3, 0.5]))
+    scores = [s for row in _overlap_scores(tracks, dets) for s in row.values()]
+    if kind == 5 and scores:  # a threshold equal to a score
+        threshold = float(rng.choice(scores))
+    return tracks, dets, threshold
+
+
+def test_associate_equals_array_associate(monkeypatch):
+    # the overlap scores and the certificate give the matches, unmatched
+    # tracks and unmatched detections of the dense matrix and the solver
+    solved = []
+    real = tracking._lexmin_optimal_pairs
+    monkeypatch.setattr(tracking, "_lexmin_optimal_pairs",
+                        lambda score: solved.append(score.shape) or real(score))
+    rng = np.random.default_rng(2024)
+    certified = 0
+    for _ in range(3000):
+        tracks, dets, threshold = _association_case(rng)
+        want = oracles.array_associate(np.array(tracks).reshape(-1, 4),
+                                       np.array(dets).reshape(-1, 4), threshold)
+        calls = len(solved)
+        if rng.random() < 0.5:
+            dets = [BBox(*d) for d in dets]
+        assert associate(tracks, dets, threshold) == want
+        certified += len(solved) == calls
+    assert 300 < certified < 2700 and len(solved) > 300
 
 
 @settings(max_examples=150, deadline=None)
@@ -403,28 +476,40 @@ def test_lexmin_pairs_break_one_decimal_ties_like_brute_force(n, m, seed):
     assert _lexmin_optimal_pairs(score) == want
 
 
-def _lane_stream(seed):
-    # 12 hands in lanes 103 px apart, 5% of detections dropped
+def _lane_stream(seed, dropout=0.05):
+    # 12 hands in lanes 103 px apart
     hands = tuple(HandMotionSpec(region=(60.0 + 103.0 * i, 150.0, 90.0 + 103.0 * i, 570.0))
                   for i in range(12))
     spec = SynthSpec(seed=seed, fps=30.0, duration_s=5.0, hands=hands,
-                     corruption=CorruptionSpec(dropout_rate=0.05, jitter_sigma=2.0))
+                     corruption=CorruptionSpec(dropout_rate=dropout, jitter_sigma=2.0))
     return generate_stream(spec, 0)[0]
 
 
-@pytest.mark.parametrize("seed", [7, 22])
-def test_one_assignment_solve_per_frame_on_twelve_lanes(seed, monkeypatch):
+def _solves_on(stream, monkeypatch):
+    """(assignment solves, frames with tracks and detections) of tracking `stream`."""
     calls = []
     real = tracking.linear_sum_assignment
     monkeypatch.setattr(tracking, "linear_sum_assignment",
                         lambda cost: calls.append(cost.shape) or real(cost))
     tracker = SortTracker()
     nonempty = 0
-    for frame in _lane_stream(seed).frames:
+    for frame in stream.frames:
         nonempty += bool(tracker.ids and frame.detections)
         tracker.step(frame)
+    return len(calls), nonempty
+
+
+@pytest.mark.parametrize("seed", [7, 22])
+def test_one_assignment_solve_per_frame_on_twelve_lanes(seed, monkeypatch):
+    solves, nonempty = _solves_on(_lane_stream(seed), monkeypatch)
     assert nonempty > 100
-    assert len(calls) <= 1.02 * nonempty
+    assert solves <= 1.02 * nonempty
+
+
+def test_no_assignment_solve_on_twelve_lanes_without_dropout(monkeypatch):
+    # each track overlaps only its own lane's detection, which certifies the pairing
+    solves, nonempty = _solves_on(_lane_stream(7, dropout=0.0), monkeypatch)
+    assert nonempty > 100 and solves == 0
 
 
 def test_batched_kernels_equal_batch_of_one_bit_for_bit():
@@ -441,7 +526,7 @@ def test_batched_kernels_equal_batch_of_one_bit_for_bit():
             kalman, _, _ = update(kalman, z, R)
         tracks += kalman
         dets.append(BBox(x + 2, y + 1, x + 63, y + 80))
-    z = _measurements(box_corners(dets).tolist())
+    z = _measurements([d.as_list() for d in dets])
     predicted, _ = predict(tracks, Q)
     updated, ok, _ = update(tracks, z, R)
     assert all(ok)
