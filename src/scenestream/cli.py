@@ -137,7 +137,8 @@ def cmd_filter(args) -> int:
     if rule is None:
         raise StreamFormatError(
             f"unknown rule {args.rule!r}; choose from {sorted(BUILTIN_RULES)}")
-    selected = filter_videos([obj for _, obj in iter_json_lines(args.catalog)], rule)
+    selected = filter_videos([obj for _, _, obj in iter_json_lines(args.catalog)],
+                             rule)
     if args.out:
         Path(args.out).write_text("\n".join(selected) + ("\n" if selected else ""),
                                   encoding="utf-8")
@@ -259,14 +260,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
-    p.add_argument("mode", choices=("actions", "boxes", "keypoints"))
-    p.add_argument("--pred", required=True)
-    p.add_argument("--truth", required=True)
-    p.add_argument("--iou", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=0.2)
-    p.add_argument("--ref", choices=("truth", "pred"), default="truth",
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--pred", required=True)
+    files.add_argument("--truth", required=True)
+    files.add_argument("--out", required=True)
+    modes = p.add_subparsers(dest="mode", required=True)
+    modes.add_parser("actions", parents=[files], help="per-frame action labels")
+    m = modes.add_parser("boxes", parents=[files], help="detection AP")
+    m.add_argument("--iou", type=float, default=0.5)
+    m = modes.add_parser("keypoints", parents=[files], help="PCK")
+    m.add_argument("--alpha", type=float, default=0.2)
+    m.add_argument("--ref", choices=("truth", "pred"), default="truth",
                    help="box normalizing PCK distances")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="latency vs the real-time budgets")

@@ -54,9 +54,11 @@ from .streams import (
     FrameRecord,
     HandKeypoints,
     VideoStream,
+    finite_numbers,
     header_line,
     iou,
     iter_json_lines,
+    keypoint_rows,
     parse_stream,
 )
 from .synth import (
@@ -98,7 +100,7 @@ def _track_row(tracker: SortTracker, fr: FrameRecord) -> dict:
             if v >= best_v:
                 best_tid, best_v = tid, v
         if best_tid is not None:
-            kps[str(best_tid)] = kp.points
+            kps[str(best_tid)] = kp
     if kps:
         row["kps"] = kps
     return row
@@ -109,8 +111,8 @@ def track_stream(frames, config: TrackerConfig | None = None):
     boxes keyed by track id.
 
     Input keypoints are re-keyed by track id when their owner box overlaps
-    the emitted track box (IoU >= 0.5); they stay (21, 3) arrays until
-    `write_tracks` serializes them. Frames are taken TRACK_BLOCK_FRAMES at a
+    the emitted track box (IoU >= 0.5); they stay HandKeypoints until
+    `write_tracks` writes their `points_text`. Frames are taken TRACK_BLOCK_FRAMES at a
     time and a block's rows are all made before the first is yielded, so
     reading, tracking and writing a file each run a block at a stretch.
     """
@@ -118,6 +120,17 @@ def track_stream(frames, config: TrackerConfig | None = None):
     frames = iter(frames)
     while block := list(islice(frames, TRACK_BLOCK_FRAMES)):
         yield from [_track_row(tracker, fr) for fr in block]
+
+
+def _row_line(row) -> str:
+    """A track row as a JSON line with sorted keys, each keypoint entry
+    spliced in as its `points_text`."""
+    kps = row.get("kps")
+    if not kps:
+        return json.dumps(row, sort_keys=True)
+    entries = ", ".join(f'"{tid}": {kps[tid].points_text}' for tid in sorted(kps))
+    return (f'{{"frame": {row["frame"]}, "kps": {{{entries}}}, "t": {json.dumps(row["t"])}, '
+            f'"tracks": {json.dumps(row["tracks"], sort_keys=True)}}}')
 
 
 def write_tracks(stream: VideoStream, rows, path) -> None:
@@ -132,37 +145,30 @@ def write_tracks(stream: VideoStream, rows, path) -> None:
         with tmp.open("w", encoding="utf-8") as fh:
             fh.write(header_line(stream) + "\n")
             for row in rows:
-                fh.write(json.dumps(row, sort_keys=True, default=np.ndarray.tolist) + "\n")
+                fh.write(_row_line(row) + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _numbers(values, n) -> bool:
-    """Whether `values` is a list of exactly n finite JSON numbers."""
-    return (isinstance(values, list) and len(values) == n
-            and all(isinstance(v, (int, float)) and math.isfinite(v) for v in values))
-
-
 def _is_box(values) -> bool:
     """Whether `values` is 4 numbers that make a BBox: 0 <= min < max."""
-    return (_numbers(values, 4) and 0 <= values[0] < values[2]
+    return (finite_numbers(values, 4) and 0 <= values[0] < values[2]
             and 0 <= values[1] < values[3])
 
 
 def _check_tracks_row(row, line_no) -> None:
     frame = row.get("frame") if isinstance(row, dict) else None
-    if not isinstance(frame, int):
-        raise StreamFormatError("tracks row needs an integer 'frame'", line=line_no)
+    if not isinstance(frame, int) or not -2**63 <= frame < 2**63:  # frames become int64
+        raise StreamFormatError("tracks row needs an integer 'frame' within 64 bits",
+                                line=line_no)
     tracks, kps = row.get("tracks"), row.get("kps", {})
     if not isinstance(tracks, dict) or not all(_is_box(b) for b in tracks.values()):
         raise StreamFormatError("tracks row needs 'tracks' mapping track ids to "
                                 "[x_min, y_min, x_max, y_max] with 0 <= x_min < x_max "
                                 "and 0 <= y_min < y_max", line=line_no)
-    if not isinstance(kps, dict) or not all(
-            isinstance(pts, list) and len(pts) == N_KEYPOINTS and all(_numbers(p, 3) for p in pts)
-            for pts in kps.values()):
+    if not isinstance(kps, dict) or not all(keypoint_rows(pts) for pts in kps.values()):
         raise StreamFormatError(f"tracks row 'kps' must map track ids to {N_KEYPOINTS} "
                                 "[x, y, v] triples", line=line_no)
 
@@ -170,12 +176,12 @@ def _check_tracks_row(row, line_no) -> None:
 def read_tracks(path):
     """(header, rows) from a tracks.jsonl file; a malformed line is a
     StreamFormatError naming its line number."""
-    lines = list(iter_json_lines(path))
+    lines = [(line_no, obj) for line_no, _, obj in iter_json_lines(path)]
     if not lines:
         raise StreamFormatError(f"empty tracks file: {path}")
     line_no, header = lines[0]
     fps = header.get("fps") if isinstance(header, dict) else None
-    if not isinstance(fps, (int, float)) or not fps > 0 or "video_id" not in header:
+    if not finite_numbers([fps], 1) or not fps > 0 or "video_id" not in header:
         raise StreamFormatError("first line must be a header with video_id and a "
                                 "positive fps", line=line_no)
     for line_no, row in lines[1:]:
@@ -226,11 +232,10 @@ def _poses_by_track(rows):
     out = {}
     for row in rows:
         for tid, pts in row.get("kps", {}).items():
-            arr = np.asarray(pts, dtype=float)
             box = row["tracks"].get(tid)
             if box is None:
                 continue
-            kp = HandKeypoints(points=arr, owner_box=BBox(*box))
+            kp = HandKeypoints.from_json(pts, BBox(*box))
             pose = PoseFrame.from_keypoints(row["frame"], kp)
             if pose is not None:
                 out.setdefault(tid, []).append(pose)

@@ -7,10 +7,12 @@ See docs/format.md for the exact schema and a golden example.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import re
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 
@@ -117,24 +119,55 @@ class Detection:
             )
 
 
-@dataclass(frozen=True, eq=False)
 class HandKeypoints:
-    """21 hand keypoints as an immutable (21, 3) array of (x, y, visible) rows."""
+    """21 hand keypoints as (x, y, visible) rows, and the hand box that owns them.
 
-    points: np.ndarray
-    owner_box: BBox
+    `points` is an immutable (21, 3) float array. Keypoints read from JSON
+    (`from_json`) keep their source text, or the decoded rows when the text is
+    not known, and make the array when `points` is first read; `points_text`
+    is the JSON that a tracks file carries.
+    """
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+    __slots__ = ("_owner_box", "_rows", "_text", "_points")
+
+    def __init__(self, points, owner_box: BBox):
+        pts = np.array(points, dtype=float)
         if pts.shape != (N_KEYPOINTS, 3):
             raise InvariantError(
                 f"HandKeypoints.points must have shape ({N_KEYPOINTS}, 3), got {pts.shape}"
             )
         if not np.all(np.isfinite(pts)):
             raise InvariantError("HandKeypoints.points must be finite")
-        pts = pts.copy()
         pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        self._owner_box, self._rows, self._text, self._points = owner_box, None, None, pts
+
+    @classmethod
+    def from_json(cls, rows, owner_box: BBox, text: str | None = None) -> "HandKeypoints":
+        """Keypoints from decoded JSON rows that pass `keypoint_rows`; `text`,
+        when known, is the JSON they were decoded from, and is kept instead
+        of the rows (it is smaller, and the rows are Python objects)."""
+        kp = cls.__new__(cls)
+        kp._owner_box, kp._text, kp._points = owner_box, text, None
+        kp._rows = rows if text is None else None
+        return kp
+
+    @property
+    def owner_box(self) -> BBox:
+        return self._owner_box
+
+    @property
+    def points(self) -> np.ndarray:
+        if self._points is None:
+            rows = self._rows if self._text is None else json.loads(self._text)
+            pts = np.array(rows, dtype=float)
+            pts.flags.writeable = False
+            self._points = pts
+        return self._points
+
+    @property
+    def points_text(self) -> str:
+        """The rows as JSON: the source text when known, else the floats of `points`."""
+        return self._text if self._text is not None else json.dumps(self.points.tolist())
 
     @property
     def xy(self) -> np.ndarray:
@@ -229,6 +262,32 @@ class VideoStream:
         return (self.frames[-1].frame_index + 1) / self.fps
 
 
+def finite_numbers(values, n) -> bool:
+    """Whether `values` is a list of n JSON numbers (not booleans), each finite
+    as a float."""
+    try:
+        return (isinstance(values, list) and len(values) == n
+                and all(type(v) in (int, float) and math.isfinite(v) for v in values))
+    except OverflowError:  # an integer past the float range
+        return False
+
+
+def keypoint_rows(points) -> bool:
+    """Whether `points` is N_KEYPOINTS [x, y, v] triples of JSON numbers (not
+    booleans), each finite as a float."""
+    if not isinstance(points, list) or len(points) != N_KEYPOINTS:
+        return False
+    try:  # one loop, not finite_numbers per row: this runs on every keypoint of a stream
+        for x, y, v in points:  # of decoded JSON, only a list of 3 numbers passes
+            if not (type(x) in (int, float) and type(y) in (int, float)
+                    and type(v) in (int, float) and math.isfinite(x)
+                    and math.isfinite(y) and math.isfinite(v)):
+                return False
+    except (TypeError, ValueError, OverflowError):  # not 3 values, or past the float range
+        return False
+    return True
+
+
 def _parse_detection(raw, line_no):
     if not isinstance(raw, (list, tuple)) or len(raw) != 6:
         raise StreamFormatError(
@@ -241,29 +300,55 @@ def _parse_detection(raw, line_no):
     return Detection(box=box, category=cls, confidence=float(conf))
 
 
-def _parse_keypoints(raw, line_no):
+def _parse_keypoints(raw, text, line_no):
     if not isinstance(raw, dict) or "points" not in raw or "box" not in raw:
         raise StreamFormatError(
             f"kps entry must be an object with 'points' and 'box', got {raw!r}", line=line_no
         )
-    pts = raw["points"]
-    if not isinstance(pts, list) or len(pts) != N_KEYPOINTS:
+    if not keypoint_rows(raw["points"]):
         raise StreamFormatError(
-            f"kps points must list exactly {N_KEYPOINTS} [x, y, v] triples", line=line_no
-        )
+            f"kps points must list exactly {N_KEYPOINTS} [x, y, v] triples of finite "
+            "numbers", line=line_no)
     box = BBox(*(float(v) for v in raw["box"]))
-    return HandKeypoints(points=np.asarray(pts, dtype=float), owner_box=box)
+    return HandKeypoints.from_json(raw["points"], box, text)
 
 
-def _parse_frame(obj, line_no):
+_POINTS_KEY = re.compile(r'"points"[ \t\n\r]*:[ \t\n\r]*')
+
+
+def _points_texts(line: str, n: int) -> list:
+    """The source text of the `points` value of each of a frame line's n kps
+    entries, in entry order, or n Nones where the text cannot be told apart.
+
+    The line has been decoded, and the texts are used only for entries that
+    pass `keypoint_rows`; a line whose entries do not all pass is rejected.
+    In a line without backslashes every quote delimits a string, so each
+    match of _POINTS_KEY is a `points` key. Each entry has one, so when there
+    are n matches there is no other, and the i-th is entry i's. Its value,
+    21 number triples, ends at the last ']' before the next '"' or '}'.
+    """
+    starts = [] if "\\" in line else [m.end() for m in _POINTS_KEY.finditer(line)]
+    if len(starts) != n:
+        return [None] * n
+    texts = []
+    for start in starts:
+        quote, brace = line.find('"', start), line.find("}", start)
+        stop = brace if quote < 0 else min(quote, brace)
+        texts.append(line[start:line.rfind("]", start, stop) + 1])
+    return texts
+
+
+def _parse_frame(obj, line, line_no):
     try:
         frame_index = int(obj["frame"])
         timestamp_s = float(obj["t"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StreamFormatError(f"frame record needs integer 'frame' and float 't': {exc}",
                                 line=line_no) from exc
     dets = tuple(_parse_detection(d, line_no) for d in obj.get("dets", []))
-    kps = tuple(_parse_keypoints(k, line_no) for k in obj.get("kps", []))
+    raw_kps = obj.get("kps", [])
+    texts = _points_texts(line, len(raw_kps)) if raw_kps else ()
+    kps = tuple(_parse_keypoints(k, text, line_no) for k, text in zip(raw_kps, texts))
     action = obj.get("action")
     return FrameRecord(frame_index=frame_index, timestamp_s=timestamp_s,
                        detections=dets, keypoints=kps, action=action)
@@ -278,20 +363,25 @@ def _parse_header(obj, line_no) -> dict:
         raise StreamFormatError(f"header metadata must be an object, got {metadata!r}",
                                 line=line_no)
     duration = metadata.get("duration_s")
-    if duration is not None and not isinstance(duration, (int, float)):
-        raise StreamFormatError(f"header metadata.duration_s must be a number, got "
+    if duration is not None and not finite_numbers([duration], 1):
+        raise StreamFormatError(f"header metadata.duration_s must be a finite number, got "
                                 f"{duration!r}", line=line_no)
     try:
-        return {"video_id": str(obj["video_id"]), "fps": float(obj["fps"]),
-                "width": int(obj.get("width", 0)), "height": int(obj.get("height", 0)),
-                "metadata": metadata}
-    except (TypeError, ValueError) as exc:
+        fields = {"video_id": str(obj["video_id"]), "fps": float(obj["fps"]),
+                  "width": int(obj.get("width", 0)), "height": int(obj.get("height", 0)),
+                  "metadata": metadata}
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StreamFormatError(f"header fps, width and height must be numbers: {exc}",
                                 line=line_no) from exc
+    if not finite_numbers([fields["width"], fields["height"]], 2):
+        raise StreamFormatError("header width and height must be integers within the "
+                                "float range", line=line_no)
+    return fields
 
 
 def iter_json_lines(path):
-    """(line number, object) for each non-blank line of a line-delimited JSON file."""
+    """(line number, line, object) for each non-blank line of a line-delimited
+    JSON file."""
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -301,7 +391,7 @@ def iter_json_lines(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise StreamFormatError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-            yield line_no, obj
+            yield line_no, line, obj
 
 
 def open_stream(path):
@@ -321,7 +411,7 @@ def open_stream(path):
     first = next(lines, None)
     if first is None:
         raise StreamFormatError(f"empty stream file: {path}")
-    line_no, obj = first
+    line_no, _, obj = first
     try:
         header = VideoStream(**_parse_header(obj, line_no))
     except InvariantError as exc:
@@ -331,13 +421,13 @@ def open_stream(path):
 
 def _checked_frames(path, header: VideoStream, lines):
     last_line, last_index = None, -1
-    for line_no, obj in lines:
+    for line_no, line, obj in lines:
         try:
-            fr = _parse_frame(obj, line_no)
+            fr = _parse_frame(obj, line, line_no)
             _check_timestamp(fr, header.fps)
         except InvariantError as exc:
             raise InvariantError(f"line {line_no}: {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise StreamFormatError(f"malformed frame record: {exc}", line=line_no) from exc
         if fr.frame_index > last_index:
             last_line, last_index = line_no, fr.frame_index
@@ -371,8 +461,10 @@ def parse_stream(path) -> VideoStream:
             DataWarning, stacklevel=2,
         )
         frames.sort(key=lambda fr: fr.frame_index)
-
-    return replace(header, frames=tuple(frames))
+    # every check of VideoStream.__post_init__ was made above, once
+    stream = copy.copy(header)
+    object.__setattr__(stream, "frames", tuple(frames))
+    return stream
 
 
 def _frame_to_obj(fr: FrameRecord) -> dict:

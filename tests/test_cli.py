@@ -299,6 +299,66 @@ def test_cli_run_produces_bundle(tmp_path):
     assert tracking[0]["bijection"] in (True, False)
 
 
+def test_cli_run_tracks_keypoints_as_track_does(tmp_path):
+    # keypoints made in memory (run) and parsed from the stream file (track)
+    # reach the tracks file as the same bytes
+    config = {"synth": {"n_videos": 1, "duration_s": 3.0, "with_keypoints": True},
+              "skill": {"operators_per_group": 2, "clips_per_operator": 1,
+                        "clip_duration_s": 2.0},
+              "signature": {"n_per_class": 2}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    bundle = tmp_path / "bundle"
+    assert main(["run", "--config", str(cfg_path), "--out", str(bundle)]) == 0
+    tracks = next((bundle / "tracks").glob("*.tracks.jsonl"))
+    stream_path = bundle / "streams" / tracks.name.replace(".tracks.jsonl", ".jsonl")
+    out = tmp_path / "tracked.jsonl"
+    assert main(["track", "--in", str(stream_path), "--out", str(out), "--iou", "0.3",
+                 "--max-age", "30", "--min-hits", "3"]) == 0
+    assert '"kps"' in out.read_text()
+    assert out.read_bytes() == tracks.read_bytes()
+
+
+def test_cli_track_keeps_keypoint_text(tmp_path):
+    # ints, exponents and spacing stay as written; the numbers are the input's.
+    # The last line has a backslash, so its keypoints are written as floats.
+    texts = ["[" + ", ".join(f"[{110 + k}, 1.2e2, 1]" for k in range(21)) + "]",
+             "[ " + " ,".join(f"[ {110 + k}.5 ,  1.25E+2,1 ]" for k in range(21)) + " ]"]
+    box = [100, 100, 180, 170]
+    lines = [json.dumps({"video_id": "v", "fps": 30.0, "width": 640, "height": 480})]
+    for k in range(4):
+        lines.append(f'{{"frame": {k}, "t": {k / 30.0!r}, "dets": [["hand", 0.9, 100, 100, '
+                     f'180, 170]], "kps": [{{"box": {box}, "points": {texts[k % 2]}}}], '
+                     '"action": null' + (', "action_probs": {"a\\"b": 1}}' if k == 3 else "}"))
+    stream_path = tmp_path / "s.jsonl"
+    stream_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "t.jsonl"
+    assert main(["track", "--in", str(stream_path), "--out", str(out), "--min-hits", "1"]) == 0
+    written = out.read_text().splitlines()[1:]
+    for k, line in enumerate(written):
+        numbers = json.loads(texts[k % 2])
+        as_floats = json.dumps([[float(v) for v in row] for row in numbers])
+        assert f'"kps": {{"1": {as_floats if k == 3 else texts[k % 2]}}}' in line
+        assert json.loads(line)["kps"]["1"] == numbers
+    _, rows = read_tracks(out)  # the tracks file is valid for `skill`
+    assert len(rows) == 4
+
+
+@pytest.mark.parametrize("value", ['"1.5"', "true", "null", "1" + "0" * 399, "NaN"],
+                         ids=["string", "bool", "null", "oversized-int", "nan"])
+def test_cli_track_rejects_keypoint_value_that_is_not_a_number(tmp_path, capsys, value):
+    objs = _golden_with_keypoints()
+    objs[1]["kps"][0]["points"][11][2] = "v"
+    text = json.dumps(objs[1]).replace('"v"', value)
+    stream_path = tmp_path / "s.jsonl"
+    stream_path.write_text("\n".join([json.dumps(objs[0]), text,
+                                      *map(json.dumps, objs[2:])]) + "\n")
+    out = tmp_path / "t.jsonl"
+    assert main(["track", "--in", str(stream_path), "--out", str(out)]) == 1
+    assert "line 2: kps points must list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_run_byte_identical(tmp_path):
     config = {"synth": {"n_videos": 1, "duration_s": 5.0},
               "skill": {"operators_per_group": 2, "clips_per_operator": 2,
@@ -464,7 +524,8 @@ _MALFORMED = st.one_of(
     st.text(min_size=1, max_size=6).filter(
         lambda t: not _parses_as_number(t) and t not in ACTION_LABELS + CATEGORIES),
     st.lists(st.integers(-3, 3), min_size=1, max_size=3),
-    st.dictionaries(st.sampled_from("ab"), st.integers(0, 3), min_size=1))
+    st.dictionaries(st.sampled_from("ab"), st.integers(0, 3), min_size=1),
+    st.just(10 ** 399))  # an integer past the float range
 
 
 @settings(max_examples=300, deadline=None)
@@ -548,6 +609,10 @@ def test_cli_skill_rejects_bad_clip(tmp_path, capsys, changes, message):
     (1, json.dumps({"frame": 0, "t": 0.0, "tracks": {"1": [1, 2, 3, 4]},  # a NaN keypoint
                     "kps": {"1": [[float("nan"), 0, 1]] + [[0, 0, 1]] * 20}}),
      "line 3: tracks row 'kps'"),
+    pytest.param(1, json.dumps({"frame": 0, "t": 0.0, "tracks": {"1": [1, 2, 3, 10 ** 399]}}),
+                 "line 3: tracks row needs 'tracks'", id="oversized-box-corner"),
+    pytest.param(1, json.dumps({"frame": 2 ** 64, "t": 0.0, "tracks": {}}),
+                 "line 3: tracks row needs an integer 'frame'", id="frame-past-int64"),
 ])
 def test_cli_skill_reports_bad_tracks_line(tmp_path, capsys, index, replacement, message):
     tracks_path, clip = _skill_inputs(tmp_path)
@@ -595,17 +660,22 @@ def test_cli_lda_reports_bad_feature_line(tmp_path, capsys):
 
 # ---------------------------------------------------------------- numeric option sweep
 
-def _numeric_options():
-    """(subcommand, option) for every int or float option of the CLI."""
+def _subparsers(parser):
     import argparse
 
+    return [p for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            for p in a.choices.items()]
+
+
+def _numeric_options():
+    """(subcommand, option) for every int or float option of the CLI, those
+    of eval's modes included."""
     from scenestream.cli import build_parser
 
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
     return [(name, action.option_strings[-1])
-            for name, parser in sub.choices.items()
-            for action in parser._actions if action.type in (int, float)]
+            for name, parser in _subparsers(build_parser())
+            for p in [parser, *(mode for _, mode in _subparsers(parser))]
+            for action in p._actions if action.type in (int, float)]
 
 
 @pytest.fixture(scope="module")
@@ -648,6 +718,19 @@ def test_cli_numeric_option_sweep_exits_cleanly(sweep_inputs, tmp_path, capsys,
             assert code in (0, 1, 2), (base, option, value)
             if code == 2:
                 assert not out.exists(), (base, option, value)
+
+
+@pytest.mark.parametrize("mode, option, value", [
+    ("actions", "--iou", "0.5"), ("actions", "--alpha", "0.2"), ("keypoints", "--iou", "0.5"),
+    ("boxes", "--alpha", "-1"), ("boxes", "--ref", "pred"),
+])
+def test_cli_eval_option_of_another_mode_exits_2(sweep_inputs, tmp_path, mode, option, value):
+    base = next(b for b in sweep_inputs["eval"] if b[1] == mode)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*base, option, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, option, value", [

@@ -126,6 +126,17 @@ def test_keypoints_validation():
     assert kp.points.shape == (21, 3)
     assert not kp.points.flags.writeable
     assert kp.skill_points_visible()
+    assert kp.points_text == json.dumps(kp.points.tolist())
+    # rows decoded from JSON keep their text, and the array is made from it
+    rows = [[k, 2 * k, 1] for k in range(21)]
+    text = json.dumps(rows)
+    parsed = HandKeypoints.from_json(rows, box, text)
+    assert parsed.points_text == text
+    assert parsed.points.dtype == float and not parsed.points.flags.writeable
+    assert parsed.points.tolist() == rows
+    assert HandKeypoints.from_json(rows, box).points_text == json.dumps(parsed.points.tolist())
+    with pytest.raises(AttributeError):
+        parsed.owner_box = BBox(0, 0, 5, 5)
 
 
 def test_frame_record_validation():
@@ -229,3 +240,77 @@ def test_parse_non_numeric_duration_reports_header_line(tmp_path):
     path.write_text(json.dumps(header) + "\n" + json.dumps(frame_obj(0)) + "\n")
     with pytest.raises(StreamFormatError, match="line 1: header metadata.duration_s"):
         parse_stream(path)
+
+
+@pytest.mark.parametrize("duration", ["true", "1" + "0" * 399, "NaN"],
+                         ids=["bool", "oversized-int", "nan"])
+def test_parse_duration_that_is_not_a_finite_number_reports_header_line(tmp_path, duration):
+    path = tmp_path / "dur.jsonl"
+    header = '{"video_id": "v", "fps": 30, "metadata": {"duration_s": %s}}' % duration
+    path.write_text(header + "\n" + json.dumps(frame_obj(0)) + "\n")
+    with pytest.raises(StreamFormatError, match="line 1: header metadata.duration_s"):
+        parse_stream(path)
+
+
+def test_parse_stream_checks_each_frame_once(tmp_path, monkeypatch):
+    import scenestream.streams as streams
+
+    calls = {"timestamp": 0, "duration": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(streams, "_check_timestamp", counted("timestamp", streams._check_timestamp))
+    monkeypatch.setattr(streams, "_check_duration", counted("duration", streams._check_duration))
+    path = tmp_path / "s.jsonl"
+    header = {"video_id": "v", "fps": 30.0, "metadata": {"duration_s": 0.2}}
+    path.write_text(json.dumps(header) + "\n"
+                    + "\n".join(json.dumps(frame_obj(i)) for i in (3, 0, 5, 1)) + "\n")
+    with pytest.warns(DataWarning, match="re-sorted"):
+        stream = parse_stream(path)
+    assert [fr.frame_index for fr in stream.frames] == [0, 1, 3, 5]
+    assert calls == {"timestamp": 4, "duration": 1}
+    # a VideoStream built directly still checks its frames
+    with pytest.raises(InvariantError, match="strictly increasing"):
+        VideoStream(video_id="v", fps=30.0, width=0, height=0,
+                    frames=tuple(reversed(stream.frames)))
+
+
+_EXTRA = st.sampled_from([{}, {"note": "points"}, {"meta": {"points": [[1, 2, 3]]}},
+                          {"note": 'a "points": [1] \\ b'}, {"points2": [1]}])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                                        st.floats(-1e6, 1e6, allow_nan=False)),
+                              min_size=3, max_size=3), min_size=21, max_size=21),
+       n_entries=st.integers(1, 3), points_first=st.booleans(),
+       separators=st.sampled_from([(", ", ": "), (",", ":"), (" , ", " :  ")]),
+       entry_extra=_EXTRA, frame_extra=_EXTRA, escaped=st.booleans())
+def test_parsed_keypoint_text_decodes_to_its_rows(tmp_path_factory, rows, n_entries,
+                                                  points_first, separators, entry_extra,
+                                                  frame_extra, escaped):
+    # however the line is written, a keypoint's points_text holds its own rows;
+    # `escaped` writes the first entry's key as "p\u006fints" next to a decoy
+    # key x"points, so only the decoy reads as a points key by its text
+    entries = []
+    for i in range(n_entries):
+        entry_rows = [[v + i if isinstance(v, int) else v for v in row] for row in rows]
+        items = [("points", entry_rows), ("box", [1, 2, 30, 40])]
+        entries.append(dict(items if points_first else items[::-1], **entry_extra))
+    if escaped:
+        entries[0]['x"points'] = [[9, 9, 9]] * 21
+    frame = {"frame": 0, "t": 0.0, "kps": entries, **frame_extra}
+    line = json.dumps(frame, separators=separators)
+    if escaped:
+        line = line.replace('"points"', '"p\\u006fints"', 1)
+    path = tmp_path_factory.mktemp("kps") / "s.jsonl"
+    path.write_text(json.dumps({"video_id": "v", "fps": 30.0}) + "\n" + line + "\n")
+    (parsed,) = parse_stream(path).frames
+    assert [json.loads(kp.points_text) for kp in parsed.keypoints] == [
+        e["points"] for e in entries]
+    assert [kp.points.tolist() for kp in parsed.keypoints] == [
+        [[float(v) for v in row] for row in e["points"]] for e in entries]
