@@ -396,11 +396,3 @@ def evaluate_keypoints(pred_stream: VideoStream, truth_stream: VideoStream,
         alpha=alpha, pck_per_keypoint=agg.per_keypoint(), mean_pck=agg.mean(),
         thumb_pck=agg.thumb_mean(), index_pck=agg.index_mean())
 
-
-def group_reports_by_strata(reports):
-    """Group MetricReports by each (tag, value) stratum label plus 'all'."""
-    grouped = {"all": list(reports)}
-    for report in reports:
-        for key, value in report.strata.items():
-            grouped.setdefault(f"{key}={value}", []).append(report)
-    return grouped

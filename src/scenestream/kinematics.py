@@ -65,6 +65,18 @@ class Trajectory:
                           centroids=self.centroids[keep], sizes=self.sizes[keep])
 
 
+def _pose_points(points, hand_size, shape) -> np.ndarray:
+    """A read-only float copy of `points` in `shape`, all finite, for a
+    positive hand size."""
+    pts = np.array(points, dtype=float).reshape(shape)
+    if not np.all(np.isfinite(pts)):
+        raise InvariantError("PoseFrame points must be finite")
+    if hand_size <= 0:
+        raise InvariantError("PoseFrame hand_size must be positive")
+    pts.flags.writeable = False
+    return pts
+
+
 @dataclass(frozen=True, eq=False)
 class PoseFrame:
     """Nine skill keypoints (palm, thumb x4, index x4) plus the hand size."""
@@ -74,13 +86,22 @@ class PoseFrame:
     hand_size: float
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(9, 2).copy()
-        if not np.all(np.isfinite(pts)):
-            raise InvariantError("PoseFrame points must be finite")
-        if self.hand_size <= 0:
-            raise InvariantError("PoseFrame hand_size must be positive")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _pose_points(self.points, self.hand_size, (9, 2)))
+
+    @classmethod
+    def from_block(cls, points, hand_size: float) -> tuple:
+        """One PoseFrame per row of an (n, 9, 2) block, frame indices 0..n-1.
+
+        The block is copied and checked once, as PoseFrame checks one frame,
+        and made read-only; each frame's points are a view of its row.
+        """
+        block = _pose_points(points, hand_size, (-1, 9, 2))
+        frames = []
+        for k, pts in enumerate(block):
+            frame = cls.__new__(cls)
+            vars(frame).update(frame_index=k, points=pts, hand_size=hand_size)
+            frames.append(frame)
+        return tuple(frames)
 
     @classmethod
     def from_keypoints(cls, frame_index: int, kp: HandKeypoints) -> "PoseFrame | None":

@@ -40,6 +40,8 @@ SKILL_KEYPOINT_INDICES = (PALM_INDEX,) + THUMB_CHAIN + INDEX_CHAIN
 
 TIMESTAMP_TOL_S = 1e-6
 
+_JSON_NUMBER = frozenset((int, float))  # type() of a decoded JSON number; true/false are bool
+
 
 @dataclass(frozen=True)
 class BBox:
@@ -289,15 +291,19 @@ def keypoint_rows(points) -> bool:
 
 
 def _parse_detection(raw, line_no):
-    if not isinstance(raw, (list, tuple)) or len(raw) != 6:
+    if not isinstance(raw, list) or len(raw) != 6:
         raise StreamFormatError(
             f"det entry must be [cls, conf, x0, y0, x1, y1], got {raw!r}", line=line_no
         )
-    cls, conf = raw[0], raw[1]
+    cls, conf, x0, y0, x1, y1 = raw
     if conf is None:
         conf = 1.0  # hand-annotated ground truth carries no confidence
-    box = BBox(*(float(v) for v in raw[2:6]))
-    return Detection(box=box, category=cls, confidence=float(conf))
+    if not _JSON_NUMBER.issuperset(map(type, (conf, x0, y0, x1, y1))):
+        raise StreamFormatError(
+            f"det conf and box corners must be JSON numbers (conf may be null), got {raw!r}",
+            line=line_no)
+    return Detection(box=BBox(float(x0), float(y0), float(x1), float(y1)), category=cls,
+                     confidence=float(conf))
 
 
 def _parse_keypoints(raw, text, line_no):
@@ -309,8 +315,10 @@ def _parse_keypoints(raw, text, line_no):
         raise StreamFormatError(
             f"kps points must list exactly {N_KEYPOINTS} [x, y, v] triples of finite "
             "numbers", line=line_no)
-    box = BBox(*(float(v) for v in raw["box"]))
-    return HandKeypoints.from_json(raw["points"], box, text)
+    box = raw["box"]
+    if not (isinstance(box, list) and len(box) == 4 and _JSON_NUMBER.issuperset(map(type, box))):
+        raise StreamFormatError(f"kps box must be 4 JSON numbers, got {box!r}", line=line_no)
+    return HandKeypoints.from_json(raw["points"], BBox(*map(float, box)), text)
 
 
 _POINTS_KEY = re.compile(r'"points"[ \t\n\r]*:[ \t\n\r]*')
@@ -340,17 +348,21 @@ def _points_texts(line: str, n: int) -> list:
 
 def _parse_frame(obj, line, line_no):
     try:
-        frame_index = int(obj["frame"])
-        timestamp_s = float(obj["t"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise StreamFormatError(f"frame record needs integer 'frame' and float 't': {exc}",
+        frame_index, timestamp_s = obj["frame"], obj["t"]
+    except (KeyError, TypeError) as exc:
+        raise StreamFormatError(f"frame record needs 'frame' and 't': {exc}",
                                 line=line_no) from exc
+    if (type(frame_index) is not int or type(timestamp_s) not in _JSON_NUMBER
+            or not math.isfinite(timestamp_s)):  # past the float range: OverflowError
+        raise StreamFormatError("frame record needs a JSON integer 'frame' and a finite "
+                                f"number 't', got {frame_index!r} and {timestamp_s!r}",
+                                line=line_no)
     dets = tuple(_parse_detection(d, line_no) for d in obj.get("dets", []))
     raw_kps = obj.get("kps", [])
     texts = _points_texts(line, len(raw_kps)) if raw_kps else ()
     kps = tuple(_parse_keypoints(k, text, line_no) for k, text in zip(raw_kps, texts))
     action = obj.get("action")
-    return FrameRecord(frame_index=frame_index, timestamp_s=timestamp_s,
+    return FrameRecord(frame_index=frame_index, timestamp_s=float(timestamp_s),
                        detections=dets, keypoints=kps, action=action)
 
 
@@ -366,17 +378,13 @@ def _parse_header(obj, line_no) -> dict:
     if duration is not None and not finite_numbers([duration], 1):
         raise StreamFormatError(f"header metadata.duration_s must be a finite number, got "
                                 f"{duration!r}", line=line_no)
-    try:
-        fields = {"video_id": str(obj["video_id"]), "fps": float(obj["fps"]),
-                  "width": int(obj.get("width", 0)), "height": int(obj.get("height", 0)),
-                  "metadata": metadata}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise StreamFormatError(f"header fps, width and height must be numbers: {exc}",
-                                line=line_no) from exc
-    if not finite_numbers([fields["width"], fields["height"]], 2):
-        raise StreamFormatError("header width and height must be integers within the "
-                                "float range", line=line_no)
-    return fields
+    fps, width, height = obj["fps"], obj.get("width", 0), obj.get("height", 0)
+    if not (finite_numbers([fps, width, height], 3)
+            and type(width) is int and type(height) is int):
+        raise StreamFormatError("header fps must be a finite JSON number, width and height "
+                                "JSON integers within the float range", line=line_no)
+    return {"video_id": str(obj["video_id"]), "fps": float(fps), "width": width,
+            "height": height, "metadata": metadata}
 
 
 def iter_json_lines(path):

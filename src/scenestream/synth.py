@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -340,17 +341,18 @@ def _bounded_walk(rng, n_steps, step_len, start, lo=150.0, hi=1800.0):
 def _pose_sequence(rng, n_frames, size, pose_rate):
     """Deforming keypoint chains: a clipped random walk of the nine skill
     points around the hand template, one PoseFrame per frame."""
-    points = np.broadcast_to(_HAND_TEMPLATE[:9] * size, (n_frames, 9, 2)).copy()
+    deforms = [[0.0] * 18]
     if pose_rate > 0:
         # one draw yields the same numbers as one (9, 2) draw per frame
-        noise = rng.normal(0, pose_rate * size, size=(n_frames - 1, 9, 2))
-        deform = np.zeros((9, 2))
-        for k in range(1, n_frames):
-            deform += noise[k - 1]
-            np.clip(deform, -0.3 * size, 0.3 * size, out=deform)
-            points[k] += deform
-    return tuple(PoseFrame(frame_index=k, points=pts, hand_size=size)
-                 for k, pts in enumerate(points))
+        noise = rng.normal(0, pose_rate * size, size=(n_frames - 1, 18)).tolist()
+        lo, hi = -0.3 * size, 0.3 * size
+        for step in noise:  # np.clip of deform + step, on each of the 18 floats
+            deforms.append([hi if (v := d + e) > hi else lo if v < lo else v
+                            for d, e in zip(deforms[-1], step)])
+    else:
+        deforms *= n_frames
+    points = _HAND_TEMPLATE[:9] * size + np.array(deforms).reshape(n_frames, 9, 2)
+    return PoseFrame.from_block(points, size)
 
 
 def generate_tie_clips(spec: SkillCohortSpec):
@@ -410,8 +412,11 @@ class ProcedureClassSpec:
         if len(self.quartile_action_probs) != 4 or len(self.quartile_tool_rates) != 4:
             raise InvariantError("need 4 quartile rows")
         for row in self.quartile_action_probs:
-            if abs(sum(row) - 1.0) > 1e-9:
-                raise InvariantError("action probabilities must sum to 1 per quartile")
+            if len(row) != len(ACTIONS) or min(row) < 0 or abs(sum(row) - 1.0) > 1e-9:
+                raise InvariantError(f"each quartile needs {len(ACTIONS)} non-negative "
+                                     "action probabilities summing to 1")
+        if any(len(row) != len(TOOL_CLASSES) for row in self.quartile_tool_rates):
+            raise InvariantError(f"each quartile needs {len(TOOL_CLASSES)} tool rates")
 
 
 DEFAULT_PROCEDURE_CLASSES = (
@@ -439,21 +444,27 @@ DEFAULT_PROCEDURE_CLASSES = (
 def generate_procedure_sequences(seed: int, n_per_class: int,
                                  classes=DEFAULT_PROCEDURE_CLASSES,
                                  resolution_s: float = 5.0):
-    """Background-free (ActionSequence, ToolSequence, class-name) triples."""
+    """Background-free (ActionSequence, ToolSequence, class-name) triples.
+
+    Each action is `ACTIONS[bisect_right(cdf, rng.random())]` over the
+    quartile's CDF, built as `rng.choice(ACTIONS, p=...)` builds it (cumsum
+    over its last entry), and each tool count one scalar `rng.poisson` call;
+    both consume the generator exactly as those per-step array calls do.
+    """
     out = []
     for c_idx, cls in enumerate(classes):
         rng = np.random.default_rng([seed, 555, c_idx])
+        cdfs = [(c / c[-1]).tolist() for c in map(np.cumsum, cls.quartile_action_probs)]
         for v in range(n_per_class):
             n = int(rng.integers(cls.steps_range[0], cls.steps_range[1] + 1))
             head = max(1, int(round(cls.opening_fraction * n)))
             labels = ["cutting"] * head
-            counts = np.zeros((n, len(TOOL_CLASSES)))
+            counts = []
             for k in range(n):
                 q = min(4 * k // n, 3)
                 if k >= head:
-                    labels.append(str(rng.choice(ACTIONS,
-                                                 p=cls.quartile_action_probs[q])))
-                counts[k] = rng.poisson(cls.quartile_tool_rates[q])
+                    labels.append(ACTIONS[bisect_right(cdfs[q], rng.random())])
+                counts.append([rng.poisson(r) for r in cls.quartile_tool_rates[q]])
             vid = f"{cls.name}-{v:03d}"
             out.append((ActionSequence(video_id=vid, labels=tuple(labels),
                                        resolution_s=resolution_s),

@@ -525,7 +525,8 @@ _MALFORMED = st.one_of(
         lambda t: not _parses_as_number(t) and t not in ACTION_LABELS + CATEGORIES),
     st.lists(st.integers(-3, 3), min_size=1, max_size=3),
     st.dictionaries(st.sampled_from("ab"), st.integers(0, 3), min_size=1),
-    st.just(10 ** 399))  # an integer past the float range
+    st.just(10 ** 399),  # an integer past the float range
+    st.sampled_from([float("nan"), True, "0", "0.9"]))  # not JSON numbers, or not finite
 
 
 @settings(max_examples=300, deadline=None)
@@ -546,6 +547,33 @@ def test_malformed_field_is_an_input_error_with_line_number(field, value):
             code = main(["track", "--in", str(stream_path), "--out", str(Path(tmp) / "t")])
     assert code in (1, 2)
     assert f"line {line + 1}:" in stderr.getvalue()
+
+
+@pytest.mark.parametrize("line, changes", [
+    (1, {"frame": 0.4}),  # would truncate to 0
+    (1, {"frame": 0.0}),
+    (1, {"frame": "0"}),
+    (1, {"frame": False}),
+    (1, {"t": float("nan")}),  # NaN passes every comparison with frame / fps
+    (1, {"t": float("inf")}),
+    (1, {"t": "0.0"}),
+    (1, {"dets": [["hand", "0.9", True, 100, 180, 170]]}),
+    (1, {"dets": [["hand", 0.9, 100, 100, "180", 170]]}),
+    (1, {"dets": [["hand", False, 100, 100, 180, 170]]}),
+    (2, {"dets": [["hand", None, 102, 101, 182, None]]}),
+    (1, {"kps": [{"points": [[110.0, 120.0, 1]] * 21, "box": [100, 100, 180, True]}]}),
+    (0, {"fps": "30"}),
+    (0, {"width": 640.0}),
+])
+def test_value_of_the_wrong_json_type_is_an_input_error(tmp_path, capsys, line, changes):
+    objs = copy.deepcopy(_BASE)
+    objs[line].update(changes)
+    stream_path = tmp_path / "s.jsonl"
+    stream_path.write_text("\n".join(json.dumps(o) for o in objs) + "\n")
+    out = tmp_path / "t.jsonl"
+    assert main(["track", "--in", str(stream_path), "--out", str(out)]) == 1
+    assert f"line {line + 1}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_golden_with_keypoints_tracks(tmp_path):

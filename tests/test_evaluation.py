@@ -321,13 +321,3 @@ def test_metric_report_rejects_out_of_range():
     with pytest.raises(InvariantError):
         MetricReport(mean_pck=1.5)
 
-
-def test_group_reports_by_strata():
-    from scenestream.evaluation import group_reports_by_strata
-    good = MetricReport(strata={"quality": "good"}, accuracy=0.9)
-    poor = MetricReport(strata={"quality": "poor", "zoom": "hand"}, accuracy=0.5)
-    grouped = group_reports_by_strata([good, poor])
-    assert grouped["all"] == [good, poor]
-    assert grouped["quality=good"] == [good]
-    assert grouped["quality=poor"] == [poor]
-    assert grouped["zoom=hand"] == [poor]

@@ -403,3 +403,28 @@ def test_leave_one_out_emptied_group_flagged():
         loo = leave_one_out(summaries)
     assert "trainee" not in loo["only"]
     assert loo["only"]["experienced"] == (2.0, 2.0)
+
+
+def test_pose_frame_block_equals_single_frames_and_is_read_only():
+    block = np.random.default_rng(2).uniform(0, 300, (5, 9, 2))
+    frames = PoseFrame.from_block(block, 80.0)
+    assert len(frames) == 5
+    for k, frame in enumerate(frames):
+        single = PoseFrame(frame_index=k, points=block[k], hand_size=80.0)
+        assert frame.frame_index == k and frame.hand_size == 80.0
+        assert np.array_equal(frame.points, single.points)
+        assert not frame.points.flags.writeable
+        with pytest.raises(ValueError):
+            frame.points[0, 0] = 1.0
+    block[0, 0, 0] = -1.0  # the block was copied
+    assert frames[0].points[0, 0] != -1.0
+
+
+@pytest.mark.parametrize("bad_point, size", [
+    (float("nan"), 80.0), (float("inf"), 80.0), (None, 0.0), (None, -1.0)])
+def test_pose_frame_block_checks_points_and_hand_size(bad_point, size):
+    block = np.ones((4, 9, 2))
+    if bad_point is not None:
+        block[3, 8, 1] = bad_point
+    with pytest.raises(InvariantError):
+        PoseFrame.from_block(block, size)

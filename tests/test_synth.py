@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import naive_integrated_pose_distance
+from oracles import naive_integrated_pose_distance, per_step_procedure_sequences
 from scenestream import InvariantError, iou, parse_stream, stream_to_lines
 from scenestream.kinematics import (
     clip_mean_hand_size,
@@ -15,9 +15,11 @@ from scenestream.kinematics import (
 from scenestream.synth import (
     _HAND_TEMPLATE,
     _bounded_walk,
+    DEFAULT_PROCEDURE_CLASSES,
     CorruptionSpec,
     HandMotionSpec,
     PhaseSpec,
+    ProcedureClassSpec,
     SkillCohortSpec,
     SynthSpec,
     generate_procedure_sequences,
@@ -261,3 +263,39 @@ def test_procedure_sequences_deterministic():
         assert sa.labels == sb.labels
         assert np.array_equal(ta.counts, tb.counts)
         assert la == lb
+
+
+# zero-probability actions and tool rates, a large rate and sequences as
+# short as 5 steps, besides the default classes
+_EDGE_CLASS = ProcedureClassSpec(
+    name="edge",
+    quartile_action_probs=((0.0, 0.3, 0.7), (0.1, 0.2, 0.7), (0.7, 0.0, 0.3), (0.1, 0.7, 0.2)),
+    quartile_tool_rates=((0.0, 2.5, 0.1), (0.3, 0.0, 4.0), (12.0, 0.5, 0.5), (0.1, 0.1, 0.1)),
+    steps_range=(5, 90))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 41])
+def test_procedure_draws_match_per_step_draws(monkeypatch, seed):
+    # bisect over precomputed CDFs and scalar poisson calls must consume each
+    # class's generator exactly as per-step choice and array poisson calls do
+    classes = DEFAULT_PROCEDURE_CLASSES + (_EDGE_CLASS,)
+    made, real = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
+    got = generate_procedure_sequences(seed, 12, classes)
+    monkeypatch.undo()
+    want, ref_rngs = per_step_procedure_sequences(seed, 12, classes)
+    assert len(got) == len(want) == 48
+    for (actions, tools, name), (labels, counts, ref_name) in zip(got, want):
+        assert name == ref_name and list(actions.labels) == labels
+        assert np.array_equal(tools.counts, counts)
+    assert [r.bit_generator.state for r in made] == [r.bit_generator.state for r in ref_rngs]
+
+
+@pytest.mark.parametrize("probs, rates", [
+    (((0.5, 0.5),) * 4, ((1.0, 1.0, 1.0),) * 4),  # one action short
+    (((1.2, -0.2, 0.0),) * 4, ((1.0, 1.0, 1.0),) * 4),
+    (((0.2, 0.3, 0.5),) * 4, ((1.0, 1.0),) * 4),  # one tool short
+])
+def test_procedure_class_rejects_rows_of_the_wrong_shape(probs, rates):
+    with pytest.raises(InvariantError):
+        ProcedureClassSpec(name="bad", quartile_action_probs=probs, quartile_tool_rates=rates)
