@@ -98,15 +98,13 @@ def cmd_skill(args) -> int:
 
 
 def _labelled_sequences(args, default_label):
-    """{video_id: (ActionSequence, ToolSequence, class)} over the stream files
-    of --streams, in file order; a video missing from --class-map gets
-    `default_label`."""
-    pairs = sequences_from_stream_dir(args.streams, resolution_s=args.resolution)
+    """{video_id: (Timeline, class)} over the stream files of --streams, in
+    file order; a video missing from --class-map gets `default_label`."""
+    timelines = sequences_from_stream_dir(args.streams, resolution_s=args.resolution)
     class_map = {}
     if args.class_map:
         class_map = json.loads(Path(args.class_map).read_text(encoding="utf-8"))
-    return {vid: (seq, tools, class_map.get(vid, default_label))
-            for vid, (seq, tools) in pairs.items()}
+    return {vid: (tl, class_map.get(vid, default_label)) for vid, tl in timelines.items()}
 
 
 def cmd_signature(args) -> int:

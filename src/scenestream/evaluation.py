@@ -47,10 +47,6 @@ class ActionPRReport:
     excluded: tuple  # classes absent from both pred and truth
 
 
-def _labels_of(seq):
-    return list(seq.labels) if hasattr(seq, "labels") else list(seq)
-
-
 def action_precision_recall(pred, truth) -> ActionPRReport:
     """Per-class precision/recall at a fixed temporal resolution.
 
@@ -59,7 +55,7 @@ def action_precision_recall(pred, truth) -> ActionPRReport:
     from both sides are excluded with a flag. Mismatched lengths truncate to
     the shorter side with a warning.
     """
-    pred, truth = _labels_of(pred), _labels_of(truth)
+    pred, truth = list(pred), list(truth)
     if len(pred) != len(truth):
         warnings.warn(
             f"length mismatch ({len(pred)} vs {len(truth)}); truncating to shorter",
@@ -309,8 +305,8 @@ class MetricReport:
 
 
 def _stream_action_labels(stream: VideoStream, resolution_s: float = 1.0):
-    from .signatures import action_sequence_from_stream
-    return action_sequence_from_stream(stream, resolution_s).labels
+    from .signatures import timeline_from_stream
+    return timeline_from_stream(stream, resolution_s).labels
 
 
 def evaluate_actions(pred_stream: VideoStream, truth_stream: VideoStream,

@@ -194,9 +194,13 @@ def velocity_series(traj: Trajectory, mean_size: float, fps: float,
                     per_frame_size: bool = False):
     """Per-step speed in 1/s plus finite-difference acceleration and jerk.
 
-    Speed at step k is |centroid(k+1) - centroid(k)| / size * fps, with size
-    the clip mean, or the earlier frame's own hand size when per_frame_size
-    is set. Acceleration and jerk multiply by fps once per derivative.
+    Speed at step k is |centroid(k+1) - centroid(k)| / size * fps / gap(k),
+    with gap(k) the frames between the two samples and size the clip mean,
+    or the earlier frame's own hand size when per_frame_size is set. Each
+    derivative divides by the time between the samples it differences: the
+    mean of the two step gaps for acceleration (speeds sit mid-step), the
+    gap between the two shared frames for jerk. Without gaps every divisor
+    is 1 frame period.
     """
     if len(traj) < 2:
         warnings.warn("velocity_series needs >= 2 samples; returning empty series",
@@ -205,9 +209,10 @@ def velocity_series(traj: Trajectory, mean_size: float, fps: float,
         return empty, empty, empty
     steps = np.linalg.norm(np.diff(traj.centroids, axis=0), axis=1)
     denom = traj.sizes[:-1] if per_frame_size else mean_size
-    velocity = steps / denom * fps
-    acceleration = np.diff(velocity) * fps
-    jerk = np.diff(acceleration) * fps
+    gaps = np.diff(traj.frames)
+    velocity = steps / denom * fps / gaps
+    acceleration = np.diff(velocity) * fps / ((gaps[:-1] + gaps[1:]) / 2)
+    jerk = np.diff(acceleration) * fps / gaps[1:-1]
     return velocity, acceleration, jerk
 
 

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import warnings
+from dataclasses import fields
 from itertools import islice
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .errors import DataWarning, StreamFormatError, check_finite
 from .evaluation import evaluate_actions, evaluate_boxes
 from .kinematics import (
     SKILL_METRICS,
+    HandSummary,
     PoseFrame,
     TieClip,
     Trajectory,
@@ -34,16 +36,13 @@ from .kinematics import (
 from .signatures import (
     FEATURE_NAMES,
     FeatureVector30,
-    action_sequence_from_stream,
-    background_mask,
     build_signature,
     excise_background,
-    excise_tool_steps,
     featurize,
     lda_fit,
     lda_project,
     normalize_tool_features,
-    tool_sequence_from_stream,
+    timeline_from_stream,
     top_features,
     zscore,
 )
@@ -319,10 +318,7 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-_SUMMARY_FIELDS = (
-    "distance_hand_lengths", "distance_per_knot", "mean_velocity", "max_velocity",
-    "mean_acceleration", "max_acceleration", "mean_jerk", "max_jerk",
-    "integrated_pose_distance", "pose_distance_per_knot")
+_SUMMARY_FIELDS = tuple(f.name for f in fields(HandSummary))
 
 
 def _skill_rows(summaries):
@@ -363,16 +359,13 @@ def skill_stage(clips, fps, csv_path, metric="distance", centroids_path=None,
 # ------------------------------------------------------------------ signatures
 
 def sequences_from_stream_dir(stream_dir, resolution_s=5.0):
-    """Excised (ActionSequence, ToolSequence) pairs per stream file, sorted."""
+    """Background-excised Timeline per stream file, keyed by video id, sorted."""
     out = {}
     for path in sorted(Path(stream_dir).glob("*.jsonl")):
         if path.name.endswith((".truth.jsonl", ".tracks.jsonl")):
             continue
-        stream = parse_stream(path)
-        seq = action_sequence_from_stream(stream, resolution_s)
-        tools = tool_sequence_from_stream(stream, resolution_s)
-        mask = background_mask(seq)
-        out[stream.video_id] = (excise_background(seq), excise_tool_steps(tools, mask))
+        tl = timeline_from_stream(parse_stream(path), resolution_s)
+        out[tl.video_id] = excise_background(tl)
     if not out:
         raise StreamFormatError(f"no stream files found in {stream_dir}")
     return out
@@ -383,14 +376,12 @@ def _floats(values):
 
 
 def signature_stage(labelled, window, path):
-    """Per-class signatures of (ActionSequence, ToolSequence, class) triples,
-    written as one CSV row per class and normalized-time point. Returns
-    {class: Signature}."""
+    """Per-class signatures of (Timeline, class) pairs, written as one CSV
+    row per class and normalized-time point. Returns {class: Signature}."""
     by_class = {}
-    for seq, tools, label in labelled:
-        by_class.setdefault(label, []).append((seq, tools))
-    signatures = {label: build_signature([s for s, _ in group], [t for _, t in group],
-                                         window=window)
+    for tl, label in labelled:
+        by_class.setdefault(label, []).append(tl)
+    signatures = {label: build_signature(group, window=window)
                   for label, group in by_class.items()}
     _write_csv(path, ["class", "t", "cutting", "tying", "suturing",
                       "electrocautery", "needle_driver", "forceps"],
@@ -401,11 +392,10 @@ def signature_stage(labelled, window, path):
 
 
 def features_stage(labelled, path):
-    """30-feature vectors of (ActionSequence, ToolSequence, label) triples,
-    tool counts min-max normalized across them, written as the feature CSV.
-    Returns the normalized features."""
-    features = normalize_tool_features(
-        [featurize(seq, tools, label=label) for seq, tools, label in labelled])
+    """30-feature vectors of (Timeline, label) pairs, tool counts min-max
+    normalized across them, written as the feature CSV. Returns the
+    normalized features."""
+    features = normalize_tool_features([featurize(tl, label=label) for tl, label in labelled])
     _write_csv(path, ["video_id", "label", *FEATURE_NAMES],
                ([f.video_id, f.label or "", *_floats(f.values)] for f in features))
     return features
@@ -576,11 +566,11 @@ def run_pipeline(config: dict, out_dir) -> dict:
 
     # ---- signatures + features + LDA
     g_cfg = cfg["signature"]
-    triples = generate_procedure_sequences(seed=seed, n_per_class=int(g_cfg["n_per_class"]))
-    signature_stage(triples, int(g_cfg["window"]), artifact("signature.csv"))
+    procedures = generate_procedure_sequences(seed=seed, n_per_class=int(g_cfg["n_per_class"]))
+    signature_stage(procedures, int(g_cfg["window"]), artifact("signature.csv"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataWarning)
-        features = features_stage(triples, artifact("features.csv"))
+        features = features_stage(procedures, artifact("features.csv"))
         model = lda_stage(features, artifact("lda_projection.csv"),
                           artifact("lda_weights.csv"))
     write_json({"eigenvalues": [float(v) for v in model.eigenvalues[:3]],

@@ -1,9 +1,9 @@
 """Procedure timelines, aggregate surgical signatures, the 30-feature
 parameterization, and the LDA projection separating procedure classes.
 
-A procedure is reduced to an action sequence and a tool-count sequence at a
+A procedure is reduced to one timeline of action labels and tool counts at a
 fixed temporal resolution (5 s by default). After background excision the
-sequence is summarized per quartile, transition probabilities are added, and
+timeline is summarized per quartile, transition probabilities are added, and
 the resulting 30 features feed a regularized two-discriminant LDA.
 """
 
@@ -33,13 +33,17 @@ FEATURE_NAMES = (
 )
 N_FEATURES = len(FEATURE_NAMES)  # 30
 
+_ONE_HOT = {lab: tuple(float(lab == a) for a in ACTIONS) for lab in ACTION_LABELS}
+
 
 @dataclass(frozen=True, eq=False)
-class ActionSequence:
-    """Action labels at a fixed temporal resolution for one video."""
+class Timeline:
+    """One video's procedure at a fixed temporal resolution: per step, the
+    action label and the mean per-frame count of each tool class."""
 
     video_id: str
     labels: tuple
+    tools: np.ndarray  # (len(labels), 3) in TOOL_CLASSES order
     resolution_s: float = DEFAULT_RESOLUTION_S
 
     def __post_init__(self):
@@ -48,30 +52,22 @@ class ActionSequence:
         for lab in labels:
             if lab not in ACTION_LABELS:
                 raise InvariantError(f"unknown action label {lab!r}")
+        tools = np.array(self.tools, dtype=float)
+        if tools.shape != (len(labels), len(TOOL_CLASSES)):
+            raise InvariantError(f"tool rows of shape {tools.shape} do not match "
+                                 f"{len(labels)} steps of {len(TOOL_CLASSES)} tool classes")
+        if not (tools >= 0).all():
+            raise InvariantError("tool counts must be >= 0")
+        tools.flags.writeable = False
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "tools", tools)
 
     def __len__(self):
         return len(self.labels)
 
-
-@dataclass(frozen=True, eq=False)
-class ToolSequence:
-    """Per-step mean detection count for each tool class."""
-
-    video_id: str
-    counts: np.ndarray  # (n_steps, 3) in TOOL_CLASSES order
-    resolution_s: float = DEFAULT_RESOLUTION_S
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=float).reshape(-1, len(TOOL_CLASSES)).copy()
-        check_finite("resolution_s", self.resolution_s)
-        if np.any(counts < 0):
-            raise InvariantError("tool counts must be >= 0")
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-
-    def __len__(self):
-        return len(self.counts)
+    def indicators(self) -> np.ndarray:
+        """One-hot (n, 3) action rows in ACTIONS order; background rows are zero."""
+        return np.array([_ONE_HOT[lab] for lab in self.labels]).reshape(-1, len(ACTIONS))
 
 
 def majority_action(votes) -> str | None:
@@ -85,61 +81,39 @@ def majority_action(votes) -> str | None:
     return max(ACTION_LABELS, key=lambda lab: votes.get(lab, 0))
 
 
-def action_sequence_from_stream(stream: VideoStream, resolution_s: float = DEFAULT_RESOLUTION_S):
-    """Majority action label per resolution window; unlabeled windows are background."""
+def timeline_from_stream(stream: VideoStream, resolution_s: float = DEFAULT_RESOLUTION_S):
+    """Majority action label and mean per-frame tool counts per resolution
+    window; windows without labelled frames are background."""
     check_finite("resolution_s", resolution_s)
     n_steps = max(1, int(np.ceil(stream.duration_s / resolution_s)))
     votes = [dict() for _ in range(n_steps)]
-    for fr in stream.frames:
-        if fr.action is None:
-            continue
-        step = min(int(fr.timestamp_s / resolution_s), n_steps - 1)
-        votes[step][fr.action] = votes[step].get(fr.action, 0) + 1
-    labels = [majority_action(v) or BACKGROUND for v in votes]
-    return ActionSequence(video_id=stream.video_id, labels=tuple(labels),
-                          resolution_s=resolution_s)
-
-
-def tool_sequence_from_stream(stream: VideoStream, resolution_s: float = DEFAULT_RESOLUTION_S):
-    """Mean per-frame count of each tool class within each resolution window."""
-    check_finite("resolution_s", resolution_s)
-    n_steps = max(1, int(np.ceil(stream.duration_s / resolution_s)))
-    totals = np.zeros((n_steps, len(TOOL_CLASSES)))
-    frames_per_step = np.zeros(n_steps)
+    totals = [[0] * len(TOOL_CLASSES) for _ in range(n_steps)]
+    frames_per_step = [0] * n_steps
     tool_index = {t: k for k, t in enumerate(TOOL_CLASSES)}
     for fr in stream.frames:
         step = min(int(fr.timestamp_s / resolution_s), n_steps - 1)
         frames_per_step[step] += 1
+        if fr.action is not None:
+            votes[step][fr.action] = votes[step].get(fr.action, 0) + 1
+        row = totals[step]
         for det in fr.detections:
             k = tool_index.get(det.category)
             if k is not None:
-                totals[step, k] += 1
-    counts = np.divide(totals, frames_per_step[:, None],
-                       out=np.zeros_like(totals), where=frames_per_step[:, None] > 0)
-    return ToolSequence(video_id=stream.video_id, counts=counts, resolution_s=resolution_s)
+                row[k] += 1
+    tools = [[c / n for c in row] if n else row for row, n in zip(totals, frames_per_step)]
+    return Timeline(video_id=stream.video_id,
+                    labels=tuple(majority_action(v) or BACKGROUND for v in votes),
+                    tools=tools, resolution_s=resolution_s)
 
 
-def background_mask(seq: ActionSequence) -> np.ndarray:
-    """Boolean mask of steps to keep after background excision."""
-    return np.array([lab != BACKGROUND for lab in seq.labels], dtype=bool)
-
-
-def excise_background(seq: ActionSequence) -> ActionSequence:
-    """Remove background steps, concatenating the rest in order."""
-    kept = tuple(lab for lab in seq.labels if lab != BACKGROUND)
+def excise_background(tl: Timeline) -> Timeline:
+    """Remove background steps and their tool rows, concatenating the rest in order."""
+    kept = [k for k, lab in enumerate(tl.labels) if lab != BACKGROUND]
     if not kept:
-        warnings.warn(f"sequence {seq.video_id} is all background after excision",
+        warnings.warn(f"sequence {tl.video_id} is all background after excision",
                       DataWarning, stacklevel=2)
-    return ActionSequence(video_id=seq.video_id, labels=kept, resolution_s=seq.resolution_s)
-
-
-def excise_tool_steps(tool_seq: ToolSequence, mask: np.ndarray) -> ToolSequence:
-    """Apply an action-sequence background mask to the aligned tool sequence."""
-    if len(mask) != len(tool_seq):
-        raise InvariantError(
-            f"mask length {len(mask)} does not match tool sequence length {len(tool_seq)}")
-    return ToolSequence(video_id=tool_seq.video_id, counts=tool_seq.counts[mask],
-                        resolution_s=tool_seq.resolution_s)
+    return Timeline(video_id=tl.video_id, labels=tuple(tl.labels[k] for k in kept),
+                    tools=tl.tools[kept], resolution_s=tl.resolution_s)
 
 
 def quartile_spans(n: int):
@@ -153,24 +127,20 @@ def quartile_spans(n: int):
     return spans
 
 
-def quartile_aggregate(seq) -> np.ndarray:
-    """Per-quartile class means, shape (4, 3).
+def quartile_aggregate(rows: np.ndarray) -> np.ndarray:
+    """Per-quartile means of (n, 3) step rows, shape (4, 3).
 
-    For an ActionSequence: the fraction of steps carrying each surgical
-    action. For a ToolSequence: the mean per-step count of each tool class.
-    Sequences shorter than 4 steps leave trailing quartiles empty (zeros,
+    Over `Timeline.indicators()`: the fraction of steps carrying each
+    surgical action. Over `Timeline.tools`: the mean per-step count of each
+    tool class. Fewer than 4 rows leave trailing quartiles empty (zeros,
     with a warning).
     """
-    n = len(seq)
+    n = len(rows)
     if n == 0:
         raise InvariantError("cannot aggregate an empty sequence")
     if n < N_QUARTILES:
         warnings.warn(f"sequence of {n} steps leaves {N_QUARTILES - n} empty quartiles",
                       DataWarning, stacklevel=2)
-    if isinstance(seq, ActionSequence):
-        rows = np.array([[1.0 if lab == a else 0.0 for a in ACTIONS] for lab in seq.labels])
-    else:
-        rows = seq.counts
     out = np.zeros((N_QUARTILES, rows.shape[1]))
     for q, (lo, hi) in enumerate(quartile_spans(n)):
         if hi > lo:
@@ -197,12 +167,8 @@ def _moving_average(curves: np.ndarray, window: int) -> np.ndarray:
 class SurgicalSignature:
     """Aggregate per-procedure-class profile over normalized time [0, 1]."""
 
-    action_curves: np.ndarray  # (grid, 3) smoothed action probabilities
-    tool_curves: np.ndarray  # (grid, 3) smoothed mean tool counts
-    action_quartiles: np.ndarray  # (4, 3) cohort-mean quartile fractions
-    tool_quartiles: np.ndarray  # (4, 3) cohort-mean quartile counts
-    window: int
-    n_procedures: int
+    action_curves: np.ndarray  # (SIGNATURE_GRID, 3) smoothed action probabilities
+    tool_curves: np.ndarray  # (SIGNATURE_GRID, 3) smoothed mean tool counts
 
     def __post_init__(self):
         curves = np.asarray(self.action_curves, dtype=float)
@@ -216,62 +182,41 @@ class SurgicalSignature:
         return np.linspace(0.0, 1.0, len(self.action_curves))
 
 
-def _resample_indicators(seq: ActionSequence, grid: int) -> np.ndarray:
-    n = len(seq)
-    idx = np.minimum((np.arange(grid) * n) // grid, n - 1)
-    return np.array([[1.0 if seq.labels[i] == a else 0.0 for a in ACTIONS] for i in idx])
+def build_signature(timelines, window: int = DEFAULT_SMOOTHING_WINDOW) -> SurgicalSignature:
+    """Average time-normalized action indicators and tool counts across
+    procedures and smooth.
 
-
-def _resample_counts(tool_seq: ToolSequence, grid: int) -> np.ndarray:
-    n = len(tool_seq)
-    idx = np.minimum((np.arange(grid) * n) // grid, n - 1)
-    return tool_seq.counts[idx]
-
-
-def build_signature(seqs, tool_seqs=None, window: int = DEFAULT_SMOOTHING_WINDOW,
-                    grid: int = SIGNATURE_GRID) -> SurgicalSignature:
-    """Average time-normalized class indicators across procedures and smooth.
-
-    Every sequence is resampled onto a common [0, 1] grid, class indicators
+    Every timeline is sampled at SIGNATURE_GRID points of [0, 1], the rows
     are averaged pointwise across procedures, and a centered moving average
     of odd `window` (truncated at the edges) smooths each curve.
     """
-    seqs = list(seqs)
-    if not seqs:
+    timelines = list(timelines)
+    if not timelines:
         raise InvariantError("build_signature needs at least one procedure")
-    empty = [s.video_id for s in seqs if len(s) == 0]
+    empty = [tl.video_id for tl in timelines if len(tl) == 0]
     if empty:
         raise InvariantError(f"empty sequences cannot enter a signature: {empty}")
-    action_stack = np.stack([_resample_indicators(s, grid) for s in seqs])
-    action_curves = _moving_average(action_stack.mean(axis=0), window)
-    action_quart = np.stack([quartile_aggregate(s) for s in seqs]).mean(axis=0)
-
-    if tool_seqs:
-        tool_seqs = list(tool_seqs)
-        tool_stack = np.stack([_resample_counts(t, grid) for t in tool_seqs])
-        tool_curves = _moving_average(tool_stack.mean(axis=0), window)
-        tool_quart = np.stack([quartile_aggregate(t) for t in tool_seqs]).mean(axis=0)
-    else:
-        tool_curves = np.zeros((grid, len(TOOL_CLASSES)))
-        tool_quart = np.zeros((N_QUARTILES, len(TOOL_CLASSES)))
-
-    return SurgicalSignature(action_curves=action_curves, tool_curves=tool_curves,
-                             action_quartiles=action_quart, tool_quartiles=tool_quart,
-                             window=window, n_procedures=len(seqs))
+    points = [np.minimum((np.arange(SIGNATURE_GRID) * len(tl)) // SIGNATURE_GRID, len(tl) - 1)
+              for tl in timelines]
+    actions = np.stack([tl.indicators()[idx] for tl, idx in zip(timelines, points)])
+    tools = np.stack([tl.tools[idx] for tl, idx in zip(timelines, points)])
+    return SurgicalSignature(action_curves=_moving_average(actions.mean(axis=0), window),
+                             tool_curves=_moving_average(tools.mean(axis=0), window))
 
 
-def transition_probabilities(seq: ActionSequence) -> np.ndarray:
+def transition_probabilities(tl: Timeline) -> np.ndarray:
     """Six ordered-pair transition probabilities over the run-collapsed sequence.
 
     Rows normalize by total transitions out of each action, so outgoing
     probabilities from every present action sum to 1; absent actions
     contribute zeros. Input must be background-excised.
     """
-    if any(lab == BACKGROUND for lab in seq.labels):
+    labels = tl.labels
+    if any(lab == BACKGROUND for lab in labels):
         raise InvariantError("transition_probabilities needs a background-excised sequence")
-    runs = [lab for k, lab in enumerate(seq.labels) if k == 0 or lab != seq.labels[k - 1]]
+    runs = [lab for k, lab in enumerate(labels) if k == 0 or lab != labels[k - 1]]
     if len(runs) < 2:
-        warnings.warn(f"sequence {seq.video_id} has fewer than 2 runs; transitions all zero",
+        warnings.warn(f"sequence {tl.video_id} has fewer than 2 runs; transitions all zero",
                       DataWarning, stacklevel=2)
         return np.zeros(len(TRANSITION_PAIRS))
     counts = {pair: 0 for pair in TRANSITION_PAIRS}
@@ -307,18 +252,17 @@ class FeatureVector30:
         object.__setattr__(self, "values", values)
 
 
-def featurize(seq: ActionSequence, tool_seq: ToolSequence, label: str | None = None):
+def featurize(tl: Timeline, label: str | None = None):
     """24 quartile features plus 6 transition features, in FEATURE_NAMES order.
 
-    Expects background-excised, aligned sequences. Tool features are raw
-    per-step mean counts here; normalize_tool_features rescales them to [0,1]
-    across a cohort.
+    Expects a background-excised timeline. Tool features are raw per-step
+    mean counts here; normalize_tool_features rescales them to [0,1] across
+    a cohort.
     """
-    action_quart = quartile_aggregate(seq)  # (4, 3)
-    tool_quart = quartile_aggregate(tool_seq)  # (4, 3)
-    transitions = transition_probabilities(seq)
-    values = np.concatenate([action_quart.T.ravel(), tool_quart.T.ravel(), transitions])
-    return FeatureVector30(video_id=seq.video_id, values=values, label=label)
+    values = np.concatenate([quartile_aggregate(tl.indicators()).T.ravel(),
+                             quartile_aggregate(tl.tools).T.ravel(),
+                             transition_probabilities(tl)])
+    return FeatureVector30(video_id=tl.video_id, values=values, label=label)
 
 
 def normalize_tool_features(features) -> list:

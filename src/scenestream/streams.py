@@ -370,7 +370,7 @@ def _parse_header(obj, line_no) -> dict:
     if not isinstance(obj, dict) or "video_id" not in obj or "fps" not in obj:
         raise StreamFormatError("first line must be a header with video_id and fps",
                                 line=line_no)
-    metadata = obj.get("metadata") or {}
+    metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):
         raise StreamFormatError(f"header metadata must be an object, got {metadata!r}",
                                 line=line_no)

@@ -20,7 +20,7 @@ import numpy as np
 from . import streams
 from .errors import InvariantError, check_finite
 from .kinematics import PoseFrame, TieClip, Trajectory
-from .signatures import ActionSequence, ToolSequence
+from .signatures import Timeline
 from .streams import (
     ACTIONS,
     BBox,
@@ -444,7 +444,7 @@ DEFAULT_PROCEDURE_CLASSES = (
 def generate_procedure_sequences(seed: int, n_per_class: int,
                                  classes=DEFAULT_PROCEDURE_CLASSES,
                                  resolution_s: float = 5.0):
-    """Background-free (ActionSequence, ToolSequence, class-name) triples.
+    """Background-free (Timeline, class-name) pairs.
 
     Each action is `ACTIONS[bisect_right(cdf, rng.random())]` over the
     quartile's CDF, built as `rng.choice(ACTIONS, p=...)` builds it (cumsum
@@ -465,10 +465,6 @@ def generate_procedure_sequences(seed: int, n_per_class: int,
                 if k >= head:
                     labels.append(ACTIONS[bisect_right(cdfs[q], rng.random())])
                 counts.append([rng.poisson(r) for r in cls.quartile_tool_rates[q]])
-            vid = f"{cls.name}-{v:03d}"
-            out.append((ActionSequence(video_id=vid, labels=tuple(labels),
-                                       resolution_s=resolution_s),
-                        ToolSequence(video_id=vid, counts=counts,
-                                     resolution_s=resolution_s),
-                        cls.name))
+            out.append((Timeline(video_id=f"{cls.name}-{v:03d}", labels=labels, tools=counts,
+                                 resolution_s=resolution_s), cls.name))
     return out

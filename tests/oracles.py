@@ -194,6 +194,23 @@ def naive_diff_series(series, fps):
     return [(b - a) * fps for a, b in zip(series, series[1:])]
 
 
+def naive_gapped_series(points, frames, mean_size, fps):
+    """Velocity, acceleration and jerk of samples on strictly increasing
+    `frames`, worked in seconds: each speed sits mid-step, each acceleration
+    at the frame its two steps share, and each derivative divides by the
+    time between the two samples it differences."""
+    t = [f / fps for f in frames]
+    vel, vel_t = [], []
+    for k, ((x0, y0), (x1, y1)) in enumerate(zip(points, points[1:])):
+        d = ((x1 - x0) ** 2 + (y1 - y0) ** 2) ** 0.5 / mean_size
+        vel.append(d / (t[k + 1] - t[k]))
+        vel_t.append((t[k] + t[k + 1]) / 2)
+    acc = [(vel[k + 1] - vel[k]) / (vel_t[k + 1] - vel_t[k]) for k in range(len(vel) - 1)]
+    acc_t = t[1:-1]
+    jerk = [(acc[k + 1] - acc[k]) / (acc_t[k + 1] - acc_t[k]) for k in range(len(acc) - 1)]
+    return vel, acc, jerk
+
+
 def naive_pose_vectors(nine_points):
     """Eight chain vectors: palm->thumb1..4 then palm->index1..4, by hand."""
     p = [tuple(pt) for pt in nine_points]

@@ -196,13 +196,12 @@ def test_acceptance_4_skill_separation_at_desk_scale():
 # ----------------------------------------------------------- criterion 5
 
 def test_acceptance_5_signature_shape():
-    triples = generate_procedure_sequences(seed=505, n_per_class=12)
     by_class = {}
-    for seq, tools, label in triples:
-        by_class.setdefault(label, []).append((seq, tools))
+    for tl, label in generate_procedure_sequences(seed=505, n_per_class=12):
+        by_class.setdefault(label, []).append(tl)
     worst = 1.0
-    for label, pairs in sorted(by_class.items()):
-        sig = build_signature([s for s, _ in pairs], [t for _, t in pairs])
+    for label, timelines in sorted(by_class.items()):
+        sig = build_signature(timelines)
         worst = min(worst, float(sig.action_curves[0, 0]))
     ok = worst >= 0.95
     check(5, "signature-shape", ok,
@@ -212,11 +211,11 @@ def test_acceptance_5_signature_shape():
 # ----------------------------------------------------------- criterion 6
 
 def test_acceptance_6_lda_separation_and_oracle():
-    triples = generate_procedure_sequences(seed=606, n_per_class=30)
+    procedures = generate_procedure_sequences(seed=606, n_per_class=30)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataWarning)
         features = normalize_tool_features(
-            [featurize(seq, tools, label=label) for seq, tools, label in triples])
+            [featurize(tl, label=label) for tl, label in procedures])
         z, _, _ = zscore(features)
     labels = np.array([f.label for f in features])
     model = lda_fit(z, labels)

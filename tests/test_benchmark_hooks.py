@@ -77,3 +77,26 @@ def test_tracker_step_calls_the_traced_kernels(monkeypatch):
     births = tracker._next_id - 1
     assert births == 3
     assert calls == {"predict": 8, "update": 7, "new_track": births}
+
+
+def test_run_pipeline_calls_every_traced_stage(monkeypatch, tmp_path):
+    # the traced run-bundle patches these attributes on the modules `run`
+    # looks them up in; a stage that stops calling one would zero its metric
+    from scenestream.pipeline import run_pipeline
+
+    points = [(module_name, attr) for module_name, attr, _ in _trace_points()
+              if module_name in ("scenestream.pipeline", "scenestream.streams")]
+    calls = dict.fromkeys(points, 0)
+
+    def counted(point, real):
+        def wrapper(*args, **kwargs):
+            calls[point] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for point in points:
+        module = importlib.import_module(point[0])
+        monkeypatch.setattr(module, point[1], counted(point, getattr(module, point[1])))
+    run_pipeline(_perfbench_module("workloads").run_config(1, warmup=True), tmp_path / "b")
+    assert points
+    assert [point for point, n in calls.items() if n == 0] == []

@@ -455,18 +455,18 @@ def test_zero_corruption_pipeline_recovers_ground_truth():
     want_lengths = sorted(truth.path_hand_lengths.values())
     assert got_lengths == pytest.approx(want_lengths, rel=1e-6)
 
-    from scenestream.signatures import action_sequence_from_stream, quartile_aggregate
-    seq = action_sequence_from_stream(stream, resolution_s=5.0)
+    from scenestream.signatures import Timeline, quartile_aggregate, timeline_from_stream
+    tl = timeline_from_stream(stream, resolution_s=5.0)
     # rebuild the sequence from the sidecar's per-frame actions
     steps = []
     per_step = int(5.0 * spec.fps)
     for lo in range(0, len(truth.actions), per_step):
         window = truth.actions[lo:lo + per_step]
         steps.append(max(set(window), key=window.count))
-    assert list(seq.labels) == steps
-    from scenestream.signatures import ActionSequence
-    want_quart = quartile_aggregate(ActionSequence(video_id="t", labels=tuple(steps)))
-    assert np.array_equal(quartile_aggregate(seq), want_quart)
+    assert list(tl.labels) == steps
+    want = Timeline(video_id="t", labels=steps, tools=tl.tools)
+    assert np.array_equal(quartile_aggregate(tl.indicators()),
+                          quartile_aggregate(want.indicators()))
 
 
 def test_cli_exit_codes(tmp_path):
@@ -526,7 +526,7 @@ _MALFORMED = st.one_of(
     st.lists(st.integers(-3, 3), min_size=1, max_size=3),
     st.dictionaries(st.sampled_from("ab"), st.integers(0, 3), min_size=1),
     st.just(10 ** 399),  # an integer past the float range
-    st.sampled_from([float("nan"), True, "0", "0.9"]))  # not JSON numbers, or not finite
+    st.sampled_from([float("nan"), True, False, "0", "0.9"]))  # not JSON numbers, or not finite
 
 
 @settings(max_examples=300, deadline=None)
@@ -564,6 +564,9 @@ def test_malformed_field_is_an_input_error_with_line_number(field, value):
     (1, {"kps": [{"points": [[110.0, 120.0, 1]] * 21, "box": [100, 100, 180, True]}]}),
     (0, {"fps": "30"}),
     (0, {"width": 640.0}),
+    (0, {"metadata": False}),  # only a missing key means empty metadata
+    (0, {"metadata": 0}),
+    (0, {"metadata": None}),
 ])
 def test_value_of_the_wrong_json_type_is_an_input_error(tmp_path, capsys, line, changes):
     objs = copy.deepcopy(_BASE)

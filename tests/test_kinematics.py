@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     naive_diff_series,
+    naive_gapped_series,
     naive_integrated_pose_distance,
     naive_path_distance,
     naive_pose_change,
@@ -141,6 +142,27 @@ def test_velocity_series_matches_naive_loops():
         want_v = naive_velocity_series(pts, mean, 30.0)
         want_a = naive_diff_series(want_v, 30.0)
         want_j = naive_diff_series(want_a, 30.0)
+        assert vel == pytest.approx(want_v, rel=1e-9)
+        assert acc == pytest.approx(want_a, rel=1e-9, abs=1e-9)
+        assert jerk == pytest.approx(want_j, rel=1e-9, abs=1e-9)
+
+
+def test_velocity_series_divides_by_frame_gaps():
+    # 1 px per frame with frames 3, 6 and 7 dropped: speed stays 0.3/s
+    frames = [0, 1, 2, 4, 5, 8, 9]
+    vel, acc, jerk = velocity_series(traj([(f, 0) for f in frames], frames=frames), 100.0, 30.0)
+    assert vel == pytest.approx(np.full(6, 0.3))
+    assert acc == pytest.approx(np.zeros(5), abs=1e-12)
+    assert jerk == pytest.approx(np.zeros(4), abs=1e-12)
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n = int(rng.integers(5, 60))
+        frames = np.cumsum(rng.integers(1, 5, n))
+        t = traj(rng.uniform(0, 500, (n, 2)), sizes=rng.uniform(40, 120, n), frames=frames)
+        mean = clip_mean_hand_size(t)
+        want_v, want_a, want_j = naive_gapped_series(
+            [tuple(c) for c in t.centroids], frames.tolist(), mean, 30.0)
+        vel, acc, jerk = velocity_series(t, mean, 30.0)
         assert vel == pytest.approx(want_v, rel=1e-9)
         assert acc == pytest.approx(want_a, rel=1e-9, abs=1e-9)
         assert jerk == pytest.approx(want_j, rel=1e-9, abs=1e-9)

@@ -5,16 +5,13 @@ from scipy.linalg import subspace_angles
 from oracles import lda_projection_oracle
 from scenestream import DataWarning, InvariantError
 from scenestream.signatures import (
-    ActionSequence,
     BUILTIN_RULES,
     FEATURE_NAMES,
     FeatureVector30,
     FilterRule,
-    ToolSequence,
-    background_mask,
+    Timeline,
     build_signature,
     excise_background,
-    excise_tool_steps,
     featurize,
     filter_videos,
     lda_fit,
@@ -30,12 +27,12 @@ from scenestream.signatures import (
 CUT, TIE, SUT, BG = "cutting", "tying", "suturing", "background"
 
 
-def seq(labels, vid="v"):
-    return ActionSequence(video_id=vid, labels=tuple(labels))
-
-
-def tools(counts, vid="v"):
-    return ToolSequence(video_id=vid, counts=np.asarray(counts, dtype=float))
+def seq(labels, vid="v", tools=None):
+    """A timeline of `labels`; no tools on screen unless `tools` gives the rows."""
+    labels = tuple(labels)
+    if tools is None:
+        tools = np.zeros((len(labels), 3))
+    return Timeline(video_id=vid, labels=labels, tools=tools)
 
 
 def random_seq(rng, n, vid="v", include_bg=True):
@@ -55,6 +52,7 @@ def test_excise_background_all_background_flagged():
     with pytest.warns(DataWarning, match="all background"):
         out = excise_background(seq([BG, BG]))
     assert len(out) == 0
+    assert out.tools.shape == (0, 3)
 
 
 def test_excise_background_random_counting_oracle():
@@ -70,11 +68,30 @@ def test_excise_background_random_counting_oracle():
         assert len(out) == want
 
 
-def test_excise_tool_steps_aligned():
-    s = seq([CUT, BG, TIE, BG])
-    t = tools([[1, 0, 0], [9, 9, 9], [0, 2, 0], [9, 9, 9]])
-    kept = excise_tool_steps(t, background_mask(s))
-    assert kept.counts == pytest.approx(np.array([[1, 0, 0], [0, 2, 0]], dtype=float))
+def test_excise_background_drops_tool_rows_with_their_steps():
+    s = seq([CUT, BG, TIE, BG], tools=[[1, 0, 0], [9, 9, 9], [0, 2, 0], [9, 9, 9]])
+    kept = excise_background(s)
+    assert kept.labels == (CUT, TIE)
+    assert kept.tools == pytest.approx(np.array([[1, 0, 0], [0, 2, 0]], dtype=float))
+
+
+@pytest.mark.parametrize("labels, tools, match", [
+    ((CUT, TIE), np.zeros((3, 3)), "do not match"),  # one tool row too many
+    ((CUT, TIE), np.zeros((2, 2)), "do not match"),  # one tool class short
+    ((CUT, TIE), np.zeros(6), "do not match"),
+    ((CUT, TIE), [[0, 0, 0], [0, -1, 0]], ">= 0"),
+    ((CUT, TIE), [[0, 0, 0], [0, np.nan, 0]], ">= 0"),
+    ((CUT, "resting"), np.zeros((2, 3)), "unknown action"),
+])
+def test_timeline_rejects_tool_rows_out_of_step(labels, tools, match):
+    with pytest.raises(InvariantError, match=match):
+        Timeline(video_id="v", labels=labels, tools=tools)
+
+
+def test_timeline_indicators_are_one_hot_action_rows():
+    rows = seq([CUT, BG, SUT, TIE]).indicators()
+    assert rows.tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 1], [0, 1, 0]]
+    assert seq([]).indicators().shape == (0, 3)
 
 
 # ------------------------------------------------------------- quartiles
@@ -86,13 +103,13 @@ def test_quartile_spans_balance():
 
 
 def test_quartile_all_cutting():
-    q = quartile_aggregate(seq([CUT] * 12))
+    q = quartile_aggregate(seq([CUT] * 12).indicators())
     assert q[:, 0] == pytest.approx(np.ones(4))
     assert q[:, 1:] == pytest.approx(np.zeros((4, 2)))
 
 
 def test_quartile_half_cut_half_tie():
-    q = quartile_aggregate(seq([CUT] * 4 + [TIE] * 4))
+    q = quartile_aggregate(seq([CUT] * 4 + [TIE] * 4).indicators())
     assert q[0] == pytest.approx([1, 0, 0])
     assert q[1] == pytest.approx([1, 0, 0])
     assert q[2] == pytest.approx([0, 1, 0])
@@ -103,21 +120,20 @@ def test_quartile_fractions_sum_to_one_after_excision():
     rng = np.random.default_rng(1)
     for _ in range(10):
         s = random_seq(rng, int(rng.integers(8, 60)), include_bg=False)
-        q = quartile_aggregate(s)
+        q = quartile_aggregate(s.indicators())
         assert q.sum(axis=1) == pytest.approx(np.ones(4))
 
 
 def test_quartile_short_sequence_flagged():
     with pytest.warns(DataWarning, match="empty quartiles"):
-        q = quartile_aggregate(seq([CUT, TIE]))
+        q = quartile_aggregate(seq([CUT, TIE]).indicators())
     assert q[0] == pytest.approx([1, 0, 0])
     assert q[1] == pytest.approx([0, 1, 0])
     assert q[2] == pytest.approx([0, 0, 0])
 
 
 def test_quartile_tool_means():
-    t = tools([[2, 0, 0], [0, 0, 0], [0, 1, 0], [0, 3, 0]])
-    q = quartile_aggregate(t)
+    q = quartile_aggregate(np.array([[2, 0, 0], [0, 0, 0], [0, 1, 0], [0, 3, 0]], dtype=float))
     assert q[0] == pytest.approx([2, 0, 0])
     assert q[3] == pytest.approx([0, 3, 0])
 
@@ -129,7 +145,6 @@ def test_signature_single_procedure_is_own_smoothed_curve():
     sig = build_signature([s], window=1)
     assert sig.action_curves[0] == pytest.approx([1, 0, 0])
     assert sig.action_curves[-1] == pytest.approx([0, 1, 0])
-    assert sig.n_procedures == 1
 
 
 def test_signature_two_opposite_procedures_average_to_half():
@@ -138,6 +153,16 @@ def test_signature_two_opposite_procedures_average_to_half():
     sig = build_signature([a, b], window=1)
     assert sig.action_curves[:, 0] == pytest.approx(np.full(100, 0.5))
     assert sig.action_curves[:, 1] == pytest.approx(np.full(100, 0.5))
+
+
+def test_signature_tool_curves_average_tool_rows_at_the_grid_points():
+    a = seq([CUT] * 4, vid="a", tools=[[k, 0, 0] for k in range(4)])
+    b = seq([TIE] * 2, vid="b", tools=[[0, 2, 0], [0, 4, 0]])
+    sig = build_signature([a, b], window=1)
+    t = np.arange(100)
+    assert sig.tool_curves[:, 0] == pytest.approx(t // 25 / 2)
+    assert sig.tool_curves[:, 1] == pytest.approx(np.where(t < 50, 1.0, 2.0))
+    assert sig.tool_curves[:, 2] == pytest.approx(np.zeros(100))
 
 
 def test_signature_cut_start_cohort_has_high_initial_cut_probability():
@@ -159,7 +184,6 @@ def test_signature_commutes_with_permutation():
     shuffled = [cohort[i] for i in rng.permutation(len(cohort))]
     sig2 = build_signature(shuffled)
     assert sig2.action_curves == pytest.approx(sig.action_curves, abs=1e-12)
-    assert sig2.action_quartiles == pytest.approx(sig.action_quartiles, abs=1e-12)
 
 
 def test_signature_probabilities_sum_to_one_when_excised():
@@ -226,9 +250,8 @@ def test_transitions_require_excised_input():
 # ------------------------------------------------------------- featurize
 
 def test_featurize_layout_and_bounds():
-    s = seq([CUT] * 4 + [TIE] * 4)
-    t = tools(np.tile([1.0, 0.0, 2.0], (8, 1)))
-    f = featurize(s, t, label="demo")
+    f = featurize(seq([CUT] * 4 + [TIE] * 4, tools=np.tile([1.0, 0.0, 2.0], (8, 1))),
+                  label="demo")
     assert f.values.shape == (30,)
     assert len(FEATURE_NAMES) == 30
     named = dict(zip(FEATURE_NAMES, f.values))
@@ -245,10 +268,10 @@ def test_featurize_invariant_to_uniform_resampling():
         n = int(rng.integers(2, 10)) * 4  # quartile-aligned lengths
         labels = rng.choice([CUT, TIE, SUT], size=n).tolist()
         counts = rng.uniform(0, 3, size=(n, 3))
-        base = featurize(seq(labels), tools(counts))
+        base = featurize(seq(labels, tools=counts))
         rep = 3
-        stretched = featurize(seq(np.repeat(labels, rep).tolist()),
-                              tools(np.repeat(counts, rep, axis=0)))
+        stretched = featurize(seq(np.repeat(labels, rep).tolist(),
+                                  tools=np.repeat(counts, rep, axis=0)))
         assert stretched.values == pytest.approx(base.values, abs=1e-12)
 
 

@@ -246,22 +246,22 @@ def test_tie_clip_determinism():
 # ------------------------------------------------------- procedure cohort
 
 def test_procedure_sequences_shape_and_opening():
-    triples = generate_procedure_sequences(seed=3, n_per_class=4)
-    assert len(triples) == 12
-    names = {label for _, _, label in triples}
+    procedures = generate_procedure_sequences(seed=3, n_per_class=4)
+    assert len(procedures) == 12
+    names = {label for _, label in procedures}
     assert names == {"appendectomy", "pilonidal", "thyroidectomy"}
-    for seq, tools, _ in triples:
-        assert len(seq) == len(tools)
-        assert seq.labels[0] == "cutting"
-        assert all(lab != "background" for lab in seq.labels)
+    for tl, _ in procedures:
+        assert tl.tools.shape == (len(tl), 3)
+        assert tl.labels[0] == "cutting"
+        assert all(lab != "background" for lab in tl.labels)
 
 
 def test_procedure_sequences_deterministic():
     a = generate_procedure_sequences(seed=7, n_per_class=2)
     b = generate_procedure_sequences(seed=7, n_per_class=2)
-    for (sa, ta, la), (sb, tb, lb) in zip(a, b):
-        assert sa.labels == sb.labels
-        assert np.array_equal(ta.counts, tb.counts)
+    for (ta, la), (tb, lb) in zip(a, b):
+        assert ta.labels == tb.labels
+        assert np.array_equal(ta.tools, tb.tools)
         assert la == lb
 
 
@@ -285,9 +285,9 @@ def test_procedure_draws_match_per_step_draws(monkeypatch, seed):
     monkeypatch.undo()
     want, ref_rngs = per_step_procedure_sequences(seed, 12, classes)
     assert len(got) == len(want) == 48
-    for (actions, tools, name), (labels, counts, ref_name) in zip(got, want):
-        assert name == ref_name and list(actions.labels) == labels
-        assert np.array_equal(tools.counts, counts)
+    for (tl, name), (labels, counts, ref_name) in zip(got, want):
+        assert name == ref_name and list(tl.labels) == labels
+        assert np.array_equal(tl.tools, counts)
     assert [r.bit_generator.state for r in made] == [r.bit_generator.state for r in ref_rngs]
 
 
