@@ -31,7 +31,7 @@ from .pipeline import (
     write_tracks,
 )
 from .signatures import BUILTIN_RULES, filter_videos, top_features
-from .streams import iter_json_lines, open_stream, parse_stream
+from .streams import finite_numbers, iter_json_lines, open_stream, parse_stream
 from .synth import CorruptionSpec, SynthSpec, generate_stream, synth_generate
 from .tracking import TrackerConfig
 
@@ -104,6 +104,9 @@ def _labelled_sequences(args, default_label):
     class_map = {}
     if args.class_map:
         class_map = json.loads(Path(args.class_map).read_text(encoding="utf-8"))
+        if not isinstance(class_map, dict) or not _strings(list(class_map.values())):
+            raise StreamFormatError(f"{args.class_map}: a class map must be a JSON object "
+                                    "of video id -> class name strings")
     return {vid: (tl, class_map.get(vid, default_label)) for vid, tl in timelines.items()}
 
 
@@ -130,13 +133,41 @@ def cmd_lda(args) -> int:
     return 0
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# (check, wanted) per catalog field that `filter` reads
+_CATALOG_FIELDS = {
+    "video_id": (lambda v: isinstance(v, str), "a string"),
+    "title": (lambda v: isinstance(v, str), "a string"),
+    "umls": (_strings, "a list of strings"),
+    "search_terms": (_strings, "a list of strings"),
+    "duration_s": (lambda v: finite_numbers([v], 1), "a finite number"),
+}
+
+
+def _catalog_entries(path):
+    """The entries of a catalog file; an entry that is not an object, or has a
+    field of the wrong kind (not null), is a StreamFormatError naming its line."""
+    entries = []
+    for line_no, _, entry in iter_json_lines(path):
+        if not isinstance(entry, dict):
+            raise StreamFormatError("catalog entry must be an object", line=line_no)
+        for key, (check, wanted) in _CATALOG_FIELDS.items():
+            if entry.get(key) is not None and not check(entry[key]):
+                raise StreamFormatError(f"catalog entry {key!r} must be {wanted}",
+                                        line=line_no)
+        entries.append(entry)
+    return entries
+
+
 def cmd_filter(args) -> int:
     rule = BUILTIN_RULES.get(args.rule)
     if rule is None:
         raise StreamFormatError(
             f"unknown rule {args.rule!r}; choose from {sorted(BUILTIN_RULES)}")
-    selected = filter_videos([obj for _, _, obj in iter_json_lines(args.catalog)],
-                             rule)
+    selected = filter_videos(_catalog_entries(args.catalog), rule)
     if args.out:
         Path(args.out).write_text("\n".join(selected) + ("\n" if selected else ""),
                                   encoding="utf-8")

@@ -14,13 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataWarning, InvariantError
-from .streams import HandKeypoints, centroid, hand_size
-from .streams import INDEX_CHAIN, PALM_INDEX, THUMB_CHAIN
 
 EXPERIENCE_LEVELS = ("experienced", "trainee")
-HANDS = ("left", "right")
 
 POSE_GAP_SPLIT_S = 1.0  # gaps longer than this split a pose sequence
+
+
+def _set_arrays(obj, kind: str, **arrays) -> None:
+    """Set read-only `arrays` on the frozen `obj` after checking that they
+    hold one sample per frame, frames strictly increasing and sizes positive."""
+    if len({len(arr) for arr in arrays.values()}) > 1:
+        raise InvariantError(f"{kind} arrays must have equal length")
+    if np.any(np.diff(arrays["frames"]) <= 0):
+        raise InvariantError(f"{kind} frames must be strictly increasing")
+    if not np.all(arrays["sizes"] > 0):
+        raise InvariantError(f"{kind} hand sizes must be positive")
+    for name, arr in arrays.items():
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,31 +44,12 @@ class Trajectory:
     sizes: np.ndarray  # (n,)
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=int).copy()
-        cents = np.asarray(self.centroids, dtype=float).reshape(-1, 2).copy()
-        sizes = np.asarray(self.sizes, dtype=float).copy()
-        if not (len(frames) == len(cents) == len(sizes)):
-            raise InvariantError("Trajectory arrays must have equal length")
-        if len(frames) > 1 and np.any(np.diff(frames) <= 0):
-            raise InvariantError("Trajectory frames must be strictly increasing")
-        if np.any(sizes <= 0):
-            raise InvariantError("Trajectory hand sizes must be positive")
-        for arr in (frames, cents, sizes):
-            arr.flags.writeable = False
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "centroids", cents)
-        object.__setattr__(self, "sizes", sizes)
+        _set_arrays(self, "Trajectory", frames=np.array(self.frames, dtype=int),
+                    centroids=np.array(self.centroids, dtype=float).reshape(-1, 2),
+                    sizes=np.array(self.sizes, dtype=float))
 
     def __len__(self):
         return len(self.frames)
-
-    @classmethod
-    def from_boxes(cls, track_id: int, items) -> "Trajectory":
-        """Build from (frame_index, BBox) pairs, e.g. one track's rows of a tracks file."""
-        items = list(items)
-        return cls(track_id=track_id, frames=[i for i, _ in items],
-                   centroids=[centroid(b) for _, b in items],
-                   sizes=[hand_size(b) for _, b in items])
 
     def slice(self, start: int, end: int) -> "Trajectory":
         keep = (self.frames >= start) & (self.frames <= end)
@@ -65,52 +57,31 @@ class Trajectory:
                           centroids=self.centroids[keep], sizes=self.sizes[keep])
 
 
-def _pose_points(points, hand_size, shape) -> np.ndarray:
-    """A read-only float copy of `points` in `shape`, all finite, for a
-    positive hand size."""
-    pts = np.array(points, dtype=float).reshape(shape)
-    if not np.all(np.isfinite(pts)):
-        raise InvariantError("PoseFrame points must be finite")
-    if hand_size <= 0:
-        raise InvariantError("PoseFrame hand_size must be positive")
-    pts.flags.writeable = False
-    return pts
-
-
 @dataclass(frozen=True, eq=False)
-class PoseFrame:
-    """Nine skill keypoints (palm, thumb x4, index x4) plus the hand size."""
+class Poses:
+    """One hand's nine skill keypoints per frame, frame-ordered: palm, thumb
+    joints 1-4, index joints 1-4, with the frame's hand size."""
 
-    frame_index: int
-    points: np.ndarray  # (9, 2) pixels
-    hand_size: float
+    frames: np.ndarray  # (n,) int
+    points: np.ndarray  # (n, 9, 2) pixels
+    sizes: np.ndarray  # (n,)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _pose_points(self.points, self.hand_size, (9, 2)))
+        points = np.array(self.points, dtype=float).reshape(-1, 9, 2)
+        if not np.all(np.isfinite(points)):
+            raise InvariantError("Poses points must be finite")
+        _set_arrays(self, "Poses", frames=np.array(self.frames, dtype=int).reshape(-1),
+                    points=points, sizes=np.array(self.sizes, dtype=float).reshape(-1))
 
-    @classmethod
-    def from_block(cls, points, hand_size: float) -> tuple:
-        """One PoseFrame per row of an (n, 9, 2) block, frame indices 0..n-1.
+    def __len__(self):
+        return len(self.frames)
 
-        The block is copied and checked once, as PoseFrame checks one frame,
-        and made read-only; each frame's points are a view of its row.
-        """
-        block = _pose_points(points, hand_size, (-1, 9, 2))
-        frames = []
-        for k, pts in enumerate(block):
-            frame = cls.__new__(cls)
-            vars(frame).update(frame_index=k, points=pts, hand_size=hand_size)
-            frames.append(frame)
-        return tuple(frames)
+    def __getitem__(self, key) -> "Poses":
+        """The frames at an index, slice or mask."""
+        return Poses(frames=self.frames[key], points=self.points[key], sizes=self.sizes[key])
 
-    @classmethod
-    def from_keypoints(cls, frame_index: int, kp: HandKeypoints) -> "PoseFrame | None":
-        """None when any of the nine skill keypoints is not visible."""
-        if not kp.skill_points_visible():
-            return None
-        idx = [PALM_INDEX, *THUMB_CHAIN, *INDEX_CHAIN]
-        return cls(frame_index=frame_index, points=kp.points[idx, :2],
-                   hand_size=hand_size(kp.owner_box))
+    def slice(self, start: int, end: int) -> "Poses":
+        return self[(self.frames >= start) & (self.frames <= end)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +96,8 @@ class TieClip:
     knot_count: int
     left: Trajectory | None = None
     right: Trajectory | None = None
-    left_poses: tuple = ()
-    right_poses: tuple = ()
+    left_poses: Poses | None = None
+    right_poses: Poses | None = None
 
     def __post_init__(self):
         if not self.start < self.end:
@@ -136,12 +107,6 @@ class TieClip:
         if self.experience not in EXPERIENCE_LEVELS:
             raise InvariantError(
                 f"TieClip.experience must be one of {EXPERIENCE_LEVELS}, got {self.experience!r}")
-
-    def trajectory(self, hand: str):
-        return self.left if hand == "left" else self.right
-
-    def poses(self, hand: str):
-        return self.left_poses if hand == "left" else self.right_poses
 
 
 @dataclass(frozen=True)
@@ -216,45 +181,38 @@ def velocity_series(traj: Trajectory, mean_size: float, fps: float,
     return velocity, acceleration, jerk
 
 
-def _chain_vectors(points: np.ndarray) -> np.ndarray:
+def pose_vectors(points) -> np.ndarray:
     """(..., 9, 2) skill points -> (..., 8, 2) chain vectors, each from the
     joint before it: palm->thumb1..4, then palm->index1..4."""
+    points = np.asarray(points, dtype=float)
     return points[..., 1:, :] - points[..., [0, 1, 2, 3, 0, 5, 6, 7], :]
 
 
-def pose_vectors(pose: PoseFrame) -> np.ndarray:
-    """Eight chain vectors: palm->thumb joints then palm->index joints, (8, 2)."""
-    return _chain_vectors(pose.points)
+def pose_change(points_t, points_t1, size_t: float) -> float:
+    """Summed L1 distance between corresponding chain vectors of two frames'
+    (9, 2) skill points, divided by the earlier frame's hand size."""
+    delta = pose_vectors(points_t1) - pose_vectors(points_t)
+    return float(np.abs(delta).sum() / size_t)
 
 
-def pose_change(p_t: PoseFrame, p_t1: PoseFrame) -> float:
-    """Summed L1 distance between corresponding chain vectors, divided by the
-    earlier frame's hand size."""
-    delta = pose_vectors(p_t1) - pose_vectors(p_t)
-    return float(np.abs(delta).sum() / p_t.hand_size)
-
-
-def integrated_pose_distance(seq) -> float:
+def integrated_pose_distance(poses: Poses) -> float:
     """Sum of pose_change over consecutive frames of one contiguous sequence,
     added left to right so it equals summing the pose_change values in order."""
-    seq = list(seq)
-    if len(seq) < 2:
+    if len(poses) < 2:
         warnings.warn("integrated_pose_distance needs >= 2 pose frames; returning 0",
                       DataWarning, stacklevel=2)
         return 0.0
-    vectors = _chain_vectors(np.stack([p.points for p in seq]))
+    vectors = pose_vectors(poses.points)
     # a row of 16 sums in the same order as .sum() of one (8, 2) delta
-    l1 = np.abs(vectors[1:] - vectors[:-1]).reshape(len(seq) - 1, 16).sum(axis=1)
-    values = l1 / np.array([p.hand_size for p in seq[:-1]], dtype=float)
+    l1 = np.abs(np.diff(vectors, axis=0)).reshape(len(poses) - 1, 16).sum(axis=1)
+    values = l1 / poses.sizes[:-1]
     return float(sum(values.tolist()))  # np.sum adds pairwise, off in the last bit
 
 
-def split_pose_segments(poses, fps: float, max_gap_s: float = POSE_GAP_SPLIT_S):
+def split_pose_segments(poses: Poses, fps: float, max_gap_s: float = POSE_GAP_SPLIT_S):
     """Split a pose sequence wherever consecutive frames are further apart
     than max_gap_s; frames with missing keypoints were already dropped."""
-    poses, max_gap = list(poses), max_gap_s * fps
-    cuts = [k for k in range(1, len(poses))
-            if poses[k].frame_index - poses[k - 1].frame_index > max_gap]
+    cuts = (np.flatnonzero(np.diff(poses.frames) > max_gap_s * fps) + 1).tolist()
     return [poses[a:b] for a, b in zip([0, *cuts], [*cuts, len(poses)]) if a < b]
 
 
@@ -266,18 +224,11 @@ def _summarize_hand(traj, poses, knot_count, fps, per_frame_size):
         warnings.simplefilter("ignore", DataWarning)
         dist = path_distance(traj, mean_size)
         vel, acc, jerk = velocity_series(traj, mean_size, fps, per_frame_size)
-    pose_total = sum((integrated_pose_distance(segment)
-                      for segment in split_pose_segments(poses, fps) if len(segment) >= 2), 0.0)
-
-    def stats(series):
-        if series.size == 0:
-            return 0.0, 0.0
-        mag = np.abs(series)
-        return float(mag.mean()), float(mag.max())
-
-    mean_v, max_v = stats(vel)
-    mean_a, max_a = stats(acc)
-    mean_j, max_j = stats(jerk)
+    segments = [] if poses is None else split_pose_segments(poses, fps)
+    pose_total = sum((integrated_pose_distance(seg) for seg in segments if len(seg) >= 2), 0.0)
+    (mean_v, max_v), (mean_a, max_a), (mean_j, max_j) = [
+        (float(np.abs(s).mean()), float(np.abs(s).max())) if s.size else (0.0, 0.0)
+        for s in (vel, acc, jerk)]
     return HandSummary(
         distance_hand_lengths=dist,
         distance_per_knot=dist / knot_count,

@@ -21,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataWarning, StreamFormatError, check_finite
+from .errors import DataWarning, InvariantError, StreamFormatError, check_finite
 from .evaluation import evaluate_actions, evaluate_boxes
 from .kinematics import (
     SKILL_METRICS,
     HandSummary,
-    PoseFrame,
+    Poses,
     TieClip,
     Trajectory,
     group_centroids,
@@ -48,10 +48,10 @@ from .signatures import (
 )
 from .streams import (
     N_KEYPOINTS,
+    SKILL_KEYPOINT_INDICES,
     BBox,
     Detection,
     FrameRecord,
-    HandKeypoints,
     VideoStream,
     finite_numbers,
     header_line,
@@ -163,8 +163,9 @@ def _check_tracks_row(row, line_no) -> None:
         raise StreamFormatError("tracks row needs an integer 'frame' within 64 bits",
                                 line=line_no)
     tracks, kps = row.get("tracks"), row.get("kps", {})
-    if not isinstance(tracks, dict) or not all(_is_box(b) for b in tracks.values()):
-        raise StreamFormatError("tracks row needs 'tracks' mapping track ids to "
+    if not isinstance(tracks, dict) or not all(tid.isdecimal() and _is_box(b)
+                                               for tid, b in tracks.items()):
+        raise StreamFormatError("tracks row needs 'tracks' mapping integer track ids to "
                                 "[x_min, y_min, x_max, y_max] with 0 <= x_min < x_max "
                                 "and 0 <= y_min < y_max", line=line_no)
     if not isinstance(kps, dict) or not all(keypoint_rows(pts) for pts in kps.values()):
@@ -227,51 +228,53 @@ def tracking_oracle_report(rows, truth: GroundTruth, match_iou: float = 0.3) -> 
 
 # ------------------------------------------------------------------ skill
 
-def _poses_by_track(rows):
-    out = {}
+def _hands_by_track(rows):
+    """({track id: Trajectory}, {track id: Poses}) from tracks rows in one pass.
+
+    Centroids and hand sizes come from the box corners as `streams.centroid`
+    and `streams.hand_size` compute them. A row's keypoints give a pose when
+    all nine skill points are visible (v > 0.5), sized by that row's box.
+    """
+    samples, poses = {}, {}
     for row in rows:
-        for tid, pts in row.get("kps", {}).items():
-            box = row["tracks"].get(tid)
-            if box is None:
-                continue
-            kp = HandKeypoints.from_json(pts, BBox(*box))
-            pose = PoseFrame.from_keypoints(row["frame"], kp)
-            if pose is not None:
-                out.setdefault(tid, []).append(pose)
-    return out
+        frame, kps = row["frame"], row.get("kps", {})
+        for tid, (x0, y0, x1, y1) in row["tracks"].items():
+            size = ((y1 - y0) + (x1 - x0)) / 2.0
+            samples.setdefault(tid, []).append((frame, ((x0 + x1) / 2.0, (y0 + y1) / 2.0), size))
+            pts = kps.get(tid)
+            if pts is not None and all(pts[i][2] > 0.5 for i in SKILL_KEYPOINT_INDICES):
+                poses.setdefault(tid, []).append(
+                    (frame, [pts[i][:2] for i in SKILL_KEYPOINT_INDICES], size))
+    return ({tid: Trajectory(int(tid), *zip(*items)) for tid, items in samples.items()},
+            {tid: Poses(*zip(*poses[tid])) if tid in poses else Poses((), (), ())
+             for tid in samples})
 
 
-def _trajectories_by_track(rows):
-    samples = {}
-    for row in rows:
-        for tid, box in row["tracks"].items():
-            samples.setdefault(tid, []).append((row["frame"], BBox(*box)))
-    return {tid: Trajectory.from_boxes(int(tid), items)
-            for tid, items in samples.items()}
+_CLIP_KEYS = ("video_id", "start", "end", "operator_id", "experience", "knot_count")
 
 
 def clips_from_tracks(header, rows, clip_defs):
     """Assemble TieClips from a tracks file and clip definitions.
 
-    Each definition carries video_id/start/end/operator_id/experience/
-    knot_count and optionally explicit left_track/right_track ids; otherwise
+    `clip_defs` is a list of objects, each with video_id/start/end/
+    operator_id/experience/knot_count (start, end and knot_count JSON
+    integers) and optionally explicit left_track/right_track ids; otherwise
     the two longest tracks in range are used, leftmost (mean centroid x)
-    first. Every clip's video_id must be the tracks header's.
+    first. Every clip's video_id must be the tracks header's. A bad clip is a
+    StreamFormatError naming its number.
     """
-    trajectories = _trajectories_by_track(rows)
-    poses = _poses_by_track(rows)
+    if not isinstance(clip_defs, list):
+        raise StreamFormatError("a clip list must be a JSON list of clip objects")
+    trajectories, poses = _hands_by_track(rows)
     clips = []
     for number, definition in enumerate(clip_defs, start=1):
-        try:
-            video_id = str(definition["video_id"])
-            start, end = int(definition["start"]), int(definition["end"])
-            operator_id = str(definition["operator_id"])
-            experience = str(definition["experience"])
-            knot_count = int(definition["knot_count"])
-        except (KeyError, TypeError, ValueError) as exc:
+        bad = [k for k in _CLIP_KEYS if not isinstance(definition, dict) or k not in definition
+               or (k in ("start", "end", "knot_count") and type(definition[k]) is not int)]
+        if bad:
             raise StreamFormatError(
-                f"clip {number} needs video_id, start, end, operator_id, experience "
-                f"and knot_count: {exc!r}") from exc
+                f"clip {number} needs to be an object with video_id, operator_id, experience "
+                f"and integer start, end and knot_count; check {', '.join(bad)}")
+        video_id, start, end = str(definition["video_id"]), definition["start"], definition["end"]
         if video_id != str(header["video_id"]):
             raise StreamFormatError(
                 f"clip {number} is for video {video_id!r}, but the tracks file is "
@@ -279,8 +282,7 @@ def clips_from_tracks(header, rows, clip_defs):
         in_range = {tid: traj.slice(start, end) for tid, traj in trajectories.items()}
         in_range = {tid: t for tid, t in in_range.items() if len(t) >= 2}
         if "left_track" in definition or "right_track" in definition:
-            left_id = str(definition.get("left_track", ""))
-            right_id = str(definition.get("right_track", ""))
+            left_id, right_id = (str(definition.get(k, "")) for k in ("left_track", "right_track"))
         else:
             by_len = sorted(in_range, key=lambda tid: -len(in_range[tid]))[:2]
             if len(by_len) < 2:
@@ -288,26 +290,21 @@ def clips_from_tracks(header, rows, clip_defs):
                     f"clip {video_id}@{start}-{end} has "
                     f"{len(by_len)} usable tracks; hands missing", DataWarning,
                     stacklevel=2)
-                by_len += [None] * (2 - len(by_len))
-            with_x = [(tid, float(np.mean(in_range[tid].centroids[:, 0])))
-                      for tid in by_len if tid is not None]
-            with_x.sort(key=lambda pair: pair[1])
-            left_id = with_x[0][0] if with_x else ""
-            right_id = with_x[1][0] if len(with_x) > 1 else ""
+            with_x = sorted(by_len, key=lambda tid: float(np.mean(in_range[tid].centroids[:, 0])))
+            left_id, right_id = [*with_x, "", ""][:2]
 
-        def hand_data(tid):
-            if not tid or tid not in in_range:
-                return None, ()
-            pose_seq = tuple(p for p in poses.get(tid, ())
-                             if start <= p.frame_index <= end)
-            return in_range[tid], pose_seq
+        def hand(tid):
+            return in_range.get(tid), (poses[tid].slice(start, end) if tid in in_range else None)
 
-        left, left_poses = hand_data(left_id)
-        right, right_poses = hand_data(right_id)
-        clips.append(TieClip(
-            video_id=video_id, start=start, end=end, operator_id=operator_id,
-            experience=experience, knot_count=knot_count, left=left, right=right,
-            left_poses=left_poses, right_poses=right_poses))
+        (left, left_poses), (right, right_poses) = hand(left_id), hand(right_id)
+        try:
+            clips.append(TieClip(
+                video_id=video_id, start=start, end=end,
+                operator_id=str(definition["operator_id"]),
+                experience=str(definition["experience"]), knot_count=definition["knot_count"],
+                left=left, right=right, left_poses=left_poses, right_poses=right_poses))
+        except InvariantError as exc:
+            raise StreamFormatError(f"clip {number}: {exc}") from exc
     return clips
 
 

@@ -179,10 +179,6 @@ class HandKeypoints:
     def visible(self) -> np.ndarray:
         return self.points[:, 2] > 0.5
 
-    def skill_points_visible(self) -> bool:
-        """True when all nine skill keypoints (palm, thumb, index chains) are visible."""
-        return bool(np.all(self.points[list(SKILL_KEYPOINT_INDICES), 2] > 0.5))
-
 
 @dataclass(frozen=True, eq=False)
 class FrameRecord:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import streams
 from .errors import InvariantError, check_finite
-from .kinematics import PoseFrame, TieClip, Trajectory
+from .kinematics import Poses, TieClip, Trajectory
 from .signatures import Timeline
 from .streams import (
     ACTIONS,
@@ -340,7 +340,7 @@ def _bounded_walk(rng, n_steps, step_len, start, lo=150.0, hi=1800.0):
 
 def _pose_sequence(rng, n_frames, size, pose_rate):
     """Deforming keypoint chains: a clipped random walk of the nine skill
-    points around the hand template, one PoseFrame per frame."""
+    points around the hand template, frames 0..n_frames-1."""
     deforms = [[0.0] * 18]
     if pose_rate > 0:
         # one draw yields the same numbers as one (9, 2) draw per frame
@@ -352,7 +352,7 @@ def _pose_sequence(rng, n_frames, size, pose_rate):
     else:
         deforms *= n_frames
     points = _HAND_TEMPLATE[:9] * size + np.array(deforms).reshape(n_frames, 9, 2)
-    return PoseFrame.from_block(points, size)
+    return Poses(frames=np.arange(n_frames), points=points, sizes=np.full(n_frames, size))
 
 
 def generate_tie_clips(spec: SkillCohortSpec):

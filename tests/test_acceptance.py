@@ -24,7 +24,7 @@ from scenestream import BBox, DataWarning, Detection, HandKeypoints, iou
 from scenestream.bench import SPATIAL_BUDGET_S, TEMPORAL_BUDGET_S, bench_stream
 from scenestream.evaluation import action_precision_recall, average_precision, pck
 from scenestream.kinematics import (
-    PoseFrame,
+    Poses,
     Trajectory,
     clip_mean_hand_size,
     group_centroids,
@@ -112,9 +112,10 @@ def _random_clip(rng):
     traj = Trajectory(track_id=1, frames=np.arange(n),
                       centroids=rng.uniform(0, 500, (n, 2)),
                       sizes=rng.uniform(40, 120, n))
-    poses = [PoseFrame(frame_index=k, points=rng.uniform(0, 300, (9, 2)),
-                       hand_size=float(rng.uniform(50, 150)))
-             for k in range(int(rng.integers(2, 12)))]
+    draws = [(rng.uniform(0, 300, (9, 2)), float(rng.uniform(50, 150)))
+             for _ in range(int(rng.integers(2, 12)))]
+    poses = Poses(frames=np.arange(len(draws)), points=[pts for pts, _ in draws],
+                  sizes=[size for _, size in draws])
     return traj, poses
 
 
@@ -136,11 +137,11 @@ def test_acceptance_3_kinematics_oracle():
             worst = max(worst, float(np.max(
                 np.abs(vel - want_v) / np.maximum(np.abs(want_v), 1e-300))))
 
-        nine = [p.points for p in poses]
-        sizes = [p.hand_size for p in poses]
-        for a, b, size in zip(poses, poses[1:], sizes):
-            got_pc = pose_change(a, b)
-            want_pc = naive_pose_change(a.points, b.points, size)
+        nine = list(poses.points)
+        sizes = list(poses.sizes)
+        for a, b, size in zip(nine, nine[1:], sizes):
+            got_pc = pose_change(a, b, size)
+            want_pc = naive_pose_change(a, b, size)
             worst = max(worst, abs(got_pc - want_pc) / max(abs(want_pc), 1e-300))
         got_ip = integrated_pose_distance(poses)
         want_ip = naive_integrated_pose_distance(nine, sizes)
@@ -152,8 +153,7 @@ def test_acceptance_3_kinematics_oracle():
     moved = [list(p) for p in base]
     moved[2][0] += 3
     moved[2][1] += 4
-    worked = pose_change(PoseFrame(frame_index=0, points=np.array(base), hand_size=100.0),
-                         PoseFrame(frame_index=1, points=np.array(moved), hand_size=100.0))
+    worked = pose_change(np.array(base), np.array(moved), 100.0)
     exact = worked == (abs(3) + abs(4)) * 2 / 100
 
     ok = worst <= 1e-9 and exact

@@ -245,6 +245,56 @@ def test_cli_filter(tmp_path, capsys):
     assert out == ["good"]
 
 
+def _catalog_entry(**changes):
+    """A catalog entry `filter --rule appendectomy` selects, with `changes`;
+    a change to ... drops the field."""
+    entry = {"video_id": "good", "title": "open appendectomy", "umls": ["appendix"],
+             "search_terms": ["appendectomy"], "duration_s": 400.0, **changes}
+    return {k: v for k, v in entry.items() if v is not ...}
+
+
+@pytest.mark.parametrize("line, message", [
+    ([1, 2], "line 2: catalog entry must be an object"),
+    ("x", "line 2: catalog entry must be an object"),
+    (_catalog_entry(duration_s="x"), "line 2: catalog entry 'duration_s' must be a finite number"),
+    (_catalog_entry(duration_s=True), "line 2: catalog entry 'duration_s'"),
+    (_catalog_entry(umls="appendix"), "line 2: catalog entry 'umls' must be a list of strings"),
+    (_catalog_entry(search_terms=["a", 3]), "line 2: catalog entry 'search_terms'"),
+    (_catalog_entry(title=["open"]), "line 2: catalog entry 'title' must be a string"),
+    (_catalog_entry(video_id=5), "line 2: catalog entry 'video_id' must be a string"),
+])
+def test_cli_filter_rejects_malformed_catalog_entry(tmp_path, capsys, line, message):
+    catalog, out = tmp_path / "catalog.jsonl", tmp_path / "selected.txt"
+    catalog.write_text(json.dumps(_catalog_entry()) + "\n" + json.dumps(line) + "\n")
+    assert main(["filter", "--catalog", str(catalog), "--rule", "appendectomy",
+                 "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_filter_warns_and_excludes_entry_missing_a_field(tmp_path, capsys):
+    catalog = tmp_path / "catalog.jsonl"
+    entries = [_catalog_entry(), _catalog_entry(video_id="no-terms", search_terms=...),
+               _catalog_entry(video_id="null-title", title=None)]
+    catalog.write_text("\n".join(json.dumps(e) for e in entries) + "\n")
+    with pytest.warns(DataWarning, match="missing metadata"):
+        assert main(["filter", "--catalog", str(catalog), "--rule", "appendectomy"]) == 0
+    assert capsys.readouterr().out.split() == ["good"]
+
+
+@pytest.mark.parametrize("class_map", [["x"], {"synth-1-0000": 1},
+                                       {"synth-1-0000": "a", "synth-2-0000": 2}])
+@pytest.mark.parametrize("command", ["signature", "featurize"])
+def test_cli_rejects_class_map_that_is_not_an_object_of_strings(sweep_inputs, tmp_path, capsys,
+                                                                 command, class_map):
+    map_path, out = tmp_path / "classes.json", tmp_path / "out.csv"
+    map_path.write_text(json.dumps(class_map))
+    assert main([*sweep_inputs[command][0], "--class-map", str(map_path),
+                 "--out", str(out)]) == 1
+    assert "class map must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_eval_all_modes(tmp_path):
     streams_dir = tmp_path / "s"
     assert main(["synth", "--seed", "8", "--n-videos", "1", "--fps", "15",
@@ -446,9 +496,9 @@ def test_zero_corruption_pipeline_recovers_ground_truth():
     config = TrackerConfig(measurement_noise=1e-12, process_noise=1e-6, min_hits=1)
     rows = track_stream(stream.frames, config)
 
-    from scenestream.pipeline import _trajectories_by_track
+    from scenestream.pipeline import _hands_by_track
     from scenestream.kinematics import path_distance, clip_mean_hand_size
-    trajectories = _trajectories_by_track(rows)
+    trajectories, _ = _hands_by_track(rows)
     assert len(trajectories) == len(truth.hand_ids)
     got_lengths = sorted(
         path_distance(t, clip_mean_hand_size(t)) for t in trajectories.values())
@@ -618,11 +668,37 @@ def test_cli_skill_fps_defaults_to_tracks_header(tmp_path):
     ({"video_id": "other"}, "clip 2 is for video 'other'"),
     ({"knot_count": "many"}, "clip 2 needs"),
     ({"start": None}, "clip 2 needs"),  # None: the key is missing
+    ({"end": float("inf")}, "clip 2 needs"),  # written as 1e400, which parses as inf
+    ({"start": "5"}, "clip 2 needs"),
+    ({"knot_count": True}, "clip 2 needs"),
+    ({"end": 1.7}, "clip 2 needs"),
+    ({"start": 80}, "clip 2: TieClip needs start < end"),
+    ({"experience": "expert"}, "clip 2: TieClip.experience"),
+    ({"knot_count": 0}, "clip 2: TieClip.knot_count"),
 ])
 def test_cli_skill_rejects_bad_clip(tmp_path, capsys, changes, message):
     tracks_path, clip = _skill_inputs(tmp_path)
     bad = {k: v for k, v in {**clip, **changes}.items() if v is not None}
-    code, out = _run_skill(tmp_path, tracks_path, [clip, bad], "bad")
+    clips_path = tmp_path / "bad.json"
+    clips_path.write_text(json.dumps([clip, bad]).replace("Infinity", "1e400"))
+    out = tmp_path / "bad.csv"
+    assert main(["skill", "--tracks", str(tracks_path), "--clips", str(clips_path),
+                 "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("clips, message", [
+    (5, "a clip list must be a JSON list"), ({"clips": []}, "a clip list must be a JSON list"),
+    ("x", "a clip list must be a JSON list"), ([None, 7], "clip 1 needs to be an object"),
+    (["CLIP", [1]], "clip 2 needs to be an object"),
+])
+def test_cli_skill_rejects_clip_list_that_is_not_a_list_of_objects(tmp_path, capsys,
+                                                                   clips, message):
+    tracks_path, clip = _skill_inputs(tmp_path)
+    if isinstance(clips, list):
+        clips = [clip if c == "CLIP" else c for c in clips]
+    code, out = _run_skill(tmp_path, tracks_path, clips, "shape")
     assert code == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -644,6 +720,8 @@ def test_cli_skill_rejects_bad_clip(tmp_path, capsys, changes, message):
                  "line 3: tracks row needs 'tracks'", id="oversized-box-corner"),
     pytest.param(1, json.dumps({"frame": 2 ** 64, "t": 0.0, "tracks": {}}),
                  "line 3: tracks row needs an integer 'frame'", id="frame-past-int64"),
+    pytest.param(1, json.dumps({"frame": 0, "t": 0.0, "tracks": {"abc": [1, 2, 3, 4]}}),
+                 "line 3: tracks row needs 'tracks'", id="track-id-not-an-integer"),
 ])
 def test_cli_skill_reports_bad_tracks_line(tmp_path, capsys, index, replacement, message):
     tracks_path, clip = _skill_inputs(tmp_path)
@@ -785,3 +863,24 @@ def test_cli_rejects_non_finite_or_out_of_range_number(sweep_inputs, tmp_path, c
     assert main([*base, option, value, "--out", str(out)]) == 2
     assert not out.exists()
     assert "must be" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- side-file shape sweep
+
+@pytest.mark.parametrize("command, option", [
+    ("skill", "--clips"), ("signature", "--class-map"), ("featurize", "--class-map"),
+    ("filter", "--catalog")])
+def test_cli_side_file_shape_sweep_exits_cleanly(sweep_inputs, tmp_path, capsys,
+                                                 command, option):
+    # a JSON side file of any top-level shape is read or rejected with exit 1,
+    # never a traceback, and a rejected file writes nothing
+    base = (["filter", "--rule", "appendectomy"] if command == "filter"
+            else sweep_inputs[command][0][:3])  # the subcommand and its first input
+    for k, value in enumerate([5, "x", None, [], {}]):
+        side, out = tmp_path / f"side{k}.json", tmp_path / f"out{k}"
+        side.write_text(json.dumps(value) + "\n")
+        code = main([*base, option, str(side), "--out", str(out)])
+        assert code in (0, 1), (command, value)
+        assert "Traceback" not in capsys.readouterr().err
+        if code == 1:
+            assert not out.exists(), (command, value)

@@ -16,7 +16,7 @@ from scenestream import DataWarning, InvariantError
 from scenestream.kinematics import (
     HandSummary,
     KinematicSummary,
-    PoseFrame,
+    Poses,
     TieClip,
     Trajectory,
     clip_mean_hand_size,
@@ -41,8 +41,12 @@ def traj(points, sizes=None, frames=None):
     return Trajectory(track_id=1, frames=frames, centroids=points, sizes=sizes)
 
 
-def pose(points9, size=100.0, frame=0):
-    return PoseFrame(frame_index=frame, points=np.asarray(points9, dtype=float), hand_size=size)
+def poses(points, sizes=100.0, frames=None):
+    """Poses of a list of (9, 2) point sets, frames 0..n-1 unless given."""
+    points = np.asarray(points, dtype=float).reshape(-1, 9, 2)
+    n = len(points)
+    return Poses(frames=np.arange(n) if frames is None else frames, points=points,
+                 sizes=np.broadcast_to(np.asarray(sizes, dtype=float), n))
 
 
 BASE_POSE = [
@@ -58,8 +62,8 @@ def random_trajectory(rng, n=None):
 
 
 def random_pose_seq(rng, n=6, size_lo=50, size_hi=150):
-    return [pose(rng.uniform(0, 300, (9, 2)), size=rng.uniform(size_lo, size_hi), frame=k)
-            for k in range(n)]
+    draws = [(rng.uniform(0, 300, (9, 2)), rng.uniform(size_lo, size_hi)) for _ in range(n)]
+    return poses([pts for pts, _ in draws], sizes=[size for _, size in draws])
 
 
 # ------------------------------------------------------------- mean size
@@ -178,29 +182,33 @@ def test_velocity_per_frame_size_flag():
 # ------------------------------------------------------------- pose
 
 def test_pose_vectors_coincident_points_are_zero():
-    p = pose([(5.0, 5.0)] * 9)
-    assert np.all(pose_vectors(p) == 0.0)
+    assert np.all(pose_vectors(np.full((9, 2), 5.0)) == 0.0)
 
 
 def test_pose_vectors_translation_invariant():
-    a = pose(BASE_POSE)
-    shifted = pose([(x + 7.5, y - 3.25) for x, y in BASE_POSE])
-    assert pose_vectors(a) == pytest.approx(pose_vectors(shifted), abs=1e-12)
+    shifted = [(x + 7.5, y - 3.25) for x, y in BASE_POSE]
+    assert pose_vectors(BASE_POSE) == pytest.approx(pose_vectors(shifted), abs=1e-12)
 
 
 def test_pose_vectors_match_manual_subtraction():
-    a = pose(BASE_POSE)
-    assert pose_vectors(a) == pytest.approx(np.array(naive_pose_vectors(BASE_POSE)))
+    assert pose_vectors(BASE_POSE) == pytest.approx(np.array(naive_pose_vectors(BASE_POSE)))
     rng = np.random.default_rng(4)
     pts = rng.uniform(0, 100, (9, 2))
-    assert pose_vectors(pose(pts)) == pytest.approx(np.array(naive_pose_vectors(pts)))
+    assert pose_vectors(pts) == pytest.approx(np.array(naive_pose_vectors(pts)))
+
+
+def test_pose_vectors_of_a_block_are_the_vectors_of_each_frame():
+    block = np.random.default_rng(9).uniform(0, 100, (5, 9, 2))
+    vectors = pose_vectors(block)
+    assert vectors.shape == (5, 8, 2)
+    for k in range(5):
+        assert np.array_equal(vectors[k], pose_vectors(block[k]))
 
 
 def test_pose_change_identical_and_translated_are_zero():
-    a = pose(BASE_POSE)
-    b = pose([(x + 12.0, y + 30.0) for x, y in BASE_POSE])
-    assert pose_change(a, a) == 0.0
-    assert pose_change(a, b) == 0.0
+    moved = [(x + 12.0, y + 30.0) for x, y in BASE_POSE]
+    assert pose_change(BASE_POSE, BASE_POSE, 100.0) == 0.0
+    assert pose_change(BASE_POSE, moved, 100.0) == 0.0
 
 
 def test_pose_change_interior_point_worked_example():
@@ -209,19 +217,16 @@ def test_pose_change_interior_point_worked_example():
     moved = [list(p) for p in BASE_POSE]
     moved[2][0] += 3
     moved[2][1] += 4
-    a = pose(BASE_POSE, size=100.0)
-    b = pose(moved, size=100.0)
-    assert pose_change(a, b) == (abs(3) + abs(4)) * 2 / 100
-    assert pose_change(a, b) == pytest.approx(0.14)
+    assert pose_change(BASE_POSE, moved, 100.0) == (abs(3) + abs(4)) * 2 / 100
+    assert pose_change(BASE_POSE, moved, 100.0) == pytest.approx(0.14)
 
 
 def test_pose_change_uses_earlier_frame_hand_size():
-    a = pose(BASE_POSE, size=50.0)
     moved = [list(p) for p in BASE_POSE]
     moved[2][0] += 3
     moved[2][1] += 4
-    b = pose(moved, size=200.0)
-    assert pose_change(a, b) == (abs(3) + abs(4)) * 2 / 50
+    seq = poses([BASE_POSE, moved], sizes=[50.0, 200.0])
+    assert integrated_pose_distance(seq) == (abs(3) + abs(4)) * 2 / 50
 
 
 def test_pose_change_matches_naive():
@@ -230,40 +235,36 @@ def test_pose_change_matches_naive():
         pa = rng.uniform(0, 200, (9, 2))
         pb = rng.uniform(0, 200, (9, 2))
         size = float(rng.uniform(50, 150))
-        a, b = pose(pa, size=size), pose(pb, size=size)
-        assert pose_change(a, b) == pytest.approx(naive_pose_change(pa, pb, size), rel=1e-9)
+        assert pose_change(pa, pb, size) == pytest.approx(naive_pose_change(pa, pb, size),
+                                                          rel=1e-9)
 
 
 def test_pose_change_nonnegative_zero_iff_same_vectors():
     rng = np.random.default_rng(6)
     for _ in range(20):
-        a = pose(rng.uniform(0, 100, (9, 2)))
-        b = pose(rng.uniform(0, 100, (9, 2)))
-        v = pose_change(a, b)
+        a, b = rng.uniform(0, 100, (9, 2)), rng.uniform(0, 100, (9, 2))
+        v = pose_change(a, b, 100.0)
         assert v >= 0.0
         same = np.array_equal(pose_vectors(a), pose_vectors(b))
         assert (v == 0.0) == same
 
 
 def test_integrated_pose_distance_static_and_alternating():
-    a = pose(BASE_POSE, size=100.0)
     moved = [(x + 2, y + 1) if i == 7 else (x, y) for i, (x, y) in enumerate(BASE_POSE)]
-    b = pose(moved, size=100.0)
-    assert integrated_pose_distance([a, a, a, a]) == 0.0
-    total = integrated_pose_distance([a, b, a, b])
-    assert total == pytest.approx(3 * pose_change(a, b), rel=1e-12)
+    assert integrated_pose_distance(poses([BASE_POSE] * 4)) == 0.0
+    total = integrated_pose_distance(poses([BASE_POSE, moved] * 2))
+    assert total == pytest.approx(3 * pose_change(BASE_POSE, moved, 100.0), rel=1e-12)
 
 
 def test_integrated_pose_distance_short_sequence_warns():
     with pytest.warns(DataWarning):
-        assert integrated_pose_distance([pose(BASE_POSE)]) == 0.0
+        assert integrated_pose_distance(poses([BASE_POSE])) == 0.0
 
 
 def test_integrated_pose_distance_matches_naive():
     rng = np.random.default_rng(7)
     seq = random_pose_seq(rng, n=8)
-    want = naive_integrated_pose_distance([p.points for p in seq],
-                                          [p.hand_size for p in seq])
+    want = naive_integrated_pose_distance(list(seq.points), list(seq.sizes))
     assert integrated_pose_distance(seq) == pytest.approx(want, rel=1e-9)
 
 
@@ -271,18 +272,67 @@ def test_integrated_pose_distance_equals_summed_pose_changes():
     # the one-pass form must add the very same per-pair values, left to right
     rng = np.random.default_rng(8)
     for n in range(2, 41):
-        seq = [pose(rng.uniform(0, 300, (9, 2)), size=float(rng.uniform(20, 200)), frame=k)
-               for k in range(n)]
-        want = sum(pose_change(a, b) for a, b in zip(seq, seq[1:]))
+        draws = [(rng.uniform(0, 300, (9, 2)), float(rng.uniform(20, 200))) for _ in range(n)]
+        seq = poses([pts for pts, _ in draws], sizes=[size for _, size in draws])
+        want = sum(pose_change(seq.points[k], seq.points[k + 1], seq.sizes[k])
+                   for k in range(n - 1))
         assert integrated_pose_distance(seq) == want
-        assert integrated_pose_distance(p for p in seq) == want
 
 
 def test_split_pose_segments_on_gaps():
     frames = [0, 1, 2, 40, 41, 90]
-    seq = [pose(BASE_POSE, frame=f) for f in frames]
+    seq = poses([BASE_POSE] * 6, frames=frames)
     segments = split_pose_segments(seq, fps=30.0, max_gap_s=1.0)
-    assert [[p.frame_index for p in s] for s in segments] == [[0, 1, 2], [40, 41], [90]]
+    assert [s.frames.tolist() for s in segments] == [[0, 1, 2], [40, 41], [90]]
+    assert all(isinstance(s, Poses) for s in segments)
+    assert split_pose_segments(poses([]), fps=30.0) == []
+
+
+def test_pose_frame_block_equals_single_frames_and_is_read_only():
+    block = np.random.default_rng(2).uniform(0, 300, (5, 9, 2))
+    seq = Poses(frames=[3, 4, 6, 7, 9], points=block, sizes=np.full(5, 80.0))
+    assert len(seq) == 5 and seq.points.shape == (5, 9, 2)
+    for k, frame in enumerate([3, 4, 6, 7, 9]):
+        single = Poses(frames=[frame], points=block[k], sizes=[80.0])
+        assert np.array_equal(seq[k].frames, single.frames)
+        assert np.array_equal(seq[k].points, single.points)
+        assert np.array_equal(seq[k].sizes, single.sizes)
+    for arr in (seq.frames, seq.points, seq.sizes):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        seq.points[0, 0, 0] = 1.0
+    block[0, 0, 0] = -1.0  # the block was copied
+    assert seq.points[0, 0, 0] != -1.0
+
+
+@pytest.mark.parametrize("bad_point, size", [
+    (float("nan"), 80.0), (float("inf"), 80.0), (None, 0.0), (None, -1.0)])
+def test_pose_frame_block_checks_points_and_hand_size(bad_point, size):
+    block = np.ones((4, 9, 2))
+    if bad_point is not None:
+        block[3, 8, 1] = bad_point
+    with pytest.raises(InvariantError):
+        Poses(frames=np.arange(4), points=block, sizes=[80.0, 80.0, 80.0, size])
+
+
+@pytest.mark.parametrize("frames, n_sizes", [([0, 2, 2], 3), ([0, 2, 1], 3), ([0, 1, 2], 2)])
+def test_poses_check_frame_order_and_lengths(frames, n_sizes):
+    with pytest.raises(InvariantError):
+        Poses(frames=frames, points=np.ones((3, 9, 2)), sizes=np.full(n_sizes, 80.0))
+
+
+def test_poses_index_slice_mask_and_frame_range():
+    seq = random_pose_seq(np.random.default_rng(3), n=6)
+    seq = Poses(frames=[0, 2, 4, 6, 8, 10], points=seq.points, sizes=seq.sizes)
+    one = seq[2]
+    assert len(one) == 1 and one.frames.tolist() == [4]
+    assert np.array_equal(one.points[0], seq.points[2]) and one.sizes[0] == seq.sizes[2]
+    assert seq[1:3].frames.tolist() == [2, 4]
+    assert seq[seq.sizes > 100].frames.tolist() == seq.frames[seq.sizes > 100].tolist()
+    window = seq.slice(3, 8)
+    assert window.frames.tolist() == [4, 6, 8]
+    assert np.array_equal(window.points, seq.points[2:5])
+    assert len(seq.slice(11, 20)) == 0
 
 
 # ------------------------------------------------------- scale invariance
@@ -302,8 +352,8 @@ def test_metrics_invariant_to_uniform_zoom(lam, seed):
 
     pa, pb = rng.uniform(0, 200, (9, 2)), rng.uniform(0, 200, (9, 2))
     size = float(rng.uniform(50, 150))
-    base = pose_change(pose(pa, size=size), pose(pb, size=size))
-    zoomed = pose_change(pose(pa * lam, size=size * lam), pose(pb * lam, size=size * lam))
+    base = pose_change(pa, pb, size)
+    zoomed = pose_change(pa * lam, pb * lam, size * lam)
     assert zoomed == pytest.approx(base, rel=1e-9)
 
 
@@ -425,28 +475,3 @@ def test_leave_one_out_emptied_group_flagged():
         loo = leave_one_out(summaries)
     assert "trainee" not in loo["only"]
     assert loo["only"]["experienced"] == (2.0, 2.0)
-
-
-def test_pose_frame_block_equals_single_frames_and_is_read_only():
-    block = np.random.default_rng(2).uniform(0, 300, (5, 9, 2))
-    frames = PoseFrame.from_block(block, 80.0)
-    assert len(frames) == 5
-    for k, frame in enumerate(frames):
-        single = PoseFrame(frame_index=k, points=block[k], hand_size=80.0)
-        assert frame.frame_index == k and frame.hand_size == 80.0
-        assert np.array_equal(frame.points, single.points)
-        assert not frame.points.flags.writeable
-        with pytest.raises(ValueError):
-            frame.points[0, 0] = 1.0
-    block[0, 0, 0] = -1.0  # the block was copied
-    assert frames[0].points[0, 0] != -1.0
-
-
-@pytest.mark.parametrize("bad_point, size", [
-    (float("nan"), 80.0), (float("inf"), 80.0), (None, 0.0), (None, -1.0)])
-def test_pose_frame_block_checks_points_and_hand_size(bad_point, size):
-    block = np.ones((4, 9, 2))
-    if bad_point is not None:
-        block[3, 8, 1] = bad_point
-    with pytest.raises(InvariantError):
-        PoseFrame.from_block(block, size)

@@ -125,7 +125,6 @@ def test_keypoints_validation():
     kp = HandKeypoints(points=np.ones((21, 3)), owner_box=box)
     assert kp.points.shape == (21, 3)
     assert not kp.points.flags.writeable
-    assert kp.skill_points_visible()
     assert kp.points_text == json.dumps(kp.points.tolist())
     # rows decoded from JSON keep their text, and the array is made from it
     rows = [[k, 2 * k, 1] for k in range(21)]

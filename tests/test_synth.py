@@ -170,12 +170,11 @@ def test_tie_clip_truth_matches_library_kinematics():
     assert len(clips) == 2 * 2 * 2
     for clip, truth in zip(clips, truths):
         for hand in ("left", "right"):
-            traj = clip.trajectory(hand)
+            traj = getattr(clip, hand)
             got = path_distance(traj, clip_mean_hand_size(traj))
             assert got == pytest.approx(truth[hand]["path_hand_lengths"], rel=1e-9)
-            poses = clip.poses(hand)
-            want_pose = naive_integrated_pose_distance([p.points for p in poses],
-                                                       [p.hand_size for p in poses])
+            poses = getattr(clip, f"{hand}_poses")
+            want_pose = naive_integrated_pose_distance(list(poses.points), list(poses.sizes))
             assert integrated_pose_distance(poses) == pytest.approx(want_pose, rel=1e-9)
 
 
@@ -192,10 +191,9 @@ def test_pose_sequence_draws_noise_like_per_frame_draws():
         deform = np.clip(deform + ref_rng.normal(0, rate * size, size=(9, 2)),
                          -0.3 * size, 0.3 * size)
         want.append(base + deform)
-    assert len(poses) == n_frames
-    for k, (pose, pts) in enumerate(zip(poses, want)):
-        assert pose.frame_index == k and pose.hand_size == size
-        assert np.array_equal(pose.points, pts), k
+    assert np.array_equal(poses.frames, np.arange(n_frames))
+    assert np.all(poses.sizes == size)
+    assert np.array_equal(poses.points, np.array(want))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
