@@ -137,9 +137,8 @@ def _strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-# (check, wanted) per catalog field that `filter` reads
+# (check, wanted) per optional catalog field that `filter` reads
 _CATALOG_FIELDS = {
-    "video_id": (lambda v: isinstance(v, str), "a string"),
     "title": (lambda v: isinstance(v, str), "a string"),
     "umls": (_strings, "a list of strings"),
     "search_terms": (_strings, "a list of strings"),
@@ -148,12 +147,15 @@ _CATALOG_FIELDS = {
 
 
 def _catalog_entries(path):
-    """The entries of a catalog file; an entry that is not an object, or has a
-    field of the wrong kind (not null), is a StreamFormatError naming its line."""
+    """The entries of a catalog file; an entry that is not an object, has no
+    string video_id, or has another field of the wrong kind (not null), is a
+    StreamFormatError naming its line."""
     entries = []
     for line_no, _, entry in iter_json_lines(path):
         if not isinstance(entry, dict):
             raise StreamFormatError("catalog entry must be an object", line=line_no)
+        if not isinstance(entry.get("video_id"), str):
+            raise StreamFormatError("catalog entry 'video_id' must be a string", line=line_no)
         for key, (check, wanted) in _CATALOG_FIELDS.items():
             if entry.get(key) is not None and not check(entry[key]):
                 raise StreamFormatError(f"catalog entry {key!r} must be {wanted}",

@@ -2,7 +2,8 @@
 precision/recall, detection average precision at a fixed IoU threshold, and
 keypoint PCK normalized by hand size.
 
-AP uses all-point interpolation with confidence ties broken by input order;
+Box AP and PCK pool over one alignment of the two streams' frames. AP uses
+all-point interpolation with confidence ties broken by pooled (frame) order;
 the PCK threshold alpha defaults to 0.2 and is carried in every report so
 numbers are only compared at matched alpha.
 """
@@ -22,6 +23,7 @@ from .streams import (
     HAND,
     HandKeypoints,
     INDEX_CHAIN,
+    N_KEYPOINTS,
     THUMB_CHAIN,
     TOOL_CLASSES,
     VideoStream,
@@ -98,24 +100,6 @@ def action_precision_recall(pred, truth) -> ActionPRReport:
 
 # ------------------------------------------------------------------ boxes
 
-@dataclass
-class MatchResult:
-    """Pooled per-class detection records for AP computation.
-
-    records[c] holds (confidence, is_true_positive) in pooled input order;
-    gt_counts[c] the number of ground-truth instances.
-    """
-
-    records: dict = field(default_factory=dict)
-    gt_counts: dict = field(default_factory=dict)
-
-    def update(self, other: "MatchResult") -> None:
-        for c, recs in other.records.items():
-            self.records.setdefault(c, []).extend(recs)
-        for c, n in other.gt_counts.items():
-            self.gt_counts[c] = self.gt_counts.get(c, 0) + n
-
-
 def _greedy_match_class(preds, truth_boxes, iou_thresh):
     """Greedy confidence-ordered matching for one class in one frame.
 
@@ -142,20 +126,6 @@ def _greedy_match_class(preds, truth_boxes, iou_thresh):
     return records
 
 
-def match_detections(pred_dets, truth_dets, iou_thresh=DEFAULT_IOU_THRESHOLD) -> MatchResult:
-    """Match one frame's detections against its ground truth, per class."""
-    result = MatchResult()
-    for c in (HAND,) + TOOL_CLASSES:
-        preds = [(d.confidence, d.box) for d in pred_dets if d.category == c]
-        gts = [d.box for d in truth_dets if d.category == c]
-        if gts:
-            result.gt_counts[c] = result.gt_counts.get(c, 0) + len(gts)
-        if preds:
-            result.records.setdefault(c, []).extend(
-                _greedy_match_class(preds, gts, iou_thresh))
-    return result
-
-
 def ap_from_records(records, n_gt) -> float:
     """Area under the precision-recall curve, all-point interpolation."""
     if n_gt <= 0:
@@ -176,23 +146,6 @@ def ap_from_records(records, n_gt) -> float:
             ap += (r - prev) * p
             prev = r
     return float(ap)
-
-
-def average_precision(preds, truth, category, iou_thresh=DEFAULT_IOU_THRESHOLD):
-    """AP for one class over one pooled collection of detections.
-
-    preds: Detections (confidence required); truth: ground-truth BBoxes of
-    the class. Returns None (undefined) when there is no ground truth.
-    """
-    gts = list(truth)
-    dets = [(d.confidence, d.box) for d in preds if d.category == category]
-    if not gts:
-        if dets:
-            warnings.warn(f"no ground truth for {category}; AP undefined",
-                          DataWarning, stacklevel=2)
-        return None
-    records = _greedy_match_class(dets, gts, iou_thresh)
-    return ap_from_records(records, len(gts))
 
 
 def mean_ap(per_class_aps) -> float | None:
@@ -224,42 +177,6 @@ def pck(pred_kps: HandKeypoints, truth_kps: HandKeypoints, ref_box: BBox,
     hits = (dists <= thresh) & valid
     mean = float(hits.sum() / valid.sum()) if valid.any() else None
     return PckResult(hits=hits, valid=valid, mean=mean)
-
-
-@dataclass
-class PckAggregate:
-    """Pooled per-keypoint PCK over a test set."""
-
-    hit_counts: np.ndarray = field(default_factory=lambda: np.zeros(21))
-    valid_counts: np.ndarray = field(default_factory=lambda: np.zeros(21))
-
-    def add(self, result: PckResult):
-        self.hit_counts += result.hits
-        self.valid_counts += result.valid
-
-    def add_missed_instance(self, truth_kps: HandKeypoints):
-        """Ground-truth hand with no matching prediction: all visible points miss."""
-        self.valid_counts += truth_kps.visible
-
-    def per_keypoint(self):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = self.hit_counts / self.valid_counts
-        return [float(v) if np.isfinite(v) else None for v in out]
-
-    def _group_mean(self, indices):
-        valid = self.valid_counts[list(indices)].sum()
-        if valid == 0:
-            return None
-        return float(self.hit_counts[list(indices)].sum() / valid)
-
-    def mean(self):
-        return self._group_mean(range(21))
-
-    def thumb_mean(self):
-        return self._group_mean(THUMB_CHAIN)
-
-    def index_mean(self):
-        return self._group_mean(INDEX_CHAIN)
 
 
 # ------------------------------------------------------------------ reports
@@ -321,74 +238,88 @@ def evaluate_actions(pred_stream: VideoStream, truth_stream: VideoStream,
         accuracy=report.accuracy)
 
 
+def _aligned_frames(pred_stream: VideoStream, truth_stream: VideoStream):
+    """(prediction frame or None, truth frame or None) for each frame index in
+    either stream, in frame order."""
+    preds = {fr.frame_index: fr for fr in pred_stream.frames}
+    truths = {fr.frame_index: fr for fr in truth_stream.frames}
+    return [(preds.get(k), truths.get(k)) for k in sorted(preds.keys() | truths.keys())]
+
+
 def evaluate_boxes(pred_stream: VideoStream, truth_stream: VideoStream,
                    iou_thresh: float = DEFAULT_IOU_THRESHOLD) -> MetricReport:
     """Frame-aligned detection AP per class; hands reported separately from
-    the tool mAP. `iou_thresh` must lie in (0, 1]."""
+    the tool mAP. A frame missing from either side has no detections there.
+    `iou_thresh` must lie in (0, 1]."""
     if not 0.0 < iou_thresh <= 1.0:
         raise InvariantError(f"iou_thresh must be in (0, 1], got {iou_thresh}")
-    truth_by_frame = {fr.frame_index: fr for fr in truth_stream.frames}
-    pred_frames = {fr.frame_index for fr in pred_stream.frames}
-    pooled = MatchResult()
-    for fr in pred_stream.frames:
-        gt = truth_by_frame.get(fr.frame_index)
-        pooled.update(match_detections(
-            fr.detections, gt.detections if gt else (), iou_thresh))
-    for fr in truth_stream.frames:  # ground truth on frames with no predictions
-        if fr.frame_index not in pred_frames:
-            pooled.update(match_detections((), fr.detections, iou_thresh))
+    classes = (HAND,) + TOOL_CLASSES
+    records = {c: [] for c in classes}  # (confidence, is_tp) in frame order
+    n_gt = dict.fromkeys(classes, 0)
+    for pred, truth in _aligned_frames(pred_stream, truth_stream):
+        pred_dets = pred.detections if pred else ()
+        truth_dets = truth.detections if truth else ()
+        for c in classes:
+            preds = [(d.confidence, d.box) for d in pred_dets if d.category == c]
+            gts = [d.box for d in truth_dets if d.category == c]
+            n_gt[c] += len(gts)
+            if preds:
+                records[c] += _greedy_match_class(preds, gts, iou_thresh)
     aps = {}
-    for c in (HAND,) + TOOL_CLASSES:
-        n_gt = pooled.gt_counts.get(c, 0)
-        if n_gt == 0:
-            if pooled.records.get(c):
+    for c in classes:
+        if n_gt[c] == 0:
+            if records[c]:
                 warnings.warn(f"no ground truth for {c}; AP undefined",
                               DataWarning, stacklevel=2)
             aps[c] = None
         else:
-            aps[c] = ap_from_records(pooled.records.get(c, []), n_gt)
+            aps[c] = ap_from_records(records[c], n_gt[c])
     return MetricReport(
         strata=dict(truth_stream.metadata.get("strata", {})),
         iou_threshold=iou_thresh, ap_per_class=aps, hand_ap=aps[HAND],
         tool_map=mean_ap({c: aps[c] for c in TOOL_CLASSES}))
 
 
+def _pooled_rate(hits, valid, indices):
+    """Pooled hit rate over keypoint `indices`; None when none is valid."""
+    indices = list(indices)
+    n_valid = valid[indices].sum()
+    return float(hits[indices].sum() / n_valid) if n_valid else None
+
+
 def evaluate_keypoints(pred_stream: VideoStream, truth_stream: VideoStream,
                        alpha: float = DEFAULT_PCK_ALPHA,
                        ref: str = "truth") -> MetricReport:
-    """Pooled PCK over all frames.
+    """Pooled PCK over the truth frames.
 
     Hand instances are paired within each frame by owner-box IoU; unmatched
-    ground-truth hands, including every hand on a frame with no prediction
-    frame, count their visible keypoints as misses. `ref` selects
-    the normalizing box: the ground-truth owner box ("truth") or the detected
-    owner box ("pred").
+    ground-truth hands, including every hand on a frame the predictor
+    skipped, count their visible keypoints as misses. Prediction frames with
+    no truth frame are unscored. `ref` selects the normalizing box: the
+    ground-truth owner box ("truth") or the detected owner box ("pred").
     """
     if ref not in ("truth", "pred"):
         raise InvariantError(f"ref must be 'truth' or 'pred', got {ref!r}")
     check_finite("alpha", alpha)
-    truth_by_frame = {fr.frame_index: fr for fr in truth_stream.frames}
-    pred_frames = {fr.frame_index for fr in pred_stream.frames}
-    agg = PckAggregate()
-    for fr in pred_stream.frames:
-        gt = truth_by_frame.get(fr.frame_index)
-        if gt is None:
+    hits, valid = np.zeros(N_KEYPOINTS), np.zeros(N_KEYPOINTS)  # integer counts
+    for pred, truth in _aligned_frames(pred_stream, truth_stream):
+        if truth is None:
             continue
-        preds, truths = list(fr.keypoints), list(gt.keypoints)
+        preds, truths = pred.keypoints if pred else (), truth.keypoints
         matches, _, unmatched_truth = associate(
             [k.owner_box for k in preds], [k.owner_box for k in truths],
             KEYPOINT_MATCH_IOU)
         for pi, ti in matches:
             ref_box = truths[ti].owner_box if ref == "truth" else preds[pi].owner_box
-            agg.add(pck(preds[pi], truths[ti], ref_box, alpha))
+            result = pck(preds[pi], truths[ti], ref_box, alpha)
+            hits += result.hits
+            valid += result.valid
         for ti in unmatched_truth:
-            agg.add_missed_instance(truths[ti])
-    for fr in truth_stream.frames:  # ground truth on frames with no predictions
-        if fr.frame_index not in pred_frames:
-            for truth_kps in fr.keypoints:
-                agg.add_missed_instance(truth_kps)
+            valid += truths[ti].visible
     return MetricReport(
         strata=dict(truth_stream.metadata.get("strata", {})),
-        alpha=alpha, pck_per_keypoint=agg.per_keypoint(), mean_pck=agg.mean(),
-        thumb_pck=agg.thumb_mean(), index_pck=agg.index_mean())
-
+        alpha=alpha,
+        pck_per_keypoint=[_pooled_rate(hits, valid, [k]) for k in range(N_KEYPOINTS)],
+        mean_pck=_pooled_rate(hits, valid, range(N_KEYPOINTS)),
+        thumb_pck=_pooled_rate(hits, valid, THUMB_CHAIN),
+        index_pck=_pooled_rate(hits, valid, INDEX_CHAIN))

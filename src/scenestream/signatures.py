@@ -430,13 +430,13 @@ BUILTIN_RULES = {
 def filter_videos(catalog, rule: FilterRule):
     """Select video ids whose metadata passes every clause of the rule.
 
-    Each catalog entry is a mapping with video_id, title, umls, search_terms,
-    and duration_s. Entries missing any required field are excluded with a
-    warning. Substring matching is case-insensitive.
+    Each catalog entry is a mapping with a video_id (required) and title,
+    umls, search_terms and duration_s. Entries missing any of those four are
+    excluded with a warning. Substring matching is case-insensitive.
     """
     selected = []
     for entry in catalog:
-        vid = entry.get("video_id", "<unknown>")
+        vid = entry["video_id"]
         missing = [k for k in ("umls", "search_terms", "duration_s", "title")
                    if entry.get(k) is None]
         if missing:

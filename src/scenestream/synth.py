@@ -54,12 +54,10 @@ class HandMotionSpec:
     speed_px: float = 4.0  # per frame
     box_width: float = 110.0
     box_height: float = 90.0
-    noise_px: float = 0.0  # per-frame true-position noise
     waypoints: tuple | None = None
 
     def __post_init__(self):
         check_finite("speed_px", self.speed_px, strict=False)
-        check_finite("noise_px", self.noise_px, strict=False)
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,6 @@ class GroundTruth:
     path_px: dict  # hand_id -> naive summed centroid path, pixels
     path_hand_lengths: dict  # hand_id -> path / mean hand size
     mean_hand_size: dict
-    pose_distance: dict  # hand_id -> naive integrated pose change
 
     def to_dict(self) -> dict:
         return {
@@ -153,7 +150,6 @@ class GroundTruth:
             "path_px": {str(k): v for k, v in self.path_px.items()},
             "path_hand_lengths": {str(k): v for k, v in self.path_hand_lengths.items()},
             "mean_hand_size": {str(k): v for k, v in self.mean_hand_size.items()},
-            "pose_distance": {str(k): v for k, v in self.pose_distance.items()},
         }
 
 
@@ -180,10 +176,7 @@ def _waypoint_positions(rng, motion: HandMotionSpec, n_frames: int) -> np.ndarra
     arc = np.arange(n_frames) * motion.speed_px
     xs = np.interp(arc, cum, poly[:, 0])  # clamps at the polyline end
     ys = np.interp(arc, cum, poly[:, 1])
-    pos = np.column_stack([xs, ys])
-    if motion.noise_px > 0:
-        pos = pos + rng.normal(0, motion.noise_px, size=pos.shape)
-    return np.maximum(pos, 1.0)  # keeps box corners valid after clamping
+    return np.maximum(np.column_stack([xs, ys]), 1.0)  # keeps box corners valid after clamping
 
 
 def _phase_schedule(phases, n_frames: int) -> list:
@@ -273,7 +266,7 @@ def generate_stream(spec: SynthSpec, index: int = 0):
                          metadata={"synthetic": True, "seed": spec.seed, "index": index})
     truth = GroundTruth(video_id=video_id, hand_ids=hand_ids, true_boxes=true_boxes,
                         actions=actions, path_px=path_px, path_hand_lengths=path_hl,
-                        mean_hand_size=mean_size, pose_distance={h: 0.0 for h in hand_ids})
+                        mean_hand_size=mean_size)
     return stream, truth
 
 

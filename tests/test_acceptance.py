@@ -20,9 +20,17 @@ from oracles import (
     naive_pose_change,
     naive_velocity_series,
 )
-from scenestream import BBox, DataWarning, Detection, HandKeypoints, iou
+from scenestream import (
+    BBox,
+    DataWarning,
+    Detection,
+    FrameRecord,
+    HandKeypoints,
+    VideoStream,
+    iou,
+)
 from scenestream.bench import SPATIAL_BUDGET_S, TEMPORAL_BUDGET_S, bench_stream
-from scenestream.evaluation import action_precision_recall, average_precision, pck
+from scenestream.evaluation import action_precision_recall, evaluate_boxes, pck
 from scenestream.kinematics import (
     Poses,
     Trajectory,
@@ -244,6 +252,16 @@ def _mk_det(conf, x0):
                      category="hand", confidence=conf)
 
 
+def _one_frame_hand_ap(preds, gts):
+    """Hand AP of `preds` against the hand boxes `gts`, as `evaluate_boxes`
+    scores one frame."""
+    def stream(dets):
+        frame = FrameRecord(frame_index=0, timestamp_s=0.0, detections=tuple(dets))
+        return VideoStream(video_id="v", fps=30.0, width=1280, height=720, frames=(frame,))
+    truth = [Detection(box=b, category="hand", confidence=1.0) for b in gts]
+    return evaluate_boxes(stream(preds), stream(truth)).hand_ap
+
+
 def test_acceptance_7_metric_suite_oracle_equivalence():
     rng = np.random.default_rng(707)
     ap_exact = True
@@ -257,7 +275,7 @@ def test_acceptance_7_metric_suite_oracle_equivalence():
             x = (30.0 * target + float(rng.uniform(-4, 4)) if target < n_gt
                  else float(rng.uniform(200, 400)))
             preds.append(_mk_det(float(rng.uniform(0.05, 1.0)), max(x, 0.0)))
-        got = average_precision(preds, gts, "hand")
+        got = _one_frame_hand_ap(preds, gts)
         want = naive_average_precision([(d.confidence, d.box) for d in preds], gts, iou)
         if got != want:
             ap_exact = False
@@ -290,14 +308,14 @@ def test_acceptance_7_metric_suite_oracle_equivalence():
                  and result.mean == sum(d <= 20.0 for d in dists) / 21)
 
     # identity cases return 1.0
-    ident_ap = average_precision([_mk_det(0.9, 0.0)], [BBox(0, 0, 10, 10)], "hand")
+    ident_ap = _one_frame_hand_ap([_mk_det(0.9, 0.0)], [BBox(0, 0, 10, 10)])
     ident_pr = action_precision_recall(truth, truth)
     ident_pck = pck(kp_t, kp_t, box)
     identity_ok = (ident_ap == 1.0 and ident_pr.macro_precision == 1.0
                    and ident_pr.macro_recall == 1.0 and ident_pck.mean == 1.0)
 
     # empty / total-miss cases return 0.0
-    empty_ap = average_precision([], [BBox(0, 0, 10, 10)], "hand")
+    empty_ap = _one_frame_hand_ap([], [BBox(0, 0, 10, 10)])
     far = HandKeypoints(points=np.column_stack([truth_pts + 1e4, np.ones(21)]),
                         owner_box=box)
     with warnings.catch_warnings():

@@ -4,6 +4,7 @@ zeroing a per-layer metric."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -34,6 +35,28 @@ def test_benchmark_entry_points_exist():
 
     assert callable(SortTracker.step)
     assert callable(bench_stream)
+
+
+def test_benchmark_reads_the_bench_report_and_truth_boxes(tmp_path):
+    # the worker records bench_stream(parse_stream(path)).to_dict(); the set-up
+    # writes generate_stream's truth.to_dict(), whose "true_boxes" the tracks
+    # check reads frame by frame as {hand id: [x0, y0, x1, y1]}
+    from scenestream.bench import bench_stream
+    from scenestream.streams import parse_stream, write_stream
+    from scenestream.synth import SynthSpec, generate_stream
+
+    stream, truth = generate_stream(SynthSpec(seed=2, fps=10.0, duration_s=3.0,
+                                              with_keypoints=True), 0)
+    write_stream(stream, tmp_path / "input.jsonl")
+    report = bench_stream(parse_stream(tmp_path / "input.jsonl")).to_dict()
+    assert {"per_frame", "per_window"} <= report.keys()
+    true_boxes = json.loads(json.dumps(truth.to_dict()))["true_boxes"]
+    assert len(true_boxes) == len(stream.frames)
+    hands = {str(h) for h in truth.hand_ids}
+    for frame in true_boxes:
+        assert set(frame) == hands
+        assert all(len(box) == 4 and all(isinstance(v, float) for v in box)
+                   for box in frame.values())
 
 
 def test_benchmark_run_configs_pass_the_config_check():

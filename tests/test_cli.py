@@ -262,6 +262,8 @@ def _catalog_entry(**changes):
     (_catalog_entry(search_terms=["a", 3]), "line 2: catalog entry 'search_terms'"),
     (_catalog_entry(title=["open"]), "line 2: catalog entry 'title' must be a string"),
     (_catalog_entry(video_id=5), "line 2: catalog entry 'video_id' must be a string"),
+    (_catalog_entry(video_id=...), "line 2: catalog entry 'video_id' must be a string"),
+    (_catalog_entry(video_id=None), "line 2: catalog entry 'video_id' must be a string"),
 ])
 def test_cli_filter_rejects_malformed_catalog_entry(tmp_path, capsys, line, message):
     catalog, out = tmp_path / "catalog.jsonl", tmp_path / "selected.txt"

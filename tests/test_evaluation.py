@@ -6,21 +6,19 @@ from scenestream import (
     BBox,
     DataWarning,
     Detection,
+    FrameRecord,
     HandKeypoints,
     InvariantError,
     VideoStream,
     iou,
 )
 from scenestream.evaluation import (
-    MatchResult,
     MetricReport,
-    PckAggregate,
+    _greedy_match_class,
     action_precision_recall,
     ap_from_records,
-    average_precision,
     evaluate_boxes,
     evaluate_keypoints,
-    match_detections,
     mean_ap,
     pck,
 )
@@ -117,19 +115,32 @@ def det(conf, x0, y0=0.0, size=10.0, category="hand"):
                      category=category, confidence=conf)
 
 
+def one_frame_stream(detections=(), keypoints=()):
+    frame = FrameRecord(frame_index=0, timestamp_s=0.0, detections=tuple(detections),
+                        keypoints=tuple(keypoints))
+    return VideoStream(video_id="v", fps=30.0, width=1280, height=720, frames=(frame,))
+
+
+def one_frame_hand_ap(preds, gts):
+    """Hand AP of `preds` (Detections) against the hand boxes `gts`, as
+    `evaluate_boxes` scores one frame."""
+    truth = [Detection(box=b, category="hand", confidence=1.0) for b in gts]
+    return evaluate_boxes(one_frame_stream(preds), one_frame_stream(truth)).hand_ap
+
+
 def test_ap_perfect_detector():
     gts = [BBox(0, 0, 10, 10), BBox(50, 0, 60, 10)]
     preds = [det(0.9, 0), det(0.8, 50)]
-    assert average_precision(preds, gts, "hand") == 1.0
+    assert one_frame_hand_ap(preds, gts) == 1.0
 
 
 def test_ap_zero_detections():
-    assert average_precision([], [BBox(0, 0, 10, 10)], "hand") == 0.0
+    assert one_frame_hand_ap([], [BBox(0, 0, 10, 10)]) == 0.0
 
 
 def test_ap_no_ground_truth_undefined():
     with pytest.warns(DataWarning, match="undefined"):
-        assert average_precision([det(0.9, 0)], [], "hand") is None
+        assert one_frame_hand_ap([det(0.9, 0)], []) is None
 
 
 def test_ap_worked_case_matches_enumeration_oracle():
@@ -139,7 +150,7 @@ def test_ap_worked_case_matches_enumeration_oracle():
              det(0.90, 200.0),  # false positive
              det(0.70, 51.0),  # hit on gt1
              det(0.40, 300.0)]  # false positive
-    got = average_precision(preds, gts, "hand")
+    got = one_frame_hand_ap(preds, gts)
     want = naive_average_precision([(d.confidence, d.box) for d in preds], gts, iou)
     assert got == pytest.approx(want, abs=1e-12)
     # by hand: ranked TP,FP,TP,FP over 3 GT -> sum of (1/3)*1 + (1/3)*(2/3)
@@ -160,7 +171,7 @@ def test_ap_random_small_instances_match_enumeration():
             else:  # in empty space
                 x = float(rng.uniform(200, 400))
             preds.append(det(float(rng.uniform(0.05, 1.0)), max(x, 0.0)))
-        got = average_precision(preds, gts, "hand")
+        got = one_frame_hand_ap(preds, gts)
         want = naive_average_precision([(d.confidence, d.box) for d in preds], gts, iou)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -168,8 +179,8 @@ def test_ap_random_small_instances_match_enumeration():
 def test_ap_monotone_when_false_positive_removed():
     gts = [BBox(0, 0, 10, 10), BBox(50, 0, 60, 10)]
     preds = [det(0.9, 0), det(0.85, 200), det(0.7, 50)]
-    with_fp = average_precision(preds, gts, "hand")
-    without_fp = average_precision([preds[0], preds[2]], gts, "hand")
+    with_fp = one_frame_hand_ap(preds, gts)
+    without_fp = one_frame_hand_ap([preds[0], preds[2]], gts)
     assert without_fp >= with_fp
 
 
@@ -177,8 +188,8 @@ def test_ap_confidence_ties_broken_by_input_order():
     gts = [BBox(0, 0, 10, 10)]
     hit_first = [det(0.5, 0), det(0.5, 200)]
     miss_first = [det(0.5, 200), det(0.5, 0)]
-    assert average_precision(hit_first, gts, "hand") == 1.0
-    assert average_precision(miss_first, gts, "hand") == 0.5
+    assert one_frame_hand_ap(hit_first, gts) == 1.0
+    assert one_frame_hand_ap(miss_first, gts) == 0.5
 
 
 def test_mean_ap_excludes_undefined():
@@ -186,23 +197,12 @@ def test_mean_ap_excludes_undefined():
     assert mean_ap({"a": None}) is None
 
 
-def test_match_result_update():
-    a = MatchResult(records={"hand": [(0.9, True)]}, gt_counts={"hand": 2})
-    b = MatchResult(records={"hand": [(0.5, False)], "forceps": [(0.7, True)]},
-                    gt_counts={"hand": 1, "forceps": 1})
-    a.update(b)
-    assert a.gt_counts == {"hand": 3, "forceps": 1}
-    assert a.records["hand"] == [(0.9, True), (0.5, False)]
-    assert a.records["forceps"] == [(0.7, True)]
-    assert b.gt_counts == {"hand": 1, "forceps": 1}  # the argument is left as it was
-
-
 def test_match_detections_tp_bounded_by_gt():
-    gts = [Detection(box=BBox(0, 0, 10, 10), category="hand", confidence=1.0)]
+    gts = [BBox(0, 0, 10, 10)]
     preds = [det(0.9, 0), det(0.8, 1), det(0.7, 2)]
-    result = match_detections(preds, gts)
-    tps = sum(1 for _, is_tp in result.records["hand"] if is_tp)
-    assert tps <= result.gt_counts["hand"]
+    records = _greedy_match_class([(d.confidence, d.box) for d in preds], gts, 0.5)
+    assert len(records) == len(preds)
+    assert sum(1 for _, is_tp in records if is_tp) <= len(gts)
 
 
 # ------------------------------------------------------------- PCK
@@ -272,12 +272,12 @@ def test_pck_aggregate_groups():
     truth = kps(grid_points(), box=box)
     pred_pts = grid_points()
     pred_pts[1:5] += 1000.0  # thumb chain misses
-    agg = PckAggregate()
-    agg.add(pck(kps(pred_pts, box=box), truth, box))
-    assert agg.thumb_mean() == 0.0
-    assert agg.index_mean() == 1.0
-    assert agg.mean() == pytest.approx(17 / 21)
-    per_kp = agg.per_keypoint()
+    report = evaluate_keypoints(one_frame_stream(keypoints=[kps(pred_pts, box=box)]),
+                                one_frame_stream(keypoints=[truth]))
+    assert report.thumb_pck == 0.0
+    assert report.index_pck == 1.0
+    assert report.mean_pck == pytest.approx(17 / 21)
+    per_kp = report.pck_per_keypoint
     assert per_kp[0] == 1.0 and per_kp[1] == 0.0
 
 

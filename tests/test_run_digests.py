@@ -2,7 +2,9 @@
 cohort generators (`synth._pose_sequence`, `generate_procedure_sequences`)
 and the `PoseFrame` block constructor moved off per-step numpy calls, so a
 change to any draw, its order or the arithmetic on it shows here as a
-different sha256. The small config is a copy of the benchmark's run config."""
+different sha256. The four `.truth.json` digests were re-taken when the
+truth sidecar lost its always-zero `pose_distance` key. The small config is
+a copy of the benchmark's run config."""
 
 import hashlib
 import json
@@ -44,11 +46,11 @@ DEFAULT_DIGESTS = {
     "streams/synth-7-0000.jsonl":
         "2f683688835149a3756365017037deee80bf0e99605ad6d5cf85197325a107b1",
     "streams/synth-7-0000.truth.json":
-        "346497d87c0d879342c6e4687078f1c7551396c61e0ed456fbaccc234c5678f7",
+        "5f50cdf37387a768d6ab60419ce54e3426b32d50ad540ea02cc2738a27adf3c5",
     "streams/synth-7-0001.jsonl":
         "6fa305e2b084350eeeb8ec38caadf2c4a158d36766b479a663edeff38d38b2d8",
     "streams/synth-7-0001.truth.json":
-        "7faa3a3879600577ba8d6177375cdbf1372167803a6caa511daf95cf48625193",
+        "028782994e6c56d1a5d85d89097a2f128b3a3cf047e2643a5f9f66b8797daed9",
     "tracking_report.json":
         "672f7ce5808b219a167adfe4237fa3586420c0539032a9b86c5e1f6cced5b7a1",
     "tracks/synth-7-0000.tracks.jsonl":
@@ -79,11 +81,11 @@ SMALL_DIGESTS = {
     "streams/synth-1-0000.jsonl":
         "b50e6635cb99dff1e3caa1f03beb2dd80c0708e8a56b548dac24bcb1973826ca",
     "streams/synth-1-0000.truth.json":
-        "22bd8daadb43ee0405836f6dbc144588495e2ab226a0b15f26f33e3a8c0c39a9",
+        "8cb8f825dd88fd2e3e2e0aff8a5f7ad9e2ca9592dbf3c47731997651b165b550",
     "streams/synth-1-0001.jsonl":
         "4438e34101226eb84d6237c3725cc3bffe82ebfef87de12ada6977a77a5613e9",
     "streams/synth-1-0001.truth.json":
-        "4dc7e913793ae1bd0c4a5b118df1f541f4a81839092bf56eaf9736994b2cd3be",
+        "d704c8e59f37354563bd02d98f00f304d36334cdda28d9c24cfe1fafe1a35b86",
     "tracking_report.json":
         "40352029b1847bfbd8c1c5b1aa0d3dbc84067c42f1988ebceda66fd1ce52ebf5",
     "tracks/synth-1-0000.tracks.jsonl":
