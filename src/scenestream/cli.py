@@ -151,7 +151,7 @@ def _catalog_entries(path):
     string video_id, or has another field of the wrong kind (not null), is a
     StreamFormatError naming its line."""
     entries = []
-    for line_no, _, entry in iter_json_lines(path):
+    for line_no, entry in iter_json_lines(path):
         if not isinstance(entry, dict):
             raise StreamFormatError("catalog entry must be an object", line=line_no)
         if not isinstance(entry.get("video_id"), str):

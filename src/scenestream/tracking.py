@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from math import isfinite, nan, sqrt
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvariantError, check_finite
 # `iou` is imported so the traced benchmark can count calls to it here
@@ -152,6 +151,13 @@ def new_track(corners) -> list[list[float]]:
 
 
 # ------------------------------------------------------------ association
+
+def linear_sum_assignment(cost):
+    """scipy's solver, imported on the first call (most streams never need it, and the
+    import costs more than tracking a short one); tracing patches this name."""
+    from scipy.optimize import linear_sum_assignment as solve
+    return solve(cost)
+
 
 def _max_assignment(score: np.ndarray):
     """(rows, cols, total) of a max-total assignment; no pairs for an empty matrix."""

@@ -3,6 +3,9 @@ import copy
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from scenestream.cli import main
 from scenestream.errors import DataWarning, StreamFormatError
 from scenestream.pipeline import (
+    _row_line,
     clips_from_tracks,
     read_tracks,
     track_stream,
@@ -29,7 +33,7 @@ from scenestream.streams import (
     VideoStream,
     write_stream,
 )
-from scenestream.synth import CorruptionSpec, SynthSpec, generate_stream
+from scenestream.synth import CorruptionSpec, HandMotionSpec, SynthSpec, generate_stream
 from scenestream.tracking import TrackerConfig
 
 
@@ -631,6 +635,23 @@ def test_value_of_the_wrong_json_type_is_an_input_error(tmp_path, capsys, line, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("order, line", [((0, 1, 1, 2), 5), ((0, 1, 2, 0), 6), ((2, 0, 1, 2), 6)])
+@pytest.mark.parametrize("command", ["track", "eval"])
+def test_duplicate_frame_names_the_line_of_its_second_occurrence(tmp_path, capsys, command,
+                                                                 order, line):
+    # the blank line 2 counts: frames sit on lines 3-6
+    lines = [json.dumps({"video_id": "v", "fps": 30.0}), ""]
+    lines += [json.dumps({"frame": k, "t": k / 30.0, "dets": []}) for k in order]
+    path = tmp_path / "s.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "out")
+    argv = (["track", "--in", str(path), "--out", out] if command == "track" else
+            ["eval", "actions", "--pred", str(path), "--truth", str(path), "--out", out])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"invariant violation: line {line}: duplicate "
+                                       f"frame_index {order[line - 3]} in {path}\n")
+
+
 def test_golden_with_keypoints_tracks(tmp_path):
     stream_path = tmp_path / "s.jsonl"
     stream_path.write_text("\n".join(json.dumps(o) for o in _BASE) + "\n")
@@ -886,3 +907,75 @@ def test_cli_side_file_shape_sweep_exits_cleanly(sweep_inputs, tmp_path, capsys,
         assert "Traceback" not in capsys.readouterr().err
         if code == 1:
             assert not out.exists(), (command, value)
+
+
+# ---------------------------------------------------------------- row lines and cold imports
+
+def _lanes(n):
+    return tuple(HandMotionSpec(region=(60.0 + 103.0 * i, 150.0, 90.0 + 103.0 * i, 570.0))
+                 for i in range(n))
+
+
+def test_row_line_is_the_sorted_json_of_its_row():
+    # 12 lanes: track ids pass 10, and "10" sorts before "2" as a JSON key
+    spec = SynthSpec(seed=3, fps=30.0, duration_s=2.0, hands=_lanes(12), with_keypoints=True,
+                     corruption=CorruptionSpec(dropout_rate=0.1, jitter_sigma=2.0))
+    rows = list(track_stream(generate_stream(spec, 0)[0].frames))
+    assert max(max(map(int, r["tracks"]), default=0) for r in rows) >= 12
+    assert any("kps" in r for r in rows)
+    for row in rows + [{key: r[key] for key in ("frame", "t", "tracks")} for r in rows]:
+        kps = row.get("kps", {})
+        want = json.dumps(dict(row, kps={tid: f"@{tid}" for tid in kps}) if kps else row,
+                          sort_keys=True)
+        for tid, kp in kps.items():
+            want = want.replace(f'"@{tid}"', kp.points_text)
+        assert _row_line(row) == want
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+_COLD = """
+import json, sys
+import scenestream.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+imported = scipy_modules()
+code = scenestream.cli.main(sys.argv[1:])
+print(json.dumps([imported, code, scipy_modules()]))
+"""
+
+
+def _cold_run(argv) -> bool:
+    """Run one CLI command in a new process; whether it loaded scipy. Importing
+    the CLI loads none of it."""
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    proc = subprocess.run([sys.executable, "-c", _COLD, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    imported, code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert imported == [] and code == 0
+    return bool(loaded)
+
+
+def test_scipy_loads_only_when_the_solver_or_lda_runs(tmp_path):
+    from scenestream.pipeline import features_stage
+    from scenestream.synth import generate_procedure_sequences
+
+    two = SynthSpec(seed=5, fps=30.0, duration_s=4.0, with_keypoints=True,
+                    corruption=CorruptionSpec(jitter_sigma=2.0))
+    crowded = SynthSpec(seed=7, fps=30.0, duration_s=3.0, hands=_lanes(12),
+                        corruption=CorruptionSpec(dropout_rate=0.05, jitter_sigma=2.0))
+    features = tmp_path / "features.csv"
+    features_stage(generate_procedure_sequences(seed=1, n_per_class=3), features)
+    for name, spec, wants_scipy in (("two", two, False), ("crowded", crowded, True)):
+        write_stream(generate_stream(spec, 0)[0], tmp_path / f"{name}.jsonl")
+        argv = ["track", "--in", tmp_path / f"{name}.jsonl"]
+        assert _cold_run(argv + ["--out", tmp_path / f"{name}.cold"]) is wants_scipy
+        assert main(list(map(str, argv + ["--out", tmp_path / f"{name}.warm"]))) == 0
+        cold = (tmp_path / f"{name}.cold").read_bytes()
+        assert cold == (tmp_path / f"{name}.warm").read_bytes()
+    outs = {side: [tmp_path / f"proj.{side}.csv", tmp_path / f"weights.{side}.csv"]
+            for side in ("cold", "warm")}
+    lda = ["lda", "--features", features]
+    assert _cold_run(lda + ["--out", outs["cold"][0], "--weights", outs["cold"][1]])
+    assert main(list(map(str, lda + ["--out", outs["warm"][0],
+                                      "--weights", outs["warm"][1]]))) == 0
+    assert [p.read_bytes() for p in outs["cold"]] == [p.read_bytes() for p in outs["warm"]]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import grid_iou
+from scenestream import streams
+from scenestream.cli import main
+from scenestream.synth import SynthSpec, generate_stream
 from scenestream import (
     BBox,
     DataWarning,
@@ -195,7 +199,7 @@ def test_parse_out_of_order_resorts_with_warning(tmp_path):
 def test_parse_duplicate_frame_is_error(tmp_path):
     path = tmp_path / "dup.jsonl"
     path.write_text(make_stream_lines([frame_obj(0), frame_obj(1), frame_obj(1)]))
-    with pytest.raises(InvariantError, match="duplicate"):
+    with pytest.raises(InvariantError, match="line 4: duplicate frame_index 1"):
         parse_stream(path)
 
 
@@ -313,3 +317,86 @@ def test_parsed_keypoint_text_decodes_to_its_rows(tmp_path_factory, rows, n_entr
         e["points"] for e in entries]
     assert [kp.points.tolist() for kp in parsed.keypoints] == [
         [[float(v) for v in row] for row in e["points"]] for e in entries]
+    assert _key_values(streams._POINTS, line) == _key_values(_PLAIN_POINTS, line)
+
+
+def _key_values(pattern, line):
+    return [(m.span(), m.groups()) for m in pattern.finditer(line)]
+
+
+# _POINTS with its possessive repeats made plain, as compiled before Python 3.11
+_PLAIN_POINTS = re.compile(streams._POINTS.pattern.replace("*+", "*").replace("?+", "?")
+                           .replace("}+", "}").replace("++", "+"))
+
+_TRIPLES = [[110.5 + k, 120 + k, 1] for k in range(21)]
+_GOOD = json.dumps(_TRIPLES)
+_OTHER = json.dumps([[200 + k, 210.25, 0] for k in range(21)])
+_BAD_ROWS = ("input error: line 2: kps points must list exactly 21 [x, y, v] triples of "
+             "finite numbers\n")
+
+
+def _with(value):
+    """_GOOD with the x of its fourth triple written as `value`."""
+    rows = [json.dumps(row) for row in _TRIPLES]
+    rows[3] = f"[{value}, 123, 1]"
+    return "[" + ", ".join(rows) + "]"
+
+
+def _floats(points_text):
+    return json.dumps([[float(v) for v in row] for row in json.loads(points_text)])
+
+
+def _kps_line(points=_GOOD, entry="", frame=""):
+    return ('{"frame": 0, "t": 0.0, "dets": [["hand", 0.9, 100, 100, 180, 170]], '
+            f'{frame}"kps": [{{"points": {points}, {entry}"box": [100, 100, 180, 170]}}]}}')
+
+
+# id: (frame line, exit code of `track`, its stderr, the keypoint text of its tracks row)
+_VERDICTS = {
+    "1.1e2": (_kps_line(_with("1.1e2")), 0, "", _with("1.1e2")),
+    "17 digits": (_kps_line(_with("12345678901234567")), 0, "", _with("12345678901234567")),
+    "1e100": (_kps_line(_with("1e100")), 0, "", _with("1e100")),
+    "1e999": (_kps_line(_with("1e999")), 1, _BAD_ROWS, None),
+    "NaN": (_kps_line(_with("NaN")), 1, _BAD_ROWS, None),
+    "Infinity": (_kps_line(_with("Infinity")), 1, _BAD_ROWS, None),
+    "true": (_kps_line(_with("true")), 1, _BAD_ROWS, None),
+    "20 triples": (_kps_line(json.dumps(_TRIPLES[:20])), 1, _BAD_ROWS, None),
+    "22 triples": (_kps_line(json.dumps(_TRIPLES + _TRIPLES[:1])), 1, _BAD_ROWS, None),
+    "2-number triple": (_kps_line(_GOOD.replace("[113.5, 123, 1]", "[113.5, 123]")), 1,
+                        _BAD_ROWS, None),
+    "nested key": (_kps_line(entry=f'"meta": {{"points": {_OTHER}}}, '), 0, "", _floats(_GOOD)),
+    "top-level key": (_kps_line(frame=f'"points": {_OTHER}, '), 0, "", _floats(_GOOD)),
+    "two keys": (_kps_line(entry=f'"points": {_OTHER}, '), 0, "", _floats(_OTHER)),
+    "backslash": (_kps_line(frame='"note": "a\\\\b", '), 0, "", _floats(_GOOD)),
+    "whitespace": (_kps_line(_GOOD.replace(", ", " ,  ").replace("[", "[ ")), 0, "",
+                   _GOOD.replace(", ", " ,  ").replace("[", "[ ")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VERDICTS))
+def test_keypoint_text_checks_give_the_verdict_of_decoding(tmp_path, capsys, case):
+    # every line here is either outside the strict number form, so it is
+    # decoded in full, or within it; each must exit and report as a full
+    # decode with keypoint_rows does
+    line, code, err, text = _VERDICTS[case]
+    assert _key_values(streams._POINTS, line) == _key_values(_PLAIN_POINTS, line)
+    path, out = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
+    path.write_text('{"video_id": "v", "fps": 30.0}\n' + line + "\n")
+    assert main(["track", "--in", str(path), "--out", str(out), "--min-hits", "1"]) == code
+    assert capsys.readouterr().err == err
+    if text is not None:
+        assert f'"kps": {{"1": {text}}}' in out.read_text().splitlines()[1]
+
+
+def test_written_keypoint_lines_are_not_decoded_in_full(tmp_path, monkeypatch):
+    spec = SynthSpec(seed=2, fps=10.0, duration_s=2.0, with_keypoints=True)
+    stream, _ = generate_stream(spec, 0)
+    write_stream(stream, tmp_path / "s.jsonl")
+    decoded = []
+    monkeypatch.setattr(streams, "_decode",
+                        lambda line, line_no: decoded.append(line_no) or json.loads(line))
+    parsed = parse_stream(tmp_path / "s.jsonl")
+    assert decoded == [1]  # the header alone
+    assert sum(len(fr.keypoints) for fr in parsed.frames) > 20
+    assert [kp.points.tolist() for fr in parsed.frames for kp in fr.keypoints] == [
+        kp.points.tolist() for fr in stream.frames for kp in fr.keypoints]
