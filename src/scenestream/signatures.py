@@ -365,7 +365,6 @@ def lda_fit(x: np.ndarray, labels) -> LdaModel:
     s_w_reg = s_w + gamma * np.eye(x.shape[1])
 
     import scipy.linalg  # here, not at the top: only lda needs scipy
-
     eigvals, eigvecs = scipy.linalg.eigh(s_b, s_w_reg)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]

@@ -11,10 +11,8 @@ import copy
 import json
 import math
 import re
-import sys
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from types import MappingProxyType
 
@@ -319,19 +317,15 @@ def _parse_keypoints(raw, text, line_no, checked):
     return HandKeypoints.from_json(raw["points"], BBox(*map(float, box)), text)
 
 
-# Possessive repeats (`*+`, `?+`; Python 3.11+) keep no backtracking state and scan
-# about 40% faster; each item they repeat is followed by a character it cannot hold.
-_P = "+" if sys.version_info >= (3, 11) else ""
-_WS = rf"[ \t\n\r]*{_P}"
-# a JSON number that is finite as a float and that keypoint_rows accepts
-_NUMBER = (rf"-?{_P}(?:0|[1-9][0-9]{{0,15}}{_P})(?:\.[0-9]+{_P})?{_P}"
-           rf"(?:[eE][-+]?{_P}[0-9]{{1,2}}{_P})?{_P}")
-_TRIPLE = rf"\[{_WS}{_NUMBER}{_WS},{_WS}{_NUMBER}{_WS},{_WS}{_NUMBER}{_WS}\]"
-# a `points` key; as group 1 its value when that is N_KEYPOINTS such triples, else
-# as group 2 the text up to the last ']' before the next '"' or '}', which is the
-# whole value when that is any N_KEYPOINTS number triples
-_POINTS = re.compile(rf'"points"{_WS}:{_WS}(?:(\[{_WS}{_TRIPLE}'
-                     rf'(?:{_WS},{_WS}{_TRIPLE}){{{N_KEYPOINTS - 1}}}{_WS}\])|([^"}}]*\]))?')
+# a JSON number that is finite as a float and that keypoint_rows accepts; optional
+# parts are written (?:...|), which the re engine matches faster than (?:...)?
+_NUMBER = r"-?(?:0|[1-9][0-9]{0,15})(?:\.[0-9]+|)(?:[eE][-+]?[0-9]{1,2}|)"
+_TRIPLE = rf"\[{_NUMBER}, {_NUMBER}, {_NUMBER}\]"
+# a `points` key; as group 1 its value when that is N_KEYPOINTS such triples spaced
+# as json.dumps writes them, else as group 2 the text up to the last ']' before the
+# next '"' or '}', which is the whole value when that is any N_KEYPOINTS triples
+_POINTS = re.compile(rf'"points"[ \t\n\r]*:[ \t\n\r]*(?:(\[{_TRIPLE}(?:, {_TRIPLE})'
+                     rf'{{{N_KEYPOINTS - 1}}}\])|([^"}}]*\]))?')
 
 
 def _frame_from_line(line: str, line_no: int) -> FrameRecord:
@@ -423,7 +417,7 @@ def iter_json_lines(path):
     return ((line_no, _decode(line, line_no)) for line_no, line in _text_lines(path))
 
 
-def open_stream(path):
+def open_stream(path, late=None):
     """The header of a stream file, as a VideoStream without frames, and an
     iterator over its FrameRecords in file order.
 
@@ -433,7 +427,8 @@ def open_stream(path):
     frame_index/fps included) raises InvariantError, both naming the line.
     After the last line, the header's duration_s is checked against the span
     up to the largest frame_index, naming that frame's line. Frame order is
-    left to the caller.
+    left to the caller; given a list `late`, the iterator appends to it
+    (frame, line number) for each frame whose index is not above all before it.
     """
     path = Path(path)
     lines = _text_lines(path)
@@ -445,10 +440,10 @@ def open_stream(path):
         header = VideoStream(**_parse_header(_decode(line, line_no), line_no))
     except InvariantError as exc:
         raise InvariantError(f"line {line_no}: {exc}") from exc
-    return header, _checked_frames(path, header, lines)
+    return header, _checked_frames(path, header, lines, late)
 
 
-def _checked_frames(path, header: VideoStream, lines):
+def _checked_frames(path, header: VideoStream, lines, late):
     last_line, last_index = None, -1
     for line_no, line in lines:
         try:
@@ -460,6 +455,8 @@ def _checked_frames(path, header: VideoStream, lines):
             raise StreamFormatError(f"malformed frame record: {exc}", line=line_no) from exc
         if fr.frame_index > last_index:
             last_line, last_index = line_no, fr.frame_index
+        elif late is not None:
+            late.append((fr, line_no))
         yield fr
     if last_line is None:
         raise StreamFormatError(f"stream {path} has a header but no frames")
@@ -476,16 +473,17 @@ def parse_stream(path) -> VideoStream:
     order are then re-sorted with a DataWarning; a duplicate frame index
     raises InvariantError naming the line of its second occurrence.
     """
-    header, frames = open_stream(path)
+    late = []  # a repeat is never above every index before it
+    header, frames = open_stream(path, late)
     frames = list(frames)
-    indices = [fr.frame_index for fr in frames]
-    if any(b <= a for a, b in zip(indices, indices[1:])):
+    if late:
         seen = set()
-        for k, idx in enumerate(indices):
-            if idx in seen:  # frame k is on the (k + 2)-th non-blank line
-                line_no = next(islice(_text_lines(path), k + 1, None))[0]
-                raise InvariantError(f"line {line_no}: duplicate frame_index {idx} in {path}")
-            seen.add(idx)
+        for fr in frames:
+            if fr.frame_index in seen:
+                line_no = next(n for f, n in late if f is fr)
+                raise InvariantError(f"line {line_no}: duplicate frame_index "
+                                     f"{fr.frame_index} in {path}")
+            seen.add(fr.frame_index)
         warnings.warn(
             f"stream {path} had out-of-order frames; re-sorted by frame_index",
             DataWarning, stacklevel=2,

@@ -153,8 +153,7 @@ def new_track(corners) -> list[list[float]]:
 # ------------------------------------------------------------ association
 
 def linear_sum_assignment(cost):
-    """scipy's solver, imported on the first call (most streams never need it, and the
-    import costs more than tracking a short one); tracing patches this name."""
+    """scipy's solver, imported on its first call; tracing patches this name."""
     from scipy.optimize import linear_sum_assignment as solve
     return solve(cost)
 

@@ -652,6 +652,25 @@ def test_duplicate_frame_names_the_line_of_its_second_occurrence(tmp_path, capsy
                                        f"frame_index {order[line - 3]} in {path}\n")
 
 
+def test_duplicate_frame_read_from_a_pipe_names_its_line(tmp_path, capsys):
+    # as with `--pred <(cmd)`, the stream can be read once: a second read finds it empty
+    lines = [json.dumps({"video_id": "v", "fps": 30.0})]
+    lines += [json.dumps({"frame": k, "t": k / 30.0, "dets": []}) for k in (0, 1, 0)]
+    truth = tmp_path / "truth.jsonl"
+    truth.write_text("\n".join(lines[:3]) + "\n")
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    pred = f"/dev/fd/{read_end}"
+    try:
+        assert main(["eval", "actions", "--pred", pred, "--truth", str(truth),
+                     "--out", str(tmp_path / "out")]) == 2
+    finally:
+        os.close(read_end)
+    assert capsys.readouterr().err == (f"invariant violation: line 4: duplicate "
+                                       f"frame_index 0 in {pred}\n")
+
+
 def test_golden_with_keypoints_tracks(tmp_path):
     stream_path = tmp_path / "s.jsonl"
     stream_path.write_text("\n".join(json.dumps(o) for o in _BASE) + "\n")

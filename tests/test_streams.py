@@ -1,6 +1,5 @@
 import json
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -317,16 +316,6 @@ def test_parsed_keypoint_text_decodes_to_its_rows(tmp_path_factory, rows, n_entr
         e["points"] for e in entries]
     assert [kp.points.tolist() for kp in parsed.keypoints] == [
         [[float(v) for v in row] for row in e["points"]] for e in entries]
-    assert _key_values(streams._POINTS, line) == _key_values(_PLAIN_POINTS, line)
-
-
-def _key_values(pattern, line):
-    return [(m.span(), m.groups()) for m in pattern.finditer(line)]
-
-
-# _POINTS with its possessive repeats made plain, as compiled before Python 3.11
-_PLAIN_POINTS = re.compile(streams._POINTS.pattern.replace("*+", "*").replace("?+", "?")
-                           .replace("}+", "}").replace("++", "+"))
 
 _TRIPLES = [[110.5 + k, 120 + k, 1] for k in range(21)]
 _GOOD = json.dumps(_TRIPLES)
@@ -379,7 +368,6 @@ def test_keypoint_text_checks_give_the_verdict_of_decoding(tmp_path, capsys, cas
     # decoded in full, or within it; each must exit and report as a full
     # decode with keypoint_rows does
     line, code, err, text = _VERDICTS[case]
-    assert _key_values(streams._POINTS, line) == _key_values(_PLAIN_POINTS, line)
     path, out = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
     path.write_text('{"video_id": "v", "fps": 30.0}\n' + line + "\n")
     assert main(["track", "--in", str(path), "--out", str(out), "--min-hits", "1"]) == code
