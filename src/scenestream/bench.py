@@ -15,7 +15,7 @@ import numpy as np
 from .errors import check_finite
 from .signatures import majority_action
 from .streams import VideoStream
-from .tracking import SortTracker, TrackerConfig
+from .tracking import SortTracker
 
 SPATIAL_BUDGET_S = 0.08  # per-frame tracker step
 TEMPORAL_BUDGET_S = 0.33  # per-window action characterization
@@ -79,12 +79,11 @@ def _characterize_window(frames) -> dict:
             "mean_tool_count": tool_total / max(len(frames), 1)}
 
 
-def bench_stream(stream: VideoStream, config: TrackerConfig | None = None,
-                 window_s: float = DEFAULT_WINDOW_S) -> BenchReport:
-    """Replay a stream through the tracker, timing each frame's step, and
-    time the per-window action characterization."""
+def bench_stream(stream: VideoStream, window_s: float = DEFAULT_WINDOW_S) -> BenchReport:
+    """Replay a stream through the default tracker, timing each frame's step,
+    and time the per-window action characterization."""
     check_finite("window_s", window_s)
-    tracker = SortTracker(config)
+    tracker = SortTracker()
     frame_lat, window_lat = [], []
     window: list = []
     window_len = max(int(round(window_s * stream.fps)), 1)

@@ -7,13 +7,12 @@ bench, run. Exit codes: 0 success, 1 input error, 2 invariant violation.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 from pathlib import Path
 
 from .bench import bench_stream
-from .errors import InvariantError, SceneStreamError, StreamFormatError
+from .errors import InvariantError, StreamFormatError
 from .evaluation import evaluate_actions, evaluate_boxes, evaluate_keypoints
 from .kinematics import SKILL_METRICS
 from .pipeline import (
@@ -31,7 +30,7 @@ from .pipeline import (
     write_tracks,
 )
 from .signatures import BUILTIN_RULES, filter_videos, top_features
-from .streams import finite_numbers, iter_json_lines, open_stream, parse_stream
+from .streams import finite_numbers, iter_json_lines, open_stream, parse_stream, read_json
 from .synth import CorruptionSpec, SynthSpec, generate_stream, synth_generate
 from .tracking import TrackerConfig
 
@@ -73,12 +72,19 @@ def _in_order(frames):
 def cmd_track(args) -> int:
     """Stream the file through the tracker into the tracks file; at the first
     frame out of order, start over from the buffered parse, which re-sorts
-    the frames with a DataWarning (or rejects a duplicate)."""
+    the frames with a DataWarning (or rejects a duplicate). Input that is not
+    a regular file, such as a pipe, cannot be read twice and is rejected."""
     config = _tracker_config(args)
-    header, frames = open_stream(args.infile)
+    late = []
+    header, frames = open_stream(args.infile, late)
     try:
         write_tracks(header, track_stream(_in_order(frames), config), args.out)
     except _OutOfOrder:
+        if not Path(args.infile).is_file():
+            fr, line_no = late[0]
+            raise StreamFormatError(
+                f"frame_index {fr.frame_index} is not above the frame before it; only a "
+                "regular file is re-sorted, so sort the frames first", line=line_no) from None
         stream = parse_stream(args.infile)
         write_tracks(stream, track_stream(stream.frames, config), args.out)
     print(args.out)
@@ -87,7 +93,7 @@ def cmd_track(args) -> int:
 
 def cmd_skill(args) -> int:
     header, rows = read_tracks(args.tracks)
-    clip_defs = json.loads(Path(args.clips).read_text(encoding="utf-8"))
+    clip_defs = read_json(args.clips)
     clips = clips_from_tracks(header, rows, clip_defs)
     fps = header["fps"] if args.fps is None else args.fps
     skill_stage(clips, fps, args.out, args.metric, args.centroids, args.per_frame_size)
@@ -103,7 +109,7 @@ def _labelled_sequences(args, default_label):
     timelines = sequences_from_stream_dir(args.streams, resolution_s=args.resolution)
     class_map = {}
     if args.class_map:
-        class_map = json.loads(Path(args.class_map).read_text(encoding="utf-8"))
+        class_map = read_json(args.class_map)
         if not isinstance(class_map, dict) or not _strings(list(class_map.values())):
             raise StreamFormatError(f"{args.class_map}: a class map must be a JSON object "
                                     "of video id -> class name strings")
@@ -128,7 +134,7 @@ def cmd_lda(args) -> int:
     print(args.out)
     print(args.weights)
     for axis in (0, 1):
-        names = ", ".join(f"{n} ({w:+.3f})" for n, w in top_features(model, axis, 3))
+        names = ", ".join(f"{n} ({w:+.3f})" for n, w in top_features(model, axis))
         print(f"axis {axis + 1} top features: {names}")
     return 0
 
@@ -217,7 +223,7 @@ def cmd_bench(args) -> int:
 def cmd_run(args) -> int:
     config = {}
     if args.config:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        config = read_json(args.config)
     manifest = run_pipeline(config, args.out)
     for name in sorted(manifest):
         print(f"{name}: {Path(args.out) / manifest[name]}")
@@ -331,11 +337,8 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
-    except (StreamFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (StreamFormatError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except SceneStreamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -30,8 +30,10 @@ from .streams import (
     hand_size,
     iou,
 )
+from .signatures import timeline_from_stream
 from .tracking import associate
 
+ACTION_RESOLUTION_S = 1.0  # actions are scored per second
 DEFAULT_PCK_ALPHA = 0.2
 DEFAULT_IOU_THRESHOLD = 0.5
 KEYPOINT_MATCH_IOU = 0.5  # pairing pred/truth hand instances within a frame
@@ -221,16 +223,11 @@ class MetricReport:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
-def _stream_action_labels(stream: VideoStream, resolution_s: float = 1.0):
-    from .signatures import timeline_from_stream
-    return timeline_from_stream(stream, resolution_s).labels
-
-
-def evaluate_actions(pred_stream: VideoStream, truth_stream: VideoStream,
-                     resolution_s: float = 1.0) -> MetricReport:
+def evaluate_actions(pred_stream: VideoStream, truth_stream: VideoStream) -> MetricReport:
+    """Action precision/recall over ACTION_RESOLUTION_S windows of both streams."""
     report = action_precision_recall(
-        _stream_action_labels(pred_stream, resolution_s),
-        _stream_action_labels(truth_stream, resolution_s))
+        timeline_from_stream(pred_stream, ACTION_RESOLUTION_S).labels,
+        timeline_from_stream(truth_stream, ACTION_RESOLUTION_S).labels)
     return MetricReport(
         strata=dict(truth_stream.metadata.get("strata", {})),
         action_precision=report.precision, action_recall=report.recall,

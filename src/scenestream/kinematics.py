@@ -209,10 +209,10 @@ def integrated_pose_distance(poses: Poses) -> float:
     return float(sum(values.tolist()))  # np.sum adds pairwise, off in the last bit
 
 
-def split_pose_segments(poses: Poses, fps: float, max_gap_s: float = POSE_GAP_SPLIT_S):
+def split_pose_segments(poses: Poses, fps: float):
     """Split a pose sequence wherever consecutive frames are further apart
-    than max_gap_s; frames with missing keypoints were already dropped."""
-    cuts = (np.flatnonzero(np.diff(poses.frames) > max_gap_s * fps) + 1).tolist()
+    than POSE_GAP_SPLIT_S; frames with missing keypoints were already dropped."""
+    cuts = (np.flatnonzero(np.diff(poses.frames) > POSE_GAP_SPLIT_S * fps) + 1).tolist()
     return [poses[a:b] for a, b in zip([0, *cuts], [*cuts, len(poses)]) if a < b]
 
 

@@ -11,6 +11,7 @@ the bundle; `bench` writes those separately.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -59,6 +60,7 @@ from .streams import (
     iter_json_lines,
     keypoint_rows,
     parse_stream,
+    read_text,
 )
 from .synth import (
     CorruptionSpec,
@@ -73,6 +75,7 @@ from .synth import (
 from .tracking import SortTracker, TrackerConfig
 
 TRACK_KP_MATCH_IOU = 0.5
+ORACLE_MATCH_IOU = 0.3  # a track box follows the true hand it overlaps this much
 
 
 def write_json(obj, path) -> None:
@@ -192,7 +195,7 @@ def read_tracks(path):
     return header, [obj for _, obj in lines[1:]]
 
 
-def tracking_oracle_report(rows, truth: GroundTruth, match_iou: float = 0.3) -> dict:
+def tracking_oracle_report(rows, truth: GroundTruth) -> dict:
     """Compare tracker output rows (from `track_stream`) against generator
     ground truth.
 
@@ -205,7 +208,7 @@ def tracking_oracle_report(rows, truth: GroundTruth, match_iou: float = 0.3) -> 
     for row, frame_truth in zip(rows, truth.true_boxes):
         for tid, corners in row["tracks"].items():
             tid, box = int(tid), BBox(*corners)
-            best_h, best_v = None, match_iou
+            best_h, best_v = None, ORACLE_MATCH_IOU
             for h, gt_box in frame_truth.items():
                 v = iou(box, gt_box)
                 if v >= best_v:
@@ -402,20 +405,21 @@ def features_stage(labelled, path):
 
 
 def read_features_csv(path):
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, [])[2:] != list(FEATURE_NAMES):
-            raise StreamFormatError(f"unexpected feature columns in {path}")
-        features = []
-        for row in reader:
-            try:
-                values = np.array([float(v) for v in row[2:]])
-            except ValueError as exc:
-                raise StreamFormatError(f"feature values must be numbers: {exc}",
-                                        line=reader.line_num) from exc
-            features.append(FeatureVector30(video_id=row[0], label=row[1] or None,
-                                            values=values))
-        return features
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    if next(reader, [])[2:] != list(FEATURE_NAMES):
+        raise StreamFormatError(f"unexpected feature columns in {path}")
+    features = []
+    for row in reader:
+        try:  # float() takes "nan" and "inf", and an integer past the float range is inf
+            values = np.array([float(v) for v in row[2:]])
+            finite = np.isfinite(values).all()
+        except ValueError:
+            finite = False
+        if not finite:
+            raise StreamFormatError("feature values must be finite numbers", line=reader.line_num)
+        features.append(FeatureVector30(video_id=row[0], label=row[1] or None,
+                                        values=values))
+    return features
 
 
 def lda_stage(features, projection_path, weights_path):
@@ -574,8 +578,8 @@ def run_pipeline(config: dict, out_dir) -> dict:
         model = lda_stage(features, artifact("lda_projection.csv"),
                           artifact("lda_weights.csv"))
     write_json({"eigenvalues": [float(v) for v in model.eigenvalues[:3]],
-                "axis1_top_features": top_features(model, 0, 3),
-                "axis2_top_features": top_features(model, 1, 3)},
+                "axis1_top_features": top_features(model, 0),
+                "axis2_top_features": top_features(model, 1)},
                artifact("lda_summary.json"))
 
     # each artifact is listed under its bundle path without the extension

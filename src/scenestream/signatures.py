@@ -21,6 +21,9 @@ DEFAULT_RESOLUTION_S = 5.0
 N_QUARTILES = 4
 SIGNATURE_GRID = 100  # normalized-time samples per signature curve
 DEFAULT_SMOOTHING_WINDOW = 5  # steps; must be odd
+N_TOP_FEATURES = 3  # features `top_features` reports per LDA axis
+# a filtered video is 2-30 minutes long: a mostly complete procedure
+FILTER_MIN_DURATION_S, FILTER_MAX_DURATION_S = 120.0, 1800.0
 
 # ordered action pairs for the six transition features
 TRANSITION_PAIRS = tuple((a, b) for a in ACTIONS for b in ACTIONS if a != b)
@@ -43,10 +46,8 @@ class Timeline:
     video_id: str
     labels: tuple
     tools: np.ndarray  # (len(labels), 3) in TOOL_CLASSES order
-    resolution_s: float = DEFAULT_RESOLUTION_S
 
     def __post_init__(self):
-        check_finite("resolution_s", self.resolution_s)
         labels = tuple(self.labels)
         for lab in labels:
             if lab not in ACTION_LABELS:
@@ -102,7 +103,7 @@ def timeline_from_stream(stream: VideoStream, resolution_s: float = DEFAULT_RESO
     tools = [[c / n for c in row] if n else row for row, n in zip(totals, frames_per_step)]
     return Timeline(video_id=stream.video_id,
                     labels=tuple(majority_action(v) or BACKGROUND for v in votes),
-                    tools=tools, resolution_s=resolution_s)
+                    tools=tools)
 
 
 def excise_background(tl: Timeline) -> Timeline:
@@ -112,7 +113,7 @@ def excise_background(tl: Timeline) -> Timeline:
         warnings.warn(f"sequence {tl.video_id} is all background after excision",
                       DataWarning, stacklevel=2)
     return Timeline(video_id=tl.video_id, labels=tuple(tl.labels[k] for k in kept),
-                    tools=tl.tools[kept], resolution_s=tl.resolution_s)
+                    tools=tl.tools[kept])
 
 
 def quartile_spans(n: int):
@@ -320,7 +321,6 @@ class LdaModel:
     mean: np.ndarray  # training mean subtracted before projecting
     classes: tuple
     class_centroids: np.ndarray  # (n_classes, 2) projected class means
-    shrinkage: float
 
 
 def _scatter_matrices(x: np.ndarray, labels):
@@ -379,8 +379,7 @@ def lda_fit(x: np.ndarray, labels) -> LdaModel:
     projected_means = np.stack([
         (x[labels == c].mean(axis=0) - mean) @ top for c in classes])
     return LdaModel(projection=top, eigenvalues=eigvals, mean=mean,
-                    classes=tuple(classes), class_centroids=projected_means,
-                    shrinkage=gamma)
+                    classes=tuple(classes), class_centroids=projected_means)
 
 
 def lda_project(x: np.ndarray, model: LdaModel) -> np.ndarray:
@@ -389,11 +388,11 @@ def lda_project(x: np.ndarray, model: LdaModel) -> np.ndarray:
     return (x - model.mean) @ model.projection
 
 
-def top_features(model: LdaModel, axis: int, k: int = 3):
-    """The k feature names weighted most heavily on one projection axis."""
+def top_features(model: LdaModel, axis: int):
+    """The N_TOP_FEATURES (name, weight) pairs weighted most on one axis."""
     weights = model.projection[:, axis]
     order = np.argsort(-np.abs(weights))
-    return [(FEATURE_NAMES[i], float(weights[i])) for i in order[:k]]
+    return [(FEATURE_NAMES[i], float(weights[i])) for i in order[:N_TOP_FEATURES]]
 
 
 @dataclass(frozen=True)
@@ -403,8 +402,6 @@ class FilterRule:
     name: str
     umls_substring: str
     search_substring: str
-    min_duration_s: float = 120.0
-    max_duration_s: float = 1800.0
     title_predicate: object = None  # callable(title: str) -> bool, or None
 
 
@@ -451,7 +448,7 @@ def filter_videos(catalog, rule: FilterRule):
             continue
         if rule.search_substring not in terms:
             continue
-        if not (rule.min_duration_s <= duration <= rule.max_duration_s):
+        if not (FILTER_MIN_DURATION_S <= duration <= FILTER_MAX_DURATION_S):
             continue
         if rule.title_predicate is not None and not rule.title_predicate(title):
             continue

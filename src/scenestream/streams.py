@@ -342,7 +342,7 @@ def _frame_from_line(line: str, line_no: int) -> FrameRecord:
             pos = key.end(1)
         try:
             obj = json.loads("".join(pieces) + line[pos:])
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # decoded in full below, which reports it
             obj = None
         raw_kps = obj.get("kps", []) if type(obj) is dict else None
         if (type(raw_kps) is list and len(raw_kps) == len(keys)
@@ -396,20 +396,46 @@ def _parse_header(obj, line_no) -> dict:
             "height": height, "metadata": metadata}
 
 
+def _utf8(data: bytes, first_line: int = 1) -> str:
+    """`data` decoded as UTF-8; a byte that is not is a StreamFormatError
+    naming its line, counted from `first_line`."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StreamFormatError(f"not UTF-8 text ({exc.reason})",
+                                line=first_line + data.count(b"\n", 0, exc.start)) from exc
+
+
 def _text_lines(path):
-    """(line number, line) for each non-blank line of a file, stripped."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    """(line number, line) for each non-blank line of a file, stripped. Each
+    line (ending at \\n, \\r\\n included) is decoded on its own, so a byte that is
+    not UTF-8 is reported at its line; a 64 KiB buffer reads long lines in fewer calls."""
+    with Path(path).open("rb", buffering=1 << 16) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = _utf8(raw, line_no).strip()
             if line:
                 yield line_no, line
 
 
-def _decode(line: str, line_no: int):
+def _decode(text: str, line_no: int | None = None):
+    """json.loads of one line, or of a whole file when `line_no` is None."""
     try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise StreamFormatError(f"invalid JSON: {exc.msg}", line=line_no) from exc
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer past int()'s digit limit
+        reason = getattr(exc, "msg", None) or str(exc).split(":")[0]
+        raise StreamFormatError(f"invalid JSON: {reason}",
+                                line=line_no or getattr(exc, "lineno", None)) from exc
+
+
+def read_text(path) -> str:
+    """A whole UTF-8 file's text; a byte that is not UTF-8 is a
+    StreamFormatError naming its line."""
+    return _utf8(Path(path).read_bytes())
+
+
+def read_json(path):
+    """The JSON value of a whole UTF-8 file, checked as `_decode` checks it."""
+    return _decode(read_text(path))
 
 
 def iter_json_lines(path):

@@ -14,6 +14,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,6 +42,9 @@ _HAND_TEMPLATE = np.array(
     + [(0.10 + 0.02 * k, -0.10 * k1) for k in range(3) for k1 in range(1, 5)]
 )
 
+FRAME_WIDTH, FRAME_HEIGHT = 1280, 720  # pixels of every synthetic video
+HAND_BOX_WIDTH, HAND_BOX_HEIGHT = 110.0, 90.0  # pixels of every synthetic hand box
+
 
 @dataclass(frozen=True)
 class HandMotionSpec:
@@ -52,8 +56,6 @@ class HandMotionSpec:
 
     region: tuple = (200.0, 200.0, 1000.0, 600.0)  # waypoint sampling box
     speed_px: float = 4.0  # per frame
-    box_width: float = 110.0
-    box_height: float = 90.0
     waypoints: tuple | None = None
 
     def __post_init__(self):
@@ -109,8 +111,6 @@ class SynthSpec:
     n_videos: int = 1
     fps: float = 30.0
     duration_s: float = 30.0
-    width: int = 1280
-    height: int = 720
     hands: tuple = (HandMotionSpec(region=(150.0, 200.0, 550.0, 550.0)),
                     HandMotionSpec(region=(700.0, 200.0, 1100.0, 550.0)))
     phases: tuple = DEFAULT_PHASES
@@ -206,7 +206,8 @@ def generate_stream(spec: SynthSpec, index: int = 0):
 
     hand_ids = list(range(len(spec.hands)))
     positions = [_waypoint_positions(rng, motion, n_frames) for motion in spec.hands]
-    sizes = [(motion.box_width + motion.box_height) / 2.0 for motion in spec.hands]
+    size = (HAND_BOX_WIDTH + HAND_BOX_HEIGHT) / 2.0
+    half_w, half_h = HAND_BOX_WIDTH / 2.0, HAND_BOX_HEIGHT / 2.0
     schedule = _phase_schedule(spec.phases, n_frames)
     actions = [phase.action for phase in schedule]
 
@@ -217,9 +218,8 @@ def generate_stream(spec: SynthSpec, index: int = 0):
         dets = []
         frame_truth = {}
         kps = []
-        for h, motion in enumerate(spec.hands):
+        for h in hand_ids:
             cx, cy = positions[h][k].tolist()  # floats, as a parsed stream has
-            half_w, half_h = motion.box_width / 2.0, motion.box_height / 2.0
             box = BBox(max(cx - half_w, 0.0), max(cy - half_h, 0.0),
                        cx + half_w, cy + half_h)
             frame_truth[h] = box
@@ -236,12 +236,12 @@ def generate_stream(spec: SynthSpec, index: int = 0):
             dets.append(Detection(box=out_box, category=HAND, confidence=conf))
             if spec.with_keypoints:
                 kps.append(HandKeypoints(
-                    points=_hand_keypoints(positions[h][k], sizes[h]),
+                    points=_hand_keypoints(positions[h][k], size),
                     owner_box=out_box))
         for tool, rate in schedule[k].tool_rates:
             for _ in range(int(rng.poisson(rate))):
-                tx = float(rng.uniform(0, spec.width - 80))
-                ty = float(rng.uniform(0, spec.height - 40))
+                tx = float(rng.uniform(0, FRAME_WIDTH - 80))
+                ty = float(rng.uniform(0, FRAME_HEIGHT - 40))
                 dets.append(Detection(box=BBox(tx, ty, tx + 80, ty + 40),
                                       category=tool, confidence=corruption.confidence_mean))
         true_boxes.append(frame_truth)
@@ -258,11 +258,11 @@ def generate_stream(spec: SynthSpec, index: int = 0):
             dy = positions[h][k][1] - positions[h][k - 1][1]
             total += math.sqrt(dx * dx + dy * dy)
         path_px[h] = total
-        mean_size[h] = sizes[h]
-        path_hl[h] = total / sizes[h]
+        mean_size[h] = size
+        path_hl[h] = total / size
 
-    stream = VideoStream(video_id=video_id, fps=spec.fps, width=spec.width,
-                         height=spec.height, frames=tuple(frames),
+    stream = VideoStream(video_id=video_id, fps=spec.fps, width=FRAME_WIDTH,
+                         height=FRAME_HEIGHT, frames=tuple(frames),
                          metadata={"synthetic": True, "seed": spec.seed, "index": index})
     truth = GroundTruth(video_id=video_id, hand_ids=hand_ids, true_boxes=true_boxes,
                         actions=actions, path_px=path_px, path_hand_lengths=path_hl,
@@ -291,34 +291,34 @@ def synth_generate(spec: SynthSpec, out_dir) -> list:
 
 # ------------------------------------------------------------- skill cohort
 
+# The tie cohort's design per experience group: travel in hand-lengths (two versus
+# four separates experienced operators from trainees) and pose walk spread per frame.
+TIE_GROUPS = (("experienced", 2.0, 0.004), ("trainee", 4.0, 0.016))
+TIE_HAND_SIZE = 100.0  # pixels
+TIE_OPERATOR_SIGMA = 0.05  # relative spread of travel between operators
+TIE_CLIP_SIGMA = 0.03  # relative spread of travel between clips
+_WALK_BOUNDS = (150.0, 1800.0)  # pixels; the tie-clip walk reflects at them
+
+
 @dataclass(frozen=True)
 class SkillCohortSpec:
-    """Tie-clip cohort calibrated to per-experience travel targets.
+    """Tie-clip cohort calibrated to the per-experience travel of TIE_GROUPS."""
 
-    Targets default to the two-vs-four hand-lengths scale separating
-    experienced operators from trainees.
-    """
-
+    fps: ClassVar[float] = 30.0
     seed: int = 0
-    fps: float = 30.0
     clip_duration_s: float = 15.0
-    hand_box_size: float = 100.0
     operators_per_group: int = 7
     clips_per_operator: int = 8
-    targets: tuple = (("experienced", 2.0), ("trainee", 4.0))
-    pose_rates: tuple = (("experienced", 0.004), ("trainee", 0.016))
-    operator_sigma: float = 0.05  # relative spread between operators
-    clip_sigma: float = 0.03  # relative spread between clips
 
     def __post_init__(self):
         check_finite("clip_duration_s", self.clip_duration_s)
-        check_finite("fps", self.fps)
         if self.operators_per_group < 1 or self.clips_per_operator < 1:
             raise InvariantError("cohort sizes must be >= 1")
 
 
-def _bounded_walk(rng, n_steps, step_len, start, lo=150.0, hi=1800.0):
-    """Random-direction walk with exact step lengths, reflected at bounds."""
+def _bounded_walk(rng, n_steps, step_len, start):
+    """Random-direction walk with exact step lengths, reflected at _WALK_BOUNDS."""
+    lo, hi = _WALK_BOUNDS
     x, y = start
     pos = [(x, y)]
     theta = rng.uniform(0, 2 * np.pi)
@@ -358,27 +358,25 @@ def generate_tie_clips(spec: SkillCohortSpec):
     rng = np.random.default_rng([spec.seed, 977])
     n_frames = max(int(round(spec.clip_duration_s * spec.fps)), 2)
     n_steps = n_frames - 1
-    size = spec.hand_box_size
-    pose_rates = dict(spec.pose_rates)
+    size = TIE_HAND_SIZE
 
     clips, truths = [], []
-    for experience, target in spec.targets:
+    for experience, target, pose_rate in TIE_GROUPS:
         for op_idx in range(spec.operators_per_group):
             operator_id = f"{experience[:3]}-{op_idx}"
-            op_mult = float(np.clip(rng.normal(1.0, spec.operator_sigma), 0.5, 1.5))
+            op_mult = float(np.clip(rng.normal(1.0, TIE_OPERATOR_SIGMA), 0.5, 1.5))
             for clip_idx in range(spec.clips_per_operator):
-                clip_mult = float(np.clip(rng.normal(1.0, spec.clip_sigma), 0.5, 1.5))
+                clip_mult = float(np.clip(rng.normal(1.0, TIE_CLIP_SIGMA), 0.5, 1.5))
                 hands, truth = {}, {}
                 for hand, home in (("left", (400.0, 500.0)), ("right", (900.0, 500.0))):
-                    hand_mult = float(np.clip(rng.normal(1.0, spec.clip_sigma / 2), 0.8, 1.2))
+                    hand_mult = float(np.clip(rng.normal(1.0, TIE_CLIP_SIGMA / 2), 0.8, 1.2))
                     length_hl = target * op_mult * clip_mult * hand_mult
                     step_len = length_hl * size / n_steps
                     hands[hand] = Trajectory(
                         track_id=0 if hand == "left" else 1, frames=np.arange(n_frames),
                         centroids=_bounded_walk(rng, n_steps, step_len, home),
                         sizes=np.full(n_frames, size))
-                    hands[f"{hand}_poses"] = _pose_sequence(rng, n_frames, size,
-                                                            pose_rates[experience])
+                    hands[f"{hand}_poses"] = _pose_sequence(rng, n_frames, size, pose_rate)
                     # the walk takes n_steps of exactly step_len
                     truth[hand] = {"path_hand_lengths": step_len * n_steps / size}
                 clips.append(TieClip(
@@ -435,8 +433,7 @@ DEFAULT_PROCEDURE_CLASSES = (
 
 
 def generate_procedure_sequences(seed: int, n_per_class: int,
-                                 classes=DEFAULT_PROCEDURE_CLASSES,
-                                 resolution_s: float = 5.0):
+                                 classes=DEFAULT_PROCEDURE_CLASSES):
     """Background-free (Timeline, class-name) pairs.
 
     Each action is `ACTIONS[bisect_right(cdf, rng.random())]` over the
@@ -458,6 +455,6 @@ def generate_procedure_sequences(seed: int, n_per_class: int,
                 if k >= head:
                     labels.append(ACTIONS[bisect_right(cdfs[q], rng.random())])
                 counts.append([rng.poisson(r) for r in cls.quartile_tool_rates[q]])
-            out.append((Timeline(video_id=f"{cls.name}-{v:03d}", labels=labels, tools=counts,
-                                 resolution_s=resolution_s), cls.name))
+            out.append((Timeline(video_id=f"{cls.name}-{v:03d}", labels=labels, tools=counts),
+                        cls.name))
     return out

@@ -5,6 +5,7 @@ zeroing a per-layer metric."""
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -57,6 +58,21 @@ def test_benchmark_reads_the_bench_report_and_truth_boxes(tmp_path):
         assert set(frame) == hands
         assert all(len(box) == 4 and all(isinstance(v, float) for v in box)
                    for box in frame.values())
+
+
+def test_track_workload_set_up_builds_its_stream(monkeypatch):
+    # the set-up process turns each track workload into a SynthSpec; a setting
+    # it passes that the program no longer takes must fail here, not in the benchmark
+    from scenestream.synth import generate_stream
+
+    workloads = _perfbench_module("workloads")
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # synth_input imports it
+    synth_input = _perfbench_module("synth_input")
+    for name, workload in workloads.TRACK_WORKLOADS.items():
+        assert synth_input.synth_spec(name, 1).duration_s == workload["duration_s"]
+        stream, truth = generate_stream(synth_input.synth_spec(name, 1, 0.2), 0)
+        assert len(stream.frames) == round(0.2 * workload["fps"])
+        assert len(truth.hand_ids) == (workload["lanes"] or 2)
 
 
 def test_benchmark_run_configs_pass_the_config_check():

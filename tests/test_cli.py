@@ -122,6 +122,41 @@ def test_cli_track_out_of_order_stream_matches_sorted_stream(tmp_path):
     assert got.read_bytes() == want.read_bytes()
 
 
+def test_out_of_order_frames_read_from_a_pipe_name_their_line(tmp_path, capsys):
+    # a pipe is read once, so `track` cannot re-sort it from a second read: it
+    # names the first late frame, here past the first block of rows written
+    lines = [json.dumps({"video_id": "v", "fps": 30.0})]
+    order = [*range(300), 301, 300, *range(302, 310)]
+    lines += [json.dumps({"frame": k, "t": k / 30.0, "dets": []}) for k in order]
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    out = tmp_path / "t.jsonl"
+    try:
+        assert main(["track", "--in", f"/dev/fd/{read_end}", "--out", str(out)]) == 1
+    finally:
+        os.close(read_end)
+    err = capsys.readouterr().err
+    assert err.startswith("input error: line 303: frame_index 300 is not above the frame "
+                          "before it; only a regular file is re-sorted")
+    assert "Traceback" not in err
+    assert not out.exists()
+    regular = tmp_path / "s.jsonl"  # the same lines in a file are re-sorted
+    regular.write_text("\n".join(lines) + "\n")
+    with pytest.warns(DataWarning, match="re-sorted"):
+        assert main(["track", "--in", str(regular), "--out", str(out)]) == 0
+
+
+def test_cli_track_reads_crlf_line_endings(tmp_path):
+    path = _keypoint_stream_file(tmp_path / "s.jsonl", 2.0)
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+    assert main(["track", "--in", str(path), "--out", str(want)]) == 0
+    assert main(["track", "--in", str(crlf), "--out", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_cli_track_malformed_line_leaves_no_output(tmp_path, capsys):
     path = _keypoint_stream_file(tmp_path / "s.jsonl", 11.0)
     lines = path.read_text().splitlines()
@@ -926,6 +961,77 @@ def test_cli_side_file_shape_sweep_exits_cleanly(sweep_inputs, tmp_path, capsys,
         assert "Traceback" not in capsys.readouterr().err
         if code == 1:
             assert not out.exists(), (command, value)
+
+
+# ---------------------------------------------------------------- spoiled input files
+
+_BIG_INT = "1" * 5000  # past the 4300 digits that int() converts from text
+_INPUT_OPTIONS = ("--in", "--tracks", "--clips", "--class-map", "--catalog", "--config",
+                  "--features", "--pred", "--truth")
+_WHOLE_FILE_JSON = ("--clips", "--class-map", "--config")  # one JSON value, not lines
+
+
+@pytest.fixture(scope="module")
+def option_inputs(sweep_inputs, tmp_path_factory):
+    """{input option: (argv with None where its file goes, a good file for it)}."""
+    from scenestream.pipeline import features_stage
+    from scenestream.synth import generate_procedure_sequences
+
+    root = tmp_path_factory.mktemp("inputs")
+    stream = sweep_inputs["track"][0][2]
+    _, _, tracks, _, clips = sweep_inputs["skill"][0]
+    streams = sweep_inputs["signature"][0][2]
+    class_map, catalog = root / "classes.json", root / "catalog.jsonl"
+    class_map.write_text(json.dumps({"synth-1-0000": "a"}) + "\n")
+    catalog.write_text(json.dumps({"video_id": "a", "title": "appendix", "umls": ["append"],
+                                   "search_terms": ["append"], "duration_s": 600}) + "\n")
+    config, features = root / "config.json", root / "features.csv"
+    config.write_text(json.dumps({"seed": 3}) + "\n")
+    features_stage(generate_procedure_sequences(seed=1, n_per_class=2), features)
+    return {
+        "--in": (["track", "--in", None], stream),
+        "--tracks": (["skill", "--tracks", None, "--clips", clips], tracks),
+        "--clips": (["skill", "--tracks", tracks, "--clips", None], clips),
+        "--class-map": (["signature", "--streams", streams, "--class-map", None], class_map),
+        "--catalog": (["filter", "--rule", "appendectomy", "--catalog", None], catalog),
+        "--config": (["run", "--config", None], config),
+        "--features": (["lda", "--features", None], features),
+        "--pred": (["eval", "actions", "--pred", None, "--truth", stream], stream),
+        "--truth": (["eval", "boxes", "--pred", stream, "--truth", None], stream),
+    }
+
+
+_SPOILS = {"big integer": b'"n": ' + _BIG_INT.encode() + b", ", "non-UTF-8 byte": b"\xff",
+           "deep nesting": b'"n": ' + b"[" * 100000 + b"]" * 100000 + b", ", "directory": None}
+
+
+@pytest.mark.parametrize("option, spoil", [(option, spoil) for option in _INPUT_OPTIONS
+                                           for spoil in _SPOILS
+                                           if (option, spoil) != ("--features", "deep nesting")])
+def test_cli_spoiled_input_file_exits_1_naming_its_line(option_inputs, tmp_path, capsys,
+                                                         option, spoil):
+    # into the last JSON object (or last CSV cell) of a good file goes a
+    # 5000-digit integer, a 0xff byte or a list nested past the recursion
+    # limit; or the option names a directory
+    argv, good = option_inputs[option]
+    data = Path(good).read_bytes()
+    at = (data.rstrip().rfind(b",") if option == "--features" else data.rfind(b"{")) + 1
+    line = data.count(b"\n", 0, at) + 1
+    bad = tmp_path / "bad"
+    if spoil == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(data[:at] + (_BIG_INT.encode() if (option, spoil) == (
+            "--features", "big integer") else _SPOILS[spoil]) + data[at:])
+    out, weights = tmp_path / "out", tmp_path / "w.csv"  # lda writes both
+    argv = [str(bad) if a is None else str(a) for a in argv]
+    argv += ["--weights", str(weights)] if option == "--features" else []
+    assert main([*argv, "--out", str(out)]) == 1, (option, spoil)
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err, err
+    if spoil == "non-UTF-8 byte" or (spoil != "directory" and option not in _WHOLE_FILE_JSON):
+        assert err.startswith(f"input error: line {line}: "), err
+    assert not out.exists() and not weights.exists()
 
 
 # ---------------------------------------------------------------- row lines and cold imports

@@ -282,7 +282,7 @@ def test_integrated_pose_distance_equals_summed_pose_changes():
 def test_split_pose_segments_on_gaps():
     frames = [0, 1, 2, 40, 41, 90]
     seq = poses([BASE_POSE] * 6, frames=frames)
-    segments = split_pose_segments(seq, fps=30.0, max_gap_s=1.0)
+    segments = split_pose_segments(seq, fps=30.0)
     assert [s.frames.tolist() for s in segments] == [[0, 1, 2], [40, 41], [90]]
     assert all(isinstance(s, Poses) for s in segments)
     assert split_pose_segments(poses([]), fps=30.0) == []

@@ -443,7 +443,7 @@ def test_top_features_reports_weights():
     x, labels = three_class_features(rng)
     z, _, _ = zscore(x)
     model = lda_fit(z, labels)
-    top = top_features(model, axis=0, k=3)
+    top = top_features(model, axis=0)
     assert len(top) == 3
     assert all(name in FEATURE_NAMES for name, _ in top)
 
