@@ -1,8 +1,8 @@
 """Throughput benchmark for the analytics layer.
 
-Measures the per-frame latency of the tracker step, and the latency of
-temporal action characterization over fixed windows, against the 0.08 s
-spatial and 0.33 s temporal real-time budgets.
+Measures the per-frame latency of the tracking stage (`pipeline.track_row`),
+and the latency of temporal action characterization over fixed windows,
+against the 0.08 s spatial and 0.33 s temporal real-time budgets.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_finite
+from .pipeline import track_row
 from .signatures import majority_action
 from .streams import VideoStream
 from .tracking import SortTracker
 
-SPATIAL_BUDGET_S = 0.08  # per-frame tracker step
+SPATIAL_BUDGET_S = 0.08  # per-frame tracking stage
 TEMPORAL_BUDGET_S = 0.33  # per-window action characterization
 DEFAULT_WINDOW_S = 5.0
 
@@ -80,7 +81,7 @@ def _characterize_window(frames) -> dict:
 
 
 def bench_stream(stream: VideoStream, window_s: float = DEFAULT_WINDOW_S) -> BenchReport:
-    """Replay a stream through the default tracker, timing each frame's step,
+    """Replay a stream through the default tracker, timing each frame's row,
     and time the per-window action characterization."""
     check_finite("window_s", window_s)
     tracker = SortTracker()
@@ -89,7 +90,7 @@ def bench_stream(stream: VideoStream, window_s: float = DEFAULT_WINDOW_S) -> Ben
     window_len = max(int(round(window_s * stream.fps)), 1)
     for fr in stream.frames:
         t0 = time.perf_counter()
-        tracker.step(fr)
+        track_row(tracker, fr)
         frame_lat.append(time.perf_counter() - t0)
         window.append(fr)
         if len(window) == window_len:

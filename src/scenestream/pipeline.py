@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataWarning, InvariantError, StreamFormatError, check_finite
-from .evaluation import evaluate_actions, evaluate_boxes
+from .evaluation import KEYPOINT_MATCH_IOU, evaluate_actions, evaluate_boxes
 from .kinematics import (
     SKILL_METRICS,
     HandSummary,
@@ -72,9 +72,9 @@ from .synth import (
     generate_tie_clips,
     write_synth_files,
 )
-from .tracking import SortTracker, TrackerConfig
+# `associate` by name: the traced `tracking.associate` span is the tracker's call alone
+from .tracking import SortTracker, TrackerConfig, associate
 
-TRACK_KP_MATCH_IOU = 0.5
 ORACLE_MATCH_IOU = 0.3  # a track box follows the true hand it overlaps this much
 
 
@@ -90,21 +90,17 @@ def write_json(obj, path) -> None:
 TRACK_BLOCK_FRAMES = 256
 
 
-def _track_row(tracker: SortTracker, fr: FrameRecord) -> dict:
+def track_row(tracker: SortTracker, fr: FrameRecord) -> dict:
+    """One frame's row: emitted corners by track id, and under "kps" the keypoint
+    entries paired one to one with those tracks as `evaluate_keypoints` pairs hands."""
     emitted = tracker.step(fr)
     row = {"frame": fr.frame_index, "t": fr.timestamp_s,
-           "tracks": {str(tid): box.as_list() for tid, box in emitted}}
-    kps = {}
-    for kp in fr.keypoints:
-        best_tid, best_v = None, TRACK_KP_MATCH_IOU
-        for tid, box in emitted:
-            v = iou(kp.owner_box, box)
-            if v >= best_v:
-                best_tid, best_v = tid, v
-        if best_tid is not None:
-            kps[str(best_tid)] = kp
-    if kps:
-        row["kps"] = kps
+           "tracks": {str(tid): corners for tid, corners in emitted}}
+    if fr.keypoints and emitted:
+        matches, _, _ = associate([kp.owner_box.as_list() for kp in fr.keypoints],
+                                  [corners for _, corners in emitted], KEYPOINT_MATCH_IOU)
+        if matches:
+            row["kps"] = {str(emitted[t][0]): fr.keypoints[k] for k, t in matches}
     return row
 
 
@@ -112,16 +108,16 @@ def track_stream(frames, config: TrackerConfig | None = None):
     """Run SORT over frames in frame order; yield one row per frame with
     boxes keyed by track id.
 
-    Input keypoints are re-keyed by track id when their owner box overlaps
-    the emitted track box (IoU >= 0.5); they stay HandKeypoints until
-    `write_tracks` writes their `points_text`. Frames are taken TRACK_BLOCK_FRAMES at a
-    time and a block's rows are all made before the first is yielded, so
-    reading, tracking and writing a file each run a block at a stretch.
+    Input keypoints are re-keyed by track id as `track_row` pairs them; they
+    stay HandKeypoints until `write_tracks` writes their `points_text`.
+    Frames are taken TRACK_BLOCK_FRAMES at a time and a block's rows are all
+    made before the first is yielded, so reading, tracking and writing a file
+    each run a block at a stretch.
     """
     tracker = SortTracker(config)
     frames = iter(frames)
     while block := list(islice(frames, TRACK_BLOCK_FRAMES)):
-        yield from [_track_row(tracker, fr) for fr in block]
+        yield from [track_row(tracker, fr) for fr in block]
 
 
 def _row_line(row) -> str:
@@ -405,33 +401,38 @@ def features_stage(labelled, path):
 
 
 def read_features_csv(path):
+    """The labelled FeatureVector30s of a feature table. Blank lines are
+    skipped; any other bad row is a StreamFormatError naming its line."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     if next(reader, [])[2:] != list(FEATURE_NAMES):
         raise StreamFormatError(f"unexpected feature columns in {path}")
     features = []
     for row in reader:
+        if not any(cell.strip() for cell in row):
+            continue
+        if len(row) != 2 + len(FEATURE_NAMES) or not row[1]:
+            raise StreamFormatError(f"a feature row needs a video id, a class label and "
+                                    f"{len(FEATURE_NAMES)} values", line=reader.line_num)
         try:  # float() takes "nan" and "inf", and an integer past the float range is inf
             values = np.array([float(v) for v in row[2:]])
-            finite = np.isfinite(values).all()
+            if not np.isfinite(values).all():
+                raise ValueError
+            features.append(FeatureVector30(video_id=row[0], label=row[1], values=values))
         except ValueError:
-            finite = False
-        if not finite:
-            raise StreamFormatError("feature values must be finite numbers", line=reader.line_num)
-        features.append(FeatureVector30(video_id=row[0], label=row[1] or None,
-                                        values=values))
+            raise StreamFormatError("feature values must be finite numbers",
+                                    line=reader.line_num) from None
+        except InvariantError as exc:  # a quartile or transition value outside [0, 1]
+            raise StreamFormatError(str(exc), line=reader.line_num) from exc
     return features
 
 
 def lda_stage(features, projection_path, weights_path):
     """LDA of z-scored, labelled features; writes the 2-D projection and the
     per-feature weights as CSV. Returns the model."""
-    labels = [f.label for f in features]
-    if any(lab is None for lab in labels):
-        raise StreamFormatError("all rows in the feature table need a class label")
     z, _, _ = zscore(features)
-    model = lda_fit(z, labels)
+    model = lda_fit(z, [f.label for f in features])
     _write_csv(projection_path, ["video_id", "label", "x", "y"],
-               ([f.video_id, f.label or "", *_floats(point)]
+               ([f.video_id, f.label, *_floats(point)]
                 for f, point in zip(features, lda_project(z, model))))
     _write_csv(weights_path, ["feature", "axis1_weight", "axis2_weight"],
                ([name, *_floats(model.projection[k, :2])]

@@ -294,12 +294,12 @@ def zscore(features):
     Returns (matrix, mean, sd); zero-variance dimensions pass through as 0
     with a warning. Needs at least 2 samples.
     """
+    if len(features) < 2:  # before np.stack, which fails on an empty list
+        raise InvariantError("zscore needs at least 2 samples")
     if isinstance(features, np.ndarray):
         table = np.asarray(features, dtype=float)
     else:
         table = np.stack([f.values for f in features])
-    if len(table) < 2:
-        raise InvariantError("zscore needs at least 2 samples")
     mean = table.mean(axis=0)
     sd = table.std(axis=0)
     flat = sd <= 0

@@ -27,7 +27,7 @@ assignment solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, nan, sqrt
+from math import inf, isfinite, nan, sqrt
 
 import numpy as np
 
@@ -302,13 +302,14 @@ class SortTracker:
         self.frame_count = 0
         self._next_id = 1
 
-    def step(self, frame: FrameRecord) -> list[tuple[int, BBox]]:
-        """Advance one frame; returns (track_id, box) pairs sorted by id.
+    def step(self, frame: FrameRecord) -> list[tuple[int, list[float]]]:
+        """Advance one frame; returns (track_id, [x_min, y_min, x_max, y_max])
+        pairs sorted by id.
 
         Only tracks matched this frame are emitted, once they have min_hits
         updates (always, while the stream itself is younger than min_hits).
-        Boxes are clamped to non-negative coordinates; tracks fully outside
-        the frame emit nothing and coast until max_age.
+        Corners are clamped at 0; tracks fully outside the frame (corners that
+        cross, or are not finite) emit nothing and coast until max_age.
         """
         cfg = self.config
         self.frame_count += 1
@@ -343,10 +344,6 @@ class SortTracker:
         young = self.frame_count <= cfg.min_hits
         emit = [k for k, (t, h) in enumerate(zip(since, hits))
                 if t == 0 and (young or h >= cfg.min_hits)]
-        emitted = []
-        for k, corners in zip(emit, _state_corners([filters[k] for k in emit])):
-            try:
-                emitted.append((ids[k], BBox(*corners)))
-            except InvariantError:
-                continue  # fully outside the frame after clamping
-        return emitted
+        # a NaN corner fails every comparison, so its track is dropped too
+        return [(ids[k], c) for k, c in zip(emit, _state_corners([filters[k] for k in emit]))
+                if c[0] < c[2] < inf and c[1] < c[3] < inf]

@@ -139,3 +139,32 @@ def test_run_pipeline_calls_every_traced_stage(monkeypatch, tmp_path):
     run_pipeline(_perfbench_module("workloads").run_config(1, warmup=True), tmp_path / "b")
     assert points
     assert [point for point, n in calls.items() if n == 0] == []
+
+
+def test_traced_associate_is_called_once_per_step_and_bench_times_track_row(monkeypatch):
+    # the traced run spans `tracking.associate` as the tracker's association:
+    # the keypoint pairing in `track_row` calls it by its own name, so the span
+    # sees one call per step, on keypoint frames too. `bench_stream` times
+    # `track_row`, the stage `track` and `run` run per frame
+    from scenestream import bench, tracking
+    from scenestream.pipeline import track_stream
+    from scenestream.synth import SynthSpec, generate_stream
+
+    calls = {"associate": 0, "step": 0, "track_row": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(tracking, "associate", counted("associate", tracking.associate))
+    monkeypatch.setattr(tracking.SortTracker, "step", counted("step", tracking.SortTracker.step))
+    monkeypatch.setattr(bench, "track_row", counted("track_row", bench.track_row))
+    stream, _ = generate_stream(SynthSpec(seed=2, fps=10.0, duration_s=3.0,
+                                          with_keypoints=True), 0)
+    assert sum("kps" in row for row in track_stream(stream.frames)) > len(stream.frames) // 2
+    assert calls == {"associate": len(stream.frames), "step": len(stream.frames), "track_row": 0}
+    bench.bench_stream(stream)
+    n = len(stream.frames)
+    assert calls == {"associate": 2 * n, "step": 2 * n, "track_row": n}

@@ -277,6 +277,10 @@ def test_cli_filter(tmp_path, capsys):
          "search_terms": ["appendectomy"], "duration_s": 400.0},
         {"video_id": "long", "title": "appendectomy", "umls": ["appendix"],
          "search_terms": ["appendectomy"], "duration_s": 4000.0},
+        {"video_id": "other-umls", "title": "appendectomy", "umls": ["colon"],
+         "search_terms": ["appendectomy"], "duration_s": 400.0},
+        {"video_id": "other-terms", "title": "appendectomy", "umls": ["appendix"],
+         "search_terms": ["colectomy"], "duration_s": 400.0},
     ]
     catalog.write_text("\n".join(json.dumps(e) for e in entries) + "\n")
     assert main(["filter", "--catalog", str(catalog), "--rule", "appendectomy"]) == 0
@@ -433,6 +437,33 @@ def test_cli_track_keeps_keypoint_text(tmp_path):
         assert json.loads(line)["kps"]["1"] == numbers
     _, rows = read_tracks(out)  # the tracks file is valid for `skill`
     assert len(rows) == 4
+
+
+def test_cli_track_keeps_the_keypoint_entry_eval_keypoints_pairs(tmp_path):
+    # two keypoint entries over one hand: the first overlaps it at IoU 1.0,
+    # the second at 0.67. The track keeps the first, and `eval keypoints`
+    # pairs the track's box with that same entry of the stream
+    det = [100, 100, 180, 170]
+    entries = [{"box": det, "points": [[110 + k, 120, 1] for k in range(21)]},
+               {"box": [116, 100, 196, 170], "points": [[150 + k, 160, 1] for k in range(21)]}]
+    header = json.dumps({"video_id": "v", "fps": 30.0})
+    stream_path, out = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
+    stream_path.write_text("\n".join([header, *(json.dumps(
+        {"frame": k, "t": k / 30.0, "dets": [["hand", 0.9, *det]], "kps": entries})
+        for k in range(3))]) + "\n")
+    assert main(["track", "--in", str(stream_path), "--out", str(out), "--min-hits", "1"]) == 0
+    _, rows = read_tracks(out)
+    assert [row["kps"] for row in rows] == [{"1": entries[0]["points"]}] * 3
+    # the tracks as predicted hands: each track box owns the keypoints it kept
+    pred_path, report = tmp_path / "pred.jsonl", tmp_path / "pck.json"
+    pred_path.write_text("\n".join([header, *(json.dumps(
+        {"frame": row["frame"], "t": row["t"], "dets": [["hand", 1.0, *row["tracks"]["1"]]],
+         "kps": [{"box": row["tracks"]["1"], "points": row["kps"]["1"]}]})
+        for row in rows)]) + "\n")
+    assert main(["eval", "keypoints", "--pred", str(pred_path), "--truth", str(stream_path),
+                 "--out", str(report)]) == 0
+    # the paired entry scores every keypoint, the unpaired one none
+    assert json.loads(report.read_text())["mean_pck"] == 0.5
 
 
 @pytest.mark.parametrize("value", ['"1.5"', "true", "null", "1" + "0" * 399, "NaN"],
@@ -842,6 +873,105 @@ def test_cli_lda_reports_bad_feature_line(tmp_path, capsys):
     assert main(["lda", "--features", str(features_path), "--out", str(tmp_path / "p.csv"),
                  "--weights", str(tmp_path / "w.csv")]) == 1
     assert "line 3:" in capsys.readouterr().err
+
+
+def test_cli_lda_skips_blank_feature_lines(tmp_path):
+    from scenestream.pipeline import features_stage
+    from scenestream.synth import generate_procedure_sequences
+
+    features_path, spaced_path = tmp_path / "features.csv", tmp_path / "spaced.csv"
+    features_stage(generate_procedure_sequences(seed=1, n_per_class=2), features_path)
+    lines = features_path.read_text().splitlines()
+    spaced_path.write_text("\n".join([lines[0], "", *lines[1:3], "  ", *lines[3:], ""]) + "\n")
+    outputs = []
+    for path in (features_path, spaced_path):
+        proj, weights = tmp_path / f"{path.stem}.proj.csv", tmp_path / f"{path.stem}.w.csv"
+        assert main(["lda", "--features", str(path), "--out", str(proj),
+                     "--weights", str(weights)]) == 0
+        outputs.append([proj.read_bytes(), weights.read_bytes()])
+    assert outputs[0] == outputs[1]
+
+
+_HAND = ["hand", 0.9, 100, 100, 180, 170]
+
+
+def _stream_text(header=None, **changes):
+    """A stream of one frame with one hand, `changes` made to the frame (a
+    change to ... drops the key)."""
+    frame = {"frame": 0, "t": 0.0, "dets": [_HAND], **changes}
+    return "\n".join([json.dumps(header or {"video_id": "v", "fps": 30.0}),
+                      json.dumps({k: v for k, v in frame.items() if v is not ...})]) + "\n"
+
+
+def _feature_text(row):
+    """A feature table of one good row, then `row` on line 3."""
+    from scenestream.signatures import FEATURE_NAMES
+
+    return "\n".join([",".join(["video_id", "label", *FEATURE_NAMES]),
+                      "a,x," + ",".join(["0.5"] * 30), row]) + "\n"
+
+
+_TRACK = ["track", "--in", "@s.jsonl"]
+_LDA = ["lda", "--features", "@f.csv", "--weights", "@w.csv"]
+_ROW_SHAPE = "line 3: a feature row needs a video id, a class label and 30 values"
+# name: (argv, with "@" before a file name, {file name: text}, the message after "input error: ")
+_INPUT_ERRORS = {
+    "dets entry of 5": (_TRACK, {"s.jsonl": _stream_text(dets=[_HAND[:5]])},
+                        "line 2: det entry must be [cls, conf, x0, y0, x1, y1]"),
+    "dets entry not a list": (_TRACK, {"s.jsonl": _stream_text(dets=["hand"])},
+                              "line 2: det entry must be [cls, conf, x0, y0, x1, y1]"),
+    "kps entry without points": (_TRACK, {"s.jsonl": _stream_text(kps=[{"box": _HAND[2:]}])},
+                                 "line 2: kps entry must be an object with 'points' and 'box'"),
+    "kps entry without box": (_TRACK, {"s.jsonl": _stream_text(
+        kps=[{"points": [[110.0, 120.0, 1]] * 21}])},
+        "line 2: kps entry must be an object with 'points' and 'box'"),
+    "frame line without frame": (_TRACK, {"s.jsonl": _stream_text(frame=...)},
+                                 "line 2: frame record needs 'frame' and 't'"),
+    "frame line without t": (_TRACK, {"s.jsonl": _stream_text(t=...)},
+                             "line 2: frame record needs 'frame' and 't'"),
+    "header without video_id": (_TRACK, {"s.jsonl": _stream_text({"fps": 30.0})},
+                                "line 1: first line must be a header with video_id and fps"),
+    "header without fps": (_TRACK, {"s.jsonl": _stream_text({"video_id": "v"})},
+                           "line 1: first line must be a header with video_id and fps"),
+    "empty tracks file": (["skill", "--tracks", "@t.jsonl", "--clips", "@c.json"],
+                          {"t.jsonl": "", "c.json": "[]"}, "empty tracks file: "),
+    "streams without stream files": (["signature", "--streams", "@d"],
+                                     {"d/v.truth.jsonl": "{}\n"}, "no stream files found in "),
+    "feature columns": (_LDA, {"f.csv": "video_id,label,a\n"}, "unexpected feature columns in "),
+    "feature row of one cell": (_LDA, {"f.csv": _feature_text("b")}, _ROW_SHAPE),
+    "feature row of 10 values": (_LDA, {"f.csv": _feature_text("b,x," + ",".join(["0.5"] * 10))},
+                                 _ROW_SHAPE),
+    "unlabelled feature row": (_LDA, {"f.csv": _feature_text("b,," + ",".join(["0.5"] * 30))},
+                               _ROW_SHAPE),
+    "feature quartile above 1": (_LDA, {"f.csv": _feature_text(
+        "b,x,1.5," + ",".join(["0.5"] * 29))},
+        "line 3: quartile action features must lie in [0,1]"),
+    "feature transition below 0": (_LDA, {"f.csv": _feature_text(
+        "b,x," + ",".join(["0.5"] * 29) + ",-0.5")},
+        "line 3: transition features must lie in [0,1]"),
+    "filter --out in a missing directory": (
+        ["filter", "--catalog", "@c.jsonl", "--rule", "appendectomy", "--out", "@no/out.txt"],
+        {"c.jsonl": json.dumps(_catalog_entry()) + "\n"}, "[Errno 2] No such file or directory"),
+    "bench --in": (["bench", "--in", "@s.jsonl"], {"s.jsonl": _stream_text(t=...)},
+                   "line 2: frame record needs 'frame' and 't'"),
+}
+
+
+@pytest.mark.parametrize("argv, files, message", list(_INPUT_ERRORS.values()),
+                         ids=list(_INPUT_ERRORS))
+def test_cli_input_error_exits_1_with_its_message(tmp_path, capsys, argv, files, message):
+    # each bad input exits 1 naming the line where the file is read line by
+    # line, with no traceback, and leaves no output file
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    before = sorted(tmp_path.rglob("*"))
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    out = [] if "--out" in argv else ["--out", str(tmp_path / "out")]
+    assert main([*argv, *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {message}") and "Traceback" not in err, err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # ---------------------------------------------------------------- numeric option sweep

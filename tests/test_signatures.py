@@ -324,6 +324,8 @@ def test_zscore_output_standardized():
 def test_zscore_needs_two_samples():
     with pytest.raises(InvariantError):
         zscore(np.ones((1, 30)))
+    with pytest.raises(InvariantError):  # a feature table with no rows
+        zscore([])
 
 
 # ------------------------------------------------------------- LDA

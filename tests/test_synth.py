@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_integrated_pose_distance, per_step_procedure_sequences
-from scenestream import InvariantError, iou, parse_stream, stream_to_lines
+from scenestream import BBox, InvariantError, iou, parse_stream, stream_to_lines
 from scenestream.kinematics import (
     clip_mean_hand_size,
     integrated_pose_distance,
@@ -149,7 +149,8 @@ def test_crossing_hands_keep_identity_against_generator_truth():
     tracker = SortTracker(TrackerConfig(min_hits=1))
     assigned = {}  # track_id -> set of gt ids it follows
     for fr, frame_truth in zip(stream.frames, truth.true_boxes):
-        for tid, box in tracker.step(fr):
+        for tid, corners in tracker.step(fr):
+            box = BBox(*corners)
             best = max(frame_truth, key=lambda h: iou(box, frame_truth[h]))
             if iou(box, frame_truth[best]) >= 0.3:
                 assigned.setdefault(tid, set()).add(best)

@@ -327,7 +327,7 @@ def test_zero_noise_output_equals_detections():
         box = BBox(100 + 3 * k, 50 + 2 * k, 160 + 3 * k, 110 + 2 * k)
         out = tracker.step(hand_frame(k, [box]))
         assert len(out) == 1
-        assert out[0][1].as_list() == pytest.approx(box.as_list(), abs=1e-6)
+        assert out[0][1] == pytest.approx(box.as_list(), abs=1e-6)
 
 
 def test_cycle_matches_least_squares_line_after_burn_in():
@@ -340,8 +340,8 @@ def test_cycle_matches_least_squares_line_after_burn_in():
         centers_x.append((box.x_min + box.x_max) / 2)
         centers_y.append((box.y_min + box.y_max) / 2)
         frames.append(k)
-        for tid, b in tracker.step(hand_frame(k, [box])):
-            est[k] = ((b.x_min + b.x_max) / 2, (b.y_min + b.y_max) / 2)
+        for tid, (x0, y0, x1, y1) in tracker.step(hand_frame(k, [box])):
+            est[k] = ((x0 + x1) / 2, (y0 + y1) / 2)
     # independent straight-line least-squares fit on the measurements
     px = np.polyfit(frames, centers_x, 1)
     py = np.polyfit(frames, centers_y, 1)
