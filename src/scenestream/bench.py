@@ -86,22 +86,16 @@ def bench_stream(stream: VideoStream, window_s: float = DEFAULT_WINDOW_S) -> Ben
     check_finite("window_s", window_s)
     tracker = SortTracker()
     frame_lat, window_lat = [], []
-    window: list = []
-    window_len = max(int(round(window_s * stream.fps)), 1)
     for fr in stream.frames:
         t0 = time.perf_counter()
         track_row(tracker, fr)
         frame_lat.append(time.perf_counter() - t0)
-        window.append(fr)
-        if len(window) == window_len:
-            t1 = time.perf_counter()
-            _characterize_window(window)
-            window_lat.append(time.perf_counter() - t1)
-            window = []
-    if window:
-        t1 = time.perf_counter()
+    window_len = max(int(round(window_s * stream.fps)), 1)
+    for start in range(0, len(stream.frames), window_len):
+        window = stream.frames[start:start + window_len]
+        t0 = time.perf_counter()
         _characterize_window(window)
-        window_lat.append(time.perf_counter() - t1)
+        window_lat.append(time.perf_counter() - t0)
     return BenchReport(per_frame=_latency(frame_lat, SPATIAL_BUDGET_S),
                        per_window=_latency(window_lat, TEMPORAL_BUDGET_S),
                        n_frames=len(stream.frames), fps=stream.fps)

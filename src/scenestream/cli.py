@@ -12,7 +12,7 @@ import warnings
 from pathlib import Path
 
 from .bench import bench_stream
-from .errors import InvariantError, StreamFormatError
+from .errors import FrameOrderError, InvariantError, StreamFormatError
 from .evaluation import evaluate_actions, evaluate_boxes, evaluate_keypoints
 from .kinematics import SKILL_METRICS
 from .pipeline import (
@@ -49,24 +49,11 @@ def cmd_synth(args) -> int:
                                   confidence_mean=args.conf_mean,
                                   confidence_sigma=args.conf_sigma),
         with_keypoints=args.with_keypoints)
-    written = synth_generate(spec, args.out)
+    written = synth_generate(spec, args.out_dir)
     for stream_path, truth_path in written:
         print(stream_path)
         print(truth_path)
     return 0
-
-
-class _OutOfOrder(Exception):
-    """A frame_index that does not increase on the one before it."""
-
-
-def _in_order(frames):
-    last = -1
-    for fr in frames:
-        if fr.frame_index <= last:
-            raise _OutOfOrder
-        last = fr.frame_index
-        yield fr
 
 
 def cmd_track(args) -> int:
@@ -75,16 +62,13 @@ def cmd_track(args) -> int:
     the frames with a DataWarning (or rejects a duplicate). Input that is not
     a regular file, such as a pipe, cannot be read twice and is rejected."""
     config = _tracker_config(args)
-    late = []
-    header, frames = open_stream(args.infile, late)
+    header, frames = open_stream(args.infile)
     try:
-        write_tracks(header, track_stream(_in_order(frames), config), args.out)
-    except _OutOfOrder:
+        write_tracks(header, track_stream(frames, config), args.out)
+    except FrameOrderError as exc:
         if not Path(args.infile).is_file():
-            fr, line_no = late[0]
             raise StreamFormatError(
-                f"frame_index {fr.frame_index} is not above the frame before it; only a "
-                "regular file is re-sorted, so sort the frames first", line=line_no) from None
+                f"{exc}; only a regular file is re-sorted, so sort the frames first") from None
         stream = parse_stream(args.infile)
         write_tracks(stream, track_stream(stream.frames, config), args.out)
     print(args.out)
@@ -171,11 +155,7 @@ def _catalog_entries(path):
 
 
 def cmd_filter(args) -> int:
-    rule = BUILTIN_RULES.get(args.rule)
-    if rule is None:
-        raise StreamFormatError(
-            f"unknown rule {args.rule!r}; choose from {sorted(BUILTIN_RULES)}")
-    selected = filter_videos(_catalog_entries(args.catalog), rule)
+    selected = filter_videos(_catalog_entries(args.catalog), BUILTIN_RULES[args.rule])
     if args.out:
         Path(args.out).write_text("\n".join(selected) + ("\n" if selected else ""),
                                   encoding="utf-8")
@@ -224,9 +204,9 @@ def cmd_run(args) -> int:
     config = {}
     if args.config:
         config = read_json(args.config)
-    manifest = run_pipeline(config, args.out)
+    manifest = run_pipeline(config, args.out_dir)
     for name in sorted(manifest):
-        print(f"{name}: {Path(args.out) / manifest[name]}")
+        print(f"{name}: {Path(args.out_dir) / manifest[name]}")
     return 0
 
 
@@ -246,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conf-mean", type=float, default=1.0)
     p.add_argument("--conf-sigma", type=float, default=0.0)
     p.add_argument("--with-keypoints", action="store_true")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", dest="out_dir", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("track", help="run SORT over a stream")
@@ -322,15 +302,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline producing a report bundle")
     p.add_argument("--config", help="JSON config; defaults are used when omitted")
-    p.add_argument("--out", required=True, help="bundle directory")
+    p.add_argument("--out", dest="out_dir", required=True, help="bundle directory")
     p.set_defaults(func=cmd_run)
     return parser
+
+
+def _check_outputs(args) -> None:
+    """Reject each output file (--out, --centroids, --weights) that names a
+    directory or lies in a directory that does not exist, before any input is
+    read; the --out of synth and run is a directory they create (`out_dir`)."""
+    for path in (getattr(args, name, None) for name in ("out", "centroids", "weights")):
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise StreamFormatError(f"cannot write {path}: it is a directory")
+        if not Path(path).parent.is_dir():
+            raise StreamFormatError(
+                f"cannot write {path}: directory {Path(path).parent} does not exist")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             return args.func(args)

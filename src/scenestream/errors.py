@@ -17,6 +17,10 @@ class StreamFormatError(SceneStreamError):
         self.line = line
 
 
+class FrameOrderError(StreamFormatError):
+    """A frame_index not above every one before it, where frame order is not repaired."""
+
+
 class InvariantError(SceneStreamError):
     """A domain invariant was violated (bad box, bad config, inconsistent stream)."""
 

@@ -304,7 +304,7 @@ def evaluate_keypoints(pred_stream: VideoStream, truth_stream: VideoStream,
             continue
         preds, truths = pred.keypoints if pred else (), truth.keypoints
         matches, _, unmatched_truth = associate(
-            [k.owner_box for k in preds], [k.owner_box for k in truths],
+            [k.owner_box.as_list() for k in preds], [k.owner_box.as_list() for k in truths],
             KEYPOINT_MATCH_IOU)
         for pi, ti in matches:
             ref_box = truths[ti].owner_box if ref == "truth" else preds[pi].owner_box

@@ -152,8 +152,6 @@ def _moving_average(curves: np.ndarray, window: int) -> np.ndarray:
     """Centered moving average along axis 0 with truncated edge windows."""
     if window < 1 or window % 2 == 0:
         raise InvariantError(f"smoothing window must be odd and >= 1, got {window}")
-    if window == 1:
-        return curves.copy()
     half = window // 2
     n = len(curves)
     out = np.empty_like(curves, dtype=float)

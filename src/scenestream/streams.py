@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DataWarning, InvariantError, StreamFormatError
+from .errors import DataWarning, FrameOrderError, InvariantError, StreamFormatError
 
 ACTIONS = ("cutting", "tying", "suturing")
 BACKGROUND = "background"
@@ -452,9 +452,9 @@ def open_stream(path, late=None):
     raises StreamFormatError, a frame breaking an invariant (a timestamp off
     frame_index/fps included) raises InvariantError, both naming the line.
     After the last line, the header's duration_s is checked against the span
-    up to the largest frame_index, naming that frame's line. Frame order is
-    left to the caller; given a list `late`, the iterator appends to it
-    (frame, line number) for each frame whose index is not above all before it.
+    up to the largest frame_index, naming that frame's line. A frame whose
+    index is not above all before it raises FrameOrderError naming its line;
+    given a list `late`, the iterator appends (frame, line number) to it instead.
     """
     path = Path(path)
     lines = _text_lines(path)
@@ -481,7 +481,10 @@ def _checked_frames(path, header: VideoStream, lines, late):
             raise StreamFormatError(f"malformed frame record: {exc}", line=line_no) from exc
         if fr.frame_index > last_index:
             last_line, last_index = line_no, fr.frame_index
-        elif late is not None:
+        elif late is None:
+            raise FrameOrderError(f"frame_index {fr.frame_index} is not above the frame "
+                                  "before it", line=line_no)
+        else:
             late.append((fr, line_no))
         yield fr
     if last_line is None:

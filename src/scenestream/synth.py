@@ -335,15 +335,12 @@ def _pose_sequence(rng, n_frames, size, pose_rate):
     """Deforming keypoint chains: a clipped random walk of the nine skill
     points around the hand template, frames 0..n_frames-1."""
     deforms = [[0.0] * 18]
-    if pose_rate > 0:
-        # one draw yields the same numbers as one (9, 2) draw per frame
-        noise = rng.normal(0, pose_rate * size, size=(n_frames - 1, 18)).tolist()
-        lo, hi = -0.3 * size, 0.3 * size
-        for step in noise:  # np.clip of deform + step, on each of the 18 floats
-            deforms.append([hi if (v := d + e) > hi else lo if v < lo else v
-                            for d, e in zip(deforms[-1], step)])
-    else:
-        deforms *= n_frames
+    # one draw yields the same numbers as one (9, 2) draw per frame
+    noise = rng.normal(0, pose_rate * size, size=(n_frames - 1, 18)).tolist()
+    lo, hi = -0.3 * size, 0.3 * size
+    for step in noise:  # np.clip of deform + step, on each of the 18 floats
+        deforms.append([hi if (v := d + e) > hi else lo if v < lo else v
+                        for d, e in zip(deforms[-1], step)])
     points = _HAND_TEMPLATE[:9] * size + np.array(deforms).reshape(n_frames, 9, 2)
     return Poses(frames=np.arange(n_frames), points=points, sizes=np.full(n_frames, size))
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvariantError, check_finite
 # `iou` is imported so the traced benchmark can count calls to it here
-from .streams import BBox, FrameRecord, HAND, iou  # noqa: F401
+from .streams import FrameRecord, HAND, iou  # noqa: F401
 
 # (position, velocity) variances of a newborn track per axis (u, v, s, r)
 _INITIAL_VAR = ((10.0, 1e4), (10.0, 1e4), (10.0, 1e4), (10.0, 0.0))
@@ -241,8 +241,8 @@ def _overlap_scores(tracks, dets) -> list[dict[int, float]]:
 def associate(track_boxes, det_boxes, iou_threshold):
     """Optimal one-to-one IoU matching between predicted boxes and detections.
 
-    Boxes are BBox sequences or lists of (x_min, y_min, x_max, y_max) float
-    rows. Returns (matches, unmatched_tracks, unmatched_dets); matches
+    Boxes are lists of (x_min, y_min, x_max, y_max) float rows. Returns
+    (matches, unmatched_tracks, unmatched_dets); matches
     maximize the total IoU with ties broken as `_lexmin_optimal_pairs` breaks
     them, then pairs with IoU < iou_threshold (which must be > 0) dissolve.
 
@@ -258,9 +258,7 @@ def associate(track_boxes, det_boxes, iou_threshold):
     dissolves. The best pairs at or above the threshold are therefore the
     solver's matches.
     """
-    tracks = [b.as_list() if isinstance(b, BBox) else b for b in track_boxes]
-    dets = [b.as_list() if isinstance(b, BBox) else b for b in det_boxes]
-    scores = _overlap_scores(tracks, dets)
+    scores = _overlap_scores(track_boxes, det_boxes)
     pairs, taken, certain = [], set(), True
     for i, row in enumerate(scores):
         best, top, second = None, 0.0, 0.0
@@ -275,13 +273,13 @@ def associate(track_boxes, det_boxes, iou_threshold):
             pairs.append((i, best))
     if not certain:
         pairs = _lexmin_optimal_pairs(
-            np.array([[row.get(j, 0.0) for j in range(len(dets))] for row in scores]))
+            np.array([[row.get(j, 0.0) for j in range(len(det_boxes))] for row in scores]))
     matches = [(i, j) for i, j in pairs if scores[i].get(j, 0.0) >= iou_threshold]
     matched_t = {i for i, _ in matches}
     matched_d = {j for _, j in matches}
     return (matches,
-            [i for i in range(len(tracks)) if i not in matched_t],
-            [j for j in range(len(dets)) if j not in matched_d])
+            [i for i in range(len(track_boxes)) if i not in matched_t],
+            [j for j in range(len(det_boxes)) if j not in matched_d])
 
 
 # ------------------------------------------------------------ tracker

@@ -168,3 +168,44 @@ def test_traced_associate_is_called_once_per_step_and_bench_times_track_row(monk
     bench.bench_stream(stream)
     n = len(stream.frames)
     assert calls == {"associate": 2 * n, "step": 2 * n, "track_row": n}
+
+
+def test_traced_bodies_write_the_bytes_of_untraced_ones(monkeypatch, tmp_path):
+    # the traced benchmark runs `track` and `run` through perfbench's wrappers;
+    # a wrapper that no longer fits the function it wraps (such as the traced
+    # `associate`, which passes its arguments by position) fails only there
+    import gc
+
+    from scenestream import tracking
+    from scenestream.cli import main
+    from scenestream.streams import write_stream
+    from scenestream.synth import CorruptionSpec, SynthSpec, generate_stream
+
+    tracing, workloads = _perfbench_module("tracing"), _perfbench_module("workloads")
+    stream, _ = generate_stream(SynthSpec(seed=3, fps=10.0, duration_s=4.0, with_keypoints=True,
+                                          corruption=CorruptionSpec(dropout_rate=0.2)), 0)
+    write_stream(stream, tmp_path / "s.jsonl")
+    (tmp_path / "config.json").write_text(json.dumps(workloads.run_config(1, warmup=True)))
+
+    def outputs(name):
+        tracks, bundle = tmp_path / f"{name}.tracks.jsonl", tmp_path / name
+        assert main(["track", "--in", str(tmp_path / "s.jsonl"), "--out", str(tracks),
+                     *workloads.TRACKER_ARGS]) == 0
+        assert main(["run", "--config", str(tmp_path / "config.json"), "--out", str(bundle)]) == 0
+        return tracks.read_bytes(), [(p.relative_to(bundle), p.read_bytes())
+                                     for p in sorted(bundle.rglob("*")) if p.is_file()]
+
+    want = outputs("plain")
+    for module_name, attr, _ in tracing.TRACE_POINTS:  # restored when the test ends
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    monkeypatch.setattr(tracking.SortTracker, "step", tracking.SortTracker.step)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        got = outputs("traced")
+    finally:
+        gc.callbacks.remove(tracer._on_gc)
+    assert got == want
+    assert tracer.counts["tracking.associate.nonempty"] > 0
+    assert {"tracking.step", "tracking.associate", "pipeline.write_tracks"} <= set(tracer.names)

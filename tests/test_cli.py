@@ -286,6 +286,11 @@ def test_cli_filter(tmp_path, capsys):
     assert main(["filter", "--catalog", str(catalog), "--rule", "appendectomy"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out == ["good"]
+    selected = tmp_path / "selected.txt"
+    assert main(["filter", "--catalog", str(catalog), "--rule", "appendectomy",
+                 "--out", str(selected)]) == 0
+    assert capsys.readouterr().out == f"{selected}\n"
+    assert selected.read_text() == "good\n"
 
 
 def _catalog_entry(**changes):
@@ -914,7 +919,14 @@ def _feature_text(row):
 _TRACK = ["track", "--in", "@s.jsonl"]
 _LDA = ["lda", "--features", "@f.csv", "--weights", "@w.csv"]
 _ROW_SHAPE = "line 3: a feature row needs a video id, a class label and 30 values"
-# name: (argv, with "@" before a file name, {file name: text}, the message after "input error: ")
+_SKILL_FILES = {"t.jsonl": "\n".join(json.dumps(line) for line in (
+    {"video_id": "v", "fps": 30.0}, {"frame": 0, "t": 0.0, "tracks": {}})) + "\n", "c.json": "[]"}
+# six rows of three classes, which `lda` projects
+_LDA_TABLE = _feature_text("\n".join(
+    f"v{i},{'xyyzz'[i]}," + ",".join(str((i * 7 + k * 3) % 11 / 20) for k in range(30))
+    for i in range(5)))
+# name: (argv, with "@" before a file name, {file name: text}, the message after
+# "input error: ", with "@" before a file name)
 _INPUT_ERRORS = {
     "dets entry of 5": (_TRACK, {"s.jsonl": _stream_text(dets=[_HAND[:5]])},
                         "line 2: det entry must be [cls, conf, x0, y0, x1, y1]"),
@@ -951,17 +963,48 @@ _INPUT_ERRORS = {
         "line 3: transition features must lie in [0,1]"),
     "filter --out in a missing directory": (
         ["filter", "--catalog", "@c.jsonl", "--rule", "appendectomy", "--out", "@no/out.txt"],
-        {"c.jsonl": json.dumps(_catalog_entry()) + "\n"}, "[Errno 2] No such file or directory"),
+        {"c.jsonl": json.dumps(_catalog_entry()) + "\n"},
+        "cannot write @no/out.txt: directory @no does not exist"),
+    "track --out in a missing directory": (
+        [*_TRACK, "--out", "@no/t.jsonl"], {"s.jsonl": _stream_text()},
+        "cannot write @no/t.jsonl: directory @no does not exist"),
+    "track --out an existing directory": (
+        [*_TRACK, "--out", "@d"], {"s.jsonl": _stream_text(), "d/keep.txt": ""},
+        "cannot write @d: it is a directory"),
+    "skill --centroids in a missing directory": (
+        ["skill", "--tracks", "@t.jsonl", "--clips", "@c.json", "--out", "@o.csv",
+         "--centroids", "@no/c.json"], _SKILL_FILES,
+        "cannot write @no/c.json: directory @no does not exist"),
+    "lda --weights in a missing directory": (
+        ["lda", "--features", "@f.csv", "--out", "@p.csv", "--weights", "@no/w.csv"],
+        {"f.csv": _LDA_TABLE}, "cannot write @no/w.csv: directory @no does not exist"),
+    "bench --out in a missing directory": (
+        ["bench", "--minutes", "0.02", "--out", "@no/b.json"], {},
+        "cannot write @no/b.json: directory @no does not exist"),
     "bench --in": (["bench", "--in", "@s.jsonl"], {"s.jsonl": _stream_text(t=...)},
                    "line 2: frame record needs 'frame' and 't'"),
 }
 
 
+@pytest.mark.parametrize("fps", [0, -30])
+@pytest.mark.parametrize("command", ["track", "eval", "bench"])
+def test_cli_header_fps_not_above_0_is_an_invariant_violation(tmp_path, capsys, command, fps):
+    path = tmp_path / "s.jsonl"
+    path.write_text(_stream_text({"video_id": "v", "fps": fps}))
+    argv = {"track": ["track", "--in", str(path)],
+            "eval": ["eval", "actions", "--pred", str(path), "--truth", str(path)],
+            "bench": ["bench", "--in", str(path)]}[command]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("invariant violation: line 1: VideoStream.fps must "
+                                       f"be > 0, got {float(fps)!r}\n")
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("argv, files, message", list(_INPUT_ERRORS.values()),
                          ids=list(_INPUT_ERRORS))
 def test_cli_input_error_exits_1_with_its_message(tmp_path, capsys, argv, files, message):
-    # each bad input exits 1 naming the line where the file is read line by
-    # line, with no traceback, and leaves no output file
+    # each bad input, or output path, exits 1 naming the line where the file
+    # is read line by line, with no traceback, and leaves no output file
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(text)
@@ -970,6 +1013,7 @@ def test_cli_input_error_exits_1_with_its_message(tmp_path, capsys, argv, files,
     out = [] if "--out" in argv else ["--out", str(tmp_path / "out")]
     assert main([*argv, *out]) == 1
     err = capsys.readouterr().err
+    message = message.replace("@", f"{tmp_path}/")
     assert err.startswith(f"input error: {message}") and "Traceback" not in err, err
     assert sorted(tmp_path.rglob("*")) == before
 

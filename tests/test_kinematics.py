@@ -172,6 +172,12 @@ def test_velocity_series_divides_by_frame_gaps():
         assert jerk == pytest.approx(want_j, rel=1e-9, abs=1e-9)
 
 
+def test_velocity_series_of_one_sample_warns_and_is_empty():
+    with pytest.warns(DataWarning, match="needs >= 2 samples"):
+        series = velocity_series(traj([(5, 5)]), 100.0, 30.0)
+    assert [s.shape for s in series] == [(0,), (0,), (0,)]
+
+
 def test_velocity_per_frame_size_flag():
     t = traj([(0, 0), (10, 0), (20, 0)], sizes=[50, 100, 100])
     vel, _, _ = velocity_series(t, clip_mean_hand_size(t), 30.0, per_frame_size=True)

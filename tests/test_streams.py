@@ -281,6 +281,22 @@ def test_parse_stream_checks_each_frame_once(tmp_path, monkeypatch):
                     frames=tuple(reversed(stream.frames)))
 
 
+def test_header_duration_s_sets_the_timeline_steps(tmp_path):
+    # 150 frames at 30 fps span 5.0 s; a header duration_s of 5.02 is within
+    # a frame of that span, and its last 0.02 s make a second 5-s step
+    from scenestream.signatures import timeline_from_stream
+
+    path = tmp_path / "s.jsonl"
+    for metadata, duration, labels in [({}, 5.0, ("cutting",)),
+                                       ({"duration_s": 5.02}, 5.02, ("cutting", "background"))]:
+        header = {"video_id": "v", "fps": 30.0, "metadata": metadata}
+        path.write_text(json.dumps(header) + "\n"
+                        + "\n".join(json.dumps(frame_obj(i)) for i in range(150)) + "\n")
+        stream = parse_stream(path)
+        assert stream.duration_s == duration
+        assert timeline_from_stream(stream, resolution_s=5.0).labels == labels
+
+
 _EXTRA = st.sampled_from([{}, {"note": "points"}, {"meta": {"points": [[1, 2, 3]]}},
                           {"note": 'a "points": [1] \\ b'}, {"points2": [1]}])
 

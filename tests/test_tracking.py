@@ -153,23 +153,23 @@ def test_state_corners_clamp_like_np_maximum():
 # ---------------------------------------------------------------- associate
 
 def test_associate_single_pair_matched():
-    t = [BBox(0, 0, 10, 10)]
-    d = [BBox(1, 0, 11, 10)]
+    t = [[0.0, 0.0, 10.0, 10.0]]
+    d = [[1.0, 0.0, 11.0, 10.0]]
     matches, ut, ud = associate(t, d, 0.3)
     assert matches == [(0, 0)] and ut == [] and ud == []
 
 
 def test_associate_below_threshold_unmatched():
-    t = [BBox(0, 0, 10, 10)]
-    d = [BBox(9, 9, 19, 19)]
+    t = [[0.0, 0.0, 10.0, 10.0]]
+    d = [[9.0, 9.0, 19.0, 19.0]]
     matches, ut, ud = associate(t, d, 0.3)
     assert matches == [] and ut == [0] and ud == [0]
 
 
 def test_associate_empty_inputs():
     assert associate([], [], 0.3) == ([], [], [])
-    assert associate([BBox(0, 0, 1, 1)], [], 0.3) == ([], [0], [])
-    assert associate([], [BBox(0, 0, 1, 1)], 0.3) == ([], [], [0])
+    assert associate([[0.0, 0.0, 1.0, 1.0]], [], 0.3) == ([], [0], [])
+    assert associate([], [[0.0, 0.0, 1.0, 1.0]], 0.3) == ([], [], [0])
 
 
 def test_associate_3x3_equals_permutation_search():
@@ -179,7 +179,7 @@ def test_associate_3x3_equals_permutation_search():
                   for x, y in rng.uniform(0, 30, size=(3, 2))]
         dets = [BBox(x, y, x + 10, y + 10)
                 for x, y in rng.uniform(0, 30, size=(3, 2))]
-        got = associate(tracks, dets, 0.1)
+        got = associate([t.as_list() for t in tracks], [d.as_list() for d in dets], 0.1)
         score = np.array([[_iou(t, d) for d in dets] for t in tracks])
         want = brute_force_assignment(score, 0.1)
         assert (sorted(got[0]), sorted(got[1]), sorted(got[2])) == \
@@ -447,8 +447,6 @@ def test_associate_equals_array_associate(monkeypatch):
         want = oracles.array_associate(np.array(tracks).reshape(-1, 4),
                                        np.array(dets).reshape(-1, 4), threshold)
         calls = len(solved)
-        if rng.random() < 0.5:
-            dets = [BBox(*d) for d in dets]
         assert associate(tracks, dets, threshold) == want
         certified += len(solved) == calls
     assert 300 < certified < 2700 and len(solved) > 300
