@@ -79,8 +79,7 @@ def cmd_skill(args) -> int:
     header, rows = read_tracks(args.tracks)
     clip_defs = read_json(args.clips)
     clips = clips_from_tracks(header, rows, clip_defs)
-    fps = header["fps"] if args.fps is None else args.fps
-    skill_stage(clips, fps, args.out, args.metric, args.centroids, args.per_frame_size)
+    skill_stage(clips, header["fps"], args.out, args.metric, args.centroids, args.per_frame_size)
     print(args.out)
     if args.centroids:
         print(args.centroids)
@@ -240,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("skill", help="kinematic summaries over tie clips")
     p.add_argument("--tracks", required=True)
     p.add_argument("--clips", required=True, help="clips.json definitions")
-    p.add_argument("--fps", type=float,
-                   help="frames per second (default: the tracks header's fps)")
     p.add_argument("--metric", choices=SKILL_METRICS, default="distance")
     p.add_argument("--per-frame-size", action="store_true",
                    help="normalize velocity by per-frame hand size")
@@ -309,8 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_outputs(args) -> None:
     """Reject each output file (--out, --centroids, --weights) that names a
-    directory or lies in a directory that does not exist, before any input is
-    read; the --out of synth and run is a directory they create (`out_dir`)."""
+    directory or lies in a directory that does not exist, and the output
+    directory of synth and run (`out_dir`) when the nearest existing path
+    among it and its parents is not a directory, before any input is read."""
+    if getattr(args, "out_dir", None) is not None:
+        out_dir = Path(args.out_dir)
+        nearest = next((p for p in (out_dir, *out_dir.parents) if p.exists()), Path("."))
+        if not nearest.is_dir():
+            raise StreamFormatError(f"cannot write {out_dir}: {nearest} is not a directory")
     for path in (getattr(args, name, None) for name in ("out", "centroids", "weights")):
         if path is None:
             continue

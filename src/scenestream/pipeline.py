@@ -16,6 +16,7 @@ import json
 import math
 import os
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import fields
 from itertools import islice
 from pathlib import Path
@@ -262,12 +263,14 @@ def clips_from_tracks(header, rows, clip_defs):
     operator_id/experience/knot_count (start, end and knot_count JSON
     integers) and optionally explicit left_track/right_track ids; otherwise
     the two longest tracks in range are used, leftmost (mean centroid x)
-    first. Every clip's video_id must be the tracks header's. A bad clip is a
+    first. Every clip's video_id must be the tracks header's, and a clip with
+    start <= end must hold a frame of the tracks file. A bad clip is a
     StreamFormatError naming its number.
     """
     if not isinstance(clip_defs, list):
         raise StreamFormatError("a clip list must be a JSON list of clip objects")
     trajectories, poses = _hands_by_track(rows)
+    frames = sorted(row["frame"] for row in rows)
     clips = []
     for number, definition in enumerate(clip_defs, start=1):
         bad = [k for k in _CLIP_KEYS if not isinstance(definition, dict) or k not in definition
@@ -281,6 +284,10 @@ def clips_from_tracks(header, rows, clip_defs):
             raise StreamFormatError(
                 f"clip {number} is for video {video_id!r}, but the tracks file is "
                 f"for video {header['video_id']!r}")
+        # start > end is left to TieClip's own check, which names it
+        if start <= end and bisect_left(frames, start) == bisect_right(frames, end):
+            raise StreamFormatError(
+                f"clip {number}: no frame of the tracks file lies in [{start}, {end}]")
         in_range = {tid: traj.slice(start, end) for tid, traj in trajectories.items()}
         in_range = {tid: t for tid, t in in_range.items() if len(t) >= 2}
         if "left_track" in definition or "right_track" in definition:

@@ -35,6 +35,7 @@ FEATURE_NAMES = (
 )
 N_FEATURES = len(FEATURE_NAMES)  # 30
 
+_TOOL_INDEX = {tool: k for k, tool in enumerate(TOOL_CLASSES)}
 _ONE_HOT = {lab: tuple(float(lab == a) for a in ACTIONS) for lab in ACTION_LABELS}
 
 
@@ -70,40 +71,39 @@ class Timeline:
         return np.array([_ONE_HOT[lab] for lab in self.labels]).reshape(-1, len(ACTIONS))
 
 
-def majority_action(votes) -> str | None:
-    """The most-voted label of a {label: count} dict, None when it is empty.
+def stream_steps(stream: VideoStream, resolution_s: float = DEFAULT_RESOLUTION_S):
+    """The frames of each resolution window, as lists, at least one window;
+    frames past the stream's duration join the last window."""
+    check_finite("resolution_s", resolution_s)
+    n_steps = max(1, int(np.ceil(stream.duration_s / resolution_s)))
+    steps = [[] for _ in range(n_steps)]
+    for fr in stream.frames:
+        steps[min(int(fr.timestamp_s / resolution_s), n_steps - 1)].append(fr)
+    return steps
 
-    Ties break by the canonical label order, so the result does not depend
-    on the order the votes arrived in.
-    """
-    if not votes:
-        return None
-    return max(ACTION_LABELS, key=lambda lab: votes.get(lab, 0))
+
+def step_summary(frames):
+    """(label, tool means) of one step's frames: the most-voted action, ties
+    broken by ACTION_LABELS order so the result does not depend on frame
+    order, or background when no frame has one; and the mean per-frame count
+    of each tool class, zeros for an empty step."""
+    votes = {}
+    totals = [0] * len(TOOL_CLASSES)
+    for fr in frames:
+        if fr.action is not None:
+            votes[fr.action] = votes.get(fr.action, 0) + 1
+        for det in fr.detections:
+            k = _TOOL_INDEX.get(det.category)
+            if k is not None:
+                totals[k] += 1
+    label = max(ACTION_LABELS, key=lambda lab: votes.get(lab, 0)) if votes else BACKGROUND
+    return label, ([c / len(frames) for c in totals] if frames else totals)
 
 
 def timeline_from_stream(stream: VideoStream, resolution_s: float = DEFAULT_RESOLUTION_S):
-    """Majority action label and mean per-frame tool counts per resolution
-    window; windows without labelled frames are background."""
-    check_finite("resolution_s", resolution_s)
-    n_steps = max(1, int(np.ceil(stream.duration_s / resolution_s)))
-    votes = [dict() for _ in range(n_steps)]
-    totals = [[0] * len(TOOL_CLASSES) for _ in range(n_steps)]
-    frames_per_step = [0] * n_steps
-    tool_index = {t: k for k, t in enumerate(TOOL_CLASSES)}
-    for fr in stream.frames:
-        step = min(int(fr.timestamp_s / resolution_s), n_steps - 1)
-        frames_per_step[step] += 1
-        if fr.action is not None:
-            votes[step][fr.action] = votes[step].get(fr.action, 0) + 1
-        row = totals[step]
-        for det in fr.detections:
-            k = tool_index.get(det.category)
-            if k is not None:
-                row[k] += 1
-    tools = [[c / n for c in row] if n else row for row, n in zip(totals, frames_per_step)]
-    return Timeline(video_id=stream.video_id,
-                    labels=tuple(majority_action(v) or BACKGROUND for v in votes),
-                    tools=tools)
+    """The `step_summary` of each of the stream's `stream_steps`."""
+    return Timeline(stream.video_id,
+                    *zip(*map(step_summary, stream_steps(stream, resolution_s))))
 
 
 def excise_background(tl: Timeline) -> Timeline:
@@ -318,7 +318,6 @@ class LdaModel:
     eigenvalues: np.ndarray  # all generalized eigenvalues, descending
     mean: np.ndarray  # training mean subtracted before projecting
     classes: tuple
-    class_centroids: np.ndarray  # (n_classes, 2) projected class means
 
 
 def _scatter_matrices(x: np.ndarray, labels):
@@ -373,11 +372,7 @@ def lda_fit(x: np.ndarray, labels) -> LdaModel:
         if vec[np.argmax(np.abs(vec))] < 0:
             vec = -vec
         top[:, k] = vec
-
-    projected_means = np.stack([
-        (x[labels == c].mean(axis=0) - mean) @ top for c in classes])
-    return LdaModel(projection=top, eigenvalues=eigvals, mean=mean,
-                    classes=tuple(classes), class_centroids=projected_means)
+    return LdaModel(projection=top, eigenvalues=eigvals, mean=mean, classes=tuple(classes))
 
 
 def lda_project(x: np.ndarray, model: LdaModel) -> np.ndarray:

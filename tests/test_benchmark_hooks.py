@@ -145,12 +145,14 @@ def test_traced_associate_is_called_once_per_step_and_bench_times_track_row(monk
     # the traced run spans `tracking.associate` as the tracker's association:
     # the keypoint pairing in `track_row` calls it by its own name, so the span
     # sees one call per step, on keypoint frames too. `bench_stream` times
-    # `track_row`, the stage `track` and `run` run per frame
+    # `track_row`, the stage `track` and `run` run per frame, and
+    # `step_summary`, the stage `signature` and `eval actions` run per step
     from scenestream import bench, tracking
     from scenestream.pipeline import track_stream
+    from scenestream.signatures import timeline_from_stream
     from scenestream.synth import SynthSpec, generate_stream
 
-    calls = {"associate": 0, "step": 0, "track_row": 0}
+    calls = {"associate": 0, "step": 0, "track_row": 0, "step_summary": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -161,13 +163,15 @@ def test_traced_associate_is_called_once_per_step_and_bench_times_track_row(monk
     monkeypatch.setattr(tracking, "associate", counted("associate", tracking.associate))
     monkeypatch.setattr(tracking.SortTracker, "step", counted("step", tracking.SortTracker.step))
     monkeypatch.setattr(bench, "track_row", counted("track_row", bench.track_row))
+    monkeypatch.setattr(bench, "step_summary", counted("step_summary", bench.step_summary))
     stream, _ = generate_stream(SynthSpec(seed=2, fps=10.0, duration_s=3.0,
                                           with_keypoints=True), 0)
     assert sum("kps" in row for row in track_stream(stream.frames)) > len(stream.frames) // 2
-    assert calls == {"associate": len(stream.frames), "step": len(stream.frames), "track_row": 0}
-    bench.bench_stream(stream)
     n = len(stream.frames)
-    assert calls == {"associate": 2 * n, "step": 2 * n, "track_row": n}
+    assert calls == {"associate": n, "step": n, "track_row": 0, "step_summary": 0}
+    bench.bench_stream(stream)
+    assert calls == {"associate": 2 * n, "step": 2 * n, "track_row": n,
+                     "step_summary": len(timeline_from_stream(stream, 5.0).labels)}
 
 
 def test_traced_bodies_write_the_bytes_of_untraced_ones(monkeypatch, tmp_path):

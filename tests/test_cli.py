@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -201,7 +203,7 @@ def test_cli_skill_from_tracks(tmp_path):
     out_csv = tmp_path / "summary.csv"
     cents = tmp_path / "centroids.json"
     assert main(["skill", "--tracks", str(tracks_path), "--clips", str(clips_path),
-                 "--fps", "30", "--out", str(out_csv), "--centroids", str(cents)]) == 0
+                 "--out", str(out_csv), "--centroids", str(cents)]) == 0
     table = read_csv(out_csv)
     assert table[0][:5] == ["video_id", "operator_id", "experience", "knot_count", "hand"]
     assert len(table) == 3  # header + left + right
@@ -748,8 +750,8 @@ def test_golden_with_keypoints_tracks(tmp_path):
     assert main(["track", "--in", str(stream_path), "--out", str(tmp_path / "t")]) == 0
 
 
-def _skill_inputs(tmp_path, fps=15.0):
-    spec = SynthSpec(seed=4, n_videos=1, fps=fps, duration_s=6.0, with_keypoints=True)
+def _skill_inputs(tmp_path):
+    spec = SynthSpec(seed=4, n_videos=1, fps=15.0, duration_s=6.0, with_keypoints=True)
     stream, _ = generate_stream(spec, 0)
     tracks_path = tmp_path / "t.jsonl"
     write_tracks(stream, track_stream(stream.frames, TrackerConfig(min_hits=1)), tracks_path)
@@ -758,23 +760,13 @@ def _skill_inputs(tmp_path, fps=15.0):
     return tracks_path, clip
 
 
-def _run_skill(tmp_path, tracks_path, clips, name, *extra):
+def _run_skill(tmp_path, tracks_path, clips, name):
     clips_path = tmp_path / f"{name}.json"
     clips_path.write_text(json.dumps(clips))
     out = tmp_path / f"{name}.csv"
     code = main(["skill", "--tracks", str(tracks_path), "--clips", str(clips_path),
-                 "--out", str(out), *extra])
+                 "--out", str(out)])
     return code, out
-
-
-def test_cli_skill_fps_defaults_to_tracks_header(tmp_path):
-    tracks_path, clip = _skill_inputs(tmp_path, fps=15.0)
-    code, derived = _run_skill(tmp_path, tracks_path, [clip], "derived")
-    assert code == 0
-    _, explicit = _run_skill(tmp_path, tracks_path, [clip], "explicit", "--fps", "15")
-    _, other = _run_skill(tmp_path, tracks_path, [clip], "other", "--fps", "30")
-    assert derived.read_bytes() == explicit.read_bytes()
-    assert derived.read_bytes() != other.read_bytes()  # velocities scale with fps
 
 
 @pytest.mark.parametrize("changes, message", [
@@ -788,6 +780,7 @@ def test_cli_skill_fps_defaults_to_tracks_header(tmp_path):
     ({"start": 80}, "clip 2: TieClip needs start < end"),
     ({"experience": "expert"}, "clip 2: TieClip.experience"),
     ({"knot_count": 0}, "clip 2: TieClip.knot_count"),
+    ({"start": 5000, "end": 6000}, "clip 2: no frame"),  # the tracks hold frames 0-89
 ])
 def test_cli_skill_rejects_bad_clip(tmp_path, capsys, changes, message):
     tracks_path, clip = _skill_inputs(tmp_path)
@@ -981,6 +974,10 @@ _INPUT_ERRORS = {
     "bench --out in a missing directory": (
         ["bench", "--minutes", "0.02", "--out", "@no/b.json"], {},
         "cannot write @no/b.json: directory @no does not exist"),
+    "synth --out an existing file": (["synth", "--duration", "1", "--out", "@f"], {"f": ""},
+                                     "cannot write @f: @f is not a directory"),
+    "run --out under an existing file": (["run", "--out", "@f/b"], {"f": ""},
+                                         "cannot write @f/b: @f is not a directory"),
     "bench --in": (["bench", "--in", "@s.jsonl"], {"s.jsonl": _stream_text(t=...)},
                    "line 2: frame record needs 'frame' and 't'"),
 }
@@ -1016,6 +1013,27 @@ def test_cli_input_error_exits_1_with_its_message(tmp_path, capsys, argv, files,
     message = message.replace("@", f"{tmp_path}/")
     assert err.startswith(f"input error: {message}") and "Traceback" not in err, err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+# ---------------------------------------------------------------- README commands
+
+def test_readme_commands_parse():
+    # every `scenestream ...` line of README's sh blocks, backslash continuations
+    # joined and `#` comments dropped, parses: a flag deleted or renamed in the
+    # CLI but left in the docs fails here
+    from scenestream.cli import build_parser
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = [words[1:] for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+                for line in block.replace("\\\n", " ").splitlines()
+                for words in [shlex.split(line, comments=True)]
+                if words[:1] == ["scenestream"]]
+    assert {argv[0] for argv in commands} == {name for name, _ in _subparsers(build_parser())}
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: scenestream {' '.join(argv)}")
 
 
 # ---------------------------------------------------------------- numeric option sweep
@@ -1102,8 +1120,6 @@ def test_cli_eval_option_of_another_mode_exits_2(sweep_inputs, tmp_path, mode, o
     ("bench", "--window", "-1"),
     ("signature", "--resolution", "0"), ("signature", "--resolution", "nan"),
     ("featurize", "--resolution", "inf"),
-    ("skill", "--fps", "0"), ("skill", "--fps", "nan"), ("skill", "--fps", "-30"),
-    ("skill", "--fps", "inf"),
     ("eval", "--alpha", "-1"), ("eval", "--alpha", "0"), ("eval", "--alpha", "inf"),
     ("eval", "--alpha", "nan"),
 ])

