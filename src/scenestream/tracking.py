@@ -4,24 +4,18 @@ Constant-velocity Kalman filters over (center, area, aspect) box states,
 IoU-cost optimal assignment per frame, and a birth/death lifecycle. Only
 hand-category detections are tracked; tools are reported per frame elsewhere.
 
-SORT's 7-state filter (u, v, s, r, du, dv, ds) splits exactly into four
-independent filters, one per measured axis: F couples each of u, v, s only
-to its own velocity, H reads each axis directly, and the process, measurement
-and initial covariances are diagonal. Its covariance therefore stays
-block-diagonal, a symmetric 2x2 (position, velocity) block per axis whose
-off-block entries start at 0 and stay exactly 0; the aspect r is the same
-block with its velocity and velocity variance pinned at 0. A track's filter
-is four lists of Python floats, one per axis (u, v, s, r): position,
-velocity, and the block's p00, p01 and p11. At a few hands these scalar loops
-cost less than numpy calls on arrays of 2-8 elements, and they keep numpy's
-operation order (float64 `+ - * /` and `sqrt` round correctly in both), so
-every box is bit-identical to the array form. Each frame runs one `predict`
-over every track, one `associate` and one Joseph-form `update` over matched
-tracks. `associate` scores only the track/detection pairs that overlap, on
-Python float corner rows, and returns each track's best detection when the
-scores alone prove that pairing optimal (tracks apart from each other, the
-common case); only otherwise does it fill a numpy score matrix and run the
-assignment solver.
+SORT's 7-state filter (u, v, s, r, du, dv, ds) splits exactly into one 2x2
+(position, velocity) covariance block per measured axis: F, H and the
+diagonal process, measurement and initial covariances never couple two axes;
+r's block has its velocity variance pinned at 0. The covariance never depends
+on the measurements, and u and v share all three variances, so their blocks
+are bit-identical at every frame and are kept and computed once. A track's
+filter is one list of 17 Python floats: u, v, s, r, du, dv, ds, dr, then
+(p00, p01, p11) of the uv, s and r blocks. At a few hands these scalar loops
+cost less than numpy calls on small arrays, and they keep numpy's operation
+order (float64 `+ - * /` and `sqrt` round correctly in both), so every box is
+bit-identical to the array form. Each frame runs one `predict` over every
+track, one `associate` and one Joseph-form `update` over matched tracks.
 """
 
 from __future__ import annotations
@@ -35,8 +29,8 @@ from .errors import InvariantError, check_finite
 # `iou` is imported so the traced benchmark can count calls to it here
 from .streams import FrameRecord, HAND, iou  # noqa: F401
 
-# (position, velocity) variances of a newborn track per axis (u, v, s, r)
-_INITIAL_VAR = ((10.0, 1e4), (10.0, 1e4), (10.0, 1e4), (10.0, 0.0))
+# (p00, p01, p11) of a newborn track's uv, s and r blocks
+_INITIAL_COV = (10.0, 0.0, 1e4, 10.0, 0.0, 1e4, 10.0, 0.0, 0.0)
 _AREA_EPS = 1e-6
 _TIE_TOL = 1e-9  # assignment totals within this of the optimum count as tied
 
@@ -58,12 +52,12 @@ class TrackerConfig:
         check_finite("measurement_noise", self.measurement_noise)
 
     def process_var(self) -> tuple:
-        """Diagonal process noise: (position, velocity) variance per axis (u, v, s, r)."""
-        return tuple((self.process_noise, q * self.process_noise) for q in (0.01, 0.01, 1e-4, 0.0))
+        """Diagonal process noise: (position, velocity) variance per block (uv, s, r)."""
+        return tuple((self.process_noise, q * self.process_noise) for q in (0.01, 1e-4, 0.0))
 
     def measurement_var(self) -> tuple:
-        """Diagonal measurement noise of (u, v, s, r)."""
-        return tuple(r * self.measurement_noise for r in (1.0, 1.0, 10.0, 10.0))
+        """Diagonal measurement noise per block (uv, s, r)."""
+        return tuple(r * self.measurement_noise for r in (1.0, 10.0, 10.0))
 
 
 # ------------------------------------------------------------ box geometry
@@ -81,8 +75,8 @@ def _state_corners(filters) -> list[list[float]]:
     """Corners, clamped at 0, of each filter's box. Each clamp is `lo if x <= lo
     else x`, which is np.maximum(x, lo): a NaN position stays NaN."""
     corners = []
-    for fu, fv, fs, fr in filters:
-        u, v, s, r = fu[0], fv[0], fs[0], fr[0]
+    for filt in filters:
+        u, v, s, r = filt[0], filt[1], filt[2], filt[3]
         s = _AREA_EPS if s <= _AREA_EPS else s
         half_w = sqrt(s * (_AREA_EPS if r <= _AREA_EPS else r))
         half_w, half_h = half_w / 2.0, s / half_w / 2.0
@@ -97,57 +91,63 @@ def _state_corners(filters) -> list[list[float]]:
 def predict(filters, process_var):
     """Advance every track's filter one frame under constant velocity.
 
-    Per axis the block P becomes F P F^T + Q with F = [[1, 1], [0, 1]].
+    Per block P becomes F P F^T + Q with F = [[1, 1], [0, 1]].
     Returns (filters, clamped); clamped tracks had their area forced positive.
     """
+    (qa0, qa1), (qs0, qs1), (qr0, qr1) = process_var
     out, clamped = [], []
-    for filt in filters:
-        axes = [[pos + vel, vel, p00 + 2.0 * p01 + p11 + q0, p01 + p11, p11 + q1]
-                for (pos, vel, p00, p01, p11), (q0, q1) in zip(filt, process_var)]
-        clamped.append(axes[2][0] <= 0)
-        if clamped[-1]:
-            axes[2][0] = _AREA_EPS  # area
-        out.append(axes)
+    for (u, v, s, r, du, dv, ds, dr,
+         a00, a01, a11, s00, s01, s11, r00, r01, r11) in filters:
+        s += ds
+        clamped.append(s <= 0)
+        out.append([u + du, v + dv, _AREA_EPS if s <= 0 else s, r + dr, du, dv, ds, dr,
+                    a00 + 2.0 * a01 + a11 + qa0, a01 + a11, a11 + qa1,
+                    s00 + 2.0 * s01 + s11 + qs0, s01 + s11, s11 + qs1,
+                    r00 + 2.0 * r01 + r11 + qr0, r01 + r11, r11 + qr1])
     return out, clamped
 
 
 def update(filters, z, meas_var):
     """Joseph-form update of every track's filter against its measurement z.
 
-    Per axis, with innovation variance S = p00 + R and gain k = (p00, p01) / S,
-    the block becomes (I - kH) P (I - kH)^T + R k k^T with H = [1, 0].
-    Returns (filters, ok, clamped). A track is ok while its gain and updated
-    covariance are finite (S = 0 gives a NaN gain); clamped tracks had area or
-    aspect forced positive.
+    Per block, with S = p00 + R and gain k = (p00, p01) / S, P becomes
+    (I - kH) P (I - kH)^T + R k k^T with H = [1, 0]; u and v share the uv one.
+    Returns (filters, ok, clamped): ok while the gains and updated covariance
+    are finite (S = 0 gives NaN gains), clamped if area or aspect was forced
+    positive.
     """
+    ra, rs, rr = meas_var
     out, ok, clamped = [], [], []
-    for filt, zt in zip(filters, z):
-        axes, finite = [], True
-        for (pos, vel, p00, p01, p11), za, r in zip(filt, zt, meas_var):
-            s = p00 + r
-            k0, k1 = (p00 / s, p01 / s) if s else (nan, nan)
-            innovation = za - pos
-            j = 1.0 - k0
-            q00 = j * j * p00 + k0 * k0 * r
-            q01 = j * (p01 - k1 * p00) + k0 * k1 * r
-            q11 = p11 - k1 * (2.0 * p01 - k1 * s)
-            finite = (finite and isfinite(k0) and isfinite(k1)
-                      and isfinite(q00) and isfinite(q01) and isfinite(q11))
-            axes.append([pos + k0 * innovation, vel + k1 * innovation, q00, q01, q11])
-        degenerate = [axis for axis in axes[2:] if axis[0] <= 0]  # area or aspect
-        for axis in degenerate:
-            axis[0] = _AREA_EPS
-        clamped.append(bool(degenerate))
-        out.append(axes)
-        ok.append(finite)
+    for (u, v, s, r, du, dv, ds, dr,
+         a00, a01, a11, s00, s01, s11, r00, r01, r11), (zu, zv, zs, zr) in zip(filters, z):
+        sa, ss, sr = a00 + ra, s00 + rs, r00 + rr
+        ka0, ka1 = (a00 / sa, a01 / sa) if sa else (nan, nan)
+        ks0, ks1 = (s00 / ss, s01 / ss) if ss else (nan, nan)
+        kr0, kr1 = (r00 / sr, r01 / sr) if sr else (nan, nan)
+        ja, js, jr = 1.0 - ka0, 1.0 - ks0, 1.0 - kr0
+        a00, a01, a11 = (ja * ja * a00 + ka0 * ka0 * ra, ja * (a01 - ka1 * a00) + ka0 * ka1 * ra,
+                         a11 - ka1 * (2.0 * a01 - ka1 * sa))
+        s00, s01, s11 = (js * js * s00 + ks0 * ks0 * rs, js * (s01 - ks1 * s00) + ks0 * ks1 * rs,
+                         s11 - ks1 * (2.0 * s01 - ks1 * ss))
+        r00, r01, r11 = (jr * jr * r00 + kr0 * kr0 * rr, jr * (r01 - kr1 * r00) + kr0 * kr1 * rr,
+                         r11 - kr1 * (2.0 * r01 - kr1 * sr))
+        ok.append(isfinite(ka0) and isfinite(ka1) and isfinite(a00) and isfinite(a01)
+                  and isfinite(a11) and isfinite(ks0) and isfinite(ks1) and isfinite(s00)
+                  and isfinite(s01) and isfinite(s11) and isfinite(kr0) and isfinite(kr1)
+                  and isfinite(r00) and isfinite(r01) and isfinite(r11))
+        iu, iv, i_s, ir = zu - u, zv - v, zs - s, zr - r
+        s, r = s + ks0 * i_s, r + kr0 * ir
+        clamped.append(s <= 0 or r <= 0)  # area or aspect
+        out.append([u + ka0 * iu, v + ka0 * iv, _AREA_EPS if s <= 0 else s,
+                    _AREA_EPS if r <= 0 else r, du + ka1 * iu, dv + ka1 * iv,
+                    ds + ks1 * i_s, dr + kr1 * ir, a00, a01, a11, s00, s01, s11, r00, r01, r11])
     return out, ok, clamped
 
 
-def new_track(corners) -> list[list[float]]:
+def new_track(corners) -> list[float]:
     """Filter of a track born at rest on one (x_min, y_min, x_max, y_max) float
-    row: per axis (u, v, s, r), [position, velocity, p00, p01, p11]."""
-    return [[z, 0.0, p00, 0.0, p11]
-            for z, (p00, p11) in zip(_measurements([corners])[0], _INITIAL_VAR)]
+    row, laid out as the module docstring says."""
+    return [*_measurements([corners])[0], 0.0, 0.0, 0.0, 0.0, *_INITIAL_COV]
 
 
 # ------------------------------------------------------------ association

@@ -29,9 +29,8 @@ Q, R = CFG.process_var(), CFG.measurement_var()
 def one_track(pos, vel=(0.0, 0.0, 0.0), var=10.0):
     """Filters of one track at `pos` (u, v, s, r) moving at `vel` (du, dv, ds);
     every position and velocity variance is `var` (r has no velocity)."""
-    vel = [*vel, 0.0]
-    return [[[float(pos[a]), float(vel[a]), var, 0.0, var if a < 3 else 0.0]
-             for a in range(4)]]
+    return [[*map(float, pos), *map(float, vel), 0.0,
+             var, 0.0, var, var, 0.0, var, var, 0.0, 0.0]]
 
 
 def born(box):
@@ -46,17 +45,26 @@ def rows(box):
 
 def positions(filters):
     """Per-track (u, v, s, r) positions."""
-    return [[axis[0] for axis in filt] for filt in filters]
+    return [filt[:4] for filt in filters]
 
 
 def stacked(filters):
-    """(5, N, 4) array of position, velocity, p00, p01 and p11 over (u, v, s, r)."""
-    return np.array(filters, dtype=float).reshape(-1, 4, 5).transpose(2, 0, 1)
+    """(5, N, 4) array of position, velocity, p00, p01 and p11 over (u, v, s, r):
+    the shared uv covariance block fills both the u and the v column."""
+    planes = [[f[:4], f[4:8], *([f[i], f[i], f[i + 3], f[i + 6]] for i in (8, 9, 10))]
+              for f in filters]
+    return np.array(planes, dtype=float).reshape(-1, 5, 4).transpose(1, 0, 2)
+
+
+def per_axis(block_values):
+    """(u, v, s, r) entries of a (uv, s, r) noise tuple."""
+    return (block_values[0], *block_values)
 
 
 def trace(filters):
-    """Per-track trace of the covariance: position plus velocity variances."""
-    return [sum(axis[2] + axis[4] for axis in filt) for filt in filters]
+    """Per-track trace of the covariance: position plus velocity variances,
+    the uv block counted for u and for v."""
+    return [2.0 * (f[8] + f[10]) + f[11] + f[13] + f[14] + f[16] for f in filters]
 
 
 def hand_frame(idx, boxes, fps=30.0):
@@ -258,7 +266,7 @@ def test_update_singular_innovation_is_not_ok():
     # the same batch updates as it would alone
     pos = [10, 10, 100, 1.0]
     z = _measurements(rows(BBox(5, 5, 15, 15)))
-    no_noise = (0.0,) * 4
+    no_noise = (0.0,) * 3
     _, ok, _ = update(one_track(pos, var=0.0), z, no_noise)
     assert ok == [False]
     kalman = one_track(pos, var=0.0) + one_track(pos, var=1.0)
@@ -540,14 +548,13 @@ def test_kernels_equal_the_array_form_bit_for_bit():
     # kernels they replaced, so every state, ok and clamp flag is identical;
     # shrinking areas and aspects drive the clamps
     rng = np.random.default_rng(13)
-    q = np.array(Q).T
+    q = np.array(per_axis(Q)).T
     for _ in range(20):
         boxes = rng.uniform(5, 300, size=(int(rng.integers(1, 7)), 4)).tolist()
         kalman = [new_track([x, y, x + w, y + h]) for x, y, w, h in boxes]
         for filt in kalman:
-            for axis, v in zip(filt, rng.normal(0, 3, size=3)):
-                axis[1] = float(v)
-        kalman[0][2][1] = -float(rng.uniform(1e3, 1e5))  # area shrinks past 0
+            filt[4:7] = rng.normal(0, 3, size=3).tolist()  # du, dv, ds
+        kalman[0][6] = -float(rng.uniform(1e3, 1e5))  # area shrinks past 0
         for _ in range(15):
             want, want_clamped = oracles.array_predict(stacked(kalman), q)
             kalman, clamped = predict(kalman, Q)
@@ -557,7 +564,7 @@ def test_kernels_equal_the_array_form_bit_for_bit():
             z = [[float(v) for v in rng.normal(positions(kalman)[k], [3, 3, 200, 0.4])]
                  for k in hit]
             want, want_ok, want_clamped = oracles.array_update(
-                stacked(kalman)[:, hit], np.array(z), np.array(R))
+                stacked(kalman)[:, hit], np.array(z), np.array(per_axis(R)))
             updated, ok, clamped = update([kalman[k] for k in hit], z, R)
             assert np.array_equal(stacked(updated), want)
             assert (ok, clamped) == (want_ok.tolist(), want_clamped.tolist())
@@ -565,13 +572,77 @@ def test_kernels_equal_the_array_form_bit_for_bit():
                 kalman[k] = filt
 
 
+def test_non_finite_inputs_propagate_like_the_array_form():
+    # a NaN or inf measurement, or an infinite variance in one block, reaches
+    # the same entries, ok and clamp flags as in the array form, r's velocity
+    # and off-diagonal included
+    pos, box = [50.0, 60.0, 400.0, 1.0], [40.0, 50.0, 60.0, 70.0]
+    r = np.array(per_axis(R))
+    cases = []
+    for bad in (math.nan, math.inf, -math.inf):
+        for axis in range(4):
+            z = _measurements([box])
+            z[0][axis] = bad
+            cases.append((one_track(pos), z))
+    for block in (8, 11, 14):  # p00 of the uv, s and r blocks
+        kalman = one_track(pos)
+        kalman[0][block] = math.inf
+        cases.append((kalman, _measurements([box])))
+    for kalman, z in cases:
+        with np.errstate(invalid="ignore"):
+            want, want_ok, want_clamped = oracles.array_update(stacked(kalman), np.array(z), r)
+        out, ok, clamped = update(kalman, z, R)
+        assert np.array_equal(stacked(out), want, equal_nan=True), (kalman, z)
+        assert (ok, clamped) == (want_ok.tolist(), want_clamped.tolist())
+
+
+def test_kernels_equal_the_array_form_over_2000_frames():
+    # the covariance settles only after about 1690 updates (then the s block
+    # cycles with period 2), so the kernels and the array form run side by
+    # side, each on its own state, long enough to reach it: track 0 is matched
+    # every frame, the others coast through gaps of up to max_age frames
+    rng = np.random.default_rng(29)
+    q, r = np.array(per_axis(Q)).T, np.array(per_axis(R))
+    boxes = rng.uniform(50, 400, size=(5, 2)).tolist()
+    kalman = [new_track([x, y, x + 60.0, y + 80.0]) for x, y in boxes]
+    array = stacked(kalman)
+    phase = rng.uniform(0, 2 * np.pi, size=5)
+    gap = [0] * 5
+    first_seen = {}
+    for t in range(2000):
+        array, want_clamped = oracles.array_predict(array, q)
+        kalman, clamped = predict(kalman, Q)
+        assert np.array_equal(stacked(kalman), array) and clamped == want_clamped.tolist()
+        hit = []
+        for k in range(5):
+            if k and gap[k] == 0 and rng.random() < 0.1:
+                gap[k] = int(rng.integers(1, CFG.max_age + 1))
+            if gap[k] > 0:
+                gap[k] -= 1
+            else:
+                hit.append(k)
+        x = [boxes[k][0] + 80.0 * math.sin(t / 40.0 + phase[k]) for k in hit]
+        z = [[float(v) for v in rng.normal([c, boxes[k][1] + 40.0, 4800.0, 0.75],
+                                           [2, 2, 300, 0.05])] for c, k in zip(x, hit)]
+        want, want_ok, want_clamped = oracles.array_update(array[:, hit], np.array(z), r)
+        array[:, hit] = want
+        updated, ok, clamped = update([kalman[k] for k in hit], z, R)
+        for k, filt in zip(hit, updated):
+            kalman[k] = filt
+        assert np.array_equal(stacked(kalman), array)
+        assert (ok, clamped) == (want_ok.tolist(), want_clamped.tolist())
+        first_seen.setdefault(tuple(kalman[0][8:]), t)
+    assert first_seen[tuple(kalman[0][8:])] < 1999  # track 0's covariance repeats
+
+
 # ---------------------------------------------------------------- seven-state oracle
 
-def _oracle_sequence(seed, frames=60):
+def _oracle_sequence(seed, frames=60, cfg=CFG):
     """Drive the kernels and one `SevenStateKalman` per track through random
-    births, predicts, updates and coasting gaps; yields (kalman, oracles)
-    after every kernel call."""
+    births, predicts, updates and coasting gaps under the noise of `cfg`;
+    yields (kalman, oracles) after every kernel call."""
     rng = np.random.default_rng(seed)
+    q, r = cfg.process_var(), cfg.measurement_var()
     kalman, oracles, truth, gap = [], [], [], []
     for _ in range(frames):
         if not oracles or (len(oracles) < 6 and rng.random() < 0.15):
@@ -580,10 +651,10 @@ def _oracle_sequence(seed, frames=60):
             truth.append([x, y, w, h, *rng.normal(0, 3, size=2), rng.normal(0, 0.5)])
             gap.append(0)
             corners = np.array([x, y, x + w, y + h])
-            oracles.append(SevenStateKalman(corners))
+            oracles.append(SevenStateKalman(corners, cfg.process_noise, cfg.measurement_noise))
             kalman.append(new_track(corners.tolist()))
             yield kalman, oracles
-        kalman, _ = predict(kalman, Q)
+        kalman, _ = predict(kalman, q)
         for oracle in oracles:
             oracle.predict()
         yield kalman, oracles
@@ -602,7 +673,7 @@ def _oracle_sequence(seed, frames=60):
             corners.append([x, y, x + t[2] + rng.normal(0, 2), y + t[3] + rng.normal(0, 2)])
         if hit:
             corners = np.array(corners)
-            updated, ok, _ = update([kalman[k] for k in hit], _measurements(corners.tolist()), R)
+            updated, ok, _ = update([kalman[k] for k in hit], _measurements(corners.tolist()), r)
             assert all(ok)
             for k, filt, c in zip(hit, updated, corners):
                 kalman[k] = filt
@@ -646,3 +717,14 @@ def test_seven_state_covariance_stays_block_diagonal():
         for _, oracles in _oracle_sequence(seed):
             for oracle in oracles:
                 assert np.all(oracle.P[~block] == 0.0), seed
+
+
+@pytest.mark.parametrize("cfg", [CFG, TrackerConfig(measurement_noise=1e-12, process_noise=1e-6)])
+def test_seven_state_uv_blocks_stay_bitwise_equal(cfg):
+    # the reason u and v can share one covariance block: the covariance never
+    # reads a measurement, and u and v start with, and add, the same variances
+    for seed in range(20):
+        for _, oracles in _oracle_sequence(seed, cfg=cfg):
+            for oracle in oracles:
+                P = oracle.P
+                assert (P[0, 0], P[0, 4], P[4, 4]) == (P[1, 1], P[1, 5], P[5, 5]), seed
