@@ -13,7 +13,6 @@ from .streams import (
     HandKeypoints,
     TOOL_CLASSES,
     VideoStream,
-    centroid,
     hand_size,
     iou,
     parse_stream,

@@ -303,7 +303,7 @@ def evaluate_keypoints(pred_stream: VideoStream, truth_stream: VideoStream,
         if truth is None:
             continue
         preds, truths = pred.keypoints if pred else (), truth.keypoints
-        matches, _, unmatched_truth = associate(
+        matches, unmatched_truth = associate(
             [k.owner_box.as_list() for k in preds], [k.owner_box.as_list() for k in truths],
             KEYPOINT_MATCH_IOU)
         for pi, ti in matches:

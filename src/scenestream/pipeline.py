@@ -54,6 +54,7 @@ from .streams import (
     BBox,
     Detection,
     FrameRecord,
+    HandKeypoints,
     VideoStream,
     finite_numbers,
     header_line,
@@ -98,8 +99,8 @@ def track_row(tracker: SortTracker, fr: FrameRecord) -> dict:
     row = {"frame": fr.frame_index, "t": fr.timestamp_s,
            "tracks": {str(tid): corners for tid, corners in emitted}}
     if fr.keypoints and emitted:
-        matches, _, _ = associate([kp.owner_box.as_list() for kp in fr.keypoints],
-                                  [corners for _, corners in emitted], KEYPOINT_MATCH_IOU)
+        matches, _ = associate([kp.owner_box.as_list() for kp in fr.keypoints],
+                               [corners for _, corners in emitted], KEYPOINT_MATCH_IOU)
         if matches:
             row["kps"] = {str(emitted[t][0]): fr.keypoints[k] for k, t in matches}
     return row
@@ -234,9 +235,11 @@ def tracking_oracle_report(rows, truth: GroundTruth) -> dict:
 def _hands_by_track(rows):
     """({track id: Trajectory}, {track id: Poses}) from tracks rows in one pass.
 
-    Centroids and hand sizes come from the box corners as `streams.centroid`
-    and `streams.hand_size` compute them. A row's keypoints give a pose when
-    all nine skill points are visible (v > 0.5), sized by that row's box.
+    A centroid is the box midpoint ((x_min + x_max) / 2, (y_min + y_max) / 2)
+    and a hand size is (height + width) / 2, as `streams.hand_size` computes
+    it. A row's keypoints, `[x, y, v]` rows as `read_tracks` gives them or
+    HandKeypoints as `track_stream` yields them, give a pose when all nine
+    skill points are visible (v > 0.5), sized by that row's box.
     """
     samples, poses = {}, {}
     for row in rows:
@@ -245,6 +248,8 @@ def _hands_by_track(rows):
             size = ((y1 - y0) + (x1 - x0)) / 2.0
             samples.setdefault(tid, []).append((frame, ((x0 + x1) / 2.0, (y0 + y1) / 2.0), size))
             pts = kps.get(tid)
+            if isinstance(pts, HandKeypoints):
+                pts = pts.points.tolist()
             if pts is not None and all(pts[i][2] > 0.5 for i in SKILL_KEYPOINT_INDICES):
                 poses.setdefault(tid, []).append(
                     (frame, [pts[i][:2] for i in SKILL_KEYPOINT_INDICES], size))
@@ -263,9 +268,11 @@ def clips_from_tracks(header, rows, clip_defs):
     operator_id/experience/knot_count (start, end and knot_count JSON
     integers) and optionally explicit left_track/right_track ids; otherwise
     the two longest tracks in range are used, leftmost (mean centroid x)
-    first. Every clip's video_id must be the tracks header's, and a clip with
-    start <= end must hold a frame of the tracks file. A bad clip is a
-    StreamFormatError naming its number.
+    first. Every clip's video_id must be the tracks header's, a clip with
+    start <= end must hold a frame of the tracks file, and explicit ids must
+    differ. A bad clip is a StreamFormatError naming its number. A hand
+    whose explicit id has fewer than 2 frames in range is left missing with
+    a DataWarning.
     """
     if not isinstance(clip_defs, list):
         raise StreamFormatError("a clip list must be a JSON list of clip objects")
@@ -292,6 +299,13 @@ def clips_from_tracks(header, rows, clip_defs):
         in_range = {tid: t for tid, t in in_range.items() if len(t) >= 2}
         if "left_track" in definition or "right_track" in definition:
             left_id, right_id = (str(definition.get(k, "")) for k in ("left_track", "right_track"))
+            if definition.keys() >= {"left_track", "right_track"} and left_id == right_id:
+                raise StreamFormatError(
+                    f"clip {number}: left_track and right_track both name track {left_id}")
+            for key, tid in (("left_track", left_id), ("right_track", right_id)):
+                if key in definition and tid not in in_range:
+                    warnings.warn(f"clip {number}: {key} {tid} has fewer than 2 frames in "
+                                  f"[{start}, {end}]; hand missing", DataWarning, stacklevel=2)
         else:
             by_len = sorted(in_range, key=lambda tid: -len(in_range[tid]))[:2]
             if len(by_len) < 2:

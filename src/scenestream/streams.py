@@ -99,11 +99,6 @@ def hand_size(b: BBox) -> float:
     return (b.height + b.width) / 2.0
 
 
-def centroid(b: BBox) -> tuple[float, float]:
-    """Box midpoint (x, y) in pixels."""
-    return ((b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0)
-
-
 @dataclass(frozen=True)
 class Detection:
     box: BBox

@@ -44,22 +44,15 @@ _HAND_TEMPLATE = np.array(
 
 FRAME_WIDTH, FRAME_HEIGHT = 1280, 720  # pixels of every synthetic video
 HAND_BOX_WIDTH, HAND_BOX_HEIGHT = 110.0, 90.0  # pixels of every synthetic hand box
+HAND_SPEED_PX = 4.0  # per frame, along each hand's waypoint path
 
 
 @dataclass(frozen=True)
 class HandMotionSpec:
-    """Waypoint-path motion model for one synthetic hand.
-
-    Waypoints are drawn uniformly from `region` unless an explicit
-    `waypoints` polyline is given; the hand traverses them at constant speed.
-    """
+    """Waypoint-path motion model for one synthetic hand: waypoints drawn
+    uniformly from `region`, traversed at HAND_SPEED_PX per frame."""
 
     region: tuple = (200.0, 200.0, 1000.0, 600.0)  # waypoint sampling box
-    speed_px: float = 4.0  # per frame
-    waypoints: tuple | None = None
-
-    def __post_init__(self):
-        check_finite("speed_px", self.speed_px, strict=False)
 
 
 @dataclass(frozen=True)
@@ -80,26 +73,12 @@ class CorruptionSpec:
         check_finite("confidence_sigma", self.confidence_sigma, strict=False)
 
 
-@dataclass(frozen=True)
-class PhaseSpec:
-    """One procedure phase: its action and expected tools on screen."""
-
-    action: str
-    fraction: float  # of the video duration
-    tool_rates: tuple = ()  # (tool_class, mean count per frame) pairs
-
-    def __post_init__(self):
-        check_finite("phase fraction", self.fraction)
-        for tool, rate in self.tool_rates:
-            if tool not in TOOL_CLASSES or rate < 0:
-                raise InvariantError(f"bad tool rate {tool}={rate}")
-
-
-DEFAULT_PHASES = (
-    PhaseSpec(action="cutting", fraction=0.3, tool_rates=(("electrocautery", 0.8),)),
-    PhaseSpec(action="suturing", fraction=0.4, tool_rates=(("needle_driver", 0.9),
-                                                           ("forceps", 0.5))),
-    PhaseSpec(action="tying", fraction=0.3, tool_rates=(("needle_driver", 0.7),)),
+# The procedure plan of every synthetic video: (action, fraction of the
+# duration, (tool class, mean count per frame) pairs) per phase, in order.
+PHASES = (
+    ("cutting", 0.3, (("electrocautery", 0.8),)),
+    ("suturing", 0.4, (("needle_driver", 0.9), ("forceps", 0.5))),
+    ("tying", 0.3, (("needle_driver", 0.7),)),
 )
 
 
@@ -113,7 +92,6 @@ class SynthSpec:
     duration_s: float = 30.0
     hands: tuple = (HandMotionSpec(region=(150.0, 200.0, 550.0, 550.0)),
                     HandMotionSpec(region=(700.0, 200.0, 1100.0, 550.0)))
-    phases: tuple = DEFAULT_PHASES
     corruption: CorruptionSpec = field(default_factory=CorruptionSpec)
     with_keypoints: bool = False
 
@@ -160,36 +138,33 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
 def _waypoint_positions(rng, motion: HandMotionSpec, n_frames: int) -> np.ndarray:
     """Constant-speed traversal of a waypoint polyline, vectorized."""
     x0, y0, x1, y1 = motion.region
-    if motion.waypoints is not None:
-        poly = np.asarray(motion.waypoints, dtype=float).reshape(-1, 2)
-    else:
-        needed = motion.speed_px * max(n_frames - 1, 1) + 1.0
-        pts = [rng.uniform((x0, y0), (x1, y1))]
-        total = 0.0
-        while total < needed:
-            nxt = rng.uniform((x0, y0), (x1, y1))
-            total += float(np.linalg.norm(nxt - pts[-1]))
-            pts.append(nxt)
-        poly = np.array(pts)
+    needed = HAND_SPEED_PX * max(n_frames - 1, 1) + 1.0
+    pts = [rng.uniform((x0, y0), (x1, y1))]
+    total = 0.0
+    while total < needed:
+        nxt = rng.uniform((x0, y0), (x1, y1))
+        total += float(np.linalg.norm(nxt - pts[-1]))
+        pts.append(nxt)
+    poly = np.array(pts)
     seg = np.linalg.norm(np.diff(poly, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
-    arc = np.arange(n_frames) * motion.speed_px
+    arc = np.arange(n_frames) * HAND_SPEED_PX
     xs = np.interp(arc, cum, poly[:, 0])  # clamps at the polyline end
     ys = np.interp(arc, cum, poly[:, 1])
     return np.maximum(np.column_stack([xs, ys]), 1.0)  # keeps box corners valid after clamping
 
 
-def _phase_schedule(phases, n_frames: int) -> list:
-    """The phase owning each frame, by cumulative duration fractions."""
-    fractions = np.array([p.fraction for p in phases], dtype=float)
+def _phase_schedule(n_frames: int) -> list:
+    """The PHASES entry owning each frame, by cumulative duration fractions."""
+    fractions = np.array([fraction for _, fraction, _ in PHASES], dtype=float)
     fractions = fractions / fractions.sum()
     bounds = np.floor(np.cumsum(fractions) * n_frames).astype(int)
     schedule, start = [], 0
-    for phase, stop in zip(phases, bounds):
+    for phase, stop in zip(PHASES, bounds):
         schedule.extend([phase] * (stop - start))
         start = stop
     while len(schedule) < n_frames:
-        schedule.append(phases[-1])
+        schedule.append(PHASES[-1])
     return schedule[:n_frames]
 
 
@@ -208,8 +183,9 @@ def generate_stream(spec: SynthSpec, index: int = 0):
     positions = [_waypoint_positions(rng, motion, n_frames) for motion in spec.hands]
     size = (HAND_BOX_WIDTH + HAND_BOX_HEIGHT) / 2.0
     half_w, half_h = HAND_BOX_WIDTH / 2.0, HAND_BOX_HEIGHT / 2.0
-    schedule = _phase_schedule(spec.phases, n_frames)
-    actions = [phase.action for phase in schedule]
+    schedule = _phase_schedule(n_frames)
+    actions = [action for action, _, _ in schedule]
+    tool_rates = [rates for _, _, rates in schedule]
 
     frames = []
     true_boxes = []
@@ -238,7 +214,7 @@ def generate_stream(spec: SynthSpec, index: int = 0):
                 kps.append(HandKeypoints(
                     points=_hand_keypoints(positions[h][k], size),
                     owner_box=out_box))
-        for tool, rate in schedule[k].tool_rates:
+        for tool, rate in tool_rates[k]:
             for _ in range(int(rng.poisson(rate))):
                 tx = float(rng.uniform(0, FRAME_WIDTH - 80))
                 ty = float(rng.uniform(0, FRAME_HEIGHT - 40))

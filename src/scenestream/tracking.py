@@ -25,12 +25,16 @@ from math import inf, isfinite, nan, sqrt
 
 import numpy as np
 
-from .errors import InvariantError, check_finite
+from .errors import InvariantError
 # `iou` is imported so the traced benchmark can count calls to it here
 from .streams import FrameRecord, HAND, iou  # noqa: F401
 
 # (p00, p01, p11) of a newborn track's uv, s and r blocks
 _INITIAL_COV = (10.0, 0.0, 1e4, 10.0, 0.0, 1e4, 10.0, 0.0, 0.0)
+# SORT's diagonal noise: (position, velocity) process and measurement
+# variance per block (uv, s, r)
+_PROCESS_VAR = ((1.0, 0.01), (1.0, 1e-4), (1.0, 0.0))
+_MEASUREMENT_VAR = (1.0, 10.0, 10.0)
 _AREA_EPS = 1e-6
 _TIE_TOL = 1e-9  # assignment totals within this of the optimum count as tied
 
@@ -40,24 +44,12 @@ class TrackerConfig:
     iou_threshold: float = 0.3
     max_age: int = 30  # frames a track survives unmatched; 1 s at 30 fps
     min_hits: int = 3
-    process_noise: float = 1.0
-    measurement_noise: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.iou_threshold < 1.0):
             raise InvariantError(f"iou_threshold must be in (0,1), got {self.iou_threshold}")
         if self.max_age <= 0 or self.min_hits <= 0:
             raise InvariantError("max_age and min_hits must be positive")
-        check_finite("process_noise", self.process_noise)
-        check_finite("measurement_noise", self.measurement_noise)
-
-    def process_var(self) -> tuple:
-        """Diagonal process noise: (position, velocity) variance per block (uv, s, r)."""
-        return tuple((self.process_noise, q * self.process_noise) for q in (0.01, 1e-4, 0.0))
-
-    def measurement_var(self) -> tuple:
-        """Diagonal measurement noise per block (uv, s, r)."""
-        return tuple(r * self.measurement_noise for r in (1.0, 10.0, 10.0))
 
 
 # ------------------------------------------------------------ box geometry
@@ -91,20 +83,19 @@ def _state_corners(filters) -> list[list[float]]:
 def predict(filters, process_var):
     """Advance every track's filter one frame under constant velocity.
 
-    Per block P becomes F P F^T + Q with F = [[1, 1], [0, 1]].
-    Returns (filters, clamped); clamped tracks had their area forced positive.
+    Per block P becomes F P F^T + Q with F = [[1, 1], [0, 1]]; an area that
+    reaches 0 or below is forced positive.
     """
     (qa0, qa1), (qs0, qs1), (qr0, qr1) = process_var
-    out, clamped = [], []
+    out = []
     for (u, v, s, r, du, dv, ds, dr,
          a00, a01, a11, s00, s01, s11, r00, r01, r11) in filters:
         s += ds
-        clamped.append(s <= 0)
         out.append([u + du, v + dv, _AREA_EPS if s <= 0 else s, r + dr, du, dv, ds, dr,
                     a00 + 2.0 * a01 + a11 + qa0, a01 + a11, a11 + qa1,
                     s00 + 2.0 * s01 + s11 + qs0, s01 + s11, s11 + qs1,
                     r00 + 2.0 * r01 + r11 + qr0, r01 + r11, r11 + qr1])
-    return out, clamped
+    return out
 
 
 def update(filters, z, meas_var):
@@ -112,12 +103,12 @@ def update(filters, z, meas_var):
 
     Per block, with S = p00 + R and gain k = (p00, p01) / S, P becomes
     (I - kH) P (I - kH)^T + R k k^T with H = [1, 0]; u and v share the uv one.
-    Returns (filters, ok, clamped): ok while the gains and updated covariance
-    are finite (S = 0 gives NaN gains), clamped if area or aspect was forced
-    positive.
+    Area and aspect that reach 0 or below are forced positive. Returns
+    (filters, ok): ok while the gains and updated covariance are finite
+    (S = 0 gives NaN gains).
     """
     ra, rs, rr = meas_var
-    out, ok, clamped = [], [], []
+    out, ok = [], []
     for (u, v, s, r, du, dv, ds, dr,
          a00, a01, a11, s00, s01, s11, r00, r01, r11), (zu, zv, zs, zr) in zip(filters, z):
         sa, ss, sr = a00 + ra, s00 + rs, r00 + rr
@@ -137,11 +128,10 @@ def update(filters, z, meas_var):
                   and isfinite(r00) and isfinite(r01) and isfinite(r11))
         iu, iv, i_s, ir = zu - u, zv - v, zs - s, zr - r
         s, r = s + ks0 * i_s, r + kr0 * ir
-        clamped.append(s <= 0 or r <= 0)  # area or aspect
         out.append([u + ka0 * iu, v + ka0 * iv, _AREA_EPS if s <= 0 else s,
                     _AREA_EPS if r <= 0 else r, du + ka1 * iu, dv + ka1 * iv,
                     ds + ks1 * i_s, dr + kr1 * ir, a00, a01, a11, s00, s01, s11, r00, r01, r11])
-    return out, ok, clamped
+    return out, ok
 
 
 def new_track(corners) -> list[float]:
@@ -242,9 +232,9 @@ def associate(track_boxes, det_boxes, iou_threshold):
     """Optimal one-to-one IoU matching between predicted boxes and detections.
 
     Boxes are lists of (x_min, y_min, x_max, y_max) float rows. Returns
-    (matches, unmatched_tracks, unmatched_dets); matches
-    maximize the total IoU with ties broken as `_lexmin_optimal_pairs` breaks
-    them, then pairs with IoU < iou_threshold (which must be > 0) dissolve.
+    (matches, unmatched_dets); matches maximize the total IoU with ties
+    broken as `_lexmin_optimal_pairs` breaks them, then pairs with IoU <
+    iou_threshold (which must be > 0) dissolve.
 
     The solver runs only when the overlap scores leave the optimum open.
     Suppose each track with an overlap has a best score more than
@@ -275,11 +265,8 @@ def associate(track_boxes, det_boxes, iou_threshold):
         pairs = _lexmin_optimal_pairs(
             np.array([[row.get(j, 0.0) for j in range(len(det_boxes))] for row in scores]))
     matches = [(i, j) for i, j in pairs if scores[i].get(j, 0.0) >= iou_threshold]
-    matched_t = {i for i, _ in matches}
     matched_d = {j for _, j in matches}
-    return (matches,
-            [i for i in range(len(track_boxes)) if i not in matched_t],
-            [j for j in range(len(det_boxes)) if j not in matched_d])
+    return matches, [j for j in range(len(det_boxes)) if j not in matched_d]
 
 
 # ------------------------------------------------------------ tracker
@@ -294,8 +281,6 @@ class SortTracker:
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
-        self._process_var = self.config.process_var()
-        self._meas_var = self.config.measurement_var()
         self.ids, self.filters, self.hits, self.time_since_update = [], [], [], []
         self.frame_count = 0
         self._next_id = 1
@@ -313,16 +298,16 @@ class SortTracker:
         self.frame_count += 1
         det_rows = [d.box.as_list() for d in frame.detections if d.category == HAND]
 
-        filters, _ = predict(self.filters, self._process_var)
+        filters = predict(self.filters, _PROCESS_VAR)
         ids, hits = self.ids, self.hits
         since = [t + 1 for t in self.time_since_update]
-        matches, _, unmatched_dets = associate(
+        matches, unmatched_dets = associate(
             _state_corners(filters), det_rows, cfg.iou_threshold)
         keep = [t <= cfg.max_age for t in since]
         if matches:
             hit, det_idx = zip(*matches)
             z = _measurements([det_rows[j] for j in det_idx])
-            updated, ok, _ = update([filters[i] for i in hit], z, self._meas_var)
+            updated, ok = update([filters[i] for i in hit], z, _MEASUREMENT_VAR)
             for i, filt, good in zip(hit, updated, ok):
                 filters[i], keep[i] = filt, good  # a failed update drops the track
                 hits[i] += 1

@@ -103,6 +103,14 @@ class SevenStateKalman:
                 self.x[k] = self.AREA_EPS
 
 
+def scaled_noise(process_noise, measurement_noise):
+    """(process, measurement) variances per (uv, s, r) block, in the layout of
+    `tracking._PROCESS_VAR` and `tracking._MEASUREMENT_VAR`, of the noise
+    `SevenStateKalman(corners, process_noise, measurement_noise)` uses."""
+    return (tuple((process_noise, q * process_noise) for q in (0.01, 1e-4, 0.0)),
+            tuple(r * measurement_noise for r in (1.0, 10.0, 10.0)))
+
+
 def array_predict(kalman, process_var):
     """Constant-velocity predict of every track at once, in the array form
     the per-track float kernels replaced: `kalman` is a (5, N, 4) array of

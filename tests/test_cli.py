@@ -16,12 +16,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import scaled_noise
+from scenestream import tracking
 from scenestream.cli import main
 from scenestream.errors import DataWarning, StreamFormatError
 from scenestream.pipeline import (
     _row_line,
     clips_from_tracks,
     read_tracks,
+    skill_stage,
     track_stream,
     tracking_oracle_report,
     write_tracks,
@@ -226,6 +229,23 @@ def test_clips_from_tracks_explicit_and_inferred(tmp_path):
         {**base, "left_track": inferred.right.track_id,
          "right_track": inferred.left.track_id}])[0]
     assert explicit.left.track_id == inferred.right.track_id
+
+
+def test_skill_from_in_memory_rows_equals_skill_from_tracks_file(tmp_path):
+    # in memory a row's keypoints are HandKeypoints, read back they are [x, y, v] rows
+    spec = SynthSpec(seed=4, n_videos=1, fps=15.0, duration_s=6.0, with_keypoints=True)
+    stream, _ = generate_stream(spec, 0)
+    rows = list(track_stream(stream.frames, TrackerConfig(min_hits=1)))
+    tracks_path = tmp_path / "t.jsonl"
+    write_tracks(stream, rows, tracks_path)
+    header, read_rows = read_tracks(tracks_path)
+    clip = [{"video_id": stream.video_id, "start": 0, "end": 80, "operator_id": "op-1",
+             "experience": "trainee", "knot_count": 4}]
+    for name, clip_rows in (("memory", rows), ("file", read_rows)):
+        clips = clips_from_tracks(header, clip_rows, clip)
+        assert len(clips[0].left_poses) > 0 and len(clips[0].right_poses) > 0
+        skill_stage(clips, header["fps"], tmp_path / f"{name}.csv")
+    assert (tmp_path / "memory.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
 
 
 def test_tracking_oracle_report_clean_stream():
@@ -566,14 +586,16 @@ def test_skill_and_run_accept_the_same_metric_names():
     assert {"distance", "pose", "distance_per_knot", "pose_per_knot"} <= accepted
 
 
-def test_zero_corruption_pipeline_recovers_ground_truth():
+def test_zero_corruption_pipeline_recovers_ground_truth(monkeypatch):
     # with perfect detections and vanishing measurement noise the tracker is
     # an identity: emitted boxes equal true boxes, so downstream kinematics
     # and sequence features reproduce the generator's totals
     spec = SynthSpec(seed=31, n_videos=1, fps=30.0, duration_s=40.0)
     stream, truth = generate_stream(spec, 0)
-    config = TrackerConfig(measurement_noise=1e-12, process_noise=1e-6, min_hits=1)
-    rows = track_stream(stream.frames, config)
+    q, r = scaled_noise(1e-6, 1e-12)
+    monkeypatch.setattr(tracking, "_PROCESS_VAR", q)
+    monkeypatch.setattr(tracking, "_MEASUREMENT_VAR", r)
+    rows = track_stream(stream.frames, TrackerConfig(min_hits=1))
 
     from scenestream.pipeline import _hands_by_track
     from scenestream.kinematics import path_distance, clip_mean_hand_size
@@ -781,6 +803,9 @@ def _run_skill(tmp_path, tracks_path, clips, name):
     ({"experience": "expert"}, "clip 2: TieClip.experience"),
     ({"knot_count": 0}, "clip 2: TieClip.knot_count"),
     ({"start": 5000, "end": 6000}, "clip 2: no frame"),  # the tracks hold frames 0-89
+    ({"left_track": 1, "right_track": 1}, "clip 2: left_track and right_track both name track 1"),
+    ({"left_track": 2, "right_track": "2"},
+     "clip 2: left_track and right_track both name track 2"),
 ])
 def test_cli_skill_rejects_bad_clip(tmp_path, capsys, changes, message):
     tracks_path, clip = _skill_inputs(tmp_path)
@@ -792,6 +817,21 @@ def test_cli_skill_rejects_bad_clip(tmp_path, capsys, changes, message):
                  "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_skill_warns_when_an_explicit_track_is_not_in_range(tmp_path):
+    # the tracks hold ids 1 and 2; the named hand is left missing, the other
+    # keeps its id, and a hand not named stays missing as before
+    tracks_path, clip = _skill_inputs(tmp_path)
+    with pytest.warns(DataWarning) as caught:
+        code, out = _run_skill(tmp_path, tracks_path, [
+            clip, {**clip, "left_track": 1, "right_track": 99}, {**clip, "right_track": 2}],
+            "ids")
+    assert code == 0
+    assert [str(w.message) for w in caught] == [
+        "clip 2: right_track 99 has fewer than 2 frames in [0, 80]; hand missing"]
+    table = list(csv.reader(out.read_text().splitlines()))[1:]  # left, right per clip
+    assert [row[5] == "" for row in table] == [False, False, False, True, True, False]
 
 
 @pytest.mark.parametrize("clips, message", [
@@ -1034,6 +1074,16 @@ def test_readme_commands_parse():
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: scenestream {' '.join(argv)}")
+
+
+def test_readme_run_config_is_the_default():
+    # README's one json block shows `run`'s config: a key or default changed
+    # in the pipeline but not in the docs fails here
+    from scenestream.pipeline import DEFAULT_RUN_CONFIG
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert json.loads(block) == DEFAULT_RUN_CONFIG
 
 
 # ---------------------------------------------------------------- numeric option sweep

@@ -20,7 +20,6 @@ from scenestream import (
     InvariantError,
     StreamFormatError,
     VideoStream,
-    centroid,
     hand_size,
     iou,
     parse_stream,
@@ -94,21 +93,7 @@ def test_hand_size():
     assert hand_size(BBox(0, 0, 10, 10)) == 10
     # (height + width) / 2 applied directly
     assert hand_size(BBox(0, 0, 20, 10)) == 15
-
-
-def test_centroid():
-    assert centroid(BBox(0, 0, 2, 2)) == (1, 1)
-    assert centroid(BBox(1, 3, 5, 7)) == (3, 5)
-
-
-@settings(max_examples=50, deadline=None)
-@given(a=quarter_boxes, dx=st.integers(0, 50), dy=st.integers(0, 50))
-def test_centroid_translation_equivariance(a, dx, dy):
-    shifted = BBox(a.x_min + dx, a.y_min + dy, a.x_max + dx, a.y_max + dy)
-    cx, cy = centroid(a)
-    sx, sy = centroid(shifted)
-    assert (sx - cx, sy - cy) == (dx, dy)
-    assert hand_size(shifted) == hand_size(a)
+    assert hand_size(BBox(5, 7, 25, 17)) == 15  # translation leaves it unchanged
 
 
 # ---------------------------------------------------------------- types

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import SevenStateKalman, brute_force_assignment
+from oracles import SevenStateKalman, brute_force_assignment, scaled_noise
 from scenestream import BBox, Detection, FrameRecord, InvariantError, tracking
 from scenestream.synth import CorruptionSpec, HandMotionSpec, SynthSpec, generate_stream
 from scenestream.tracking import (
@@ -23,7 +23,14 @@ from scenestream.tracking import (
 )
 
 CFG = TrackerConfig()
-Q, R = CFG.process_var(), CFG.measurement_var()
+Q, R = tracking._PROCESS_VAR, tracking._MEASUREMENT_VAR
+
+
+def use_noise(monkeypatch, process_noise, measurement_noise):
+    """Make the tracker step with SORT's noise scaled as `scaled_noise` scales it."""
+    q, r = scaled_noise(process_noise, measurement_noise)
+    monkeypatch.setattr(tracking, "_PROCESS_VAR", q)
+    monkeypatch.setattr(tracking, "_MEASUREMENT_VAR", r)
 
 
 def one_track(pos, vel=(0.0, 0.0, 0.0), var=10.0):
@@ -79,8 +86,6 @@ def test_tracker_config_validation():
         TrackerConfig(iou_threshold=0.0)
     with pytest.raises(InvariantError):
         TrackerConfig(max_age=0)
-    with pytest.raises(InvariantError):
-        TrackerConfig(process_noise=-1.0)
 
 
 def test_box_measurement_roundtrip():
@@ -98,10 +103,10 @@ def test_box_measurement_roundtrip():
 
 def test_predict_zero_velocity_keeps_box_and_grows_covariance():
     kalman = one_track([50, 60, 400, 1.0])
-    out, clamped = predict(kalman, Q)
+    out = predict(kalman, Q)
     assert _state_corners(out)[0] == pytest.approx(_state_corners(kalman)[0], abs=1e-9)
     assert trace(out)[0] > trace(kalman)[0]
-    assert not clamped[0]
+    assert positions(out)[0][2] == 400.0
     # the tracker counts the frames a coasting track goes without an update
     tracker = SortTracker(TrackerConfig(min_hits=1))
     box = BBox(100, 100, 160, 160)
@@ -114,7 +119,7 @@ def test_predict_zero_velocity_keeps_box_and_grows_covariance():
 
 
 def test_predict_advances_center_by_velocity():
-    out, _ = predict(one_track([50, 60, 400, 1.0], vel=[2.0, 0, 0]), Q)
+    out = predict(one_track([50, 60, 400, 1.0], vel=[2.0, 0, 0]), Q)
     assert positions(out)[0][0] == pytest.approx(52.0, abs=1e-12)
     assert positions(out)[0][1] == pytest.approx(60.0, abs=1e-12)
 
@@ -123,16 +128,15 @@ def test_predict_ten_steps_matches_linear_extrapolation():
     pos, vel = [100.0, 80.0, 900.0, 1.0], [1.5, -0.5, 0.0]
     kalman = one_track(pos, vel)
     for _ in range(10):
-        kalman, _ = predict(kalman, Q)
+        kalman = predict(kalman, Q)
     # closed-form straight-line oracle
     assert positions(kalman)[0][0] == pytest.approx(pos[0] + 10 * vel[0], abs=1e-9)
     assert positions(kalman)[0][1] == pytest.approx(pos[1] + 10 * vel[1], abs=1e-9)
 
 
 def test_predict_clamps_degenerate_area():
-    out, clamped = predict(one_track([50, 60, 1.0, 1.0], vel=[0, 0, -5.0]), Q)
-    assert positions(out)[0][2] > 0
-    assert clamped[0]
+    out = predict(one_track([50, 60, 1.0, 1.0], vel=[0, 0, -5.0]), Q)
+    assert positions(out)[0][2] == tracking._AREA_EPS
 
 
 def test_state_corners_clamp_like_np_maximum():
@@ -154,8 +158,8 @@ def test_state_corners_clamp_like_np_maximum():
     want = array_corners(np.array(pos))
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
-    out, clamped = predict(one_track([50.0, 60.0, nan, 1.0]), Q)
-    assert clamped == [False] and math.isnan(positions(out)[0][2])
+    out = predict(one_track([50.0, 60.0, nan, 1.0]), Q)
+    assert math.isnan(positions(out)[0][2])
 
 
 # ---------------------------------------------------------------- associate
@@ -163,21 +167,21 @@ def test_state_corners_clamp_like_np_maximum():
 def test_associate_single_pair_matched():
     t = [[0.0, 0.0, 10.0, 10.0]]
     d = [[1.0, 0.0, 11.0, 10.0]]
-    matches, ut, ud = associate(t, d, 0.3)
-    assert matches == [(0, 0)] and ut == [] and ud == []
+    matches, ud = associate(t, d, 0.3)
+    assert matches == [(0, 0)] and ud == []
 
 
 def test_associate_below_threshold_unmatched():
     t = [[0.0, 0.0, 10.0, 10.0]]
     d = [[9.0, 9.0, 19.0, 19.0]]
-    matches, ut, ud = associate(t, d, 0.3)
-    assert matches == [] and ut == [0] and ud == [0]
+    matches, ud = associate(t, d, 0.3)
+    assert matches == [] and ud == [0]
 
 
 def test_associate_empty_inputs():
-    assert associate([], [], 0.3) == ([], [], [])
-    assert associate([[0.0, 0.0, 1.0, 1.0]], [], 0.3) == ([], [0], [])
-    assert associate([], [[0.0, 0.0, 1.0, 1.0]], 0.3) == ([], [], [0])
+    assert associate([], [], 0.3) == ([], [])
+    assert associate([[0.0, 0.0, 1.0, 1.0]], [], 0.3) == ([], [])
+    assert associate([], [[0.0, 0.0, 1.0, 1.0]], 0.3) == ([], [0])
 
 
 def test_associate_3x3_equals_permutation_search():
@@ -190,8 +194,7 @@ def test_associate_3x3_equals_permutation_search():
         got = associate([t.as_list() for t in tracks], [d.as_list() for d in dets], 0.1)
         score = np.array([[_iou(t, d) for d in dets] for t in tracks])
         want = brute_force_assignment(score, 0.1)
-        assert (sorted(got[0]), sorted(got[1]), sorted(got[2])) == \
-               (sorted(want[0]), sorted(want[1]), sorted(want[2]))
+        assert (sorted(got[0]), sorted(got[1])) == (sorted(want[0]), sorted(want[2]))
 
 
 def _iou(a, b):
@@ -215,8 +218,8 @@ def test_associate_matches_brute_force_up_to_6x6(n, m, seed):
 def test_update_zero_innovation_keeps_mean_shrinks_covariance():
     z = _measurements(rows(BBox(40, 50, 60, 90)))
     kalman = one_track(z[0])
-    out, ok, clamped = update(kalman, z, R)
-    assert ok[0] and not clamped[0]
+    out, ok = update(kalman, z, R)
+    assert ok[0]
     assert stacked(out)[:2, 0] == pytest.approx(stacked(kalman)[:2, 0], abs=1e-12)
     assert trace(out)[0] < trace(kalman)[0]
     # the tracker counts a matched frame as a hit and resets the coasting count
@@ -234,8 +237,8 @@ def test_update_repeated_measurements_converge_to_measurement():
     kalman = born(BBox(100, 60, 140, 120))
     errs = []
     for k in range(2000):
-        kalman, _ = predict(kalman, Q)
-        kalman, ok, _ = update(kalman, z, R)
+        kalman = predict(kalman, Q)
+        kalman, ok = update(kalman, z, R)
         assert ok[0]
         rel = np.abs(np.subtract(positions(kalman)[0], z[0])) / np.maximum(np.abs(z[0]), 1.0)
         errs.append(np.max(rel))
@@ -251,8 +254,8 @@ def test_update_covariance_symmetric_psd():
     for k in range(25):
         jitter = rng.normal(0, 2, size=2)
         box = BBox(10 + jitter[0] + k, 10 + jitter[1], 40 + jitter[0] + k, 60 + jitter[1])
-        kalman, _ = predict(kalman, Q)
-        kalman, ok, _ = update(kalman, _measurements(rows(box)), R)
+        kalman = predict(kalman, Q)
+        kalman, ok = update(kalman, _measurements(rows(box)), R)
         assert ok[0]
         p00, p01, p11 = stacked(kalman)[2:, 0]
         assert p00.min() >= -1e-9 and p11.min() >= -1e-9
@@ -267,12 +270,12 @@ def test_update_singular_innovation_is_not_ok():
     pos = [10, 10, 100, 1.0]
     z = _measurements(rows(BBox(5, 5, 15, 15)))
     no_noise = (0.0,) * 3
-    _, ok, _ = update(one_track(pos, var=0.0), z, no_noise)
+    _, ok = update(one_track(pos, var=0.0), z, no_noise)
     assert ok == [False]
     kalman = one_track(pos, var=0.0) + one_track(pos, var=1.0)
-    out, ok, _ = update(kalman, z * 2, no_noise)
+    out, ok = update(kalman, z * 2, no_noise)
     assert ok == [False, True]
-    alone, _, _ = update(kalman[1:], z, no_noise)
+    alone, _ = update(kalman[1:], z, no_noise)
     assert out[1] == alone[0]
 
 
@@ -328,9 +331,9 @@ def test_track_ids_unique_never_reused():
     assert runs == sorted(runs)
 
 
-def test_zero_noise_output_equals_detections():
-    cfg = TrackerConfig(measurement_noise=1e-12, process_noise=1e-6, min_hits=1)
-    tracker = SortTracker(cfg)
+def test_zero_noise_output_equals_detections(monkeypatch):
+    use_noise(monkeypatch, 1e-6, 1e-12)
+    tracker = SortTracker(TrackerConfig(min_hits=1))
     for k in range(10):
         box = BBox(100 + 3 * k, 50 + 2 * k, 160 + 3 * k, 110 + 2 * k)
         out = tracker.step(hand_frame(k, [box]))
@@ -442,8 +445,8 @@ def _association_case(rng):
 
 
 def test_associate_equals_array_associate(monkeypatch):
-    # the overlap scores and the certificate give the matches, unmatched
-    # tracks and unmatched detections of the dense matrix and the solver
+    # the overlap scores and the certificate give the matches and unmatched
+    # detections of the dense matrix and the solver
     solved = []
     real = tracking._lexmin_optimal_pairs
     monkeypatch.setattr(tracking, "_lexmin_optimal_pairs",
@@ -452,10 +455,10 @@ def test_associate_equals_array_associate(monkeypatch):
     certified = 0
     for _ in range(3000):
         tracks, dets, threshold = _association_case(rng)
-        want = oracles.array_associate(np.array(tracks).reshape(-1, 4),
-                                       np.array(dets).reshape(-1, 4), threshold)
+        matches, _, unmatched_dets = oracles.array_associate(
+            np.array(tracks).reshape(-1, 4), np.array(dets).reshape(-1, 4), threshold)
         calls = len(solved)
-        assert associate(tracks, dets, threshold) == want
+        assert associate(tracks, dets, threshold) == (matches, unmatched_dets)
         certified += len(solved) == calls
     assert 300 < certified < 2700 and len(solved) > 300
 
@@ -528,24 +531,24 @@ def test_batched_kernels_equal_batch_of_one_bit_for_bit():
         for _ in range(int(rng.integers(0, 6))):
             dx, dy = rng.normal(0, 3, size=2)
             z = _measurements(rows(BBox(x + dx, y + dy, x + dx + 60, y + dy + 80)))
-            kalman, _ = predict(kalman, Q)
-            kalman, _, _ = update(kalman, z, R)
+            kalman = predict(kalman, Q)
+            kalman, _ = update(kalman, z, R)
         tracks += kalman
         dets.append(BBox(x + 2, y + 1, x + 63, y + 80))
     z = _measurements([d.as_list() for d in dets])
-    predicted, _ = predict(tracks, Q)
-    updated, ok, _ = update(tracks, z, R)
+    predicted = predict(tracks, Q)
+    updated, ok = update(tracks, z, R)
     assert all(ok)
     for k in range(6):
-        one, _ = predict(tracks[k:k + 1], Q)
+        one = predict(tracks[k:k + 1], Q)
         assert predicted[k] == one[0]
-        one, _, _ = update(tracks[k:k + 1], z[k:k + 1], R)
+        one, _ = update(tracks[k:k + 1], z[k:k + 1], R)
         assert updated[k] == one[0]
 
 
 def test_kernels_equal_the_array_form_bit_for_bit():
     # the per-track loops keep the operation order of the (5, N, 4) array
-    # kernels they replaced, so every state, ok and clamp flag is identical;
+    # kernels they replaced, so every state and ok flag is identical;
     # shrinking areas and aspects drive the clamps
     rng = np.random.default_rng(13)
     q = np.array(per_axis(Q)).T
@@ -556,25 +559,25 @@ def test_kernels_equal_the_array_form_bit_for_bit():
             filt[4:7] = rng.normal(0, 3, size=3).tolist()  # du, dv, ds
         kalman[0][6] = -float(rng.uniform(1e3, 1e5))  # area shrinks past 0
         for _ in range(15):
-            want, want_clamped = oracles.array_predict(stacked(kalman), q)
-            kalman, clamped = predict(kalman, Q)
-            assert np.array_equal(stacked(kalman), want) and clamped == want_clamped.tolist()
+            want, _ = oracles.array_predict(stacked(kalman), q)
+            kalman = predict(kalman, Q)
+            assert np.array_equal(stacked(kalman), want)
             hit = sorted(rng.choice(len(kalman), size=int(rng.integers(1, len(kalman) + 1)),
                                     replace=False).tolist())
             z = [[float(v) for v in rng.normal(positions(kalman)[k], [3, 3, 200, 0.4])]
                  for k in hit]
-            want, want_ok, want_clamped = oracles.array_update(
+            want, want_ok, _ = oracles.array_update(
                 stacked(kalman)[:, hit], np.array(z), np.array(per_axis(R)))
-            updated, ok, clamped = update([kalman[k] for k in hit], z, R)
+            updated, ok = update([kalman[k] for k in hit], z, R)
             assert np.array_equal(stacked(updated), want)
-            assert (ok, clamped) == (want_ok.tolist(), want_clamped.tolist())
+            assert ok == want_ok.tolist()
             for k, filt in zip(hit, updated):
                 kalman[k] = filt
 
 
 def test_non_finite_inputs_propagate_like_the_array_form():
     # a NaN or inf measurement, or an infinite variance in one block, reaches
-    # the same entries, ok and clamp flags as in the array form, r's velocity
+    # the same entries and ok flags as in the array form, r's velocity
     # and off-diagonal included
     pos, box = [50.0, 60.0, 400.0, 1.0], [40.0, 50.0, 60.0, 70.0]
     r = np.array(per_axis(R))
@@ -590,10 +593,10 @@ def test_non_finite_inputs_propagate_like_the_array_form():
         cases.append((kalman, _measurements([box])))
     for kalman, z in cases:
         with np.errstate(invalid="ignore"):
-            want, want_ok, want_clamped = oracles.array_update(stacked(kalman), np.array(z), r)
-        out, ok, clamped = update(kalman, z, R)
+            want, want_ok, _ = oracles.array_update(stacked(kalman), np.array(z), r)
+        out, ok = update(kalman, z, R)
         assert np.array_equal(stacked(out), want, equal_nan=True), (kalman, z)
-        assert (ok, clamped) == (want_ok.tolist(), want_clamped.tolist())
+        assert ok == want_ok.tolist()
 
 
 def test_kernels_equal_the_array_form_over_2000_frames():
@@ -610,9 +613,9 @@ def test_kernels_equal_the_array_form_over_2000_frames():
     gap = [0] * 5
     first_seen = {}
     for t in range(2000):
-        array, want_clamped = oracles.array_predict(array, q)
-        kalman, clamped = predict(kalman, Q)
-        assert np.array_equal(stacked(kalman), array) and clamped == want_clamped.tolist()
+        array, _ = oracles.array_predict(array, q)
+        kalman = predict(kalman, Q)
+        assert np.array_equal(stacked(kalman), array)
         hit = []
         for k in range(5):
             if k and gap[k] == 0 and rng.random() < 0.1:
@@ -624,25 +627,26 @@ def test_kernels_equal_the_array_form_over_2000_frames():
         x = [boxes[k][0] + 80.0 * math.sin(t / 40.0 + phase[k]) for k in hit]
         z = [[float(v) for v in rng.normal([c, boxes[k][1] + 40.0, 4800.0, 0.75],
                                            [2, 2, 300, 0.05])] for c, k in zip(x, hit)]
-        want, want_ok, want_clamped = oracles.array_update(array[:, hit], np.array(z), r)
+        want, want_ok, _ = oracles.array_update(array[:, hit], np.array(z), r)
         array[:, hit] = want
-        updated, ok, clamped = update([kalman[k] for k in hit], z, R)
+        updated, ok = update([kalman[k] for k in hit], z, R)
         for k, filt in zip(hit, updated):
             kalman[k] = filt
         assert np.array_equal(stacked(kalman), array)
-        assert (ok, clamped) == (want_ok.tolist(), want_clamped.tolist())
+        assert ok == want_ok.tolist()
         first_seen.setdefault(tuple(kalman[0][8:]), t)
     assert first_seen[tuple(kalman[0][8:])] < 1999  # track 0's covariance repeats
 
 
 # ---------------------------------------------------------------- seven-state oracle
 
-def _oracle_sequence(seed, frames=60, cfg=CFG):
+def _oracle_sequence(seed, frames=60, noise=(1.0, 1.0)):
     """Drive the kernels and one `SevenStateKalman` per track through random
-    births, predicts, updates and coasting gaps under the noise of `cfg`;
-    yields (kalman, oracles) after every kernel call."""
+    births, predicts, updates and coasting gaps under SORT's noise scaled by
+    `noise` = (process_noise, measurement_noise); yields (kalman, oracles)
+    after every kernel call."""
     rng = np.random.default_rng(seed)
-    q, r = cfg.process_var(), cfg.measurement_var()
+    q, r = scaled_noise(*noise)
     kalman, oracles, truth, gap = [], [], [], []
     for _ in range(frames):
         if not oracles or (len(oracles) < 6 and rng.random() < 0.15):
@@ -651,10 +655,10 @@ def _oracle_sequence(seed, frames=60, cfg=CFG):
             truth.append([x, y, w, h, *rng.normal(0, 3, size=2), rng.normal(0, 0.5)])
             gap.append(0)
             corners = np.array([x, y, x + w, y + h])
-            oracles.append(SevenStateKalman(corners, cfg.process_noise, cfg.measurement_noise))
+            oracles.append(SevenStateKalman(corners, *noise))
             kalman.append(new_track(corners.tolist()))
             yield kalman, oracles
-        kalman, _ = predict(kalman, q)
+        kalman = predict(kalman, q)
         for oracle in oracles:
             oracle.predict()
         yield kalman, oracles
@@ -673,7 +677,7 @@ def _oracle_sequence(seed, frames=60, cfg=CFG):
             corners.append([x, y, x + t[2] + rng.normal(0, 2), y + t[3] + rng.normal(0, 2)])
         if hit:
             corners = np.array(corners)
-            updated, ok, _ = update([kalman[k] for k in hit], _measurements(corners.tolist()), r)
+            updated, ok = update([kalman[k] for k in hit], _measurements(corners.tolist()), r)
             assert all(ok)
             for k, filt, c in zip(hit, updated, corners):
                 kalman[k] = filt
@@ -694,6 +698,7 @@ def test_kernels_match_seven_state_oracle():
     # within 1e-9 relative to their largest entry: a velocity near 0 is the
     # difference of positions near 1e3, so its own relative error is not
     # bounded by rounding
+    assert scaled_noise(1.0, 1.0) == (Q, R)  # the oracle's unscaled noise is SORT's
     for seed in range(20):
         calls = 0
         for kalman, oracles in _oracle_sequence(seed):
@@ -719,12 +724,12 @@ def test_seven_state_covariance_stays_block_diagonal():
                 assert np.all(oracle.P[~block] == 0.0), seed
 
 
-@pytest.mark.parametrize("cfg", [CFG, TrackerConfig(measurement_noise=1e-12, process_noise=1e-6)])
+@pytest.mark.parametrize("cfg", [(1.0, 1.0), (1e-6, 1e-12)])
 def test_seven_state_uv_blocks_stay_bitwise_equal(cfg):
     # the reason u and v can share one covariance block: the covariance never
     # reads a measurement, and u and v start with, and add, the same variances
     for seed in range(20):
-        for _, oracles in _oracle_sequence(seed, cfg=cfg):
+        for _, oracles in _oracle_sequence(seed, noise=cfg):
             for oracle in oracles:
                 P = oracle.P
                 assert (P[0, 0], P[0, 4], P[4, 4]) == (P[1, 1], P[1, 5], P[5, 5]), seed
