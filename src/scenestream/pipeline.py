@@ -175,6 +175,10 @@ def _check_tracks_row(row, line_no) -> None:
     if not isinstance(kps, dict) or not all(keypoint_rows(pts) for pts in kps.values()):
         raise StreamFormatError(f"tracks row 'kps' must map track ids to {N_KEYPOINTS} "
                                 "[x, y, v] triples", line=line_no)
+    stray = next((tid for tid in kps if tid not in tracks), None)
+    if stray is not None:
+        raise StreamFormatError(f"tracks row 'kps' names track {stray}, which its 'tracks' "
+                                "lacks", line=line_no)
 
 
 def read_tracks(path):
@@ -271,8 +275,8 @@ def clips_from_tracks(header, rows, clip_defs):
     first. Every clip's video_id must be the tracks header's, a clip with
     start <= end must hold a frame of the tracks file, and explicit ids must
     differ. A bad clip is a StreamFormatError naming its number. A hand
-    whose explicit id has fewer than 2 frames in range is left missing with
-    a DataWarning.
+    whose explicit id has fewer than 2 frames in range, or whose id is not
+    given while the other hand's is, is left missing with a DataWarning.
     """
     if not isinstance(clip_defs, list):
         raise StreamFormatError("a clip list must be a JSON list of clip objects")
@@ -303,7 +307,10 @@ def clips_from_tracks(header, rows, clip_defs):
                 raise StreamFormatError(
                     f"clip {number}: left_track and right_track both name track {left_id}")
             for key, tid in (("left_track", left_id), ("right_track", right_id)):
-                if key in definition and tid not in in_range:
+                if key not in definition:
+                    warnings.warn(f"clip {number}: {key} not given; hand missing",
+                                  DataWarning, stacklevel=2)
+                elif tid not in in_range:
                     warnings.warn(f"clip {number}: {key} {tid} has fewer than 2 frames in "
                                   f"[{start}, {end}]; hand missing", DataWarning, stacklevel=2)
         else:

@@ -257,6 +257,8 @@ def featurize(tl: Timeline, label: str | None = None):
     mean counts here; normalize_tool_features rescales them to [0,1] across
     a cohort.
     """
+    if len(tl) == 0:
+        raise InvariantError(f"sequence {tl.video_id} has no steps to featurize")
     values = np.concatenate([quartile_aggregate(tl.indicators()).T.ravel(),
                              quartile_aggregate(tl.tools).T.ravel(),
                              transition_probabilities(tl)])
@@ -388,16 +390,6 @@ def top_features(model: LdaModel, axis: int):
     return [(FEATURE_NAMES[i], float(weights[i])) for i in order[:N_TOP_FEATURES]]
 
 
-@dataclass(frozen=True)
-class FilterRule:
-    """Metadata predicate selecting mostly-complete procedure videos."""
-
-    name: str
-    umls_substring: str
-    search_substring: str
-    title_predicate: object = None  # callable(title: str) -> bool, or None
-
-
 def _appendectomy_title(title: str) -> bool:
     return "append" in title
 
@@ -406,24 +398,25 @@ def _pilonidal_title(title: str) -> bool:
     return "karydakis" in title or (("pilon" in title or "perin" in title) and "flap" in title)
 
 
+# Rule name -> (UMLS substring, search-term substring, title predicate or None);
+# metadata selecting mostly-complete procedure videos.
 BUILTIN_RULES = {
-    "appendectomy": FilterRule(name="appendectomy", umls_substring="append",
-                               search_substring="append", title_predicate=_appendectomy_title),
-    "pilonidal": FilterRule(name="pilonidal", umls_substring="flap",
-                            search_substring="pilonidal", title_predicate=_pilonidal_title),
+    "appendectomy": ("append", "append", _appendectomy_title),
+    "pilonidal": ("flap", "pilonidal", _pilonidal_title),
     # title screening for thyroidectomy is a manual review step, not automated
-    "thyroidectomy": FilterRule(name="thyroidectomy", umls_substring="thyroid",
-                                search_substring="thyroid", title_predicate=None),
+    "thyroidectomy": ("thyroid", "thyroid", None),
 }
 
 
-def filter_videos(catalog, rule: FilterRule):
-    """Select video ids whose metadata passes every clause of the rule.
+def filter_videos(catalog, rule):
+    """Select video ids whose metadata passes every clause of the rule, a
+    BUILTIN_RULES value.
 
     Each catalog entry is a mapping with a video_id (required) and title,
     umls, search_terms and duration_s. Entries missing any of those four are
     excluded with a warning. Substring matching is case-insensitive.
     """
+    umls_substring, search_substring, title_predicate = rule
     selected = []
     for entry in catalog:
         vid = entry["video_id"]
@@ -437,13 +430,13 @@ def filter_videos(catalog, rule: FilterRule):
         terms = " ".join(entry["search_terms"]).lower()
         title = str(entry["title"]).lower()
         duration = float(entry["duration_s"])
-        if rule.umls_substring not in umls:
+        if umls_substring not in umls:
             continue
-        if rule.search_substring not in terms:
+        if search_substring not in terms:
             continue
         if not (FILTER_MIN_DURATION_S <= duration <= FILTER_MAX_DURATION_S):
             continue
-        if rule.title_predicate is not None and not rule.title_predicate(title):
+        if title_predicate is not None and not title_predicate(title):
             continue
         selected.append(vid)
     return selected

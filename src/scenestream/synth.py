@@ -29,7 +29,6 @@ from .streams import (
     FrameRecord,
     HAND,
     HandKeypoints,
-    TOOL_CLASSES,
     VideoStream,
 )
 
@@ -155,17 +154,14 @@ def _waypoint_positions(rng, motion: HandMotionSpec, n_frames: int) -> np.ndarra
 
 
 def _phase_schedule(n_frames: int) -> list:
-    """The PHASES entry owning each frame, by cumulative duration fractions."""
-    fractions = np.array([fraction for _, fraction, _ in PHASES], dtype=float)
-    fractions = fractions / fractions.sum()
-    bounds = np.floor(np.cumsum(fractions) * n_frames).astype(int)
+    """The PHASES entry owning each frame, by cumulative duration fractions.
+    The fractions sum to exactly 1.0, so the last phase ends at n_frames."""
+    bounds = np.floor(np.cumsum([fraction for _, fraction, _ in PHASES]) * n_frames).astype(int)
     schedule, start = [], 0
     for phase, stop in zip(PHASES, bounds):
         schedule.extend([phase] * (stop - start))
         start = stop
-    while len(schedule) < n_frames:
-        schedule.append(PHASES[-1])
-    return schedule[:n_frames]
+    return schedule
 
 
 def _hand_keypoints(center, size) -> np.ndarray:
@@ -362,52 +358,26 @@ def generate_tie_clips(spec: SkillCohortSpec):
 
 # --------------------------------------------------------- procedure cohort
 
-@dataclass(frozen=True)
-class ProcedureClassSpec:
-    """Sequence-level procedure model with class-distinct quartile profiles."""
-
-    name: str
-    quartile_action_probs: tuple  # 4 rows of (cutting, tying, suturing) probs
-    quartile_tool_rates: tuple  # 4 rows of mean counts per TOOL_CLASSES
-    steps_range: tuple = (40, 80)
-    opening_fraction: float = 0.1  # deterministic cutting head
-
-    def __post_init__(self):
-        if len(self.quartile_action_probs) != 4 or len(self.quartile_tool_rates) != 4:
-            raise InvariantError("need 4 quartile rows")
-        for row in self.quartile_action_probs:
-            if len(row) != len(ACTIONS) or min(row) < 0 or abs(sum(row) - 1.0) > 1e-9:
-                raise InvariantError(f"each quartile needs {len(ACTIONS)} non-negative "
-                                     "action probabilities summing to 1")
-        if any(len(row) != len(TOOL_CLASSES) for row in self.quartile_tool_rates):
-            raise InvariantError(f"each quartile needs {len(TOOL_CLASSES)} tool rates")
-
-
-DEFAULT_PROCEDURE_CLASSES = (
-    ProcedureClassSpec(
-        name="appendectomy",
-        quartile_action_probs=((0.9, 0.05, 0.05), (0.2, 0.7, 0.1),
-                               (0.2, 0.2, 0.6), (0.1, 0.3, 0.6)),
-        quartile_tool_rates=((1.2, 0.1, 0.2), (0.2, 1.0, 0.3),
-                             (0.1, 0.8, 0.6), (0.1, 0.6, 0.7))),
-    ProcedureClassSpec(
-        name="pilonidal",
-        quartile_action_probs=((0.8, 0.1, 0.1), (0.7, 0.1, 0.2),
-                               (0.2, 0.1, 0.7), (0.1, 0.1, 0.8)),
-        quartile_tool_rates=((1.5, 0.1, 0.1), (1.0, 0.2, 0.2),
-                             (0.2, 1.2, 0.4), (0.1, 1.0, 0.3))),
-    ProcedureClassSpec(
-        name="thyroidectomy",
-        quartile_action_probs=((0.85, 0.1, 0.05), (0.4, 0.4, 0.2),
-                               (0.3, 0.5, 0.2), (0.3, 0.3, 0.4)),
-        quartile_tool_rates=((1.8, 0.2, 0.8), (0.8, 0.5, 1.0),
-                             (0.5, 0.5, 1.2), (0.3, 0.4, 1.0))),
+# Per procedure class: (name, 4 quartile rows of (cutting, tying, suturing)
+# probabilities, 4 quartile rows of mean counts per TOOL_CLASSES).
+PROCEDURE_CLASSES = (
+    ("appendectomy",
+     ((0.9, 0.05, 0.05), (0.2, 0.7, 0.1), (0.2, 0.2, 0.6), (0.1, 0.3, 0.6)),
+     ((1.2, 0.1, 0.2), (0.2, 1.0, 0.3), (0.1, 0.8, 0.6), (0.1, 0.6, 0.7))),
+    ("pilonidal",
+     ((0.8, 0.1, 0.1), (0.7, 0.1, 0.2), (0.2, 0.1, 0.7), (0.1, 0.1, 0.8)),
+     ((1.5, 0.1, 0.1), (1.0, 0.2, 0.2), (0.2, 1.2, 0.4), (0.1, 1.0, 0.3))),
+    ("thyroidectomy",
+     ((0.85, 0.1, 0.05), (0.4, 0.4, 0.2), (0.3, 0.5, 0.2), (0.3, 0.3, 0.4)),
+     ((1.8, 0.2, 0.8), (0.8, 0.5, 1.0), (0.5, 0.5, 1.2), (0.3, 0.4, 1.0))),
 )
+PROCEDURE_STEPS = (40, 80)  # inclusive range of a sequence's step count
+OPENING_FRACTION = 0.1  # of the steps, a deterministic cutting head
 
 
-def generate_procedure_sequences(seed: int, n_per_class: int,
-                                 classes=DEFAULT_PROCEDURE_CLASSES):
-    """Background-free (Timeline, class-name) pairs.
+def generate_procedure_sequences(seed: int, n_per_class: int):
+    """Background-free (Timeline, class-name) pairs, n_per_class per
+    PROCEDURE_CLASSES entry.
 
     Each action is `ACTIONS[bisect_right(cdf, rng.random())]` over the
     quartile's CDF, built as `rng.choice(ACTIONS, p=...)` builds it (cumsum
@@ -415,19 +385,19 @@ def generate_procedure_sequences(seed: int, n_per_class: int,
     both consume the generator exactly as those per-step array calls do.
     """
     out = []
-    for c_idx, cls in enumerate(classes):
+    for c_idx, (name, action_probs, tool_rates) in enumerate(PROCEDURE_CLASSES):
         rng = np.random.default_rng([seed, 555, c_idx])
-        cdfs = [(c / c[-1]).tolist() for c in map(np.cumsum, cls.quartile_action_probs)]
+        cdfs = [(c / c[-1]).tolist() for c in map(np.cumsum, action_probs)]
         for v in range(n_per_class):
-            n = int(rng.integers(cls.steps_range[0], cls.steps_range[1] + 1))
-            head = max(1, int(round(cls.opening_fraction * n)))
+            n = int(rng.integers(PROCEDURE_STEPS[0], PROCEDURE_STEPS[1] + 1))
+            head = max(1, int(round(OPENING_FRACTION * n)))
             labels = ["cutting"] * head
             counts = []
             for k in range(n):
                 q = min(4 * k // n, 3)
                 if k >= head:
                     labels.append(ACTIONS[bisect_right(cdfs[q], rng.random())])
-                counts.append([rng.poisson(r) for r in cls.quartile_tool_rates[q]])
-            out.append((Timeline(video_id=f"{cls.name}-{v:03d}", labels=labels, tools=counts),
-                        cls.name))
+                counts.append([rng.poisson(r) for r in tool_rates[q]])
+            out.append((Timeline(video_id=f"{name}-{v:03d}", labels=labels, tools=counts),
+                        name))
     return out

@@ -370,25 +370,26 @@ def naive_pck(pred_frames, truth_frames, alpha, match_iou=0.5):
     return hits / valid if valid else None
 
 
-def per_step_procedure_sequences(seed, n_per_class, classes):
+def per_step_procedure_sequences(seed, n_per_class, classes, steps_range, opening_fraction):
     """(labels, counts, class name) per sequence, drawn as
     `synth.generate_procedure_sequences` drew them with one
     `rng.choice(ACTIONS, p=...)` and one array `rng.poisson` call per step.
-    Returns the triples and each class's generator, whose final states a
-    test compares."""
+    `classes` holds (name, quartile action probs, quartile tool rates)
+    tuples. Returns the triples and each class's generator, whose final
+    states a test compares."""
     out, rngs = [], []
-    for c_idx, cls in enumerate(classes):
+    for c_idx, (name, action_probs, tool_rates) in enumerate(classes):
         rng = np.random.default_rng([seed, 555, c_idx])
         rngs.append(rng)
         for _ in range(n_per_class):
-            n = int(rng.integers(cls.steps_range[0], cls.steps_range[1] + 1))
-            head = max(1, int(round(cls.opening_fraction * n)))
+            n = int(rng.integers(steps_range[0], steps_range[1] + 1))
+            head = max(1, int(round(opening_fraction * n)))
             labels = ["cutting"] * head
             counts = np.zeros((n, len(TOOL_CLASSES)))
             for k in range(n):
                 q = min(4 * k // n, 3)
                 if k >= head:
-                    labels.append(str(rng.choice(ACTIONS, p=cls.quartile_action_probs[q])))
-                counts[k] = rng.poisson(cls.quartile_tool_rates[q])
-            out.append((labels, counts, cls.name))
+                    labels.append(str(rng.choice(ACTIONS, p=action_probs[q])))
+                counts[k] = rng.poisson(tool_rates[q])
+            out.append((labels, counts, name))
     return out, rngs

@@ -292,6 +292,19 @@ def test_cli_signature_and_featurize_and_lda(tmp_path, capsys):
     assert len(weights) == 31
 
 
+@pytest.mark.parametrize("command", ["signature", "featurize"])
+def test_cli_names_a_video_that_is_all_background(tmp_path, capsys, command):
+    streams_dir, out = tmp_path / "streams", tmp_path / "out.csv"
+    streams_dir.mkdir()
+    frames = tuple(FrameRecord(frame_index=k, timestamp_s=k / 10, detections=(),
+                               action="background") for k in range(12))
+    write_stream(VideoStream(video_id="allbg", fps=10.0, width=640, height=480,
+                             frames=frames), streams_dir / "allbg.jsonl")
+    assert main([command, "--streams", str(streams_dir), "--out", str(out)]) == 2
+    assert "allbg" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_filter(tmp_path, capsys):
     catalog = tmp_path / "catalog.jsonl"
     entries = [
@@ -829,7 +842,8 @@ def test_cli_skill_warns_when_an_explicit_track_is_not_in_range(tmp_path):
             "ids")
     assert code == 0
     assert [str(w.message) for w in caught] == [
-        "clip 2: right_track 99 has fewer than 2 frames in [0, 80]; hand missing"]
+        "clip 2: right_track 99 has fewer than 2 frames in [0, 80]; hand missing",
+        "clip 3: left_track not given; hand missing"]
     table = list(csv.reader(out.read_text().splitlines()))[1:]  # left, right per clip
     assert [row[5] == "" for row in table] == [False, False, False, True, True, False]
 
@@ -868,6 +882,10 @@ def test_cli_skill_rejects_clip_list_that_is_not_a_list_of_objects(tmp_path, cap
                  "line 3: tracks row needs an integer 'frame'", id="frame-past-int64"),
     pytest.param(1, json.dumps({"frame": 0, "t": 0.0, "tracks": {"abc": [1, 2, 3, 4]}}),
                  "line 3: tracks row needs 'tracks'", id="track-id-not-an-integer"),
+    pytest.param(1, json.dumps({"frame": 0, "t": 0.0, "tracks": {"1": [1, 2, 3, 4]},
+                                "kps": {"2": [[0, 0, 1]] * 21}}),
+                 "line 3: tracks row 'kps' names track 2, which its 'tracks' lacks",
+                 id="kps-track-not-in-row"),
 ])
 def test_cli_skill_reports_bad_tracks_line(tmp_path, capsys, index, replacement, message):
     tracks_path, clip = _skill_inputs(tmp_path)

@@ -141,6 +141,8 @@ def test_ap_zero_detections():
 def test_ap_no_ground_truth_undefined():
     with pytest.warns(DataWarning, match="undefined"):
         assert one_frame_hand_ap([det(0.9, 0)], []) is None
+    with pytest.raises(InvariantError, match="AP undefined without ground truth"):
+        ap_from_records([(0.9, False)], 0)
 
 
 def test_ap_worked_case_matches_enumeration_oracle():
@@ -279,6 +281,9 @@ def test_pck_aggregate_groups():
     assert report.mean_pck == pytest.approx(17 / 21)
     per_kp = report.pck_per_keypoint
     assert per_kp[0] == 1.0 and per_kp[1] == 0.0
+    with pytest.raises(InvariantError, match="ref must be 'truth' or 'pred'"):
+        evaluate_keypoints(one_frame_stream(keypoints=[truth]),
+                           one_frame_stream(keypoints=[truth]), ref="box")
 
 
 def _keypoints_by_frame(stream):

@@ -8,7 +8,6 @@ from scenestream.signatures import (
     BUILTIN_RULES,
     FEATURE_NAMES,
     FeatureVector30,
-    FilterRule,
     Timeline,
     build_signature,
     excise_background,
@@ -511,6 +510,6 @@ def test_filter_missing_metadata_warns_and_excludes():
 
 
 def test_filter_case_insensitive():
-    rule = FilterRule(name="demo", umls_substring="append", search_substring="append")
+    rule = ("append", "append", None)
     entry = catalog_entry("u", "APPENDECTOMY", ["APPENDIX"], ["OPEN APPENDECTOMY"], 300.0)
     assert filter_videos([entry], rule) == ["u"]

@@ -110,6 +110,8 @@ def test_keypoints_validation():
     box = BBox(0, 0, 10, 10)
     with pytest.raises(InvariantError, match="21"):
         HandKeypoints(points=np.zeros((5, 3)), owner_box=box)
+    with pytest.raises(InvariantError, match="finite"):
+        HandKeypoints(points=[[float("nan"), 0.0, 1.0]] + [[0.0, 0.0, 1.0]] * 20, owner_box=box)
     kp = HandKeypoints(points=np.ones((21, 3)), owner_box=box)
     assert kp.points.shape == (21, 3)
     assert not kp.points.flags.writeable
@@ -139,6 +141,8 @@ def test_video_stream_timestamp_invariant():
     bad = FrameRecord(frame_index=3, timestamp_s=0.2)
     with pytest.raises(InvariantError, match="timestamp_s"):
         VideoStream(video_id="v", fps=30.0, width=0, height=0, frames=(bad,))
+    with pytest.raises(InvariantError, match="duplicate frame_index 3"):
+        VideoStream(video_id="v", fps=30.0, width=0, height=0, frames=(good, good))
 
 
 # ---------------------------------------------------------------- parsing

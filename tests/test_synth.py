@@ -6,14 +6,17 @@ import pytest
 
 from oracles import naive_integrated_pose_distance, per_step_procedure_sequences
 from scenestream import (
+    ACTIONS,
     BBox,
     Detection,
     FrameRecord,
     InvariantError,
     iou,
+    TOOL_CLASSES,
     parse_stream,
     stream_to_lines,
 )
+from scenestream import synth
 from scenestream.kinematics import (
     clip_mean_hand_size,
     integrated_pose_distance,
@@ -23,9 +26,11 @@ from scenestream.kinematics import (
 from scenestream.synth import (
     _HAND_TEMPLATE,
     _bounded_walk,
-    DEFAULT_PROCEDURE_CLASSES,
     CorruptionSpec,
-    ProcedureClassSpec,
+    OPENING_FRACTION,
+    PHASES,
+    PROCEDURE_CLASSES,
+    PROCEDURE_STEPS,
     SkillCohortSpec,
     SynthSpec,
     generate_procedure_sequences,
@@ -97,6 +102,10 @@ def test_impossible_spec_rejected():
         small_spec(duration_s=0.0)
     with pytest.raises(InvariantError):
         CorruptionSpec(dropout_rate=1.5)
+    with pytest.raises(InvariantError, match="at least one hand"):
+        small_spec(hands=())
+    with pytest.raises(InvariantError, match="cohort sizes"):
+        SkillCohortSpec(operators_per_group=0)
 
 
 def test_dropout_removes_detections():
@@ -272,36 +281,45 @@ def test_procedure_sequences_deterministic():
 
 
 # zero-probability actions and tool rates, a large rate and sequences as
-# short as 5 steps, besides the default classes
-_EDGE_CLASS = ProcedureClassSpec(
-    name="edge",
-    quartile_action_probs=((0.0, 0.3, 0.7), (0.1, 0.2, 0.7), (0.7, 0.0, 0.3), (0.1, 0.7, 0.2)),
-    quartile_tool_rates=((0.0, 2.5, 0.1), (0.3, 0.0, 4.0), (12.0, 0.5, 0.5), (0.1, 0.1, 0.1)),
-    steps_range=(5, 90))
+# short as 5 steps
+_EDGE_CLASS = (
+    "edge",
+    ((0.0, 0.3, 0.7), (0.1, 0.2, 0.7), (0.7, 0.0, 0.3), (0.1, 0.7, 0.2)),
+    ((0.0, 2.5, 0.1), (0.3, 0.0, 4.0), (12.0, 0.5, 0.5), (0.1, 0.1, 0.1)))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 41])
 def test_procedure_draws_match_per_step_draws(monkeypatch, seed):
     # bisect over precomputed CDFs and scalar poisson calls must consume each
-    # class's generator exactly as per-step choice and array poisson calls do
-    classes = DEFAULT_PROCEDURE_CLASSES + (_EDGE_CLASS,)
-    made, real = [], np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
-    got = generate_procedure_sequences(seed, 12, classes)
-    monkeypatch.undo()
-    want, ref_rngs = per_step_procedure_sequences(seed, 12, classes)
-    assert len(got) == len(want) == 48
-    for (tl, name), (labels, counts, ref_name) in zip(got, want):
-        assert name == ref_name and list(tl.labels) == labels
-        assert np.array_equal(tl.tools, counts)
-    assert [r.bit_generator.state for r in made] == [r.bit_generator.state for r in ref_rngs]
+    # class's generator exactly as per-step choice and array poisson calls do;
+    # once on the default table, once on the edge class alone
+    for classes, steps in ((PROCEDURE_CLASSES, PROCEDURE_STEPS), ((_EDGE_CLASS,), (5, 90))):
+        made, real = [], np.random.default_rng
+        with monkeypatch.context() as m:
+            m.setattr(synth, "PROCEDURE_CLASSES", classes)
+            m.setattr(synth, "PROCEDURE_STEPS", steps)
+            m.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
+            got = generate_procedure_sequences(seed, 12)
+        want, ref_rngs = per_step_procedure_sequences(seed, 12, classes, steps,
+                                                      OPENING_FRACTION)
+        assert len(got) == len(want) == 12 * len(classes)
+        for (tl, name), (labels, counts, ref_name) in zip(got, want):
+            assert name == ref_name and list(tl.labels) == labels
+            assert np.array_equal(tl.tools, counts)
+        assert [r.bit_generator.state for r in made] == [r.bit_generator.state
+                                                         for r in ref_rngs]
 
 
-@pytest.mark.parametrize("probs, rates", [
-    (((0.5, 0.5),) * 4, ((1.0, 1.0, 1.0),) * 4),  # one action short
-    (((1.2, -0.2, 0.0),) * 4, ((1.0, 1.0, 1.0),) * 4),
-    (((0.2, 0.3, 0.5),) * 4, ((1.0, 1.0),) * 4),  # one tool short
-])
-def test_procedure_class_rejects_rows_of_the_wrong_shape(probs, rates):
-    with pytest.raises(InvariantError):
-        ProcedureClassSpec(name="bad", quartile_action_probs=probs, quartile_tool_rates=rates)
+def test_procedure_table_is_well_formed():
+    assert PROCEDURE_STEPS == (40, 80) and OPENING_FRACTION == 0.1
+    assert [name for name, _, _ in PROCEDURE_CLASSES] == [
+        "appendectomy", "pilonidal", "thyroidectomy"]
+    for _, action_probs, tool_rates in PROCEDURE_CLASSES:
+        assert len(action_probs) == len(tool_rates) == 4
+        for row in action_probs:
+            assert len(row) == len(ACTIONS) and min(row) >= 0
+            assert abs(sum(row) - 1.0) <= 1e-9
+        for row in tool_rates:
+            assert len(row) == len(TOOL_CLASSES) and min(row) >= 0
+    # _phase_schedule ends the last phase at n_frames only because of this
+    assert np.cumsum([f for _, f, _ in PHASES])[-1] == 1.0
