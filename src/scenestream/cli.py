@@ -11,9 +11,15 @@ import sys
 import warnings
 from pathlib import Path
 
-from .bench import bench_stream
+from .bench import DEFAULT_WINDOW_S, bench_stream
 from .errors import FrameOrderError, InvariantError, StreamFormatError
-from .evaluation import evaluate_actions, evaluate_boxes, evaluate_keypoints
+from .evaluation import (
+    DEFAULT_IOU_THRESHOLD,
+    DEFAULT_PCK_ALPHA,
+    evaluate_actions,
+    evaluate_boxes,
+    evaluate_keypoints,
+)
 from .kinematics import SKILL_METRICS
 from .pipeline import (
     clips_from_tracks,
@@ -29,15 +35,16 @@ from .pipeline import (
     write_json,
     write_tracks,
 )
-from .signatures import BUILTIN_RULES, filter_videos, top_features
+from .signatures import (
+    BUILTIN_RULES,
+    DEFAULT_RESOLUTION_S,
+    DEFAULT_SMOOTHING_WINDOW,
+    filter_videos,
+    top_features,
+)
 from .streams import finite_numbers, iter_json_lines, open_stream, parse_stream, read_json
 from .synth import CorruptionSpec, SynthSpec, generate_stream, synth_generate
 from .tracking import TrackerConfig
-
-
-def _tracker_config(args) -> TrackerConfig:
-    return TrackerConfig(iou_threshold=args.iou, max_age=args.max_age,
-                         min_hits=args.min_hits)
 
 
 def cmd_synth(args) -> int:
@@ -61,7 +68,7 @@ def cmd_track(args) -> int:
     frame out of order, start over from the buffered parse, which re-sorts
     the frames with a DataWarning (or rejects a duplicate). Input that is not
     a regular file, such as a pipe, cannot be read twice and is rejected."""
-    config = _tracker_config(args)
+    config = TrackerConfig(iou_threshold=args.iou, max_age=args.max_age, min_hits=args.min_hits)
     header, frames = open_stream(args.infile)
     try:
         write_tracks(header, track_stream(frames, config), args.out)
@@ -174,7 +181,7 @@ def cmd_eval(args) -> int:
         report = evaluate_boxes(pred, truth, iou_thresh=args.iou)
     else:
         report = evaluate_keypoints(pred, truth, alpha=args.alpha, ref=args.ref)
-    write_json(report.to_dict(), args.out)
+    write_json(report, args.out)
     print(args.out)
     return 0
 
@@ -231,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="run SORT over a stream")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--iou", type=float, default=0.3)
-    p.add_argument("--max-age", type=int, default=30)
-    p.add_argument("--min-hits", type=int, default=3)
+    p.add_argument("--iou", type=float, default=TrackerConfig.iou_threshold)
+    p.add_argument("--max-age", type=int, default=TrackerConfig.max_age)
+    p.add_argument("--min-hits", type=int, default=TrackerConfig.min_hits)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("skill", help="kinematic summaries over tie clips")
@@ -249,15 +256,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("signature", help="aggregate surgical signatures")
     p.add_argument("--streams", required=True, help="directory of stream files")
     p.add_argument("--class-map", help="JSON of video_id -> class")
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--resolution", type=float, default=5.0)
+    p.add_argument("--window", type=int, default=DEFAULT_SMOOTHING_WINDOW)
+    p.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION_S)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("featurize", help="30-feature parameterization per video")
     p.add_argument("--streams", required=True)
     p.add_argument("--class-map", help="JSON of video_id -> class")
-    p.add_argument("--resolution", type=float, default=5.0)
+    p.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION_S)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_featurize)
 
@@ -281,9 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     modes = p.add_subparsers(dest="mode", required=True)
     modes.add_parser("actions", parents=[files], help="per-frame action labels")
     m = modes.add_parser("boxes", parents=[files], help="detection AP")
-    m.add_argument("--iou", type=float, default=0.5)
+    m.add_argument("--iou", type=float, default=DEFAULT_IOU_THRESHOLD)
     m = modes.add_parser("keypoints", parents=[files], help="PCK")
-    m.add_argument("--alpha", type=float, default=0.2)
+    m.add_argument("--alpha", type=float, default=DEFAULT_PCK_ALPHA)
     m.add_argument("--ref", choices=("truth", "pred"), default="truth",
                    help="box normalizing PCK distances")
     p.set_defaults(func=cmd_eval)
@@ -293,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minutes", type=float, default=30.0)
     p.add_argument("--fps", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window", type=float, default=5.0)
+    p.add_argument("--window", type=float, default=DEFAULT_WINDOW_S)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 
@@ -327,6 +334,9 @@ def _check_outputs(args) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # one line per warning; showwarning is kept, as pytest.warns records through it
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     try:
         _check_outputs(args)
         with warnings.catch_warnings():
@@ -338,6 +348,8 @@ def main(argv=None) -> int:
     except (StreamFormatError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

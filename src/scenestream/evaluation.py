@@ -5,13 +5,13 @@ keypoint PCK normalized by hand size.
 Box AP and PCK pool over one alignment of the two streams' frames. AP uses
 all-point interpolation with confidence ties broken by pooled (frame) order;
 the PCK threshold alpha defaults to 0.2 and is carried in every report so
-numbers are only compared at matched alpha.
+numbers are only compared at matched alpha. Each report is the plain dict
+that `eval` and `run` write; docs/format.md lists its keys.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,23 +41,14 @@ KEYPOINT_MATCH_IOU = 0.5  # pairing hands within a frame: pred/truth, and keypoi
 
 # ------------------------------------------------------------------ actions
 
-@dataclass(frozen=True)
-class ActionPRReport:
-    precision: dict  # per present class
-    recall: dict
-    macro_precision: float | None
-    macro_recall: float | None
-    accuracy: float
-    excluded: tuple  # classes absent from both pred and truth
-
-
-def action_precision_recall(pred, truth) -> ActionPRReport:
-    """Per-class precision/recall at a fixed temporal resolution.
+def action_precision_recall(pred, truth) -> dict:
+    """Per-class precision/recall at a fixed temporal resolution, as a dict of
+    `action_precision`, `action_recall`, `macro_precision`, `macro_recall` and `accuracy`.
 
     The macro means cover the three surgical actions; background is scored as
     a class for confusions but never enters the macro mean. Classes absent
-    from both sides are excluded with a flag. Mismatched lengths truncate to
-    the shorter side with a warning.
+    from both sides are left out with a warning. Mismatched lengths truncate
+    to the shorter side with a warning.
     """
     pred, truth = list(pred), list(truth)
     if len(pred) != len(truth):
@@ -95,9 +86,9 @@ def action_precision_recall(pred, truth) -> ActionPRReport:
     scored = [c for c in ACTIONS if c in present]
     macro_p = float(np.mean([precision[c] for c in scored])) if scored else None
     macro_r = float(np.mean([recall[c] for c in scored])) if scored else None
-    return ActionPRReport(precision=precision, recall=recall,
-                          macro_precision=macro_p, macro_recall=macro_r,
-                          accuracy=hits / len(pred), excluded=excluded)
+    return {"action_precision": precision, "action_recall": recall,
+            "macro_precision": macro_p, "macro_recall": macro_r,
+            "accuracy": hits / len(pred)}
 
 
 # ------------------------------------------------------------------ boxes
@@ -160,79 +151,43 @@ def mean_ap(per_class_aps) -> float | None:
 
 # ------------------------------------------------------------------ keypoints
 
-@dataclass(frozen=True)
-class PckResult:
-    hits: np.ndarray  # (21,) bool
-    valid: np.ndarray  # (21,) bool, visible ground-truth keypoints
-    mean: float | None  # fraction correct over valid points
-
-
 def pck(pred_kps: HandKeypoints, truth_kps: HandKeypoints, ref_box: BBox,
-        alpha: float = DEFAULT_PCK_ALPHA) -> PckResult:
-    """Per-keypoint correctness: within alpha * hand_size(ref_box) of truth.
-
-    Invisible ground-truth keypoints are excluded from the denominator.
-    """
+        alpha: float = DEFAULT_PCK_ALPHA) -> tuple[np.ndarray, np.ndarray]:
+    """Per-keypoint correctness as (hits, valid), two (21,) bool arrays: a hit
+    lies within alpha * hand_size(ref_box) of truth, and only visible truth
+    keypoints are valid, that is, scored."""
     thresh = alpha * hand_size(ref_box)
     dists = np.linalg.norm(pred_kps.xy - truth_kps.xy, axis=1)
     valid = truth_kps.visible
-    hits = (dists <= thresh) & valid
-    mean = float(hits.sum() / valid.sum()) if valid.any() else None
-    return PckResult(hits=hits, valid=valid, mean=mean)
+    return (dists <= thresh) & valid, valid
 
 
 # ------------------------------------------------------------------ reports
 
-@dataclass
-class MetricReport:
-    """One evaluation report; every populated metric lies in [0, 1]."""
-
-    strata: dict = field(default_factory=dict)
-    alpha: float | None = None
-    iou_threshold: float | None = None
-    action_precision: dict | None = None
-    action_recall: dict | None = None
-    macro_precision: float | None = None
-    macro_recall: float | None = None
-    accuracy: float | None = None
-    ap_per_class: dict | None = None
-    hand_ap: float | None = None
-    tool_map: float | None = None
-    pck_per_keypoint: list | None = None
-    mean_pck: float | None = None
-    thumb_pck: float | None = None
-    index_pck: float | None = None
-
-    def __post_init__(self):
-        for value in self._scalar_metrics():
-            if value is not None and not (-1e-9 <= value <= 1 + 1e-9):
-                raise InvariantError(f"metric out of [0,1]: {value}")
-
-    def _scalar_metrics(self):
-        out = [self.macro_precision, self.macro_recall, self.accuracy,
-               self.hand_ap, self.tool_map, self.mean_pck, self.thumb_pck,
-               self.index_pck]
-        for d in (self.action_precision, self.action_recall, self.ap_per_class):
-            if d:
-                out.extend(v for v in d.values() if v is not None)
-        if self.pck_per_keypoint:
-            out.extend(v for v in self.pck_per_keypoint if v is not None)
-        return out
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
+def _report(truth_stream: VideoStream, **values) -> dict:
+    """The strata tags of `truth_stream` and each of `values` that is not None.
+    Every value but the settings `alpha` and `iou_threshold` is a metric: a
+    number, or a dict or list of numbers or None, each number in [0, 1]."""
+    report = {"strata": dict(truth_stream.metadata.get("strata", {}))}
+    for key, value in values.items():
+        if value is None:
+            continue
+        report[key] = value
+        if key in ("alpha", "iou_threshold"):
+            continue
+        if isinstance(value, dict):
+            value = list(value.values())
+        for v in value if isinstance(value, list) else [value]:
+            if v is not None and not (-1e-9 <= v <= 1 + 1e-9):
+                raise InvariantError(f"metric out of [0,1]: {v}")
+    return report
 
 
-def evaluate_actions(pred_stream: VideoStream, truth_stream: VideoStream) -> MetricReport:
+def evaluate_actions(pred_stream: VideoStream, truth_stream: VideoStream) -> dict:
     """Action precision/recall over ACTION_RESOLUTION_S windows of both streams."""
-    report = action_precision_recall(
+    return _report(truth_stream, **action_precision_recall(
         timeline_from_stream(pred_stream, ACTION_RESOLUTION_S).labels,
-        timeline_from_stream(truth_stream, ACTION_RESOLUTION_S).labels)
-    return MetricReport(
-        strata=dict(truth_stream.metadata.get("strata", {})),
-        action_precision=report.precision, action_recall=report.recall,
-        macro_precision=report.macro_precision, macro_recall=report.macro_recall,
-        accuracy=report.accuracy)
+        timeline_from_stream(truth_stream, ACTION_RESOLUTION_S).labels))
 
 
 def _aligned_frames(pred_stream: VideoStream, truth_stream: VideoStream):
@@ -244,7 +199,7 @@ def _aligned_frames(pred_stream: VideoStream, truth_stream: VideoStream):
 
 
 def evaluate_boxes(pred_stream: VideoStream, truth_stream: VideoStream,
-                   iou_thresh: float = DEFAULT_IOU_THRESHOLD) -> MetricReport:
+                   iou_thresh: float = DEFAULT_IOU_THRESHOLD) -> dict:
     """Frame-aligned detection AP per class; hands reported separately from
     the tool mAP. A frame missing from either side has no detections there.
     `iou_thresh` must lie in (0, 1]."""
@@ -271,10 +226,8 @@ def evaluate_boxes(pred_stream: VideoStream, truth_stream: VideoStream,
             aps[c] = None
         else:
             aps[c] = ap_from_records(records[c], n_gt[c])
-    return MetricReport(
-        strata=dict(truth_stream.metadata.get("strata", {})),
-        iou_threshold=iou_thresh, ap_per_class=aps, hand_ap=aps[HAND],
-        tool_map=mean_ap({c: aps[c] for c in TOOL_CLASSES}))
+    return _report(truth_stream, iou_threshold=iou_thresh, ap_per_class=aps,
+                   hand_ap=aps[HAND], tool_map=mean_ap({c: aps[c] for c in TOOL_CLASSES}))
 
 
 def _pooled_rate(hits, valid, indices):
@@ -285,8 +238,7 @@ def _pooled_rate(hits, valid, indices):
 
 
 def evaluate_keypoints(pred_stream: VideoStream, truth_stream: VideoStream,
-                       alpha: float = DEFAULT_PCK_ALPHA,
-                       ref: str = "truth") -> MetricReport:
+                       alpha: float = DEFAULT_PCK_ALPHA, ref: str = "truth") -> dict:
     """Pooled PCK over the truth frames.
 
     Hand instances are paired within each frame by owner-box IoU; unmatched
@@ -308,14 +260,13 @@ def evaluate_keypoints(pred_stream: VideoStream, truth_stream: VideoStream,
             KEYPOINT_MATCH_IOU)
         for pi, ti in matches:
             ref_box = truths[ti].owner_box if ref == "truth" else preds[pi].owner_box
-            result = pck(preds[pi], truths[ti], ref_box, alpha)
-            hits += result.hits
-            valid += result.valid
+            pair_hits, pair_valid = pck(preds[pi], truths[ti], ref_box, alpha)
+            hits += pair_hits
+            valid += pair_valid
         for ti in unmatched_truth:
             valid += truths[ti].visible
-    return MetricReport(
-        strata=dict(truth_stream.metadata.get("strata", {})),
-        alpha=alpha,
+    return _report(
+        truth_stream, alpha=alpha,
         pck_per_keypoint=[_pooled_rate(hits, valid, [k]) for k in range(N_KEYPOINTS)],
         mean_pck=_pooled_rate(hits, valid, range(N_KEYPOINTS)),
         thumb_pck=_pooled_rate(hits, valid, THUMB_CHAIN),

@@ -38,7 +38,6 @@ def _set_arrays(obj, kind: str, **arrays) -> None:
 class Trajectory:
     """One hand's (frame_index, centroid, hand_size) samples, frame-ordered."""
 
-    track_id: int
     frames: np.ndarray  # (n,) int
     centroids: np.ndarray  # (n, 2)
     sizes: np.ndarray  # (n,)
@@ -53,8 +52,8 @@ class Trajectory:
 
     def slice(self, start: int, end: int) -> "Trajectory":
         keep = (self.frames >= start) & (self.frames <= end)
-        return Trajectory(track_id=self.track_id, frames=self.frames[keep],
-                          centroids=self.centroids[keep], sizes=self.sizes[keep])
+        return Trajectory(frames=self.frames[keep], centroids=self.centroids[keep],
+                          sizes=self.sizes[keep])
 
 
 @dataclass(frozen=True, eq=False)

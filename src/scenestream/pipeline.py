@@ -257,7 +257,7 @@ def _hands_by_track(rows):
             if pts is not None and all(pts[i][2] > 0.5 for i in SKILL_KEYPOINT_INDICES):
                 poses.setdefault(tid, []).append(
                     (frame, [pts[i][:2] for i in SKILL_KEYPOINT_INDICES], size))
-    return ({tid: Trajectory(int(tid), *zip(*items)) for tid, items in samples.items()},
+    return ({tid: Trajectory(*zip(*items)) for tid, items in samples.items()},
             {tid: Poses(*zip(*poses[tid])) if tid in poses else Poses((), (), ())
              for tid in samples})
 
@@ -583,12 +583,11 @@ def run_pipeline(config: dict, out_dir) -> dict:
         truth_stream = truth_stream_from_ground_truth(stream, truth)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DataWarning)
-            actions_report = evaluate_actions(stream, truth_stream)
-            boxes_report = evaluate_boxes(stream, truth_stream,
-                                          iou_thresh=float(cfg["eval"]["iou"]))
-        eval_reports.append({"video_id": stream.video_id,
-                             "actions": actions_report.to_dict(),
-                             "boxes": boxes_report.to_dict()})
+            eval_reports.append({
+                "video_id": stream.video_id,
+                "actions": evaluate_actions(stream, truth_stream),
+                "boxes": evaluate_boxes(stream, truth_stream,
+                                        iou_thresh=float(cfg["eval"]["iou"]))})
     write_json(tracking_reports, artifact("tracking_report.json"))
     write_json(eval_reports, artifact("eval_report.json"))
 

@@ -120,12 +120,11 @@ class HandKeypoints:
     """21 hand keypoints as (x, y, visible) rows, and the hand box that owns them.
 
     `points` is an immutable (21, 3) float array. Keypoints read from JSON
-    (`from_json`) keep their source text, or the decoded rows when the text is
-    not known, and make the array when `points` is first read; `points_text`
-    is the JSON that a tracks file carries.
+    with their source text (`from_json`) keep the text and make the array when
+    `points` is first read; `points_text` is the JSON a tracks file carries.
     """
 
-    __slots__ = ("_owner_box", "_rows", "_text", "_points")
+    __slots__ = ("_owner_box", "_text", "_points")
 
     def __init__(self, points, owner_box: BBox):
         pts = np.array(points, dtype=float)
@@ -136,16 +135,17 @@ class HandKeypoints:
         if not np.all(np.isfinite(pts)):
             raise InvariantError("HandKeypoints.points must be finite")
         pts.flags.writeable = False
-        self._owner_box, self._rows, self._text, self._points = owner_box, None, None, pts
+        self._owner_box, self._text, self._points = owner_box, None, pts
 
     @classmethod
     def from_json(cls, rows, owner_box: BBox, text: str | None = None) -> "HandKeypoints":
         """Keypoints from decoded JSON rows that pass `keypoint_rows`; `text`,
-        when known, is the JSON they were decoded from, and is kept instead
-        of the rows (it is smaller, and the rows are Python objects)."""
+        when known, is the JSON they were decoded from; it is kept in place of
+        the array, which is made only if `points` is read."""
+        if text is None:
+            return cls(rows, owner_box)
         kp = cls.__new__(cls)
         kp._owner_box, kp._text, kp._points = owner_box, text, None
-        kp._rows = rows if text is None else None
         return kp
 
     @property
@@ -155,8 +155,7 @@ class HandKeypoints:
     @property
     def points(self) -> np.ndarray:
         if self._points is None:
-            rows = self._rows if self._text is None else json.loads(self._text)
-            pts = np.array(rows, dtype=float)
+            pts = np.array(json.loads(self._text), dtype=float)
             pts.flags.writeable = False
             self._points = pts
         return self._points

@@ -342,7 +342,7 @@ def generate_tie_clips(spec: SkillCohortSpec):
                     length_hl = target * op_mult * clip_mult * hand_mult
                     step_len = length_hl * size / n_steps
                     hands[hand] = Trajectory(
-                        track_id=0 if hand == "left" else 1, frames=np.arange(n_frames),
+                        frames=np.arange(n_frames),
                         centroids=_bounded_walk(rng, n_steps, step_len, home),
                         sizes=np.full(n_frames, size))
                     hands[f"{hand}_poses"] = _pose_sequence(rng, n_frames, size, pose_rate)

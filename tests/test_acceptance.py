@@ -117,7 +117,7 @@ def test_acceptance_2_assignment_optimality():
 
 def _random_clip(rng):
     n = int(rng.integers(5, 60))
-    traj = Trajectory(track_id=1, frames=np.arange(n),
+    traj = Trajectory(frames=np.arange(n),
                       centroids=rng.uniform(0, 500, (n, 2)),
                       sizes=rng.uniform(40, 120, n))
     draws = [(rng.uniform(0, 300, (9, 2)), float(rng.uniform(50, 150)))
@@ -259,7 +259,7 @@ def _one_frame_hand_ap(preds, gts):
         frame = FrameRecord(frame_index=0, timestamp_s=0.0, detections=tuple(dets))
         return VideoStream(video_id="v", fps=30.0, width=1280, height=720, frames=(frame,))
     truth = [Detection(box=b, category="hand", confidence=1.0) for b in gts]
-    return evaluate_boxes(stream(preds), stream(truth)).hand_ap
+    return evaluate_boxes(stream(preds), stream(truth))["hand_ap"]
 
 
 def test_acceptance_7_metric_suite_oracle_equivalence():
@@ -289,10 +289,12 @@ def test_acceptance_7_metric_suite_oracle_equivalence():
     counts = naive_confusion_counts(pred, truth,
                                     ("cutting", "tying", "suturing", "background"))
     pr_exact = all(
-        report.precision[c] == (counts[c]["tp"] / (counts[c]["tp"] + counts[c]["fp"])
-                                if counts[c]["tp"] + counts[c]["fp"] else 0.0)
-        and report.recall[c] == (counts[c]["tp"] / (counts[c]["tp"] + counts[c]["fn"])
-                                 if counts[c]["tp"] + counts[c]["fn"] else 0.0)
+        report["action_precision"][c] == (
+            counts[c]["tp"] / (counts[c]["tp"] + counts[c]["fp"])
+            if counts[c]["tp"] + counts[c]["fp"] else 0.0)
+        and report["action_recall"][c] == (
+            counts[c]["tp"] / (counts[c]["tp"] + counts[c]["fn"])
+            if counts[c]["tp"] + counts[c]["fn"] else 0.0)
         for c in counts)
 
     # fixed 10-point keypoint case vs a per-point distance check
@@ -302,17 +304,18 @@ def test_acceptance_7_metric_suite_oracle_equivalence():
     pred_pts[:10] += np.array([30.0, 0.0])  # 10 points pushed out of range
     kp_t = HandKeypoints(points=np.column_stack([truth_pts, np.ones(21)]), owner_box=box)
     kp_p = HandKeypoints(points=np.column_stack([pred_pts, np.ones(21)]), owner_box=box)
-    result = pck(kp_p, kp_t, box)
+    hits, valid = pck(kp_p, kp_t, box)
     dists = [float(np.hypot(*(pred_pts[k] - truth_pts[k]))) for k in range(21)]
-    pck_exact = (list(result.hits) == [d <= 20.0 for d in dists]
-                 and result.mean == sum(d <= 20.0 for d in dists) / 21)
+    pck_exact = (list(hits) == [d <= 20.0 for d in dists]
+                 and hits.sum() / valid.sum() == sum(d <= 20.0 for d in dists) / 21)
 
     # identity cases return 1.0
     ident_ap = _one_frame_hand_ap([_mk_det(0.9, 0.0)], [BBox(0, 0, 10, 10)])
     ident_pr = action_precision_recall(truth, truth)
-    ident_pck = pck(kp_t, kp_t, box)
-    identity_ok = (ident_ap == 1.0 and ident_pr.macro_precision == 1.0
-                   and ident_pr.macro_recall == 1.0 and ident_pck.mean == 1.0)
+    ident_hits, ident_valid = pck(kp_t, kp_t, box)
+    identity_ok = (ident_ap == 1.0 and ident_pr["macro_precision"] == 1.0
+                   and ident_pr["macro_recall"] == 1.0
+                   and ident_hits.sum() / ident_valid.sum() == 1.0)
 
     # empty / total-miss cases return 0.0
     empty_ap = _one_frame_hand_ap([], [BBox(0, 0, 10, 10)])
@@ -321,8 +324,9 @@ def test_acceptance_7_metric_suite_oracle_equivalence():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataWarning)
         miss_pr = action_precision_recall(["background"] * 10, ["cutting"] * 10)
-    empty_ok = (empty_ap == 0.0 and pck(far, kp_t, box).mean == 0.0
-                and miss_pr.recall["cutting"] == 0.0)
+    far_hits, far_valid = pck(far, kp_t, box)
+    empty_ok = (empty_ap == 0.0 and far_hits.sum() / far_valid.sum() == 0.0
+                and miss_pr["action_recall"]["cutting"] == 0.0)
 
     ok = ap_exact and pr_exact and pck_exact and identity_ok and empty_ok
     check(7, "metric-suite-oracle-equivalence", ok,

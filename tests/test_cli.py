@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,10 +226,17 @@ def test_clips_from_tracks_explicit_and_inferred(tmp_path):
     assert inferred.left is not None and inferred.right is not None
     # left hand sits left of right hand by mean centroid x
     assert inferred.left.centroids[:, 0].mean() < inferred.right.centroids[:, 0].mean()
-    explicit = clips_from_tracks(header, rows, [
-        {**base, "left_track": inferred.right.track_id,
-         "right_track": inferred.left.track_id}])[0]
-    assert explicit.left.track_id == inferred.right.track_id
+    ids = sorted({tid for row in rows for tid in row["tracks"]})
+    assert len(ids) == 2
+    as_inferred, swapped = (
+        clips_from_tracks(header, rows, [{**base, "left_track": left, "right_track": right}])[0]
+        for left, right in (ids, ids[::-1]))
+    if not np.array_equal(as_inferred.left.centroids, inferred.left.centroids):
+        as_inferred, swapped = swapped, as_inferred
+    # one order of the two track ids names the hands as inferred, the other swaps them
+    assert np.array_equal(as_inferred.right.centroids, inferred.right.centroids)
+    assert np.array_equal(swapped.left.centroids, inferred.right.centroids)
+    assert np.array_equal(swapped.right.centroids, inferred.left.centroids)
 
 
 def test_skill_from_in_memory_rows_equals_skill_from_tracks_file(tmp_path):
@@ -367,6 +375,27 @@ def test_cli_filter_warns_and_excludes_entry_missing_a_field(tmp_path, capsys):
     assert capsys.readouterr().out.split() == ["good"]
 
 
+def test_cli_prints_each_warning_as_one_line(tmp_path):
+    # pytest records the warnings of its own process, so they are printed in a new one
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_text(json.dumps(_catalog_entry(video_id="miss-umls", umls=...)) + "\n")
+    argv = ["filter", "--catalog", str(catalog), "--rule", "appendectomy"]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from scenestream.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        env={**os.environ, "PYTHONPATH": str(_SRC)}, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0 and proc.stdout == ""
+    assert proc.stderr == "DataWarning: video miss-umls missing metadata ['umls']; excluded\n"
+    # main restores the format it replaced, on success and on an input error
+    before = warnings.formatwarning
+    with pytest.warns(DataWarning, match="missing metadata"):
+        assert main(argv) == 0
+    assert main(["filter", "--catalog", str(tmp_path / "none.jsonl"),
+                 "--rule", "appendectomy"]) == 1
+    assert warnings.formatwarning is before
+
+
 @pytest.mark.parametrize("class_map", [["x"], {"synth-1-0000": 1},
                                        {"synth-1-0000": "a", "synth-2-0000": 2}])
 @pytest.mark.parametrize("command", ["signature", "featurize"])
@@ -396,6 +425,24 @@ def test_cli_eval_all_modes(tmp_path):
             assert report["hand_ap"] == 1.0
         else:
             assert report["mean_pck"] == 1.0
+
+
+def test_cli_eval_actions_on_background_only_streams_has_no_macro_means(tmp_path):
+    frames = tuple(FrameRecord(frame_index=k, timestamp_s=k / 10, detections=(),
+                               action="background") for k in range(12))
+    paths = {}
+    for side in ("pred", "truth"):
+        paths[side] = tmp_path / f"{side}.jsonl"
+        write_stream(VideoStream(video_id=side, fps=10.0, width=640, height=480,
+                                 frames=frames), paths[side])
+    out = tmp_path / "report.json"
+    with pytest.warns(DataWarning, match="absent from both"):
+        assert main(["eval", "actions", "--pred", str(paths["pred"]),
+                     "--truth", str(paths["truth"]), "--out", str(out)]) == 0
+    # no surgical action is present, so the macro means are undefined and left out
+    assert json.loads(out.read_text()) == {
+        "strata": {}, "action_precision": {"background": 1.0},
+        "action_recall": {"background": 1.0}, "accuracy": 1.0}
 
 
 @pytest.mark.parametrize("iou", ["0", "-0.5", "1.5", "nan"])

@@ -13,8 +13,8 @@ from scenestream import (
     iou,
 )
 from scenestream.evaluation import (
-    MetricReport,
     _greedy_match_class,
+    _report,
     action_precision_recall,
     ap_from_records,
     evaluate_boxes,
@@ -33,11 +33,11 @@ def test_actions_identity_gives_ones():
     labels = [CUT, TIE, SUT, BG, CUT]
     r = action_precision_recall(labels, labels)
     for c in (CUT, TIE, SUT, BG):
-        assert r.precision[c] == 1.0
-        assert r.recall[c] == 1.0
-    assert r.macro_precision == 1.0
-    assert r.macro_recall == 1.0
-    assert r.accuracy == 1.0
+        assert r["action_precision"][c] == 1.0
+        assert r["action_recall"][c] == 1.0
+    assert r["macro_precision"] == 1.0
+    assert r["macro_recall"] == 1.0
+    assert r["accuracy"] == 1.0
 
 
 def test_actions_total_miss_recall_zero():
@@ -45,10 +45,10 @@ def test_actions_total_miss_recall_zero():
     truth = [CUT] * 5
     with pytest.warns(DataWarning, match="absent from both"):
         r = action_precision_recall(pred, truth)
-    assert r.recall[CUT] == 0.0
-    assert r.precision[CUT] == 0.0
-    assert r.macro_recall == 0.0
-    assert TIE in r.excluded and SUT in r.excluded
+    assert r["action_recall"][CUT] == 0.0
+    assert r["action_precision"][CUT] == 0.0
+    assert r["macro_recall"] == 0.0
+    assert TIE not in r["action_precision"] and SUT not in r["action_precision"]
 
 
 def test_actions_fixed_case_matches_confusion_oracle():
@@ -59,10 +59,10 @@ def test_actions_fixed_case_matches_confusion_oracle():
     counts = naive_confusion_counts(pred, truth, (CUT, TIE, SUT, BG))
     for c in (CUT, TIE, SUT, BG):
         tp, fp, fn = counts[c]["tp"], counts[c]["fp"], counts[c]["fn"]
-        assert r.precision[c] == pytest.approx(tp / (tp + fp) if tp + fp else 0.0)
-        assert r.recall[c] == pytest.approx(tp / (tp + fn) if tp + fn else 0.0)
-    assert r.macro_precision == pytest.approx(
-        np.mean([r.precision[c] for c in (CUT, TIE, SUT)]))
+        assert r["action_precision"][c] == pytest.approx(tp / (tp + fp) if tp + fp else 0.0)
+        assert r["action_recall"][c] == pytest.approx(tp / (tp + fn) if tp + fn else 0.0)
+    assert r["macro_precision"] == pytest.approx(
+        np.mean([r["action_precision"][c] for c in (CUT, TIE, SUT)]))
 
 
 def test_actions_micro_accuracy_equals_matching_fraction():
@@ -75,7 +75,7 @@ def test_actions_micro_accuracy_equals_matching_fraction():
         with w.catch_warnings():
             w.simplefilter("ignore", DataWarning)
             r = action_precision_recall(pred, truth)
-        assert r.accuracy == pytest.approx(
+        assert r["accuracy"] == pytest.approx(
             sum(p == t for p, t in zip(pred, truth)) / n)
 
 
@@ -83,7 +83,7 @@ def test_actions_truncates_with_warning():
     with pytest.warns(DataWarning, match="truncating"):
         r = action_precision_recall([CUT, CUT, TIE, SUT, BG],
                                     [CUT, CUT, TIE, BG])
-    assert r.accuracy == 0.75
+    assert r["accuracy"] == 0.75
 
 
 def test_ap_monotone_under_fp_removal_random():
@@ -123,9 +123,9 @@ def one_frame_stream(detections=(), keypoints=()):
 
 def one_frame_hand_ap(preds, gts):
     """Hand AP of `preds` (Detections) against the hand boxes `gts`, as
-    `evaluate_boxes` scores one frame."""
+    `evaluate_boxes` scores one frame; None when its report leaves it out."""
     truth = [Detection(box=b, category="hand", confidence=1.0) for b in gts]
-    return evaluate_boxes(one_frame_stream(preds), one_frame_stream(truth)).hand_ap
+    return evaluate_boxes(one_frame_stream(preds), one_frame_stream(truth)).get("hand_ap")
 
 
 def test_ap_perfect_detector():
@@ -220,16 +220,22 @@ def grid_points(offset=0.0):
     return base + offset
 
 
+def pck_mean(pred, truth, box):
+    """The fraction of the visible truth keypoints that `pck` counts as hits."""
+    hits, valid = pck(pred, truth, box)
+    return hits.sum() / valid.sum()
+
+
 def test_pck_identity_is_one():
     truth = kps(grid_points())
-    assert pck(truth, truth, truth.owner_box).mean == 1.0
+    assert pck_mean(truth, truth, truth.owner_box) == 1.0
 
 
 def test_pck_far_displacement_is_zero():
     box = BBox(0, 0, 100, 100)  # hand size 100
     truth = kps(grid_points(), box=box)
     pred = kps(grid_points(offset=1000.0), box=box)  # 10 x hand_size away
-    assert pck(pred, truth, box).mean == 0.0
+    assert pck_mean(pred, truth, box) == 0.0
 
 
 def test_pck_mixed_case_matches_distance_oracle():
@@ -237,11 +243,11 @@ def test_pck_mixed_case_matches_distance_oracle():
     truth_pts = grid_points()
     pred_pts = truth_pts.copy()
     pred_pts[7:] += 50.0  # 14 of 21 points pushed out of threshold
-    result = pck(kps(pred_pts, box=box), kps(truth_pts, box=box), box)
+    hits, valid = pck(kps(pred_pts, box=box), kps(truth_pts, box=box), box)
     dists = np.linalg.norm(pred_pts - truth_pts, axis=1)
     want = [d <= 20.0 for d in dists]
-    assert list(result.hits) == want
-    assert result.mean == pytest.approx(7 / 21)
+    assert list(hits) == want
+    assert hits.sum() / valid.sum() == pytest.approx(7 / 21)
 
 
 def test_pck_invisible_truth_excluded_from_denominator():
@@ -251,9 +257,9 @@ def test_pck_invisible_truth_excluded_from_denominator():
     truth = kps(grid_points(), box=box, visible=visible)
     pred_pts = grid_points()
     pred_pts[7:14] += 1000.0  # 7 visible points miss
-    result = pck(kps(pred_pts, box=box), truth, box)
-    assert result.valid.sum() == 14
-    assert result.mean == pytest.approx(7 / 14)
+    hits, valid = pck(kps(pred_pts, box=box), truth, box)
+    assert valid.sum() == 14
+    assert hits.sum() / valid.sum() == pytest.approx(7 / 14)
 
 
 def test_pck_invariant_to_uniform_scaling():
@@ -261,12 +267,12 @@ def test_pck_invariant_to_uniform_scaling():
     truth_pts = grid_points()
     pred_pts = truth_pts + rng.normal(0, 10, size=(21, 2))
     box = BBox(0, 0, 90, 110)
-    base = pck(kps(pred_pts, box=box), kps(truth_pts, box=box), box)
+    base_hits, base_valid = pck(kps(pred_pts, box=box), kps(truth_pts, box=box), box)
     lam = 3.7
     sbox = BBox(0, 0, 90 * lam, 110 * lam)
-    scaled = pck(kps(pred_pts * lam, box=sbox), kps(truth_pts * lam, box=sbox), sbox)
-    assert list(scaled.hits) == list(base.hits)
-    assert scaled.mean == base.mean
+    hits, valid = pck(kps(pred_pts * lam, box=sbox), kps(truth_pts * lam, box=sbox), sbox)
+    assert list(hits) == list(base_hits)
+    assert hits.sum() / valid.sum() == base_hits.sum() / base_valid.sum()
 
 
 def test_pck_aggregate_groups():
@@ -276,10 +282,10 @@ def test_pck_aggregate_groups():
     pred_pts[1:5] += 1000.0  # thumb chain misses
     report = evaluate_keypoints(one_frame_stream(keypoints=[kps(pred_pts, box=box)]),
                                 one_frame_stream(keypoints=[truth]))
-    assert report.thumb_pck == 0.0
-    assert report.index_pck == 1.0
-    assert report.mean_pck == pytest.approx(17 / 21)
-    per_kp = report.pck_per_keypoint
+    assert report["thumb_pck"] == 0.0
+    assert report["index_pck"] == 1.0
+    assert report["mean_pck"] == pytest.approx(17 / 21)
+    per_kp = report["pck_per_keypoint"]
     assert per_kp[0] == 1.0 and per_kp[1] == 0.0
     with pytest.raises(InvariantError, match="ref must be 'truth' or 'pred'"):
         evaluate_keypoints(one_frame_stream(keypoints=[truth]),
@@ -303,10 +309,10 @@ def test_pck_counts_truth_frames_the_predictor_skipped():
                                           with_keypoints=True), 0)
     half = _first_frames(stream, len(stream.frames) // 2)
     report = evaluate_keypoints(half, stream)
-    assert report.mean_pck == 0.5
-    assert evaluate_boxes(half, stream).hand_ap == 0.5
-    assert report.mean_pck == naive_pck(_keypoints_by_frame(half),
-                                        _keypoints_by_frame(stream), alpha=0.2)
+    assert report["mean_pck"] == 0.5
+    assert evaluate_boxes(half, stream)["hand_ap"] == 0.5
+    assert report["mean_pck"] == naive_pck(_keypoints_by_frame(half),
+                                           _keypoints_by_frame(stream), alpha=0.2)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -318,11 +324,11 @@ def test_pck_matches_naive_oracle_on_partial_corrupted_predictions(seed):
     pred = _first_frames(generate_stream(spec, 0)[0], 25)
     for alpha in (0.05, 0.2):
         report = evaluate_keypoints(pred, truth, alpha=alpha)
-        assert report.mean_pck == naive_pck(_keypoints_by_frame(pred),
-                                            _keypoints_by_frame(truth), alpha=alpha)
+        assert report["mean_pck"] == naive_pck(_keypoints_by_frame(pred),
+                                               _keypoints_by_frame(truth), alpha=alpha)
 
 
 def test_metric_report_rejects_out_of_range():
     with pytest.raises(InvariantError):
-        MetricReport(mean_pck=1.5)
+        _report(one_frame_stream(), mean_pck=1.5)
 

@@ -38,7 +38,7 @@ def traj(points, sizes=None, frames=None):
     n = len(points)
     sizes = np.full(n, 100.0) if sizes is None else np.asarray(sizes, dtype=float)
     frames = np.arange(n) if frames is None else np.asarray(frames)
-    return Trajectory(track_id=1, frames=frames, centroids=points, sizes=sizes)
+    return Trajectory(frames=frames, centroids=points, sizes=sizes)
 
 
 def poses(points, sizes=100.0, frames=None):
@@ -82,7 +82,7 @@ def test_clip_mean_hand_size_random_matches_naive_sum():
 
 
 def test_clip_mean_hand_size_empty_raises():
-    empty = Trajectory(track_id=1, frames=np.zeros(0, dtype=int),
+    empty = Trajectory(frames=np.zeros(0, dtype=int),
                        centroids=np.zeros((0, 2)), sizes=np.zeros(0))
     with pytest.raises(InvariantError):
         clip_mean_hand_size(empty)
@@ -348,8 +348,7 @@ def test_poses_index_slice_mask_and_frame_range():
 def test_metrics_invariant_to_uniform_zoom(lam, seed):
     rng = np.random.default_rng(seed)
     t = random_trajectory(rng, 15)
-    scaled = Trajectory(track_id=1, frames=t.frames,
-                        centroids=t.centroids * lam, sizes=t.sizes * lam)
+    scaled = Trajectory(frames=t.frames, centroids=t.centroids * lam, sizes=t.sizes * lam)
     m, ms = clip_mean_hand_size(t), clip_mean_hand_size(scaled)
     assert path_distance(scaled, ms) == pytest.approx(path_distance(t, m), rel=1e-9)
     v1, a1, j1 = velocity_series(t, m, 30.0)
