@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pipeline import track_row
-from .signatures import step_summary, stream_steps
+from .signatures import check_step, step_summary, stream_steps
 from .streams import VideoStream
 from .tracking import SortTracker
 
@@ -23,51 +23,32 @@ TEMPORAL_BUDGET_S = 0.33  # per-window action characterization
 DEFAULT_WINDOW_S = 5.0
 
 
-@dataclass(frozen=True)
-class StageLatency:
-    count: int
-    p50_s: float
-    p95_s: float
-    mean_s: float
-    max_s: float
-    budget_s: float
-
-    @property
-    def within_budget(self) -> bool:
-        return self.p95_s < self.budget_s
-
-    def to_dict(self) -> dict:
-        return {"count": self.count, "p50_s": self.p50_s, "p95_s": self.p95_s,
-                "mean_s": self.mean_s, "max_s": self.max_s,
-                "budget_s": self.budget_s, "within_budget": self.within_budget}
-
-
-def _latency(samples, budget) -> StageLatency:
+def _latency(samples, budget) -> dict:
+    """count, p50_s, p95_s, mean_s and max_s of latency `samples` in seconds,
+    with the `budget_s` their p95 is held to and whether it is `within_budget`."""
     arr = np.asarray(samples)
-    return StageLatency(count=len(arr),
-                        p50_s=float(np.percentile(arr, 50)),
-                        p95_s=float(np.percentile(arr, 95)),
-                        mean_s=float(arr.mean()),
-                        max_s=float(arr.max()),
-                        budget_s=budget)
+    p95 = float(np.percentile(arr, 95))
+    return {"count": len(arr), "p50_s": float(np.percentile(arr, 50)), "p95_s": p95,
+            "mean_s": float(arr.mean()), "max_s": float(arr.max()),
+            "budget_s": budget, "within_budget": p95 < budget}
 
 
 @dataclass(frozen=True)
 class BenchReport:
-    per_frame: StageLatency
-    per_window: StageLatency
+    per_frame: dict  # see `_latency`
+    per_window: dict
     n_frames: int
     fps: float
 
     def to_dict(self) -> dict:
         return {"n_frames": self.n_frames, "fps": self.fps,
-                "per_frame": self.per_frame.to_dict(),
-                "per_window": self.per_window.to_dict()}
+                "per_frame": self.per_frame, "per_window": self.per_window}
 
 
 def bench_stream(stream: VideoStream, window_s: float = DEFAULT_WINDOW_S) -> BenchReport:
     """Replay a stream through the default tracker, timing each frame's row,
     then time `step_summary` on each of the stream's `window_s` steps."""
+    check_step("window_s", window_s, stream.fps)
     steps = stream_steps(stream, window_s)
     tracker = SortTracker()
     frame_lat, window_lat = [], []

@@ -195,13 +195,11 @@ def cmd_bench(args) -> int:
         stream, _ = generate_stream(spec, 0)
     report = bench_stream(stream, window_s=args.window)
     write_json(report.to_dict(), args.out)
-    per_frame, per_window = report.per_frame, report.per_window
-    print(f"per-frame analytics: p95 {per_frame.p95_s * 1e3:.3f} ms "
-          f"(budget {per_frame.budget_s * 1e3:.0f} ms) -> "
-          f"{'PASS' if per_frame.within_budget else 'FAIL'}")
-    print(f"per-window characterization: p95 {per_window.p95_s * 1e3:.3f} ms "
-          f"(budget {per_window.budget_s * 1e3:.0f} ms) -> "
-          f"{'PASS' if per_window.within_budget else 'FAIL'}")
+    for label, stage in (("per-frame analytics", report.per_frame),
+                         ("per-window characterization", report.per_window)):
+        print(f"{label}: p95 {stage['p95_s'] * 1e3:.3f} ms "
+              f"(budget {stage['budget_s'] * 1e3:.0f} ms) -> "
+              f"{'PASS' if stage['within_budget'] else 'FAIL'}")
     print(args.out)
     return 0
 

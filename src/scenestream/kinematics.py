@@ -145,11 +145,7 @@ def clip_mean_hand_size(traj: Trajectory) -> float:
 
 
 def path_distance(traj: Trajectory, mean_size: float) -> float:
-    """Integrated centroid path length in hand-lengths."""
-    if len(traj) < 2:
-        warnings.warn("path_distance needs >= 2 samples; returning 0",
-                      DataWarning, stacklevel=2)
-        return 0.0
+    """Integrated centroid path length in hand-lengths; 0.0 for one sample."""
     steps = np.linalg.norm(np.diff(traj.centroids, axis=0), axis=1)
     return float(steps.sum() / mean_size)
 
@@ -164,13 +160,8 @@ def velocity_series(traj: Trajectory, mean_size: float, fps: float,
     derivative divides by the time between the samples it differences: the
     mean of the two step gaps for acceleration (speeds sit mid-step), the
     gap between the two shared frames for jerk. Without gaps every divisor
-    is 1 frame period.
+    is 1 frame period. Each series is empty when there are too few samples.
     """
-    if len(traj) < 2:
-        warnings.warn("velocity_series needs >= 2 samples; returning empty series",
-                      DataWarning, stacklevel=2)
-        empty = np.zeros(0)
-        return empty, empty, empty
     steps = np.linalg.norm(np.diff(traj.centroids, axis=0), axis=1)
     denom = traj.sizes[:-1] if per_frame_size else mean_size
     gaps = np.diff(traj.frames)
@@ -196,11 +187,8 @@ def pose_change(points_t, points_t1, size_t: float) -> float:
 
 def integrated_pose_distance(poses: Poses) -> float:
     """Sum of pose_change over consecutive frames of one contiguous sequence,
-    added left to right so it equals summing the pose_change values in order."""
-    if len(poses) < 2:
-        warnings.warn("integrated_pose_distance needs >= 2 pose frames; returning 0",
-                      DataWarning, stacklevel=2)
-        return 0.0
+    added left to right so it equals summing the pose_change values in order;
+    0.0 for one frame."""
     vectors = pose_vectors(poses.points)
     # a row of 16 sums in the same order as .sum() of one (8, 2) delta
     l1 = np.abs(np.diff(vectors, axis=0)).reshape(len(poses) - 1, 16).sum(axis=1)
@@ -219,12 +207,10 @@ def _summarize_hand(traj, poses, knot_count, fps, per_frame_size):
     if traj is None or len(traj) == 0:
         return None
     mean_size = clip_mean_hand_size(traj)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DataWarning)
-        dist = path_distance(traj, mean_size)
-        vel, acc, jerk = velocity_series(traj, mean_size, fps, per_frame_size)
+    dist = path_distance(traj, mean_size)
+    vel, acc, jerk = velocity_series(traj, mean_size, fps, per_frame_size)
     segments = [] if poses is None else split_pose_segments(poses, fps)
-    pose_total = sum((integrated_pose_distance(seg) for seg in segments if len(seg) >= 2), 0.0)
+    pose_total = sum(map(integrated_pose_distance, segments), 0.0)
     (mean_v, max_v), (mean_a, max_a), (mean_j, max_j) = [
         (float(np.abs(s).mean()), float(np.abs(s).max())) if s.size else (0.0, 0.0)
         for s in (vel, acc, jerk)]

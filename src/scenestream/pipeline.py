@@ -39,6 +39,7 @@ from .signatures import (
     FEATURE_NAMES,
     FeatureVector30,
     build_signature,
+    check_step,
     excise_background,
     featurize,
     lda_fit,
@@ -391,7 +392,9 @@ def sequences_from_stream_dir(stream_dir, resolution_s=5.0):
     for path in sorted(Path(stream_dir).glob("*.jsonl")):
         if path.name.endswith((".truth.jsonl", ".tracks.jsonl")):
             continue
-        tl = timeline_from_stream(parse_stream(path), resolution_s)
+        stream = parse_stream(path)
+        check_step("resolution_s", resolution_s, stream.fps)
+        tl = timeline_from_stream(stream, resolution_s)
         out[tl.video_id] = excise_background(tl)
     if not out:
         raise StreamFormatError(f"no stream files found in {stream_dir}")

@@ -71,6 +71,16 @@ class Timeline:
         return np.array([_ONE_HOT[lab] for lab in self.labels]).reshape(-1, len(ACTIONS))
 
 
+def check_step(name: str, step_s: float, fps: float) -> None:
+    """Raise InvariantError unless the user-set step `step_s` is a finite
+    number of at least one frame period, so that `stream_steps` builds at
+    most one list per frame period of the stream's duration."""
+    check_finite(name, step_s)
+    if step_s < 1.0 / fps:
+        raise InvariantError(f"{name} must be at least one frame period "
+                             f"(1/fps = {1.0 / fps!r} s), got {step_s!r}")
+
+
 def stream_steps(stream: VideoStream, resolution_s: float = DEFAULT_RESOLUTION_S):
     """The frames of each resolution window, as lists, at least one window;
     frames past the stream's duration join the last window."""

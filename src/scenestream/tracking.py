@@ -4,24 +4,27 @@ Constant-velocity Kalman filters over (center, area, aspect) box states,
 IoU-cost optimal assignment per frame, and a birth/death lifecycle. Only
 hand-category detections are tracked; tools are reported per frame elsewhere.
 
-SORT's 7-state filter (u, v, s, r, du, dv, ds) splits exactly into one 2x2
-(position, velocity) covariance block per measured axis: F, H and the
-diagonal process, measurement and initial covariances never couple two axes;
-r's block has its velocity variance pinned at 0. The covariance never depends
-on the measurements, and u and v share all three variances, so their blocks
-are bit-identical at every frame and are kept and computed once. A track's
-filter is one list of 17 Python floats: u, v, s, r, du, dv, ds, dr, then
-(p00, p01, p11) of the uv, s and r blocks. At a few hands these scalar loops
-cost less than numpy calls on small arrays, and they keep numpy's operation
-order (float64 `+ - * /` and `sqrt` round correctly in both), so every box is
-bit-identical to the array form. Each frame runs one `predict` over every
-track, one `associate` and one Joseph-form `update` over matched tracks.
+SORT's 7-dimensional state (u, v, s, r, du, dv, ds) splits exactly into one
+2x2 (position, velocity) covariance block per moving axis and one variance
+for the aspect r, which has no velocity: F, H and the diagonal process,
+measurement and initial covariances never couple two axes. The covariance
+never depends on the measurements, and u and v share all three variances, so
+their blocks are bit-identical at every frame and are kept and computed once.
+A track's filter is one list of 14 Python floats: u, v, s, r, du, dv, ds,
+then (p00, p01, p11) of the uv and s blocks, then r's variance. At a few
+hands these scalar loops cost less than numpy calls on small arrays, and they
+keep numpy's operation order (float64 `+ - * /` and `sqrt` round correctly
+in both), so every box is bit-identical to the array form. Each frame runs
+one `predict` over every track, one `associate` and one Joseph-form `update`
+over matched tracks. After `predict` each position variance is at least its
+process variance (F P F^T adds [1 1] P [1 1]^T >= 0 of a PSD block), so each
+innovation variance p00 + R is at least 2 and no gain divides by 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, nan, sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -29,11 +32,11 @@ from .errors import InvariantError
 # `iou` is imported so the traced benchmark can count calls to it here
 from .streams import FrameRecord, HAND, iou  # noqa: F401
 
-# (p00, p01, p11) of a newborn track's uv, s and r blocks
-_INITIAL_COV = (10.0, 0.0, 1e4, 10.0, 0.0, 1e4, 10.0, 0.0, 0.0)
-# SORT's diagonal noise: (position, velocity) process and measurement
-# variance per block (uv, s, r)
-_PROCESS_VAR = ((1.0, 0.01), (1.0, 1e-4), (1.0, 0.0))
+# (p00, p01, p11) of a newborn track's uv and s blocks, then r's variance
+_INITIAL_COV = (10.0, 0.0, 1e4, 10.0, 0.0, 1e4, 10.0)
+# SORT's diagonal noise: (position, velocity) process variance of the uv and
+# s blocks and r's process variance; measurement variance of uv, s and r
+_PROCESS_VAR = ((1.0, 0.01), (1.0, 1e-4), 1.0)
 _MEASUREMENT_VAR = (1.0, 10.0, 10.0)
 _AREA_EPS = 1e-6
 _TIE_TOL = 1e-9  # assignment totals within this of the optimum count as tied
@@ -83,18 +86,17 @@ def _state_corners(filters) -> list[list[float]]:
 def predict(filters, process_var):
     """Advance every track's filter one frame under constant velocity.
 
-    Per block P becomes F P F^T + Q with F = [[1, 1], [0, 1]]; an area that
-    reaches 0 or below is forced positive.
+    Per block P becomes F P F^T + Q with F = [[1, 1], [0, 1]], and r's
+    variance grows by its process variance; an area that reaches 0 or below
+    is forced positive.
     """
-    (qa0, qa1), (qs0, qs1), (qr0, qr1) = process_var
+    (qa0, qa1), (qs0, qs1), qr = process_var
     out = []
-    for (u, v, s, r, du, dv, ds, dr,
-         a00, a01, a11, s00, s01, s11, r00, r01, r11) in filters:
+    for u, v, s, r, du, dv, ds, a00, a01, a11, s00, s01, s11, r00 in filters:
         s += ds
-        out.append([u + du, v + dv, _AREA_EPS if s <= 0 else s, r + dr, du, dv, ds, dr,
+        out.append([u + du, v + dv, _AREA_EPS if s <= 0 else s, r, du, dv, ds,
                     a00 + 2.0 * a01 + a11 + qa0, a01 + a11, a11 + qa1,
-                    s00 + 2.0 * s01 + s11 + qs0, s01 + s11, s11 + qs1,
-                    r00 + 2.0 * r01 + r11 + qr0, r01 + r11, r11 + qr1])
+                    s00 + 2.0 * s01 + s11 + qs0, s01 + s11, s11 + qs1, r00 + qr])
     return out
 
 
@@ -102,42 +104,35 @@ def update(filters, z, meas_var):
     """Joseph-form update of every track's filter against its measurement z.
 
     Per block, with S = p00 + R and gain k = (p00, p01) / S, P becomes
-    (I - kH) P (I - kH)^T + R k k^T with H = [1, 0]; u and v share the uv one.
-    Area and aspect that reach 0 or below are forced positive. Returns
-    (filters, ok): ok while the gains and updated covariance are finite
-    (S = 0 gives NaN gains).
+    (I - kH) P (I - kH)^T + R k k^T with H = [1, 0]; u and v share the uv one,
+    and r's variance takes the same form with the scalar gain r00 / S. Area
+    and aspect that reach 0 or below are forced positive.
     """
     ra, rs, rr = meas_var
-    out, ok = [], []
-    for (u, v, s, r, du, dv, ds, dr,
-         a00, a01, a11, s00, s01, s11, r00, r01, r11), (zu, zv, zs, zr) in zip(filters, z):
+    out = []
+    for (u, v, s, r, du, dv, ds,
+         a00, a01, a11, s00, s01, s11, r00), (zu, zv, zs, zr) in zip(filters, z):
         sa, ss, sr = a00 + ra, s00 + rs, r00 + rr
-        ka0, ka1 = (a00 / sa, a01 / sa) if sa else (nan, nan)
-        ks0, ks1 = (s00 / ss, s01 / ss) if ss else (nan, nan)
-        kr0, kr1 = (r00 / sr, r01 / sr) if sr else (nan, nan)
-        ja, js, jr = 1.0 - ka0, 1.0 - ks0, 1.0 - kr0
+        ka0, ka1 = a00 / sa, a01 / sa
+        ks0, ks1 = s00 / ss, s01 / ss
+        kr = r00 / sr
+        ja, js, jr = 1.0 - ka0, 1.0 - ks0, 1.0 - kr
         a00, a01, a11 = (ja * ja * a00 + ka0 * ka0 * ra, ja * (a01 - ka1 * a00) + ka0 * ka1 * ra,
                          a11 - ka1 * (2.0 * a01 - ka1 * sa))
         s00, s01, s11 = (js * js * s00 + ks0 * ks0 * rs, js * (s01 - ks1 * s00) + ks0 * ks1 * rs,
                          s11 - ks1 * (2.0 * s01 - ks1 * ss))
-        r00, r01, r11 = (jr * jr * r00 + kr0 * kr0 * rr, jr * (r01 - kr1 * r00) + kr0 * kr1 * rr,
-                         r11 - kr1 * (2.0 * r01 - kr1 * sr))
-        ok.append(isfinite(ka0) and isfinite(ka1) and isfinite(a00) and isfinite(a01)
-                  and isfinite(a11) and isfinite(ks0) and isfinite(ks1) and isfinite(s00)
-                  and isfinite(s01) and isfinite(s11) and isfinite(kr0) and isfinite(kr1)
-                  and isfinite(r00) and isfinite(r01) and isfinite(r11))
-        iu, iv, i_s, ir = zu - u, zv - v, zs - s, zr - r
-        s, r = s + ks0 * i_s, r + kr0 * ir
+        iu, iv, i_s = zu - u, zv - v, zs - s
+        s, r = s + ks0 * i_s, r + kr * (zr - r)
         out.append([u + ka0 * iu, v + ka0 * iv, _AREA_EPS if s <= 0 else s,
                     _AREA_EPS if r <= 0 else r, du + ka1 * iu, dv + ka1 * iv,
-                    ds + ks1 * i_s, dr + kr1 * ir, a00, a01, a11, s00, s01, s11, r00, r01, r11])
-    return out, ok
+                    ds + ks1 * i_s, a00, a01, a11, s00, s01, s11, jr * jr * r00 + kr * kr * rr])
+    return out
 
 
 def new_track(corners) -> list[float]:
     """Filter of a track born at rest on one (x_min, y_min, x_max, y_max) float
     row, laid out as the module docstring says."""
-    return [*_measurements([corners])[0], 0.0, 0.0, 0.0, 0.0, *_INITIAL_COV]
+    return [*_measurements([corners])[0], 0.0, 0.0, 0.0, *_INITIAL_COV]
 
 
 # ------------------------------------------------------------ association
@@ -303,16 +298,15 @@ class SortTracker:
         since = [t + 1 for t in self.time_since_update]
         matches, unmatched_dets = associate(
             _state_corners(filters), det_rows, cfg.iou_threshold)
-        keep = [t <= cfg.max_age for t in since]
         if matches:
             hit, det_idx = zip(*matches)
             z = _measurements([det_rows[j] for j in det_idx])
-            updated, ok = update([filters[i] for i in hit], z, _MEASUREMENT_VAR)
-            for i, filt, good in zip(hit, updated, ok):
-                filters[i], keep[i] = filt, good  # a failed update drops the track
+            for i, filt in zip(hit, update([filters[i] for i in hit], z, _MEASUREMENT_VAR)):
+                filters[i] = filt
                 hits[i] += 1
                 since[i] = 0
 
+        keep = [t <= cfg.max_age for t in since]
         if not all(keep):
             ids, filters, hits, since = ([x for x, k in zip(column, keep) if k]
                                          for column in (ids, filters, hits, since))

@@ -104,10 +104,11 @@ class SevenStateKalman:
 
 
 def scaled_noise(process_noise, measurement_noise):
-    """(process, measurement) variances per (uv, s, r) block, in the layout of
-    `tracking._PROCESS_VAR` and `tracking._MEASUREMENT_VAR`, of the noise
+    """(process, measurement) variances in the layouts of `tracking._PROCESS_VAR`
+    ((position, velocity) of the uv and s blocks, then r's) and
+    `tracking._MEASUREMENT_VAR` (uv, s, r) of the noise
     `SevenStateKalman(corners, process_noise, measurement_noise)` uses."""
-    return (tuple((process_noise, q * process_noise) for q in (0.01, 1e-4, 0.0)),
+    return ((*((process_noise, q * process_noise) for q in (0.01, 1e-4)), process_noise),
             tuple(r * measurement_noise for r in (1.0, 10.0, 10.0)))
 
 

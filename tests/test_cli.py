@@ -1232,9 +1232,10 @@ def test_cli_eval_option_of_another_mode_exits_2(sweep_inputs, tmp_path, mode, o
     ("synth", "--conf-mean", "nan"),
     ("bench", "--minutes", "nan"), ("bench", "--minutes", "inf"), ("bench", "--fps", "nan"),
     ("bench", "--window", "nan"), ("bench", "--window", "inf"), ("bench", "--window", "0"),
-    ("bench", "--window", "-1"),
+    ("bench", "--window", "-1"), ("bench", "--window", "0.01"),
     ("signature", "--resolution", "0"), ("signature", "--resolution", "nan"),
-    ("featurize", "--resolution", "inf"),
+    ("signature", "--resolution", "0.01"),
+    ("featurize", "--resolution", "inf"), ("featurize", "--resolution", "0.01"),
     ("eval", "--alpha", "-1"), ("eval", "--alpha", "0"), ("eval", "--alpha", "inf"),
     ("eval", "--alpha", "nan"),
 ])

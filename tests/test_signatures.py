@@ -10,6 +10,7 @@ from scenestream.signatures import (
     FeatureVector30,
     Timeline,
     build_signature,
+    check_step,
     excise_background,
     featurize,
     filter_videos,
@@ -19,11 +20,13 @@ from scenestream.signatures import (
     quartile_aggregate,
     quartile_spans,
     step_summary,
+    stream_steps,
+    timeline_from_stream,
     top_features,
     transition_probabilities,
     zscore,
 )
-from scenestream.streams import BBox, Detection, FrameRecord
+from scenestream.streams import BBox, Detection, FrameRecord, VideoStream
 
 CUT, TIE, SUT, BG = "cutting", "tying", "suturing", "background"
 
@@ -109,6 +112,21 @@ def test_step_summary_votes_with_ties_by_label_order_and_means_tools_per_frame()
              _frame(1, categories=("needle_driver",)), _frame(2), _frame(3)]
     assert step_summary(tools) == (BG, [0.0, 0.25, 0.5])  # TOOL_CLASSES order
     assert step_summary([]) == (BG, [0, 0, 0])
+
+
+def test_user_set_steps_span_a_frame_period_and_fixed_steps_run_at_any_fps():
+    # a step shorter than 1/fps is rejected before any step list is built;
+    # one frame period itself is accepted
+    check_step("resolution_s", 1 / 30, 30.0)
+    for bad in (0.03, 1e-300, 0.0, float("nan")):
+        with pytest.raises(InvariantError, match="resolution_s must be"):
+            check_step("resolution_s", bad, 30.0)
+    # eval actions' 1 s steps on a 0.5 fps stream: every other step is empty
+    frames = tuple(FrameRecord(frame_index=k, timestamp_s=2.0 * k, detections=(), action=CUT)
+                   for k in range(3))
+    stream = VideoStream(video_id="slow", fps=0.5, width=64, height=64, frames=frames)
+    assert [len(step) for step in stream_steps(stream, 1.0)] == [1, 0, 1, 0, 1, 0]
+    assert timeline_from_stream(stream, 1.0).labels == (CUT, BG, CUT, BG, CUT, BG)
 
 
 # ------------------------------------------------------------- quartiles

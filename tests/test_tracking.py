@@ -36,8 +36,7 @@ def use_noise(monkeypatch, process_noise, measurement_noise):
 def one_track(pos, vel=(0.0, 0.0, 0.0), var=10.0):
     """Filters of one track at `pos` (u, v, s, r) moving at `vel` (du, dv, ds);
     every position and velocity variance is `var` (r has no velocity)."""
-    return [[*map(float, pos), *map(float, vel), 0.0,
-             var, 0.0, var, var, 0.0, var, var, 0.0, 0.0]]
+    return [[*map(float, pos), *map(float, vel), var, 0.0, var, var, 0.0, var, var]]
 
 
 def born(box):
@@ -57,9 +56,10 @@ def positions(filters):
 
 def stacked(filters):
     """(5, N, 4) array of position, velocity, p00, p01 and p11 over (u, v, s, r):
-    the shared uv covariance block fills both the u and the v column."""
-    planes = [[f[:4], f[4:8], *([f[i], f[i], f[i + 3], f[i + 6]] for i in (8, 9, 10))]
-              for f in filters]
+    the shared uv covariance block fills both the u and the v column, and r's
+    velocity, p01 and p11, which SORT's state does not have, are 0.0."""
+    planes = [[f[:4], [*f[4:7], 0.0], [f[7], f[7], f[10], f[13]],
+               [f[8], f[8], f[11], 0.0], [f[9], f[9], f[12], 0.0]] for f in filters]
     return np.array(planes, dtype=float).reshape(-1, 5, 4).transpose(1, 0, 2)
 
 
@@ -68,10 +68,17 @@ def per_axis(block_values):
     return (block_values[0], *block_values)
 
 
+def process_planes(process_var):
+    """(2, 4) array of (position, velocity) process variance over (u, v, s, r)
+    of a `_PROCESS_VAR`-shaped tuple; r's velocity variance is 0.0."""
+    uv, s, r = process_var
+    return np.array([uv, uv, s, (r, 0.0)]).T
+
+
 def trace(filters):
     """Per-track trace of the covariance: position plus velocity variances,
     the uv block counted for u and for v."""
-    return [2.0 * (f[8] + f[10]) + f[11] + f[13] + f[14] + f[16] for f in filters]
+    return [2.0 * (f[7] + f[9]) + f[10] + f[12] + f[13] for f in filters]
 
 
 def hand_frame(idx, boxes, fps=30.0):
@@ -218,8 +225,7 @@ def test_associate_matches_brute_force_up_to_6x6(n, m, seed):
 def test_update_zero_innovation_keeps_mean_shrinks_covariance():
     z = _measurements(rows(BBox(40, 50, 60, 90)))
     kalman = one_track(z[0])
-    out, ok = update(kalman, z, R)
-    assert ok[0]
+    out = update(kalman, z, R)
     assert stacked(out)[:2, 0] == pytest.approx(stacked(kalman)[:2, 0], abs=1e-12)
     assert trace(out)[0] < trace(kalman)[0]
     # the tracker counts a matched frame as a hit and resets the coasting count
@@ -238,8 +244,7 @@ def test_update_repeated_measurements_converge_to_measurement():
     errs = []
     for k in range(2000):
         kalman = predict(kalman, Q)
-        kalman, ok = update(kalman, z, R)
-        assert ok[0]
+        kalman = update(kalman, z, R)
         rel = np.abs(np.subtract(positions(kalman)[0], z[0])) / np.maximum(np.abs(z[0]), 1.0)
         errs.append(np.max(rel))
     assert errs[-1] < 1e-9
@@ -255,28 +260,45 @@ def test_update_covariance_symmetric_psd():
         jitter = rng.normal(0, 2, size=2)
         box = BBox(10 + jitter[0] + k, 10 + jitter[1], 40 + jitter[0] + k, 60 + jitter[1])
         kalman = predict(kalman, Q)
-        kalman, ok = update(kalman, _measurements(rows(box)), R)
-        assert ok[0]
+        kalman = update(kalman, _measurements(rows(box)), R)
         p00, p01, p11 = stacked(kalman)[2:, 0]
         assert p00.min() >= -1e-9 and p11.min() >= -1e-9
         assert (p00 * p11 - p01 * p01).min() >= -1e-9
 
 
-def test_update_singular_innovation_is_not_ok():
-    # zero variance and zero measurement noise make the innovation variance
-    # S = 0 and the gain 0/0: that track is not ok (and nothing raises
-    # ZeroDivisionError), so the tracker drops it, while a regular track in
-    # the same batch updates as it would alone
-    pos = [10, 10, 100, 1.0]
-    z = _measurements(rows(BBox(5, 5, 15, 15)))
-    no_noise = (0.0,) * 3
-    _, ok = update(one_track(pos, var=0.0), z, no_noise)
-    assert ok == [False]
-    kalman = one_track(pos, var=0.0) + one_track(pos, var=1.0)
-    out, ok = update(kalman, z * 2, no_noise)
-    assert ok == [False, True]
-    alone, _ = update(kalman[1:], z, no_noise)
-    assert out[1] == alone[0]
+def test_predicted_variances_keep_every_innovation_variance_positive(monkeypatch):
+    # why `update` has no failure path: after `predict` each position variance
+    # is at least its process variance (F P F^T adds [1 1] P [1 1]^T >= 0 of a
+    # PSD block), so S = p00 + R >= q0 + R > 0; and the covariance stays
+    # finite while tracks coast through gaps of up to max_age frames and die
+    (qa, _), (qs, _), qr = Q
+    real, predicted = tracking.predict, []
+
+    def checked(filters, process_var):
+        out = real(filters, process_var)
+        for f in out:
+            assert f[7] >= qa and f[10] >= qs and f[13] >= qr, f
+            assert all(map(math.isfinite, f[7:])), f
+        predicted.append(len(out))
+        return out
+
+    monkeypatch.setattr(tracking, "predict", checked)
+    rng = np.random.default_rng(17)
+    tracker = SortTracker()
+    hidden, coasted = [0, 0, 0], 0
+    for k in range(900):
+        boxes = []
+        for h in range(3):
+            if hidden[h] == 0 and rng.random() < 0.05:
+                hidden[h] = int(rng.integers(1, CFG.max_age + 4))
+            if hidden[h]:
+                hidden[h] -= 1
+                continue
+            x, y = (float(v) for v in rng.normal([100.0 + 200.0 * h, 150.0], 2.0))
+            boxes.append(BBox(x, y, x + 60.0, y + 80.0))
+        tracker.step(hand_frame(k, boxes))
+        coasted = max([coasted, *tracker.time_since_update])
+    assert coasted == CFG.max_age and len(predicted) == 900 and sum(predicted) > 2000
 
 
 # ---------------------------------------------------------------- lifecycle
@@ -532,26 +554,25 @@ def test_batched_kernels_equal_batch_of_one_bit_for_bit():
             dx, dy = rng.normal(0, 3, size=2)
             z = _measurements(rows(BBox(x + dx, y + dy, x + dx + 60, y + dy + 80)))
             kalman = predict(kalman, Q)
-            kalman, _ = update(kalman, z, R)
+            kalman = update(kalman, z, R)
         tracks += kalman
         dets.append(BBox(x + 2, y + 1, x + 63, y + 80))
     z = _measurements([d.as_list() for d in dets])
     predicted = predict(tracks, Q)
-    updated, ok = update(tracks, z, R)
-    assert all(ok)
+    updated = update(tracks, z, R)
     for k in range(6):
         one = predict(tracks[k:k + 1], Q)
         assert predicted[k] == one[0]
-        one, _ = update(tracks[k:k + 1], z[k:k + 1], R)
+        one = update(tracks[k:k + 1], z[k:k + 1], R)
         assert updated[k] == one[0]
 
 
 def test_kernels_equal_the_array_form_bit_for_bit():
     # the per-track loops keep the operation order of the (5, N, 4) array
-    # kernels they replaced, so every state and ok flag is identical;
-    # shrinking areas and aspects drive the clamps
+    # kernels they replaced, so every state is identical and every array
+    # update is finite; shrinking areas and aspects drive the clamps
     rng = np.random.default_rng(13)
-    q = np.array(per_axis(Q)).T
+    q = process_planes(Q)
     for _ in range(20):
         boxes = rng.uniform(5, 300, size=(int(rng.integers(1, 7)), 4)).tolist()
         kalman = [new_track([x, y, x + w, y + h]) for x, y, w, h in boxes]
@@ -568,44 +589,46 @@ def test_kernels_equal_the_array_form_bit_for_bit():
                  for k in hit]
             want, want_ok, _ = oracles.array_update(
                 stacked(kalman)[:, hit], np.array(z), np.array(per_axis(R)))
-            updated, ok = update([kalman[k] for k in hit], z, R)
+            updated = update([kalman[k] for k in hit], z, R)
             assert np.array_equal(stacked(updated), want)
-            assert ok == want_ok.tolist()
+            assert want_ok.all()
             for k, filt in zip(hit, updated):
                 kalman[k] = filt
 
 
 def test_non_finite_inputs_propagate_like_the_array_form():
     # a NaN or inf measurement, or an infinite variance in one block, reaches
-    # the same entries and ok flags as in the array form, r's velocity
-    # and off-diagonal included
+    # the same entries as in the array form; r's velocity, p01 and p11 are
+    # left out, as the array form's can turn NaN through 0 * NaN
     pos, box = [50.0, 60.0, 400.0, 1.0], [40.0, 50.0, 60.0, 70.0]
     r = np.array(per_axis(R))
+    kept = np.ones((5, 1, 4), dtype=bool)
+    kept[[1, 3, 4], 0, 3] = False
     cases = []
     for bad in (math.nan, math.inf, -math.inf):
         for axis in range(4):
             z = _measurements([box])
             z[0][axis] = bad
             cases.append((one_track(pos), z))
-    for block in (8, 11, 14):  # p00 of the uv, s and r blocks
+    for block in (7, 10, 13):  # p00 of the uv and s blocks, r's variance
         kalman = one_track(pos)
         kalman[0][block] = math.inf
         cases.append((kalman, _measurements([box])))
     for kalman, z in cases:
         with np.errstate(invalid="ignore"):
-            want, want_ok, _ = oracles.array_update(stacked(kalman), np.array(z), r)
-        out, ok = update(kalman, z, R)
-        assert np.array_equal(stacked(out), want, equal_nan=True), (kalman, z)
-        assert ok == want_ok.tolist()
+            want, _, _ = oracles.array_update(stacked(kalman), np.array(z), r)
+        out = update(kalman, z, R)
+        assert np.array_equal(stacked(out)[kept], want[kept], equal_nan=True), (kalman, z)
 
 
 def test_kernels_equal_the_array_form_over_2000_frames():
     # the covariance settles only after about 1690 updates (then the s block
     # cycles with period 2), so the kernels and the array form run side by
     # side, each on its own state, long enough to reach it: track 0 is matched
-    # every frame, the others coast through gaps of up to max_age frames
+    # every frame, the others coast through gaps of up to max_age frames. The
+    # array form carries r's velocity, p01 and p11, and they stay exactly 0.0
     rng = np.random.default_rng(29)
-    q, r = np.array(per_axis(Q)).T, np.array(per_axis(R))
+    q, r = process_planes(Q), np.array(per_axis(R))
     boxes = rng.uniform(50, 400, size=(5, 2)).tolist()
     kalman = [new_track([x, y, x + 60.0, y + 80.0]) for x, y in boxes]
     array = stacked(kalman)
@@ -616,6 +639,7 @@ def test_kernels_equal_the_array_form_over_2000_frames():
         array, _ = oracles.array_predict(array, q)
         kalman = predict(kalman, Q)
         assert np.array_equal(stacked(kalman), array)
+        assert not array[[1, 3, 4], :, 3].any()
         hit = []
         for k in range(5):
             if k and gap[k] == 0 and rng.random() < 0.1:
@@ -629,13 +653,12 @@ def test_kernels_equal_the_array_form_over_2000_frames():
                                            [2, 2, 300, 0.05])] for c, k in zip(x, hit)]
         want, want_ok, _ = oracles.array_update(array[:, hit], np.array(z), r)
         array[:, hit] = want
-        updated, ok = update([kalman[k] for k in hit], z, R)
-        for k, filt in zip(hit, updated):
+        for k, filt in zip(hit, update([kalman[k] for k in hit], z, R)):
             kalman[k] = filt
         assert np.array_equal(stacked(kalman), array)
-        assert ok == want_ok.tolist()
-        first_seen.setdefault(tuple(kalman[0][8:]), t)
-    assert first_seen[tuple(kalman[0][8:])] < 1999  # track 0's covariance repeats
+        assert want_ok.all() and not array[[1, 3, 4], :, 3].any()
+        first_seen.setdefault(tuple(kalman[0][7:]), t)
+    assert first_seen[tuple(kalman[0][7:])] < 1999  # track 0's covariance repeats
 
 
 # ---------------------------------------------------------------- seven-state oracle
@@ -677,8 +700,7 @@ def _oracle_sequence(seed, frames=60, noise=(1.0, 1.0)):
             corners.append([x, y, x + t[2] + rng.normal(0, 2), y + t[3] + rng.normal(0, 2)])
         if hit:
             corners = np.array(corners)
-            updated, ok = update([kalman[k] for k in hit], _measurements(corners.tolist()), r)
-            assert all(ok)
+            updated = update([kalman[k] for k in hit], _measurements(corners.tolist()), r)
             for k, filt, c in zip(hit, updated, corners):
                 kalman[k] = filt
                 oracles[k].update(c)
