@@ -5,7 +5,6 @@ from .streams import (
     ACTIONS,
     ACTION_LABELS,
     BACKGROUND,
-    BBox,
     CATEGORIES,
     Detection,
     FrameRecord,
@@ -13,6 +12,7 @@ from .streams import (
     HandKeypoints,
     TOOL_CLASSES,
     VideoStream,
+    box,
     hand_size,
     iou,
     parse_stream,

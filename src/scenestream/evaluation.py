@@ -19,7 +19,6 @@ from .errors import DataWarning, InvariantError, check_finite
 from .streams import (
     ACTIONS,
     ACTION_LABELS,
-    BBox,
     HAND,
     HandKeypoints,
     INDEX_CHAIN,
@@ -96,7 +95,7 @@ def action_precision_recall(pred, truth) -> dict:
 def _greedy_match_class(preds, truth_boxes, iou_thresh):
     """Greedy confidence-ordered matching for one class in one frame.
 
-    preds: (confidence, BBox) pairs. Returns (conf, is_tp) records in
+    preds: (confidence, box) pairs. Returns (conf, is_tp) records in
     confidence order with input-order tie-breaking.
     """
     order = sorted(range(len(preds)), key=lambda i: (-preds[i][0], i))
@@ -151,7 +150,7 @@ def mean_ap(per_class_aps) -> float | None:
 
 # ------------------------------------------------------------------ keypoints
 
-def pck(pred_kps: HandKeypoints, truth_kps: HandKeypoints, ref_box: BBox,
+def pck(pred_kps: HandKeypoints, truth_kps: HandKeypoints, ref_box: tuple,
         alpha: float = DEFAULT_PCK_ALPHA) -> tuple[np.ndarray, np.ndarray]:
     """Per-keypoint correctness as (hits, valid), two (21,) bool arrays: a hit
     lies within alpha * hand_size(ref_box) of truth, and only visible truth
@@ -256,7 +255,7 @@ def evaluate_keypoints(pred_stream: VideoStream, truth_stream: VideoStream,
             continue
         preds, truths = pred.keypoints if pred else (), truth.keypoints
         matches, unmatched_truth = associate(
-            [k.owner_box.as_list() for k in preds], [k.owner_box.as_list() for k in truths],
+            [k.owner_box for k in preds], [k.owner_box for k in truths],
             KEYPOINT_MATCH_IOU)
         for pi, ti in matches:
             ref_box = truths[ti].owner_box if ref == "truth" else preds[pi].owner_box

@@ -52,11 +52,11 @@ from .signatures import (
 from .streams import (
     N_KEYPOINTS,
     SKILL_KEYPOINT_INDICES,
-    BBox,
     Detection,
     FrameRecord,
     HandKeypoints,
     VideoStream,
+    box,
     finite_numbers,
     header_line,
     iou,
@@ -100,7 +100,7 @@ def track_row(tracker: SortTracker, fr: FrameRecord) -> dict:
     row = {"frame": fr.frame_index, "t": fr.timestamp_s,
            "tracks": {str(tid): corners for tid, corners in emitted}}
     if fr.keypoints and emitted:
-        matches, _ = associate([kp.owner_box.as_list() for kp in fr.keypoints],
+        matches, _ = associate([kp.owner_box for kp in fr.keypoints],
                                [corners for _, corners in emitted], KEYPOINT_MATCH_IOU)
         if matches:
             row["kps"] = {str(emitted[t][0]): fr.keypoints[k] for k, t in matches}
@@ -156,20 +156,18 @@ def write_tracks(stream: VideoStream, rows, path) -> None:
         raise
 
 
-def _is_box(values) -> bool:
-    """Whether `values` is 4 numbers that make a BBox: 0 <= min < max."""
-    return (finite_numbers(values, 4) and 0 <= values[0] < values[2]
-            and 0 <= values[1] < values[3])
-
-
 def _check_tracks_row(row, line_no) -> None:
     frame = row.get("frame") if isinstance(row, dict) else None
     if not isinstance(frame, int) or not -2**63 <= frame < 2**63:  # frames become int64
         raise StreamFormatError("tracks row needs an integer 'frame' within 64 bits",
                                 line=line_no)
     tracks, kps = row.get("tracks"), row.get("kps", {})
-    if not isinstance(tracks, dict) or not all(tid.isdecimal() and _is_box(b)
-                                               for tid, b in tracks.items()):
+    try:  # each box is 4 finite JSON numbers that pass the stream's box check
+        boxes = isinstance(tracks, dict) and all(tid.isdecimal() and finite_numbers(b, 4)
+                                                 and box(*b) for tid, b in tracks.items())
+    except InvariantError:
+        boxes = False
+    if not boxes:
         raise StreamFormatError("tracks row needs 'tracks' mapping integer track ids to "
                                 "[x_min, y_min, x_max, y_max] with 0 <= x_min < x_max "
                                 "and 0 <= y_min < y_max", line=line_no)
@@ -210,10 +208,10 @@ def tracking_oracle_report(rows, truth: GroundTruth) -> dict:
     track_to_gt = {}
     for row, frame_truth in zip(rows, truth.true_boxes):
         for tid, corners in row["tracks"].items():
-            tid, box = int(tid), BBox(*corners)
+            tid = int(tid)
             best_h, best_v = None, ORACLE_MATCH_IOU
             for h, gt_box in frame_truth.items():
-                v = iou(box, gt_box)
+                v = iou(corners, gt_box)
                 if v >= best_v:
                     best_h, best_v = h, v
             if best_h is not None:

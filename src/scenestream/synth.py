@@ -24,12 +24,12 @@ from .kinematics import Poses, TieClip, Trajectory
 from .signatures import Timeline
 from .streams import (
     ACTIONS,
-    BBox,
     Detection,
     FrameRecord,
     HAND,
     HandKeypoints,
     VideoStream,
+    box,
 )
 
 # unit hand-keypoint template: palm at origin, thumb and index chains spread
@@ -111,7 +111,7 @@ class GroundTruth:
 
     video_id: str
     hand_ids: list
-    true_boxes: list  # per frame: {hand_id: BBox}
+    true_boxes: list  # per frame: {hand_id: box}
     actions: list  # per frame action label
     path_px: dict  # hand_id -> naive summed centroid path, pixels
     path_hand_lengths: dict  # hand_id -> path / mean hand size
@@ -122,7 +122,7 @@ class GroundTruth:
             "video_id": self.video_id,
             "hand_ids": list(self.hand_ids),
             "actions": list(self.actions),
-            "true_boxes": [{str(h): b.as_list() for h, b in frame.items()}
+            "true_boxes": [{str(h): list(b) for h, b in frame.items()}
                            for frame in self.true_boxes],
             "path_px": {str(k): v for k, v in self.path_px.items()},
             "path_hand_lengths": {str(k): v for k, v in self.path_hand_lengths.items()},
@@ -192,16 +192,15 @@ def generate_stream(spec: SynthSpec, index: int = 0):
         kps = []
         for h in hand_ids:
             cx, cy = positions[h][k].tolist()  # floats, as a parsed stream has
-            box = BBox(max(cx - half_w, 0.0), max(cy - half_h, 0.0),
-                       cx + half_w, cy + half_h)
-            frame_truth[h] = box
+            true_box = box(max(cx - half_w, 0.0), max(cy - half_h, 0.0),
+                           cx + half_w, cy + half_h)
+            frame_truth[h] = out_box = true_box
             if corruption.dropout_rate > 0 and rng.random() < corruption.dropout_rate:
                 continue
-            out_box = box
             if corruption.jitter_sigma > 0:
                 dx, dy = rng.normal(0, corruption.jitter_sigma, size=2).tolist()
-                out_box = BBox(max(box.x_min + dx, 0.0), max(box.y_min + dy, 0.0),
-                               box.x_max + dx, box.y_max + dy)
+                x0, y0, x1, y1 = true_box
+                out_box = box(max(x0 + dx, 0.0), max(y0 + dy, 0.0), x1 + dx, y1 + dy)
             conf = corruption.confidence_mean
             if corruption.confidence_sigma > 0:
                 conf = float(np.clip(rng.normal(conf, corruption.confidence_sigma), 0.0, 1.0))
@@ -214,7 +213,7 @@ def generate_stream(spec: SynthSpec, index: int = 0):
             for _ in range(int(rng.poisson(rate))):
                 tx = float(rng.uniform(0, FRAME_WIDTH - 80))
                 ty = float(rng.uniform(0, FRAME_HEIGHT - 40))
-                dets.append(Detection(box=BBox(tx, ty, tx + 80, ty + 40),
+                dets.append(Detection(box=box(tx, ty, tx + 80, ty + 40),
                                       category=tool, confidence=corruption.confidence_mean))
         true_boxes.append(frame_truth)
         frames.append(FrameRecord(frame_index=k, timestamp_s=k / spec.fps,

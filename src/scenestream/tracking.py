@@ -226,7 +226,7 @@ def _overlap_scores(tracks, dets) -> list[dict[int, float]]:
 def associate(track_boxes, det_boxes, iou_threshold):
     """Optimal one-to-one IoU matching between predicted boxes and detections.
 
-    Boxes are lists of (x_min, y_min, x_max, y_max) float rows. Returns
+    Boxes are lists of rows of 4 floats (x_min, y_min, x_max, y_max). Returns
     (matches, unmatched_dets); matches maximize the total IoU with ties
     broken as `_lexmin_optimal_pairs` breaks them, then pairs with IoU <
     iou_threshold (which must be > 0) dissolve.
@@ -291,7 +291,7 @@ class SortTracker:
         """
         cfg = self.config
         self.frame_count += 1
-        det_rows = [d.box.as_list() for d in frame.detections if d.category == HAND]
+        det_rows = [d.box for d in frame.detections if d.category == HAND]
 
         filters = predict(self.filters, _PROCESS_VAR)
         ids, hits = self.ids, self.hits

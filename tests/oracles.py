@@ -15,11 +15,11 @@ from scenestream.tracking import _lexmin_optimal_pairs
 
 def grid_iou(a, b, scale=4):
     """IoU by counting lattice cells; exact for boxes with coords on a 1/scale grid."""
-    hi_x = int(round(max(a.x_max, b.x_max) * scale)) + 1
-    hi_y = int(round(max(a.y_max, b.y_max) * scale)) + 1
+    hi_x = int(round(max(a[2], b[2]) * scale)) + 1
+    hi_y = int(round(max(a[3], b[3]) * scale)) + 1
 
     def mask(box):
-        x0, y0, x1, y1 = (int(round(v * scale)) for v in box.as_list())
+        x0, y0, x1, y1 = (int(round(v * scale)) for v in box)
         m = np.zeros((hi_y, hi_x), dtype=bool)
         m[y0:y1, x0:x1] = True
         return m
@@ -146,10 +146,10 @@ def array_update(kalman, z, meas_var):
 
 
 def box_corners(boxes):
-    """(N, 4) array of (x_min, y_min, x_max, y_max) rows from BBoxes; arrays pass through."""
+    """(N, 4) array of (x_min, y_min, x_max, y_max) rows from boxes; arrays pass through."""
     if isinstance(boxes, np.ndarray):
         return boxes
-    return np.array([b.as_list() for b in boxes], dtype=float).reshape(-1, 4)
+    return np.array(boxes, dtype=float).reshape(-1, 4)
 
 
 def iou_matrix(a, b):

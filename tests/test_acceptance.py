@@ -21,12 +21,12 @@ from oracles import (
     naive_velocity_series,
 )
 from scenestream import (
-    BBox,
     DataWarning,
     Detection,
     FrameRecord,
     HandKeypoints,
     VideoStream,
+    box,
     iou,
 )
 from scenestream.bench import SPATIAL_BUDGET_S, TEMPORAL_BUDGET_S, bench_stream
@@ -248,7 +248,7 @@ def test_acceptance_6_lda_separation_and_oracle():
 # ----------------------------------------------------------- criterion 7
 
 def _mk_det(conf, x0):
-    return Detection(box=BBox(x0, 0.0, x0 + 10.0, 10.0),
+    return Detection(box=box(x0, 0.0, x0 + 10.0, 10.0),
                      category="hand", confidence=conf)
 
 
@@ -268,7 +268,7 @@ def test_acceptance_7_metric_suite_oracle_equivalence():
     for _ in range(1000):
         n_gt = int(rng.integers(1, 4))
         n_det = int(rng.integers(0, 6))
-        gts = [BBox(30.0 * k, 0.0, 30.0 * k + 10.0, 10.0) for k in range(n_gt)]
+        gts = [box(30.0 * k, 0.0, 30.0 * k + 10.0, 10.0) for k in range(n_gt)]
         preds = []
         for _ in range(n_det):
             target = int(rng.integers(0, n_gt + 1))
@@ -298,33 +298,33 @@ def test_acceptance_7_metric_suite_oracle_equivalence():
         for c in counts)
 
     # fixed 10-point keypoint case vs a per-point distance check
-    box = BBox(0, 0, 100, 100)  # threshold 20 px at alpha 0.2
+    ref = box(0, 0, 100, 100)  # threshold 20 px at alpha 0.2
     truth_pts = np.array([[10.0 * k, 5.0 * k] for k in range(21)])
     pred_pts = truth_pts.copy()
     pred_pts[:10] += np.array([30.0, 0.0])  # 10 points pushed out of range
-    kp_t = HandKeypoints(points=np.column_stack([truth_pts, np.ones(21)]), owner_box=box)
-    kp_p = HandKeypoints(points=np.column_stack([pred_pts, np.ones(21)]), owner_box=box)
-    hits, valid = pck(kp_p, kp_t, box)
+    kp_t = HandKeypoints(points=np.column_stack([truth_pts, np.ones(21)]), owner_box=ref)
+    kp_p = HandKeypoints(points=np.column_stack([pred_pts, np.ones(21)]), owner_box=ref)
+    hits, valid = pck(kp_p, kp_t, ref)
     dists = [float(np.hypot(*(pred_pts[k] - truth_pts[k]))) for k in range(21)]
     pck_exact = (list(hits) == [d <= 20.0 for d in dists]
                  and hits.sum() / valid.sum() == sum(d <= 20.0 for d in dists) / 21)
 
     # identity cases return 1.0
-    ident_ap = _one_frame_hand_ap([_mk_det(0.9, 0.0)], [BBox(0, 0, 10, 10)])
+    ident_ap = _one_frame_hand_ap([_mk_det(0.9, 0.0)], [box(0, 0, 10, 10)])
     ident_pr = action_precision_recall(truth, truth)
-    ident_hits, ident_valid = pck(kp_t, kp_t, box)
+    ident_hits, ident_valid = pck(kp_t, kp_t, ref)
     identity_ok = (ident_ap == 1.0 and ident_pr["macro_precision"] == 1.0
                    and ident_pr["macro_recall"] == 1.0
                    and ident_hits.sum() / ident_valid.sum() == 1.0)
 
     # empty / total-miss cases return 0.0
-    empty_ap = _one_frame_hand_ap([], [BBox(0, 0, 10, 10)])
+    empty_ap = _one_frame_hand_ap([], [box(0, 0, 10, 10)])
     far = HandKeypoints(points=np.column_stack([truth_pts + 1e4, np.ones(21)]),
-                        owner_box=box)
+                        owner_box=ref)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataWarning)
         miss_pr = action_precision_recall(["background"] * 10, ["cutting"] * 10)
-    far_hits, far_valid = pck(far, kp_t, box)
+    far_hits, far_valid = pck(far, kp_t, ref)
     empty_ok = (empty_ap == 0.0 and far_hits.sum() / far_valid.sum() == 0.0
                 and miss_pr["action_recall"]["cutting"] == 0.0)
 

@@ -89,7 +89,7 @@ def test_benchmark_run_configs_pass_the_config_check():
 def test_tracker_step_calls_the_traced_kernels(monkeypatch):
     # the traced run patches these module attributes; `step` must look them
     # up there, or their per-layer metrics read 0
-    from scenestream import BBox, Detection, FrameRecord, tracking
+    from scenestream import Detection, FrameRecord, box, tracking
 
     calls = {"predict": 0, "update": 0, "new_track": 0}
 
@@ -108,8 +108,8 @@ def test_tracker_step_calls_the_traced_kernels(monkeypatch):
         dets = tuple(Detection(box=b, category="hand", confidence=0.9) for b in boxes)
         return FrameRecord(frame_index=k, timestamp_s=k / 30.0, detections=dets)
 
-    left, right = BBox(100, 100, 160, 160), BBox(400, 100, 460, 160)
-    late = BBox(700, 300, 760, 360)
+    left, right = box(100, 100, 160, 160), box(400, 100, 460, 160)
+    late = box(700, 300, 760, 360)
     tracker = tracking.SortTracker()
     for k in range(8):
         tracker.step(frame(k, [left, right] + ([late] if k >= 5 else [])))

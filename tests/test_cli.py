@@ -33,10 +33,10 @@ from scenestream.pipeline import (
 from scenestream.streams import (
     ACTION_LABELS,
     CATEGORIES,
-    BBox,
     Detection,
     FrameRecord,
     VideoStream,
+    box,
     write_stream,
 )
 from scenestream.synth import CorruptionSpec, HandMotionSpec, SynthSpec, generate_stream
@@ -69,12 +69,12 @@ def test_cli_synth_track_roundtrip(tmp_path, capsys):
 def test_cli_track_coasts_past_left_edge(tmp_path):
     # a hand leaves over the left edge; its coasting prediction crosses x = 0
     # while the only detection left is far away
-    def frame(k, box):
-        det = Detection(box=box, category="hand", confidence=1.0)
+    def frame(k, b):
+        det = Detection(box=b, category="hand", confidence=1.0)
         return FrameRecord(frame_index=k, timestamp_s=k / 30.0, detections=(det,))
 
-    frames = [frame(k, BBox(150 - 10 * k, 100, 190 - 10 * k, 140)) for k in range(12)]
-    frames += [frame(k, BBox(900, 500, 940, 540)) for k in range(12, 40)]
+    frames = [frame(k, box(150 - 10 * k, 100, 190 - 10 * k, 140)) for k in range(12)]
+    frames += [frame(k, box(900, 500, 940, 540)) for k in range(12, 40)]
     stream = VideoStream(video_id="left-exit", fps=30.0, width=1280, height=720,
                          frames=tuple(frames))
     stream_path, tracks_path = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
@@ -830,6 +830,40 @@ def test_golden_with_keypoints_tracks(tmp_path):
     stream_path = tmp_path / "s.jsonl"
     stream_path.write_text("\n".join(json.dumps(o) for o in _BASE) + "\n")
     assert main(["track", "--in", str(stream_path), "--out", str(tmp_path / "t")]) == 0
+
+
+# a box [x_min, y_min, x_max, y_max] that breaks one invariant, and the message
+_BAD_BOXES = {
+    "negative": ([-1, 100, 180, 170], "BBox.x_min must be >= 0, got -1.0"),
+    "crossed x": ([180, 100, 100, 170], "BBox invariant x_min < x_max violated: 180.0 >= 100.0"),
+    "crossed y": ([100, 170, 180, 100], "BBox invariant y_min < y_max violated: 170.0 >= 100.0"),
+    "Infinity": ([100, 100, float("inf"), 170], "BBox.x_max must be finite, got inf"),
+    "-Infinity": ([100, float("-inf"), 180, 170], "BBox.y_min must be finite, got -inf"),
+    "NaN": ([100, 100, 180, float("nan")], "BBox.y_max must be finite, got nan"),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_BOXES))
+@pytest.mark.parametrize("place", ["dets", "kps"])
+@pytest.mark.parametrize("command", ["track", "eval boxes"])
+def test_bad_box_is_an_invariant_violation_naming_its_line(tmp_path, capsys, command, place,
+                                                           bad):
+    # the bad box sits in frame 1, on line 3; json.dumps writes Infinity and NaN
+    corners, message = _BAD_BOXES[bad]
+    good = [json.dumps({"video_id": "v", "fps": 30.0})]
+    good += [json.dumps({"frame": k, "t": k / 30.0, "dets": [_HAND]}) for k in range(3)]
+    entry = ({"dets": [["hand", 0.9, *corners]]} if place == "dets" else
+             {"kps": [{"points": [[110.0, 120.0, 1]] * 21, "box": corners}]})
+    lines = list(good)
+    lines[2] = json.dumps({"frame": 1, "t": 1 / 30.0, "dets": [_HAND], **entry})
+    bad_path, good_path = tmp_path / "bad.jsonl", tmp_path / "good.jsonl"
+    bad_path.write_text("\n".join(lines) + "\n")
+    good_path.write_text("\n".join(good) + "\n")
+    out = str(tmp_path / "out")
+    argv = (["track", "--in", str(bad_path), "--out", out] if command == "track" else
+            ["eval", "boxes", "--pred", str(bad_path), "--truth", str(good_path), "--out", out])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"invariant violation: line 3: {message}\n"
 
 
 def _skill_inputs(tmp_path):

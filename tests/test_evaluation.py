@@ -3,13 +3,13 @@ import pytest
 
 from oracles import naive_average_precision, naive_confusion_counts, naive_pck
 from scenestream import (
-    BBox,
     DataWarning,
     Detection,
     FrameRecord,
     HandKeypoints,
     InvariantError,
     VideoStream,
+    box,
     iou,
 )
 from scenestream.evaluation import (
@@ -111,7 +111,7 @@ def test_actions_empty_is_error():
 # ------------------------------------------------------------- AP
 
 def det(conf, x0, y0=0.0, size=10.0, category="hand"):
-    return Detection(box=BBox(x0, y0, x0 + size, y0 + size),
+    return Detection(box=box(x0, y0, x0 + size, y0 + size),
                      category=category, confidence=conf)
 
 
@@ -129,13 +129,13 @@ def one_frame_hand_ap(preds, gts):
 
 
 def test_ap_perfect_detector():
-    gts = [BBox(0, 0, 10, 10), BBox(50, 0, 60, 10)]
+    gts = [box(0, 0, 10, 10), box(50, 0, 60, 10)]
     preds = [det(0.9, 0), det(0.8, 50)]
     assert one_frame_hand_ap(preds, gts) == 1.0
 
 
 def test_ap_zero_detections():
-    assert one_frame_hand_ap([], [BBox(0, 0, 10, 10)]) == 0.0
+    assert one_frame_hand_ap([], [box(0, 0, 10, 10)]) == 0.0
 
 
 def test_ap_no_ground_truth_undefined():
@@ -147,7 +147,7 @@ def test_ap_no_ground_truth_undefined():
 
 def test_ap_worked_case_matches_enumeration_oracle():
     # 3 GT, 4 detections with known confidences and IoUs
-    gts = [BBox(0, 0, 10, 10), BBox(50, 0, 60, 10), BBox(100, 0, 110, 10)]
+    gts = [box(0, 0, 10, 10), box(50, 0, 60, 10), box(100, 0, 110, 10)]
     preds = [det(0.95, 1.0),   # strong hit on gt0
              det(0.90, 200.0),  # false positive
              det(0.70, 51.0),  # hit on gt1
@@ -164,7 +164,7 @@ def test_ap_random_small_instances_match_enumeration():
     for _ in range(200):
         n_gt = int(rng.integers(1, 4))
         n_det = int(rng.integers(0, 6))
-        gts = [BBox(30 * k, 0, 30 * k + 10, 10) for k in range(n_gt)]
+        gts = [box(30 * k, 0, 30 * k + 10, 10) for k in range(n_gt)]
         preds = []
         for _ in range(n_det):
             target = int(rng.integers(0, n_gt + 1))
@@ -179,7 +179,7 @@ def test_ap_random_small_instances_match_enumeration():
 
 
 def test_ap_monotone_when_false_positive_removed():
-    gts = [BBox(0, 0, 10, 10), BBox(50, 0, 60, 10)]
+    gts = [box(0, 0, 10, 10), box(50, 0, 60, 10)]
     preds = [det(0.9, 0), det(0.85, 200), det(0.7, 50)]
     with_fp = one_frame_hand_ap(preds, gts)
     without_fp = one_frame_hand_ap([preds[0], preds[2]], gts)
@@ -187,7 +187,7 @@ def test_ap_monotone_when_false_positive_removed():
 
 
 def test_ap_confidence_ties_broken_by_input_order():
-    gts = [BBox(0, 0, 10, 10)]
+    gts = [box(0, 0, 10, 10)]
     hit_first = [det(0.5, 0), det(0.5, 200)]
     miss_first = [det(0.5, 200), det(0.5, 0)]
     assert one_frame_hand_ap(hit_first, gts) == 1.0
@@ -200,7 +200,7 @@ def test_mean_ap_excludes_undefined():
 
 
 def test_match_detections_tp_bounded_by_gt():
-    gts = [BBox(0, 0, 10, 10)]
+    gts = [box(0, 0, 10, 10)]
     preds = [det(0.9, 0), det(0.8, 1), det(0.7, 2)]
     records = _greedy_match_class([(d.confidence, d.box) for d in preds], gts, 0.5)
     assert len(records) == len(preds)
@@ -209,7 +209,7 @@ def test_match_detections_tp_bounded_by_gt():
 
 # ------------------------------------------------------------- PCK
 
-def kps(points, box=BBox(0, 0, 100, 100), visible=None):
+def kps(points, box=box(0, 0, 100, 100), visible=None):
     pts = np.asarray(points, dtype=float)
     vis = np.ones(21) if visible is None else np.asarray(visible, dtype=float)
     return HandKeypoints(points=np.column_stack([pts, vis]), owner_box=box)
@@ -232,18 +232,18 @@ def test_pck_identity_is_one():
 
 
 def test_pck_far_displacement_is_zero():
-    box = BBox(0, 0, 100, 100)  # hand size 100
-    truth = kps(grid_points(), box=box)
-    pred = kps(grid_points(offset=1000.0), box=box)  # 10 x hand_size away
-    assert pck_mean(pred, truth, box) == 0.0
+    b = box(0, 0, 100, 100)  # hand size 100
+    truth = kps(grid_points(), box=b)
+    pred = kps(grid_points(offset=1000.0), box=b)  # 10 x hand_size away
+    assert pck_mean(pred, truth, b) == 0.0
 
 
 def test_pck_mixed_case_matches_distance_oracle():
-    box = BBox(0, 0, 100, 100)  # threshold = 0.2 * 100 = 20 px
+    b = box(0, 0, 100, 100)  # threshold = 0.2 * 100 = 20 px
     truth_pts = grid_points()
     pred_pts = truth_pts.copy()
     pred_pts[7:] += 50.0  # 14 of 21 points pushed out of threshold
-    hits, valid = pck(kps(pred_pts, box=box), kps(truth_pts, box=box), box)
+    hits, valid = pck(kps(pred_pts, box=b), kps(truth_pts, box=b), b)
     dists = np.linalg.norm(pred_pts - truth_pts, axis=1)
     want = [d <= 20.0 for d in dists]
     assert list(hits) == want
@@ -251,13 +251,13 @@ def test_pck_mixed_case_matches_distance_oracle():
 
 
 def test_pck_invisible_truth_excluded_from_denominator():
-    box = BBox(0, 0, 100, 100)
+    b = box(0, 0, 100, 100)
     visible = np.ones(21)
     visible[:7] = 0
-    truth = kps(grid_points(), box=box, visible=visible)
+    truth = kps(grid_points(), box=b, visible=visible)
     pred_pts = grid_points()
     pred_pts[7:14] += 1000.0  # 7 visible points miss
-    hits, valid = pck(kps(pred_pts, box=box), truth, box)
+    hits, valid = pck(kps(pred_pts, box=b), truth, b)
     assert valid.sum() == 14
     assert hits.sum() / valid.sum() == pytest.approx(7 / 14)
 
@@ -266,21 +266,21 @@ def test_pck_invariant_to_uniform_scaling():
     rng = np.random.default_rng(2)
     truth_pts = grid_points()
     pred_pts = truth_pts + rng.normal(0, 10, size=(21, 2))
-    box = BBox(0, 0, 90, 110)
-    base_hits, base_valid = pck(kps(pred_pts, box=box), kps(truth_pts, box=box), box)
+    b = box(0, 0, 90, 110)
+    base_hits, base_valid = pck(kps(pred_pts, box=b), kps(truth_pts, box=b), b)
     lam = 3.7
-    sbox = BBox(0, 0, 90 * lam, 110 * lam)
+    sbox = box(0, 0, 90 * lam, 110 * lam)
     hits, valid = pck(kps(pred_pts * lam, box=sbox), kps(truth_pts * lam, box=sbox), sbox)
     assert list(hits) == list(base_hits)
     assert hits.sum() / valid.sum() == base_hits.sum() / base_valid.sum()
 
 
 def test_pck_aggregate_groups():
-    box = BBox(0, 0, 100, 100)
-    truth = kps(grid_points(), box=box)
+    b = box(0, 0, 100, 100)
+    truth = kps(grid_points(), box=b)
     pred_pts = grid_points()
     pred_pts[1:5] += 1000.0  # thumb chain misses
-    report = evaluate_keypoints(one_frame_stream(keypoints=[kps(pred_pts, box=box)]),
+    report = evaluate_keypoints(one_frame_stream(keypoints=[kps(pred_pts, box=b)]),
                                 one_frame_stream(keypoints=[truth]))
     assert report["thumb_pck"] == 0.0
     assert report["index_pck"] == 1.0
@@ -293,7 +293,7 @@ def test_pck_aggregate_groups():
 
 
 def _keypoints_by_frame(stream):
-    return {fr.frame_index: [(k.points.tolist(), tuple(k.owner_box.as_list()))
+    return {fr.frame_index: [(k.points.tolist(), k.owner_box)
                              for k in fr.keypoints] for fr in stream.frames}
 
 

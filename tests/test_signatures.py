@@ -26,7 +26,7 @@ from scenestream.signatures import (
     transition_probabilities,
     zscore,
 )
-from scenestream.streams import BBox, Detection, FrameRecord, VideoStream
+from scenestream.streams import Detection, FrameRecord, VideoStream, box
 
 CUT, TIE, SUT, BG = "cutting", "tying", "suturing", "background"
 
@@ -100,7 +100,7 @@ def test_timeline_indicators_are_one_hot_action_rows():
 
 def _frame(k, action=None, categories=()):
     return FrameRecord(frame_index=k, timestamp_s=k / 30.0, action=action,
-                       detections=tuple(Detection(BBox(10, 10, 50, 50), c) for c in categories))
+                       detections=tuple(Detection(box(10, 10, 50, 50), c) for c in categories))
 
 
 def test_step_summary_votes_with_ties_by_label_order_and_means_tools_per_frame():

@@ -7,10 +7,10 @@ import pytest
 from oracles import naive_integrated_pose_distance, per_step_procedure_sequences
 from scenestream import (
     ACTIONS,
-    BBox,
     Detection,
     FrameRecord,
     InvariantError,
+    box,
     iou,
     TOOL_CLASSES,
     parse_stream,
@@ -75,7 +75,7 @@ def test_zero_corruption_detections_equal_ground_truth():
         hands = [d for d in fr.detections if d.category == "hand"]
         assert len(hands) == len(frame_truth)
         for h, det in zip(sorted(frame_truth), hands):
-            assert det.box.as_list() == frame_truth[h].as_list()
+            assert det.box == frame_truth[h]
             assert det.confidence == 1.0
 
 
@@ -87,8 +87,8 @@ def test_true_path_length_matches_independent_recomputation():
         cents = []
         for fr in stream.frames:
             hands = [d for d in fr.detections if d.category == "hand"]
-            box = hands[h].box
-            cents.append(((box.x_min + box.x_max) / 2, (box.y_min + box.y_max) / 2))
+            x0, y0, x1, y1 = hands[h].box
+            cents.append(((x0 + x1) / 2, (y0 + y1) / 2))
         total = sum(((x1 - x0) ** 2 + (y1 - y0) ** 2) ** 0.5
                     for (x0, y0), (x1, y1) in zip(cents, cents[1:]))
         assert total == pytest.approx(truth.path_px[h], rel=1e-9)
@@ -124,7 +124,7 @@ def test_jitter_moves_boxes():
     for fr, frame_truth in zip(stream.frames, truth.true_boxes):
         hands = [d for d in fr.detections if d.category == "hand"]
         for h, det in zip(sorted(frame_truth), hands):
-            deltas.append(abs(det.box.x_min - frame_truth[h].x_min))
+            deltas.append(abs(det.box[0] - frame_truth[h][0]))
     assert max(deltas) > 0.5
 
 
@@ -157,18 +157,17 @@ def test_crossing_hands_keep_identity_against_generator_truth():
     frames, true_boxes = [], []
     for k in range(100):
         centers = ((200.0 + 8.0 * k, 300.0), (1000.0 - 8.0 * k, 360.0))
-        frame_truth = {h: BBox(cx - 55.0, cy - 45.0, cx + 55.0, cy + 45.0)
+        frame_truth = {h: box(cx - 55.0, cy - 45.0, cx + 55.0, cy + 45.0)
                        for h, (cx, cy) in enumerate(centers)}
         true_boxes.append(frame_truth)
         frames.append(FrameRecord(frame_index=k, timestamp_s=k / 30.0, detections=tuple(
-            Detection(box=box, category="hand") for box in frame_truth.values())))
+            Detection(box=b, category="hand") for b in frame_truth.values())))
     tracker = SortTracker(TrackerConfig(min_hits=1))
     assigned = {}  # track_id -> set of gt ids it follows
     for fr, frame_truth in zip(frames, true_boxes):
         for tid, corners in tracker.step(fr):
-            box = BBox(*corners)
-            best = max(frame_truth, key=lambda h: iou(box, frame_truth[h]))
-            if iou(box, frame_truth[best]) >= 0.3:
+            best = max(frame_truth, key=lambda h: iou(corners, frame_truth[h]))
+            if iou(corners, frame_truth[best]) >= 0.3:
                 assigned.setdefault(tid, set()).add(best)
     # each emitted track follows exactly one ground-truth hand for its lifetime
     assert assigned

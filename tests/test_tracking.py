@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import SevenStateKalman, brute_force_assignment, scaled_noise
-from scenestream import BBox, Detection, FrameRecord, InvariantError, tracking
+from scenestream import Detection, FrameRecord, InvariantError, box, tracking
 from scenestream.synth import CorruptionSpec, HandMotionSpec, SynthSpec, generate_stream
 from scenestream.tracking import (
     SortTracker,
@@ -39,14 +39,14 @@ def one_track(pos, vel=(0.0, 0.0, 0.0), var=10.0):
     return [[*map(float, pos), *map(float, vel), var, 0.0, var, var, 0.0, var, var]]
 
 
-def born(box):
-    """Filters of one track born on `box`."""
-    return [new_track(box.as_list())]
+def born(b):
+    """Filters of one track born on box `b`."""
+    return [new_track(b)]
 
 
-def rows(box):
-    """Float corner rows of one BBox."""
-    return [box.as_list()]
+def rows(b):
+    """Float corner rows of one box."""
+    return [list(b)]
 
 
 def positions(filters):
@@ -96,8 +96,8 @@ def test_tracker_config_validation():
 
 
 def test_box_measurement_roundtrip():
-    corners = rows(BBox(10, 20, 50, 100))
-    kalman = born(BBox(10, 20, 50, 100))
+    corners = rows(box(10, 20, 50, 100))
+    kalman = born(box(10, 20, 50, 100))
     assert stacked(kalman)[:2, 0].tolist() == [[30.0, 60.0, 3200.0, 0.5], [0.0] * 4]
     # p00, p01 and p11 of the (u, v, s, r) blocks; r has no velocity
     assert stacked(kalman)[2:, 0].tolist() == [[10.0] * 4, [0.0] * 4, [1e4, 1e4, 1e4, 0.0]]
@@ -116,8 +116,8 @@ def test_predict_zero_velocity_keeps_box_and_grows_covariance():
     assert positions(out)[0][2] == 400.0
     # the tracker counts the frames a coasting track goes without an update
     tracker = SortTracker(TrackerConfig(min_hits=1))
-    box = BBox(100, 100, 160, 160)
-    tracker.step(hand_frame(0, [box]))
+    b = box(100, 100, 160, 160)
+    tracker.step(hand_frame(0, [b]))
     assert tracker.time_since_update == [0]
     for k in range(1, 4):
         assert tracker.step(hand_frame(k, [])) == []
@@ -194,11 +194,11 @@ def test_associate_empty_inputs():
 def test_associate_3x3_equals_permutation_search():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        tracks = [BBox(x, y, x + 10, y + 10)
+        tracks = [box(x, y, x + 10, y + 10)
                   for x, y in rng.uniform(0, 30, size=(3, 2))]
-        dets = [BBox(x, y, x + 10, y + 10)
+        dets = [box(x, y, x + 10, y + 10)
                 for x, y in rng.uniform(0, 30, size=(3, 2))]
-        got = associate([t.as_list() for t in tracks], [d.as_list() for d in dets], 0.1)
+        got = associate(tracks, dets, 0.1)
         score = np.array([[_iou(t, d) for d in dets] for t in tracks])
         want = brute_force_assignment(score, 0.1)
         assert (sorted(got[0]), sorted(got[1])) == (sorted(want[0]), sorted(want[2]))
@@ -223,24 +223,24 @@ def test_associate_matches_brute_force_up_to_6x6(n, m, seed):
 # ---------------------------------------------------------------- update
 
 def test_update_zero_innovation_keeps_mean_shrinks_covariance():
-    z = _measurements(rows(BBox(40, 50, 60, 90)))
+    z = _measurements(rows(box(40, 50, 60, 90)))
     kalman = one_track(z[0])
     out = update(kalman, z, R)
     assert stacked(out)[:2, 0] == pytest.approx(stacked(kalman)[:2, 0], abs=1e-12)
     assert trace(out)[0] < trace(kalman)[0]
     # the tracker counts a matched frame as a hit and resets the coasting count
     tracker = SortTracker(TrackerConfig(min_hits=1))
-    box = BBox(100, 100, 160, 160)
-    tracker.step(hand_frame(0, [box]))
+    b = box(100, 100, 160, 160)
+    tracker.step(hand_frame(0, [b]))
     tracker.step(hand_frame(1, []))
     assert (tracker.hits, tracker.time_since_update) == ([1], [1])
-    tracker.step(hand_frame(2, [box]))
+    tracker.step(hand_frame(2, [b]))
     assert (tracker.hits, tracker.time_since_update) == ([2], [0])
 
 
 def test_update_repeated_measurements_converge_to_measurement():
-    z = _measurements(rows(BBox(200, 100, 260, 180)))
-    kalman = born(BBox(100, 60, 140, 120))
+    z = _measurements(rows(box(200, 100, 260, 180)))
+    kalman = born(box(100, 60, 140, 120))
     errs = []
     for k in range(2000):
         kalman = predict(kalman, Q)
@@ -254,13 +254,13 @@ def test_update_repeated_measurements_converge_to_measurement():
 def test_update_covariance_symmetric_psd():
     # each block is symmetric by construction (p01 is stored once); a 2x2
     # symmetric block is PSD when its diagonal and determinant are >= 0
-    kalman = born(BBox(10, 10, 40, 60))
+    kalman = born(box(10, 10, 40, 60))
     rng = np.random.default_rng(3)
     for k in range(25):
         jitter = rng.normal(0, 2, size=2)
-        box = BBox(10 + jitter[0] + k, 10 + jitter[1], 40 + jitter[0] + k, 60 + jitter[1])
+        b = box(10 + jitter[0] + k, 10 + jitter[1], 40 + jitter[0] + k, 60 + jitter[1])
         kalman = predict(kalman, Q)
-        kalman = update(kalman, _measurements(rows(box)), R)
+        kalman = update(kalman, _measurements(rows(b)), R)
         p00, p01, p11 = stacked(kalman)[2:, 0]
         assert p00.min() >= -1e-9 and p11.min() >= -1e-9
         assert (p00 * p11 - p01 * p01).min() >= -1e-9
@@ -295,7 +295,7 @@ def test_predicted_variances_keep_every_innovation_variance_positive(monkeypatch
                 hidden[h] -= 1
                 continue
             x, y = (float(v) for v in rng.normal([100.0 + 200.0 * h, 150.0], 2.0))
-            boxes.append(BBox(x, y, x + 60.0, y + 80.0))
+            boxes.append(box(x, y, x + 60.0, y + 80.0))
         tracker.step(hand_frame(k, boxes))
         coasted = max([coasted, *tracker.time_since_update])
     assert coasted == CFG.max_age and len(predicted) == 900 and sum(predicted) > 2000
@@ -305,10 +305,10 @@ def test_predicted_variances_keep_every_innovation_variance_positive(monkeypatch
 
 def test_single_stationary_detection_keeps_one_id():
     tracker = SortTracker()
-    box = BBox(100, 100, 160, 160)
+    b = box(100, 100, 160, 160)
     ids = set()
     for k in range(20):
-        out = tracker.step(hand_frame(k, [box]))
+        out = tracker.step(hand_frame(k, [b]))
         assert len(out) == 1
         ids.add(out[0][0])
     assert len(ids) == 1
@@ -317,22 +317,22 @@ def test_single_stationary_detection_keeps_one_id():
 def test_gap_longer_than_max_age_creates_new_id():
     cfg = TrackerConfig(max_age=3, min_hits=1)
     tracker = SortTracker(cfg)
-    box = BBox(100, 100, 160, 160)
-    first = tracker.step(hand_frame(0, [box]))[0][0]
+    b = box(100, 100, 160, 160)
+    first = tracker.step(hand_frame(0, [b]))[0][0]
     for k in range(1, 6):  # max_age + 2 missing frames
         assert tracker.step(hand_frame(k, [])) == []
-    second = tracker.step(hand_frame(6, [box]))[0][0]
+    second = tracker.step(hand_frame(6, [b]))[0][0]
     assert second != first
 
 
 def test_gap_within_max_age_keeps_id():
     cfg = TrackerConfig(max_age=5, min_hits=1)
     tracker = SortTracker(cfg)
-    box = BBox(100, 100, 160, 160)
-    first = tracker.step(hand_frame(0, [box]))[0][0]
+    b = box(100, 100, 160, 160)
+    first = tracker.step(hand_frame(0, [b]))[0][0]
     for k in range(1, 4):
         tracker.step(hand_frame(k, []))
-    again = tracker.step(hand_frame(4, [box]))
+    again = tracker.step(hand_frame(4, [b]))
     assert again[0][0] == first
 
 
@@ -341,7 +341,7 @@ def test_track_ids_unique_never_reused():
     tracker = SortTracker(cfg)
     seen = []
     for k in range(30):
-        boxes = [BBox(100, 100, 160, 160)] if (k // 3) % 2 == 0 else []
+        boxes = [box(100, 100, 160, 160)] if (k // 3) % 2 == 0 else []
         for tid, _ in tracker.step(hand_frame(k, boxes)):
             seen.append(tid)
     # each contiguous appearance gets a fresh id; ids never repeat after a gap
@@ -357,10 +357,10 @@ def test_zero_noise_output_equals_detections(monkeypatch):
     use_noise(monkeypatch, 1e-6, 1e-12)
     tracker = SortTracker(TrackerConfig(min_hits=1))
     for k in range(10):
-        box = BBox(100 + 3 * k, 50 + 2 * k, 160 + 3 * k, 110 + 2 * k)
-        out = tracker.step(hand_frame(k, [box]))
+        b = box(100 + 3 * k, 50 + 2 * k, 160 + 3 * k, 110 + 2 * k)
+        out = tracker.step(hand_frame(k, [b]))
         assert len(out) == 1
-        assert out[0][1] == pytest.approx(box.as_list(), abs=1e-6)
+        assert out[0][1] == pytest.approx(list(b), abs=1e-6)
 
 
 def test_cycle_matches_least_squares_line_after_burn_in():
@@ -369,11 +369,11 @@ def test_cycle_matches_least_squares_line_after_burn_in():
     est = {}
     n = 150
     for k in range(n):
-        box = BBox(50 + 2.0 * k, 400 - 1.5 * k, 110 + 2.0 * k, 470 - 1.5 * k)
-        centers_x.append((box.x_min + box.x_max) / 2)
-        centers_y.append((box.y_min + box.y_max) / 2)
+        b = box(50 + 2.0 * k, 400 - 1.5 * k, 110 + 2.0 * k, 470 - 1.5 * k)
+        centers_x.append((b[0] + b[2]) / 2)
+        centers_y.append((b[1] + b[3]) / 2)
         frames.append(k)
-        for tid, (x0, y0, x1, y1) in tracker.step(hand_frame(k, [box])):
+        for tid, (x0, y0, x1, y1) in tracker.step(hand_frame(k, [b])):
             est[k] = ((x0 + x1) / 2, (y0 + y1) / 2)
     # independent straight-line least-squares fit on the measurements
     px = np.polyfit(frames, centers_x, 1)
@@ -399,10 +399,10 @@ def test_overlap_scores_equal_scalar_iou_bit_for_bit():
                 # clamped at 0 the way the tracker clamps predicted boxes
                 x, y = (max(float(v), 0.0) for v in rng.uniform(-10, 30, size=2))
                 w, h = (float(v) for v in rng.uniform(0.5, 20, size=2))
-            boxes.append(BBox(x, y, x + w, y + h))
+            boxes.append(box(x, y, x + w, y + h))
         cut = int(rng.integers(1, len(boxes)))
         a, b = boxes[:cut], boxes[cut:]
-        scores = _overlap_scores([p.as_list() for p in a], [q.as_list() for q in b])
+        scores = _overlap_scores(a, b)
         assert scores == [{j: _iou(p, q) for j, q in enumerate(b) if _iou(p, q) > 0}
                           for p in a]
         dense = np.array([[row.get(j, 0.0) for j in range(len(b))] for row in scores])
@@ -417,8 +417,8 @@ def test_overlap_scores_leave_out_predictions_past_the_edge_and_nan():
     gone = [[0.0, 10.0, -4.0, 50.0], [0.0, 0.0, 30.0, 0.0], [0.0, 0.0, 0.0, 0.0],
             [nan, 0.0, 40.0, 40.0], [0.0, nan, 40.0, 40.0],
             [0.0, 0.0, nan, 40.0], [0.0, 0.0, 40.0, nan]]
-    dets = [BBox(0, 0, 40, 40), BBox(0, 10, 1, 50)]
-    assert _overlap_scores(gone, [d.as_list() for d in dets]) == [{}] * len(gone)
+    dets = [box(0, 0, 40, 40), box(0, 10, 1, 50)]
+    assert _overlap_scores(gone, dets) == [{}] * len(gone)
     assert np.array_equal(oracles.iou_matrix(np.array(gone), oracles.box_corners(dets)),
                           np.zeros((len(gone), 2)))
 
@@ -549,15 +549,15 @@ def test_batched_kernels_equal_batch_of_one_bit_for_bit():
     tracks, dets = [], []
     for k in range(6):
         x, y = rng.uniform(50, 500, size=2)
-        kalman = born(BBox(x, y, x + 60, y + 80))
+        kalman = born(box(x, y, x + 60, y + 80))
         for _ in range(int(rng.integers(0, 6))):
             dx, dy = rng.normal(0, 3, size=2)
-            z = _measurements(rows(BBox(x + dx, y + dy, x + dx + 60, y + dy + 80)))
+            z = _measurements(rows(box(x + dx, y + dy, x + dx + 60, y + dy + 80)))
             kalman = predict(kalman, Q)
             kalman = update(kalman, z, R)
         tracks += kalman
-        dets.append(BBox(x + 2, y + 1, x + 63, y + 80))
-    z = _measurements([d.as_list() for d in dets])
+        dets.append(box(x + 2, y + 1, x + 63, y + 80))
+    z = _measurements(dets)
     predicted = predict(tracks, Q)
     updated = update(tracks, z, R)
     for k in range(6):
