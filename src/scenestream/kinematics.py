@@ -108,33 +108,12 @@ class TieClip:
                 f"TieClip.experience must be one of {EXPERIENCE_LEVELS}, got {self.experience!r}")
 
 
-@dataclass(frozen=True)
-class HandSummary:
-    """Per-hand kinematic metrics for one clip; all values non-negative."""
-
-    distance_hand_lengths: float
-    distance_per_knot: float
-    mean_velocity: float
-    max_velocity: float
-    mean_acceleration: float
-    max_acceleration: float
-    mean_jerk: float
-    max_jerk: float
-    integrated_pose_distance: float
-    pose_distance_per_knot: float
-
-
-@dataclass(frozen=True)
-class KinematicSummary:
-    video_id: str
-    operator_id: str
-    experience: str
-    knot_count: int
-    left: HandSummary | None
-    right: HandSummary | None
-
-    def hand(self, name: str) -> HandSummary | None:
-        return self.left if name == "left" else self.right
+# per-hand metric names, all values non-negative; the skill CSV's column order
+SUMMARY_FIELDS = (
+    "distance_hand_lengths", "distance_per_knot",
+    "mean_velocity", "max_velocity", "mean_acceleration", "max_acceleration",
+    "mean_jerk", "max_jerk", "integrated_pose_distance", "pose_distance_per_knot",
+)
 
 
 def clip_mean_hand_size(traj: Trajectory) -> float:
@@ -211,31 +190,23 @@ def _summarize_hand(traj, poses, knot_count, fps, per_frame_size):
     vel, acc, jerk = velocity_series(traj, mean_size, fps, per_frame_size)
     segments = [] if poses is None else split_pose_segments(poses, fps)
     pose_total = sum(map(integrated_pose_distance, segments), 0.0)
-    (mean_v, max_v), (mean_a, max_a), (mean_j, max_j) = [
-        (float(np.abs(s).mean()), float(np.abs(s).max())) if s.size else (0.0, 0.0)
-        for s in (vel, acc, jerk)]
-    return HandSummary(
-        distance_hand_lengths=dist,
-        distance_per_knot=dist / knot_count,
-        mean_velocity=mean_v, max_velocity=max_v,
-        mean_acceleration=mean_a, max_acceleration=max_a,
-        mean_jerk=mean_j, max_jerk=max_j,
-        integrated_pose_distance=pose_total,
-        pose_distance_per_knot=pose_total / knot_count,
-    )
+    mean_max = [x for s in (vel, acc, jerk) for x in
+                ((float(np.abs(s).mean()), float(np.abs(s).max())) if s.size else (0.0, 0.0))]
+    return dict(zip(SUMMARY_FIELDS, (dist, dist / knot_count, *mean_max,
+                                      pose_total, pose_total / knot_count)))
 
 
-def summarize_clip(clip: TieClip, fps: float, per_frame_size: bool = False) -> KinematicSummary:
-    """All per-hand metrics for one clip; a hand absent from the clip yields
-    None rather than zeros."""
-    return KinematicSummary(
-        video_id=clip.video_id,
-        operator_id=clip.operator_id,
-        experience=clip.experience,
-        knot_count=clip.knot_count,
-        left=_summarize_hand(clip.left, clip.left_poses, clip.knot_count, fps, per_frame_size),
-        right=_summarize_hand(clip.right, clip.right_poses, clip.knot_count, fps, per_frame_size),
-    )
+def summarize_clip(clip: TieClip, fps: float, per_frame_size: bool = False) -> dict:
+    """The clip's video_id, operator_id, experience and knot_count, plus
+    "left" and "right": each hand's SUMMARY_FIELDS metrics, or None for a
+    hand absent from the clip rather than zeros."""
+    return {
+        "video_id": clip.video_id, "operator_id": clip.operator_id,
+        "experience": clip.experience, "knot_count": clip.knot_count,
+        "left": _summarize_hand(clip.left, clip.left_poses, clip.knot_count, fps, per_frame_size),
+        "right": _summarize_hand(clip.right, clip.right_poses, clip.knot_count, fps,
+                                 per_frame_size),
+    }
 
 
 _METRIC_FIELDS = {
@@ -247,12 +218,12 @@ _METRIC_FIELDS = {
 SKILL_METRICS = tuple(_METRIC_FIELDS)  # the names `skill --metric` and `run` accept
 
 
-def metric_pair(summary: KinematicSummary, metric: str = "distance"):
+def metric_pair(summary: dict, metric: str = "distance"):
     """(left, right) values of the chosen metric, or None when a hand is missing."""
     field_name = _METRIC_FIELDS[metric]
-    if summary.left is None or summary.right is None:
+    if summary["left"] is None or summary["right"] is None:
         return None
-    return (getattr(summary.left, field_name), getattr(summary.right, field_name))
+    return (summary["left"][field_name], summary["right"][field_name])
 
 
 def group_centroids(summaries, metric: str = "distance"):
@@ -266,10 +237,10 @@ def group_centroids(summaries, metric: str = "distance"):
         pair = metric_pair(summary, metric)
         if pair is None:
             warnings.warn(
-                f"clip {summary.video_id}/{summary.operator_id} missing a hand; "
+                f"clip {summary['video_id']}/{summary['operator_id']} missing a hand; "
                 "skipped in centroid", DataWarning, stacklevel=2)
             continue
-        groups.setdefault(summary.experience, []).append(pair)
+        groups.setdefault(summary["experience"], []).append(pair)
     return {exp: (float(np.mean([p[0] for p in pairs])), float(np.mean([p[1] for p in pairs])))
             for exp, pairs in groups.items() if pairs}
 
@@ -282,14 +253,14 @@ def leave_one_out(summaries, metric: str = "distance"):
     reported absent with a warning.
     """
     summaries = list(summaries)
-    operators = sorted({s.operator_id for s in summaries})
+    operators = sorted({s["operator_id"] for s in summaries})
     results = {}
     for op in operators:
-        kept = [s for s in summaries if s.operator_id != op]
+        kept = [s for s in summaries if s["operator_id"] != op]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DataWarning)
             cents = group_centroids(kept, metric)
-        for exp in sorted({s.experience for s in summaries}):
+        for exp in sorted({s["experience"] for s in summaries}):
             if exp not in cents:
                 warnings.warn(f"holding out {op} empties group {exp!r}",
                               DataWarning, stacklevel=2)

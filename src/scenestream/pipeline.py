@@ -2,7 +2,7 @@
 
 Each job is one stage that writes its artifact and returns its data; the
 CLI subcommands and `run_pipeline` call the same stages. Stages exchange
-immutable snapshots (streams, track rows, summaries); every artifact is
+streams, track rows and summaries and never modify them; every artifact is
 written with sorted keys and repr floats so identical inputs produce
 byte-identical bundles. Wall-clock measurements are deliberately not part of
 the bundle; `bench` writes those separately.
@@ -17,7 +17,6 @@ import math
 import os
 import warnings
 from bisect import bisect_left, bisect_right
-from dataclasses import fields
 from itertools import islice
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .errors import DataWarning, InvariantError, StreamFormatError, check_finite
 from .evaluation import KEYPOINT_MATCH_IOU, evaluate_actions, evaluate_boxes
 from .kinematics import (
     SKILL_METRICS,
-    HandSummary,
+    SUMMARY_FIELDS,
     Poses,
     TieClip,
     Trajectory,
@@ -344,21 +343,13 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-_SUMMARY_FIELDS = tuple(f.name for f in fields(HandSummary))
-
-
 def _skill_rows(summaries):
     """One row per (clip, hand); hands missing from a clip leave empty cells."""
-    for summary in summaries:
+    for s in summaries:
         for hand in ("left", "right"):
-            hand_summary = summary.hand(hand)
-            cells = [summary.video_id, summary.operator_id, summary.experience,
-                     summary.knot_count, hand]
-            if hand_summary is None:
-                cells.extend([""] * len(_SUMMARY_FIELDS))
-            else:
-                cells.extend(repr(getattr(hand_summary, f)) for f in _SUMMARY_FIELDS)
-            yield cells
+            metrics = s[hand]
+            yield [s["video_id"], s["operator_id"], s["experience"], s["knot_count"], hand,
+                   *("" if metrics is None else repr(metrics[f]) for f in SUMMARY_FIELDS)]
 
 
 def skill_stage(clips, fps, csv_path, metric="distance", centroids_path=None,
@@ -370,7 +361,7 @@ def skill_stage(clips, fps, csv_path, metric="distance", centroids_path=None,
     summaries = [summarize_clip(clip, fps, per_frame_size=per_frame_size)
                  for clip in clips]
     _write_csv(csv_path, ["video_id", "operator_id", "experience", "knot_count", "hand",
-                          *_SUMMARY_FIELDS], _skill_rows(summaries))
+                          *SUMMARY_FIELDS], _skill_rows(summaries))
     if centroids_path is not None:
         centroids = group_centroids(summaries, metric)
         loo = leave_one_out(summaries, metric)
@@ -458,7 +449,7 @@ def read_features_csv(path):
 def lda_stage(features, projection_path, weights_path):
     """LDA of z-scored, labelled features; writes the 2-D projection and the
     per-feature weights as CSV. Returns the model."""
-    z, _, _ = zscore(features)
+    z, _, _ = zscore(np.array([f.values for f in features]))
     model = lda_fit(z, [f.label for f in features])
     _write_csv(projection_path, ["video_id", "label", "x", "y"],
                ([f.video_id, f.label, *_floats(point)]
@@ -547,20 +538,26 @@ def run_pipeline(config: dict, out_dir) -> dict:
     cfg = _config_value("", DEFAULT_RUN_CONFIG, config)
     seed = int(cfg["seed"])
     s_cfg, k_cfg = cfg["synth"], cfg["skill"]
-    spec = SynthSpec(
-        seed=seed, n_videos=int(s_cfg["n_videos"]), fps=float(s_cfg["fps"]),
-        duration_s=float(s_cfg["duration_s"]),
-        corruption=CorruptionSpec(dropout_rate=float(s_cfg["dropout"]),
-                                  jitter_sigma=float(s_cfg["jitter"])),
-        with_keypoints=s_cfg["with_keypoints"])
-    tracker_config = TrackerConfig(
-        iou_threshold=float(cfg["tracker"]["iou"]),
-        max_age=int(cfg["tracker"]["max_age"]),
-        min_hits=int(cfg["tracker"]["min_hits"]))
-    cohort = SkillCohortSpec(
-        seed=seed, operators_per_group=int(k_cfg["operators_per_group"]),
-        clips_per_operator=int(k_cfg["clips_per_operator"]),
-        clip_duration_s=float(k_cfg["clip_duration_s"]))
+    section = "synth"  # a value its spec rejects is an input error naming the section
+    try:
+        spec = SynthSpec(
+            seed=seed, n_videos=int(s_cfg["n_videos"]), fps=float(s_cfg["fps"]),
+            duration_s=float(s_cfg["duration_s"]),
+            corruption=CorruptionSpec(dropout_rate=float(s_cfg["dropout"]),
+                                      jitter_sigma=float(s_cfg["jitter"])),
+            with_keypoints=s_cfg["with_keypoints"])
+        section = "tracker"
+        tracker_config = TrackerConfig(
+            iou_threshold=float(cfg["tracker"]["iou"]),
+            max_age=int(cfg["tracker"]["max_age"]),
+            min_hits=int(cfg["tracker"]["min_hits"]))
+        section = "skill"
+        cohort = SkillCohortSpec(
+            seed=seed, operators_per_group=int(k_cfg["operators_per_group"]),
+            clips_per_operator=int(k_cfg["clips_per_operator"]),
+            clip_duration_s=float(k_cfg["clip_duration_s"]))
+    except InvariantError as exc:
+        raise StreamFormatError(f"run config: {section}: {exc}") from exc
 
     out = Path(out_dir)
     (out / "streams").mkdir(parents=True, exist_ok=True)

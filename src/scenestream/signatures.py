@@ -298,18 +298,16 @@ def normalize_tool_features(features) -> list:
             for f, row in zip(features, table)]
 
 
-def zscore(features):
-    """Standardize each dimension to zero mean and unit standard deviation.
+def zscore(table):
+    """Standardize each column of a (samples, features) matrix to zero mean
+    and unit standard deviation.
 
     Returns (matrix, mean, sd); zero-variance dimensions pass through as 0
     with a warning. Needs at least 2 samples.
     """
-    if len(features) < 2:  # before np.stack, which fails on an empty list
+    table = np.asarray(table, dtype=float)
+    if len(table) < 2:
         raise InvariantError("zscore needs at least 2 samples")
-    if isinstance(features, np.ndarray):
-        table = np.asarray(features, dtype=float)
-    else:
-        table = np.stack([f.values for f in features])
     mean = table.mean(axis=0)
     sd = table.std(axis=0)
     flat = sd <= 0
@@ -332,9 +330,7 @@ class LdaModel:
     classes: tuple
 
 
-def _scatter_matrices(x: np.ndarray, labels):
-    labels = np.asarray(labels)
-    classes = sorted(set(labels.tolist()))
+def _scatter_matrices(x: np.ndarray, labels: np.ndarray, classes):
     mean = x.mean(axis=0)
     d = x.shape[1]
     s_w = np.zeros((d, d))
@@ -346,7 +342,7 @@ def _scatter_matrices(x: np.ndarray, labels):
         s_w += centered.T @ centered
         diff = (mu - mean)[:, None]
         s_b += len(xc) * (diff @ diff.T)
-    return s_w, s_b, classes, mean
+    return s_w, s_b, mean
 
 
 def lda_fit(x: np.ndarray, labels) -> LdaModel:
@@ -366,7 +362,7 @@ def lda_fit(x: np.ndarray, labels) -> LdaModel:
     for c in classes:
         if int((labels == c).sum()) < 2:
             raise InvariantError(f"class {c!r} has fewer than 2 samples")
-    s_w, s_b, classes, mean = _scatter_matrices(x, labels)
+    s_w, s_b, mean = _scatter_matrices(x, labels, classes)
     trace = float(np.trace(s_w))
     if trace <= 0:
         raise InvariantError("all samples identical; within-class scatter is zero")

@@ -94,12 +94,17 @@ class _Detection(NamedTuple):
     confidence: float = 1.0
 
 
+_box = box  # Detection.__new__'s argument `box` hides the function
+
+
 class Detection(_Detection):
-    """One detected box, its category and its confidence in [0, 1]."""
+    """One detected box, its category and its confidence in [0, 1]. The box
+    is given as its 4 corners and made with `box`, so it is checked first."""
 
     __slots__ = ()
 
     def __new__(cls, box, category, confidence=1.0):
+        box = _box(*box)
         if category not in CATEGORIES:
             raise InvariantError(
                 f"Detection.category must be one of {CATEGORIES}, got {category!r}")
@@ -279,13 +284,14 @@ def _parse_detection(raw, line_no):
             f"det entry must be [cls, conf, x0, y0, x1, y1], got {raw!r}", line=line_no
         )
     cls, conf, x0, y0, x1, y1 = raw
+    corners = (x0, y0, x1, y1)  # one tuple is type-checked here and made a box by Detection
     if conf is None:
         conf = 1.0  # hand-annotated ground truth carries no confidence
-    if not _JSON_NUMBER.issuperset(map(type, (conf, x0, y0, x1, y1))):
+    if type(conf) not in _JSON_NUMBER or not _JSON_NUMBER.issuperset(map(type, corners)):
         raise StreamFormatError(
             f"det conf and box corners must be JSON numbers (conf may be null), got {raw!r}",
             line=line_no)
-    return Detection(box(x0, y0, x1, y1), cls, float(conf))
+    return Detection(corners, cls, float(conf))
 
 
 def _parse_keypoints(raw, text, line_no, checked):

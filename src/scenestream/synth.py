@@ -213,7 +213,7 @@ def generate_stream(spec: SynthSpec, index: int = 0):
             for _ in range(int(rng.poisson(rate))):
                 tx = float(rng.uniform(0, FRAME_WIDTH - 80))
                 ty = float(rng.uniform(0, FRAME_HEIGHT - 40))
-                dets.append(Detection(box=box(tx, ty, tx + 80, ty + 40),
+                dets.append(Detection(box=(tx, ty, tx + 80, ty + 40),
                                       category=tool, confidence=corruption.confidence_mean))
         true_boxes.append(frame_truth)
         frames.append(FrameRecord(frame_index=k, timestamp_s=k / spec.fps,

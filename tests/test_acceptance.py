@@ -224,7 +224,7 @@ def test_acceptance_6_lda_separation_and_oracle():
         warnings.simplefilter("ignore", DataWarning)
         features = normalize_tool_features(
             [featurize(tl, label=label) for tl, label in procedures])
-        z, _, _ = zscore(features)
+        z, _, _ = zscore(np.array([f.values for f in features]))
     labels = np.array([f.label for f in features])
     model = lda_fit(z, labels)
     points = lda_project(z, model)

@@ -21,6 +21,7 @@ from oracles import scaled_noise
 from scenestream import tracking
 from scenestream.cli import main
 from scenestream.errors import DataWarning, StreamFormatError
+from scenestream.kinematics import SUMMARY_FIELDS
 from scenestream.pipeline import (
     _row_line,
     clips_from_tracks,
@@ -209,7 +210,8 @@ def test_cli_skill_from_tracks(tmp_path):
     assert main(["skill", "--tracks", str(tracks_path), "--clips", str(clips_path),
                  "--out", str(out_csv), "--centroids", str(cents)]) == 0
     table = read_csv(out_csv)
-    assert table[0][:5] == ["video_id", "operator_id", "experience", "knot_count", "hand"]
+    assert table[0] == ["video_id", "operator_id", "experience", "knot_count", "hand",
+                        *SUMMARY_FIELDS]
     assert len(table) == 3  # header + left + right
     data = json.loads(cents.read_text())
     assert "trainee" in data["centroids"]
@@ -607,6 +609,14 @@ def test_cli_run_byte_identical(tmp_path):
     ({"sed": 3}, "sed"),
     ({"eval": {"alpha": 0}}, "eval.alpha"),
     ({"eval": {"alpha": -1}}, "eval.alpha"),
+    # values of the right kind that a stage's spec rejects
+    ({"synth": {"dropout": 1.5}}, "run config: synth: dropout_rate must be in [0,1)"),
+    ({"synth": {"jitter": -1}},
+     "run config: synth: jitter_sigma must be a finite number >= 0, got -1.0"),
+    ({"synth": {"n_videos": 0}}, "run config: synth: n_videos must be >= 1"),
+    ({"tracker": {"iou": 1.5}}, "run config: tracker: iou_threshold must be in (0,1), got 1.5"),
+    ({"tracker": {"max_age": 0}}, "run config: tracker: max_age and min_hits must be positive"),
+    ({"skill": {"operators_per_group": 0}}, "run config: skill: cohort sizes must be >= 1"),
 ])
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, config, key):
     cfg_path = tmp_path / "cfg.json"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,7 @@ from oracles import (
 )
 from scenestream import DataWarning, InvariantError
 from scenestream.kinematics import (
-    HandSummary,
-    KinematicSummary,
+    SUMMARY_FIELDS,
     Poses,
     TieClip,
     Trajectory,
@@ -381,9 +382,24 @@ def make_clip(left_pts=None, right_pts=None, knots=4, experience="trainee", op="
 def test_summarize_clip_missing_hand_is_none_not_zero():
     clip = make_clip(left_pts=[(0, 0), (50, 0), (100, 0)])
     summary = summarize_clip(clip, fps=30.0)
-    assert summary.right is None
-    assert summary.left is not None
-    assert summary.left.distance_hand_lengths == pytest.approx(1.0)
+    assert summary["right"] is None
+    assert summary["left"] is not None
+    assert summary["left"]["distance_hand_lengths"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("right_pts", [[(0, 0), (30, 40), (60, 0)], None],
+                         ids=["both-hands", "right-missing"])
+def test_summary_is_plain_json_with_one_field_list(right_pts):
+    clip = make_clip(left_pts=[(0, 0), (50, 0), (100, 0)], right_pts=right_pts)
+    summary = summarize_clip(clip, fps=30.0)
+    assert json.loads(json.dumps(summary)) == summary
+    assert list(summary.items())[:4] == [("video_id", "v"), ("operator_id", "op1"),
+                                         ("experience", "trainee"), ("knot_count", 4)]
+    assert list(summary)[4:] == ["left", "right"]
+    hands = [summary["left"], summary["right"]]
+    assert [tuple(hand) for hand in hands if hand is not None] == \
+        [SUMMARY_FIELDS] * (1 if right_pts is None else 2)
+    assert tuple(hand_summary(1.0)) == SUMMARY_FIELDS  # the builder below matches too
 
 
 def test_summaries_nonnegative_on_random_clips():
@@ -393,20 +409,20 @@ def test_summaries_nonnegative_on_random_clips():
         clip = make_clip(left_pts=rng.uniform(0, 400, (n, 2)),
                          right_pts=rng.uniform(0, 400, (n, 2)))
         s = summarize_clip(clip, fps=30.0)
-        for hand in (s.left, s.right):
+        for hand in (s["left"], s["right"]):
             for field_name in ("distance_hand_lengths", "distance_per_knot",
                                "mean_velocity", "max_velocity", "mean_acceleration",
                                "max_acceleration", "mean_jerk", "max_jerk",
                                "integrated_pose_distance", "pose_distance_per_knot"):
-                assert getattr(hand, field_name) >= 0.0
+                assert hand[field_name] >= 0.0
 
 
 def test_summary_per_knot_is_exact_division():
     clip = make_clip(left_pts=[(0, 0), (150, 0)], right_pts=[(0, 0), (450, 0)], knots=3)
     s = summarize_clip(clip, fps=30.0)
-    assert s.left.distance_per_knot == s.left.distance_hand_lengths / 3
-    assert s.right.distance_per_knot == s.right.distance_hand_lengths / 3
-    assert s.left.pose_distance_per_knot == s.left.integrated_pose_distance / 3
+    assert s["left"]["distance_per_knot"] == s["left"]["distance_hand_lengths"] / 3
+    assert s["right"]["distance_per_knot"] == s["right"]["distance_hand_lengths"] / 3
+    assert s["left"]["pose_distance_per_knot"] == s["left"]["integrated_pose_distance"] / 3
 
 
 def test_tie_clip_validation():
@@ -422,16 +438,15 @@ def test_tie_clip_validation():
 
 
 def hand_summary(value, pose_value=0.0):
-    return HandSummary(
-        distance_hand_lengths=value, distance_per_knot=value / 4,
-        mean_velocity=0.0, max_velocity=0.0, mean_acceleration=0.0,
-        max_acceleration=0.0, mean_jerk=0.0, max_jerk=0.0,
-        integrated_pose_distance=pose_value, pose_distance_per_knot=pose_value / 4)
+    return {"distance_hand_lengths": value, "distance_per_knot": value / 4,
+            "mean_velocity": 0.0, "max_velocity": 0.0, "mean_acceleration": 0.0,
+            "max_acceleration": 0.0, "mean_jerk": 0.0, "max_jerk": 0.0,
+            "integrated_pose_distance": pose_value, "pose_distance_per_knot": pose_value / 4}
 
 
 def summary_of(exp, op, left, right):
-    return KinematicSummary(video_id="v", operator_id=op, experience=exp,
-                            knot_count=4, left=hand_summary(left), right=hand_summary(right))
+    return {"video_id": "v", "operator_id": op, "experience": exp,
+            "knot_count": 4, "left": hand_summary(left), "right": hand_summary(right)}
 
 
 def test_group_centroids_single_member_and_symmetry():
@@ -442,8 +457,8 @@ def test_group_centroids_single_member_and_symmetry():
 
 
 def test_group_centroids_skips_clips_missing_a_hand():
-    missing = KinematicSummary(video_id="v", operator_id="a", experience="trainee",
-                               knot_count=4, left=hand_summary(1.0), right=None)
+    missing = {"video_id": "v", "operator_id": "a", "experience": "trainee",
+               "knot_count": 4, "left": hand_summary(1.0), "right": None}
     with pytest.warns(DataWarning, match="missing a hand"):
         cents = group_centroids([missing, summary_of("trainee", "b", 4.0, 4.0)])
     assert cents == {"trainee": (4.0, 4.0)}

@@ -43,3 +43,49 @@ def test_unused_imports_finds_a_name_never_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_src_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) for each module-level def, class or assignment
+    whose name has one leading underscore and that none of `sources` (module
+    name -> source text) reads: as a name, as an attribute or in a
+    `from ... import`. An attribute read under the same name counts."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [(node.lineno, node.name)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [(n.lineno, n.id) for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [(module, line, name) for line, name in bound
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    return unread
+
+
+def test_unread_private_names_finds_a_name_nothing_reads():
+    sources = {
+        "a": ("__all__ = ['f']\n_USED, _SPARE = 1, 2\n_TABLE: dict = {}\n\n\n"
+              "def _helper():\n    return _USED\n\n\nclass _Base:\n    pass\n\n\n"
+              "def _imported():\n    pass\n\n\ndef _by_attribute():\n    pass\n"),
+        "b": "from .a import _imported\nfrom . import a\n\na._by_attribute()\n",
+    }
+    assert unread_private_names(sources) == [
+        ("a", 2, "_SPARE"), ("a", 3, "_TABLE"), ("a", 6, "_helper"), ("a", 10, "_Base")]
+
+
+def test_src_has_no_unread_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []

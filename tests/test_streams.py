@@ -108,6 +108,28 @@ def test_detection_validation():
     with pytest.raises(InvariantError, match="confidence"):
         Detection(box=b, category="hand", confidence=1.5)
     assert Detection(b, "hand") == (b, "hand", 1.0)
+    # the box is made from its corners, and checked before category and confidence
+    made = Detection([0, 0, 1, 1], "hand")
+    assert made == (b, "hand", 1.0) and type(made.box) is tuple
+    with pytest.raises(InvariantError, match="BBox invariant x_min < x_max violated"):
+        Detection((50.0, 0.0, 20.0, 10.0), "hand")
+    with pytest.raises(InvariantError, match="BBox.y_min must be finite"):
+        Detection(box=(0.0, math.nan, 1.0, 1.0), category="scalpel", confidence=2.0)
+
+
+def test_stream_built_from_constructors_round_trips(tmp_path):
+    frames = tuple(
+        FrameRecord(frame_index=k, timestamp_s=k / 10.0, action="cutting",
+                    detections=(Detection((10 + k, 20, 60, 80.5), "hand", 0.75),
+                                Detection(box=[0, 0, 5, 5], category="forceps")))
+        for k in range(3))
+    stream = VideoStream(video_id="built", fps=10.0, width=640, height=480, frames=frames)
+    path = tmp_path / "built.jsonl"
+    write_stream(stream, path)
+    again = parse_stream(path)
+    assert (again.video_id, again.fps, again.width, again.height) == ("built", 10.0, 640, 480)
+    assert [(fr.frame_index, fr.timestamp_s, fr.detections, fr.action) for fr in again.frames] \
+        == [(fr.frame_index, fr.timestamp_s, fr.detections, fr.action) for fr in frames]
 
 
 def test_keypoints_validation():

@@ -237,14 +237,14 @@ def test_tie_clip_cohort_reflects_experience_targets():
     by_exp = {"experienced": [], "trainee": []}
     for clip in clips:
         s = summarize_clip(clip, fps=spec.fps)
-        by_exp[clip.experience].append(s.left.distance_hand_lengths)
+        by_exp[clip.experience].append(s["left"]["distance_hand_lengths"])
         assert 3 <= clip.knot_count <= 7
     assert np.mean(by_exp["experienced"]) == pytest.approx(2.0, rel=0.15)
     assert np.mean(by_exp["trainee"]) == pytest.approx(4.0, rel=0.15)
     # trainees also show more pose movement
-    pose_exp = np.mean([summarize_clip(c, spec.fps).left.integrated_pose_distance
+    pose_exp = np.mean([summarize_clip(c, spec.fps)["left"]["integrated_pose_distance"]
                         for c in clips if c.experience == "experienced"])
-    pose_tr = np.mean([summarize_clip(c, spec.fps).left.integrated_pose_distance
+    pose_tr = np.mean([summarize_clip(c, spec.fps)["left"]["integrated_pose_distance"]
                        for c in clips if c.experience == "trainee"])
     assert pose_tr > pose_exp
 
