@@ -52,8 +52,8 @@ def box(x_min, y_min, x_max, y_max) -> tuple:
     that breaks them. A NaN fails every comparison of the one-line check.
 
     Boxes stay exact tuples: unpacking one took 15 ns where a tuple subclass
-    took 69 ns (py3.11.7, 2-CPU Xeon VM), and `tracking._overlap_scores`
-    unpacks each detection once per track (144 times a frame at 12 hands)."""
+    took 69 ns (py3.11.7, 2-CPU Xeon VM), and `tracking._overlap_scores` and
+    `tracking._measurements` unpack detection boxes on every frame."""
     b = (float(x_min), float(y_min), float(x_max), float(y_max))
     x0, y0, x1, y1 = b
     if 0.0 <= x0 < x1 < math.inf and 0.0 <= y0 < y1 < math.inf:
@@ -172,25 +172,28 @@ class HandKeypoints:
         return self.points[:, 2] > 0.5
 
 
-@dataclass(frozen=True, eq=False)
-class FrameRecord:
-    """All detections, keypoints, and the action label for one video frame."""
-
+class _FrameRecord(NamedTuple):
     frame_index: int
     timestamp_s: float
-    detections: tuple[Detection, ...] = ()
-    keypoints: tuple[HandKeypoints, ...] = ()
+    detections: tuple = ()  # of Detection
+    keypoints: tuple = ()  # of HandKeypoints
     action: str | None = None
 
-    def __post_init__(self):
-        if self.frame_index < 0:
-            raise InvariantError(f"FrameRecord.frame_index must be >= 0, got {self.frame_index}")
-        if self.action is not None and self.action not in ACTION_LABELS:
+
+class FrameRecord(_FrameRecord):
+    """All detections, keypoints, and the action label for one video frame; a tuple
+    that compares by value (HandKeypoints by identity), whose _make/_replace skip checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, frame_index, timestamp_s, detections=(), keypoints=(), action=None):
+        if frame_index < 0:
+            raise InvariantError(f"FrameRecord.frame_index must be >= 0, got {frame_index}")
+        if action is not None and action not in ACTION_LABELS:
             raise InvariantError(
-                f"FrameRecord.action must be one of {ACTION_LABELS} or None, got {self.action!r}"
-            )
-        object.__setattr__(self, "detections", tuple(self.detections))
-        object.__setattr__(self, "keypoints", tuple(self.keypoints))
+                f"FrameRecord.action must be one of {ACTION_LABELS} or None, got {action!r}")
+        return tuple.__new__(cls, (frame_index, timestamp_s, tuple(detections),
+                                   tuple(keypoints), action))
 
 
 def _check_timestamp(fr: FrameRecord, fps: float) -> None:
@@ -279,6 +282,13 @@ def keypoint_rows(points) -> bool:
 
 
 def _parse_detection(raw, line_no):
+    if type(raw) is list and len(raw) == 6:  # floats passing box's and Detection's checks
+        cls, conf, x0, y0, x1, y1 = raw
+        if (type(conf) is float and type(x0) is float and type(y0) is float
+                and type(x1) is float and type(y1) is float
+                and 0.0 <= x0 < x1 < math.inf and 0.0 <= y0 < y1 < math.inf
+                and cls in CATEGORIES and 0.0 <= conf <= 1.0):
+            return tuple.__new__(Detection, ((x0, y0, x1, y1), cls, conf))
     if not isinstance(raw, list) or len(raw) != 6:
         raise StreamFormatError(
             f"det entry must be [cls, conf, x0, y0, x1, y1], got {raw!r}", line=line_no
@@ -310,9 +320,9 @@ def _parse_keypoints(raw, text, line_no, checked):
     return HandKeypoints.from_json(raw["points"], box(*corners), text)
 
 
-# a JSON number that is finite as a float and that keypoint_rows accepts; optional
-# parts are written (?:...|), which the re engine matches faster than (?:...)?
-_NUMBER = r"-?(?:0|[1-9][0-9]{0,15})(?:\.[0-9]+|)(?:[eE][-+]?[0-9]{1,2}|)"
+# a JSON number that is finite as a float and that keypoint_rows accepts; possessive, as
+# no part given back could let the ", " or "]" after a number match, so none is lost
+_NUMBER = r"-?+(?:0|[1-9][0-9]{0,15}+)(?:\.[0-9]++)?+(?:[eE][-+]?+[0-9]{1,2}+)?+"
 _TRIPLE = rf"\[{_NUMBER}, {_NUMBER}, {_NUMBER}\]"
 # a `points` key; as group 1 its value when that is N_KEYPOINTS such triples spaced
 # as json.dumps writes them, else as group 2 the text up to the last ']' before the
@@ -363,9 +373,7 @@ def _parse_frame(obj, texts, line_no, checked):
     n = len(raw_kps) if raw_kps else 0  # a text per entry only with one key per entry
     texts = texts if texts is not None and len(texts) == n else [None] * n
     kps = tuple(_parse_keypoints(k, text, line_no, checked) for k, text in zip(raw_kps, texts))
-    action = obj.get("action")
-    return FrameRecord(frame_index=frame_index, timestamp_s=float(timestamp_s),
-                       detections=dets, keypoints=kps, action=action)
+    return FrameRecord(frame_index, float(timestamp_s), dets, kps, obj.get("action"))
 
 
 def _parse_header(obj, line_no) -> dict:

@@ -80,6 +80,8 @@ PHASES = (
     ("tying", 0.3, (("needle_driver", 0.7),)),
 )
 
+MAX_FRAMES = 10 ** 7  # per synthetic video or tie clip: 92.6 h at 30 fps
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -97,6 +99,9 @@ class SynthSpec:
     def __post_init__(self):
         check_finite("duration_s", self.duration_s)
         check_finite("fps", self.fps)
+        if self.duration_s * self.fps > MAX_FRAMES + 0.5:  # round() of it above the cap
+            raise InvariantError(f"duration_s * fps must round to at most {MAX_FRAMES} frames, "
+                                 f"got {self.duration_s * self.fps!r}")
         if self.seed < 0:
             raise InvariantError(f"seed must be >= 0, got {self.seed}")
         if self.n_videos < 1:
@@ -283,6 +288,9 @@ class SkillCohortSpec:
 
     def __post_init__(self):
         check_finite("clip_duration_s", self.clip_duration_s)
+        if self.clip_duration_s * self.fps > MAX_FRAMES + 0.5:  # as in SynthSpec
+            raise InvariantError(f"clip_duration_s * fps must round to at most {MAX_FRAMES} "
+                                 f"frames, got {self.clip_duration_s * self.fps!r}")
         if self.operators_per_group < 1 or self.clips_per_operator < 1:
             raise InvariantError("cohort sizes must be >= 1")
 

@@ -16,8 +16,9 @@ hands these scalar loops cost less than numpy calls on small arrays, and they
 keep numpy's operation order (float64 `+ - * /` and `sqrt` round correctly
 in both), so every box is bit-identical to the array form. Each frame runs
 one `predict` over every track, one `associate` and one Joseph-form `update`
-over matched tracks. After `predict` each position variance is at least its
-process variance (F P F^T adds [1 1] P [1 1]^T >= 0 of a PSD block), so each
+over matched tracks, whose loop picks the tracks to emit as the birth loop
+does. After `predict` each position variance is at least its process
+variance (F P F^T adds [1 1] P [1 1]^T >= 0 of a PSD block), so each
 innovation variance p00 + R is at least 2 and no gain divides by 0.
 """
 
@@ -203,22 +204,21 @@ def _lexmin_optimal_pairs(score: np.ndarray) -> list[tuple[int, int]]:
 
 def _overlap_scores(tracks, dets) -> list[dict[int, float]]:
     """Per track corner row, {detection index: IoU} over the detection rows
-    it overlaps. The operation order is that of `streams.iou`, so each score
-    equals it bit for bit. A NaN track corner propagates through each min/max
-    as it does through np.minimum/np.maximum, which leaves its pairs out; so
-    are boxes whose corners cross after clamping (a prediction that left the
-    frame)."""
-    det_areas = [(c2 - c0) * (c3 - c1) for c0, c1, c2, c3 in dets]
+    it overlaps. A track whose corners cross (it left the frame) or are NaN
+    overlaps nothing. Otherwise, for finite rows, a pair is kept exactly when
+    `streams.iou` has ix > 0 and iy > 0, and scored in its operation order."""
+    rows = [(j, c0, c1, c2, c3, (c2 - c0) * (c3 - c1))
+            for j, (c0, c1, c2, c3) in enumerate(dets)]
     scores = []
     for a0, a1, a2, a3 in tracks:
-        area, row = (a2 - a0) * (a3 - a1), {}
-        for j, (c0, c1, c2, c3) in enumerate(dets):
-            ix = (c2 if c2 < a2 else a2) - (c0 if c0 > a0 else a0)
-            if ix > 0:
-                iy = (c3 if c3 < a3 else a3) - (c1 if c1 > a1 else a1)
-                if iy > 0:
-                    inter = ix * iy
-                    row[j] = inter / (area + det_areas[j] - inter)
+        row = {}
+        if a0 < a2 and a1 < a3:
+            area = (a2 - a0) * (a3 - a1)
+            for j, c0, c1, c2, c3, det_area in rows:
+                if c0 < a2 and a0 < c2 and c1 < a3 and a1 < c3:
+                    inter = (((c2 if c2 < a2 else a2) - (c0 if c0 > a0 else a0))
+                             * ((c3 if c3 < a3 else a3) - (c1 if c1 > a1 else a1)))
+                    row[j] = inter / (area + det_area - inter)
         scores.append(row)
     return scores
 
@@ -229,7 +229,8 @@ def associate(track_boxes, det_boxes, iou_threshold):
     Boxes are lists of rows of 4 floats (x_min, y_min, x_max, y_max). Returns
     (matches, unmatched_dets); matches maximize the total IoU with ties
     broken as `_lexmin_optimal_pairs` breaks them, then pairs with IoU <
-    iou_threshold (which must be > 0) dissolve.
+    iou_threshold (which must be > 0) dissolve. Matches come in increasing
+    track order, which `SortTracker.step` emits in.
 
     The solver runs only when the overlap scores leave the optimum open.
     Suppose each track with an overlap has a best score more than
@@ -291,6 +292,7 @@ class SortTracker:
         """
         cfg = self.config
         self.frame_count += 1
+        young = self.frame_count <= cfg.min_hits
         det_rows = [d.box for d in frame.detections if d.category == HAND]
 
         filters = predict(self.filters, _PROCESS_VAR)
@@ -298,6 +300,7 @@ class SortTracker:
         since = [t + 1 for t in self.time_since_update]
         matches, unmatched_dets = associate(
             _state_corners(filters), det_rows, cfg.iou_threshold)
+        emit = []  # (id, filter) of matched tracks, then of newborns: in id order
         if matches:
             hit, det_idx = zip(*matches)
             z = _measurements([det_rows[j] for j in det_idx])
@@ -305,9 +308,11 @@ class SortTracker:
                 filters[i] = filt
                 hits[i] += 1
                 since[i] = 0
+                if young or hits[i] >= cfg.min_hits:
+                    emit.append((ids[i], filt))
 
-        keep = [t <= cfg.max_age for t in since]
-        if not all(keep):
+        if since and max(since) > cfg.max_age:
+            keep = [t <= cfg.max_age for t in since]
             ids, filters, hits, since = ([x for x, k in zip(column, keep) if k]
                                          for column in (ids, filters, hits, since))
         for j in unmatched_dets:
@@ -315,12 +320,10 @@ class SortTracker:
             filters.append(new_track(det_rows[j]))
             hits.append(1)
             since.append(0)
+            if young or cfg.min_hits <= 1:
+                emit.append((self._next_id, filters[-1]))
             self._next_id += 1
         self.ids, self.filters, self.hits, self.time_since_update = ids, filters, hits, since
-
-        young = self.frame_count <= cfg.min_hits
-        emit = [k for k, (t, h) in enumerate(zip(since, hits))
-                if t == 0 and (young or h >= cfg.min_hits)]
         # a NaN corner fails every comparison, so its track is dropped too
-        return [(ids[k], c) for k, c in zip(emit, _state_corners([filters[k] for k in emit]))
+        return [(tid, c) for (tid, _), c in zip(emit, _state_corners(f for _, f in emit))
                 if c[0] < c[2] < inf and c[1] < c[3] < inf]

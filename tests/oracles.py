@@ -2,14 +2,18 @@
 
 Everything here is deliberately naive (loops, enumeration, rasterization) and
 shares no code with the library paths it checks, except that `array_associate`
-runs the library's assignment solver, which the brute-force tests check alone.
+runs the library's assignment solver, which the brute-force tests check alone,
+and `TwoPassSort` steps with the library's kernels to check how
+`SortTracker.step` combines them.
 """
 
 import itertools
+from math import inf
 
 import numpy as np
 
-from scenestream.streams import ACTIONS, TOOL_CLASSES
+from scenestream import tracking
+from scenestream.streams import ACTIONS, HAND, TOOL_CLASSES
 from scenestream.tracking import _lexmin_optimal_pairs
 
 
@@ -182,6 +186,52 @@ def array_associate(track_boxes, det_boxes, iou_threshold):
     return (matches,
             [i for i in range(n) if i not in matched_t],
             [j for j in range(m) if j not in matched_d])
+
+
+class TwoPassSort:
+    """SORT over the module kernels of `tracking` with the emit and death rules
+    in separate passes: after the update every track is aged and kept while
+    `time_since_update <= max_age`, newborns are appended, then a pass over
+    all tracks emits those updated this frame with min_hits hits (any, while
+    the stream is younger than min_hits), dropping boxes that are not finite
+    or whose corners cross."""
+
+    def __init__(self, config):
+        self.config = config
+        self.ids, self.filters, self.hits, self.time_since_update = [], [], [], []
+        self.frame_count, self.next_id = 0, 1
+
+    def step(self, frame):
+        cfg = self.config
+        self.frame_count += 1
+        det_rows = [d.box for d in frame.detections if d.category == HAND]
+        filters = tracking.predict(self.filters, tracking._PROCESS_VAR)
+        hits = list(self.hits)
+        since = [t + 1 for t in self.time_since_update]
+        matches, unmatched_dets = tracking.associate(
+            tracking._state_corners(filters), det_rows, cfg.iou_threshold)
+        if matches:
+            hit = [i for i, _ in matches]
+            z = tracking._measurements([det_rows[j] for _, j in matches])
+            for i, filt in zip(hit, tracking.update([filters[i] for i in hit], z,
+                                                    tracking._MEASUREMENT_VAR)):
+                filters[i], hits[i], since[i] = filt, hits[i] + 1, 0
+        keep = [t <= cfg.max_age for t in since]
+        ids, filters, hits, since = ([x for x, k in zip(column, keep) if k]
+                                     for column in (self.ids, filters, hits, since))
+        for j in unmatched_dets:
+            ids.append(self.next_id)
+            filters.append(tracking.new_track(det_rows[j]))
+            hits.append(1)
+            since.append(0)
+            self.next_id += 1
+        self.ids, self.filters, self.hits, self.time_since_update = ids, filters, hits, since
+        young = self.frame_count <= cfg.min_hits
+        emit = [k for k, (t, h) in enumerate(zip(since, hits))
+                if t == 0 and (young or h >= cfg.min_hits)]
+        corners = tracking._state_corners([filters[k] for k in emit])
+        return [(ids[k], c) for k, c in zip(emit, corners)
+                if c[0] < c[2] < inf and c[1] < c[3] < inf]
 
 
 def naive_path_distance(points, mean_size):

@@ -1419,6 +1419,36 @@ print(json.dumps([imported, code, scipy_modules()]))
 """
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["run", "--config", "{cfg}", "--out", "{out}"], 1,
+     "input error: run config: synth: duration_s * fps must round to at most 10000000 "
+     "frames, got 20000000000.0\n"),
+    (["run", "--config", "{skill_cfg}", "--out", "{out}"], 1,
+     "input error: run config: skill: clip_duration_s * fps must round to at most "
+     "10000000 frames, got 30000000000000.0\n"),
+    (["synth", "--fps", "1e9", "--duration", "20", "--out", "{out}"], 2,
+     "invariant violation: duration_s * fps must round to at most 10000000 frames, "
+     "got 20000000000.0\n"),
+    (["bench", "--fps", "1e9", "--minutes", "1", "--out", "{out}"], 2,
+     "invariant violation: duration_s * fps must round to at most 10000000 frames, "
+     "got 60000000000.0\n"),
+], ids=["run", "run-skill", "synth", "bench"])
+def test_cli_rejects_a_synthetic_video_past_the_frame_cap(tmp_path, argv, code, message):
+    # a new process with a timeout, as these inputs once ran without end
+    cfg, skill_cfg = tmp_path / "cfg.json", tmp_path / "skill_cfg.json"
+    cfg.write_text(json.dumps({"synth": {"fps": 1e9}}))
+    skill_cfg.write_text(json.dumps({"skill": {"clip_duration_s": 1e12}}))
+    out = tmp_path / "out"
+    argv = [a.format(cfg=cfg, skill_cfg=skill_cfg, out=out) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from scenestream.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        env={**os.environ, "PYTHONPATH": str(_SRC)}, capture_output=True, text=True,
+        timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (code, message, "")
+    assert not out.exists()
+
+
 def _cold_run(argv) -> bool:
     """Run one CLI command in a new process; whether it loaded scipy. Importing
     the CLI loads none of it."""

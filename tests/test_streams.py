@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,21 @@ def test_frame_record_validation():
         FrameRecord(frame_index=-1, timestamp_s=0.0)
     with pytest.raises(InvariantError, match="action"):
         FrameRecord(frame_index=0, timestamp_s=0.0, action="resting")
+
+
+def test_frame_record_is_a_checked_tuple():
+    det = Detection(box=(1, 2, 30, 40), category="hand")
+    fr = FrameRecord(frame_index=2, timestamp_s=0.5, detections=[det], action="tying")
+    assert fr.detections == (det,) and fr.keypoints == () and type(fr.detections) is tuple
+    same = FrameRecord(2, 0.5, (det,), [], "tying")
+    assert fr == same and hash(fr) == hash(same) and fr == (2, 0.5, (det,), (), "tying")
+    assert fr != FrameRecord(frame_index=2, timestamp_s=0.5, detections=[det])
+    with pytest.raises(AttributeError):
+        fr.action = "cutting"
+    with pytest.raises(InvariantError, match="frame_index must be >= 0, got -3"):
+        FrameRecord(-3, 0.0, [det])
+    with pytest.raises(InvariantError, match="action"):
+        FrameRecord(0, 0.0, action="Tying")
 
 
 def test_video_stream_timestamp_invariant():
@@ -460,3 +476,229 @@ def test_written_keypoint_lines_are_not_decoded_in_full(tmp_path, monkeypatch):
     assert sum(len(fr.keypoints) for fr in parsed.frames) > 20
     assert [kp.points.tolist() for fr in parsed.frames for kp in fr.keypoints] == [
         kp.points.tolist() for fr in stream.frames for kp in fr.keypoints]
+
+
+# ---------------------------------------------------------------- one-pass parsing
+
+# the keypoint pattern as it was before its quantifiers were made possessive
+_OLD_NUMBER = r"-?(?:0|[1-9][0-9]{0,15})(?:\.[0-9]+|)(?:[eE][-+]?[0-9]{1,2}|)"
+_OLD_TRIPLE = rf"\[{_OLD_NUMBER}, {_OLD_NUMBER}, {_OLD_NUMBER}\]"
+_OLD_POINTS = re.compile(rf'"points"[ \t\n\r]*:[ \t\n\r]*(?:(\[{_OLD_TRIPLE}(?:, {_OLD_TRIPLE})'
+                         r'{20}\])|([^"}]*\]))?')
+
+
+def _matches(pattern, text):
+    return [(m.span(), m.span(1), m.span(2), m[1], m[2]) for m in pattern.finditer(text)]
+
+
+def _points_text(values, n=21, sep=", "):
+    """A `points` value of n triples, whose x values cycle through `values`."""
+    rows = [f"[{values[k % len(values)]}{sep}{100 + k}{sep}1]" for k in range(n)]
+    return "[" + ", ".join(rows) + "]"
+
+
+_ADVERSARIAL = [
+    "0", "00", "007", "-0", "-00", "-0.0", "0.5", "1.5", "1234567890123456",
+    "12345678901234567", "1234567890123456.5", "1e10", "1e100", "1E+05", "1e-07",
+    "1e", "1e+", "1.", ".5", "+1", "-", "--1", "1.5e", "1.5e1.5", "1.e5", "0x10",
+    "true", "NaN", "Infinity", "-Infinity", "1 ", " 1",
+]
+
+
+def _adversarial_lines():
+    for value in _ADVERSARIAL:
+        yield f'{{"kps": [{{"points": {_points_text([value])}, "box": [1, 2, 3, 4]}}]}}'
+        yield f'{{"kps": [{{"points": {_points_text(["1", value, "2.5"])}}}]}}'
+    for n in (20, 21, 22):
+        yield f'{{"kps": [{{"points": {_points_text(["1.5"], n)}}}]}}'
+    yield f'{{"kps": [{{"points": {_points_text(["1"], sep="  ,  ")}}}]}}'
+    yield f'{{"kps": [{{"points": {_points_text(["1"]).replace(", ", ",")}}}]}}'
+    yield '{"note": "a \\"points\\": [[1, 2, 3]] in a string", "points": [[1, 2, 3]]}'
+    yield f'{{"note": "\\"points\\": {_points_text(["1"])}", "kps": []}}'
+    yield f'{{"kps": [{{"points" :  {_points_text(["2"])}, "points": [[1, 2]]}}]}}'
+
+
+def test_possessive_keypoint_pattern_matches_as_the_old_one_on_adversarial_lines():
+    lines = list(_adversarial_lines())
+    assert sum(m[1] is not None for line in lines for m in _OLD_POINTS.finditer(line)) > 20
+    for line in lines:
+        assert _matches(streams._POINTS, line) == _matches(_OLD_POINTS, line), line
+
+
+_NUMBER_TEXT = st.one_of(
+    st.from_regex(r"\A-?[0-9]{1,18}(\.[0-9]{0,3})?([eE][-+]?[0-9]{0,3})?\Z"),
+    st.text("0123456789-+.eE ,[]tru", max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_NUMBER_TEXT, min_size=1, max_size=6), n=st.integers(19, 23),
+       sep=st.sampled_from([", ", ",", " , "]),
+       tail=st.sampled_from(["}", ', "box": [1]}', "]"]))
+def test_possessive_keypoint_pattern_matches_as_the_old_one_on_random_triples(values, n, sep,
+                                                                              tail):
+    line = f'{{"kps": [{{"points": {_points_text(values, n, sep)}{tail}]}}'
+    assert _matches(streams._POINTS, line) == _matches(_OLD_POINTS, line)
+
+
+def _det_line(det):
+    return ('{"frame": 0, "t": 0.0, "dets": [["hand", 0.9, 100.0, 100.0, 180.0, 170.0], '
+            + det + '], "kps": [], "action": null}')
+
+
+def _owner_box_line(corners):
+    return ('{"frame": 0, "t": 0.0, "dets": [["hand", 0.9, 100.0, 100.0, 180.0, 170.0]], '
+            f'"kps": [{{"points": {_GOOD}, "box": {corners}}}]}}')
+
+
+_BIG = "1" + "0" * 399
+# the entry under test as written with integer corners; each also runs with
+# its short integers written as floats, the form a written stream has
+_PARITY_ENTRIES = {
+    "conf true": (_det_line, '["hand", true, 1, 2, 30, 40]'),
+    "conf 1.5": (_det_line, '["hand", 1.5, 1, 2, 30, 40]'),
+    "conf NaN": (_det_line, '["hand", NaN, 1, 2, 30, 40]'),
+    "conf 400 digits": (_det_line, f'["hand", {_BIG}, 1, 2, 30, 40]'),
+    "conf null": (_det_line, '["hand", null, 1, 2, 30, 40]'),
+    "conf 1": (_det_line, '["hand", 1, 1, 2, 30, 40]'),
+    "category 5": (_det_line, '[5, 0.5, 1, 2, 30, 40]'),
+    "category null": (_det_line, '[null, 0.5, 1, 2, 30, 40]'),
+    "category Hand": (_det_line, '["Hand", 0.5, 1, 2, 30, 40]'),
+    "corner true": (_det_line, '["hand", 0.5, 1, true, 30, 40]'),
+    "corner string": (_det_line, '["hand", 0.5, 1, 2, "1", 40]'),
+    "corner 400 digits": (_det_line, f'["hand", 0.5, 1, 2, 30, {_BIG}]'),
+    "5 entries": (_det_line, '["hand", 0.5, 1, 2, 30]'),
+    "7 entries": (_det_line, '["hand", 0.5, 1, 2, 30, 40, 50]'),
+    "object det": (_det_line, '{"cls": "hand"}'),
+    "kps box 3 numbers": (_owner_box_line, "[100, 100, 180]"),
+    "kps box bool corner": (_owner_box_line, "[100, false, 180, 170]"),
+    "kps box crossed": (_owner_box_line, "[180, 100, 100, 170]"),
+    "kps box y crossed": (_owner_box_line, "[100, 170, 180, 170]"),
+    "kps box NaN": (_owner_box_line, "[100, 100, NaN, 170]"),
+    "kps box 400 digits": (_owner_box_line, f"[100, 100, 180, {_BIG}]"),
+    "kps box negative": (_owner_box_line, "[-1, 100, 180, 170]"),
+    "kps box object": (_owner_box_line, '{"x": 1}'),
+    "category 5 and conf true": (_det_line, '[5, true, 1, 2, 30, 40]'),
+    "category 5 and conf 1.5": (_det_line, '[5, 1.5, 1, 2, 30, 40]'),
+    "conf 1.5 and crossed": (_det_line, '["hand", 1.5, 30, 2, 1, 40]'),
+    "conf -0.5": (_det_line, '["hand", -0.5, 1, 2, 30, 40]'),
+    "corner NaN": (_det_line, '["hand", 0.5, 1, NaN, 30, 40]'),
+    "corner negative": (_det_line, '["hand", 0.5, 1, -2, 30, 40]'),
+    "y crossed": (_det_line, '["hand", 0.5, 1, 40, 30, 40]'),
+    "corner Infinity": (_det_line, '["hand", 0.5, 1, 2, Infinity, 40]'),
+    "conf -0.0 and zero corners": (_det_line, '["hand", -0.0, 0, 0, 1, 1]'),
+}
+
+
+def _short_ints_as_floats(text):
+    return re.sub(r"(?<![\d.])(\d{1,3})(?![\d.e])", r"\1.0", text)
+
+
+_PARITY_LINES = {name: line(entry) for name, (line, entry) in _PARITY_ENTRIES.items()}
+_PARITY_LINES.update({f"{name}, floats": line(_short_ints_as_floats(entry))
+                      for name, (line, entry) in _PARITY_ENTRIES.items()
+                      if _short_ints_as_floats(entry) != entry})
+
+_INVARIANT, _INPUT = "invariant violation: line 2: ", "input error: line 2: "
+_NOT_NUMBERS = (_INPUT + "det conf and box corners must be JSON numbers (conf may be null), "
+                "got ")
+_CATEGORY = (_INVARIANT + "Detection.category must be one of ('hand', 'electrocautery', "
+             "'needle_driver', 'forceps'), got ")
+_ENTRY = _INPUT + "det entry must be [cls, conf, x0, y0, x1, y1], got "
+_CONF = _INVARIANT + "Detection.confidence must be in [0,1], got "
+_OWNER_BOX = _INPUT + "kps box must be 4 JSON numbers, got "
+# exit code and standard error of `track` on each line, recorded before the
+# parser checked well-formed entries in one pass
+_PARITY = {
+    'conf true': (1, _NOT_NUMBERS + "['hand', True, 1, 2, 30, 40]\n"),
+    'conf 1.5': (2, _CONF + '1.5\n'),
+    'conf NaN': (2, _CONF + 'nan\n'),
+    'conf 400 digits':
+        (1, _INPUT + 'malformed frame record: int too large to convert to float\n'),
+    'conf null': (0, ''),
+    'conf 1': (0, ''),
+    'category 5': (2, _CATEGORY + '5\n'),
+    'category null': (2, _CATEGORY + 'None\n'),
+    'category Hand': (2, _CATEGORY + "'Hand'\n"),
+    'corner true': (1, _NOT_NUMBERS + "['hand', 0.5, 1, True, 30, 40]\n"),
+    'corner string': (1, _NOT_NUMBERS + "['hand', 0.5, 1, 2, '1', 40]\n"),
+    'corner 400 digits':
+        (1, _INPUT + 'malformed frame record: int too large to convert to float\n'),
+    '5 entries': (1, _ENTRY + "['hand', 0.5, 1, 2, 30]\n"),
+    '7 entries': (1, _ENTRY + "['hand', 0.5, 1, 2, 30, 40, 50]\n"),
+    'object det': (1, _ENTRY + "{'cls': 'hand'}\n"),
+    'kps box 3 numbers': (1, _OWNER_BOX + '[100, 100, 180]\n'),
+    'kps box bool corner': (1, _OWNER_BOX + '[100, False, 180, 170]\n'),
+    'kps box crossed':
+        (2, _INVARIANT + 'BBox invariant x_min < x_max violated: 180.0 >= 100.0\n'),
+    'kps box y crossed':
+        (2, _INVARIANT + 'BBox invariant y_min < y_max violated: 170.0 >= 170.0\n'),
+    'kps box NaN': (2, _INVARIANT + 'BBox.x_max must be finite, got nan\n'),
+    'kps box 400 digits':
+        (1, _INPUT + 'malformed frame record: int too large to convert to float\n'),
+    'kps box negative': (2, _INVARIANT + 'BBox.x_min must be >= 0, got -1.0\n'),
+    'kps box object': (1, _OWNER_BOX + "{'x': 1}\n"),
+    'category 5 and conf true': (1, _NOT_NUMBERS + '[5, True, 1, 2, 30, 40]\n'),
+    'category 5 and conf 1.5': (2, _CATEGORY + '5\n'),
+    'conf 1.5 and crossed':
+        (2, _INVARIANT + 'BBox invariant x_min < x_max violated: 30.0 >= 1.0\n'),
+    'conf -0.5': (2, _CONF + '-0.5\n'),
+    'corner NaN': (2, _INVARIANT + 'BBox.y_min must be finite, got nan\n'),
+    'corner negative': (2, _INVARIANT + 'BBox.y_min must be >= 0, got -2.0\n'),
+    'y crossed': (2, _INVARIANT + 'BBox invariant y_min < y_max violated: 40.0 >= 40.0\n'),
+    'corner Infinity': (2, _INVARIANT + 'BBox.x_max must be finite, got inf\n'),
+    'conf -0.0 and zero corners': (0, ''),
+    'conf true, floats': (1, _NOT_NUMBERS + "['hand', True, 1.0, 2.0, 30.0, 40.0]\n"),
+    'conf 1.5, floats': (2, _CONF + '1.5\n'),
+    'conf NaN, floats': (2, _CONF + 'nan\n'),
+    'conf 400 digits, floats':
+        (1, _INPUT + 'malformed frame record: int too large to convert to float\n'),
+    'conf null, floats': (0, ''),
+    'conf 1, floats': (0, ''),
+    'category 5, floats': (2, _CATEGORY + '5.0\n'),
+    'category null, floats': (2, _CATEGORY + 'None\n'),
+    'category Hand, floats': (2, _CATEGORY + "'Hand'\n"),
+    'corner true, floats': (1, _NOT_NUMBERS + "['hand', 0.5, 1.0, True, 30.0, 40.0]\n"),
+    'corner string, floats': (1, _NOT_NUMBERS + "['hand', 0.5, 1.0, 2.0, '1.0', 40.0]\n"),
+    'corner 400 digits, floats':
+        (1, _INPUT + 'malformed frame record: int too large to convert to float\n'),
+    '5 entries, floats': (1, _ENTRY + "['hand', 0.5, 1.0, 2.0, 30.0]\n"),
+    '7 entries, floats': (1, _ENTRY + "['hand', 0.5, 1.0, 2.0, 30.0, 40.0, 50.0]\n"),
+    'kps box 3 numbers, floats': (1, _OWNER_BOX + '[100.0, 100.0, 180.0]\n'),
+    'kps box bool corner, floats': (1, _OWNER_BOX + '[100.0, False, 180.0, 170.0]\n'),
+    'kps box crossed, floats':
+        (2, _INVARIANT + 'BBox invariant x_min < x_max violated: 180.0 >= 100.0\n'),
+    'kps box y crossed, floats':
+        (2, _INVARIANT + 'BBox invariant y_min < y_max violated: 170.0 >= 170.0\n'),
+    'kps box NaN, floats': (2, _INVARIANT + 'BBox.x_max must be finite, got nan\n'),
+    'kps box 400 digits, floats':
+        (1, _INPUT + 'malformed frame record: int too large to convert to float\n'),
+    'kps box negative, floats': (2, _INVARIANT + 'BBox.x_min must be >= 0, got -1.0\n'),
+    'kps box object, floats': (1, _OWNER_BOX + "{'x': 1.0}\n"),
+    'category 5 and conf true, floats':
+        (1, _NOT_NUMBERS + '[5.0, True, 1.0, 2.0, 30.0, 40.0]\n'),
+    'category 5 and conf 1.5, floats': (2, _CATEGORY + '5.0\n'),
+    'conf 1.5 and crossed, floats':
+        (2, _INVARIANT + 'BBox invariant x_min < x_max violated: 30.0 >= 1.0\n'),
+    'conf -0.5, floats': (2, _CONF + '-0.5\n'),
+    'corner NaN, floats': (2, _INVARIANT + 'BBox.y_min must be finite, got nan\n'),
+    'corner negative, floats': (2, _INVARIANT + 'BBox.y_min must be >= 0, got -2.0\n'),
+    'y crossed, floats':
+        (2, _INVARIANT + 'BBox invariant y_min < y_max violated: 40.0 >= 40.0\n'),
+    'corner Infinity, floats': (2, _INVARIANT + 'BBox.x_max must be finite, got inf\n'),
+    'conf -0.0 and zero corners, floats': (0, ''),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PARITY_LINES))
+def test_one_pass_entry_checks_report_as_the_full_checks(tmp_path, capsys, case):
+    path, out = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
+    path.write_text('{"video_id": "v", "fps": 30.0}\n' + _PARITY_LINES[case] + "\n")
+    code = main(["track", "--in", str(path), "--out", str(out)])
+    assert (code, capsys.readouterr().err) == _PARITY[case]
+    if code == 0:  # each entry is the Detection its constructor makes
+        (frame,) = parse_stream(path).frames
+        want = [Detection(box(*corners), cls, 1.0 if conf is None else float(conf))
+                for cls, conf, *corners in json.loads(_PARITY_LINES[case])["dets"]]
+        assert frame.detections == tuple(want)
+        assert [tuple(map(type, (*d.box, d.confidence))) for d in frame.detections] == [
+            (float,) * 5] * len(want)

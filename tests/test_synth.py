@@ -108,6 +108,21 @@ def test_impossible_spec_rejected():
         SkillCohortSpec(operators_per_group=0)
 
 
+def test_frame_count_is_capped_as_the_generator_rounds_it():
+    # generate_stream makes round(duration_s * fps) frames; round() takes a
+    # tie to the even count, so MAX_FRAMES + 0.5 is the largest product kept
+    cap = synth.MAX_FRAMES
+    small_spec(fps=1.0, duration_s=cap + 0.5)
+    small_spec(fps=30.0, duration_s=cap / 30.0)
+    for fps, duration_s in [(1.0, cap + 0.5000001), (1e9, 20.0), (1e200, 1e200)]:
+        with pytest.raises(InvariantError, match=f"round to at most {cap} frames"):
+            small_spec(fps=fps, duration_s=duration_s)
+    SkillCohortSpec(clip_duration_s=(cap + 0.5) / 30.0)
+    for clip_duration_s in [(cap + 0.5000001) / 30.0, 1e12, 1e308]:
+        with pytest.raises(InvariantError, match=f"round to at most {cap} frames"):
+            SkillCohortSpec(clip_duration_s=clip_duration_s)
+
+
 def test_dropout_removes_detections():
     clean, _ = generate_stream(small_spec(), 0)
     noisy, _ = generate_stream(

@@ -384,6 +384,54 @@ def test_cycle_matches_least_squares_line_after_burn_in():
         assert ey == pytest.approx(np.polyval(py, k), abs=1e-6)
 
 
+_HAND_PATH = st.tuples(
+    st.floats(0, 300), st.floats(0, 300),  # first corner
+    st.floats(10, 80), st.floats(10, 80),  # size
+    st.floats(-25, 25), st.floats(-25, 25),  # pixels per frame; a hand may leave the frame
+    st.lists(st.booleans(), min_size=40, max_size=40))  # detected on frame k
+
+
+@settings(max_examples=60, deadline=None)
+@given(paths=st.lists(_HAND_PATH, min_size=1, max_size=5),
+       min_hits=st.integers(1, 3), max_age=st.integers(1, 4),
+       iou_threshold=st.sampled_from([0.1, 0.3]), gap=st.integers(0, 8))
+def test_step_equals_the_two_pass_reference(paths, min_hits, max_age, iou_threshold, gap):
+    # emitting from the update and birth loops, and filtering deaths only when
+    # a track is past max_age, gives the reference's output and state frame by
+    # frame; every hand is missing from frame 10 for `gap` frames, longer than
+    # max_age when gap > max_age, and a hand whose box would cross x = 0 or
+    # y = 0 is not detected while its track coasts out of the frame
+    cfg = TrackerConfig(iou_threshold=iou_threshold, max_age=max_age, min_hits=min_hits)
+    tracker, reference = SortTracker(cfg), oracles.TwoPassSort(cfg)
+    for k in range(40):
+        boxes = []
+        for x, y, w, h, vx, vy, seen in paths:
+            x0, y0 = x + vx * k, y + vy * k
+            if seen[k] and not 10 <= k < 10 + gap and x0 >= 0 and y0 >= 0:
+                boxes.append(box(x0, y0, x0 + w, y0 + h))
+        frame = hand_frame(k, boxes)
+        assert tracker.step(frame) == reference.step(frame)
+        assert (tracker.ids, tracker.filters, tracker.hits, tracker.time_since_update) == (
+            reference.ids, reference.filters, reference.hits, reference.time_since_update)
+
+
+@pytest.mark.parametrize("min_hits, max_age", [(1, 1), (3, 1), (3, 2)])
+def test_step_equals_the_two_pass_reference_on_twelve_lanes(min_hits, max_age):
+    lanes = tuple(HandMotionSpec(region=(40.0 + 103 * i, 150.0, 40.0 + 103 * i + 60, 570.0))
+                  for i in range(12))
+    spec = SynthSpec(seed=29, fps=30.0, duration_s=4.0, hands=lanes,
+                     corruption=CorruptionSpec(dropout_rate=0.3, jitter_sigma=2.0))
+    stream, _ = generate_stream(spec, 0)
+    cfg = TrackerConfig(max_age=max_age, min_hits=min_hits)
+    tracker, reference = SortTracker(cfg), oracles.TwoPassSort(cfg)
+    emitted = 0
+    for frame in stream.frames:
+        out = tracker.step(frame)
+        assert out == reference.step(frame)
+        emitted += len(out)
+    assert emitted > 0 and reference.next_id > 13  # tracks died and were born again
+
+
 # ---------------------------------------------------------------- batched geometry and ties
 
 def test_overlap_scores_equal_scalar_iou_bit_for_bit():
@@ -415,12 +463,39 @@ def test_overlap_scores_leave_out_predictions_past_the_edge_and_nan():
     # clamping, and a NaN in each corner; the array form scores them all 0
     nan = math.nan
     gone = [[0.0, 10.0, -4.0, 50.0], [0.0, 0.0, 30.0, 0.0], [0.0, 0.0, 0.0, 0.0],
-            [nan, 0.0, 40.0, 40.0], [0.0, nan, 40.0, 40.0],
+            [0.0, 30.0, 40.0, 10.0], [30.0, 0.0, 10.0, 40.0],
+            [nan, 0.0, 40.0, 40.0], [0.0, nan, 40.0, 40.0], [0.0, nan, 40.0, nan],
             [0.0, 0.0, nan, 40.0], [0.0, 0.0, 40.0, nan]]
     dets = [box(0, 0, 40, 40), box(0, 10, 1, 50)]
     assert _overlap_scores(gone, dets) == [{}] * len(gone)
     assert np.array_equal(oracles.iou_matrix(np.array(gone), oracles.box_corners(dets)),
                           np.zeros((len(gone), 2)))
+
+
+def test_overlap_scores_keep_a_pair_exactly_when_ix_and_iy_are_positive():
+    # a track row is left out when its corners cross or are NaN, and a pair
+    # when it only touches an edge; the reference is the scorer's form before
+    # it compared corners first: ix and iy worked out for every pair, each
+    # min/max written as a comparison so that a NaN corner propagates
+    nan, inf = math.nan, math.inf
+    dets = [box(0, 0, 40, 40), box(40, 40, 80, 80), box(10, 10, 20, 20)]
+    edge_rows = [[0.0, 45.0, 40.0, 5.0], [0.0, 30.0, 40.0, 10.0], [30.0, 0.0, 10.0, 40.0],
+                 [0.0, nan, 40.0, nan], [nan, nan, nan, nan],
+                 [inf, 0.0, inf, 40.0], [0.0, inf, 40.0, inf], [0.0, 0.0, inf, 40.0],
+                 [0.0, 0.0, 40.0, inf], [-inf, -inf, inf, inf], [-inf, 0.0, -inf, 40.0],
+                 [40.0, 0.0, 80.0, 40.0], [0.0, 40.0, 40.0, 80.0], [80.0, 80.0, 90.0, 90.0],
+                 [20.0, 0.0, 40.0, 10.0], [39.5, 39.5, 40.5, 40.5], [5e-324, 0.0, 1e-323, 40.0]]
+    for row in edge_rows:
+        want = {}
+        for j, (c0, c1, c2, c3) in enumerate(dets):
+            a0, a1, a2, a3 = row
+            ix = (c2 if c2 < a2 else a2) - (c0 if c0 > a0 else a0)
+            iy = (c3 if c3 < a3 else a3) - (c1 if c1 > a1 else a1)
+            if ix > 0 and iy > 0:
+                want[j] = ix * iy / ((a2 - a0) * (a3 - a1) + (c2 - c0) * (c3 - c1) - ix * iy)
+        assert _overlap_scores([row], dets) == [want], row
+    assert [sorted(row) for row in _overlap_scores(edge_rows, dets)] == [
+        [], [], [], [], [], [], [], [0, 2], [0, 2], [0, 1, 2], [], [], [], [], [0], [0, 1], [0]]
 
 
 def _tied_pair(rng, gap):
