@@ -12,7 +12,7 @@ import warnings
 from pathlib import Path
 
 from .bench import DEFAULT_WINDOW_S, bench_stream
-from .errors import FrameOrderError, InvariantError, StreamFormatError
+from .errors import DataWarning, FrameOrderError, InvariantError, StreamFormatError
 from .evaluation import (
     DEFAULT_IOU_THRESHOLD,
     DEFAULT_PCK_ALPHA,
@@ -95,7 +95,8 @@ def cmd_skill(args) -> int:
 
 def _labelled_sequences(args, default_label):
     """{video_id: (Timeline, class)} over the stream files of --streams, in
-    file order; a video missing from --class-map gets `default_label`."""
+    file order; a video missing from --class-map gets `default_label`, and
+    the --class-map keys that name no stream are listed in a DataWarning."""
     timelines = sequences_from_stream_dir(args.streams, resolution_s=args.resolution)
     class_map = {}
     if args.class_map:
@@ -103,6 +104,9 @@ def _labelled_sequences(args, default_label):
         if not isinstance(class_map, dict) or not _strings(list(class_map.values())):
             raise StreamFormatError(f"{args.class_map}: a class map must be a JSON object "
                                     "of video id -> class name strings")
+        unknown = sorted(set(class_map) - set(timelines))
+        if unknown:
+            warnings.warn(f"class map keys name no stream: {unknown}", DataWarning, stacklevel=2)
     return {vid: (tl, class_map.get(vid, default_label)) for vid, tl in timelines.items()}
 
 

@@ -17,6 +17,7 @@ import math
 import os
 import warnings
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .kinematics import (
 )
 from .signatures import (
     FEATURE_NAMES,
-    FeatureVector30,
+    SIGNATURE_GRID,
     build_signature,
     check_step,
     excise_background,
@@ -180,8 +181,9 @@ def _check_tracks_row(row, line_no) -> None:
 
 
 def read_tracks(path):
-    """(header, rows) from a tracks.jsonl file; a malformed line is a
-    StreamFormatError naming its line number."""
+    """(header, rows) from a tracks.jsonl file; a malformed line, or a row
+    whose frame is not above the row's before it, is a StreamFormatError
+    naming its line number."""
     lines = list(iter_json_lines(path))
     if not lines:
         raise StreamFormatError(f"empty tracks file: {path}")
@@ -190,8 +192,13 @@ def read_tracks(path):
     if not finite_numbers([fps], 1) or not fps > 0 or "video_id" not in header:
         raise StreamFormatError("first line must be a header with video_id and a "
                                 "positive fps", line=line_no)
+    previous = -math.inf
     for line_no, row in lines[1:]:
         _check_tracks_row(row, line_no)
+        if row["frame"] <= previous:
+            raise StreamFormatError(f"tracks row frame {row['frame']} is not above the frame "
+                                    "before it", line=line_no)
+        previous = row["frame"]
     return header, [obj for _, obj in lines[1:]]
 
 
@@ -270,16 +277,17 @@ def clips_from_tracks(header, rows, clip_defs):
     operator_id/experience/knot_count (start, end and knot_count JSON
     integers) and optionally explicit left_track/right_track ids; otherwise
     the two longest tracks in range are used, leftmost (mean centroid x)
-    first. Every clip's video_id must be the tracks header's, a clip with
-    start <= end must hold a frame of the tracks file, and explicit ids must
-    differ. A bad clip is a StreamFormatError naming its number. A hand
-    whose explicit id has fewer than 2 frames in range, or whose id is not
-    given while the other hand's is, is left missing with a DataWarning.
+    first. Every clip's video_id must be the tracks header's, its own fields
+    must pass TieClip's checks (made before its tracks are sliced), it must
+    hold a frame of the tracks file, and explicit ids must differ. A bad clip
+    is a StreamFormatError naming its number. A hand whose explicit id has
+    fewer than 2 frames in range, or whose id is not given while the other
+    hand's is, is left missing with a DataWarning.
     """
     if not isinstance(clip_defs, list):
         raise StreamFormatError("a clip list must be a JSON list of clip objects")
     trajectories, poses = _hands_by_track(rows)
-    frames = sorted(row["frame"] for row in rows)
+    frames = [row["frame"] for row in rows]
     clips = []
     for number, definition in enumerate(clip_defs, start=1):
         bad = [k for k in _CLIP_KEYS if not isinstance(definition, dict) or k not in definition
@@ -293,8 +301,14 @@ def clips_from_tracks(header, rows, clip_defs):
             raise StreamFormatError(
                 f"clip {number} is for video {video_id!r}, but the tracks file is "
                 f"for video {header['video_id']!r}")
-        # start > end is left to TieClip's own check, which names it
-        if start <= end and bisect_left(frames, start) == bisect_right(frames, end):
+        try:  # the clip's own fields first, its hands once they are sliced
+            clip = TieClip(video_id=video_id, start=start, end=end,
+                           operator_id=str(definition["operator_id"]),
+                           experience=str(definition["experience"]),
+                           knot_count=definition["knot_count"])
+        except InvariantError as exc:
+            raise StreamFormatError(f"clip {number}: {exc}") from exc
+        if bisect_left(frames, start) == bisect_right(frames, end):
             raise StreamFormatError(
                 f"clip {number}: no frame of the tracks file lies in [{start}, {end}]")
         in_range = {tid: traj.slice(start, end) for tid, traj in trajectories.items()}
@@ -325,14 +339,8 @@ def clips_from_tracks(header, rows, clip_defs):
             return in_range.get(tid), (poses[tid].slice(start, end) if tid in in_range else None)
 
         (left, left_poses), (right, right_poses) = hand(left_id), hand(right_id)
-        try:
-            clips.append(TieClip(
-                video_id=video_id, start=start, end=end,
-                operator_id=str(definition["operator_id"]),
-                experience=str(definition["experience"]), knot_count=definition["knot_count"],
-                left=left, right=right, left_poses=left_poses, right_poses=right_poses))
-        except InvariantError as exc:
-            raise StreamFormatError(f"clip {number}: {exc}") from exc
+        clips.append(replace(clip, left=left, right=right,
+                             left_poses=left_poses, right_poses=right_poses))
     return clips
 
 
@@ -402,31 +410,38 @@ def signature_stage(labelled, window, path):
         by_class.setdefault(label, []).append(tl)
     signatures = {label: build_signature(group, window=window)
                   for label, group in by_class.items()}
+    grid = np.linspace(0.0, 1.0, SIGNATURE_GRID)
     _write_csv(path, ["class", "t", "cutting", "tying", "suturing",
                       "electrocautery", "needle_driver", "forceps"],
                ([name, repr(float(t)), *_floats(actions), *_floats(tools)]
                 for name, sig in sorted(signatures.items())
-                for t, actions, tools in zip(sig.grid, sig.action_curves, sig.tool_curves)))
+                for t, actions, tools in zip(grid, sig.action_curves, sig.tool_curves)))
     return signatures
 
 
 def features_stage(labelled, path):
-    """30-feature vectors of (Timeline, label) pairs, tool counts min-max
-    normalized across them, written as the feature CSV. Returns the
-    normalized features."""
-    features = normalize_tool_features([featurize(tl, label=label) for tl, label in labelled])
+    """The feature table `(video_ids, labels, values)` of (Timeline, label)
+    pairs: `values` holds one row of 30 features per video, tool counts
+    min-max normalized across them. Written as the feature CSV, a missing
+    label as an empty cell."""
+    timelines, labels = map(list, zip(*labelled))
+    video_ids = [tl.video_id for tl in timelines]
+    values = normalize_tool_features(np.array([featurize(tl) for tl in timelines]))
     _write_csv(path, ["video_id", "label", *FEATURE_NAMES],
-               ([f.video_id, f.label or "", *_floats(f.values)] for f in features))
-    return features
+               ([vid, label or "", *_floats(row)]
+                for vid, label, row in zip(video_ids, labels, values)))
+    return video_ids, labels, values
 
 
 def read_features_csv(path):
-    """The labelled FeatureVector30s of a feature table. Blank lines are
-    skipped; any other bad row is a StreamFormatError naming its line."""
+    """The labelled feature table `(video_ids, labels, values)` of a feature
+    CSV. Blank lines are skipped; any other bad row, a quartile action or
+    transition value outside [0, 1] included, is a StreamFormatError naming
+    its line."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     if next(reader, [])[2:] != list(FEATURE_NAMES):
         raise StreamFormatError(f"unexpected feature columns in {path}")
-    features = []
+    video_ids, labels, rows = [], [], []
     for row in reader:
         if not any(cell.strip() for cell in row):
             continue
@@ -437,23 +452,28 @@ def read_features_csv(path):
             values = np.array([float(v) for v in row[2:]])
             if not np.isfinite(values).all():
                 raise ValueError
-            features.append(FeatureVector30(video_id=row[0], label=row[1], values=values))
         except ValueError:
             raise StreamFormatError("feature values must be finite numbers",
                                     line=reader.line_num) from None
-        except InvariantError as exc:  # a quartile or transition value outside [0, 1]
-            raise StreamFormatError(str(exc), line=reader.line_num) from exc
-    return features
+        for name, cols in (("quartile action", values[:12]), ("transition", values[24:])):
+            if np.any(cols < -1e-9) or np.any(cols > 1 + 1e-9):
+                raise StreamFormatError(f"{name} features must lie in [0,1]", line=reader.line_num)
+        video_ids.append(row[0])
+        labels.append(row[1])
+        rows.append(values)
+    return video_ids, labels, np.array(rows)
 
 
 def lda_stage(features, projection_path, weights_path):
-    """LDA of z-scored, labelled features; writes the 2-D projection and the
-    per-feature weights as CSV. Returns the model."""
-    z, _, _ = zscore(np.array([f.values for f in features]))
-    model = lda_fit(z, [f.label for f in features])
+    """LDA of a z-scored, labelled feature table `(video_ids, labels,
+    values)`; writes the 2-D projection and the per-feature weights as CSV.
+    Returns the model."""
+    video_ids, labels, values = features
+    z, _, _ = zscore(values)
+    model = lda_fit(z, labels)
     _write_csv(projection_path, ["video_id", "label", "x", "y"],
-               ([f.video_id, f.label, *_floats(point)]
-                for f, point in zip(features, lda_project(z, model))))
+               ([vid, label, *_floats(point)]
+                for vid, label, point in zip(video_ids, labels, lda_project(z, model))))
     _write_csv(weights_path, ["feature", "axis1_weight", "axis2_weight"],
                ([name, *_floats(model.projection[k, :2])]
                 for k, name in enumerate(FEATURE_NAMES)))

@@ -18,6 +18,9 @@ from .errors import DataWarning, InvariantError, check_finite
 from .streams import ACTIONS, ACTION_LABELS, BACKGROUND, TOOL_CLASSES, VideoStream
 
 DEFAULT_RESOLUTION_S = 5.0
+# steps `stream_steps` builds at most, as synth.MAX_FRAMES: a stream of fewer
+# than that many frame periods passes at any step of at least one frame period
+MAX_STEPS = 10 ** 7
 N_QUARTILES = 4
 SIGNATURE_GRID = 100  # normalized-time samples per signature curve
 DEFAULT_SMOOTHING_WINDOW = 5  # steps; must be odd
@@ -33,7 +36,6 @@ FEATURE_NAMES = (
     + tuple(f"{tool}_q{q + 1}" for tool in TOOL_CLASSES for q in range(N_QUARTILES))
     + tuple(f"p_{a}_to_{b}" for a, b in TRANSITION_PAIRS)
 )
-N_FEATURES = len(FEATURE_NAMES)  # 30
 
 _TOOL_INDEX = {tool: k for k, tool in enumerate(TOOL_CLASSES)}
 _ONE_HOT = {lab: tuple(float(lab == a) for a in ACTIONS) for lab in ACTION_LABELS}
@@ -73,8 +75,8 @@ class Timeline:
 
 def check_step(name: str, step_s: float, fps: float) -> None:
     """Raise InvariantError unless the user-set step `step_s` is a finite
-    number of at least one frame period, so that `stream_steps` builds at
-    most one list per frame period of the stream's duration."""
+    number of at least one frame period, so that `stream_steps` builds at most
+    one list per frame period: fewer than MAX_STEPS for a stream of fewer."""
     check_finite(name, step_s)
     if step_s < 1.0 / fps:
         raise InvariantError(f"{name} must be at least one frame period "
@@ -83,9 +85,14 @@ def check_step(name: str, step_s: float, fps: float) -> None:
 
 def stream_steps(stream: VideoStream, resolution_s: float = DEFAULT_RESOLUTION_S):
     """The frames of each resolution window, as lists, at least one window;
-    frames past the stream's duration join the last window."""
+    frames past the stream's duration join the last window. A duration of
+    more than MAX_STEPS windows raises InvariantError."""
     check_finite("resolution_s", resolution_s)
-    n_steps = max(1, int(np.ceil(stream.duration_s / resolution_s)))
+    n_windows = stream.duration_s / resolution_s  # compared before int(): it may be inf
+    if n_windows > MAX_STEPS:
+        raise InvariantError(f"stream {stream.video_id} lasts {stream.duration_s!r} s, more "
+                             f"than {MAX_STEPS} steps of {resolution_s!r} s")
+    n_steps = max(1, int(np.ceil(n_windows)))
     steps = [[] for _ in range(n_steps)]
     for fr in stream.frames:
         steps[min(int(fr.timestamp_s / resolution_s), n_steps - 1)].append(fr)
@@ -126,24 +133,14 @@ def excise_background(tl: Timeline) -> Timeline:
                     tools=tl.tools[kept])
 
 
-def quartile_spans(n: int):
-    """Four contiguous spans; earlier quartiles absorb the remainder."""
-    base, rem = divmod(n, N_QUARTILES)
-    sizes = [base + (1 if q < rem else 0) for q in range(N_QUARTILES)]
-    spans, start = [], 0
-    for size in sizes:
-        spans.append((start, start + size))
-        start += size
-    return spans
-
-
 def quartile_aggregate(rows: np.ndarray) -> np.ndarray:
     """Per-quartile means of (n, 3) step rows, shape (4, 3).
 
     Over `Timeline.indicators()`: the fraction of steps carrying each
     surgical action. Over `Timeline.tools`: the mean per-step count of each
-    tool class. Fewer than 4 rows leave trailing quartiles empty (zeros,
-    with a warning).
+    tool class. The quartiles are `np.array_split`'s four contiguous parts,
+    earlier ones absorbing the remainder; fewer than 4 rows leave trailing
+    quartiles empty (zeros, with a warning).
     """
     n = len(rows)
     if n == 0:
@@ -151,11 +148,8 @@ def quartile_aggregate(rows: np.ndarray) -> np.ndarray:
     if n < N_QUARTILES:
         warnings.warn(f"sequence of {n} steps leaves {N_QUARTILES - n} empty quartiles",
                       DataWarning, stacklevel=2)
-    out = np.zeros((N_QUARTILES, rows.shape[1]))
-    for q, (lo, hi) in enumerate(quartile_spans(n)):
-        if hi > lo:
-            out[q] = rows[lo:hi].mean(axis=0)
-    return out
+    return np.array([part.mean(axis=0) if len(part) else np.zeros(rows.shape[1])
+                     for part in np.array_split(rows, N_QUARTILES)])
 
 
 def _moving_average(curves: np.ndarray, window: int) -> np.ndarray:
@@ -173,21 +167,10 @@ def _moving_average(curves: np.ndarray, window: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SurgicalSignature:
-    """Aggregate per-procedure-class profile over normalized time [0, 1]."""
+    """A procedure class's profile at SIGNATURE_GRID points of normalized time."""
 
     action_curves: np.ndarray  # (SIGNATURE_GRID, 3) smoothed action probabilities
     tool_curves: np.ndarray  # (SIGNATURE_GRID, 3) smoothed mean tool counts
-
-    def __post_init__(self):
-        curves = np.asarray(self.action_curves, dtype=float)
-        if np.any(curves < -1e-9) or np.any(curves > 1 + 1e-9):
-            raise InvariantError("action probabilities must lie in [0,1]")
-        if np.any(curves.sum(axis=1) > 1 + 1e-9):
-            raise InvariantError("action probabilities must sum to <= 1 per time point")
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, len(self.action_curves))
 
 
 def build_signature(timelines, window: int = DEFAULT_SMOOTHING_WINDOW) -> SurgicalSignature:
@@ -227,41 +210,15 @@ def transition_probabilities(tl: Timeline) -> np.ndarray:
         warnings.warn(f"sequence {tl.video_id} has fewer than 2 runs; transitions all zero",
                       DataWarning, stacklevel=2)
         return np.zeros(len(TRANSITION_PAIRS))
-    counts = {pair: 0 for pair in TRANSITION_PAIRS}
-    for a, b in zip(runs, runs[1:]):
-        counts[(a, b)] += 1
-    out = np.zeros(len(TRANSITION_PAIRS))
-    for k, (a, b) in enumerate(TRANSITION_PAIRS):
-        total_out = sum(counts[(a, c)] for c in ACTIONS if c != a)
-        if total_out > 0:
-            out[k] = counts[(a, b)] / total_out
-    return out
+    index = [ACTIONS.index(lab) for lab in runs]
+    counts = np.zeros((len(ACTIONS), len(ACTIONS)))
+    np.add.at(counts, (index[:-1], index[1:]), 1.0)
+    probs = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1.0)  # no transitions: 0
+    return probs[~np.eye(len(ACTIONS), dtype=bool)]  # off-diagonal, TRANSITION_PAIRS order
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureVector30:
-    """30 interpretable per-procedure features in FEATURE_NAMES order."""
-
-    video_id: str
-    values: np.ndarray  # (30,)
-    label: str | None = None  # procedure class, when known
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).copy()
-        if values.shape != (N_FEATURES,):
-            raise InvariantError(f"expected {N_FEATURES} features, got shape {values.shape}")
-        quart_actions = values[:12]
-        transitions = values[24:]
-        if np.any(quart_actions < -1e-9) or np.any(quart_actions > 1 + 1e-9):
-            raise InvariantError("quartile action features must lie in [0,1]")
-        if np.any(transitions < -1e-9) or np.any(transitions > 1 + 1e-9):
-            raise InvariantError("transition features must lie in [0,1]")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-
-def featurize(tl: Timeline, label: str | None = None):
-    """24 quartile features plus 6 transition features, in FEATURE_NAMES order.
+def featurize(tl: Timeline) -> np.ndarray:
+    """The (30,) features in FEATURE_NAMES order: 24 by quartile, then 6 transitions.
 
     Expects a background-excised timeline. Tool features are raw per-step
     mean counts here; normalize_tool_features rescales them to [0,1] across
@@ -269,33 +226,26 @@ def featurize(tl: Timeline, label: str | None = None):
     """
     if len(tl) == 0:
         raise InvariantError(f"sequence {tl.video_id} has no steps to featurize")
-    values = np.concatenate([quartile_aggregate(tl.indicators()).T.ravel(),
-                             quartile_aggregate(tl.tools).T.ravel(),
-                             transition_probabilities(tl)])
-    return FeatureVector30(video_id=tl.video_id, values=values, label=label)
+    return np.concatenate([quartile_aggregate(tl.indicators()).T.ravel(),
+                           quartile_aggregate(tl.tools).T.ravel(),
+                           transition_probabilities(tl)])
 
 
-def normalize_tool_features(features) -> list:
-    """Min-max normalize the 12 tool columns across the cohort, into [0,1].
+def normalize_tool_features(values: np.ndarray) -> np.ndarray:
+    """A copy of the (videos, 30) feature rows with the 12 tool columns min-max
+    normalized across the cohort, into [0,1].
 
-    Constant columns pass through as zeros with a warning.
+    Constant columns become zeros with a warning.
     """
-    features = list(features)
-    if not features:
-        return []
-    table = np.stack([f.values for f in features])
-    tool_cols = slice(12, 24)
-    block = table[:, tool_cols]
-    lo, hi = block.min(axis=0), block.max(axis=0)
-    span = hi - lo
+    table = np.array(values, dtype=float)
+    block = table[:, 12:24]
+    lo, span = block.min(axis=0), np.ptp(block, axis=0)
     flat = span <= 0
     if np.any(flat):
         names = [FEATURE_NAMES[12 + int(i)] for i in np.flatnonzero(flat)]
         warnings.warn(f"constant tool features set to 0: {names}", DataWarning, stacklevel=2)
-    span = np.where(flat, 1.0, span)
-    table[:, tool_cols] = np.where(flat, 0.0, (block - lo) / span)
-    return [FeatureVector30(video_id=f.video_id, values=row, label=f.label)
-            for f, row in zip(features, table)]
+    table[:, 12:24] = np.where(flat, 0.0, (block - lo) / np.where(flat, 1.0, span))
+    return table
 
 
 def zscore(table):

@@ -222,10 +222,9 @@ def test_acceptance_6_lda_separation_and_oracle():
     procedures = generate_procedure_sequences(seed=606, n_per_class=30)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataWarning)
-        features = normalize_tool_features(
-            [featurize(tl, label=label) for tl, label in procedures])
-        z, _, _ = zscore(np.array([f.values for f in features]))
-    labels = np.array([f.label for f in features])
+        values = normalize_tool_features(np.array([featurize(tl) for tl, _ in procedures]))
+        z, _, _ = zscore(values)
+    labels = np.array([label for _, label in procedures])
     model = lda_fit(z, labels)
     points = lda_project(z, model)
 

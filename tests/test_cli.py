@@ -411,6 +411,24 @@ def test_cli_rejects_class_map_that_is_not_an_object_of_strings(sweep_inputs, tm
     assert not out.exists()
 
 
+def test_cli_warns_of_class_map_keys_that_name_no_stream(sweep_inputs, tmp_path):
+    # the streams are v1 and v2, whose video ids are synth-1-0000 and synth-2-0000
+    outputs = []
+    for name, class_map in (("good", {"synth-1-0000": "a"}),
+                            ("typo", {"synth-1-0000": "a", "synth-2-000o": "b",
+                                      "synth-1-000O": "c"})):
+        map_path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        map_path.write_text(json.dumps(class_map))
+        with warnings.catch_warnings(record=True) as caught:
+            assert main([*sweep_inputs["signature"][0], "--class-map", str(map_path),
+                         "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+        assert [str(w.message) for w in caught if issubclass(w.category, DataWarning)] == (
+            [] if name == "good" else
+            ["class map keys name no stream: ['synth-1-000O', 'synth-2-000o']"])
+    assert outputs[0] == outputs[1]  # synth-2-0000 lands in class "all" either way
+
+
 def test_cli_eval_all_modes(tmp_path):
     streams_dir = tmp_path / "s"
     assert main(["synth", "--seed", "8", "--n-videos", "1", "--fps", "15",
@@ -445,6 +463,36 @@ def test_cli_eval_actions_on_background_only_streams_has_no_macro_means(tmp_path
     assert json.loads(out.read_text()) == {
         "strata": {}, "action_precision": {"background": 1.0},
         "action_recall": {"background": 1.0}, "accuracy": 1.0}
+
+
+# (fps, frame) of a one-frame stream whose step lists would number past the cap:
+# 3.3e10 one-second steps at 30 fps, or 1e300 at 1e-300 fps
+_FAR_STREAMS = {"far-frame": (30.0, 10 ** 12), "tiny-fps": (1e-300, 0)}
+# a new process, its address space capped at 1 GiB so that an uncapped step
+# list fails fast rather than filling the machine's memory
+_CAPPED = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30)); "
+           "from scenestream.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+# (signature's 5 s step is below the 1e300 s frame period, which check_step rejects)
+@pytest.mark.parametrize("name, command", [("far-frame", "eval"), ("tiny-fps", "eval"),
+                                           ("far-frame", "signature")])
+def test_cli_stream_of_too_many_steps_is_an_invariant_violation(tmp_path, name, command):
+    fps, frame = _FAR_STREAMS[name]
+    (tmp_path / "d").mkdir()
+    stream = tmp_path / "d" / "v.jsonl"
+    stream.write_text(json.dumps({"video_id": "v", "fps": fps}) + "\n"
+                      + json.dumps({"frame": frame, "t": frame / fps, "dets": []}) + "\n")
+    out = tmp_path / "out"
+    argv = (["eval", "actions", "--pred", stream, "--truth", stream] if command == "eval"
+            else ["signature", "--streams", tmp_path / "d"])
+    proc = subprocess.run([sys.executable, "-c", _CAPPED, *map(str, argv), "--out", str(out)],
+                          env={**os.environ, "PYTHONPATH": str(_SRC)}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("invariant violation: stream v lasts ")
+    assert "more than 10000000 steps of" in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("iou", ["0", "-0.5", "1.5", "nan"])
@@ -910,8 +958,9 @@ def _run_skill(tmp_path, tracks_path, clips, name):
     ({"left_track": 1, "right_track": 1}, "clip 2: left_track and right_track both name track 1"),
     ({"left_track": 2, "right_track": "2"},
      "clip 2: left_track and right_track both name track 2"),
+    ({"start": 80, "end": 50}, "clip 2: TieClip needs start < end"),
 ])
-def test_cli_skill_rejects_bad_clip(tmp_path, capsys, changes, message):
+def test_cli_skill_rejects_bad_clip(tmp_path, capsys, recwarn, changes, message):
     tracks_path, clip = _skill_inputs(tmp_path)
     bad = {k: v for k, v in {**clip, **changes}.items() if v is not None}
     clips_path = tmp_path / "bad.json"
@@ -921,6 +970,8 @@ def test_cli_skill_rejects_bad_clip(tmp_path, capsys, changes, message):
                  "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+    # a clip's own fields are checked before its tracks are sliced and its hands looked for
+    assert [str(w.message) for w in recwarn if issubclass(w.category, DataWarning)] == []
 
 
 def test_cli_skill_warns_when_an_explicit_track_is_not_in_range(tmp_path):
@@ -1058,6 +1109,13 @@ def _feature_text(row):
                       "a,x," + ",".join(["0.5"] * 30), row]) + "\n"
 
 
+def _tracks_text(*frames):
+    """A tracks file of one hand at the given frames, in that order."""
+    return "\n".join(json.dumps(line) for line in (
+        {"video_id": "v", "fps": 30.0},
+        *({"frame": k, "t": k / 30.0, "tracks": {"1": [1, 2, 30, 40]}} for k in frames))) + "\n"
+
+
 _TRACK = ["track", "--in", "@s.jsonl"]
 _LDA = ["lda", "--features", "@f.csv", "--weights", "@w.csv"]
 _ROW_SHAPE = "line 3: a feature row needs a video id, a class label and 30 values"
@@ -1089,6 +1147,12 @@ _INPUT_ERRORS = {
                            "line 1: first line must be a header with video_id and fps"),
     "empty tracks file": (["skill", "--tracks", "@t.jsonl", "--clips", "@c.json"],
                           {"t.jsonl": "", "c.json": "[]"}, "empty tracks file: "),
+    "tracks rows out of order": (["skill", "--tracks", "@t.jsonl", "--clips", "@c.json"], {
+        "t.jsonl": _tracks_text(0, 2, 1), "c.json": "[]"},
+        "line 4: tracks row frame 1 is not above the frame before it"),
+    "tracks row repeated": (["skill", "--tracks", "@t.jsonl", "--clips", "@c.json"], {
+        "t.jsonl": _tracks_text(0, 1, 1), "c.json": "[]"},
+        "line 4: tracks row frame 1 is not above the frame before it"),
     "streams without stream files": (["signature", "--streams", "@d"],
                                      {"d/v.truth.jsonl": "{}\n"}, "no stream files found in "),
     "feature columns": (_LDA, {"f.csv": "video_id,label,a\n"}, "unexpected feature columns in "),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from oracles import lda_projection_oracle
@@ -7,7 +9,6 @@ from scenestream import DataWarning, InvariantError
 from scenestream.signatures import (
     BUILTIN_RULES,
     FEATURE_NAMES,
-    FeatureVector30,
     Timeline,
     build_signature,
     check_step,
@@ -18,7 +19,6 @@ from scenestream.signatures import (
     lda_project,
     normalize_tool_features,
     quartile_aggregate,
-    quartile_spans,
     step_summary,
     stream_steps,
     timeline_from_stream,
@@ -129,12 +129,31 @@ def test_user_set_steps_span_a_frame_period_and_fixed_steps_run_at_any_fps():
     assert timeline_from_stream(stream, 1.0).labels == (CUT, BG, CUT, BG, CUT, BG)
 
 
+def test_stream_steps_past_the_cap_raise_before_any_list_is_built():
+    def one_frame(fps, k):
+        frame = FrameRecord(frame_index=k, timestamp_s=k / fps, detections=())
+        return VideoStream(video_id="far", fps=fps, width=64, height=64, frames=(frame,))
+
+    # an infinite duration, which int() could not take; 3.3e10 steps of 1 s;
+    # and 1e300 steps
+    for stream in (one_frame(1e-320, 0), one_frame(30.0, 10 ** 12), one_frame(1e-300, 0)):
+        with pytest.raises(InvariantError, match="more than 10000000 steps of 1.0 s"):
+            stream_steps(stream, 1.0)
+    assert len(stream_steps(one_frame(30.0, 10 ** 12), 1e7)) == 3334
+
+
 # ------------------------------------------------------------- quartiles
 
 def test_quartile_spans_balance():
-    assert quartile_spans(8) == [(0, 2), (2, 4), (4, 6), (6, 8)]
-    assert quartile_spans(10) == [(0, 3), (3, 6), (6, 8), (8, 10)]
-    assert quartile_spans(3) == [(0, 1), (1, 2), (2, 3), (3, 3)]
+    # contiguous quartiles, earlier ones absorbing the remainder: the means of
+    # rows 0..n-1 are the midpoints of the spans
+    def means(n):
+        return quartile_aggregate(np.arange(n, dtype=float)[:, None])[:, 0].tolist()
+
+    assert means(8) == [0.5, 2.5, 4.5, 6.5]  # spans of 2, 2, 2, 2
+    assert means(10) == [1.0, 4.0, 6.5, 8.5]  # spans of 3, 3, 2, 2
+    with pytest.warns(DataWarning, match="1 empty quartiles"):
+        assert means(3) == [0.0, 1.0, 2.0, 0.0]  # spans of 1, 1, 1, 0
 
 
 def test_quartile_all_cutting():
@@ -228,6 +247,19 @@ def test_signature_probabilities_sum_to_one_when_excised():
     assert sig.action_curves.sum(axis=1) == pytest.approx(np.ones(100))
 
 
+@settings(max_examples=60, deadline=None)
+@given(cohort=st.lists(st.lists(st.sampled_from([CUT, TIE, SUT, BG]), min_size=1, max_size=40),
+                       min_size=1, max_size=6),
+       window=st.sampled_from([1, 3, 5, 7, 9]))
+def test_signature_action_curves_are_probabilities(cohort, window):
+    # each curve point is a moving average of means of one-hot (or zero) rows
+    sig = build_signature([seq(labels, vid=f"v{k}") for k, labels in enumerate(cohort)],
+                          window=window)
+    assert sig.action_curves.shape == (100, 3)
+    assert (sig.action_curves >= 0).all() and (sig.action_curves <= 1).all()
+    assert (sig.action_curves.sum(axis=1) <= 1 + 1e-12).all()
+
+
 def test_signature_rejects_empty_input():
     with pytest.raises(InvariantError):
         build_signature([])
@@ -285,11 +317,10 @@ def test_transitions_require_excised_input():
 # ------------------------------------------------------------- featurize
 
 def test_featurize_layout_and_bounds():
-    f = featurize(seq([CUT] * 4 + [TIE] * 4, tools=np.tile([1.0, 0.0, 2.0], (8, 1))),
-                  label="demo")
-    assert f.values.shape == (30,)
+    f = featurize(seq([CUT] * 4 + [TIE] * 4, tools=np.tile([1.0, 0.0, 2.0], (8, 1))))
+    assert f.shape == (30,)
     assert len(FEATURE_NAMES) == 30
-    named = dict(zip(FEATURE_NAMES, f.values))
+    named = dict(zip(FEATURE_NAMES, f))
     assert named["cutting_q1"] == 1.0
     assert named["tying_q4"] == 1.0
     assert named["electrocautery_q1"] == 1.0
@@ -307,34 +338,21 @@ def test_featurize_invariant_to_uniform_resampling():
         rep = 3
         stretched = featurize(seq(np.repeat(labels, rep).tolist(),
                                   tools=np.repeat(counts, rep, axis=0)))
-        assert stretched.values == pytest.approx(base.values, abs=1e-12)
-
-
-def test_feature_vector_validation():
-    with pytest.raises(InvariantError, match="30"):
-        FeatureVector30(video_id="v", values=np.zeros(29))
-    bad = np.zeros(30)
-    bad[0] = 1.5
-    with pytest.raises(InvariantError, match="quartile action"):
-        FeatureVector30(video_id="v", values=bad)
+        assert stretched == pytest.approx(base, abs=1e-12)
 
 
 def test_normalize_tool_features_minmax():
-    rows = []
-    for k, scale in enumerate((0.0, 1.0, 2.0)):
-        values = np.zeros(30)
-        values[12:24] = scale
-        rows.append(FeatureVector30(video_id=f"v{k}", values=values))
+    rows = np.zeros((3, 30))
+    rows[:, 12:24] = np.array([0.0, 1.0, 2.0])[:, None]
     out = normalize_tool_features(rows)
-    table = np.stack([f.values for f in out])
-    assert table[:, 12] == pytest.approx([0.0, 0.5, 1.0])
+    assert out[:, 12] == pytest.approx([0.0, 0.5, 1.0])
+    assert rows[:, 12].tolist() == [0.0, 1.0, 2.0]  # a copy: the input is kept
 
 
 def test_normalize_tool_features_constant_column_flagged():
-    rows = [FeatureVector30(video_id=f"v{k}", values=np.zeros(30)) for k in range(3)]
     with pytest.warns(DataWarning, match="constant tool features"):
-        out = normalize_tool_features(rows)
-    assert np.stack([f.values for f in out])[:, 12:24] == pytest.approx(np.zeros((3, 12)))
+        out = normalize_tool_features(np.zeros((3, 30)))
+    assert out[:, 12:24] == pytest.approx(np.zeros((3, 12)))
 
 
 # ------------------------------------------------------------- zscore

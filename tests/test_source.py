@@ -45,11 +45,11 @@ def test_src_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unread_private_names(sources: dict) -> list:
-    """(module, line, name) for each module-level def, class or assignment
-    whose name has one leading underscore and that none of `sources` (module
-    name -> source text) reads: as a name, as an attribute or in a
-    `from ... import`. An attribute read under the same name counts."""
+def unread_names(sources: dict) -> list:
+    """(module, line, name) for each module-level def, class or assignment,
+    dunders aside, that none of `sources` (module name -> source text) reads:
+    as a name, as an attribute or in a `from ... import`. An attribute read
+    under the same name counts."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for node in (n for tree in trees.values() for n in ast.walk(tree)):
@@ -71,8 +71,19 @@ def unread_private_names(sources: dict) -> list:
             else:
                 continue
             unread += [(module, line, name) for line, name in bound
-                       if name.startswith("_") and not name.startswith("__") and name not in read]
+                       if not name.startswith("__") and name not in read]
     return unread
+
+
+def unread_private_names(sources: dict) -> list:
+    """The `unread_names` with one leading underscore."""
+    return [entry for entry in unread_names(sources) if entry[2].startswith("_")]
+
+
+def unread_public_names(sources: dict) -> list:
+    """The `unread_names` without a leading underscore: API that only code
+    outside `sources` (tests, scripts) could use."""
+    return [entry for entry in unread_names(sources) if not entry[2].startswith("_")]
 
 
 def test_unread_private_names_finds_a_name_nothing_reads():
@@ -89,3 +100,25 @@ def test_unread_private_names_finds_a_name_nothing_reads():
 def test_src_has_no_unread_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def test_unread_public_names_finds_api_nothing_reads():
+    sources = {
+        "a": ("__all__ = ['f']\nLIMIT, SPARE = 1, 2\n\n\ndef f():\n    return LIMIT\n\n\n"
+              "def only_tested():\n    pass\n\n\nclass Shape:\n    pass\n\n\n"
+              "def _private():\n    pass\n"),
+        "b": "from .a import f\n\nf()\n",
+    }
+    assert unread_public_names(sources) == [
+        ("a", 2, "SPARE"), ("a", 9, "only_tested"), ("a", 13, "Shape")]
+
+
+# README's definition of pose change, and the tests' reference for
+# `integrated_pose_distance`, which computes it over a whole clip
+KEPT_PUBLIC_NAMES = {("kinematics.py", "pose_change")}
+
+
+def test_src_has_no_public_names_only_tests_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert [entry for entry in unread_public_names(sources)
+            if (entry[0], entry[2]) not in KEPT_PUBLIC_NAMES] == []
