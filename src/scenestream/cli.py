@@ -209,10 +209,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = {}
-    if args.config:
-        config = read_json(args.config)
-    manifest = run_pipeline(config, args.out_dir)
+    manifest = run_pipeline(read_json(args.config) if args.config else {}, args.out_dir)
     for name in sorted(manifest):
         print(f"{name}: {Path(args.out_dir) / manifest[name]}")
     return 0

@@ -35,7 +35,7 @@ from .tracking import associate
 ACTION_RESOLUTION_S = 1.0  # actions are scored per second
 DEFAULT_PCK_ALPHA = 0.2
 DEFAULT_IOU_THRESHOLD = 0.5
-KEYPOINT_MATCH_IOU = 0.5  # pairing hands within a frame: pred/truth, and keypoints/tracks
+KEYPOINT_MATCH_IOU = 0.5  # pairing predicted with true hands within a frame
 
 
 # ------------------------------------------------------------------ actions

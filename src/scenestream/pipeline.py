@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataWarning, InvariantError, StreamFormatError, check_finite
-from .evaluation import KEYPOINT_MATCH_IOU, evaluate_actions, evaluate_boxes
+from .evaluation import evaluate_actions, evaluate_boxes
 from .kinematics import (
     SKILL_METRICS,
     SUMMARY_FIELDS,
@@ -50,6 +50,7 @@ from .signatures import (
     zscore,
 )
 from .streams import (
+    HAND,
     N_KEYPOINTS,
     SKILL_KEYPOINT_INDICES,
     Detection,
@@ -75,8 +76,7 @@ from .synth import (
     generate_tie_clips,
     write_synth_files,
 )
-# `associate` by name: the traced `tracking.associate` span is the tracker's call alone
-from .tracking import SortTracker, TrackerConfig, associate
+from .tracking import SortTracker, TrackerConfig
 
 ORACLE_MATCH_IOU = 0.3  # a track box follows the true hand it overlaps this much
 
@@ -95,15 +95,18 @@ TRACK_BLOCK_FRAMES = 256
 
 def track_row(tracker: SortTracker, fr: FrameRecord) -> dict:
     """One frame's row: emitted corners by track id, and under "kps" the keypoint
-    entries paired one to one with those tracks as `evaluate_keypoints` pairs hands."""
+    entries. In id order, each track takes the first free entry whose owner box is
+    the box of the hand detection it took, so of two detections with one box the
+    lower id goes first; an entry on no taken detection's box is left out."""
     emitted = tracker.step(fr)
     row = {"frame": fr.frame_index, "t": fr.timestamp_s,
-           "tracks": {str(tid): corners for tid, corners in emitted}}
+           "tracks": {str(tid): corners for tid, corners, _ in emitted}}
     if fr.keypoints and emitted:
-        matches, _ = associate([kp.owner_box for kp in fr.keypoints],
-                               [corners for _, corners in emitted], KEYPOINT_MATCH_IOU)
-        if matches:
-            row["kps"] = {str(emitted[t][0]): fr.keypoints[k] for k, t in matches}
+        hands, free = [d.box for d in fr.detections if d.category == HAND], list(fr.keypoints)
+        for tid, _, j in emitted:
+            k = next((k for k, kp in enumerate(free) if kp.owner_box == hands[j]), None)
+            if k is not None:
+                row.setdefault("kps", {})[str(tid)] = free.pop(k)
     return row
 
 

@@ -60,12 +60,12 @@ def box(x_min, y_min, x_max, y_max) -> tuple:
         return b
     for name, v in zip(_CORNERS, b):
         if not math.isfinite(v):
-            raise InvariantError(f"BBox.{name} must be finite, got {v!r}")
+            raise InvariantError(f"box {name} must be finite, got {v!r}")
         if v < 0:
-            raise InvariantError(f"BBox.{name} must be >= 0, got {v!r}")
+            raise InvariantError(f"box {name} must be >= 0, got {v!r}")
     if not x0 < x1:
-        raise InvariantError(f"BBox invariant x_min < x_max violated: {x0} >= {x1}")
-    raise InvariantError(f"BBox invariant y_min < y_max violated: {y0} >= {y1}")
+        raise InvariantError(f"box x_min must be < x_max, got {x0} >= {x1}")
+    raise InvariantError(f"box y_min must be < y_max, got {y0} >= {y1}")
 
 
 def iou(a, b) -> float:
@@ -526,12 +526,10 @@ def parse_stream(path) -> VideoStream:
 
 
 def _frame_to_obj(fr: FrameRecord) -> dict:
-    obj = {"frame": fr.frame_index, "t": fr.timestamp_s}
-    obj["dets"] = [[d.category, d.confidence, *d.box] for d in fr.detections]
-    obj["kps"] = [{"points": k.points.tolist(), "box": list(k.owner_box)}
-                  for k in fr.keypoints]
-    obj["action"] = fr.action
-    return obj
+    return {"frame": fr.frame_index, "t": fr.timestamp_s, "action": fr.action,
+            "dets": [[d.category, d.confidence, *d.box] for d in fr.detections],
+            "kps": [{"points": k.points.tolist(), "box": list(k.owner_box)}
+                    for k in fr.keypoints]}
 
 
 def header_line(stream: VideoStream) -> str:

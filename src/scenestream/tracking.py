@@ -16,10 +16,11 @@ hands these scalar loops cost less than numpy calls on small arrays, and they
 keep numpy's operation order (float64 `+ - * /` and `sqrt` round correctly
 in both), so every box is bit-identical to the array form. Each frame runs
 one `predict` over every track, one `associate` and one Joseph-form `update`
-over matched tracks, whose loop picks the tracks to emit as the birth loop
-does. After `predict` each position variance is at least its process
-variance (F P F^T adds [1 1] P [1 1]^T >= 0 of a PSD block), so each
-innovation variance p00 + R is at least 2 and no gain divides by 0.
+over matched tracks, whose loop picks the tracks to emit, with the detection
+each took, as the birth loop does. After `predict` each position variance is
+at least its process variance (F P F^T adds [1 1] P [1 1]^T >= 0 of a PSD
+block), so each innovation variance p00 + R is at least 2 and no gain
+divides by 0.
 """
 
 from __future__ import annotations
@@ -281,9 +282,10 @@ class SortTracker:
         self.frame_count = 0
         self._next_id = 1
 
-    def step(self, frame: FrameRecord) -> list[tuple[int, list[float]]]:
-        """Advance one frame; returns (track_id, [x_min, y_min, x_max, y_max])
-        pairs sorted by id.
+    def step(self, frame: FrameRecord) -> list[tuple[int, list[float], int]]:
+        """Advance one frame; returns (track_id, [x_min, y_min, x_max, y_max],
+        det_index) triples sorted by id: det_index indexes the frame's hand
+        detections at the one the track took this frame, matched or newborn.
 
         Only tracks matched this frame are emitted, once they have min_hits
         updates (always, while the stream itself is younger than min_hits).
@@ -300,16 +302,16 @@ class SortTracker:
         since = [t + 1 for t in self.time_since_update]
         matches, unmatched_dets = associate(
             _state_corners(filters), det_rows, cfg.iou_threshold)
-        emit = []  # (id, filter) of matched tracks, then of newborns: in id order
+        emit = []  # (id, filter, det) of matched tracks, then of newborns: in id order
         if matches:
-            hit, det_idx = zip(*matches)
-            z = _measurements([det_rows[j] for j in det_idx])
-            for i, filt in zip(hit, update([filters[i] for i in hit], z, _MEASUREMENT_VAR)):
+            z = _measurements([det_rows[j] for _, j in matches])
+            updated = update([filters[i] for i, _ in matches], z, _MEASUREMENT_VAR)
+            for (i, j), filt in zip(matches, updated):
                 filters[i] = filt
                 hits[i] += 1
                 since[i] = 0
                 if young or hits[i] >= cfg.min_hits:
-                    emit.append((ids[i], filt))
+                    emit.append((ids[i], filt, j))
 
         if since and max(since) > cfg.max_age:
             keep = [t <= cfg.max_age for t in since]
@@ -321,9 +323,9 @@ class SortTracker:
             hits.append(1)
             since.append(0)
             if young or cfg.min_hits <= 1:
-                emit.append((self._next_id, filters[-1]))
+                emit.append((self._next_id, filters[-1], j))
             self._next_id += 1
         self.ids, self.filters, self.hits, self.time_since_update = ids, filters, hits, since
         # a NaN corner fails every comparison, so its track is dropped too
-        return [(tid, c) for (tid, _), c in zip(emit, _state_corners(f for _, f in emit))
+        return [(tid, c, j) for (tid, _, j), c in zip(emit, _state_corners(f for _, f, _ in emit))
                 if c[0] < c[2] < inf and c[1] < c[3] < inf]

@@ -188,13 +188,27 @@ def array_associate(track_boxes, det_boxes, iou_threshold):
             [j for j in range(m) if j not in matched_d])
 
 
+def iou_keypoint_entries(emitted, keypoints, match_iou=0.5):
+    """{track id: keypoint entry} of one frame by IoU, as `track` paired them
+    before each entry followed its track's detection: owner boxes against the
+    emitted (track id, corners, detection index) boxes, one to one at the
+    largest total IoU, ties as `array_associate` breaks them, pairs below
+    `match_iou` dropped."""
+    if not keypoints or not emitted:
+        return {}
+    matches, _, _ = array_associate([kp.owner_box for kp in keypoints],
+                                    [corners for _, corners, _ in emitted], match_iou)
+    return {str(emitted[t][0]): keypoints[k] for k, t in matches}
+
+
 class TwoPassSort:
     """SORT over the module kernels of `tracking` with the emit and death rules
     in separate passes: after the update every track is aged and kept while
     `time_since_update <= max_age`, newborns are appended, then a pass over
     all tracks emits those updated this frame with min_hits hits (any, while
     the stream is younger than min_hits), dropping boxes that are not finite
-    or whose corners cross."""
+    or whose corners cross. Each emitted track carries the index of the hand
+    detection it took, kept in a column of its own through the death filter."""
 
     def __init__(self, config):
         self.config = config
@@ -208,29 +222,31 @@ class TwoPassSort:
         filters = tracking.predict(self.filters, tracking._PROCESS_VAR)
         hits = list(self.hits)
         since = [t + 1 for t in self.time_since_update]
+        took = [None] * len(filters)  # the detection index each track took this frame
         matches, unmatched_dets = tracking.associate(
             tracking._state_corners(filters), det_rows, cfg.iou_threshold)
         if matches:
             hit = [i for i, _ in matches]
             z = tracking._measurements([det_rows[j] for _, j in matches])
-            for i, filt in zip(hit, tracking.update([filters[i] for i in hit], z,
-                                                    tracking._MEASUREMENT_VAR)):
-                filters[i], hits[i], since[i] = filt, hits[i] + 1, 0
+            for (i, j), filt in zip(matches, tracking.update([filters[i] for i in hit], z,
+                                                             tracking._MEASUREMENT_VAR)):
+                filters[i], hits[i], since[i], took[i] = filt, hits[i] + 1, 0, j
         keep = [t <= cfg.max_age for t in since]
-        ids, filters, hits, since = ([x for x, k in zip(column, keep) if k]
-                                     for column in (self.ids, filters, hits, since))
+        ids, filters, hits, since, took = ([x for x, k in zip(column, keep) if k]
+                                           for column in (self.ids, filters, hits, since, took))
         for j in unmatched_dets:
             ids.append(self.next_id)
             filters.append(tracking.new_track(det_rows[j]))
             hits.append(1)
             since.append(0)
+            took.append(j)
             self.next_id += 1
         self.ids, self.filters, self.hits, self.time_since_update = ids, filters, hits, since
         young = self.frame_count <= cfg.min_hits
         emit = [k for k, (t, h) in enumerate(zip(since, hits))
                 if t == 0 and (young or h >= cfg.min_hits)]
         corners = tracking._state_corners([filters[k] for k in emit])
-        return [(ids[k], c) for k, c in zip(emit, corners)
+        return [(ids[k], c, took[k]) for k, c in zip(emit, corners)
                 if c[0] < c[2] < inf and c[1] < c[3] < inf]
 
 

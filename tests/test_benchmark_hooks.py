@@ -143,10 +143,11 @@ def test_run_pipeline_calls_every_traced_stage(monkeypatch, tmp_path):
 
 def test_traced_associate_is_called_once_per_step_and_bench_times_track_row(monkeypatch):
     # the traced run spans `tracking.associate` as the tracker's association:
-    # the keypoint pairing in `track_row` calls it by its own name, so the span
-    # sees one call per step, on keypoint frames too. `bench_stream` times
-    # `track_row`, the stage `track` and `run` run per frame, and
-    # `step_summary`, the stage `signature` and `eval actions` run per step
+    # `track_row` pairs keypoint entries through the detection each track
+    # took, with no call of its own, so the span sees one call per step, on
+    # keypoint frames too. `bench_stream` times `track_row`, the stage `track`
+    # and `run` run per frame, and `step_summary`, the stage `signature` and
+    # `eval actions` run per step
     from scenestream import bench, tracking
     from scenestream.pipeline import track_stream
     from scenestream.signatures import timeline_from_stream

@@ -892,12 +892,12 @@ def test_golden_with_keypoints_tracks(tmp_path):
 
 # a box [x_min, y_min, x_max, y_max] that breaks one invariant, and the message
 _BAD_BOXES = {
-    "negative": ([-1, 100, 180, 170], "BBox.x_min must be >= 0, got -1.0"),
-    "crossed x": ([180, 100, 100, 170], "BBox invariant x_min < x_max violated: 180.0 >= 100.0"),
-    "crossed y": ([100, 170, 180, 100], "BBox invariant y_min < y_max violated: 170.0 >= 100.0"),
-    "Infinity": ([100, 100, float("inf"), 170], "BBox.x_max must be finite, got inf"),
-    "-Infinity": ([100, float("-inf"), 180, 170], "BBox.y_min must be finite, got -inf"),
-    "NaN": ([100, 100, 180, float("nan")], "BBox.y_max must be finite, got nan"),
+    "negative": ([-1, 100, 180, 170], "box x_min must be >= 0, got -1.0"),
+    "crossed x": ([180, 100, 100, 170], "box x_min must be < x_max, got 180.0 >= 100.0"),
+    "crossed y": ([100, 170, 180, 100], "box y_min must be < y_max, got 170.0 >= 100.0"),
+    "Infinity": ([100, 100, float("inf"), 170], "box x_max must be finite, got inf"),
+    "-Infinity": ([100, float("-inf"), 180, 170], "box y_min must be finite, got -inf"),
+    "NaN": ([100, 100, 180, float("nan")], "box y_max must be finite, got nan"),
 }
 
 
@@ -1534,8 +1534,18 @@ def test_scipy_loads_only_when_the_solver_or_lda_runs(tmp_path):
                         corruption=CorruptionSpec(dropout_rate=0.05, jitter_sigma=2.0))
     features = tmp_path / "features.csv"
     features_stage(generate_procedure_sequences(seed=1, n_per_class=3), features)
-    for name, spec, wants_scipy in (("two", two, False), ("crowded", crowded, True)):
-        write_stream(generate_stream(spec, 0)[0], tmp_path / f"{name}.jsonl")
+    write_stream(generate_stream(two, 0)[0], tmp_path / "two.jsonl")
+    write_stream(generate_stream(crowded, 0)[0], tmp_path / "crowded.jsonl")
+    # two keypoint entries over one hand, both at IoU >= 0.5 with its track:
+    # the entry on the hand's box follows the track with no assignment solve
+    det = [100, 100, 180, 170]
+    entries = [{"box": owner, "points": [[110 + k, 120, 1] for k in range(21)]}
+               for owner in (det, [116, 100, 196, 170])]
+    lines = [json.dumps({"video_id": "v", "fps": 30.0}), *(
+        json.dumps({"frame": k, "t": k / 30.0, "dets": [["hand", 0.9, *det]], "kps": entries})
+        for k in range(30))]
+    (tmp_path / "entries.jsonl").write_text("\n".join(lines) + "\n")
+    for name, wants_scipy in (("two", False), ("crowded", True), ("entries", False)):
         argv = ["track", "--in", tmp_path / f"{name}.jsonl"]
         assert _cold_run(argv + ["--out", tmp_path / f"{name}.cold"]) is wants_scipy
         assert main(list(map(str, argv + ["--out", tmp_path / f"{name}.warm"]))) == 0

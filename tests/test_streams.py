@@ -46,9 +46,9 @@ def frame_obj(idx, fps=30.0, dets=(), action="cutting"):
 # ---------------------------------------------------------------- geometry
 
 def test_bbox_invariants():
-    with pytest.raises(InvariantError, match="x_min < x_max"):
+    with pytest.raises(InvariantError, match="x_min must be < x_max"):
         box(5, 0, 2, 2)
-    with pytest.raises(InvariantError, match="y_min < y_max"):
+    with pytest.raises(InvariantError, match="y_min must be < y_max"):
         box(0, 2, 2, 2)
     with pytest.raises(InvariantError, match=">= 0"):
         box(-1, 0, 2, 2)
@@ -112,9 +112,9 @@ def test_detection_validation():
     # the box is made from its corners, and checked before category and confidence
     made = Detection([0, 0, 1, 1], "hand")
     assert made == (b, "hand", 1.0) and type(made.box) is tuple
-    with pytest.raises(InvariantError, match="BBox invariant x_min < x_max violated"):
+    with pytest.raises(InvariantError, match="box x_min must be < x_max"):
         Detection((50.0, 0.0, 20.0, 10.0), "hand")
-    with pytest.raises(InvariantError, match="BBox.y_min must be finite"):
+    with pytest.raises(InvariantError, match="box y_min must be finite"):
         Detection(box=(0.0, math.nan, 1.0, 1.0), category="scalpel", confidence=2.0)
 
 
@@ -139,7 +139,7 @@ def test_keypoints_validation():
         HandKeypoints(points=np.zeros((5, 3)), owner_box=b)
     with pytest.raises(InvariantError, match="finite"):
         HandKeypoints(points=[[float("nan"), 0.0, 1.0]] + [[0.0, 0.0, 1.0]] * 20, owner_box=b)
-    with pytest.raises(InvariantError, match="x_min < x_max"):
+    with pytest.raises(InvariantError, match="x_min must be < x_max"):
         HandKeypoints(points=np.ones((21, 3)), owner_box=(10, 0, 0, 10))
     with pytest.raises(InvariantError, match="y_max must be finite"):
         HandKeypoints(points=np.ones((21, 3)), owner_box=(0, 0, 10, math.nan))
@@ -254,7 +254,7 @@ def test_parse_reports_bbox_invariant_with_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     frames = [frame_obj(0, dets=[["hand", 0.9, 50, 10, 20, 30]])]
     path.write_text(make_stream_lines(frames))
-    with pytest.raises(InvariantError, match=r"line 2.*BBox"):
+    with pytest.raises(InvariantError, match=r"line 2: box "):
         parse_stream(path)
 
 
@@ -629,23 +629,23 @@ _PARITY = {
     'kps box 3 numbers': (1, _OWNER_BOX + '[100, 100, 180]\n'),
     'kps box bool corner': (1, _OWNER_BOX + '[100, False, 180, 170]\n'),
     'kps box crossed':
-        (2, _INVARIANT + 'BBox invariant x_min < x_max violated: 180.0 >= 100.0\n'),
+        (2, _INVARIANT + 'box x_min must be < x_max, got 180.0 >= 100.0\n'),
     'kps box y crossed':
-        (2, _INVARIANT + 'BBox invariant y_min < y_max violated: 170.0 >= 170.0\n'),
-    'kps box NaN': (2, _INVARIANT + 'BBox.x_max must be finite, got nan\n'),
+        (2, _INVARIANT + 'box y_min must be < y_max, got 170.0 >= 170.0\n'),
+    'kps box NaN': (2, _INVARIANT + 'box x_max must be finite, got nan\n'),
     'kps box 400 digits':
         (1, _INPUT + 'malformed frame record: int too large to convert to float\n'),
-    'kps box negative': (2, _INVARIANT + 'BBox.x_min must be >= 0, got -1.0\n'),
+    'kps box negative': (2, _INVARIANT + 'box x_min must be >= 0, got -1.0\n'),
     'kps box object': (1, _OWNER_BOX + "{'x': 1}\n"),
     'category 5 and conf true': (1, _NOT_NUMBERS + '[5, True, 1, 2, 30, 40]\n'),
     'category 5 and conf 1.5': (2, _CATEGORY + '5\n'),
     'conf 1.5 and crossed':
-        (2, _INVARIANT + 'BBox invariant x_min < x_max violated: 30.0 >= 1.0\n'),
+        (2, _INVARIANT + 'box x_min must be < x_max, got 30.0 >= 1.0\n'),
     'conf -0.5': (2, _CONF + '-0.5\n'),
-    'corner NaN': (2, _INVARIANT + 'BBox.y_min must be finite, got nan\n'),
-    'corner negative': (2, _INVARIANT + 'BBox.y_min must be >= 0, got -2.0\n'),
-    'y crossed': (2, _INVARIANT + 'BBox invariant y_min < y_max violated: 40.0 >= 40.0\n'),
-    'corner Infinity': (2, _INVARIANT + 'BBox.x_max must be finite, got inf\n'),
+    'corner NaN': (2, _INVARIANT + 'box y_min must be finite, got nan\n'),
+    'corner negative': (2, _INVARIANT + 'box y_min must be >= 0, got -2.0\n'),
+    'y crossed': (2, _INVARIANT + 'box y_min must be < y_max, got 40.0 >= 40.0\n'),
+    'corner Infinity': (2, _INVARIANT + 'box x_max must be finite, got inf\n'),
     'conf -0.0 and zero corners': (0, ''),
     'conf true, floats': (1, _NOT_NUMBERS + "['hand', True, 1.0, 2.0, 30.0, 40.0]\n"),
     'conf 1.5, floats': (2, _CONF + '1.5\n'),
@@ -666,25 +666,25 @@ _PARITY = {
     'kps box 3 numbers, floats': (1, _OWNER_BOX + '[100.0, 100.0, 180.0]\n'),
     'kps box bool corner, floats': (1, _OWNER_BOX + '[100.0, False, 180.0, 170.0]\n'),
     'kps box crossed, floats':
-        (2, _INVARIANT + 'BBox invariant x_min < x_max violated: 180.0 >= 100.0\n'),
+        (2, _INVARIANT + 'box x_min must be < x_max, got 180.0 >= 100.0\n'),
     'kps box y crossed, floats':
-        (2, _INVARIANT + 'BBox invariant y_min < y_max violated: 170.0 >= 170.0\n'),
-    'kps box NaN, floats': (2, _INVARIANT + 'BBox.x_max must be finite, got nan\n'),
+        (2, _INVARIANT + 'box y_min must be < y_max, got 170.0 >= 170.0\n'),
+    'kps box NaN, floats': (2, _INVARIANT + 'box x_max must be finite, got nan\n'),
     'kps box 400 digits, floats':
         (1, _INPUT + 'malformed frame record: int too large to convert to float\n'),
-    'kps box negative, floats': (2, _INVARIANT + 'BBox.x_min must be >= 0, got -1.0\n'),
+    'kps box negative, floats': (2, _INVARIANT + 'box x_min must be >= 0, got -1.0\n'),
     'kps box object, floats': (1, _OWNER_BOX + "{'x': 1.0}\n"),
     'category 5 and conf true, floats':
         (1, _NOT_NUMBERS + '[5.0, True, 1.0, 2.0, 30.0, 40.0]\n'),
     'category 5 and conf 1.5, floats': (2, _CATEGORY + '5.0\n'),
     'conf 1.5 and crossed, floats':
-        (2, _INVARIANT + 'BBox invariant x_min < x_max violated: 30.0 >= 1.0\n'),
+        (2, _INVARIANT + 'box x_min must be < x_max, got 30.0 >= 1.0\n'),
     'conf -0.5, floats': (2, _CONF + '-0.5\n'),
-    'corner NaN, floats': (2, _INVARIANT + 'BBox.y_min must be finite, got nan\n'),
-    'corner negative, floats': (2, _INVARIANT + 'BBox.y_min must be >= 0, got -2.0\n'),
+    'corner NaN, floats': (2, _INVARIANT + 'box y_min must be finite, got nan\n'),
+    'corner negative, floats': (2, _INVARIANT + 'box y_min must be >= 0, got -2.0\n'),
     'y crossed, floats':
-        (2, _INVARIANT + 'BBox invariant y_min < y_max violated: 40.0 >= 40.0\n'),
-    'corner Infinity, floats': (2, _INVARIANT + 'BBox.x_max must be finite, got inf\n'),
+        (2, _INVARIANT + 'box y_min must be < y_max, got 40.0 >= 40.0\n'),
+    'corner Infinity, floats': (2, _INVARIANT + 'box x_max must be finite, got inf\n'),
     'conf -0.0 and zero corners, floats': (0, ''),
 }
 

@@ -180,7 +180,7 @@ def test_crossing_hands_keep_identity_against_generator_truth():
     tracker = SortTracker(TrackerConfig(min_hits=1))
     assigned = {}  # track_id -> set of gt ids it follows
     for fr, frame_truth in zip(frames, true_boxes):
-        for tid, corners in tracker.step(fr):
+        for tid, corners, _ in tracker.step(fr):
             best = max(frame_truth, key=lambda h: iou(corners, frame_truth[h]))
             if iou(corners, frame_truth[best]) >= 0.3:
                 assigned.setdefault(tid, set()).add(best)

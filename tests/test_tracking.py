@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import SevenStateKalman, brute_force_assignment, scaled_noise
-from scenestream import Detection, FrameRecord, InvariantError, box, tracking
+from scenestream import HAND, Detection, FrameRecord, HandKeypoints, InvariantError, box, tracking
+from scenestream.pipeline import track_stream
 from scenestream.synth import CorruptionSpec, HandMotionSpec, SynthSpec, generate_stream
 from scenestream.tracking import (
     SortTracker,
@@ -342,7 +343,7 @@ def test_track_ids_unique_never_reused():
     seen = []
     for k in range(30):
         boxes = [box(100, 100, 160, 160)] if (k // 3) % 2 == 0 else []
-        for tid, _ in tracker.step(hand_frame(k, boxes)):
+        for tid, _, _ in tracker.step(hand_frame(k, boxes)):
             seen.append(tid)
     # each contiguous appearance gets a fresh id; ids never repeat after a gap
     runs = []
@@ -373,7 +374,7 @@ def test_cycle_matches_least_squares_line_after_burn_in():
         centers_x.append((b[0] + b[2]) / 2)
         centers_y.append((b[1] + b[3]) / 2)
         frames.append(k)
-        for tid, (x0, y0, x1, y1) in tracker.step(hand_frame(k, [b])):
+        for tid, (x0, y0, x1, y1), _ in tracker.step(hand_frame(k, [b])):
             est[k] = ((x0 + x1) / 2, (y0 + y1) / 2)
     # independent straight-line least-squares fit on the measurements
     px = np.polyfit(frames, centers_x, 1)
@@ -400,7 +401,8 @@ def test_step_equals_the_two_pass_reference(paths, min_hits, max_age, iou_thresh
     # a track is past max_age, gives the reference's output and state frame by
     # frame; every hand is missing from frame 10 for `gap` frames, longer than
     # max_age when gap > max_age, and a hand whose box would cross x = 0 or
-    # y = 0 is not detected while its track coasts out of the frame
+    # y = 0 is not detected while its track coasts out of the frame. Each
+    # emitted track names the detection it took, as in the reference
     cfg = TrackerConfig(iou_threshold=iou_threshold, max_age=max_age, min_hits=min_hits)
     tracker, reference = SortTracker(cfg), oracles.TwoPassSort(cfg)
     for k in range(40):
@@ -582,11 +584,13 @@ def test_lexmin_pairs_break_one_decimal_ties_like_brute_force(n, m, seed):
     assert _lexmin_optimal_pairs(score) == want
 
 
+# 12 hands in lanes 103 px apart
+LANES = tuple(HandMotionSpec(region=(60.0 + 103.0 * i, 150.0, 90.0 + 103.0 * i, 570.0))
+              for i in range(12))
+
+
 def _lane_stream(seed, dropout=0.05):
-    # 12 hands in lanes 103 px apart
-    hands = tuple(HandMotionSpec(region=(60.0 + 103.0 * i, 150.0, 90.0 + 103.0 * i, 570.0))
-                  for i in range(12))
-    spec = SynthSpec(seed=seed, fps=30.0, duration_s=5.0, hands=hands,
+    spec = SynthSpec(seed=seed, fps=30.0, duration_s=5.0, hands=LANES,
                      corruption=CorruptionSpec(dropout_rate=dropout, jitter_sigma=2.0))
     return generate_stream(spec, 0)[0]
 
@@ -830,3 +834,48 @@ def test_seven_state_uv_blocks_stay_bitwise_equal(cfg):
             for oracle in oracles:
                 P = oracle.P
                 assert (P[0, 0], P[0, 4], P[4, 4]) == (P[1, 1], P[1, 5], P[5, 5]), seed
+
+
+# ---------------------------------------------------------------- keypoint entries
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), lanes=st.booleans(),
+       dropout=st.sampled_from([0.05, 0.3]), jitter=st.sampled_from([1.0, 2.0, 4.0]))
+def test_keypoint_entries_follow_their_detections_as_iou_pairing_paired_them(
+        seed, lanes, dropout, jitter):
+    # every owner box is its detection's box, as `synth` writes them: each
+    # track's entry, found through the detection it took, is the one the IoU
+    # pairing of owner boxes with emitted track boxes gave it, on 2 hands and
+    # on 12 lanes
+    spec = SynthSpec(seed=seed, fps=30.0, duration_s=2.0, with_keypoints=True,
+                     hands=LANES if lanes else SynthSpec().hands,
+                     corruption=CorruptionSpec(dropout_rate=dropout, jitter_sigma=jitter))
+    stream, _ = generate_stream(spec, 0)
+    reference = SortTracker()
+    paired = 0
+    for fr, row in zip(stream.frames, track_stream(stream.frames)):
+        want = oracles.iou_keypoint_entries(reference.step(fr), fr.keypoints)
+        assert row.get("kps", {}) == want, fr.frame_index
+        paired += len(want)
+    assert paired > 0
+
+
+_A, _B = (100.0, 100.0, 180.0, 170.0), (400.0, 100.0, 480.0, 170.0)
+
+
+@pytest.mark.parametrize("dets, owners, want", [
+    ([_A], [(104.0, 100.0, 184.0, 170.0)], {}),  # at IoU 0.9 with A's box
+    ([_A], [_A, _A], {"1": 0}),
+    ([_B, _A, _A], [_A], {"2": 0}),  # tracks 2 and 3 took the A detections
+], ids=["box of no detection", "two entries on one box", "two detections with one box"])
+def test_keypoint_entry_leftovers(dets, owners, want):
+    # an entry whose box is no detection's is left out; of two entries on a
+    # box its track took, the first in file order is kept; of two tracks
+    # whose detections share the entry's box, the lower id takes it
+    entries = [HandKeypoints(np.full((21, 3), float(k)), owner) for k, owner in enumerate(owners)]
+    frames = [FrameRecord(k, k / 30.0, tuple(Detection(d, HAND) for d in dets), tuple(entries))
+              for k in range(4)]
+    rows = list(track_stream(frames, TrackerConfig(min_hits=1)))
+    assert [len(row["tracks"]) for row in rows] == [len(dets)] * 4
+    assert [{tid: entries.index(kp) for tid, kp in row.get("kps", {}).items()}
+            for row in rows] == [want] * 4
