@@ -1,5 +1,8 @@
 """Normalized hand-motion and hand-pose skill metrics over instrument-tie clips.
 
+Both descriptors read a hand's `Trajectory`: its box centroid per frame for
+distance and velocity, its nine skill keypoints per frame for pose change.
+
 Distances are reported in hand-lengths (pixels divided by the clip-mean hand
 box size), velocities in 1/s after multiplying by the frame rate, and pose
 change as the summed L1 distance between the eight keypoint chain vectors of
@@ -8,6 +11,7 @@ consecutive frames, divided by hand size.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -20,72 +24,56 @@ EXPERIENCE_LEVELS = ("experienced", "trainee")
 POSE_GAP_SPLIT_S = 1.0  # gaps longer than this split a pose sequence
 
 
-def _set_arrays(obj, kind: str, **arrays) -> None:
-    """Set read-only `arrays` on the frozen `obj` after checking that they
-    hold one sample per frame, frames strictly increasing and sizes positive."""
-    if len({len(arr) for arr in arrays.values()}) > 1:
-        raise InvariantError(f"{kind} arrays must have equal length")
-    if np.any(np.diff(arrays["frames"]) <= 0):
-        raise InvariantError(f"{kind} frames must be strictly increasing")
-    if not np.all(arrays["sizes"] > 0):
-        raise InvariantError(f"{kind} hand sizes must be positive")
-    for name, arr in arrays.items():
-        arr.flags.writeable = False
-        object.__setattr__(obj, name, arr)
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One hand's (frame_index, centroid, hand_size) samples, frame-ordered."""
+    """One hand's samples, frame-ordered: per frame its index, its points and
+    its hand size. The points are the hand's box centroid, shape (n, 2), or its
+    nine skill keypoints, shape (n, 9, 2): palm, thumb joints 1-4, index joints
+    1-4. The constructor checks and keeps read-only copies of the arrays."""
 
     frames: np.ndarray  # (n,) int
-    centroids: np.ndarray  # (n, 2)
+    points: np.ndarray  # (n, 2) or (n, 9, 2) pixels
     sizes: np.ndarray  # (n,)
 
     def __post_init__(self):
-        _set_arrays(self, "Trajectory", frames=np.array(self.frames, dtype=int),
-                    centroids=np.array(self.centroids, dtype=float).reshape(-1, 2),
-                    sizes=np.array(self.sizes, dtype=float))
+        frames = np.array(self.frames, dtype=int).reshape(-1)
+        points = np.array(self.points, dtype=float)
+        sizes = np.array(self.sizes, dtype=float).reshape(-1)
+        if points.shape[1:] not in ((2,), (9, 2)):
+            raise InvariantError(
+                f"Trajectory points must have shape (n, 2) or (n, 9, 2), got {points.shape}")
+        if not len(frames) == len(points) == len(sizes):
+            raise InvariantError("Trajectory arrays must have equal length")
+        if np.any(np.diff(frames) <= 0):
+            raise InvariantError("Trajectory frames must be strictly increasing")
+        if not np.all(np.isfinite(points)):
+            raise InvariantError("Trajectory points must be finite")
+        if not np.all(sizes > 0):
+            raise InvariantError("Trajectory hand sizes must be positive")
+        for name, arr in (("frames", frames), ("points", points), ("sizes", sizes)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __len__(self):
         return len(self.frames)
+
+    def __getitem__(self, key) -> "Trajectory":
+        """The frames at an index, slice or mask; an index gives one frame."""
+        if isinstance(key, (int, np.integer)):
+            key = [key]
+        return Trajectory(self.frames[key], self.points[key], self.sizes[key])
 
     def slice(self, start: int, end: int) -> "Trajectory":
-        keep = (self.frames >= start) & (self.frames <= end)
-        return Trajectory(frames=self.frames[keep], centroids=self.centroids[keep],
-                          sizes=self.sizes[keep])
-
-
-@dataclass(frozen=True, eq=False)
-class Poses:
-    """One hand's nine skill keypoints per frame, frame-ordered: palm, thumb
-    joints 1-4, index joints 1-4, with the frame's hand size."""
-
-    frames: np.ndarray  # (n,) int
-    points: np.ndarray  # (n, 9, 2) pixels
-    sizes: np.ndarray  # (n,)
-
-    def __post_init__(self):
-        points = np.array(self.points, dtype=float).reshape(-1, 9, 2)
-        if not np.all(np.isfinite(points)):
-            raise InvariantError("Poses points must be finite")
-        _set_arrays(self, "Poses", frames=np.array(self.frames, dtype=int).reshape(-1),
-                    points=points, sizes=np.array(self.sizes, dtype=float).reshape(-1))
-
-    def __len__(self):
-        return len(self.frames)
-
-    def __getitem__(self, key) -> "Poses":
-        """The frames at an index, slice or mask."""
-        return Poses(frames=self.frames[key], points=self.points[key], sizes=self.sizes[key])
-
-    def slice(self, start: int, end: int) -> "Poses":
+        """The frames in [start, end]."""
         return self[(self.frames >= start) & (self.frames <= end)]
 
 
 @dataclass(frozen=True, eq=False)
 class TieClip:
-    """An annotated instrument-tie segment: the unit of skill analysis."""
+    """An annotated instrument-tie segment: the unit of skill analysis. A hand
+    present in the clip has a centroid Trajectory (`left`, `right`) and may have
+    a skill-point Trajectory of the frames whose keypoints were all visible
+    (`left_poses`, `right_poses`)."""
 
     video_id: str
     start: int
@@ -95,14 +83,15 @@ class TieClip:
     knot_count: int
     left: Trajectory | None = None
     right: Trajectory | None = None
-    left_poses: Poses | None = None
-    right_poses: Poses | None = None
+    left_poses: Trajectory | None = None
+    right_poses: Trajectory | None = None
 
     def __post_init__(self):
         if not self.start < self.end:
             raise InvariantError(f"TieClip needs start < end, got [{self.start}, {self.end}]")
-        if self.knot_count < 1:
-            raise InvariantError(f"TieClip.knot_count must be >= 1, got {self.knot_count}")
+        if not 1 <= self.knot_count <= sys.float_info.max:  # metrics divide by it as a float
+            raise InvariantError(
+                f"TieClip.knot_count must be in [1, float max], got {self.knot_count}")
         if self.experience not in EXPERIENCE_LEVELS:
             raise InvariantError(
                 f"TieClip.experience must be one of {EXPERIENCE_LEVELS}, got {self.experience!r}")
@@ -125,7 +114,7 @@ def clip_mean_hand_size(traj: Trajectory) -> float:
 
 def path_distance(traj: Trajectory, mean_size: float) -> float:
     """Integrated centroid path length in hand-lengths; 0.0 for one sample."""
-    steps = np.linalg.norm(np.diff(traj.centroids, axis=0), axis=1)
+    steps = np.linalg.norm(np.diff(traj.points, axis=0), axis=1)
     return float(steps.sum() / mean_size)
 
 
@@ -141,7 +130,7 @@ def velocity_series(traj: Trajectory, mean_size: float, fps: float,
     gap between the two shared frames for jerk. Without gaps every divisor
     is 1 frame period. Each series is empty when there are too few samples.
     """
-    steps = np.linalg.norm(np.diff(traj.centroids, axis=0), axis=1)
+    steps = np.linalg.norm(np.diff(traj.points, axis=0), axis=1)
     denom = traj.sizes[:-1] if per_frame_size else mean_size
     gaps = np.diff(traj.frames)
     velocity = steps / denom * fps / gaps
@@ -164,7 +153,7 @@ def pose_change(points_t, points_t1, size_t: float) -> float:
     return float(np.abs(delta).sum() / size_t)
 
 
-def integrated_pose_distance(poses: Poses) -> float:
+def integrated_pose_distance(poses: Trajectory) -> float:
     """Sum of pose_change over consecutive frames of one contiguous sequence,
     added left to right so it equals summing the pose_change values in order;
     0.0 for one frame."""
@@ -175,7 +164,7 @@ def integrated_pose_distance(poses: Poses) -> float:
     return float(sum(values.tolist()))  # np.sum adds pairwise, off in the last bit
 
 
-def split_pose_segments(poses: Poses, fps: float):
+def split_pose_segments(poses: Trajectory, fps: float):
     """Split a pose sequence wherever consecutive frames are further apart
     than POSE_GAP_SPLIT_S; frames with missing keypoints were already dropped."""
     cuts = (np.flatnonzero(np.diff(poses.frames) > POSE_GAP_SPLIT_S * fps) + 1).tolist()

@@ -28,7 +28,6 @@ from .evaluation import evaluate_actions, evaluate_boxes
 from .kinematics import (
     SKILL_METRICS,
     SUMMARY_FIELDS,
-    Poses,
     TieClip,
     Trajectory,
     group_centroids,
@@ -118,12 +117,22 @@ def track_stream(frames, config: TrackerConfig | None = None):
     stay HandKeypoints until `write_tracks` writes their `points_text`.
     Frames are taken TRACK_BLOCK_FRAMES at a time and a block's rows are all
     made before the first is yielded, so reading, tracking and writing a file
-    each run a block at a stretch.
+    each run a block at a stretch. After the last frame, one DataWarning counts
+    the entries left out because their box is no hand detection's in their frame.
     """
     tracker = SortTracker(config)
     frames = iter(frames)
+    stray = 0
     while block := list(islice(frames, TRACK_BLOCK_FRAMES)):
-        yield from [track_row(tracker, fr) for fr in block]
+        rows = [track_row(tracker, fr) for fr in block]
+        for fr, row in zip(block, rows):
+            if len(row.get("kps", ())) < len(fr.keypoints):  # only then can one be stray
+                hands = {d.box for d in fr.detections if d.category == HAND}
+                stray += sum(kp.owner_box not in hands for kp in fr.keypoints)
+        yield from rows
+    if stray:
+        warnings.warn(f"{stray} keypoint entries have a box that is no hand detection's; "
+                      "left out of kps", DataWarning, stacklevel=2)
 
 
 def _row_line(row) -> str:
@@ -245,7 +254,8 @@ def tracking_oracle_report(rows, truth: GroundTruth) -> dict:
 # ------------------------------------------------------------------ skill
 
 def _hands_by_track(rows):
-    """({track id: Trajectory}, {track id: Poses}) from tracks rows in one pass.
+    """({track id: centroid Trajectory}, {track id: skill-point Trajectory})
+    from tracks rows in one pass; a track with no full pose has an empty one.
 
     A centroid is the box midpoint ((x_min + x_max) / 2, (y_min + y_max) / 2)
     and a hand size is (height + width) / 2, as `streams.hand_size` computes
@@ -266,8 +276,8 @@ def _hands_by_track(rows):
                 poses.setdefault(tid, []).append(
                     (frame, [pts[i][:2] for i in SKILL_KEYPOINT_INDICES], size))
     return ({tid: Trajectory(*zip(*items)) for tid, items in samples.items()},
-            {tid: Poses(*zip(*poses[tid])) if tid in poses else Poses((), (), ())
-             for tid in samples})
+            {tid: Trajectory(*zip(*poses[tid])) if tid in poses
+             else Trajectory((), np.zeros((0, 9, 2)), ()) for tid in samples})
 
 
 _CLIP_KEYS = ("video_id", "start", "end", "operator_id", "experience", "knot_count")
@@ -335,7 +345,7 @@ def clips_from_tracks(header, rows, clip_defs):
                     f"clip {video_id}@{start}-{end} has "
                     f"{len(by_len)} usable tracks; hands missing", DataWarning,
                     stacklevel=2)
-            with_x = sorted(by_len, key=lambda tid: float(np.mean(in_range[tid].centroids[:, 0])))
+            with_x = sorted(by_len, key=lambda tid: float(np.mean(in_range[tid].points[:, 0])))
             left_id, right_id = [*with_x, "", ""][:2]
 
         def hand(tid):
@@ -538,8 +548,7 @@ def _config_value(key, default, value):
         want = None if value in SKILL_METRICS else f"one of {', '.join(SKILL_METRICS)}"
     elif isinstance(default, bool):
         want = None if isinstance(value, bool) else "true or false"
-    elif (isinstance(value, bool) or not isinstance(value, (int, float))
-          or (isinstance(value, float) and not math.isfinite(value))):
+    elif not finite_numbers([value], 1):  # an integer past the float range included
         want = "a finite number"
     elif isinstance(default, int) and value != int(value):
         want = "an integer"

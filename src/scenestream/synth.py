@@ -20,7 +20,7 @@ import numpy as np
 
 from . import streams
 from .errors import InvariantError, check_finite
-from .kinematics import Poses, TieClip, Trajectory
+from .kinematics import TieClip, Trajectory
 from .signatures import Timeline
 from .streams import (
     ACTIONS,
@@ -321,7 +321,7 @@ def _pose_sequence(rng, n_frames, size, pose_rate):
         deforms.append([hi if (v := d + e) > hi else lo if v < lo else v
                         for d, e in zip(deforms[-1], step)])
     points = _HAND_TEMPLATE[:9] * size + np.array(deforms).reshape(n_frames, 9, 2)
-    return Poses(frames=np.arange(n_frames), points=points, sizes=np.full(n_frames, size))
+    return Trajectory(frames=np.arange(n_frames), points=points, sizes=np.full(n_frames, size))
 
 
 def generate_tie_clips(spec: SkillCohortSpec):
@@ -350,7 +350,7 @@ def generate_tie_clips(spec: SkillCohortSpec):
                     step_len = length_hl * size / n_steps
                     hands[hand] = Trajectory(
                         frames=np.arange(n_frames),
-                        centroids=_bounded_walk(rng, n_steps, step_len, home),
+                        points=_bounded_walk(rng, n_steps, step_len, home),
                         sizes=np.full(n_frames, size))
                     hands[f"{hand}_poses"] = _pose_sequence(rng, n_frames, size, pose_rate)
                     # the walk takes n_steps of exactly step_len

@@ -32,7 +32,6 @@ from scenestream import (
 from scenestream.bench import SPATIAL_BUDGET_S, TEMPORAL_BUDGET_S, bench_stream
 from scenestream.evaluation import action_precision_recall, evaluate_boxes, pck
 from scenestream.kinematics import (
-    Poses,
     Trajectory,
     clip_mean_hand_size,
     group_centroids,
@@ -118,12 +117,12 @@ def test_acceptance_2_assignment_optimality():
 def _random_clip(rng):
     n = int(rng.integers(5, 60))
     traj = Trajectory(frames=np.arange(n),
-                      centroids=rng.uniform(0, 500, (n, 2)),
+                      points=rng.uniform(0, 500, (n, 2)),
                       sizes=rng.uniform(40, 120, n))
     draws = [(rng.uniform(0, 300, (9, 2)), float(rng.uniform(50, 150)))
              for _ in range(int(rng.integers(2, 12)))]
-    poses = Poses(frames=np.arange(len(draws)), points=[pts for pts, _ in draws],
-                  sizes=[size for _, size in draws])
+    poses = Trajectory(frames=np.arange(len(draws)), points=[pts for pts, _ in draws],
+                       sizes=[size for _, size in draws])
     return traj, poses
 
 
@@ -133,7 +132,7 @@ def test_acceptance_3_kinematics_oracle():
     for _ in range(100):
         traj, poses = _random_clip(rng)
         mean = clip_mean_hand_size(traj)
-        pts = [tuple(c) for c in traj.centroids]
+        pts = [tuple(c) for c in traj.points]
 
         got_d = path_distance(traj, mean)
         want_d = naive_path_distance(pts, mean)

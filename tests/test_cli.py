@@ -23,6 +23,7 @@ from scenestream.cli import main
 from scenestream.errors import DataWarning, StreamFormatError
 from scenestream.kinematics import SUMMARY_FIELDS
 from scenestream.pipeline import (
+    DEFAULT_RUN_CONFIG,
     _row_line,
     clips_from_tracks,
     read_tracks,
@@ -227,18 +228,18 @@ def test_clips_from_tracks_explicit_and_inferred(tmp_path):
     inferred = clips_from_tracks(header, rows, [base])[0]
     assert inferred.left is not None and inferred.right is not None
     # left hand sits left of right hand by mean centroid x
-    assert inferred.left.centroids[:, 0].mean() < inferred.right.centroids[:, 0].mean()
+    assert inferred.left.points[:, 0].mean() < inferred.right.points[:, 0].mean()
     ids = sorted({tid for row in rows for tid in row["tracks"]})
     assert len(ids) == 2
     as_inferred, swapped = (
         clips_from_tracks(header, rows, [{**base, "left_track": left, "right_track": right}])[0]
         for left, right in (ids, ids[::-1]))
-    if not np.array_equal(as_inferred.left.centroids, inferred.left.centroids):
+    if not np.array_equal(as_inferred.left.points, inferred.left.points):
         as_inferred, swapped = swapped, as_inferred
     # one order of the two track ids names the hands as inferred, the other swaps them
-    assert np.array_equal(as_inferred.right.centroids, inferred.right.centroids)
-    assert np.array_equal(swapped.left.centroids, inferred.right.centroids)
-    assert np.array_equal(swapped.right.centroids, inferred.left.centroids)
+    assert np.array_equal(as_inferred.right.points, inferred.right.points)
+    assert np.array_equal(swapped.left.points, inferred.right.points)
+    assert np.array_equal(swapped.right.points, inferred.left.points)
 
 
 def test_skill_from_in_memory_rows_equals_skill_from_tracks_file(tmp_path):
@@ -635,6 +636,22 @@ def test_cli_run_byte_identical(tmp_path):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
 
+def _number_keys(config, prefix=""):
+    """The dotted keys of a run config's number values (not true/false)."""
+    for key, value in config.items():
+        if isinstance(value, dict):
+            yield from _number_keys(value, f"{prefix}{key}.")
+        elif type(value) in (int, float):
+            yield prefix + key
+
+
+def _nested(key, value):
+    """The run config that sets the dotted `key` to `value`."""
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return value
+
+
 @pytest.mark.parametrize("config, key", [
     ({"skill": {"metric": "bogus"}}, "skill.metric"),
     ({"skill": {"clip_duration_s": "abc"}}, "skill.clip_duration_s"),
@@ -665,6 +682,9 @@ def test_cli_run_byte_identical(tmp_path):
     ({"tracker": {"iou": 1.5}}, "run config: tracker: iou_threshold must be in (0,1), got 1.5"),
     ({"tracker": {"max_age": 0}}, "run config: tracker: max_age and min_hits must be positive"),
     ({"skill": {"operators_per_group": 0}}, "run config: skill: cohort sizes must be >= 1"),
+    # every number key, integers included, refuses a JSON integer past the float range
+    *((_nested(key, 10 ** 400), f"run config: {key} must be a finite number")
+      for key in _number_keys(DEFAULT_RUN_CONFIG)),
 ])
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, config, key):
     cfg_path = tmp_path / "cfg.json"
@@ -959,6 +979,7 @@ def _run_skill(tmp_path, tracks_path, clips, name):
     ({"left_track": 2, "right_track": "2"},
      "clip 2: left_track and right_track both name track 2"),
     ({"start": 80, "end": 50}, "clip 2: TieClip needs start < end"),
+    ({"knot_count": 10 ** 400}, "clip 2: TieClip.knot_count"),  # past the float range
 ])
 def test_cli_skill_rejects_bad_clip(tmp_path, capsys, recwarn, changes, message):
     tracks_path, clip = _skill_inputs(tmp_path)

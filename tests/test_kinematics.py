@@ -17,7 +17,6 @@ from oracles import (
 from scenestream import DataWarning, InvariantError
 from scenestream.kinematics import (
     SUMMARY_FIELDS,
-    Poses,
     TieClip,
     Trajectory,
     clip_mean_hand_size,
@@ -39,15 +38,15 @@ def traj(points, sizes=None, frames=None):
     n = len(points)
     sizes = np.full(n, 100.0) if sizes is None else np.asarray(sizes, dtype=float)
     frames = np.arange(n) if frames is None else np.asarray(frames)
-    return Trajectory(frames=frames, centroids=points, sizes=sizes)
+    return Trajectory(frames=frames, points=points, sizes=sizes)
 
 
 def poses(points, sizes=100.0, frames=None):
-    """Poses of a list of (9, 2) point sets, frames 0..n-1 unless given."""
+    """Skill points of a list of (9, 2) point sets, frames 0..n-1 unless given."""
     points = np.asarray(points, dtype=float).reshape(-1, 9, 2)
     n = len(points)
-    return Poses(frames=np.arange(n) if frames is None else frames, points=points,
-                 sizes=np.broadcast_to(np.asarray(sizes, dtype=float), n))
+    return Trajectory(frames=np.arange(n) if frames is None else frames, points=points,
+                      sizes=np.broadcast_to(np.asarray(sizes, dtype=float), n))
 
 
 BASE_POSE = [
@@ -84,7 +83,7 @@ def test_clip_mean_hand_size_random_matches_naive_sum():
 
 def test_clip_mean_hand_size_empty_raises():
     empty = Trajectory(frames=np.zeros(0, dtype=int),
-                       centroids=np.zeros((0, 2)), sizes=np.zeros(0))
+                       points=np.zeros((0, 2)), sizes=np.zeros(0))
     with pytest.raises(InvariantError):
         clip_mean_hand_size(empty)
 
@@ -114,7 +113,7 @@ def test_path_distance_random_matches_naive_loops():
     for _ in range(30):
         t = random_trajectory(rng)
         mean = clip_mean_hand_size(t)
-        want = naive_path_distance([tuple(c) for c in t.centroids], mean)
+        want = naive_path_distance([tuple(c) for c in t.points], mean)
         assert path_distance(t, mean) == pytest.approx(want, rel=1e-9)
 
 
@@ -142,7 +141,7 @@ def test_velocity_series_matches_naive_loops():
         t = random_trajectory(rng)
         mean = clip_mean_hand_size(t)
         vel, acc, jerk = velocity_series(t, mean, 30.0)
-        pts = [tuple(c) for c in t.centroids]
+        pts = [tuple(c) for c in t.points]
         want_v = naive_velocity_series(pts, mean, 30.0)
         want_a = naive_diff_series(want_v, 30.0)
         want_j = naive_diff_series(want_a, 30.0)
@@ -165,7 +164,7 @@ def test_velocity_series_divides_by_frame_gaps():
         t = traj(rng.uniform(0, 500, (n, 2)), sizes=rng.uniform(40, 120, n), frames=frames)
         mean = clip_mean_hand_size(t)
         want_v, want_a, want_j = naive_gapped_series(
-            [tuple(c) for c in t.centroids], frames.tolist(), mean, 30.0)
+            [tuple(c) for c in t.points], frames.tolist(), mean, 30.0)
         vel, acc, jerk = velocity_series(t, mean, 30.0)
         assert vel == pytest.approx(want_v, rel=1e-9)
         assert acc == pytest.approx(want_a, rel=1e-9, abs=1e-9)
@@ -288,46 +287,62 @@ def test_split_pose_segments_on_gaps():
     seq = poses([BASE_POSE] * 6, frames=frames)
     segments = split_pose_segments(seq, fps=30.0)
     assert [s.frames.tolist() for s in segments] == [[0, 1, 2], [40, 41], [90]]
-    assert all(isinstance(s, Poses) for s in segments)
+    assert all(isinstance(s, Trajectory) for s in segments)
     assert split_pose_segments(poses([]), fps=30.0) == []
 
 
-def test_pose_frame_block_equals_single_frames_and_is_read_only():
-    block = np.random.default_rng(2).uniform(0, 300, (5, 9, 2))
-    seq = Poses(frames=[3, 4, 6, 7, 9], points=block, sizes=np.full(5, 80.0))
-    assert len(seq) == 5 and seq.points.shape == (5, 9, 2)
+# a hand's points per frame: its nine skill points, or its centroid
+POINT_SHAPES = {"skill points": (9, 2), "centroids": (2,)}
+
+
+@pytest.mark.parametrize("shape", POINT_SHAPES.values(), ids=POINT_SHAPES)
+def test_pose_frame_block_equals_single_frames_and_is_read_only(shape):
+    block = np.random.default_rng(2).uniform(0, 300, (5, *shape))
+    seq = Trajectory(frames=[3, 4, 6, 7, 9], points=block, sizes=np.full(5, 80.0))
+    assert len(seq) == 5 and seq.points.shape == (5, *shape)
     for k, frame in enumerate([3, 4, 6, 7, 9]):
-        single = Poses(frames=[frame], points=block[k], sizes=[80.0])
+        single = Trajectory(frames=[frame], points=block[k:k + 1], sizes=[80.0])
         assert np.array_equal(seq[k].frames, single.frames)
         assert np.array_equal(seq[k].points, single.points)
         assert np.array_equal(seq[k].sizes, single.sizes)
     for arr in (seq.frames, seq.points, seq.sizes):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
-        seq.points[0, 0, 0] = 1.0
-    block[0, 0, 0] = -1.0  # the block was copied
-    assert seq.points[0, 0, 0] != -1.0
+        seq.points[0, 0] = 1.0
+    block[0, 0] = -1.0  # the block was copied
+    assert np.all(seq.points[0, 0] != -1.0)
 
 
-@pytest.mark.parametrize("bad_point, size", [
-    (float("nan"), 80.0), (float("inf"), 80.0), (None, 0.0), (None, -1.0)])
-def test_pose_frame_block_checks_points_and_hand_size(bad_point, size):
-    block = np.ones((4, 9, 2))
+# each bad value on skill points and on a centroid path (ids `centroids-...`),
+# and points of neither shape
+@pytest.mark.parametrize("shape, bad_point, size, match", [
+    pytest.param(shape, bad_point, size, match, id=f"{prefix}{bad_point}-{size}")
+    for prefix, shape in (("", (9, 2)), ("centroids-", (2,)))
+    for bad_point, size, match in ((float("nan"), 80.0, "finite"), (float("inf"), 80.0, "finite"),
+                                   (None, 0.0, "positive"), (None, -1.0, "positive"))
+] + [pytest.param(shape, None, 80.0, "shape", id=f"shape {shape}") for shape in ((3,), (9,))])
+def test_pose_frame_block_checks_points_and_hand_size(shape, bad_point, size, match):
+    block = np.ones((4, *shape))
     if bad_point is not None:
-        block[3, 8, 1] = bad_point
+        block[3].flat[-1] = bad_point
+    with pytest.raises(InvariantError, match=match):
+        Trajectory(frames=np.arange(4), points=block, sizes=[80.0, 80.0, 80.0, size])
+
+
+@pytest.mark.parametrize("frames, n_sizes, shape", [
+    pytest.param(frames, n_sizes, shape, id=f"{prefix}frames{k}-{n_sizes}")
+    for prefix, shape in (("", (9, 2)), ("centroids-", (2,)))
+    for k, (frames, n_sizes) in enumerate([([0, 2, 2], 3), ([0, 2, 1], 3), ([0, 1, 2], 2)])])
+def test_poses_check_frame_order_and_lengths(frames, n_sizes, shape):
     with pytest.raises(InvariantError):
-        Poses(frames=np.arange(4), points=block, sizes=[80.0, 80.0, 80.0, size])
+        Trajectory(frames=frames, points=np.ones((3, *shape)), sizes=np.full(n_sizes, 80.0))
 
 
-@pytest.mark.parametrize("frames, n_sizes", [([0, 2, 2], 3), ([0, 2, 1], 3), ([0, 1, 2], 2)])
-def test_poses_check_frame_order_and_lengths(frames, n_sizes):
-    with pytest.raises(InvariantError):
-        Poses(frames=frames, points=np.ones((3, 9, 2)), sizes=np.full(n_sizes, 80.0))
-
-
-def test_poses_index_slice_mask_and_frame_range():
-    seq = random_pose_seq(np.random.default_rng(3), n=6)
-    seq = Poses(frames=[0, 2, 4, 6, 8, 10], points=seq.points, sizes=seq.sizes)
+@pytest.mark.parametrize("shape", POINT_SHAPES.values(), ids=POINT_SHAPES)
+def test_poses_index_slice_mask_and_frame_range(shape):
+    rng = np.random.default_rng(3)
+    seq = Trajectory(frames=[0, 2, 4, 6, 8, 10], points=rng.uniform(0, 300, (6, *shape)),
+                     sizes=rng.uniform(50, 150, 6))
     one = seq[2]
     assert len(one) == 1 and one.frames.tolist() == [4]
     assert np.array_equal(one.points[0], seq.points[2]) and one.sizes[0] == seq.sizes[2]
@@ -346,7 +361,7 @@ def test_poses_index_slice_mask_and_frame_range():
 def test_metrics_invariant_to_uniform_zoom(lam, seed):
     rng = np.random.default_rng(seed)
     t = random_trajectory(rng, 15)
-    scaled = Trajectory(frames=t.frames, centroids=t.centroids * lam, sizes=t.sizes * lam)
+    scaled = Trajectory(frames=t.frames, points=t.points * lam, sizes=t.sizes * lam)
     m, ms = clip_mean_hand_size(t), clip_mean_hand_size(scaled)
     assert path_distance(scaled, ms) == pytest.approx(path_distance(t, m), rel=1e-9)
     v1, a1, j1 = velocity_series(t, m, 30.0)

@@ -269,7 +269,7 @@ def test_tie_clip_determinism():
     clips1, truths1 = generate_tie_clips(spec)
     clips2, truths2 = generate_tie_clips(spec)
     assert truths1 == truths2
-    assert np.array_equal(clips1[0].left.centroids, clips2[0].left.centroids)
+    assert np.array_equal(clips1[0].left.points, clips2[0].left.points)
 
 
 # ------------------------------------------------------- procedure cohort

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,16 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import SevenStateKalman, brute_force_assignment, scaled_noise
-from scenestream import HAND, Detection, FrameRecord, HandKeypoints, InvariantError, box, tracking
+from scenestream import (
+    HAND,
+    DataWarning,
+    Detection,
+    FrameRecord,
+    HandKeypoints,
+    InvariantError,
+    box,
+    tracking,
+)
 from scenestream.pipeline import track_stream
 from scenestream.synth import CorruptionSpec, HandMotionSpec, SynthSpec, generate_stream
 from scenestream.tracking import (
@@ -853,29 +863,39 @@ def test_keypoint_entries_follow_their_detections_as_iou_pairing_paired_them(
     stream, _ = generate_stream(spec, 0)
     reference = SortTracker()
     paired = 0
-    for fr, row in zip(stream.frames, track_stream(stream.frames)):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = list(track_stream(stream.frames))
+    for fr, row in zip(stream.frames, rows):
         want = oracles.iou_keypoint_entries(reference.step(fr), fr.keypoints)
         assert row.get("kps", {}) == want, fr.frame_index
         paired += len(want)
     assert paired > 0
+    assert not [w for w in caught if issubclass(w.category, DataWarning)]  # no stray entry
 
 
 _A, _B = (100.0, 100.0, 180.0, 170.0), (400.0, 100.0, 480.0, 170.0)
 
 
-@pytest.mark.parametrize("dets, owners, want", [
-    ([_A], [(104.0, 100.0, 184.0, 170.0)], {}),  # at IoU 0.9 with A's box
-    ([_A], [_A, _A], {"1": 0}),
-    ([_B, _A, _A], [_A], {"2": 0}),  # tracks 2 and 3 took the A detections
+@pytest.mark.parametrize("dets, owners, want, stray", [
+    ([_A], [(104.0, 100.0, 184.0, 170.0)], {}, 4),  # at IoU 0.9 with A's box, in 4 frames
+    ([_A], [_A, _A], {"1": 0}, 0),
+    ([_B, _A, _A], [_A], {"2": 0}, 0),  # tracks 2 and 3 took the A detections
 ], ids=["box of no detection", "two entries on one box", "two detections with one box"])
-def test_keypoint_entry_leftovers(dets, owners, want):
-    # an entry whose box is no detection's is left out; of two entries on a
-    # box its track took, the first in file order is kept; of two tracks
-    # whose detections share the entry's box, the lower id takes it
+def test_keypoint_entry_leftovers(dets, owners, want, stray):
+    # an entry whose box is no detection's is left out, and counted in one
+    # warning; of two entries on a box its track took, the first in file order
+    # is kept; of two tracks whose detections share the entry's box, the lower
+    # id takes it
     entries = [HandKeypoints(np.full((21, 3), float(k)), owner) for k, owner in enumerate(owners)]
     frames = [FrameRecord(k, k / 30.0, tuple(Detection(d, HAND) for d in dets), tuple(entries))
               for k in range(4)]
-    rows = list(track_stream(frames, TrackerConfig(min_hits=1)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = list(track_stream(frames, TrackerConfig(min_hits=1)))
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (DataWarning, f"{stray} keypoint entries have a box that is no hand detection's; "
+                       "left out of kps")] * (stray > 0)
     assert [len(row["tracks"]) for row in rows] == [len(dets)] * 4
     assert [{tid: entries.index(kp) for tid, kp in row.get("kps", {}).items()}
             for row in rows] == [want] * 4
