@@ -14,6 +14,8 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -161,7 +163,7 @@ def integrated_pose_distance(poses: Trajectory) -> float:
     # a row of 16 sums in the same order as .sum() of one (8, 2) delta
     l1 = np.abs(np.diff(vectors, axis=0)).reshape(len(poses) - 1, 16).sum(axis=1)
     values = l1 / poses.sizes[:-1]
-    return float(sum(values.tolist()))  # np.sum adds pairwise, off in the last bit
+    return reduce(add, values.tolist(), 0.0)  # np.sum adds pairwise; sum() compensates on 3.12+
 
 
 def split_pose_segments(poses: Trajectory, fps: float):
@@ -178,7 +180,7 @@ def _summarize_hand(traj, poses, knot_count, fps, per_frame_size):
     dist = path_distance(traj, mean_size)
     vel, acc, jerk = velocity_series(traj, mean_size, fps, per_frame_size)
     segments = [] if poses is None else split_pose_segments(poses, fps)
-    pose_total = sum(map(integrated_pose_distance, segments), 0.0)
+    pose_total = reduce(add, map(integrated_pose_distance, segments), 0.0)
     mean_max = [x for s in (vel, acc, jerk) for x in
                 ((float(np.abs(s).mean()), float(np.abs(s).max())) if s.size else (0.0, 0.0))]
     return dict(zip(SUMMARY_FIELDS, (dist, dist / knot_count, *mean_max,

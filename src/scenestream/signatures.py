@@ -153,15 +153,20 @@ def quartile_aggregate(rows: np.ndarray) -> np.ndarray:
 
 
 def _moving_average(curves: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average along axis 0 with truncated edge windows."""
+    """Centered moving average along axis 0 with truncated edge windows. A full
+    window's rows are added in row order, as `mean(axis=0)` adds a C-order
+    block of two or more columns, and divided by `window`."""
     if window < 1 or window % 2 == 0:
         raise InvariantError(f"smoothing window must be odd and >= 1, got {window}")
-    half = window // 2
-    n = len(curves)
+    half, n = window // 2, len(curves)
     out = np.empty_like(curves, dtype=float)
-    for i in range(n):
-        lo, hi = max(0, i - half), min(n, i + half + 1)
-        out[i] = curves[lo:hi].mean(axis=0)
+    if n > 2 * half:
+        full = curves[:n - 2 * half].astype(float)
+        for k in range(1, window):
+            full += curves[k:k + n - 2 * half]
+        out[half:n - half] = full / window
+    for i in (*range(min(half, n)), *range(max(half, n - half), n)):  # truncated windows
+        out[i] = curves[max(0, i - half):i + half + 1].mean(axis=0)
     return out
 
 

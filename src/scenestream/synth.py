@@ -295,32 +295,39 @@ class SkillCohortSpec:
             raise InvariantError("cohort sizes must be >= 1")
 
 
+def _walk(start, steps, lo, hi, reflect):
+    """Bounded walks, one per column: x + dx while that stays in [lo, hi], else
+    x - dx (`reflect`) or the bound passed. A column is the running sum of
+    [start, *steps] (`np.cumsum` adds in step order, as `x += dx` does) up to
+    its first step out of [lo, hi]; only from there does it go step by step."""
+    pos = np.cumsum(np.vstack([start, steps]), axis=0)
+    outside = (pos[1:] < lo) | (pos[1:] > hi)
+    for col in np.flatnonzero(outside.any(axis=0)).tolist():
+        first = int(outside[:, col].argmax())  # steps[first] leaves [lo, hi]
+        x, tail = float(pos[first, col]), []
+        for dx in steps[first:, col].tolist():
+            v = x + dx
+            x = v if lo <= v <= hi else x - dx if reflect else hi if v > hi else lo
+            tail.append(x)
+        pos[first + 1:, col] = tail
+    return pos
+
+
 def _bounded_walk(rng, n_steps, step_len, start):
     """Random-direction walk with exact step lengths, reflected at _WALK_BOUNDS."""
-    lo, hi = _WALK_BOUNDS
-    x, y = start
-    pos = [(x, y)]
-    theta = rng.uniform(0, 2 * np.pi)
-    for turn in rng.normal(0, 0.5, size=n_steps).tolist():
-        theta += turn
-        dx, dy = math.cos(theta) * step_len, math.sin(theta) * step_len
-        x = x + dx if lo <= x + dx <= hi else x - dx
-        y = y + dy if lo <= y + dy <= hi else y - dy
-        pos.append((x, y))
-    return np.array(pos)
+    theta = np.cumsum([rng.uniform(0, 2 * np.pi), *rng.normal(0, 0.5, size=n_steps)])[1:].tolist()
+    # libm's cos and sin: numpy's vectorized ones may differ in the last bit
+    steps = np.array([list(map(math.cos, theta)), list(map(math.sin, theta))]).T * step_len
+    return _walk(start, steps, *_WALK_BOUNDS, reflect=True)
 
 
 def _pose_sequence(rng, n_frames, size, pose_rate):
     """Deforming keypoint chains: a clipped random walk of the nine skill
     points around the hand template, frames 0..n_frames-1."""
-    deforms = [[0.0] * 18]
     # one draw yields the same numbers as one (9, 2) draw per frame
-    noise = rng.normal(0, pose_rate * size, size=(n_frames - 1, 18)).tolist()
-    lo, hi = -0.3 * size, 0.3 * size
-    for step in noise:  # np.clip of deform + step, on each of the 18 floats
-        deforms.append([hi if (v := d + e) > hi else lo if v < lo else v
-                        for d, e in zip(deforms[-1], step)])
-    points = _HAND_TEMPLATE[:9] * size + np.array(deforms).reshape(n_frames, 9, 2)
+    noise = rng.normal(0, pose_rate * size, size=(n_frames - 1, 18))
+    deforms = _walk(np.zeros(18), noise, -0.3 * size, 0.3 * size, reflect=False)
+    points = _HAND_TEMPLATE[:9] * size + deforms.reshape(n_frames, 9, 2)
     return Trajectory(frames=np.arange(n_frames), points=points, sizes=np.full(n_frames, size))
 
 

@@ -8,6 +8,7 @@ and `TwoPassSort` steps with the library's kernels to check how
 """
 
 import itertools
+import math
 from math import inf
 
 import numpy as np
@@ -460,3 +461,52 @@ def per_step_procedure_sequences(seed, n_per_class, classes, steps_range, openin
                 counts[k] = rng.poisson(tool_rates[q])
             out.append((labels, counts, name))
     return out, rngs
+
+
+def per_step_walk(start, steps, lo, hi, reflect):
+    """Bounded walks one step and one coordinate at a time: x + dx while that
+    stays in [lo, hi], else x - dx (`reflect`) or x + dx clipped to [lo, hi]."""
+    rows = [[float(x) for x in start]]
+    for step in np.asarray(steps, dtype=float).tolist():
+        row = []
+        for x, dx in zip(rows[-1], step):
+            v = x + dx
+            row.append(v if lo <= v <= hi else x - dx if reflect else min(max(v, lo), hi))
+        rows.append(row)
+    return np.array(rows)
+
+
+def per_step_bounded_walk(rng, n_steps, step_len, start, bounds=(150.0, 1800.0)):
+    """The tie-clip centroid walk as `synth._bounded_walk` took it before it
+    became a running sum: a heading turned and a step taken per iteration,
+    and a coordinate whose step would leave `bounds` steps back instead."""
+    lo, hi = bounds
+    x, y = start
+    pos = [(x, y)]
+    theta = rng.uniform(0, 2 * np.pi)
+    for turn in rng.normal(0, 0.5, size=n_steps).tolist():
+        theta += turn
+        dx, dy = math.cos(theta) * step_len, math.sin(theta) * step_len
+        x = x + dx if lo <= x + dx <= hi else x - dx
+        y = y + dy if lo <= y + dy <= hi else y - dy
+        pos.append((x, y))
+    return np.array(pos)
+
+
+def per_step_pose_deforms(rng, n_frames, size, pose_rate):
+    """The tie-clip pose walk's (n_frames, 9, 2) offsets from the hand
+    template, as `synth._pose_sequence` took them before they became running
+    sums: each of the 18 floats stepped and clipped to +-0.3 * size in turn."""
+    deforms = [[0.0] * 18]
+    noise = rng.normal(0, pose_rate * size, size=(n_frames - 1, 18)).tolist()
+    lo, hi = -0.3 * size, 0.3 * size
+    for step in noise:
+        deforms.append([hi if (v := d + e) > hi else lo if v < lo else v
+                        for d, e in zip(deforms[-1], step)])
+    return np.array(deforms).reshape(n_frames, 9, 2)
+
+
+def per_row_moving_average(curves, window):
+    """Centered moving average, each row the mean of its truncated window."""
+    half, n = window // 2, len(curves)
+    return np.array([curves[max(0, i - half):i + half + 1].mean(axis=0) for i in range(n)])

@@ -277,9 +277,49 @@ def test_integrated_pose_distance_equals_summed_pose_changes():
     for n in range(2, 41):
         draws = [(rng.uniform(0, 300, (9, 2)), float(rng.uniform(20, 200))) for _ in range(n)]
         seq = poses([pts for pts, _ in draws], sizes=[size for _, size in draws])
-        want = sum(pose_change(seq.points[k], seq.points[k + 1], seq.sizes[k])
-                   for k in range(n - 1))
+        want = left_to_right(pose_change(seq.points[k], seq.points[k + 1], seq.sizes[k])
+                             for k in range(n - 1))
         assert integrated_pose_distance(seq) == want
+
+
+def left_to_right(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def neumaier_sum(values, start=0):
+    """Builtin `sum` of floats from Python 3.12 on: compensated, not left to right."""
+    total, compensation = start, 0.0
+    for value in values:
+        t = total + value
+        compensation += (total - t) + value if abs(total) >= abs(value) else (value - t) + total
+        total = t
+    return total + compensation
+
+
+def test_pose_totals_add_left_to_right_whatever_builtin_sum_does(monkeypatch):
+    # 30 pose segments of 3 frames each, split by gaps past POSE_GAP_SPLIT_S
+    rng = np.random.default_rng(12)
+    frames = np.array([k // 3 * 100 + k % 3 for k in range(90)])
+    seq = random_pose_seq(rng, n=90)
+    seq = Trajectory(frames=frames, points=seq.points, sizes=seq.sizes)
+    clip = TieClip(video_id="v", start=0, end=int(frames[-1]), operator_id="o",
+                   experience="trainee", knot_count=3, left=traj(seq.points[:, 0], frames=frames),
+                   left_poses=seq)
+    pairs = [pose_change(seq.points[k], seq.points[k + 1], seq.sizes[k]) for k in range(89)]
+    segment_totals = [left_to_right(pairs[k:k + 2]) for k in range(0, 89, 3)]
+    whole = Trajectory(frames=np.arange(90), points=seq.points, sizes=seq.sizes)
+    # the compensated sum rounds differently on both inputs, so this test sees it
+    assert neumaier_sum(pairs) != left_to_right(pairs)
+    assert neumaier_sum(segment_totals) != left_to_right(segment_totals)
+    monkeypatch.setattr("builtins.sum", neumaier_sum)
+    assert integrated_pose_distance(whole) == left_to_right(pairs)
+    assert [integrated_pose_distance(s) for s in split_pose_segments(seq, 30.0)] == \
+        segment_totals
+    pose_total = summarize_clip(clip, fps=30.0)["left"]["integrated_pose_distance"]
+    assert pose_total == left_to_right(segment_totals)
 
 
 def test_split_pose_segments_on_gaps():

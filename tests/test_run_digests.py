@@ -1,10 +1,12 @@
-"""`run` bundles pinned byte for byte: each digest was taken before the
-cohort generators (`synth._pose_sequence`, `generate_procedure_sequences`)
-and the `PoseFrame` block constructor moved off per-step numpy calls, so a
-change to any draw, its order or the arithmetic on it shows here as a
-different sha256. The four `.truth.json` digests were re-taken when the
-truth sidecar lost its always-zero `pose_distance` key. The small config is
-a copy of the benchmark's run config."""
+"""`run` bundles pinned byte for byte: each digest was taken while the
+cohort generators (`synth._pose_sequence`, `_bounded_walk`,
+`generate_procedure_sequences`) and the signature smoothing still worked one
+step or row at a time. They also pin the running-sum walks and the
+shifted-slice smoothing that replaced those loops: a change to any draw, its
+order or the arithmetic on it shows here as a different sha256. The four
+`.truth.json` digests were re-taken when the truth sidecar lost its
+always-zero `pose_distance` key. The small config is a copy of the
+benchmark's run config."""
 
 import hashlib
 import json

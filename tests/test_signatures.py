@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import subspace_angles
 
-from oracles import lda_projection_oracle
+from oracles import lda_projection_oracle, per_row_moving_average
 from scenestream import DataWarning, InvariantError
 from scenestream.signatures import (
+    _moving_average,
     BUILTIN_RULES,
     FEATURE_NAMES,
     Timeline,
@@ -144,7 +146,7 @@ def test_stream_steps_past_the_cap_raise_before_any_list_is_built():
 
 # ------------------------------------------------------------- quartiles
 
-def test_quartile_spans_balance():
+def test_quartile_aggregate_spans_balance():
     # contiguous quartiles, earlier ones absorbing the remainder: the means of
     # rows 0..n-1 are the midpoints of the spans
     def means(n):
@@ -258,6 +260,27 @@ def test_signature_action_curves_are_probabilities(cohort, window):
     assert sig.action_curves.shape == (100, 3)
     assert (sig.action_curves >= 0).all() and (sig.action_curves <= 1).all()
     assert (sig.action_curves.sum(axis=1) <= 1 + 1e-12).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), window=st.integers(0, 100).map(lambda k: 2 * k + 1),
+       n=st.integers(1, 120), columns=st.integers(2, 4), integer=st.booleans())
+def test_moving_average_equals_per_row_mean_bit_for_bit(data, window, n, columns, integer):
+    # windows run past the 100-point grid, which `run` accepts
+    elements = st.integers(-2**53, 2**53) if integer else st.floats(-1e9, 1e9)
+    curves = data.draw(hnp.arrays(np.int64 if integer else float, (n, columns),
+                                  elements=elements))
+    got = _moving_average(curves, window)
+    assert got.dtype == float
+    assert np.array_equal(got, per_row_moving_average(curves, window))
+
+
+@pytest.mark.parametrize("window", range(1, 202, 2))
+def test_moving_average_of_signature_curves_equals_per_row_mean(window):
+    # the grid's 100 rows of 3 curves, at magnitudes where the order of adding shows
+    rng = np.random.default_rng(window)
+    curves = rng.uniform(0, 1, (100, 3)) * 10.0 ** rng.integers(-8, 9, (100, 3))
+    assert np.array_equal(_moving_average(curves, window), per_row_moving_average(curves, window))
 
 
 def test_signature_rejects_empty_input():

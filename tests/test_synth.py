@@ -4,7 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import naive_integrated_pose_distance, per_step_procedure_sequences
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    naive_integrated_pose_distance,
+    per_step_bounded_walk,
+    per_step_pose_deforms,
+    per_step_procedure_sequences,
+    per_step_walk,
+)
 from scenestream import (
     ACTIONS,
     Detection,
@@ -18,6 +27,7 @@ from scenestream import (
 )
 from scenestream import synth
 from scenestream.kinematics import (
+    Trajectory,
     clip_mean_hand_size,
     integrated_pose_distance,
     path_distance,
@@ -26,6 +36,7 @@ from scenestream.kinematics import (
 from scenestream.synth import (
     _HAND_TEMPLATE,
     _bounded_walk,
+    _walk,
     CorruptionSpec,
     OPENING_FRACTION,
     PHASES,
@@ -244,6 +255,67 @@ def test_bounded_walk_matches_per_step_draws():
         want.append(nxt)
     assert np.array_equal(got, np.array(want))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# (start, steps, the step at which each column's running sum first leaves
+# [-10, 10]) per exit path: no column leaves, some do, all do, all on step 0
+WALK_EXITS = {
+    "no column": ([0.0, 5.0, -5.0], [[1.0, -1.0, 0.5]] * 4, [None, None, None]),
+    "some columns": ([0.0, 9.0, -9.0], [[1.0, 0.75, -0.5]] * 4, [None, 1, 2]),
+    "every column": ([0.0, 9.0, -9.0], [[3.0, 0.5, -0.5]] * 6, [3, 2, 2]),
+    "first step": ([9.5, -9.5, 10.0], [[1.0, -1.0, 0.25], [-0.5, 0.5, -0.25]] * 3, [0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("reflect", [True, False], ids=["reflect", "clip"])
+@pytest.mark.parametrize("case", WALK_EXITS.values(), ids=WALK_EXITS)
+def test_walk_matches_per_step_walk_on_every_exit_path(case, reflect):
+    start, steps, first_exits = case
+    sums = np.cumsum(np.vstack([start, steps]), axis=0)
+    outside = np.abs(sums[1:]) > 10.0
+    assert [int(col.argmax()) if col.any() else None for col in outside.T] == first_exits
+    got = _walk(np.array(start), np.array(steps), -10.0, 10.0, reflect)
+    assert np.array_equal(got, per_step_walk(start, steps, -10.0, 10.0, reflect))
+    assert np.array_equal(got[:, ~outside.any(axis=0)], sums[:, ~outside.any(axis=0)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(0, 60), columns=st.integers(1, 18),
+       spread=st.floats(0.01, 20.0), reflect=st.booleans())
+def test_walk_matches_per_step_walk(seed, n_steps, columns, spread, reflect):
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(-12.0, 12.0, columns)  # some starts lie outside [-10, 10]
+    steps = rng.normal(0.0, spread, (n_steps, columns))
+    assert np.array_equal(_walk(start, steps, -10.0, 10.0, reflect),
+                          per_step_walk(start, steps, -10.0, 10.0, reflect))
+
+
+def per_step_pose_sequence(rng, n_frames, size, pose_rate):
+    points = _HAND_TEMPLATE[:9] * size + per_step_pose_deforms(rng, n_frames, size, pose_rate)
+    return Trajectory(frames=np.arange(n_frames), points=points, sizes=np.full(n_frames, size))
+
+
+@pytest.mark.parametrize("seed, clip_duration_s, operators, clips", [
+    (0, 1.0, 1, 1), (1, 10.0, 3, 4), (2, 60.0, 1, 2), (3, 1 / 30, 2, 1), (4, 23.3, 2, 2),
+])
+def test_tie_clips_match_per_step_walks(monkeypatch, seed, clip_duration_s, operators, clips):
+    # the running-sum walks draw and add exactly as the per-step ones, so the
+    # whole cohort, its later draws (knot counts) included, is the same to the bit
+    spec = SkillCohortSpec(seed=seed, clip_duration_s=clip_duration_s,
+                           operators_per_group=operators, clips_per_operator=clips)
+    got, got_truths = generate_tie_clips(spec)
+    monkeypatch.setattr(synth, "_bounded_walk", per_step_bounded_walk)
+    monkeypatch.setattr(synth, "_pose_sequence", per_step_pose_sequence)
+    want, want_truths = generate_tie_clips(spec)
+    assert got_truths == want_truths
+    assert [c.knot_count for c in got] == [c.knot_count for c in want]
+    hands = ("left", "right", "left_poses", "right_poses")
+    for g, w in zip(got, want, strict=True):
+        for hand in hands:
+            assert np.array_equal(getattr(g, hand).points, getattr(w, hand).points)
+    if clip_duration_s == 10.0:  # run's default clips: some trainee coordinates clip
+        assert any(np.abs(c.left_poses.points - _HAND_TEMPLATE[:9] * 100.0).max() == 30.0
+                   for c in got if c.experience == "trainee")
 
 
 def test_tie_clip_cohort_reflects_experience_targets():
