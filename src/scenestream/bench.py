@@ -49,7 +49,7 @@ def bench_stream(stream: VideoStream, window_s: float = DEFAULT_WINDOW_S) -> Ben
     """Replay a stream through the default tracker, timing each frame's row,
     then time `step_summary` on each of the stream's `window_s` steps."""
     check_step("window_s", window_s, stream.fps)
-    steps = stream_steps(stream, window_s)
+    steps = stream_steps(stream, stream.frames, window_s)
     tracker = SortTracker()
     frame_lat, window_lat = [], []
     for fr in stream.frames:

@@ -12,7 +12,7 @@ import warnings
 from pathlib import Path
 
 from .bench import DEFAULT_WINDOW_S, bench_stream
-from .errors import DataWarning, FrameOrderError, InvariantError, StreamFormatError
+from .errors import DataWarning, InvariantError, StreamFormatError
 from .evaluation import (
     DEFAULT_IOU_THRESHOLD,
     DEFAULT_PCK_ALPHA,
@@ -26,6 +26,7 @@ from .pipeline import (
     features_stage,
     lda_stage,
     read_features_csv,
+    read_streams,
     read_tracks,
     run_pipeline,
     sequences_from_stream_dir,
@@ -42,7 +43,7 @@ from .signatures import (
     filter_videos,
     top_features,
 )
-from .streams import finite_numbers, iter_json_lines, open_stream, parse_stream, read_json
+from .streams import finite_numbers, iter_json_lines, parse_stream, read_json
 from .synth import CorruptionSpec, SynthSpec, generate_stream, synth_generate
 from .tracking import TrackerConfig
 
@@ -64,20 +65,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_track(args) -> int:
-    """Stream the file through the tracker into the tracks file; at the first
-    frame out of order, start over from the buffered parse, which re-sorts
-    the frames with a DataWarning (or rejects a duplicate). Input that is not
-    a regular file, such as a pipe, cannot be read twice and is rejected."""
     config = TrackerConfig(iou_threshold=args.iou, max_age=args.max_age, min_hits=args.min_hits)
-    header, frames = open_stream(args.infile)
-    try:
-        write_tracks(header, track_stream(frames, config), args.out)
-    except FrameOrderError as exc:
-        if not Path(args.infile).is_file():
-            raise StreamFormatError(
-                f"{exc}; only a regular file is re-sorted, so sort the frames first") from None
-        stream = parse_stream(args.infile)
-        write_tracks(stream, track_stream(stream.frames, config), args.out)
+    read_streams([args.infile], lambda stream: write_tracks(
+        stream[0], track_stream(stream[1], config), args.out))
     print(args.out)
     return 0
 
@@ -177,15 +167,14 @@ def cmd_filter(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred = parse_stream(args.pred)
-    truth = parse_stream(args.truth)
-    if args.mode == "actions":
-        report = evaluate_actions(pred, truth)
-    elif args.mode == "boxes":
-        report = evaluate_boxes(pred, truth, iou_thresh=args.iou)
-    else:
-        report = evaluate_keypoints(pred, truth, alpha=args.alpha, ref=args.ref)
-    write_json(report, args.out)
+    def evaluate(pred, truth):
+        if args.mode == "actions":
+            return evaluate_actions(pred, truth)
+        if args.mode == "boxes":
+            return evaluate_boxes(pred, truth, iou_thresh=args.iou)
+        return evaluate_keypoints(pred, truth, alpha=args.alpha, ref=args.ref)
+
+    write_json(read_streams([args.pred, args.truth], evaluate), args.out)
     print(args.out)
     return 0
 

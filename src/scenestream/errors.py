@@ -8,13 +8,10 @@ class SceneStreamError(Exception):
 
 
 class StreamFormatError(SceneStreamError):
-    """Malformed input file or record; carries the offending line number when known."""
+    """Malformed input file or record; its message names the offending line when known."""
 
     def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class FrameOrderError(StreamFormatError):

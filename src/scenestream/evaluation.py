@@ -2,20 +2,23 @@
 precision/recall, detection average precision at a fixed IoU threshold, and
 keypoint PCK normalized by hand size.
 
-Box AP and PCK pool over one alignment of the two streams' frames. AP uses
-all-point interpolation with confidence ties broken by pooled (frame) order;
-the PCK threshold alpha defaults to 0.2 and is carried in every report so
-numbers are only compared at matched alpha. Each report is the plain dict
-that `eval` and `run` write; docs/format.md lists its keys.
+Each stream is read once, as the (header, frames in frame order) pair that
+`open_stream` returns; box AP and PCK pool over one merge of the two streams'
+frames by index. AP uses all-point interpolation with confidence ties broken
+by pooled (frame) order; the PCK threshold alpha defaults to 0.2 and is carried
+in every report so numbers are only compared at matched alpha. Each report is
+the plain dict that `eval` and `run` write; docs/format.md lists its keys.
 """
 
 from __future__ import annotations
 
+import heapq
 import warnings
+from itertools import groupby
 
 import numpy as np
 
-from .errors import DataWarning, InvariantError, check_finite
+from .errors import DataWarning, InvariantError, StreamFormatError, check_finite
 from .streams import (
     ACTIONS,
     ACTION_LABELS,
@@ -25,7 +28,6 @@ from .streams import (
     N_KEYPOINTS,
     THUMB_CHAIN,
     TOOL_CLASSES,
-    VideoStream,
     hand_size,
     iou,
 )
@@ -163,11 +165,11 @@ def pck(pred_kps: HandKeypoints, truth_kps: HandKeypoints, ref_box: tuple,
 
 # ------------------------------------------------------------------ reports
 
-def _report(truth_stream: VideoStream, **values) -> dict:
-    """The strata tags of `truth_stream` and each of `values` that is not None.
-    Every value but the settings `alpha` and `iou_threshold` is a metric: a
-    number, or a dict or list of numbers or None, each number in [0, 1]."""
-    report = {"strata": dict(truth_stream.metadata.get("strata", {}))}
+def _report(truth_header, **values) -> dict:
+    """The strata tags of the truth stream's header and each of `values` that
+    is not None. Every value but the settings `alpha` and `iou_threshold` is a
+    metric: a number, or a dict or list of numbers or None, each number in [0, 1]."""
+    report = {"strata": dict(truth_header.metadata.get("strata", {}))}
     for key, value in values.items():
         if value is None:
             continue
@@ -182,34 +184,38 @@ def _report(truth_stream: VideoStream, **values) -> dict:
     return report
 
 
-def evaluate_actions(pred_stream: VideoStream, truth_stream: VideoStream) -> dict:
+def evaluate_actions(pred, truth) -> dict:
     """Action precision/recall over ACTION_RESOLUTION_S windows of both streams."""
-    return _report(truth_stream, **action_precision_recall(
-        timeline_from_stream(pred_stream, ACTION_RESOLUTION_S).labels,
-        timeline_from_stream(truth_stream, ACTION_RESOLUTION_S).labels))
+    return _report(truth[0], **action_precision_recall(
+        timeline_from_stream(*pred, ACTION_RESOLUTION_S).labels,
+        timeline_from_stream(*truth, ACTION_RESOLUTION_S).labels))
 
 
-def _aligned_frames(pred_stream: VideoStream, truth_stream: VideoStream):
+def _aligned_frames(pred, truth):
     """(prediction frame or None, truth frame or None) for each frame index in
-    either stream, in frame order."""
-    preds = {fr.frame_index: fr for fr in pred_stream.frames}
-    truths = {fr.frame_index: fr for fr in truth_stream.frames}
-    return [(preds.get(k), truths.get(k)) for k in sorted(preds.keys() | truths.keys())]
+    either stream, merging the two in frame order as they are read; streams
+    whose fps differ are a StreamFormatError, as frames pair by index."""
+    if pred[0].fps != truth[0].fps:
+        raise StreamFormatError(f"pred fps {pred[0].fps!r} and truth fps {truth[0].fps!r} differ")
+    merged = heapq.merge(((fr.frame_index, 0, fr) for fr in pred[1]),
+                         ((fr.frame_index, 1, fr) for fr in truth[1]))
+    for _, same_index in groupby(merged, key=lambda item: item[0]):
+        by_side = {side: fr for _, side, fr in same_index}
+        yield by_side.get(0), by_side.get(1)
 
 
-def evaluate_boxes(pred_stream: VideoStream, truth_stream: VideoStream,
-                   iou_thresh: float = DEFAULT_IOU_THRESHOLD) -> dict:
-    """Frame-aligned detection AP per class; hands reported separately from
-    the tool mAP. A frame missing from either side has no detections there.
-    `iou_thresh` must lie in (0, 1]."""
+def evaluate_boxes(pred, truth, iou_thresh: float = DEFAULT_IOU_THRESHOLD) -> dict:
+    """Frame-aligned detection AP per class of two (header, frames) streams;
+    hands reported separately from the tool mAP. A frame missing from either
+    side has no detections there. `iou_thresh` must lie in (0, 1]."""
     if not 0.0 < iou_thresh <= 1.0:
         raise InvariantError(f"iou_thresh must be in (0, 1], got {iou_thresh}")
     classes = (HAND,) + TOOL_CLASSES
     records = {c: [] for c in classes}  # (confidence, is_tp) in frame order
     n_gt = dict.fromkeys(classes, 0)
-    for pred, truth in _aligned_frames(pred_stream, truth_stream):
-        pred_dets = pred.detections if pred else ()
-        truth_dets = truth.detections if truth else ()
+    for pred_fr, truth_fr in _aligned_frames(pred, truth):
+        pred_dets = pred_fr.detections if pred_fr else ()
+        truth_dets = truth_fr.detections if truth_fr else ()
         for c in classes:
             preds = [(d.confidence, d.box) for d in pred_dets if d.category == c]
             gts = [d.box for d in truth_dets if d.category == c]
@@ -225,7 +231,7 @@ def evaluate_boxes(pred_stream: VideoStream, truth_stream: VideoStream,
             aps[c] = None
         else:
             aps[c] = ap_from_records(records[c], n_gt[c])
-    return _report(truth_stream, iou_threshold=iou_thresh, ap_per_class=aps,
+    return _report(truth[0], iou_threshold=iou_thresh, ap_per_class=aps,
                    hand_ap=aps[HAND], tool_map=mean_ap({c: aps[c] for c in TOOL_CLASSES}))
 
 
@@ -236,9 +242,8 @@ def _pooled_rate(hits, valid, indices):
     return float(hits[indices].sum() / n_valid) if n_valid else None
 
 
-def evaluate_keypoints(pred_stream: VideoStream, truth_stream: VideoStream,
-                       alpha: float = DEFAULT_PCK_ALPHA, ref: str = "truth") -> dict:
-    """Pooled PCK over the truth frames.
+def evaluate_keypoints(pred, truth, alpha: float = DEFAULT_PCK_ALPHA, ref: str = "truth") -> dict:
+    """Pooled PCK over the truth frames of two (header, frames) streams.
 
     Hand instances are paired within each frame by owner-box IoU; unmatched
     ground-truth hands, including every hand on a frame the predictor
@@ -250,10 +255,10 @@ def evaluate_keypoints(pred_stream: VideoStream, truth_stream: VideoStream,
         raise InvariantError(f"ref must be 'truth' or 'pred', got {ref!r}")
     check_finite("alpha", alpha)
     hits, valid = np.zeros(N_KEYPOINTS), np.zeros(N_KEYPOINTS)  # integer counts
-    for pred, truth in _aligned_frames(pred_stream, truth_stream):
-        if truth is None:
+    for pred_fr, truth_fr in _aligned_frames(pred, truth):
+        if truth_fr is None:
             continue
-        preds, truths = pred.keypoints if pred else (), truth.keypoints
+        preds, truths = pred_fr.keypoints if pred_fr else (), truth_fr.keypoints
         matches, unmatched_truth = associate(
             [k.owner_box for k in preds], [k.owner_box for k in truths],
             KEYPOINT_MATCH_IOU)
@@ -265,7 +270,7 @@ def evaluate_keypoints(pred_stream: VideoStream, truth_stream: VideoStream,
         for ti in unmatched_truth:
             valid += truths[ti].visible
     return _report(
-        truth_stream, alpha=alpha,
+        truth[0], alpha=alpha,
         pck_per_keypoint=[_pooled_rate(hits, valid, [k]) for k in range(N_KEYPOINTS)],
         mean_pck=_pooled_rate(hits, valid, range(N_KEYPOINTS)),
         thumb_pck=_pooled_rate(hits, valid, THUMB_CHAIN),

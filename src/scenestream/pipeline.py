@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataWarning, InvariantError, StreamFormatError, check_finite
+from .errors import DataWarning, FrameOrderError, InvariantError, StreamFormatError, check_finite
 from .evaluation import evaluate_actions, evaluate_boxes
 from .kinematics import (
     SKILL_METRICS,
@@ -62,6 +62,7 @@ from .streams import (
     iou,
     iter_json_lines,
     keypoint_rows,
+    open_stream,
     parse_stream,
     read_text,
 )
@@ -83,6 +84,23 @@ ORACLE_MATCH_IOU = 0.3  # a track box follows the true hand it overlaps this muc
 def write_json(obj, path) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n",
                           encoding="utf-8")
+
+
+def read_streams(paths, consume):
+    """`consume(*pairs)` of the (header, frames) pairs `open_stream` gives for `paths`.
+    At the first frame out of order the files are closed and, when every path is a
+    regular file, `consume` runs again on the frames `parse_stream` re-sorts; a
+    pipe is read once, so there a frame out of order is an input error."""
+    opened = [open_stream(path) for path in paths]
+    try:
+        return consume(*opened)
+    except FrameOrderError as exc:
+        for _, frames in opened:
+            frames.close()
+        if not all(Path(path).is_file() for path in paths):
+            raise StreamFormatError(
+                f"{exc}; only a regular file is re-sorted, so sort the frames first") from None
+    return consume(*((stream, stream.frames) for stream in map(parse_stream, paths)))
 
 
 # ------------------------------------------------------------------ tracking
@@ -398,13 +416,15 @@ def skill_stage(clips, fps, csv_path, metric="distance", centroids_path=None,
 
 def sequences_from_stream_dir(stream_dir, resolution_s=5.0):
     """Background-excised Timeline per stream file, keyed by video id, sorted."""
+    def timeline(stream):
+        check_step("resolution_s", resolution_s, stream[0].fps)
+        return timeline_from_stream(*stream, resolution_s)
+
     out = {}
     for path in sorted(Path(stream_dir).glob("*.jsonl")):
         if path.name.endswith((".truth.jsonl", ".tracks.jsonl")):
             continue
-        stream = parse_stream(path)
-        check_step("resolution_s", resolution_s, stream.fps)
-        tl = timeline_from_stream(stream, resolution_s)
+        tl = read_streams([path], timeline)
         out[tl.video_id] = excise_background(tl)
     if not out:
         raise StreamFormatError(f"no stream files found in {stream_dir}")
@@ -610,14 +630,13 @@ def run_pipeline(config: dict, out_dir) -> dict:
         write_tracks(stream, rows, artifact(f"tracks/{stream.video_id}.tracks.jsonl"))
         tracking_reports.append(tracking_oracle_report(rows, truth))
 
-        truth_stream = truth_stream_from_ground_truth(stream, truth)
+        pairs = [(s, s.frames) for s in (stream, truth_stream_from_ground_truth(stream, truth))]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DataWarning)
             eval_reports.append({
                 "video_id": stream.video_id,
-                "actions": evaluate_actions(stream, truth_stream),
-                "boxes": evaluate_boxes(stream, truth_stream,
-                                        iou_thresh=float(cfg["eval"]["iou"]))})
+                "actions": evaluate_actions(*pairs),
+                "boxes": evaluate_boxes(*pairs, iou_thresh=float(cfg["eval"]["iou"]))})
     write_json(tracking_reports, artifact("tracking_report.json"))
     write_json(eval_reports, artifact("eval_report.json"))
 

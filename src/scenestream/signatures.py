@@ -83,20 +83,24 @@ def check_step(name: str, step_s: float, fps: float) -> None:
                              f"(1/fps = {1.0 / fps!r} s), got {step_s!r}")
 
 
-def stream_steps(stream: VideoStream, resolution_s: float = DEFAULT_RESOLUTION_S):
-    """The frames of each resolution window, as lists, at least one window;
-    frames past the stream's duration join the last window. A duration of
-    more than MAX_STEPS windows raises InvariantError."""
+def stream_steps(header: VideoStream, frames, resolution_s: float = DEFAULT_RESOLUTION_S):
+    """The frames (read once, in frame order) of each resolution window, as lists, at
+    least one; frames past the duration, the header's duration_s or else the span up
+    to the last frame, join the last window. Over MAX_STEPS windows raise InvariantError."""
     check_finite("resolution_s", resolution_s)
-    n_windows = stream.duration_s / resolution_s  # compared before int(): it may be inf
+    by_step, last = {}, -1  # frames by window; a frame past MAX_STEPS is past any duration
+    for fr in frames:
+        by_step.setdefault(int(min(fr.timestamp_s / resolution_s, MAX_STEPS)), []).append(fr)
+        last = fr.frame_index
+    duration_s = header.metadata.get("duration_s")
+    duration_s = (last + 1) / header.fps if duration_s is None else float(duration_s)
+    n_windows = duration_s / resolution_s  # compared before int(): it may be inf
     if n_windows > MAX_STEPS:
-        raise InvariantError(f"stream {stream.video_id} lasts {stream.duration_s!r} s, more "
+        raise InvariantError(f"stream {header.video_id} lasts {duration_s!r} s, more "
                              f"than {MAX_STEPS} steps of {resolution_s!r} s")
     n_steps = max(1, int(np.ceil(n_windows)))
-    steps = [[] for _ in range(n_steps)]
-    for fr in stream.frames:
-        steps[min(int(fr.timestamp_s / resolution_s), n_steps - 1)].append(fr)
-    return steps
+    steps = [by_step.pop(k, []) for k in range(n_steps - 1)]
+    return steps + [[fr for step in by_step.values() for fr in step]]  # the rest, in order
 
 
 def step_summary(frames):
@@ -117,10 +121,10 @@ def step_summary(frames):
     return label, ([c / len(frames) for c in totals] if frames else totals)
 
 
-def timeline_from_stream(stream: VideoStream, resolution_s: float = DEFAULT_RESOLUTION_S):
-    """The `step_summary` of each of the stream's `stream_steps`."""
-    return Timeline(stream.video_id,
-                    *zip(*map(step_summary, stream_steps(stream, resolution_s))))
+def timeline_from_stream(header: VideoStream, frames, resolution_s: float = DEFAULT_RESOLUTION_S):
+    """The `step_summary` of each of a stream's `stream_steps`."""
+    return Timeline(header.video_id,
+                    *zip(*map(step_summary, stream_steps(header, frames, resolution_s))))
 
 
 def excise_background(tl: Timeline) -> Timeline:

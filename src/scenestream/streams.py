@@ -7,7 +7,6 @@ See docs/format.md for the exact schema and a golden example.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import re
@@ -246,14 +245,6 @@ class VideoStream:
             _check_duration(meta, frames[-1].frame_index, self.fps)
         object.__setattr__(self, "metadata", MappingProxyType(meta))
 
-    @property
-    def duration_s(self) -> float:
-        if "duration_s" in self.metadata:
-            return float(self.metadata["duration_s"])
-        if not self.frames:
-            return 0.0
-        return (self.frames[-1].frame_index + 1) / self.fps
-
 
 def finite_numbers(values, n) -> bool:
     """Whether `values` is a list of n JSON numbers (not booleans), each finite
@@ -448,52 +439,50 @@ def open_stream(path, late=None):
     """The header of a stream file, as a VideoStream without frames, and an
     iterator over its FrameRecords in file order.
 
-    Each line is parsed and checked when the iterator reaches it, so the
-    first bad line in file order is the one reported: a malformed line
-    raises StreamFormatError, a frame breaking an invariant (a timestamp off
-    frame_index/fps included) raises InvariantError, both naming the line.
-    After the last line, the header's duration_s is checked against the span
-    up to the largest frame_index, naming that frame's line. A frame whose
-    index is not above all before it raises FrameOrderError naming its line;
-    given a list `late`, the iterator appends (frame, line number) to it instead.
+    Each line is parsed and checked when the iterator reaches it, so the first
+    bad line in file order is the one reported, by an error naming the line and
+    ending `in <path>`: StreamFormatError for a malformed line, InvariantError
+    for a frame breaking an invariant (a timestamp off frame_index/fps
+    included). After the last line, the header's duration_s is checked against
+    the span up to the largest frame_index, at that frame's line. A frame whose
+    index is not above all before it raises FrameOrderError; given a list
+    `late`, the iterator appends (frame, line number) to it instead.
     """
-    path = Path(path)
+    frames = _checked_lines(Path(path), late)
+    return next(frames), frames
+
+
+def _checked_lines(path, late):
+    """The header of the stream file at `path`, then each of its frames, checked."""
     lines = _text_lines(path)
-    first = next(lines, None)
-    if first is None:
-        raise StreamFormatError(f"empty stream file: {path}")
-    line_no, line = first
     try:
+        line_no, line = next(lines, (1, None))
+        if line is None:
+            raise StreamFormatError("empty stream file")
         header = VideoStream(**_parse_header(_decode(line, line_no), line_no))
-    except InvariantError as exc:
-        raise InvariantError(f"line {line_no}: {exc}") from exc
-    return header, _checked_frames(path, header, lines, late)
-
-
-def _checked_frames(path, header: VideoStream, lines, late):
-    last_line, last_index = None, -1
-    for line_no, line in lines:
-        try:
+        yield header
+        last_line, last_index = None, -1
+        for line_no, line in lines:
             fr = _frame_from_line(line, line_no)
             _check_timestamp(fr, header.fps)
-        except InvariantError as exc:
-            raise InvariantError(f"line {line_no}: {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise StreamFormatError(f"malformed frame record: {exc}", line=line_no) from exc
-        if fr.frame_index > last_index:
-            last_line, last_index = line_no, fr.frame_index
-        elif late is None:
-            raise FrameOrderError(f"frame_index {fr.frame_index} is not above the frame "
-                                  "before it", line=line_no)
-        else:
-            late.append((fr, line_no))
-        yield fr
-    if last_line is None:
-        raise StreamFormatError(f"stream {path} has a header but no frames")
-    try:
+            if fr.frame_index > last_index:
+                last_line, last_index = line_no, fr.frame_index
+            elif late is None:
+                raise FrameOrderError(f"frame_index {fr.frame_index} is not above the frame "
+                                      "before it", line=line_no)
+            else:
+                late.append((fr, line_no))
+            yield fr
+        if last_line is None:
+            raise StreamFormatError("stream has a header but no frames")
+        line_no = last_line
         _check_duration(header.metadata, last_index, header.fps)
-    except InvariantError as exc:
-        raise InvariantError(f"line {last_line}: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StreamFormatError(f"malformed frame record: {exc} in {path}", line=line_no) from exc
+    except (InvariantError, StreamFormatError) as exc:  # the same error, naming line and file
+        line = f"line {line_no}: " if isinstance(exc, InvariantError) else ""
+        exc.args = (f"{line}{exc} in {path}",)
+        raise
 
 
 def parse_stream(path) -> VideoStream:
@@ -514,15 +503,12 @@ def parse_stream(path) -> VideoStream:
                 raise InvariantError(f"line {line_no}: duplicate frame_index "
                                      f"{fr.frame_index} in {path}")
             seen.add(fr.frame_index)
-        warnings.warn(
-            f"stream {path} had out-of-order frames; re-sorted by frame_index",
-            DataWarning, stacklevel=2,
-        )
+        warnings.warn(f"stream {path} had out-of-order frames; re-sorted by frame_index",
+                      DataWarning, stacklevel=2)
         frames.sort(key=lambda fr: fr.frame_index)
     # every check of VideoStream.__post_init__ was made above, once
-    stream = copy.copy(header)
-    object.__setattr__(stream, "frames", tuple(frames))
-    return stream
+    object.__setattr__(header, "frames", tuple(frames))
+    return header
 
 
 def _frame_to_obj(fr: FrameRecord) -> dict:

@@ -510,3 +510,27 @@ def per_row_moving_average(curves, window):
     """Centered moving average, each row the mean of its truncated window."""
     half, n = window // 2, len(curves)
     return np.array([curves[max(0, i - half):i + half + 1].mean(axis=0) for i in range(n)])
+
+
+def dict_aligned_frames(pred_stream, truth_stream):
+    """(prediction frame or None, truth frame or None) for each frame index of
+    two whole VideoStreams, as `evaluation._aligned_frames` paired them before
+    it merged two frame iterators: through a dict of every frame of each."""
+    preds = {fr.frame_index: fr for fr in pred_stream.frames}
+    truths = {fr.frame_index: fr for fr in truth_stream.frames}
+    return [(preds.get(k), truths.get(k)) for k in sorted(preds.keys() | truths.keys())]
+
+
+def whole_stream_steps(stream, resolution_s):
+    """The frames of each resolution window of a whole VideoStream, as
+    `signatures.stream_steps` took them before it read frames once: the
+    duration first (the header's duration_s, else the span up to the last
+    frame), then each frame to window min(int(t / resolution_s), last window)."""
+    duration = stream.metadata.get("duration_s")
+    if duration is None:
+        duration = (stream.frames[-1].frame_index + 1) / stream.fps if stream.frames else 0.0
+    n_steps = max(1, int(np.ceil(float(duration) / resolution_s)))
+    steps = [[] for _ in range(n_steps)]
+    for fr in stream.frames:
+        steps[min(int(fr.timestamp_s / resolution_s), n_steps - 1)].append(fr)
+    return steps

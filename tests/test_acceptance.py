@@ -257,7 +257,9 @@ def _one_frame_hand_ap(preds, gts):
         frame = FrameRecord(frame_index=0, timestamp_s=0.0, detections=tuple(dets))
         return VideoStream(video_id="v", fps=30.0, width=1280, height=720, frames=(frame,))
     truth = [Detection(box=b, category="hand", confidence=1.0) for b in gts]
-    return evaluate_boxes(stream(preds), stream(truth))["hand_ap"]
+    pred_stream, truth_stream = stream(preds), stream(truth)
+    return evaluate_boxes((pred_stream, pred_stream.frames),
+                          (truth_stream, truth_stream.frames))["hand_ap"]
 
 
 def test_acceptance_7_metric_suite_oracle_equivalence():

@@ -172,7 +172,7 @@ def test_traced_associate_is_called_once_per_step_and_bench_times_track_row(monk
     assert calls == {"associate": n, "step": n, "track_row": 0, "step_summary": 0}
     bench.bench_stream(stream)
     assert calls == {"associate": 2 * n, "step": 2 * n, "track_row": n,
-                     "step_summary": len(timeline_from_stream(stream, 5.0).labels)}
+                     "step_summary": len(timeline_from_stream(stream, stream.frames, 5.0).labels)}
 
 
 def test_traced_bodies_write_the_bytes_of_untraced_ones(monkeypatch, tmp_path):

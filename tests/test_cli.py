@@ -117,6 +117,32 @@ def test_cli_track_memory_is_flat_in_stream_length(tmp_path):
     assert long_peak <= 1.5 * short_peak, (short_peak, long_peak)
 
 
+# the command's peak resident set in kB, printed after it runs: VmHWM, as on
+# Linux a child's ru_maxrss starts from its parent's peak (here the test run's)
+_PEAK_RSS = ("import sys; from scenestream.cli import main; code = main(sys.argv[1:]); "
+             "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')));"
+             " sys.exit(code)")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_eval_peak_memory_is_within_twice_track_memory(tmp_path):
+    # `eval` merges the frames of its two streams as it reads them, as `track`
+    # reads its one, so neither holds a whole stream; on 3 minutes of keypoint
+    # stream, reading both whole took about 2.6 times `track`'s peak
+    stream = str(_keypoint_stream_file(tmp_path / "s.jsonl", 180.0))
+
+    def peak_kib(*argv):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv,
+                               "--out", str(tmp_path / "out")],
+                              env={**os.environ, "PYTHONPATH": str(_SRC)},
+                              capture_output=True, text=True, check=True)
+        return int(proc.stdout.split()[-2])
+
+    track = peak_kib("track", "--in", stream)
+    for mode in ("keypoints", "boxes"):
+        assert peak_kib("eval", mode, "--pred", stream, "--truth", stream) <= 2 * track, mode
+
+
 def test_cli_track_out_of_order_stream_matches_sorted_stream(tmp_path):
     in_order = _keypoint_stream_file(tmp_path / "sorted.jsonl", 12.0)
     lines = in_order.read_text().splitlines()
@@ -146,7 +172,7 @@ def test_out_of_order_frames_read_from_a_pipe_name_their_line(tmp_path, capsys):
         os.close(read_end)
     err = capsys.readouterr().err
     assert err.startswith("input error: line 303: frame_index 300 is not above the frame "
-                          "before it; only a regular file is re-sorted")
+                          f"before it in /dev/fd/{read_end}; only a regular file is re-sorted")
     assert "Traceback" not in err
     assert not out.exists()
     regular = tmp_path / "s.jsonl"  # the same lines in a file are re-sorted
@@ -745,7 +771,7 @@ def test_zero_corruption_pipeline_recovers_ground_truth(monkeypatch):
     assert got_lengths == pytest.approx(want_lengths, rel=1e-6)
 
     from scenestream.signatures import Timeline, quartile_aggregate, timeline_from_stream
-    tl = timeline_from_stream(stream, resolution_s=5.0)
+    tl = timeline_from_stream(stream, stream.frames, resolution_s=5.0)
     # rebuild the sequence from the sidecar's per-frame actions
     steps = []
     per_step = int(5.0 * spec.fps)
@@ -885,8 +911,27 @@ def test_duplicate_frame_names_the_line_of_its_second_occurrence(tmp_path, capsy
                                        f"frame_index {order[line - 3]} in {path}\n")
 
 
+@pytest.mark.parametrize("mode", ["actions", "boxes", "keypoints"])
+def test_eval_pairs_frames_by_index_only_at_one_frame_rate(tmp_path, capsys, mode):
+    # boxes and keypoints pair frame k of each stream, which at 30 and 25 fps
+    # lie 1/150 s apart per frame; actions are scored per second of each stream
+    pred, truth, out = tmp_path / "pred.jsonl", tmp_path / "truth.jsonl", tmp_path / "out"
+    for path, fps in ((pred, 30.0), (truth, 25.0)):
+        path.write_text("\n".join([json.dumps({"video_id": "v", "fps": fps}), *(
+            json.dumps({"frame": k, "t": k / fps, "dets": [_HAND], "action": "cutting"})
+            for k in range(60))]) + "\n")
+    code = main(["eval", mode, "--pred", str(pred), "--truth", str(truth), "--out", str(out)])
+    err = capsys.readouterr().err
+    if mode == "actions":
+        assert code == 0 and json.loads(out.read_text())["accuracy"] == 1.0
+    else:
+        assert (code, err) == (1, "input error: pred fps 30.0 and truth fps 25.0 differ\n")
+        assert not out.exists()
+
+
 def test_duplicate_frame_read_from_a_pipe_names_its_line(tmp_path, capsys):
-    # as with `--pred <(cmd)`, the stream can be read once: a second read finds it empty
+    # as with `--pred <(cmd)`, the stream can be read once, so it is not re-sorted:
+    # the repeated frame is out of order, an input error naming its line, as in `track`
     lines = [json.dumps({"video_id": "v", "fps": 30.0})]
     lines += [json.dumps({"frame": k, "t": k / 30.0, "dets": []}) for k in (0, 1, 0)]
     truth = tmp_path / "truth.jsonl"
@@ -897,11 +942,12 @@ def test_duplicate_frame_read_from_a_pipe_names_its_line(tmp_path, capsys):
     pred = f"/dev/fd/{read_end}"
     try:
         assert main(["eval", "actions", "--pred", pred, "--truth", str(truth),
-                     "--out", str(tmp_path / "out")]) == 2
+                     "--out", str(tmp_path / "out")]) == 1
     finally:
         os.close(read_end)
-    assert capsys.readouterr().err == (f"invariant violation: line 4: duplicate "
-                                       f"frame_index 0 in {pred}\n")
+    assert capsys.readouterr().err == (f"input error: line 4: frame_index 0 is not above the "
+                                       f"frame before it in {pred}; only a regular file is "
+                                       "re-sorted, so sort the frames first\n")
 
 
 def test_golden_with_keypoints_tracks(tmp_path):
@@ -941,7 +987,7 @@ def test_bad_box_is_an_invariant_violation_naming_its_line(tmp_path, capsys, com
     argv = (["track", "--in", str(bad_path), "--out", out] if command == "track" else
             ["eval", "boxes", "--pred", str(bad_path), "--truth", str(good_path), "--out", out])
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"invariant violation: line 3: {message}\n"
+    assert capsys.readouterr().err == f"invariant violation: line 3: {message} in {bad_path}\n"
 
 
 def _skill_inputs(tmp_path):
@@ -1174,6 +1220,12 @@ _INPUT_ERRORS = {
     "tracks row repeated": (["skill", "--tracks", "@t.jsonl", "--clips", "@c.json"], {
         "t.jsonl": _tracks_text(0, 1, 1), "c.json": "[]"},
         "line 4: tracks row frame 1 is not above the frame before it"),
+    "bad stream file among streams": (["signature", "--streams", "@d"], {
+        "d/a.jsonl": _stream_text(), "d/b.jsonl": _stream_text(t=...)},
+        "line 2: frame record needs 'frame' and 't': 't' in @d/b.jsonl\n"),
+    "bad truth file": (["eval", "actions", "--pred", "@p.jsonl", "--truth", "@t.jsonl"], {
+        "p.jsonl": _stream_text(), "t.jsonl": _stream_text(t=...)},
+        "line 2: frame record needs 'frame' and 't': 't' in @t.jsonl\n"),
     "streams without stream files": (["signature", "--streams", "@d"],
                                      {"d/v.truth.jsonl": "{}\n"}, "no stream files found in "),
     "feature columns": (_LDA, {"f.csv": "video_id,label,a\n"}, "unexpected feature columns in "),
@@ -1227,7 +1279,7 @@ def test_cli_header_fps_not_above_0_is_an_invariant_violation(tmp_path, capsys, 
             "bench": ["bench", "--in", str(path)]}[command]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == ("invariant violation: line 1: VideoStream.fps must "
-                                       f"be > 0, got {float(fps)!r}\n")
+                                       f"be > 0, got {float(fps)!r} in {path}\n")
     assert list(tmp_path.iterdir()) == [path]
 
 

@@ -121,11 +121,17 @@ def one_frame_stream(detections=(), keypoints=()):
     return VideoStream(video_id="v", fps=30.0, width=1280, height=720, frames=(frame,))
 
 
+def pair(stream):
+    """A stream as the (header, frames) pair that the evaluators take."""
+    return stream, stream.frames
+
+
 def one_frame_hand_ap(preds, gts):
     """Hand AP of `preds` (Detections) against the hand boxes `gts`, as
     `evaluate_boxes` scores one frame; None when its report leaves it out."""
     truth = [Detection(box=b, category="hand", confidence=1.0) for b in gts]
-    return evaluate_boxes(one_frame_stream(preds), one_frame_stream(truth)).get("hand_ap")
+    return evaluate_boxes(pair(one_frame_stream(preds)),
+                          pair(one_frame_stream(truth))).get("hand_ap")
 
 
 def test_ap_perfect_detector():
@@ -280,16 +286,16 @@ def test_pck_aggregate_groups():
     truth = kps(grid_points(), box=b)
     pred_pts = grid_points()
     pred_pts[1:5] += 1000.0  # thumb chain misses
-    report = evaluate_keypoints(one_frame_stream(keypoints=[kps(pred_pts, box=b)]),
-                                one_frame_stream(keypoints=[truth]))
+    report = evaluate_keypoints(pair(one_frame_stream(keypoints=[kps(pred_pts, box=b)])),
+                                pair(one_frame_stream(keypoints=[truth])))
     assert report["thumb_pck"] == 0.0
     assert report["index_pck"] == 1.0
     assert report["mean_pck"] == pytest.approx(17 / 21)
     per_kp = report["pck_per_keypoint"]
     assert per_kp[0] == 1.0 and per_kp[1] == 0.0
     with pytest.raises(InvariantError, match="ref must be 'truth' or 'pred'"):
-        evaluate_keypoints(one_frame_stream(keypoints=[truth]),
-                           one_frame_stream(keypoints=[truth]), ref="box")
+        evaluate_keypoints(pair(one_frame_stream(keypoints=[truth])),
+                           pair(one_frame_stream(keypoints=[truth])), ref="box")
 
 
 def _keypoints_by_frame(stream):
@@ -308,9 +314,9 @@ def test_pck_counts_truth_frames_the_predictor_skipped():
     stream, _ = generate_stream(SynthSpec(seed=3, fps=10, duration_s=4,
                                           with_keypoints=True), 0)
     half = _first_frames(stream, len(stream.frames) // 2)
-    report = evaluate_keypoints(half, stream)
+    report = evaluate_keypoints(pair(half), pair(stream))
     assert report["mean_pck"] == 0.5
-    assert evaluate_boxes(half, stream)["hand_ap"] == 0.5
+    assert evaluate_boxes(pair(half), pair(stream))["hand_ap"] == 0.5
     assert report["mean_pck"] == naive_pck(_keypoints_by_frame(half),
                                            _keypoints_by_frame(stream), alpha=0.2)
 
@@ -323,7 +329,7 @@ def test_pck_matches_naive_oracle_on_partial_corrupted_predictions(seed):
                      corruption=CorruptionSpec(dropout_rate=0.2, jitter_sigma=3.0))
     pred = _first_frames(generate_stream(spec, 0)[0], 25)
     for alpha in (0.05, 0.2):
-        report = evaluate_keypoints(pred, truth, alpha=alpha)
+        report = evaluate_keypoints(pair(pred), pair(truth), alpha=alpha)
         assert report["mean_pck"] == naive_pck(_keypoints_by_frame(pred),
                                                _keypoints_by_frame(truth), alpha=alpha)
 

@@ -355,18 +355,18 @@ def test_parse_stream_checks_each_frame_once(tmp_path, monkeypatch):
 
 def test_header_duration_s_sets_the_timeline_steps(tmp_path):
     # 150 frames at 30 fps span 5.0 s; a header duration_s of 5.02 is within
-    # a frame of that span, and its last 0.02 s make a second 5-s step
+    # a frame of that span, and its last 0.02 s make a second 5-s step. A
+    # duration_s of null is no duration, as the reader takes it
     from scenestream.signatures import timeline_from_stream
 
     path = tmp_path / "s.jsonl"
-    for metadata, duration, labels in [({}, 5.0, ("cutting",)),
-                                       ({"duration_s": 5.02}, 5.02, ("cutting", "background"))]:
+    for metadata, labels in [({}, ("cutting",)), ({"duration_s": None}, ("cutting",)),
+                             ({"duration_s": 5.02}, ("cutting", "background"))]:
         header = {"video_id": "v", "fps": 30.0, "metadata": metadata}
         path.write_text(json.dumps(header) + "\n"
                         + "\n".join(json.dumps(frame_obj(i)) for i in range(150)) + "\n")
         stream = parse_stream(path)
-        assert stream.duration_s == duration
-        assert timeline_from_stream(stream, resolution_s=5.0).labels == labels
+        assert timeline_from_stream(stream, stream.frames, resolution_s=5.0).labels == labels
 
 
 _EXTRA = st.sampled_from([{}, {"note": "points"}, {"meta": {"points": [[1, 2, 3]]}},
@@ -428,6 +428,12 @@ def _kps_line(points=_GOOD, entry="", frame=""):
             f'{frame}"kps": [{{"points": {points}, {entry}"box": [100, 100, 180, 170]}}]}}')
 
 
+def in_file(err, path):
+    """Standard error `err` of a command with the error it reports, if any,
+    naming the stream file `path` it was read from, as every read error does."""
+    return err and f"{err[:-1]} in {path}\n"
+
+
 # id: (frame line, exit code of `track`, its stderr, the keypoint text of its tracks row)
 _VERDICTS = {
     "1.1e2": (_kps_line(_with("1.1e2")), 0, "", _with("1.1e2")),
@@ -459,7 +465,7 @@ def test_keypoint_text_checks_give_the_verdict_of_decoding(tmp_path, capsys, cas
     path, out = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
     path.write_text('{"video_id": "v", "fps": 30.0}\n' + line + "\n")
     assert main(["track", "--in", str(path), "--out", str(out), "--min-hits", "1"]) == code
-    assert capsys.readouterr().err == err
+    assert capsys.readouterr().err == in_file(err, path)
     if text is not None:
         assert f'"kps": {{"1": {text}}}' in out.read_text().splitlines()[1]
 
@@ -694,7 +700,7 @@ def test_one_pass_entry_checks_report_as_the_full_checks(tmp_path, capsys, case)
     path, out = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
     path.write_text('{"video_id": "v", "fps": 30.0}\n' + _PARITY_LINES[case] + "\n")
     code = main(["track", "--in", str(path), "--out", str(out)])
-    assert (code, capsys.readouterr().err) == _PARITY[case]
+    assert (code, capsys.readouterr().err) == (_PARITY[case][0], in_file(_PARITY[case][1], path))
     if code == 0:  # each entry is the Detection its constructor makes
         (frame,) = parse_stream(path).frames
         want = [Detection(box(*corners), cls, 1.0 if conf is None else float(conf))
