@@ -49,14 +49,13 @@ def bench_stream(stream: VideoStream, window_s: float = DEFAULT_WINDOW_S) -> Ben
     """Replay a stream through the default tracker, timing each frame's row,
     then time `step_summary` on each of the stream's `window_s` steps."""
     check_step("window_s", window_s, stream.fps)
-    steps = stream_steps(stream, stream.frames, window_s)
     tracker = SortTracker()
     frame_lat, window_lat = [], []
     for fr in stream.frames:
         t0 = time.perf_counter()
         track_row(tracker, fr)
         frame_lat.append(time.perf_counter() - t0)
-    for frames in steps:
+    for frames in stream_steps(stream, stream.frames, window_s):
         t0 = time.perf_counter()
         step_summary(frames)
         window_lat.append(time.perf_counter() - t0)

@@ -9,18 +9,18 @@ the resulting 30 features feed a regularized two-discriminant LDA.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DataWarning, InvariantError, check_finite
-from .streams import ACTIONS, ACTION_LABELS, BACKGROUND, TOOL_CLASSES, VideoStream
+from .streams import ACTIONS, ACTION_LABELS, BACKGROUND, TIMESTAMP_TOL_S, TOOL_CLASSES, VideoStream
 
 DEFAULT_RESOLUTION_S = 5.0
-# steps `stream_steps` builds at most, as synth.MAX_FRAMES: a stream of fewer
-# than that many frame periods passes at any step of at least one frame period
-MAX_STEPS = 10 ** 7
+MAX_STEPS = 10 ** 7  # steps of a stream, and frames of a synthetic video (synth.MAX_FRAMES)
 N_QUARTILES = 4
 SIGNATURE_GRID = 100  # normalized-time samples per signature curve
 DEFAULT_SMOOTHING_WINDOW = 5  # steps; must be odd
@@ -74,9 +74,8 @@ class Timeline:
 
 
 def check_step(name: str, step_s: float, fps: float) -> None:
-    """Raise InvariantError unless the user-set step `step_s` is a finite
-    number of at least one frame period, so that `stream_steps` builds at most
-    one list per frame period: fewer than MAX_STEPS for a stream of fewer."""
+    """Raise InvariantError unless the user-set step `step_s` is a finite number of
+    at least one frame period: then a stream of MAX_STEPS frame periods passes the cap."""
     check_finite(name, step_s)
     if step_s < 1.0 / fps:
         raise InvariantError(f"{name} must be at least one frame period "
@@ -84,23 +83,39 @@ def check_step(name: str, step_s: float, fps: float) -> None:
 
 
 def stream_steps(header: VideoStream, frames, resolution_s: float = DEFAULT_RESOLUTION_S):
-    """The frames (read once, in frame order) of each resolution window, as lists, at
-    least one; frames past the duration, the header's duration_s or else the span up
-    to the last frame, join the last window. Over MAX_STEPS windows raise InvariantError."""
+    """Yield each step's frames, read once in frame order, as a list once the step closes.
+    Frame k is in step floor((k / fps + TIMESTAMP_TOL_S) / resolution_s), in exact fractions,
+    or in the last step if past it; the step count is under Conventions in the README. Over
+    MAX_STEPS steps raise InvariantError before any step past the cap is yielded."""
     check_finite("resolution_s", resolution_s)
-    by_step, last = {}, -1  # frames by window; a frame past MAX_STEPS is past any duration
+    r = Fraction(resolution_s)
+    # in steps: frame k lies at k * frame + tol, so step j starts at frame ceil((j - tol) / frame)
+    frame, tol = 1 / (Fraction(header.fps) * r), Fraction(TIMESTAMP_TOL_S) / r
+
+    def capped(n, seconds):  # n steps, at least one, of a stream lasting `seconds`
+        if n > MAX_STEPS:
+            raise InvariantError(f"stream {header.video_id} lasts {seconds!r} s, more "
+                                 f"than {MAX_STEPS} steps of {resolution_s!r} s")
+        return max(n, 1)
+
+    duration_s = header.metadata.get("duration_s")  # without it, step MAX_STEPS is over the cap
+    last = MAX_STEPS if duration_s is None else capped(
+        math.ceil(Fraction(duration_s) / r - tol), duration_s) - 1
+    j, step, start = 0, [], math.ceil((1 - tol) / frame) if last else math.inf
     for fr in frames:
-        by_step.setdefault(int(min(fr.timestamp_s / resolution_s, MAX_STEPS)), []).append(fr)
-        last = fr.frame_index
-    duration_s = header.metadata.get("duration_s")
-    duration_s = (last + 1) / header.fps if duration_s is None else float(duration_s)
-    n_windows = duration_s / resolution_s  # compared before int(): it may be inf
-    if n_windows > MAX_STEPS:
-        raise InvariantError(f"stream {header.video_id} lasts {duration_s!r} s, more "
-                             f"than {MAX_STEPS} steps of {resolution_s!r} s")
-    n_steps = max(1, int(np.ceil(n_windows)))
-    steps = [by_step.pop(k, []) for k in range(n_steps - 1)]
-    return steps + [[fr for step in by_step.values() for fr in step]]  # the rest, in order
+        if fr.frame_index >= start:  # a frame of a later step
+            to = min(math.floor(fr.frame_index * frame + tol), last)
+            capped(to + 1, (fr.frame_index + 1) / header.fps)
+            yield step
+            yield from ([] for _ in range(j + 1, to))
+            j, step = to, []
+            start = math.ceil((j + 1 - tol) / frame) if j < last else math.inf
+        step.append(fr)
+    if duration_s is None:  # (last frame + 1) / fps
+        end = step[-1].frame_index + 1 if step else 0
+        last = capped(math.ceil(end * frame - tol), end / header.fps) - 1
+    yield step
+    yield from ([] for _ in range(j + 1, last + 1))
 
 
 def step_summary(frames):
@@ -355,19 +370,12 @@ def top_features(model: LdaModel, axis: int):
     return [(FEATURE_NAMES[i], float(weights[i])) for i in order[:N_TOP_FEATURES]]
 
 
-def _appendectomy_title(title: str) -> bool:
-    return "append" in title
-
-
-def _pilonidal_title(title: str) -> bool:
-    return "karydakis" in title or (("pilon" in title or "perin" in title) and "flap" in title)
-
-
 # Rule name -> (UMLS substring, search-term substring, title predicate or None);
 # metadata selecting mostly-complete procedure videos.
 BUILTIN_RULES = {
-    "appendectomy": ("append", "append", _appendectomy_title),
-    "pilonidal": ("flap", "pilonidal", _pilonidal_title),
+    "appendectomy": ("append", "append", lambda title: "append" in title),
+    "pilonidal": ("flap", "pilonidal", lambda title: "karydakis" in title or (
+        ("pilon" in title or "perin" in title) and "flap" in title)),
     # title screening for thyroidectomy is a manual review step, not automated
     "thyroidectomy": ("thyroid", "thyroid", None),
 }
@@ -395,13 +403,8 @@ def filter_videos(catalog, rule):
         terms = " ".join(entry["search_terms"]).lower()
         title = str(entry["title"]).lower()
         duration = float(entry["duration_s"])
-        if umls_substring not in umls:
-            continue
-        if search_substring not in terms:
-            continue
-        if not (FILTER_MIN_DURATION_S <= duration <= FILTER_MAX_DURATION_S):
-            continue
-        if title_predicate is not None and not title_predicate(title):
-            continue
-        selected.append(vid)
+        if (umls_substring in umls and search_substring in terms
+                and FILTER_MIN_DURATION_S <= duration <= FILTER_MAX_DURATION_S
+                and (title_predicate is None or title_predicate(title))):
+            selected.append(vid)
     return selected

@@ -208,7 +208,7 @@ def _check_duration(metadata, last_index: int, fps: float) -> None:
     dur = metadata.get("duration_s")
     if dur is not None:
         span = (last_index + 1) / fps
-        if abs(dur - span) > 1.0 / fps:
+        if abs(dur - span) > 1.0 / fps + TIMESTAMP_TOL_S:  # a frame period, up to rounding
             raise InvariantError(
                 f"metadata duration_s {dur} inconsistent with frame span {span:.6f}"
             )

@@ -21,7 +21,7 @@ import numpy as np
 from . import streams
 from .errors import InvariantError, check_finite
 from .kinematics import TieClip, Trajectory
-from .signatures import Timeline
+from .signatures import MAX_STEPS as MAX_FRAMES, Timeline
 from .streams import (
     ACTIONS,
     Detection,
@@ -80,7 +80,16 @@ PHASES = (
     ("tying", 0.3, (("needle_driver", 0.7),)),
 )
 
-MAX_FRAMES = 10 ** 7  # per synthetic video or tie clip: 92.6 h at 30 fps
+
+def _frame_count(name: str, duration_s: float, fps: float, least: int) -> int:
+    """max(round(duration_s * fps), least), the frames a generator makes; InvariantError
+    unless both are finite and > 0 and round() gives at most MAX_FRAMES."""
+    check_finite(name, duration_s)
+    check_finite("fps", fps)
+    if duration_s * fps > MAX_FRAMES + 0.5:  # round() of it above the cap
+        raise InvariantError(f"{name} * fps must round to at most {MAX_FRAMES} frames, "
+                             f"got {duration_s * fps!r}")
+    return max(int(round(duration_s * fps)), least)
 
 
 @dataclass(frozen=True)
@@ -97,11 +106,7 @@ class SynthSpec:
     with_keypoints: bool = False
 
     def __post_init__(self):
-        check_finite("duration_s", self.duration_s)
-        check_finite("fps", self.fps)
-        if self.duration_s * self.fps > MAX_FRAMES + 0.5:  # round() of it above the cap
-            raise InvariantError(f"duration_s * fps must round to at most {MAX_FRAMES} frames, "
-                                 f"got {self.duration_s * self.fps!r}")
+        _frame_count("duration_s", self.duration_s, self.fps, 1)
         if self.seed < 0:
             raise InvariantError(f"seed must be >= 0, got {self.seed}")
         if self.n_videos < 1:
@@ -177,7 +182,7 @@ def _hand_keypoints(center, size) -> np.ndarray:
 def generate_stream(spec: SynthSpec, index: int = 0):
     """One synthetic video stream plus its ground truth sidecar."""
     rng = _rng_for(spec.seed, index)
-    n_frames = max(int(round(spec.duration_s * spec.fps)), 1)
+    n_frames = _frame_count("duration_s", spec.duration_s, spec.fps, 1)
     video_id = f"synth-{spec.seed}-{index:04d}"
 
     hand_ids = list(range(len(spec.hands)))
@@ -287,10 +292,7 @@ class SkillCohortSpec:
     clips_per_operator: int = 8
 
     def __post_init__(self):
-        check_finite("clip_duration_s", self.clip_duration_s)
-        if self.clip_duration_s * self.fps > MAX_FRAMES + 0.5:  # as in SynthSpec
-            raise InvariantError(f"clip_duration_s * fps must round to at most {MAX_FRAMES} "
-                                 f"frames, got {self.clip_duration_s * self.fps!r}")
+        _frame_count("clip_duration_s", self.clip_duration_s, self.fps, 2)
         if self.operators_per_group < 1 or self.clips_per_operator < 1:
             raise InvariantError("cohort sizes must be >= 1")
 
@@ -339,7 +341,7 @@ def generate_tie_clips(spec: SkillCohortSpec):
     change has no design value; tests check it against a naive oracle.
     """
     rng = np.random.default_rng([spec.seed, 977])
-    n_frames = max(int(round(spec.clip_duration_s * spec.fps)), 2)
+    n_frames = _frame_count("clip_duration_s", spec.clip_duration_s, spec.fps, 2)
     n_steps = n_frames - 1
     size = TIE_HAND_SIZE
 

@@ -9,12 +9,13 @@ and `TwoPassSort` steps with the library's kernels to check how
 
 import itertools
 import math
+from fractions import Fraction
 from math import inf
 
 import numpy as np
 
 from scenestream import tracking
-from scenestream.streams import ACTIONS, HAND, TOOL_CLASSES
+from scenestream.streams import ACTIONS, HAND, TIMESTAMP_TOL_S, TOOL_CLASSES
 from scenestream.tracking import _lexmin_optimal_pairs
 
 
@@ -522,15 +523,22 @@ def dict_aligned_frames(pred_stream, truth_stream):
 
 
 def whole_stream_steps(stream, resolution_s):
-    """The frames of each resolution window of a whole VideoStream, as
-    `signatures.stream_steps` took them before it read frames once: the
-    duration first (the header's duration_s, else the span up to the last
-    frame), then each frame to window min(int(t / resolution_s), last window)."""
+    """The frames of each step of a whole VideoStream, by the step rule applied
+    to every frame in `Fraction` arithmetic: frame k to step
+    floor((k / fps + TIMESTAMP_TOL_S) / resolution_s), or the last step if that is
+    past it. There is a step for each j >= 0 with j * resolution_s < duration -
+    TIMESTAMP_TOL_S, at least one, the duration being the header's duration_s or
+    else (last + 1) / fps; without a duration_s, also one up to the last frame's
+    step (which adds steps only above 5e5 fps, a frame period under two tolerances)."""
+    fps, r, tol = Fraction(stream.fps), Fraction(resolution_s), Fraction(TIMESTAMP_TOL_S)
+    index = [math.floor((fr.frame_index / fps + tol) / r) for fr in stream.frames]
     duration = stream.metadata.get("duration_s")
     if duration is None:
-        duration = (stream.frames[-1].frame_index + 1) / stream.fps if stream.frames else 0.0
-    n_steps = max(1, int(np.ceil(float(duration) / resolution_s)))
+        end = Fraction(stream.frames[-1].frame_index + 1) / fps if stream.frames else 0
+        n_steps = max(1, math.ceil((end - tol) / r), *(j + 1 for j in index))
+    else:
+        n_steps = max(1, math.ceil((Fraction(duration) - tol) / r))
     steps = [[] for _ in range(n_steps)]
-    for fr in stream.frames:
-        steps[min(int(fr.timestamp_s / resolution_s), n_steps - 1)].append(fr)
+    for fr, j in zip(stream.frames, index):
+        steps[min(j, n_steps - 1)].append(fr)
     return steps

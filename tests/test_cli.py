@@ -128,8 +128,11 @@ _PEAK_RSS = ("import sys; from scenestream.cli import main; code = main(sys.argv
 def test_eval_peak_memory_is_within_twice_track_memory(tmp_path):
     # `eval` merges the frames of its two streams as it reads them, as `track`
     # reads its one, so neither holds a whole stream; on 3 minutes of keypoint
-    # stream, reading both whole took about 2.6 times `track`'s peak
-    stream = str(_keypoint_stream_file(tmp_path / "s.jsonl", 180.0))
+    # stream, reading both whole took about 2.6 times `track`'s peak. The step
+    # stage holds one step's frames at a time: holding every step's took `eval
+    # actions` and `signature` to about 1.6 times `track`'s peak
+    (tmp_path / "d").mkdir()
+    stream = str(_keypoint_stream_file(tmp_path / "d" / "s.jsonl", 180.0))
 
     def peak_kib(*argv):
         proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv,
@@ -141,6 +144,8 @@ def test_eval_peak_memory_is_within_twice_track_memory(tmp_path):
     track = peak_kib("track", "--in", stream)
     for mode in ("keypoints", "boxes"):
         assert peak_kib("eval", mode, "--pred", stream, "--truth", stream) <= 2 * track, mode
+    assert peak_kib("eval", "actions", "--pred", stream, "--truth", stream) <= 1.25 * track
+    assert peak_kib("signature", "--streams", str(tmp_path / "d")) <= 1.25 * track
 
 
 def test_cli_track_out_of_order_stream_matches_sorted_stream(tmp_path):

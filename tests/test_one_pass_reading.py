@@ -106,8 +106,23 @@ def test_merged_frames_and_steps_read_once_match_the_whole_stream_oracles(stream
         dict_aligned_frames(pred, truth))
     for stream in streams:
         for resolution_s in (1 / stream.fps, 2 / stream.fps, 0.5, 1.0, 5.0):
-            assert (stream_steps(stream, iter(stream.frames), resolution_s)
+            assert (list(stream_steps(stream, iter(stream.frames), resolution_s))
                     == whole_stream_steps(stream, resolution_s))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([24.0, 25.0, 29.97, 30.0, 60.0]) | st.floats(0.5, 240.0),
+       st.integers(1, 12).map(float) | st.floats(1.0, 40.0), st.integers(0, 120),
+       st.sampled_from(list(_DURATIONS)), st.integers(0, 2 ** 16))
+def test_steps_at_any_fps_and_resolution_match_the_fraction_oracle(fps, periods, n, duration,
+                                                                   seed):
+    # a step of a whole number of frame periods, whose boundaries fall on frame
+    # times up to rounding, or of any 1 to 40; frames 0..n-1, a few missing
+    rng = np.random.default_rng(seed)
+    stream = _stream("s", fps, [k for k in range(n) if rng.random() < 0.9], duration, seed)
+    resolution_s = periods / fps
+    assert (list(stream_steps(stream, iter(stream.frames), resolution_s))
+            == whole_stream_steps(stream, resolution_s))
 
 
 def _write(stream, path, swap):

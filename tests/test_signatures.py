@@ -136,13 +136,48 @@ def test_stream_steps_past_the_cap_raise_before_any_list_is_built():
         frame = FrameRecord(frame_index=k, timestamp_s=k / fps, detections=())
         return VideoStream(video_id="far", fps=fps, width=64, height=64, frames=(frame,))
 
-    # an infinite duration, which int() could not take; 3.3e10 steps of 1 s;
-    # and 1e300 steps
+    # an infinite duration as a float; 3.3e10 steps of 1 s, raised at the frame;
+    # and 1e300 steps, raised after the last frame: each before the first step
     for stream in (one_frame(1e-320, 0), one_frame(30.0, 10 ** 12), one_frame(1e-300, 0)):
         with pytest.raises(InvariantError, match="more than 10000000 steps of 1.0 s"):
-            stream_steps(stream, stream.frames, 1.0)
+            next(stream_steps(stream, iter(stream.frames), 1.0))
     far = one_frame(30.0, 10 ** 12)
-    assert len(stream_steps(far, far.frames, 1e7)) == 3334
+    assert len(list(stream_steps(far, far.frames, 1e7))) == 3334
+
+
+@pytest.mark.parametrize("fps", [7.0, 24.0])
+def test_a_header_duration_of_max_steps_frame_periods_passes_the_cap(fps):
+    # 10^7 steps of one frame period, each as floats; the float quotient of the
+    # two is 10000000.000000002 at both rates, which the exact count is not
+    def steps(n_periods):
+        header = VideoStream(video_id="cap", fps=fps, width=64, height=64,
+                             metadata={"duration_s": n_periods / fps})
+        return stream_steps(header, iter(()), 1 / fps)
+
+    assert next(steps(10 ** 7)) == []
+    with pytest.raises(InvariantError, match="more than 10000000 steps"):
+        next(steps(10 ** 7 + 1))
+
+
+# a step of n frame periods as a decimal, against (fps, n)
+_DECIMAL_STEPS = {(30.0, 6): 0.2, (25.0, 1): 0.04, (24.0, 6): 0.25, (60.0, 6): 0.1}
+
+
+@pytest.mark.parametrize("fps", [24.0, 25.0, 30.0, 60.0])
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_a_step_of_n_frame_periods_holds_n_frames(fps, n):
+    # float(t / r) filed 0.2 s steps at 30 fps as 5, 6 or 7 frames, and left 20
+    # of 1800 one-period steps empty; the exact rule files n frames in each,
+    # with the header's duration_s or without it
+    n_frames = 30 * 60  # a multiple of every n
+    frames = tuple(FrameRecord(frame_index=k, timestamp_s=k / fps) for k in range(n_frames))
+    for metadata in ({}, {"duration_s": n_frames / fps}):
+        stream = VideoStream(video_id="v", fps=fps, width=64, height=64, frames=frames,
+                             metadata=metadata)
+        for resolution_s in {n / fps, _DECIMAL_STEPS.get((fps, n), n / fps)}:
+            steps = list(stream_steps(stream, iter(frames), resolution_s))
+            assert [fr for step in steps for fr in step] == list(frames)
+            assert {len(step) for step in steps} == {n}, resolution_s
 
 
 # ------------------------------------------------------------- quartiles
