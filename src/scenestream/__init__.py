@@ -16,7 +16,6 @@ from .streams import (
     hand_size,
     iou,
     parse_stream,
-    stream_to_lines,
     write_stream,
 )
 

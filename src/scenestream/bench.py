@@ -9,13 +9,13 @@ real-time budgets.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pipeline import track_row
 from .signatures import check_step, step_summary, stream_steps
-from .streams import VideoStream
 from .tracking import SortTracker
 
 SPATIAL_BUDGET_S = 0.08  # per-frame tracking stage
@@ -45,20 +45,26 @@ class BenchReport:
                 "per_frame": self.per_frame, "per_window": self.per_window}
 
 
-def bench_stream(stream: VideoStream, window_s: float = DEFAULT_WINDOW_S) -> BenchReport:
-    """Replay a stream through the default tracker, timing each frame's row,
-    then time `step_summary` on each of the stream's `window_s` steps."""
-    check_step("window_s", window_s, stream.fps)
+def bench_stream(stream, window_s: float = DEFAULT_WINDOW_S) -> BenchReport:
+    """Replay a (header, frames) stream through the default tracker in one pass
+    over its frames, timing each frame's row, then passing the frame on to
+    `stream_steps` and timing `step_summary` on each `window_s` step it closes."""
+    header, frames = stream
+    check_step("window_s", window_s, header.fps)
     tracker = SortTracker()
-    frame_lat, window_lat = [], []
-    for fr in stream.frames:
+    frame_lat, window_lat = array("d"), array("d")
+
+    def tracked():
+        for fr in frames:
+            t0 = time.perf_counter()
+            track_row(tracker, fr)
+            frame_lat.append(time.perf_counter() - t0)
+            yield fr
+
+    for step in stream_steps(header, tracked(), window_s):
         t0 = time.perf_counter()
-        track_row(tracker, fr)
-        frame_lat.append(time.perf_counter() - t0)
-    for frames in stream_steps(stream, stream.frames, window_s):
-        t0 = time.perf_counter()
-        step_summary(frames)
+        step_summary(step)
         window_lat.append(time.perf_counter() - t0)
     return BenchReport(per_frame=_latency(frame_lat, SPATIAL_BUDGET_S),
                        per_window=_latency(window_lat, TEMPORAL_BUDGET_S),
-                       n_frames=len(stream.frames), fps=stream.fps)
+                       n_frames=len(frame_lat), fps=header.fps)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import warnings
+from array import array
 from itertools import groupby
 
 import numpy as np
@@ -94,15 +95,15 @@ def action_precision_recall(pred, truth) -> dict:
 
 # ------------------------------------------------------------------ boxes
 
-def _greedy_match_class(preds, truth_boxes, iou_thresh):
+def _greedy_match_class(preds, truth_boxes, iou_thresh, confidences, tp_flags):
     """Greedy confidence-ordered matching for one class in one frame.
 
-    preds: (confidence, box) pairs. Returns (conf, is_tp) records in
-    confidence order with input-order tie-breaking.
+    preds: (confidence, box) pairs. In confidence order with input-order
+    tie-breaking, each prediction's confidence is appended to `confidences`
+    and 1 if it is a true positive, else 0, to `tp_flags`.
     """
     order = sorted(range(len(preds)), key=lambda i: (-preds[i][0], i))
     taken = [False] * len(truth_boxes)
-    records = []
     for i in order:
         conf, box = preds[i]
         best_v, best_j = -1.0, None
@@ -112,26 +113,26 @@ def _greedy_match_class(preds, truth_boxes, iou_thresh):
             v = iou(box, gt)
             if v > best_v:
                 best_v, best_j = v, j
-        if best_j is not None and best_v >= iou_thresh:
+        is_tp = best_j is not None and best_v >= iou_thresh
+        if is_tp:
             taken[best_j] = True
-            records.append((conf, True))
-        else:
-            records.append((conf, False))
-    return records
+        confidences.append(conf)
+        tp_flags.append(is_tp)
 
 
-def ap_from_records(records, n_gt) -> float:
-    """Area under the precision-recall curve, all-point interpolation."""
+def ap_from_records(confidences, tp_flags, n_gt) -> float:
+    """Area under the precision-recall curve, all-point interpolation, of the
+    predictions whose confidences are the array('d') `confidences` and whose
+    true-positive flags are the bytearray `tp_flags`; equal confidences rank
+    in their given order."""
     if n_gt <= 0:
         raise InvariantError("AP undefined without ground truth")
-    if not records:
+    if not confidences:
         return 0.0
-    order = sorted(range(len(records)), key=lambda i: (-records[i][0], i))
-    tp_flags = np.array([1.0 if records[i][1] else 0.0 for i in order])
-    tp = np.cumsum(tp_flags)
-    fp = np.cumsum(1.0 - tp_flags)
+    order = np.argsort(-np.frombuffer(confidences), kind="stable")
+    tp = np.cumsum(np.frombuffer(tp_flags, dtype=np.uint8)[order], dtype=float)
     recall = tp / n_gt
-    precision = tp / (tp + fp)
+    precision = tp / np.arange(1.0, len(tp) + 1)  # true positives over the k ranked first
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
     ap = 0.0
     prev = 0.0
@@ -211,7 +212,8 @@ def evaluate_boxes(pred, truth, iou_thresh: float = DEFAULT_IOU_THRESHOLD) -> di
     if not 0.0 < iou_thresh <= 1.0:
         raise InvariantError(f"iou_thresh must be in (0, 1], got {iou_thresh}")
     classes = (HAND,) + TOOL_CLASSES
-    records = {c: [] for c in classes}  # (confidence, is_tp) in frame order
+    confidences = {c: array("d") for c in classes}  # in frame order
+    tp_flags = {c: bytearray() for c in classes}
     n_gt = dict.fromkeys(classes, 0)
     for pred_fr, truth_fr in _aligned_frames(pred, truth):
         pred_dets = pred_fr.detections if pred_fr else ()
@@ -221,16 +223,16 @@ def evaluate_boxes(pred, truth, iou_thresh: float = DEFAULT_IOU_THRESHOLD) -> di
             gts = [d.box for d in truth_dets if d.category == c]
             n_gt[c] += len(gts)
             if preds:
-                records[c] += _greedy_match_class(preds, gts, iou_thresh)
+                _greedy_match_class(preds, gts, iou_thresh, confidences[c], tp_flags[c])
     aps = {}
     for c in classes:
         if n_gt[c] == 0:
-            if records[c]:
+            if confidences[c]:
                 warnings.warn(f"no ground truth for {c}; AP undefined",
                               DataWarning, stacklevel=2)
             aps[c] = None
         else:
-            aps[c] = ap_from_records(records[c], n_gt[c])
+            aps[c] = ap_from_records(confidences[c], tp_flags[c], n_gt[c])
     return _report(truth[0], iou_threshold=iou_thresh, ap_per_class=aps,
                    hand_ap=aps[HAND], tool_map=mean_ap({c: aps[c] for c in TOOL_CLASSES}))
 

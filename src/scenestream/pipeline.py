@@ -54,7 +54,6 @@ from .streams import (
     SKILL_KEYPOINT_INDICES,
     Detection,
     FrameRecord,
-    HandKeypoints,
     VideoStream,
     box,
     finite_numbers,
@@ -89,7 +88,7 @@ def write_json(obj, path) -> None:
 def read_streams(paths, consume):
     """`consume(*pairs)` of the (header, frames) pairs `open_stream` gives for `paths`.
     At the first frame out of order the files are closed and, when every path is a
-    regular file, `consume` runs again on the frames `parse_stream` re-sorts; a
+    regular file, `consume` runs again on the pairs `parse_stream` re-sorts; a
     pipe is read once, so there a frame out of order is an input error."""
     opened = [open_stream(path) for path in paths]
     try:
@@ -100,7 +99,7 @@ def read_streams(paths, consume):
         if not all(Path(path).is_file() for path in paths):
             raise StreamFormatError(
                 f"{exc}; only a regular file is re-sorted, so sort the frames first") from None
-    return consume(*((stream, stream.frames) for stream in map(parse_stream, paths)))
+    return consume(*map(parse_stream, paths))
 
 
 # ------------------------------------------------------------------ tracking
@@ -167,7 +166,7 @@ def _row_line(row) -> str:
     return f'{head}"t": {row["t"]!r}, "tracks": {{{boxes}}}}}'
 
 
-def write_tracks(stream: VideoStream, rows, path) -> None:
+def write_tracks(header: VideoStream, rows, path) -> None:
     """Write the stream's header line, then each row as `rows` yields it.
 
     Lines go to `<path>.tmp`, which replaces `path` once the last row is
@@ -177,7 +176,7 @@ def write_tracks(stream: VideoStream, rows, path) -> None:
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("w", encoding="utf-8") as fh:
-            fh.write(header_line(stream) + "\n")
+            fh.write(header_line(header) + "\n")
             for row in rows:
                 fh.write(_row_line(row) + "\n")
         os.replace(tmp, path)
@@ -277,9 +276,9 @@ def _hands_by_track(rows):
 
     A centroid is the box midpoint ((x_min + x_max) / 2, (y_min + y_max) / 2)
     and a hand size is (height + width) / 2, as `streams.hand_size` computes
-    it. A row's keypoints, `[x, y, v]` rows as `read_tracks` gives them or
-    HandKeypoints as `track_stream` yields them, give a pose when all nine
-    skill points are visible (v > 0.5), sized by that row's box.
+    it. A row's keypoints, `[x, y, v]` rows as `read_tracks` gives them, give
+    a pose when all nine skill points are visible (v > 0.5), sized by that
+    row's box.
     """
     samples, poses = {}, {}
     for row in rows:
@@ -288,8 +287,6 @@ def _hands_by_track(rows):
             size = ((y1 - y0) + (x1 - x0)) / 2.0
             samples.setdefault(tid, []).append((frame, ((x0 + x1) / 2.0, (y0 + y1) / 2.0), size))
             pts = kps.get(tid)
-            if isinstance(pts, HandKeypoints):
-                pts = pts.points.tolist()
             if pts is not None and all(pts[i][2] > 0.5 for i in SKILL_KEYPOINT_INDICES):
                 poses.setdefault(tid, []).append(
                     (frame, [pts[i][:2] for i in SKILL_KEYPOINT_INDICES], size))
@@ -515,17 +512,17 @@ def lda_stage(features, projection_path, weights_path):
 
 # ------------------------------------------------------------------ run
 
-def truth_stream_from_ground_truth(stream: VideoStream, truth: GroundTruth) -> VideoStream:
-    """A ground-truth twin stream: true hand boxes and actions, confidence 1."""
-    frames = []
-    for fr, frame_truth in zip(stream.frames, truth.true_boxes):
-        dets = tuple(Detection(box=frame_truth[h], category="hand", confidence=1.0)
-                     for h in sorted(frame_truth))
-        frames.append(FrameRecord(frame_index=fr.frame_index, timestamp_s=fr.timestamp_s,
-                                  detections=dets, keypoints=(),
-                                  action=truth.actions[fr.frame_index]))
-    return VideoStream(video_id=stream.video_id + "-truth", fps=stream.fps,
-                       width=stream.width, height=stream.height, frames=tuple(frames))
+def truth_stream_from_ground_truth(stream, truth: GroundTruth):
+    """The ground-truth twin of a (header, frames) stream, as a (header, frames)
+    pair: true hand boxes and actions, confidence 1."""
+    header, frames = stream
+    twin = []
+    for fr, frame_truth in zip(frames, truth.true_boxes):
+        dets = tuple(Detection(box=frame_truth[h], category="hand") for h in sorted(frame_truth))
+        twin.append(FrameRecord(frame_index=fr.frame_index, timestamp_s=fr.timestamp_s,
+                                detections=dets, action=truth.actions[fr.frame_index]))
+    return VideoStream(video_id=header.video_id + "-truth", fps=header.fps,
+                       width=header.width, height=header.height), twin
 
 
 DEFAULT_RUN_CONFIG = {
@@ -625,16 +622,17 @@ def run_pipeline(config: dict, out_dir) -> dict:
     eval_reports = []
     for index in range(spec.n_videos):
         stream, truth = generate_stream(spec, index)
+        header, frames = stream
         written.extend(write_synth_files(stream, truth, out / "streams"))
-        rows = list(track_stream(stream.frames, tracker_config))
-        write_tracks(stream, rows, artifact(f"tracks/{stream.video_id}.tracks.jsonl"))
+        rows = list(track_stream(frames, tracker_config))
+        write_tracks(header, rows, artifact(f"tracks/{header.video_id}.tracks.jsonl"))
         tracking_reports.append(tracking_oracle_report(rows, truth))
 
-        pairs = [(s, s.frames) for s in (stream, truth_stream_from_ground_truth(stream, truth))]
+        pairs = (stream, truth_stream_from_ground_truth(stream, truth))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DataWarning)
             eval_reports.append({
-                "video_id": stream.video_id,
+                "video_id": header.video_id,
                 "actions": evaluate_actions(*pairs),
                 "boxes": evaluate_boxes(*pairs, iou_thresh=float(cfg["eval"]["iou"]))})
     write_json(tracking_reports, artifact("tracking_report.json"))

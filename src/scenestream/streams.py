@@ -1,7 +1,8 @@
 """Scene-stream data model: frame records, detections, keypoints, and box geometry.
 
 A stream is one video's worth of per-frame detector output, stored as
-line-delimited JSON (one header line, then one frame object per line).
+line-delimited JSON (one header line, then one frame object per line), and
+in memory the pair (header, frames) of a VideoStream and its FrameRecords.
 See docs/format.md for the exact schema and a golden example.
 """
 
@@ -216,33 +217,19 @@ def _check_duration(metadata, last_index: int, fps: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class VideoStream:
-    """One video's ordered frame records plus header metadata."""
+    """One video's header: its id, frame rate, frame size and read-only metadata.
+    A whole stream is the pair (header, frames) that `open_stream` returns."""
 
     video_id: str
     fps: float
     width: int
     height: int
-    frames: tuple[FrameRecord, ...] = ()
     metadata: object = field(default_factory=dict)
 
     def __post_init__(self):
         if not (self.fps > 0):
             raise InvariantError(f"VideoStream.fps must be > 0, got {self.fps!r}")
-        frames = tuple(self.frames)
-        object.__setattr__(self, "frames", frames)
-        last = -1
-        for fr in frames:
-            if fr.frame_index == last:
-                raise InvariantError(f"duplicate frame_index {fr.frame_index}")
-            if fr.frame_index < last:
-                raise InvariantError(
-                    f"frame_index must be strictly increasing, got {fr.frame_index} after {last}"
-                )
-            _check_timestamp(fr, self.fps)
-            last = fr.frame_index
         meta = dict(self.metadata) if self.metadata else {}
-        if frames:
-            _check_duration(meta, frames[-1].frame_index, self.fps)
         object.__setattr__(self, "metadata", MappingProxyType(meta))
 
 
@@ -436,8 +423,8 @@ def iter_json_lines(path):
 
 
 def open_stream(path, late=None):
-    """The header of a stream file, as a VideoStream without frames, and an
-    iterator over its FrameRecords in file order.
+    """The header of a stream file, a VideoStream, and an iterator over its
+    FrameRecords in file order.
 
     Each line is parsed and checked when the iterator reaches it, so the first
     bad line in file order is the one reported, by an error naming the line and
@@ -485,8 +472,8 @@ def _checked_lines(path, late):
         raise
 
 
-def parse_stream(path) -> VideoStream:
-    """Parse a line-delimited stream file into a validated VideoStream.
+def parse_stream(path):
+    """The (header, frames) pair of a stream file, its frames in a list.
 
     Lines are checked as `open_stream` checks them. Frames arriving out of
     order are then re-sorted with a DataWarning; a duplicate frame index
@@ -506,31 +493,26 @@ def parse_stream(path) -> VideoStream:
         warnings.warn(f"stream {path} had out-of-order frames; re-sorted by frame_index",
                       DataWarning, stacklevel=2)
         frames.sort(key=lambda fr: fr.frame_index)
-    # every check of VideoStream.__post_init__ was made above, once
-    object.__setattr__(header, "frames", tuple(frames))
-    return header
+    return header, frames
 
 
-def _frame_to_obj(fr: FrameRecord) -> dict:
-    return {"frame": fr.frame_index, "t": fr.timestamp_s, "action": fr.action,
-            "dets": [[d.category, d.confidence, *d.box] for d in fr.detections],
-            "kps": [{"points": k.points.tolist(), "box": list(k.owner_box)}
-                    for k in fr.keypoints]}
+def _frame_line(fr: FrameRecord) -> str:
+    return json.dumps({"frame": fr.frame_index, "t": fr.timestamp_s, "action": fr.action,
+                       "dets": [[d.category, d.confidence, *d.box] for d in fr.detections],
+                       "kps": [{"points": k.points.tolist(), "box": list(k.owner_box)}
+                               for k in fr.keypoints]}, sort_keys=True) + "\n"
 
 
-def header_line(stream: VideoStream) -> str:
+def header_line(header: VideoStream) -> str:
     """The header line that stream files and tracks files start with."""
-    return json.dumps({"video_id": stream.video_id, "fps": stream.fps,
-                       "width": stream.width, "height": stream.height,
-                       "metadata": dict(stream.metadata)}, sort_keys=True)
+    return json.dumps({"video_id": header.video_id, "fps": header.fps,
+                       "width": header.width, "height": header.height,
+                       "metadata": dict(header.metadata)}, sort_keys=True)
 
 
-def stream_to_lines(stream: VideoStream) -> list[str]:
-    """Serialize a stream to its line-delimited form (header first)."""
-    lines = [header_line(stream)]
-    lines.extend(json.dumps(_frame_to_obj(fr), sort_keys=True) for fr in stream.frames)
-    return lines
-
-
-def write_stream(stream: VideoStream, path) -> None:
-    Path(path).write_text("\n".join(stream_to_lines(stream)) + "\n", encoding="utf-8")
+def write_stream(stream, path) -> None:
+    """Write a (header, frames) pair as a stream file, each frame's line as it comes."""
+    header, frames = stream
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(header_line(header) + "\n")
+        fh.writelines(map(_frame_line, frames))

@@ -180,7 +180,8 @@ def _hand_keypoints(center, size) -> np.ndarray:
 
 
 def generate_stream(spec: SynthSpec, index: int = 0):
-    """One synthetic video stream plus its ground truth sidecar."""
+    """((header, frames), truth): one synthetic video stream, its frames in a
+    list, and its ground truth sidecar."""
     rng = _rng_for(spec.seed, index)
     n_frames = _frame_count("duration_s", spec.duration_s, spec.fps, 1)
     video_id = f"synth-{spec.seed}-{index:04d}"
@@ -242,21 +243,21 @@ def generate_stream(spec: SynthSpec, index: int = 0):
         mean_size[h] = size
         path_hl[h] = total / size
 
-    stream = VideoStream(video_id=video_id, fps=spec.fps, width=FRAME_WIDTH,
-                         height=FRAME_HEIGHT, frames=tuple(frames),
+    header = VideoStream(video_id=video_id, fps=spec.fps, width=FRAME_WIDTH,
+                         height=FRAME_HEIGHT,
                          metadata={"synthetic": True, "seed": spec.seed, "index": index})
     truth = GroundTruth(video_id=video_id, hand_ids=hand_ids, true_boxes=true_boxes,
                         actions=actions, path_px=path_px, path_hand_lengths=path_hl,
                         mean_hand_size=mean_size)
-    return stream, truth
+    return (header, frames), truth
 
 
-def write_synth_files(stream: VideoStream, truth: GroundTruth, out_dir):
-    """Write `<video_id>.jsonl` and its `<video_id>.truth.json` sidecar into
-    `out_dir`; returns both paths."""
-    out_dir = Path(out_dir)
-    stream_path = out_dir / f"{stream.video_id}.jsonl"
-    truth_path = out_dir / f"{stream.video_id}.truth.json"
+def write_synth_files(stream, truth: GroundTruth, out_dir):
+    """Write a (header, frames) stream as `<video_id>.jsonl` and its
+    `<video_id>.truth.json` sidecar into `out_dir`; returns both paths."""
+    out_dir, video_id = Path(out_dir), stream[0].video_id
+    stream_path = out_dir / f"{video_id}.jsonl"
+    truth_path = out_dir / f"{video_id}.truth.json"
     streams.write_stream(stream, stream_path)  # looked up on the module, so wrappers see it
     truth_path.write_text(json.dumps(truth.to_dict(), sort_keys=True) + "\n",
                           encoding="utf-8")

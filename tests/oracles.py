@@ -515,30 +515,31 @@ def per_row_moving_average(curves, window):
 
 def dict_aligned_frames(pred_stream, truth_stream):
     """(prediction frame or None, truth frame or None) for each frame index of
-    two whole VideoStreams, as `evaluation._aligned_frames` paired them before
-    it merged two frame iterators: through a dict of every frame of each."""
-    preds = {fr.frame_index: fr for fr in pred_stream.frames}
-    truths = {fr.frame_index: fr for fr in truth_stream.frames}
+    two whole (header, frames) streams, as `evaluation._aligned_frames` paired
+    them before it merged two frame iterators: through a dict of every frame of each."""
+    preds = {fr.frame_index: fr for fr in pred_stream[1]}
+    truths = {fr.frame_index: fr for fr in truth_stream[1]}
     return [(preds.get(k), truths.get(k)) for k in sorted(preds.keys() | truths.keys())]
 
 
 def whole_stream_steps(stream, resolution_s):
-    """The frames of each step of a whole VideoStream, by the step rule applied
+    """The frames of each step of a whole (header, frames) stream, by the step rule applied
     to every frame in `Fraction` arithmetic: frame k to step
     floor((k / fps + TIMESTAMP_TOL_S) / resolution_s), or the last step if that is
     past it. There is a step for each j >= 0 with j * resolution_s < duration -
     TIMESTAMP_TOL_S, at least one, the duration being the header's duration_s or
     else (last + 1) / fps; without a duration_s, also one up to the last frame's
     step (which adds steps only above 5e5 fps, a frame period under two tolerances)."""
-    fps, r, tol = Fraction(stream.fps), Fraction(resolution_s), Fraction(TIMESTAMP_TOL_S)
-    index = [math.floor((fr.frame_index / fps + tol) / r) for fr in stream.frames]
-    duration = stream.metadata.get("duration_s")
+    header, frames = stream
+    fps, r, tol = Fraction(header.fps), Fraction(resolution_s), Fraction(TIMESTAMP_TOL_S)
+    index = [math.floor((fr.frame_index / fps + tol) / r) for fr in frames]
+    duration = header.metadata.get("duration_s")
     if duration is None:
-        end = Fraction(stream.frames[-1].frame_index + 1) / fps if stream.frames else 0
+        end = Fraction(frames[-1].frame_index + 1) / fps if frames else 0
         n_steps = max(1, math.ceil((end - tol) / r), *(j + 1 for j in index))
     else:
         n_steps = max(1, math.ceil((Fraction(duration) - tol) / r))
     steps = [[] for _ in range(n_steps)]
-    for fr, j in zip(stream.frames, index):
+    for fr, j in zip(frames, index):
         steps[min(j, n_steps - 1)].append(fr)
     return steps

@@ -76,17 +76,17 @@ def test_acceptance_1_tracking_oracle_equivalence():
     n_frames = 1000
     duration = n_frames / 30.0
     clean_spec = SynthSpec(seed=101, fps=30.0, duration_s=duration)
-    stream, truth = generate_stream(clean_spec, 0)
-    assert len(stream.frames) == n_frames
-    clean = tracking_oracle_report(track_stream(stream.frames, TrackerConfig(min_hits=1)), truth)
+    (_, frames), truth = generate_stream(clean_spec, 0)
+    assert len(frames) == n_frames
+    clean = tracking_oracle_report(track_stream(frames, TrackerConfig(min_hits=1)), truth)
 
     noisy_spec = SynthSpec(
         seed=102, fps=30.0, duration_s=duration,
         corruption=CorruptionSpec(dropout_rate=0.05, jitter_sigma=2.0,
                                   confidence_mean=0.9, confidence_sigma=0.05))
-    noisy_stream, noisy_truth = generate_stream(noisy_spec, 0)
+    (_, noisy_frames), noisy_truth = generate_stream(noisy_spec, 0)
     noisy = tracking_oracle_report(
-        track_stream(noisy_stream.frames, TrackerConfig(min_hits=1)), noisy_truth)
+        track_stream(noisy_frames, TrackerConfig(min_hits=1)), noisy_truth)
     elapsed = time.perf_counter() - started
 
     ok = (clean["bijection"] and clean["id_switches"] == 0
@@ -255,11 +255,9 @@ def _one_frame_hand_ap(preds, gts):
     scores one frame."""
     def stream(dets):
         frame = FrameRecord(frame_index=0, timestamp_s=0.0, detections=tuple(dets))
-        return VideoStream(video_id="v", fps=30.0, width=1280, height=720, frames=(frame,))
+        return VideoStream(video_id="v", fps=30.0, width=1280, height=720), [frame]
     truth = [Detection(box=b, category="hand", confidence=1.0) for b in gts]
-    pred_stream, truth_stream = stream(preds), stream(truth)
-    return evaluate_boxes((pred_stream, pred_stream.frames),
-                          (truth_stream, truth_stream.frames))["hand_ap"]
+    return evaluate_boxes(stream(preds), stream(truth))["hand_ap"]
 
 
 def test_acceptance_7_metric_suite_oracle_equivalence():
@@ -339,7 +337,7 @@ def test_acceptance_7_metric_suite_oracle_equivalence():
 def test_acceptance_8_throughput_budget():
     spec = SynthSpec(seed=808, fps=30.0, duration_s=30.0 * 60.0)
     stream, _ = generate_stream(spec, 0)
-    assert len(stream.frames) == 54000
+    assert len(stream[1]) == 54000
     report = bench_stream(stream, window_s=5.0)
     frame, window = report.per_frame, report.per_window
     frame_ok = frame["p95_s"] < SPATIAL_BUDGET_S

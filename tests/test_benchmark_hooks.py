@@ -52,7 +52,7 @@ def test_benchmark_reads_the_bench_report_and_truth_boxes(tmp_path):
     report = bench_stream(parse_stream(tmp_path / "input.jsonl")).to_dict()
     assert {"per_frame", "per_window"} <= report.keys()
     true_boxes = json.loads(json.dumps(truth.to_dict()))["true_boxes"]
-    assert len(true_boxes) == len(stream.frames)
+    assert len(true_boxes) == len(stream[1])
     hands = {str(h) for h in truth.hand_ids}
     for frame in true_boxes:
         assert set(frame) == hands
@@ -70,8 +70,8 @@ def test_track_workload_set_up_builds_its_stream(monkeypatch):
     synth_input = _perfbench_module("synth_input")
     for name, workload in workloads.TRACK_WORKLOADS.items():
         assert synth_input.synth_spec(name, 1).duration_s == workload["duration_s"]
-        stream, truth = generate_stream(synth_input.synth_spec(name, 1, 0.2), 0)
-        assert len(stream.frames) == round(0.2 * workload["fps"])
+        (_, frames), truth = generate_stream(synth_input.synth_spec(name, 1, 0.2), 0)
+        assert len(frames) == round(0.2 * workload["fps"])
         assert len(truth.hand_ids) == (workload["lanes"] or 2)
 
 
@@ -167,12 +167,12 @@ def test_traced_associate_is_called_once_per_step_and_bench_times_track_row(monk
     monkeypatch.setattr(bench, "step_summary", counted("step_summary", bench.step_summary))
     stream, _ = generate_stream(SynthSpec(seed=2, fps=10.0, duration_s=3.0,
                                           with_keypoints=True), 0)
-    assert sum("kps" in row for row in track_stream(stream.frames)) > len(stream.frames) // 2
-    n = len(stream.frames)
+    n = len(stream[1])
+    assert sum("kps" in row for row in track_stream(stream[1])) > n // 2
     assert calls == {"associate": n, "step": n, "track_row": 0, "step_summary": 0}
     bench.bench_stream(stream)
     assert calls == {"associate": 2 * n, "step": 2 * n, "track_row": n,
-                     "step_summary": len(timeline_from_stream(stream, stream.frames, 5.0).labels)}
+                     "step_summary": len(timeline_from_stream(*stream, 5.0).labels)}
 
 
 def test_traced_bodies_write_the_bytes_of_untraced_ones(monkeypatch, tmp_path):

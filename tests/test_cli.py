@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from oracles import scaled_noise
 from scenestream import tracking
+from scenestream.bench import bench_stream
 from scenestream.cli import main
 from scenestream.errors import DataWarning, StreamFormatError
 from scenestream.kinematics import SUMMARY_FIELDS
@@ -26,8 +27,8 @@ from scenestream.pipeline import (
     DEFAULT_RUN_CONFIG,
     _row_line,
     clips_from_tracks,
+    read_streams,
     read_tracks,
-    skill_stage,
     track_stream,
     tracking_oracle_report,
     write_tracks,
@@ -39,8 +40,10 @@ from scenestream.streams import (
     FrameRecord,
     VideoStream,
     box,
+    open_stream,
     write_stream,
 )
+from scenestream.signatures import timeline_from_stream
 from scenestream.synth import CorruptionSpec, HandMotionSpec, SynthSpec, generate_stream
 from scenestream.tracking import TrackerConfig
 
@@ -77,10 +80,9 @@ def test_cli_track_coasts_past_left_edge(tmp_path):
 
     frames = [frame(k, box(150 - 10 * k, 100, 190 - 10 * k, 140)) for k in range(12)]
     frames += [frame(k, box(900, 500, 940, 540)) for k in range(12, 40)]
-    stream = VideoStream(video_id="left-exit", fps=30.0, width=1280, height=720,
-                         frames=tuple(frames))
+    header = VideoStream(video_id="left-exit", fps=30.0, width=1280, height=720)
     stream_path, tracks_path = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
-    write_stream(stream, stream_path)
+    write_stream((header, frames), stream_path)
     assert main(["track", "--in", str(stream_path), "--out", str(tracks_path),
                  "--min-hits", "1"]) == 0
     _, rows = read_tracks(tracks_path)
@@ -117,6 +119,33 @@ def test_cli_track_memory_is_flat_in_stream_length(tmp_path):
     assert long_peak <= 1.5 * short_peak, (short_peak, long_peak)
 
 
+def test_eval_boxes_memory_grows_by_under_64_bytes_per_predicted_box(tmp_path):
+    import tracemalloc
+
+    # AP keeps 9 bytes a predicted box, its confidence in an array('d') and its
+    # true-positive flag in a bytearray, and ranks one class's boxes at a time; a
+    # (confidence, is_tp) tuple a box took the peak up by about 160 bytes a box
+    short = _keypoint_stream_file(tmp_path / "short.jsonl", 20.0)
+    long = _keypoint_stream_file(tmp_path / "long.jsonl", 80.0)
+
+    def peak(path):
+        argv = ["eval", "boxes", "--pred", str(path), "--truth", str(path),
+                "--out", str(tmp_path / "report.json")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def boxes(path):
+        return sum(len(fr.detections) for fr in open_stream(path)[1])
+
+    peak(short)  # lazy imports stay out of the peaks
+    growth = (peak(long) - peak(short)) / (boxes(long) - boxes(short))
+    assert growth <= 64, growth
+
+
 # the command's peak resident set in kB, printed after it runs: VmHWM, as on
 # Linux a child's ru_maxrss starts from its parent's peak (here the test run's)
 _PEAK_RSS = ("import sys; from scenestream.cli import main; code = main(sys.argv[1:]); "
@@ -130,7 +159,9 @@ def test_eval_peak_memory_is_within_twice_track_memory(tmp_path):
     # reads its one, so neither holds a whole stream; on 3 minutes of keypoint
     # stream, reading both whole took about 2.6 times `track`'s peak. The step
     # stage holds one step's frames at a time: holding every step's took `eval
-    # actions` and `signature` to about 1.6 times `track`'s peak
+    # actions` and `signature` to about 1.6 times `track`'s peak. `bench --in`
+    # tracks each frame and passes it on to the step stage: holding the whole
+    # stream took it to about 1.6 times too
     (tmp_path / "d").mkdir()
     stream = str(_keypoint_stream_file(tmp_path / "d" / "s.jsonl", 180.0))
 
@@ -146,6 +177,7 @@ def test_eval_peak_memory_is_within_twice_track_memory(tmp_path):
         assert peak_kib("eval", mode, "--pred", stream, "--truth", stream) <= 2 * track, mode
     assert peak_kib("eval", "actions", "--pred", stream, "--truth", stream) <= 1.25 * track
     assert peak_kib("signature", "--streams", str(tmp_path / "d")) <= 1.25 * track
+    assert peak_kib("bench", "--in", stream) <= 1.25 * track
 
 
 def test_cli_track_out_of_order_stream_matches_sorted_stream(tmp_path):
@@ -229,8 +261,8 @@ def test_cli_track_invariant_error_names_its_line(tmp_path, capsys, header, fram
 
 def test_cli_skill_from_tracks(tmp_path):
     spec = SynthSpec(seed=4, n_videos=1, fps=30.0, duration_s=6.0, with_keypoints=True)
-    stream, _ = generate_stream(spec, 0)
-    rows = track_stream(stream.frames, TrackerConfig(min_hits=1))
+    (stream, frames), _ = generate_stream(spec, 0)
+    rows = track_stream(frames, TrackerConfig(min_hits=1))
     tracks_path = tmp_path / "t.jsonl"
     write_tracks(stream, rows, tracks_path)
     clips = [{"video_id": stream.video_id, "start": 0, "end": 170,
@@ -251,8 +283,8 @@ def test_cli_skill_from_tracks(tmp_path):
 
 def test_clips_from_tracks_explicit_and_inferred(tmp_path):
     spec = SynthSpec(seed=5, n_videos=1, fps=30.0, duration_s=5.0)
-    stream, _ = generate_stream(spec, 0)
-    rows = list(track_stream(stream.frames, TrackerConfig(min_hits=1)))
+    (stream, frames), _ = generate_stream(spec, 0)
+    rows = list(track_stream(frames, TrackerConfig(min_hits=1)))
     header = {"video_id": stream.video_id}
     base = {"video_id": stream.video_id, "start": 0, "end": 140,
             "operator_id": "o", "experience": "experienced", "knot_count": 3}
@@ -273,27 +305,10 @@ def test_clips_from_tracks_explicit_and_inferred(tmp_path):
     assert np.array_equal(swapped.right.points, inferred.left.points)
 
 
-def test_skill_from_in_memory_rows_equals_skill_from_tracks_file(tmp_path):
-    # in memory a row's keypoints are HandKeypoints, read back they are [x, y, v] rows
-    spec = SynthSpec(seed=4, n_videos=1, fps=15.0, duration_s=6.0, with_keypoints=True)
-    stream, _ = generate_stream(spec, 0)
-    rows = list(track_stream(stream.frames, TrackerConfig(min_hits=1)))
-    tracks_path = tmp_path / "t.jsonl"
-    write_tracks(stream, rows, tracks_path)
-    header, read_rows = read_tracks(tracks_path)
-    clip = [{"video_id": stream.video_id, "start": 0, "end": 80, "operator_id": "op-1",
-             "experience": "trainee", "knot_count": 4}]
-    for name, clip_rows in (("memory", rows), ("file", read_rows)):
-        clips = clips_from_tracks(header, clip_rows, clip)
-        assert len(clips[0].left_poses) > 0 and len(clips[0].right_poses) > 0
-        skill_stage(clips, header["fps"], tmp_path / f"{name}.csv")
-    assert (tmp_path / "memory.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
-
-
 def test_tracking_oracle_report_clean_stream():
     spec = SynthSpec(seed=6, n_videos=1, fps=30.0, duration_s=5.0)
-    stream, truth = generate_stream(spec, 0)
-    report = tracking_oracle_report(track_stream(stream.frames, TrackerConfig(min_hits=1)), truth)
+    (_, frames), truth = generate_stream(spec, 0)
+    report = tracking_oracle_report(track_stream(frames, TrackerConfig(min_hits=1)), truth)
     assert report["bijection"] is True
     assert report["id_switches"] == 0
 
@@ -340,8 +355,8 @@ def test_cli_names_a_video_that_is_all_background(tmp_path, capsys, command):
     streams_dir.mkdir()
     frames = tuple(FrameRecord(frame_index=k, timestamp_s=k / 10, detections=(),
                                action="background") for k in range(12))
-    write_stream(VideoStream(video_id="allbg", fps=10.0, width=640, height=480,
-                             frames=frames), streams_dir / "allbg.jsonl")
+    write_stream((VideoStream(video_id="allbg", fps=10.0, width=640, height=480), frames),
+                 streams_dir / "allbg.jsonl")
     assert main([command, "--streams", str(streams_dir), "--out", str(out)]) == 2
     assert "allbg" in capsys.readouterr().err
     assert not out.exists()
@@ -485,8 +500,8 @@ def test_cli_eval_actions_on_background_only_streams_has_no_macro_means(tmp_path
     paths = {}
     for side in ("pred", "truth"):
         paths[side] = tmp_path / f"{side}.jsonl"
-        write_stream(VideoStream(video_id=side, fps=10.0, width=640, height=480,
-                                 frames=frames), paths[side])
+        write_stream((VideoStream(video_id=side, fps=10.0, width=640, height=480), frames),
+                     paths[side])
     out = tmp_path / "report.json"
     with pytest.warns(DataWarning, match="absent from both"):
         assert main(["eval", "actions", "--pred", str(paths["pred"]),
@@ -543,6 +558,53 @@ def test_cli_bench_small(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["per_frame"]["count"] == 90
     assert "PASS" in capsys.readouterr().out
+
+
+def _bench_counts(path, out):
+    """n_frames and the per-frame and per-window counts that `bench --in` writes."""
+    assert main(["bench", "--in", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    return report["n_frames"], report["per_frame"]["count"], report["per_window"]["count"]
+
+
+def test_cli_bench_in_re_sorts_a_file_and_rejects_a_pipe_as_track_does(tmp_path, capsys):
+    # `bench --in` reads its file once through `read_streams`, tracking each
+    # frame and then stepping it: a late frame in a regular file is re-sorted
+    # on a second read, and in a pipe, which is read once, an input error
+    def text(order):
+        lines = [json.dumps({"frame": k, "t": k / 30.0, "action": "cutting",
+                             "dets": [["hand", 0.9, 10.0 + k, 10.0, 50.0 + k, 50.0]]})
+                 for k in order]
+        return "\n".join([json.dumps({"video_id": "v", "fps": 30.0}), *lines]) + "\n"
+
+    shuffled, in_order = tmp_path / "shuffled.jsonl", tmp_path / "sorted.jsonl"
+    shuffled.write_text(text([*range(300), 301, 300, *range(302, 310)]))
+    in_order.write_text(text(range(310)))
+    out = tmp_path / "bench.json"
+    want = _bench_counts(in_order, out)
+    steps = len(timeline_from_stream(*open_stream(in_order), 5.0).labels)
+    assert want == (310, 310, steps) and steps == 3
+    with pytest.warns(DataWarning, match="re-sorted"):
+        assert _bench_counts(shuffled, out) == want
+    with warnings.catch_warnings(record=True) as caught:  # once, under any filter
+        warnings.simplefilter("always")
+        report = read_streams([shuffled], bench_stream)
+    assert [str(w.message) for w in caught] == [
+        f"stream {shuffled} had out-of-order frames; re-sorted by frame_index"]
+    assert (report.n_frames, report.per_frame["count"], report.per_window["count"]) == want
+    out.unlink()
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "w") as fh:
+        fh.write(shuffled.read_text())
+    try:
+        assert main(["bench", "--in", f"/dev/fd/{read_end}", "--out", str(out)]) == 1
+    finally:
+        os.close(read_end)
+    err = capsys.readouterr().err
+    assert err.startswith("input error: line 303: frame_index 300 is not above the frame "
+                          f"before it in /dev/fd/{read_end}; only a regular file is re-sorted")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_run_produces_bundle(tmp_path):
@@ -760,11 +822,11 @@ def test_zero_corruption_pipeline_recovers_ground_truth(monkeypatch):
     # an identity: emitted boxes equal true boxes, so downstream kinematics
     # and sequence features reproduce the generator's totals
     spec = SynthSpec(seed=31, n_videos=1, fps=30.0, duration_s=40.0)
-    stream, truth = generate_stream(spec, 0)
+    (stream, frames), truth = generate_stream(spec, 0)
     q, r = scaled_noise(1e-6, 1e-12)
     monkeypatch.setattr(tracking, "_PROCESS_VAR", q)
     monkeypatch.setattr(tracking, "_MEASUREMENT_VAR", r)
-    rows = track_stream(stream.frames, TrackerConfig(min_hits=1))
+    rows = track_stream(frames, TrackerConfig(min_hits=1))
 
     from scenestream.pipeline import _hands_by_track
     from scenestream.kinematics import path_distance, clip_mean_hand_size
@@ -776,7 +838,7 @@ def test_zero_corruption_pipeline_recovers_ground_truth(monkeypatch):
     assert got_lengths == pytest.approx(want_lengths, rel=1e-6)
 
     from scenestream.signatures import Timeline, quartile_aggregate, timeline_from_stream
-    tl = timeline_from_stream(stream, stream.frames, resolution_s=5.0)
+    tl = timeline_from_stream(stream, frames, resolution_s=5.0)
     # rebuild the sequence from the sidecar's per-frame actions
     steps = []
     per_step = int(5.0 * spec.fps)
@@ -997,9 +1059,9 @@ def test_bad_box_is_an_invariant_violation_naming_its_line(tmp_path, capsys, com
 
 def _skill_inputs(tmp_path):
     spec = SynthSpec(seed=4, n_videos=1, fps=15.0, duration_s=6.0, with_keypoints=True)
-    stream, _ = generate_stream(spec, 0)
+    (stream, frames), _ = generate_stream(spec, 0)
     tracks_path = tmp_path / "t.jsonl"
-    write_tracks(stream, track_stream(stream.frames, TrackerConfig(min_hits=1)), tracks_path)
+    write_tracks(stream, track_stream(frames, TrackerConfig(min_hits=1)), tracks_path)
     clip = {"video_id": stream.video_id, "start": 0, "end": 80,
             "operator_id": "op-1", "experience": "trainee", "knot_count": 4}
     return tracks_path, clip
@@ -1537,7 +1599,7 @@ def test_row_line_is_the_sorted_json_of_its_row():
     # 12 lanes: track ids pass 10, and "10" sorts before "2" as a JSON key
     spec = SynthSpec(seed=3, fps=30.0, duration_s=2.0, hands=_lanes(12), with_keypoints=True,
                      corruption=CorruptionSpec(dropout_rate=0.1, jitter_sigma=2.0))
-    rows = list(track_stream(generate_stream(spec, 0)[0].frames))
+    rows = list(track_stream(generate_stream(spec, 0)[0][1]))
     assert max(max(map(int, r["tracks"]), default=0) for r in rows) >= 12
     assert any("kps" in r for r in rows)
     for row in rows + [{key: r[key] for key in ("frame", "t", "tracks")} for r in rows]:

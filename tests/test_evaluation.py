@@ -1,3 +1,5 @@
+from array import array
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,12 @@ def test_actions_truncates_with_warning():
     assert r["accuracy"] == 0.75
 
 
+def ap_arrays(records):
+    """The confidences and true-positive flags of (confidence, is_tp) records,
+    as `evaluate_boxes` keeps them."""
+    return array("d", [conf for conf, _ in records]), bytearray(tp for _, tp in records)
+
+
 def test_ap_monotone_under_fp_removal_random():
     rng = np.random.default_rng(5)
     from scenestream.evaluation import ap_from_records
@@ -94,13 +102,13 @@ def test_ap_monotone_under_fp_removal_random():
         records = [(float(rng.uniform(0, 1)), bool(rng.integers(0, 2)))
                    for _ in range(n)]
         n_gt = max(sum(1 for _, tp in records if tp), 1)
-        base = ap_from_records(records, n_gt)
+        base = ap_from_records(*ap_arrays(records), n_gt)
         fps = [i for i, (_, tp) in enumerate(records) if not tp]
         if not fps:
             continue
         drop = fps[int(rng.integers(0, len(fps)))]
         pruned = [r for i, r in enumerate(records) if i != drop]
-        assert ap_from_records(pruned, n_gt) >= base - 1e-12
+        assert ap_from_records(*ap_arrays(pruned), n_gt) >= base - 1e-12
 
 
 def test_actions_empty_is_error():
@@ -116,22 +124,18 @@ def det(conf, x0, y0=0.0, size=10.0, category="hand"):
 
 
 def one_frame_stream(detections=(), keypoints=()):
+    """A (header, frames) stream of one frame."""
     frame = FrameRecord(frame_index=0, timestamp_s=0.0, detections=tuple(detections),
                         keypoints=tuple(keypoints))
-    return VideoStream(video_id="v", fps=30.0, width=1280, height=720, frames=(frame,))
-
-
-def pair(stream):
-    """A stream as the (header, frames) pair that the evaluators take."""
-    return stream, stream.frames
+    return VideoStream(video_id="v", fps=30.0, width=1280, height=720), [frame]
 
 
 def one_frame_hand_ap(preds, gts):
     """Hand AP of `preds` (Detections) against the hand boxes `gts`, as
     `evaluate_boxes` scores one frame; None when its report leaves it out."""
     truth = [Detection(box=b, category="hand", confidence=1.0) for b in gts]
-    return evaluate_boxes(pair(one_frame_stream(preds)),
-                          pair(one_frame_stream(truth))).get("hand_ap")
+    return evaluate_boxes(one_frame_stream(preds),
+                          one_frame_stream(truth)).get("hand_ap")
 
 
 def test_ap_perfect_detector():
@@ -148,7 +152,7 @@ def test_ap_no_ground_truth_undefined():
     with pytest.warns(DataWarning, match="undefined"):
         assert one_frame_hand_ap([det(0.9, 0)], []) is None
     with pytest.raises(InvariantError, match="AP undefined without ground truth"):
-        ap_from_records([(0.9, False)], 0)
+        ap_from_records(array("d", [0.9]), bytearray([0]), 0)
 
 
 def test_ap_worked_case_matches_enumeration_oracle():
@@ -208,9 +212,10 @@ def test_mean_ap_excludes_undefined():
 def test_match_detections_tp_bounded_by_gt():
     gts = [box(0, 0, 10, 10)]
     preds = [det(0.9, 0), det(0.8, 1), det(0.7, 2)]
-    records = _greedy_match_class([(d.confidence, d.box) for d in preds], gts, 0.5)
-    assert len(records) == len(preds)
-    assert sum(1 for _, is_tp in records if is_tp) <= len(gts)
+    confidences, tp_flags = array("d"), bytearray()
+    _greedy_match_class([(d.confidence, d.box) for d in preds], gts, 0.5, confidences, tp_flags)
+    assert list(confidences) == [0.9, 0.8, 0.7]
+    assert len(tp_flags) == len(preds) and sum(tp_flags) <= len(gts)
 
 
 # ------------------------------------------------------------- PCK
@@ -286,26 +291,26 @@ def test_pck_aggregate_groups():
     truth = kps(grid_points(), box=b)
     pred_pts = grid_points()
     pred_pts[1:5] += 1000.0  # thumb chain misses
-    report = evaluate_keypoints(pair(one_frame_stream(keypoints=[kps(pred_pts, box=b)])),
-                                pair(one_frame_stream(keypoints=[truth])))
+    report = evaluate_keypoints(one_frame_stream(keypoints=[kps(pred_pts, box=b)]),
+                                one_frame_stream(keypoints=[truth]))
     assert report["thumb_pck"] == 0.0
     assert report["index_pck"] == 1.0
     assert report["mean_pck"] == pytest.approx(17 / 21)
     per_kp = report["pck_per_keypoint"]
     assert per_kp[0] == 1.0 and per_kp[1] == 0.0
     with pytest.raises(InvariantError, match="ref must be 'truth' or 'pred'"):
-        evaluate_keypoints(pair(one_frame_stream(keypoints=[truth])),
-                           pair(one_frame_stream(keypoints=[truth])), ref="box")
+        evaluate_keypoints(one_frame_stream(keypoints=[truth]),
+                           one_frame_stream(keypoints=[truth]), ref="box")
 
 
 def _keypoints_by_frame(stream):
     return {fr.frame_index: [(k.points.tolist(), k.owner_box)
-                             for k in fr.keypoints] for fr in stream.frames}
+                             for k in fr.keypoints] for fr in stream[1]}
 
 
 def _first_frames(stream, n):
-    return VideoStream(video_id=stream.video_id, fps=stream.fps, width=stream.width,
-                       height=stream.height, frames=stream.frames[:n])
+    header, frames = stream
+    return header, frames[:n]
 
 
 def test_pck_counts_truth_frames_the_predictor_skipped():
@@ -313,10 +318,10 @@ def test_pck_counts_truth_frames_the_predictor_skipped():
     # the hands: PCK agrees with hand AP instead of reading 1.0
     stream, _ = generate_stream(SynthSpec(seed=3, fps=10, duration_s=4,
                                           with_keypoints=True), 0)
-    half = _first_frames(stream, len(stream.frames) // 2)
-    report = evaluate_keypoints(pair(half), pair(stream))
+    half = _first_frames(stream, len(stream[1]) // 2)
+    report = evaluate_keypoints(half, stream)
     assert report["mean_pck"] == 0.5
-    assert evaluate_boxes(pair(half), pair(stream))["hand_ap"] == 0.5
+    assert evaluate_boxes(half, stream)["hand_ap"] == 0.5
     assert report["mean_pck"] == naive_pck(_keypoints_by_frame(half),
                                            _keypoints_by_frame(stream), alpha=0.2)
 
@@ -329,12 +334,12 @@ def test_pck_matches_naive_oracle_on_partial_corrupted_predictions(seed):
                      corruption=CorruptionSpec(dropout_rate=0.2, jitter_sigma=3.0))
     pred = _first_frames(generate_stream(spec, 0)[0], 25)
     for alpha in (0.05, 0.2):
-        report = evaluate_keypoints(pair(pred), pair(truth), alpha=alpha)
+        report = evaluate_keypoints(pred, truth, alpha=alpha)
         assert report["mean_pck"] == naive_pck(_keypoints_by_frame(pred),
                                                _keypoints_by_frame(truth), alpha=alpha)
 
 
 def test_metric_report_rejects_out_of_range():
     with pytest.raises(InvariantError):
-        _report(one_frame_stream(), mean_pck=1.5)
+        _report(one_frame_stream()[0], mean_pck=1.5)
 

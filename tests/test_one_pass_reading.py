@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import dict_aligned_frames, whole_stream_steps
-from scenestream import evaluation, signatures
+from scenestream import evaluation, signatures, streams as stream_files
 from scenestream.errors import InvariantError
 from scenestream.evaluation import (
     _aligned_frames,
@@ -51,9 +51,10 @@ _EVALUATORS = {
 
 
 def _stream(name, fps, indices, duration, seed):
-    """A VideoStream of frames at `indices`, each with up to 3 detections, up to
-    2 keypoint entries and an action drawn from `seed`; `duration` is a key of
-    _DURATIONS. A duration the stream rejects at this fps is not drawn."""
+    """A (header, frames) stream of frames at `indices`, each with up to 3
+    detections, up to 2 keypoint entries and an action drawn from `seed`;
+    `duration` is a key of _DURATIONS. A duration the reader rejects at this
+    fps is not drawn."""
     rng = np.random.default_rng(seed)
     frames = []
     for k in indices:
@@ -68,9 +69,11 @@ def _stream(name, fps, indices, duration, seed):
     extra = _DURATIONS[duration]
     metadata = {} if extra is None or not indices else {"duration_s": (indices[-1] + extra) / fps}
     try:
-        return VideoStream(name, fps, 640, 480, tuple(frames), metadata)
+        if indices:
+            stream_files._check_duration(metadata, indices[-1], fps)
     except InvariantError:  # a duration more than a frame period off the span
         assume(False)
+    return VideoStream(name, fps, 640, 480, metadata), frames
 
 
 @st.composite
@@ -90,24 +93,23 @@ def stream_pairs(draw, min_frames=0):
 
 def _oracle_report(evaluate, pred, truth):
     """`evaluate` on two whole streams, pairing and stepping them as the oracles do."""
-    with mock.patch.object(evaluation, "_aligned_frames",
-                           lambda p, t: dict_aligned_frames(p[0], t[0])), \
+    with mock.patch.object(evaluation, "_aligned_frames", dict_aligned_frames), \
             mock.patch.object(signatures, "stream_steps",
                               lambda header, frames, resolution_s:
-                              whole_stream_steps(header, resolution_s)):
-        return evaluate((pred, pred.frames), (truth, truth.frames))
+                              whole_stream_steps((header, frames), resolution_s)):
+        return evaluate(pred, truth)
 
 
 @settings(max_examples=150, deadline=None)
 @given(stream_pairs())
 def test_merged_frames_and_steps_read_once_match_the_whole_stream_oracles(streams):
     pred, truth = streams
-    assert list(_aligned_frames((pred, iter(pred.frames)), (truth, iter(truth.frames)))) == (
+    assert list(_aligned_frames((pred[0], iter(pred[1])), (truth[0], iter(truth[1])))) == (
         dict_aligned_frames(pred, truth))
-    for stream in streams:
-        for resolution_s in (1 / stream.fps, 2 / stream.fps, 0.5, 1.0, 5.0):
-            assert (list(stream_steps(stream, iter(stream.frames), resolution_s))
-                    == whole_stream_steps(stream, resolution_s))
+    for header, frames in streams:
+        for resolution_s in (1 / header.fps, 2 / header.fps, 0.5, 1.0, 5.0):
+            assert (list(stream_steps(header, iter(frames), resolution_s))
+                    == whole_stream_steps((header, frames), resolution_s))
 
 
 @settings(max_examples=300, deadline=None)
@@ -119,10 +121,11 @@ def test_steps_at_any_fps_and_resolution_match_the_fraction_oracle(fps, periods,
     # a step of a whole number of frame periods, whose boundaries fall on frame
     # times up to rounding, or of any 1 to 40; frames 0..n-1, a few missing
     rng = np.random.default_rng(seed)
-    stream = _stream("s", fps, [k for k in range(n) if rng.random() < 0.9], duration, seed)
+    header, frames = _stream("s", fps, [k for k in range(n) if rng.random() < 0.9], duration,
+                             seed)
     resolution_s = periods / fps
-    assert (list(stream_steps(stream, iter(stream.frames), resolution_s))
-            == whole_stream_steps(stream, resolution_s))
+    assert (list(stream_steps(header, iter(frames), resolution_s))
+            == whole_stream_steps((header, frames), resolution_s))
 
 
 def _write(stream, path, swap):
@@ -138,9 +141,9 @@ def _write(stream, path, swap):
 @settings(max_examples=60, deadline=None)
 @given(stream_pairs(min_frames=2), st.data())
 def test_reports_read_from_files_match_the_oracles_and_re_sort_once(streams, data):
-    swaps = [data.draw(st.none() | st.integers(0, len(s.frames) - 2)) for s in streams]
+    swaps = [data.draw(st.none() | st.integers(0, len(frames) - 2)) for _, frames in streams]
     with tempfile.TemporaryDirectory() as tmp:
-        paths = [Path(tmp) / f"{s.video_id}.jsonl" for s in streams]
+        paths = [Path(tmp) / f"{header.video_id}.jsonl" for header, _ in streams]
         for stream, path, swap in zip(streams, paths, swaps):
             _write(stream, path, swap)
         for evaluate in _EVALUATORS.values():

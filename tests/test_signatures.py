@@ -126,7 +126,7 @@ def test_user_set_steps_span_a_frame_period_and_fixed_steps_run_at_any_fps():
     # eval actions' 1 s steps on a 0.5 fps stream: every other step is empty
     frames = tuple(FrameRecord(frame_index=k, timestamp_s=2.0 * k, detections=(), action=CUT)
                    for k in range(3))
-    stream = VideoStream(video_id="slow", fps=0.5, width=64, height=64, frames=frames)
+    stream = VideoStream(video_id="slow", fps=0.5, width=64, height=64)
     assert [len(step) for step in stream_steps(stream, frames, 1.0)] == [1, 0, 1, 0, 1, 0]
     assert timeline_from_stream(stream, frames, 1.0).labels == (CUT, BG, CUT, BG, CUT, BG)
 
@@ -134,15 +134,15 @@ def test_user_set_steps_span_a_frame_period_and_fixed_steps_run_at_any_fps():
 def test_stream_steps_past_the_cap_raise_before_any_list_is_built():
     def one_frame(fps, k):
         frame = FrameRecord(frame_index=k, timestamp_s=k / fps, detections=())
-        return VideoStream(video_id="far", fps=fps, width=64, height=64, frames=(frame,))
+        return VideoStream(video_id="far", fps=fps, width=64, height=64), [frame]
 
     # an infinite duration as a float; 3.3e10 steps of 1 s, raised at the frame;
     # and 1e300 steps, raised after the last frame: each before the first step
-    for stream in (one_frame(1e-320, 0), one_frame(30.0, 10 ** 12), one_frame(1e-300, 0)):
+    for header, frames in (one_frame(1e-320, 0), one_frame(30.0, 10 ** 12),
+                           one_frame(1e-300, 0)):
         with pytest.raises(InvariantError, match="more than 10000000 steps of 1.0 s"):
-            next(stream_steps(stream, iter(stream.frames), 1.0))
-    far = one_frame(30.0, 10 ** 12)
-    assert len(list(stream_steps(far, far.frames, 1e7))) == 3334
+            next(stream_steps(header, iter(frames), 1.0))
+    assert len(list(stream_steps(*one_frame(30.0, 10 ** 12), 1e7))) == 3334
 
 
 @pytest.mark.parametrize("fps", [7.0, 24.0])
@@ -172,8 +172,7 @@ def test_a_step_of_n_frame_periods_holds_n_frames(fps, n):
     n_frames = 30 * 60  # a multiple of every n
     frames = tuple(FrameRecord(frame_index=k, timestamp_s=k / fps) for k in range(n_frames))
     for metadata in ({}, {"duration_s": n_frames / fps}):
-        stream = VideoStream(video_id="v", fps=fps, width=64, height=64, frames=frames,
-                             metadata=metadata)
+        stream = VideoStream(video_id="v", fps=fps, width=64, height=64, metadata=metadata)
         for resolution_s in {n / fps, _DECIMAL_STEPS.get((fps, n), n / fps)}:
             steps = list(stream_steps(stream, iter(frames), resolution_s))
             assert [fr for step in steps for fr in step] == list(frames)

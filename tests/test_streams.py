@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import grid_iou
 from scenestream import streams
 from scenestream.cli import main
+from scenestream.errors import FrameOrderError
 from scenestream.synth import SynthSpec, generate_stream
 from scenestream import (
     DataWarning,
@@ -24,7 +25,6 @@ from scenestream import (
     hand_size,
     iou,
     parse_stream,
-    stream_to_lines,
     write_stream,
 )
 
@@ -124,12 +124,12 @@ def test_stream_built_from_constructors_round_trips(tmp_path):
                     detections=(Detection((10 + k, 20, 60, 80.5), "hand", 0.75),
                                 Detection(box=[0, 0, 5, 5], category="forceps")))
         for k in range(3))
-    stream = VideoStream(video_id="built", fps=10.0, width=640, height=480, frames=frames)
+    header = VideoStream(video_id="built", fps=10.0, width=640, height=480)
     path = tmp_path / "built.jsonl"
-    write_stream(stream, path)
-    again = parse_stream(path)
+    write_stream((header, frames), path)
+    again, again_frames = parse_stream(path)
     assert (again.video_id, again.fps, again.width, again.height) == ("built", 10.0, 640, 480)
-    assert [(fr.frame_index, fr.timestamp_s, fr.detections, fr.action) for fr in again.frames] \
+    assert [(fr.frame_index, fr.timestamp_s, fr.detections, fr.action) for fr in again_frames] \
         == [(fr.frame_index, fr.timestamp_s, fr.detections, fr.action) for fr in frames]
 
 
@@ -181,36 +181,45 @@ def test_frame_record_is_a_checked_tuple():
         FrameRecord(0, 0.0, action="Tying")
 
 
-def test_video_stream_timestamp_invariant():
-    good = FrameRecord(frame_index=3, timestamp_s=0.1)
-    VideoStream(video_id="v", fps=30.0, width=0, height=0, frames=(good,))
-    bad = FrameRecord(frame_index=3, timestamp_s=0.2)
-    with pytest.raises(InvariantError, match="timestamp_s"):
-        VideoStream(video_id="v", fps=30.0, width=0, height=0, frames=(bad,))
-    with pytest.raises(InvariantError, match="duplicate frame_index 3"):
-        VideoStream(video_id="v", fps=30.0, width=0, height=0, frames=(good, good))
+def test_video_stream_timestamp_invariant(tmp_path):
+    # a header holds no frames: both readers check each frame as its line is read
+    path = tmp_path / "s.jsonl"
+    good, bad = frame_obj(3), {**frame_obj(3), "t": 0.2}
+    path.write_text(make_stream_lines([good]))
+    assert [fr.frame_index for fr in parse_stream(path)[1]] == [3]
+    path.write_text(make_stream_lines([bad]))
+    for read in (parse_stream, lambda p: list(streams.open_stream(p)[1])):
+        with pytest.raises(InvariantError, match="line 2: FrameRecord.timestamp_s"):
+            read(path)
+    path.write_text(make_stream_lines([good, good]))
+    with pytest.raises(InvariantError, match="line 3: duplicate frame_index 3"):
+        parse_stream(path)
+    with pytest.raises(FrameOrderError, match="line 3: frame_index 3 is not above"):
+        list(streams.open_stream(path)[1])
+    with pytest.raises(InvariantError, match="VideoStream.fps must be > 0"):
+        VideoStream(video_id="v", fps=0.0, width=0, height=0)
 
 
 # ---------------------------------------------------------------- parsing
 
 def test_parse_golden_stream():
-    stream = parse_stream(GOLDEN)
+    stream, frames = parse_stream(GOLDEN)
     assert stream.video_id == "golden-01"
-    assert len(stream.frames) == 3
-    assert stream.frames[0].detections[0].category == "hand"
-    assert stream.frames[0].action == "cutting"
+    assert len(frames) == 3
+    assert frames[0].detections[0].category == "hand"
+    assert frames[0].action == "cutting"
 
 
 def test_parse_three_frame_roundtrip(tmp_path):
     path = tmp_path / "s.jsonl"
     path.write_text(make_stream_lines([frame_obj(i) for i in range(3)]))
     stream = parse_stream(path)
-    assert len(stream.frames) == 3
+    assert len(stream[1]) == 3
 
-    out = tmp_path / "copy.jsonl"
+    out, again = tmp_path / "copy.jsonl", tmp_path / "again.jsonl"
     write_stream(stream, out)
-    again = parse_stream(out)
-    assert stream_to_lines(again) == stream_to_lines(stream)
+    write_stream(parse_stream(out), again)
+    assert again.read_bytes() == out.read_bytes()
 
 
 def test_boxes_are_exact_tuples_wherever_they_are_made(tmp_path):
@@ -233,15 +242,15 @@ def test_boxes_are_exact_tuples_wherever_they_are_made(tmp_path):
         return [k.owner_box for fr in frames for k in fr.keypoints]
 
     stream, truth = generate_stream(SynthSpec(seed=2, duration_s=1.0, with_keypoints=True), 0)
-    assert_exact(frame_boxes(stream.frames))
-    assert_exact(owner_boxes(stream.frames))
+    assert_exact(frame_boxes(stream[1]))
+    assert_exact(owner_boxes(stream[1]))
     assert_exact(b for frame in truth.true_boxes for b in frame.values())
-    assert_exact(frame_boxes(truth_stream_from_ground_truth(stream, truth).frames))
+    assert_exact(frame_boxes(truth_stream_from_ground_truth(stream, truth)[1]))
     path = tmp_path / "s.jsonl"
     write_stream(stream, path)
-    parsed = parse_stream(path)
-    assert_exact(frame_boxes(parsed.frames))
-    assert_exact(owner_boxes(parsed.frames))
+    _, parsed = parse_stream(path)
+    assert_exact(frame_boxes(parsed))
+    assert_exact(owner_boxes(parsed))
     _, frames = streams.open_stream(path)
     frames = list(frames)
     assert_exact(frame_boxes(frames))
@@ -263,8 +272,8 @@ def test_parse_out_of_order_resorts_with_warning(tmp_path):
     order = [4, 0, 3, 1, 2]
     path.write_text(make_stream_lines([frame_obj(i) for i in order]))
     with pytest.warns(DataWarning, match="re-sorted"):
-        stream = parse_stream(path)
-    assert [f.frame_index for f in stream.frames] == sorted(order)
+        _, frames = parse_stream(path)
+    assert [f.frame_index for f in frames] == sorted(order)
 
 
 def test_parse_duplicate_frame_is_error(tmp_path):
@@ -296,8 +305,8 @@ def test_parse_null_confidence_defaults_to_one(tmp_path):
     path = tmp_path / "conf.jsonl"
     frames = [frame_obj(0, dets=[["hand", None, 0, 0, 10, 10]])]
     path.write_text(make_stream_lines(frames))
-    stream = parse_stream(path)
-    assert stream.frames[0].detections[0].confidence == 1.0
+    _, frames = parse_stream(path)
+    assert frames[0].detections[0].confidence == 1.0
 
 
 def test_parse_timestamp_mismatch_is_invariant_error(tmp_path):
@@ -344,13 +353,14 @@ def test_parse_stream_checks_each_frame_once(tmp_path, monkeypatch):
     path.write_text(json.dumps(header) + "\n"
                     + "\n".join(json.dumps(frame_obj(i)) for i in (3, 0, 5, 1)) + "\n")
     with pytest.warns(DataWarning, match="re-sorted"):
-        stream = parse_stream(path)
-    assert [fr.frame_index for fr in stream.frames] == [0, 1, 3, 5]
+        _, frames = parse_stream(path)
+    assert [fr.frame_index for fr in frames] == [0, 1, 3, 5]
     assert calls == {"timestamp": 4, "duration": 1}
-    # a VideoStream built directly still checks its frames
-    with pytest.raises(InvariantError, match="strictly increasing"):
-        VideoStream(video_id="v", fps=30.0, width=0, height=0,
-                    frames=tuple(reversed(stream.frames)))
+    # read without re-sorting, the same frames in decreasing order stop at the first
+    path.write_text(json.dumps(header) + "\n"
+                    + "\n".join(json.dumps(frame_obj(i)) for i in (5, 3, 1, 0)) + "\n")
+    with pytest.raises(FrameOrderError, match="line 3: frame_index 3 is not above"):
+        list(streams.open_stream(path)[1])
 
 
 def test_header_duration_s_sets_the_timeline_steps(tmp_path):
@@ -365,8 +375,7 @@ def test_header_duration_s_sets_the_timeline_steps(tmp_path):
         header = {"video_id": "v", "fps": 30.0, "metadata": metadata}
         path.write_text(json.dumps(header) + "\n"
                         + "\n".join(json.dumps(frame_obj(i)) for i in range(150)) + "\n")
-        stream = parse_stream(path)
-        assert timeline_from_stream(stream, stream.frames, resolution_s=5.0).labels == labels
+        assert timeline_from_stream(*parse_stream(path), resolution_s=5.0).labels == labels
 
 
 def test_a_duration_s_one_frame_period_off_the_span_passes_up_to_rounding():
@@ -375,14 +384,13 @@ def test_a_duration_s_one_frame_period_off_the_span_passes_up_to_rounding():
     # 1 / fps in 5724 of these 16000 cases. Two periods off is rejected
     for fps in (24.0, 25.0, 30.0, 60.0):
         for last in range(2000):
-            frames = (FrameRecord(frame_index=last, timestamp_s=last / fps),)
             for periods in (last, last + 2, last - 1, last + 3):
                 metadata = {"duration_s": periods / fps}
                 if abs(periods - (last + 1)) == 1:
-                    VideoStream("v", fps, 64, 64, frames, metadata)
+                    streams._check_duration(metadata, last, fps)
                 else:
                     with pytest.raises(InvariantError, match="inconsistent with frame span"):
-                        VideoStream("v", fps, 64, 64, frames, metadata)
+                        streams._check_duration(metadata, last, fps)
 
 
 _EXTRA = st.sampled_from([{}, {"note": "points"}, {"meta": {"points": [[1, 2, 3]]}},
@@ -415,7 +423,7 @@ def test_parsed_keypoint_text_decodes_to_its_rows(tmp_path_factory, rows, n_entr
         line = line.replace('"points"', '"p\\u006fints"', 1)
     path = tmp_path_factory.mktemp("kps") / "s.jsonl"
     path.write_text(json.dumps({"video_id": "v", "fps": 30.0}) + "\n" + line + "\n")
-    (parsed,) = parse_stream(path).frames
+    (parsed,) = parse_stream(path)[1]
     assert [json.loads(kp.points_text) for kp in parsed.keypoints] == [
         e["points"] for e in entries]
     assert [kp.points.tolist() for kp in parsed.keypoints] == [
@@ -493,11 +501,11 @@ def test_written_keypoint_lines_are_not_decoded_in_full(tmp_path, monkeypatch):
     decoded = []
     monkeypatch.setattr(streams, "_decode",
                         lambda line, line_no: decoded.append(line_no) or json.loads(line))
-    parsed = parse_stream(tmp_path / "s.jsonl")
+    _, parsed = parse_stream(tmp_path / "s.jsonl")
     assert decoded == [1]  # the header alone
-    assert sum(len(fr.keypoints) for fr in parsed.frames) > 20
-    assert [kp.points.tolist() for fr in parsed.frames for kp in fr.keypoints] == [
-        kp.points.tolist() for fr in stream.frames for kp in fr.keypoints]
+    assert sum(len(fr.keypoints) for fr in parsed) > 20
+    assert [kp.points.tolist() for fr in parsed for kp in fr.keypoints] == [
+        kp.points.tolist() for fr in stream[1] for kp in fr.keypoints]
 
 
 # ---------------------------------------------------------------- one-pass parsing
@@ -718,7 +726,7 @@ def test_one_pass_entry_checks_report_as_the_full_checks(tmp_path, capsys, case)
     code = main(["track", "--in", str(path), "--out", str(out)])
     assert (code, capsys.readouterr().err) == (_PARITY[case][0], in_file(_PARITY[case][1], path))
     if code == 0:  # each entry is the Detection its constructor makes
-        (frame,) = parse_stream(path).frames
+        (frame,) = parse_stream(path)[1]
         want = [Detection(box(*corners), cls, 1.0 if conf is None else float(conf))
                 for cls, conf, *corners in json.loads(_PARITY_LINES[case])["dets"]]
         assert frame.detections == tuple(want)

@@ -23,7 +23,7 @@ from scenestream import (
     iou,
     TOOL_CLASSES,
     parse_stream,
-    stream_to_lines,
+    write_stream,
 )
 from scenestream import synth
 from scenestream.kinematics import (
@@ -59,11 +59,17 @@ def small_spec(**kwargs):
     return SynthSpec(**defaults)
 
 
+def stream_bytes(stream, path):
+    """The bytes `write_stream` writes for a (header, frames) stream."""
+    write_stream(stream, path)
+    return path.read_bytes()
+
+
 def test_fixed_seed_reproduces_identical_bytes(tmp_path):
     spec = small_spec()
     a, _ = generate_stream(spec, 0)
     b, _ = generate_stream(spec, 0)
-    assert stream_to_lines(a) == stream_to_lines(b)
+    assert stream_bytes(a, tmp_path / "a.jsonl") == stream_bytes(b, tmp_path / "b.jsonl")
 
     d1, d2 = tmp_path / "one", tmp_path / "two"
     synth_generate(spec, d1)
@@ -72,17 +78,17 @@ def test_fixed_seed_reproduces_identical_bytes(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_different_indices_differ():
+def test_different_indices_differ(tmp_path):
     spec = small_spec(n_videos=2)
     a, _ = generate_stream(spec, 0)
     b, _ = generate_stream(spec, 1)
-    assert stream_to_lines(a) != stream_to_lines(b)
+    assert stream_bytes(a, tmp_path / "a.jsonl") != stream_bytes(b, tmp_path / "b.jsonl")
 
 
 def test_zero_corruption_detections_equal_ground_truth():
-    stream, truth = generate_stream(small_spec(), 0)
+    (stream, frames), truth = generate_stream(small_spec(), 0)
     assert stream.metadata["synthetic"] is True
-    for fr, frame_truth in zip(stream.frames, truth.true_boxes):
+    for fr, frame_truth in zip(frames, truth.true_boxes):
         hands = [d for d in fr.detections if d.category == "hand"]
         assert len(hands) == len(frame_truth)
         for h, det in zip(sorted(frame_truth), hands):
@@ -91,12 +97,12 @@ def test_zero_corruption_detections_equal_ground_truth():
 
 
 def test_true_path_length_matches_independent_recomputation():
-    stream, truth = generate_stream(small_spec(), 0)
+    (_, frames), truth = generate_stream(small_spec(), 0)
     # re-derive each hand's path by walking the emitted detections
     n_hands = len(truth.hand_ids)
     for h in truth.hand_ids:
         cents = []
-        for fr in stream.frames:
+        for fr in frames:
             hands = [d for d in fr.detections if d.category == "hand"]
             x0, y0, x1, y1 = hands[h].box
             cents.append(((x0 + x1) / 2, (y0 + y1) / 2))
@@ -139,15 +145,15 @@ def test_dropout_removes_detections():
     noisy, _ = generate_stream(
         small_spec(corruption=CorruptionSpec(dropout_rate=0.3)), 0)
     count = lambda s: sum(len([d for d in fr.detections if d.category == "hand"])
-                          for fr in s.frames)
+                          for fr in s[1])
     assert count(noisy) < count(clean)
 
 
 def test_jitter_moves_boxes():
     spec = small_spec(corruption=CorruptionSpec(jitter_sigma=2.0))
-    stream, truth = generate_stream(spec, 0)
+    (_, frames), truth = generate_stream(spec, 0)
     deltas = []
-    for fr, frame_truth in zip(stream.frames, truth.true_boxes):
+    for fr, frame_truth in zip(frames, truth.true_boxes):
         hands = [d for d in fr.detections if d.category == "hand"]
         for h, det in zip(sorted(frame_truth), hands):
             deltas.append(abs(det.box[0] - frame_truth[h][0]))
@@ -156,8 +162,8 @@ def test_jitter_moves_boxes():
 
 def test_actions_follow_phase_template():
     # every synthetic video cuts, sutures and ties for 30/40/30 of its frames
-    stream, truth = generate_stream(small_spec(), 0)
-    labels = [fr.action for fr in stream.frames]
+    (_, frames), truth = generate_stream(small_spec(), 0)
+    labels = [fr.action for fr in frames]
     assert labels == truth.actions
     assert labels[0] == "cutting"
     assert labels[-1] == "tying"
@@ -170,11 +176,11 @@ def test_synth_files_round_trip(tmp_path):
     written = synth_generate(spec, tmp_path)
     assert len(written) == 2
     for stream_path, truth_path in written:
-        stream = parse_stream(stream_path)
+        stream, frames = parse_stream(stream_path)
         truth = json.loads(truth_path.read_text())
         assert truth["video_id"] == stream.video_id
-        assert len(stream.frames) == len(truth["actions"])
-        assert stream.frames[0].keypoints[0].points.shape == (21, 3)
+        assert len(frames) == len(truth["actions"])
+        assert frames[0].keypoints[0].points.shape == (21, 3)
 
 
 def test_crossing_hands_keep_identity_against_generator_truth():

@@ -433,11 +433,11 @@ def test_step_equals_the_two_pass_reference_on_twelve_lanes(min_hits, max_age):
                   for i in range(12))
     spec = SynthSpec(seed=29, fps=30.0, duration_s=4.0, hands=lanes,
                      corruption=CorruptionSpec(dropout_rate=0.3, jitter_sigma=2.0))
-    stream, _ = generate_stream(spec, 0)
+    (_, frames), _ = generate_stream(spec, 0)
     cfg = TrackerConfig(max_age=max_age, min_hits=min_hits)
     tracker, reference = SortTracker(cfg), oracles.TwoPassSort(cfg)
     emitted = 0
-    for frame in stream.frames:
+    for frame in frames:
         out = tracker.step(frame)
         assert out == reference.step(frame)
         emitted += len(out)
@@ -599,21 +599,21 @@ LANES = tuple(HandMotionSpec(region=(60.0 + 103.0 * i, 150.0, 90.0 + 103.0 * i, 
               for i in range(12))
 
 
-def _lane_stream(seed, dropout=0.05):
+def _lane_frames(seed, dropout=0.05):
     spec = SynthSpec(seed=seed, fps=30.0, duration_s=5.0, hands=LANES,
                      corruption=CorruptionSpec(dropout_rate=dropout, jitter_sigma=2.0))
-    return generate_stream(spec, 0)[0]
+    return generate_stream(spec, 0)[0][1]
 
 
-def _solves_on(stream, monkeypatch):
-    """(assignment solves, frames with tracks and detections) of tracking `stream`."""
+def _solves_on(frames, monkeypatch):
+    """(assignment solves, frames with tracks and detections) of tracking `frames`."""
     calls = []
     real = tracking.linear_sum_assignment
     monkeypatch.setattr(tracking, "linear_sum_assignment",
                         lambda cost: calls.append(cost.shape) or real(cost))
     tracker = SortTracker()
     nonempty = 0
-    for frame in stream.frames:
+    for frame in frames:
         nonempty += bool(tracker.ids and frame.detections)
         tracker.step(frame)
     return len(calls), nonempty
@@ -621,14 +621,14 @@ def _solves_on(stream, monkeypatch):
 
 @pytest.mark.parametrize("seed", [7, 22])
 def test_one_assignment_solve_per_frame_on_twelve_lanes(seed, monkeypatch):
-    solves, nonempty = _solves_on(_lane_stream(seed), monkeypatch)
+    solves, nonempty = _solves_on(_lane_frames(seed), monkeypatch)
     assert nonempty > 100
     assert solves <= 1.02 * nonempty
 
 
 def test_no_assignment_solve_on_twelve_lanes_without_dropout(monkeypatch):
     # each track overlaps only its own lane's detection, which certifies the pairing
-    solves, nonempty = _solves_on(_lane_stream(7, dropout=0.0), monkeypatch)
+    solves, nonempty = _solves_on(_lane_frames(7, dropout=0.0), monkeypatch)
     assert nonempty > 100 and solves == 0
 
 
@@ -860,13 +860,13 @@ def test_keypoint_entries_follow_their_detections_as_iou_pairing_paired_them(
     spec = SynthSpec(seed=seed, fps=30.0, duration_s=2.0, with_keypoints=True,
                      hands=LANES if lanes else SynthSpec().hands,
                      corruption=CorruptionSpec(dropout_rate=dropout, jitter_sigma=jitter))
-    stream, _ = generate_stream(spec, 0)
+    (_, frames), _ = generate_stream(spec, 0)
     reference = SortTracker()
     paired = 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows = list(track_stream(stream.frames))
-    for fr, row in zip(stream.frames, rows):
+        rows = list(track_stream(frames))
+    for fr, row in zip(frames, rows):
         want = oracles.iou_keypoint_entries(reference.step(fr), fr.keypoints)
         assert row.get("kps", {}) == want, fr.frame_index
         paired += len(want)
