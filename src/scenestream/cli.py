@@ -76,9 +76,8 @@ def cmd_track(args) -> int:
 
 def cmd_skill(args) -> int:
     header, rows = read_tracks(args.tracks)
-    clip_defs = read_json(args.clips)
-    clips = clips_from_tracks(header, rows, clip_defs)
-    skill_stage(clips, header["fps"], args.out, args.metric, args.centroids, args.per_frame_size)
+    clips = clips_from_tracks(header, rows, read_json(args.clips))
+    skill_stage(clips, header.fps, args.out, args.metric, args.centroids, args.per_frame_size)
     print(args.out)
     if args.centroids:
         print(args.centroids)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import warnings
 from bisect import bisect_left, bisect_right
@@ -62,6 +61,7 @@ from .streams import (
     iter_json_lines,
     keypoint_rows,
     open_stream,
+    parse_header,
     parse_stream,
     read_text,
 )
@@ -185,7 +185,8 @@ def write_tracks(header: VideoStream, rows, path) -> None:
         raise
 
 
-def _check_tracks_row(row, line_no) -> None:
+def _check_tracks_row(row, line_no, previous):
+    """The frame of a tracks row that passes its checks and is above `previous`."""
     frame = row.get("frame") if isinstance(row, dict) else None
     if not isinstance(frame, int) or not -2**63 <= frame < 2**63:  # frames become int64
         raise StreamFormatError("tracks row needs an integer 'frame' within 64 bits",
@@ -207,28 +208,29 @@ def _check_tracks_row(row, line_no) -> None:
     if stray is not None:
         raise StreamFormatError(f"tracks row 'kps' names track {stray}, which its 'tracks' "
                                 "lacks", line=line_no)
+    if frame <= previous:
+        raise StreamFormatError(f"tracks row frame {frame} is not above the frame before it",
+                                line=line_no)
+    return frame
 
 
 def read_tracks(path):
-    """(header, rows) from a tracks.jsonl file; a malformed line, or a row
-    whose frame is not above the row's before it, is a StreamFormatError
-    naming its line number."""
-    lines = list(iter_json_lines(path))
-    if not lines:
+    """The header of a tracks file, parsed as a stream file's is, and an iterator
+    over its rows that checks each as it reads it: a malformed row, or one whose
+    frame is not above the row's before it, is a StreamFormatError naming its line."""
+    lines = iter_json_lines(path)
+    line_no, header = next(lines, (None, None))
+    if line_no is None:
         raise StreamFormatError(f"empty tracks file: {path}")
-    line_no, header = lines[0]
-    fps = header.get("fps") if isinstance(header, dict) else None
-    if not finite_numbers([fps], 1) or not fps > 0 or "video_id" not in header:
-        raise StreamFormatError("first line must be a header with video_id and a "
-                                "positive fps", line=line_no)
-    previous = -math.inf
-    for line_no, row in lines[1:]:
-        _check_tracks_row(row, line_no)
-        if row["frame"] <= previous:
-            raise StreamFormatError(f"tracks row frame {row['frame']} is not above the frame "
-                                    "before it", line=line_no)
-        previous = row["frame"]
-    return header, [obj for _, obj in lines[1:]]
+
+    def rows(previous=-np.inf):
+        for line_no, row in lines:
+            previous = _check_tracks_row(row, line_no, previous)
+            yield row
+    try:
+        return parse_header(header, line_no), rows()
+    except InvariantError as exc:  # an fps not above 0, as in a stream file
+        raise InvariantError(f"line {line_no}: {exc}") from exc
 
 
 def tracking_oracle_report(rows, truth: GroundTruth) -> dict:
@@ -271,8 +273,8 @@ def tracking_oracle_report(rows, truth: GroundTruth) -> dict:
 # ------------------------------------------------------------------ skill
 
 def _hands_by_track(rows):
-    """({track id: centroid Trajectory}, {track id: skill-point Trajectory})
-    from tracks rows in one pass; a track with no full pose has an empty one.
+    """({track id: centroid Trajectory}, {track id: skill-point Trajectory}, row
+    frames) from tracks rows in one pass; a track with no full pose has an empty one.
 
     A centroid is the box midpoint ((x_min + x_max) / 2, (y_min + y_max) / 2)
     and a hand size is (height + width) / 2, as `streams.hand_size` computes
@@ -280,9 +282,10 @@ def _hands_by_track(rows):
     a pose when all nine skill points are visible (v > 0.5), sized by that
     row's box.
     """
-    samples, poses = {}, {}
+    samples, poses, frames = {}, {}, []
     for row in rows:
         frame, kps = row["frame"], row.get("kps", {})
+        frames.append(frame)
         for tid, (x0, y0, x1, y1) in row["tracks"].items():
             size = ((y1 - y0) + (x1 - x0)) / 2.0
             samples.setdefault(tid, []).append((frame, ((x0 + x1) / 2.0, (y0 + y1) / 2.0), size))
@@ -292,14 +295,14 @@ def _hands_by_track(rows):
                     (frame, [pts[i][:2] for i in SKILL_KEYPOINT_INDICES], size))
     return ({tid: Trajectory(*zip(*items)) for tid, items in samples.items()},
             {tid: Trajectory(*zip(*poses[tid])) if tid in poses
-             else Trajectory((), np.zeros((0, 9, 2)), ()) for tid in samples})
+             else Trajectory((), np.zeros((0, 9, 2)), ()) for tid in samples}, frames)
 
 
 _CLIP_KEYS = ("video_id", "start", "end", "operator_id", "experience", "knot_count")
 
 
 def clips_from_tracks(header, rows, clip_defs):
-    """Assemble TieClips from a tracks file and clip definitions.
+    """TieClips from `read_tracks`' header and rows, read once, and clip definitions.
 
     `clip_defs` is a list of objects, each with video_id/start/end/
     operator_id/experience/knot_count (start, end and knot_count JSON
@@ -314,8 +317,7 @@ def clips_from_tracks(header, rows, clip_defs):
     """
     if not isinstance(clip_defs, list):
         raise StreamFormatError("a clip list must be a JSON list of clip objects")
-    trajectories, poses = _hands_by_track(rows)
-    frames = [row["frame"] for row in rows]
+    trajectories, poses, frames = _hands_by_track(rows)
     clips = []
     for number, definition in enumerate(clip_defs, start=1):
         bad = [k for k in _CLIP_KEYS if not isinstance(definition, dict) or k not in definition
@@ -325,10 +327,10 @@ def clips_from_tracks(header, rows, clip_defs):
                 f"clip {number} needs to be an object with video_id, operator_id, experience "
                 f"and integer start, end and knot_count; check {', '.join(bad)}")
         video_id, start, end = str(definition["video_id"]), definition["start"], definition["end"]
-        if video_id != str(header["video_id"]):
+        if video_id != header.video_id:
             raise StreamFormatError(
                 f"clip {number} is for video {video_id!r}, but the tracks file is "
-                f"for video {header['video_id']!r}")
+                f"for video {header.video_id!r}")
         try:  # the clip's own fields first, its hands once they are sliced
             clip = TieClip(video_id=video_id, start=start, end=end,
                            operator_id=str(definition["operator_id"]),
@@ -356,10 +358,8 @@ def clips_from_tracks(header, rows, clip_defs):
         else:
             by_len = sorted(in_range, key=lambda tid: -len(in_range[tid]))[:2]
             if len(by_len) < 2:
-                warnings.warn(
-                    f"clip {video_id}@{start}-{end} has "
-                    f"{len(by_len)} usable tracks; hands missing", DataWarning,
-                    stacklevel=2)
+                warnings.warn(f"clip {video_id}@{start}-{end} has {len(by_len)} usable tracks; "
+                              "hands missing", DataWarning, stacklevel=2)
             with_x = sorted(by_len, key=lambda tid: float(np.mean(in_range[tid].points[:, 0])))
             left_id, right_id = [*with_x, "", ""][:2]
 

@@ -354,7 +354,8 @@ def _parse_frame(obj, texts, line_no, checked):
     return FrameRecord(frame_index, float(timestamp_s), dets, kps, obj.get("action"))
 
 
-def _parse_header(obj, line_no) -> dict:
+def parse_header(obj, line_no) -> VideoStream:
+    """The VideoStream of a stream or tracks file's decoded header line `line_no`."""
     if not isinstance(obj, dict) or "video_id" not in obj or "fps" not in obj:
         raise StreamFormatError("first line must be a header with video_id and fps",
                                 line=line_no)
@@ -371,8 +372,7 @@ def _parse_header(obj, line_no) -> dict:
             and type(width) is int and type(height) is int):
         raise StreamFormatError("header fps must be a finite JSON number, width and height "
                                 "JSON integers within the float range", line=line_no)
-    return {"video_id": str(obj["video_id"]), "fps": float(fps), "width": width,
-            "height": height, "metadata": metadata}
+    return VideoStream(str(obj["video_id"]), float(fps), width, height, metadata)
 
 
 def _utf8(data: bytes, first_line: int = 1) -> str:
@@ -446,7 +446,7 @@ def _checked_lines(path, late):
         line_no, line = next(lines, (1, None))
         if line is None:
             raise StreamFormatError("empty stream file")
-        header = VideoStream(**_parse_header(_decode(line, line_no), line_no))
+        header = parse_header(_decode(line, line_no), line_no)
         yield header
         last_line, last_index = None, -1
         for line_no, line in lines:

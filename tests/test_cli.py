@@ -64,7 +64,8 @@ def test_cli_synth_track_roundtrip(tmp_path, capsys):
     tracks_path = tmp_path / "tracks.jsonl"
     assert main(["track", "--in", str(stream_path), "--out", str(tracks_path)]) == 0
     header, rows = read_tracks(tracks_path)
-    assert header["video_id"].startswith("synth-3")
+    rows = list(rows)
+    assert header.video_id.startswith("synth-3")
     assert len(rows) == 120
     emitted = [r for r in rows if r["tracks"]]
     assert emitted, "tracker never emitted"
@@ -85,7 +86,7 @@ def test_cli_track_coasts_past_left_edge(tmp_path):
     write_stream((header, frames), stream_path)
     assert main(["track", "--in", str(stream_path), "--out", str(tracks_path),
                  "--min-hits", "1"]) == 0
-    _, rows = read_tracks(tracks_path)
+    rows = list(read_tracks(tracks_path)[1])
     assert [r["frame"] for r in rows] == list(range(40))
     assert all(len(r["tracks"]) == 1 for r in rows)
 
@@ -144,6 +145,39 @@ def test_eval_boxes_memory_grows_by_under_64_bytes_per_predicted_box(tmp_path):
     peak(short)  # lazy imports stay out of the peaks
     growth = (peak(long) - peak(short)) / (boxes(long) - boxes(short))
     assert growth <= 64, growth
+
+
+def test_skill_memory_grows_by_under_5_kb_per_tracks_row(tmp_path):
+    import tracemalloc
+
+    # `skill` reads its tracks rows once, keeping per hand and row a frame, a
+    # centroid, a size and nine skill points until the clips are sliced; holding
+    # every decoded row, keypoints included, took the peak up by 10.7 KB a row
+    def files(seconds):
+        stream = _keypoint_stream_file(tmp_path / f"{seconds}.jsonl", seconds)
+        tracks, clips = tmp_path / f"{seconds}.tracks.jsonl", tmp_path / f"{seconds}.clips.json"
+        assert main(["track", "--in", str(stream), "--out", str(tracks)]) == 0
+        header, rows = read_tracks(tracks)
+        frames = [row["frame"] for row in rows]
+        clips.write_text(json.dumps([{"video_id": header.video_id, "start": frames[0],
+                                      "end": frames[-1], "operator_id": "o",
+                                      "experience": "trainee", "knot_count": 1}]))
+        return tracks, clips, len(frames)
+
+    def peak(tracks, clips, _):
+        argv = ["skill", "--tracks", str(tracks), "--clips", str(clips),
+                "--out", str(tmp_path / "skill.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = files(20.0), files(80.0)
+    peak(*short)  # lazy imports stay out of the peaks
+    growth = (peak(*long) - peak(*short)) / (long[2] - short[2])
+    assert growth <= 5 * 1024, growth
 
 
 # the command's peak resident set in kB, printed after it runs: VmHWM, as on
@@ -285,17 +319,16 @@ def test_clips_from_tracks_explicit_and_inferred(tmp_path):
     spec = SynthSpec(seed=5, n_videos=1, fps=30.0, duration_s=5.0)
     (stream, frames), _ = generate_stream(spec, 0)
     rows = list(track_stream(frames, TrackerConfig(min_hits=1)))
-    header = {"video_id": stream.video_id}
     base = {"video_id": stream.video_id, "start": 0, "end": 140,
             "operator_id": "o", "experience": "experienced", "knot_count": 3}
-    inferred = clips_from_tracks(header, rows, [base])[0]
+    inferred = clips_from_tracks(stream, rows, [base])[0]
     assert inferred.left is not None and inferred.right is not None
     # left hand sits left of right hand by mean centroid x
     assert inferred.left.points[:, 0].mean() < inferred.right.points[:, 0].mean()
     ids = sorted({tid for row in rows for tid in row["tracks"]})
     assert len(ids) == 2
     as_inferred, swapped = (
-        clips_from_tracks(header, rows, [{**base, "left_track": left, "right_track": right}])[0]
+        clips_from_tracks(stream, rows, [{**base, "left_track": left, "right_track": right}])[0]
         for left, right in (ids, ids[::-1]))
     if not np.array_equal(as_inferred.left.points, inferred.left.points):
         as_inferred, swapped = swapped, as_inferred
@@ -667,7 +700,7 @@ def test_cli_track_keeps_keypoint_text(tmp_path):
         assert f'"kps": {{"1": {as_floats if k == 3 else texts[k % 2]}}}' in line
         assert json.loads(line)["kps"]["1"] == numbers
     _, rows = read_tracks(out)  # the tracks file is valid for `skill`
-    assert len(rows) == 4
+    assert len(list(rows)) == 4
 
 
 def test_cli_track_keeps_the_keypoint_entry_eval_keypoints_pairs(tmp_path):
@@ -683,7 +716,7 @@ def test_cli_track_keeps_the_keypoint_entry_eval_keypoints_pairs(tmp_path):
         {"frame": k, "t": k / 30.0, "dets": [["hand", 0.9, *det]], "kps": entries})
         for k in range(3))]) + "\n")
     assert main(["track", "--in", str(stream_path), "--out", str(out), "--min-hits", "1"]) == 0
-    _, rows = read_tracks(out)
+    rows = list(read_tracks(out)[1])
     assert [row["kps"] for row in rows] == [{"1": entries[0]["points"]}] * 3
     # the tracks as predicted hands: each track box owns the keypoints it kept
     pred_path, report = tmp_path / "pred.jsonl", tmp_path / "pck.json"
@@ -830,7 +863,7 @@ def test_zero_corruption_pipeline_recovers_ground_truth(monkeypatch):
 
     from scenestream.pipeline import _hands_by_track
     from scenestream.kinematics import path_distance, clip_mean_hand_size
-    trajectories, _ = _hands_by_track(rows)
+    trajectories, _, _ = _hands_by_track(rows)
     assert len(trajectories) == len(truth.hand_ids)
     got_lengths = sorted(
         path_distance(t, clip_mean_hand_size(t)) for t in trajectories.values())
@@ -1251,6 +1284,10 @@ def _tracks_text(*frames):
 
 
 _TRACK = ["track", "--in", "@s.jsonl"]
+_SKILL = ["skill", "--tracks", "@t.jsonl", "--clips", "@c.json"]
+_CLIP = {"video_id": "v", "start": 0, "end": 1, "operator_id": "o", "experience": "trainee",
+         "knot_count": 1}
+_BAD_ROW = json.dumps({"frame": 4, "t": 4 / 30.0, "tracks": {"1": [1, 2, "30", 40]}}) + "\n"
 _LDA = ["lda", "--features", "@f.csv", "--weights", "@w.csv"]
 _ROW_SHAPE = "line 3: a feature row needs a video id, a class label and 30 values"
 _SKILL_FILES = {"t.jsonl": "\n".join(json.dumps(line) for line in (
@@ -1287,6 +1324,21 @@ _INPUT_ERRORS = {
     "tracks row repeated": (["skill", "--tracks", "@t.jsonl", "--clips", "@c.json"], {
         "t.jsonl": _tracks_text(0, 1, 1), "c.json": "[]"},
         "line 4: tracks row frame 1 is not above the frame before it"),
+    # skill checks the tracks header, then the clip list's JSON and that it is a
+    # list, then each tracks row as it reads it, then each clip against the rows
+    "bad tracks row past the last clip": (_SKILL, {
+        "t.jsonl": _tracks_text(0, 1, 2, 3) + _BAD_ROW, "c.json": json.dumps([_CLIP])},
+        "line 6: tracks row needs 'tracks' mapping integer track ids"),
+    "bad tracks row and bad clip": (_SKILL, {
+        "t.jsonl": _tracks_text(0, 1, 2, 3) + _BAD_ROW,
+        "c.json": json.dumps([{**_CLIP, "knot_count": None}])},
+        "line 6: tracks row needs 'tracks' mapping integer track ids"),
+    "bad tracks row and a clip list not JSON": (_SKILL, {
+        "t.jsonl": _tracks_text(0, 1, 2, 3) + _BAD_ROW, "c.json": "[{"},
+        "line 1: invalid JSON: "),
+    "bad tracks row and a clip list not a list": (_SKILL, {
+        "t.jsonl": _tracks_text(0, 1, 2, 3) + _BAD_ROW, "c.json": json.dumps(_CLIP)},
+        "a clip list must be a JSON list of clip objects"),
     "bad stream file among streams": (["signature", "--streams", "@d"], {
         "d/a.jsonl": _stream_text(), "d/b.jsonl": _stream_text(t=...)},
         "line 2: frame record needs 'frame' and 't': 't' in @d/b.jsonl\n"),
@@ -1348,6 +1400,38 @@ def test_cli_header_fps_not_above_0_is_an_invariant_violation(tmp_path, capsys, 
     assert capsys.readouterr().err == ("invariant violation: line 1: VideoStream.fps must "
                                        f"be > 0, got {float(fps)!r} in {path}\n")
     assert list(tmp_path.iterdir()) == [path]
+
+
+# headers the stream reader rejects, each with the exit code `track` gives it
+_BAD_HEADERS = {
+    "metadata not an object": ({"video_id": "v", "fps": 30.0, "metadata": 5}, 1),
+    "width not an integer": ({"video_id": "v", "fps": 30.0, "width": "x"}, 1),
+    "fps a string": ({"video_id": "v", "fps": "30"}, 1),
+    "fps 0": ({"video_id": "v", "fps": 0}, 2),
+    "duration_s not a number": ({"video_id": "v", "fps": 30.0,
+                                 "metadata": {"duration_s": "abc"}}, 1),
+    "no fps": ({"video_id": "v"}, 1),
+}
+
+
+@pytest.mark.parametrize("header, code", list(_BAD_HEADERS.values()), ids=list(_BAD_HEADERS))
+def test_cli_tracks_header_gets_the_stream_header_verdict(tmp_path, capsys, header, code):
+    # a tracks file starts with the header line a stream file does, and `skill`
+    # checks it as `track` does: the same exit code and line-1 message, the
+    # stream's naming its file
+    stream_path, tracks_path, clips_path = (tmp_path / n for n in ("s.jsonl", "t.jsonl", "c.json"))
+    stream_path.write_text(_stream_text(header))
+    tracks_path.write_text("\n".join([json.dumps(header), *_tracks_text(0).splitlines()[1:]]))
+    clips_path.write_text("[]")
+    assert main(["track", "--in", str(stream_path), "--out", str(tmp_path / "out.jsonl")]) == code
+    track_err = capsys.readouterr().err
+    assert main(["skill", "--tracks", str(tracks_path), "--clips", str(clips_path),
+                 "--out", str(tmp_path / "out.csv")]) == code
+    skill_err = capsys.readouterr().err
+    verdict = "input error" if code == 1 else "invariant violation"
+    assert skill_err.startswith(f"{verdict}: line 1: "), skill_err
+    assert skill_err == track_err.replace(f" in {stream_path}", "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "s.jsonl", "t.jsonl"]
 
 
 @pytest.mark.parametrize("argv, files, message", list(_INPUT_ERRORS.values()),
