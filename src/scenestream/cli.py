@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 from .bench import DEFAULT_WINDOW_S, bench_stream
@@ -59,10 +60,8 @@ def cmd_synth(args) -> int:
                                   confidence_mean=args.conf_mean,
                                   confidence_sigma=args.conf_sigma),
         with_keypoints=args.with_keypoints)
-    written = synth_generate(spec, args.out_dir)
-    for stream_path, truth_path in written:
-        print(stream_path)
-        print(truth_path)
+    for paths in synth_generate(spec, args.out_dir):  # a stream file and its truth sidecar
+        print(*paths, sep="\n")
     return 0
 
 
@@ -76,7 +75,7 @@ def cmd_track(args) -> int:
 
 def cmd_skill(args) -> int:
     header, rows = read_tracks(args.tracks)
-    clips = clips_from_tracks(header, rows, read_json(args.clips))
+    clips = clips_from_tracks(header, rows, read_json(args.clips), args.clips)
     skill_stage(clips, header.fps, args.out, args.metric, args.centroids, args.per_frame_size)
     print(args.out)
     if args.centroids:
@@ -181,14 +180,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    def bench(stream):
-        return bench_stream(stream, window_s=args.window)
-
+    bench = partial(bench_stream, window_s=args.window)
     if args.infile:
         report = read_streams([args.infile], bench)
     else:
-        spec = SynthSpec(seed=args.seed, fps=args.fps,
-                         duration_s=args.minutes * 60.0)
+        spec = SynthSpec(seed=args.seed, fps=args.fps, duration_s=args.minutes * 60.0)
         report = bench(generate_stream(spec, 0)[0])
     write_json(report.to_dict(), args.out)
     for label, stage in (("per-frame analytics", report.per_frame),

@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import warnings
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from itertools import islice
@@ -56,7 +56,6 @@ from .streams import (
     VideoStream,
     box,
     finite_numbers,
-    header_line,
     iou,
     iter_json_lines,
     keypoint_rows,
@@ -64,6 +63,7 @@ from .streams import (
     parse_header,
     parse_stream,
     read_text,
+    write_lines,
 )
 from .synth import (
     CorruptionSpec,
@@ -167,22 +167,8 @@ def _row_line(row) -> str:
 
 
 def write_tracks(header: VideoStream, rows, path) -> None:
-    """Write the stream's header line, then each row as `rows` yields it.
-
-    Lines go to `<path>.tmp`, which replaces `path` once the last row is
-    written; if anything fails it is removed and `path` is left as it was.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            fh.write(header_line(header) + "\n")
-            for row in rows:
-                fh.write(_row_line(row) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write the stream's header line, then each row as `rows` yields it, with `write_lines`."""
+    write_lines(header, map(_row_line, rows), path)
 
 
 def _check_tracks_row(row, line_no, previous):
@@ -217,20 +203,24 @@ def _check_tracks_row(row, line_no, previous):
 def read_tracks(path):
     """The header of a tracks file, parsed as a stream file's is, and an iterator
     over its rows that checks each as it reads it: a malformed row, or one whose
-    frame is not above the row's before it, is a StreamFormatError naming its line."""
-    lines = iter_json_lines(path)
-    line_no, header = next(lines, (None, None))
-    if line_no is None:
-        raise StreamFormatError(f"empty tracks file: {path}")
-
-    def rows(previous=-np.inf):
-        for line_no, row in lines:
-            previous = _check_tracks_row(row, line_no, previous)
-            yield row
-    try:
-        return parse_header(header, line_no), rows()
-    except InvariantError as exc:  # an fps not above 0, as in a stream file
-        raise InvariantError(f"line {line_no}: {exc}") from exc
+    frame is not above the row's before it, is a StreamFormatError naming its line.
+    Every error ends `in <path>`, as `open_stream`'s do."""
+    def checked(lines):  # the header, then each row
+        try:
+            line_no, header = next(lines, (1, None))
+            if header is None:
+                raise StreamFormatError("empty tracks file")
+            yield parse_header(header, line_no)
+            previous = -np.inf
+            for line_no, row in lines:
+                previous = _check_tracks_row(row, line_no, previous)
+                yield row
+        except (InvariantError, StreamFormatError) as exc:  # fps not above 0: InvariantError
+            line = f"line {line_no}: " if isinstance(exc, InvariantError) else ""
+            exc.args = (f"{line}{exc} in {path}",)
+            raise
+    rows = checked(iter_json_lines(path))
+    return next(rows), rows
 
 
 def tracking_oracle_report(rows, truth: GroundTruth) -> dict:
@@ -282,27 +272,35 @@ def _hands_by_track(rows):
     a pose when all nine skill points are visible (v > 0.5), sized by that
     row's box.
     """
-    samples, poses, frames = {}, {}, []
+    hands, frames = {}, array("q")
     for row in rows:
         frame, kps = row["frame"], row.get("kps", {})
         frames.append(frame)
         for tid, (x0, y0, x1, y1) in row["tracks"].items():
+            if tid not in hands:  # box then pose frames, centroids and sizes, 8 bytes a number
+                hands[tid] = tuple(map(array, "qddqdd"))
+            at, xy, sizes, pose_at, pose_xy, pose_sizes = hands[tid]
             size = ((y1 - y0) + (x1 - x0)) / 2.0
-            samples.setdefault(tid, []).append((frame, ((x0 + x1) / 2.0, (y0 + y1) / 2.0), size))
+            at.append(frame)
+            xy.extend(((x0 + x1) / 2.0, (y0 + y1) / 2.0))
+            sizes.append(size)
             pts = kps.get(tid)
             if pts is not None and all(pts[i][2] > 0.5 for i in SKILL_KEYPOINT_INDICES):
-                poses.setdefault(tid, []).append(
-                    (frame, [pts[i][:2] for i in SKILL_KEYPOINT_INDICES], size))
-    return ({tid: Trajectory(*zip(*items)) for tid, items in samples.items()},
-            {tid: Trajectory(*zip(*poses[tid])) if tid in poses
-             else Trajectory((), np.zeros((0, 9, 2)), ()) for tid in samples}, frames)
+                pose_at.append(frame)
+                for i in SKILL_KEYPOINT_INDICES:
+                    pose_xy.extend(pts[i][:2])
+                pose_sizes.append(size)
+    return ({tid: Trajectory(h[0], np.frombuffer(h[1]).reshape(-1, 2), h[2])
+             for tid, h in hands.items()},
+            {tid: Trajectory(h[3], np.frombuffer(h[4]).reshape(-1, 9, 2), h[5])
+             for tid, h in hands.items()}, frames)
 
 
 _CLIP_KEYS = ("video_id", "start", "end", "operator_id", "experience", "knot_count")
 
 
-def clips_from_tracks(header, rows, clip_defs):
-    """TieClips from `read_tracks`' header and rows, read once, and clip definitions.
+def clips_from_tracks(header, rows, clip_defs, clips_path):
+    """TieClips from `read_tracks`' header and rows, read once, and the clips of `clips_path`.
 
     `clip_defs` is a list of objects, each with video_id/start/end/
     operator_id/experience/knot_count (start, end and knot_count JSON
@@ -311,12 +309,14 @@ def clips_from_tracks(header, rows, clip_defs):
     first. Every clip's video_id must be the tracks header's, its own fields
     must pass TieClip's checks (made before its tracks are sliced), it must
     hold a frame of the tracks file, and explicit ids must differ. A bad clip
-    is a StreamFormatError naming its number. A hand whose explicit id has
-    fewer than 2 frames in range, or whose id is not given while the other
-    hand's is, is left missing with a DataWarning.
+    is a StreamFormatError naming its number and ending `in <clips_path>`, as
+    is a `clip_defs` that is not a list. A hand whose explicit id has fewer
+    than 2 frames in range, or whose id is not given while the other hand's
+    is, is left missing with a DataWarning.
     """
+    where = f" in {clips_path}"
     if not isinstance(clip_defs, list):
-        raise StreamFormatError("a clip list must be a JSON list of clip objects")
+        raise StreamFormatError(f"a clip list must be a JSON list of clip objects{where}")
     trajectories, poses, frames = _hands_by_track(rows)
     clips = []
     for number, definition in enumerate(clip_defs, start=1):
@@ -325,29 +325,29 @@ def clips_from_tracks(header, rows, clip_defs):
         if bad:
             raise StreamFormatError(
                 f"clip {number} needs to be an object with video_id, operator_id, experience "
-                f"and integer start, end and knot_count; check {', '.join(bad)}")
+                f"and integer start, end and knot_count; check {', '.join(bad)}{where}")
         video_id, start, end = str(definition["video_id"]), definition["start"], definition["end"]
         if video_id != header.video_id:
             raise StreamFormatError(
                 f"clip {number} is for video {video_id!r}, but the tracks file is "
-                f"for video {header.video_id!r}")
+                f"for video {header.video_id!r}{where}")
         try:  # the clip's own fields first, its hands once they are sliced
             clip = TieClip(video_id=video_id, start=start, end=end,
                            operator_id=str(definition["operator_id"]),
                            experience=str(definition["experience"]),
                            knot_count=definition["knot_count"])
         except InvariantError as exc:
-            raise StreamFormatError(f"clip {number}: {exc}") from exc
+            raise StreamFormatError(f"clip {number}: {exc}{where}") from exc
         if bisect_left(frames, start) == bisect_right(frames, end):
             raise StreamFormatError(
-                f"clip {number}: no frame of the tracks file lies in [{start}, {end}]")
+                f"clip {number}: no frame of the tracks file lies in [{start}, {end}]{where}")
         in_range = {tid: traj.slice(start, end) for tid, traj in trajectories.items()}
         in_range = {tid: t for tid, t in in_range.items() if len(t) >= 2}
         if "left_track" in definition or "right_track" in definition:
             left_id, right_id = (str(definition.get(k, "")) for k in ("left_track", "right_track"))
             if definition.keys() >= {"left_track", "right_track"} and left_id == right_id:
                 raise StreamFormatError(
-                    f"clip {number}: left_track and right_track both name track {left_id}")
+                    f"clip {number}: left_track and right_track both name track {left_id}{where}")
             for key, tid in (("left_track", left_id), ("right_track", right_id)):
                 if key not in definition:
                     warnings.warn(f"clip {number}: {key} not given; hand missing",
@@ -512,17 +512,15 @@ def lda_stage(features, projection_path, weights_path):
 
 # ------------------------------------------------------------------ run
 
-def truth_stream_from_ground_truth(stream, truth: GroundTruth):
-    """The ground-truth twin of a (header, frames) stream, as a (header, frames)
-    pair: true hand boxes and actions, confidence 1."""
-    header, frames = stream
-    twin = []
-    for fr, frame_truth in zip(frames, truth.true_boxes):
-        dets = tuple(Detection(box=frame_truth[h], category="hand") for h in sorted(frame_truth))
-        twin.append(FrameRecord(frame_index=fr.frame_index, timestamp_s=fr.timestamp_s,
-                                detections=dets, action=truth.actions[fr.frame_index]))
+def truth_stream_from_ground_truth(header: VideoStream, truth: GroundTruth):
+    """The ground-truth twin of the generated stream with this header, as a
+    (header, frames) pair whose frames a generator makes from `truth` alone:
+    true hand boxes and actions, confidence 1."""
+    frames = (FrameRecord(k, k / header.fps, tuple(Detection(frame_truth[h], HAND)
+                                                   for h in sorted(frame_truth)), (), action)
+              for k, (frame_truth, action) in enumerate(zip(truth.true_boxes, truth.actions)))
     return VideoStream(video_id=header.video_id + "-truth", fps=header.fps,
-                       width=header.width, height=header.height), twin
+                       width=header.width, height=header.height), frames
 
 
 DEFAULT_RUN_CONFIG = {
@@ -621,14 +619,16 @@ def run_pipeline(config: dict, out_dir) -> dict:
     tracking_reports = []
     eval_reports = []
     for index in range(spec.n_videos):
-        stream, truth = generate_stream(spec, index)
-        header, frames = stream
+        # frames listed once, to be written, tracked and scored; the twin's, to be scored twice
+        (header, frames), truth = generate_stream(spec, index)
+        stream = (header, list(frames))
         written.extend(write_synth_files(stream, truth, out / "streams"))
-        rows = list(track_stream(frames, tracker_config))
+        rows = list(track_stream(stream[1], tracker_config))
         write_tracks(header, rows, artifact(f"tracks/{header.video_id}.tracks.jsonl"))
         tracking_reports.append(tracking_oracle_report(rows, truth))
 
-        pairs = (stream, truth_stream_from_ground_truth(stream, truth))
+        twin_header, twin_frames = truth_stream_from_ground_truth(header, truth)
+        pairs = (stream, (twin_header, list(twin_frames)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DataWarning)
             eval_reports.append({

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -413,8 +414,13 @@ def read_text(path) -> str:
 
 
 def read_json(path):
-    """The JSON value of a whole UTF-8 file, checked as `_decode` checks it."""
-    return _decode(read_text(path))
+    """The JSON value of a whole UTF-8 file, checked as `_decode` checks it; an
+    error ends `in <path>`."""
+    try:
+        return _decode(read_text(path))
+    except StreamFormatError as exc:
+        exc.args = (f"{exc} in {path}",)
+        raise
 
 
 def iter_json_lines(path):
@@ -500,19 +506,28 @@ def _frame_line(fr: FrameRecord) -> str:
     return json.dumps({"frame": fr.frame_index, "t": fr.timestamp_s, "action": fr.action,
                        "dets": [[d.category, d.confidence, *d.box] for d in fr.detections],
                        "kps": [{"points": k.points.tolist(), "box": list(k.owner_box)}
-                               for k in fr.keypoints]}, sort_keys=True) + "\n"
+                               for k in fr.keypoints]}, sort_keys=True)
 
 
-def header_line(header: VideoStream) -> str:
-    """The header line that stream files and tracks files start with."""
-    return json.dumps({"video_id": header.video_id, "fps": header.fps,
-                       "width": header.width, "height": header.height,
-                       "metadata": dict(header.metadata)}, sort_keys=True)
+def write_lines(header: VideoStream, lines, path) -> None:
+    """Write the header line of a stream or tracks file, then each of `lines` as it
+    comes, each ended by a newline, to `<path>.tmp`, which replaces `path` once the
+    last is written; if anything fails it is removed and `path` is left as it was."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"video_id": header.video_id, "fps": header.fps,
+                                 "width": header.width, "height": header.height,
+                                 "metadata": dict(header.metadata)}, sort_keys=True) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_stream(stream, path) -> None:
-    """Write a (header, frames) pair as a stream file, each frame's line as it comes."""
+    """Write a (header, frames) pair as a stream file with `write_lines`."""
     header, frames = stream
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(header_line(header) + "\n")
-        fh.writelines(map(_frame_line, frames))
+    write_lines(header, map(_frame_line, frames), path)

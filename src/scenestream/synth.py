@@ -13,6 +13,8 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import pairwise
 from pathlib import Path
 from typing import ClassVar
 
@@ -115,17 +117,30 @@ class SynthSpec:
             raise InvariantError("at least one hand is required")
 
 
+def _hand_boxes(centers) -> dict:
+    """{hand id: true box} of one frame's true hand centres, each an (x, y) of floats,
+    as a parsed stream's are."""
+    half_w, half_h = HAND_BOX_WIDTH / 2.0, HAND_BOX_HEIGHT / 2.0
+    return {h: box(max(cx - half_w, 0.0), max(cy - half_h, 0.0), cx + half_w, cy + half_h)
+            for h, (cx, cy) in enumerate(centers)}
+
+
 @dataclass
 class GroundTruth:
-    """Generator-recorded truth for one stream."""
+    """Generator-recorded truth for one stream. All of it comes from the true hand
+    centres, which are drawn before any frame; `true_boxes` is made when first read."""
 
     video_id: str
     hand_ids: list
-    true_boxes: list  # per frame: {hand_id: box}
+    positions: list  # per hand: the (n_frames, 2) array of its true centres, pixels
     actions: list  # per frame action label
     path_px: dict  # hand_id -> naive summed centroid path, pixels
     path_hand_lengths: dict  # hand_id -> path / mean hand size
     mean_hand_size: dict
+
+    @cached_property
+    def true_boxes(self) -> list:  # per frame: {hand_id: box}
+        return [_hand_boxes(frame) for frame in zip(*(p.tolist() for p in self.positions))]
 
     def to_dict(self) -> dict:
         return {
@@ -138,10 +153,6 @@ class GroundTruth:
             "path_hand_lengths": {str(k): v for k, v in self.path_hand_lengths.items()},
             "mean_hand_size": {str(k): v for k, v in self.mean_hand_size.items()},
         }
-
-
-def _rng_for(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, index])
 
 
 def _waypoint_positions(rng, motion: HandMotionSpec, n_frames: int) -> np.ndarray:
@@ -174,93 +185,70 @@ def _phase_schedule(n_frames: int) -> list:
     return schedule
 
 
-def _hand_keypoints(center, size) -> np.ndarray:
-    pts = center + _HAND_TEMPLATE * size
-    return np.column_stack([pts, np.ones(21)])
-
-
 def generate_stream(spec: SynthSpec, index: int = 0):
-    """((header, frames), truth): one synthetic video stream, its frames in a
-    list, and its ground truth sidecar."""
-    rng = _rng_for(spec.seed, index)
+    """((header, frames), truth): one synthetic video stream and its ground
+    truth sidecar. The truth comes from the waypoint positions alone, drawn
+    first; `frames` is a generator that draws each frame's dropout, jitter,
+    confidence and tools as it makes the frame."""
+    rng = np.random.default_rng([spec.seed, index])
     n_frames = _frame_count("duration_s", spec.duration_s, spec.fps, 1)
     video_id = f"synth-{spec.seed}-{index:04d}"
 
-    hand_ids = list(range(len(spec.hands)))
     positions = [_waypoint_positions(rng, motion, n_frames) for motion in spec.hands]
     size = (HAND_BOX_WIDTH + HAND_BOX_HEIGHT) / 2.0
-    half_w, half_h = HAND_BOX_WIDTH / 2.0, HAND_BOX_HEIGHT / 2.0
     schedule = _phase_schedule(n_frames)
-    actions = [action for action, _, _ in schedule]
-    tool_rates = [rates for _, _, rates in schedule]
 
-    frames = []
-    true_boxes = []
+    # naive oracle totals over the true (uncorrupted) trajectories, added in frame order
+    path_px = dict.fromkeys(range(len(positions)), 0.0)
+    for h, p in enumerate(positions):
+        for (x0, y0), (x1, y1) in pairwise(p.tolist()):
+            path_px[h] += math.sqrt((x1 - x0) * (x1 - x0) + (y1 - y0) * (y1 - y0))
+
     corruption = spec.corruption
-    for k in range(n_frames):
-        dets = []
-        frame_truth = {}
-        kps = []
-        for h in hand_ids:
-            cx, cy = positions[h][k].tolist()  # floats, as a parsed stream has
-            true_box = box(max(cx - half_w, 0.0), max(cy - half_h, 0.0),
-                           cx + half_w, cy + half_h)
-            frame_truth[h] = out_box = true_box
-            if corruption.dropout_rate > 0 and rng.random() < corruption.dropout_rate:
-                continue
-            if corruption.jitter_sigma > 0:
-                dx, dy = rng.normal(0, corruption.jitter_sigma, size=2).tolist()
-                x0, y0, x1, y1 = true_box
-                out_box = box(max(x0 + dx, 0.0), max(y0 + dy, 0.0), x1 + dx, y1 + dy)
-            conf = corruption.confidence_mean
-            if corruption.confidence_sigma > 0:
-                conf = float(np.clip(rng.normal(conf, corruption.confidence_sigma), 0.0, 1.0))
-            dets.append(Detection(box=out_box, category=HAND, confidence=conf))
-            if spec.with_keypoints:
-                kps.append(HandKeypoints(
-                    points=_hand_keypoints(positions[h][k], size),
-                    owner_box=out_box))
-        for tool, rate in tool_rates[k]:
-            for _ in range(int(rng.poisson(rate))):
-                tx = float(rng.uniform(0, FRAME_WIDTH - 80))
-                ty = float(rng.uniform(0, FRAME_HEIGHT - 40))
-                dets.append(Detection(box=(tx, ty, tx + 80, ty + 40),
-                                      category=tool, confidence=corruption.confidence_mean))
-        true_boxes.append(frame_truth)
-        frames.append(FrameRecord(frame_index=k, timestamp_s=k / spec.fps,
-                                  detections=tuple(dets), keypoints=tuple(kps),
-                                  action=actions[k]))
 
-    # naive oracle totals over the true (uncorrupted) trajectories
-    path_px, path_hl, mean_size = {}, {}, {}
-    for h in hand_ids:
-        total = 0.0
-        for k in range(1, n_frames):
-            dx = positions[h][k][0] - positions[h][k - 1][0]
-            dy = positions[h][k][1] - positions[h][k - 1][1]
-            total += math.sqrt(dx * dx + dy * dy)
-        path_px[h] = total
-        mean_size[h] = size
-        path_hl[h] = total / size
+    def frames():
+        for k, (action, _, tool_rates) in enumerate(schedule):
+            dets, kps = [], []
+            for h, true_box in _hand_boxes(p[k].tolist() for p in positions).items():
+                out_box = true_box
+                if corruption.dropout_rate > 0 and rng.random() < corruption.dropout_rate:
+                    continue
+                if corruption.jitter_sigma > 0:
+                    dx, dy = rng.normal(0, corruption.jitter_sigma, size=2).tolist()
+                    x0, y0, x1, y1 = true_box
+                    out_box = box(max(x0 + dx, 0.0), max(y0 + dy, 0.0), x1 + dx, y1 + dy)
+                conf = corruption.confidence_mean
+                if corruption.confidence_sigma > 0:
+                    conf = float(np.clip(rng.normal(conf, corruption.confidence_sigma), 0.0, 1.0))
+                dets.append(Detection(box=out_box, category=HAND, confidence=conf))
+                if spec.with_keypoints:
+                    kps.append(HandKeypoints(np.column_stack(
+                        [positions[h][k] + _HAND_TEMPLATE * size, np.ones(21)]), out_box))
+            for tool, rate in tool_rates:
+                for _ in range(int(rng.poisson(rate))):
+                    tx = float(rng.uniform(0, FRAME_WIDTH - 80))
+                    ty = float(rng.uniform(0, FRAME_HEIGHT - 40))
+                    dets.append(Detection(box=(tx, ty, tx + 80, ty + 40),
+                                          category=tool, confidence=corruption.confidence_mean))
+            yield FrameRecord(frame_index=k, timestamp_s=k / spec.fps, detections=tuple(dets),
+                              keypoints=tuple(kps), action=action)
 
-    header = VideoStream(video_id=video_id, fps=spec.fps, width=FRAME_WIDTH,
-                         height=FRAME_HEIGHT,
-                         metadata={"synthetic": True, "seed": spec.seed, "index": index})
-    truth = GroundTruth(video_id=video_id, hand_ids=hand_ids, true_boxes=true_boxes,
-                        actions=actions, path_px=path_px, path_hand_lengths=path_hl,
-                        mean_hand_size=mean_size)
-    return (header, frames), truth
+    header = VideoStream(video_id, spec.fps, FRAME_WIDTH, FRAME_HEIGHT,
+                         {"synthetic": True, "seed": spec.seed, "index": index})
+    truth = GroundTruth(video_id=video_id, hand_ids=list(path_px), positions=positions,
+                        actions=[action for action, _, _ in schedule], path_px=path_px,
+                        path_hand_lengths={h: v / size for h, v in path_px.items()},
+                        mean_hand_size=dict.fromkeys(path_px, size))
+    return (header, frames()), truth
 
 
 def write_synth_files(stream, truth: GroundTruth, out_dir):
-    """Write a (header, frames) stream as `<video_id>.jsonl` and its
-    `<video_id>.truth.json` sidecar into `out_dir`; returns both paths."""
+    """Write a (header, frames) stream as `<video_id>.jsonl`, then its
+    `<video_id>.truth.json` sidecar, into `out_dir`; returns both paths."""
     out_dir, video_id = Path(out_dir), stream[0].video_id
-    stream_path = out_dir / f"{video_id}.jsonl"
-    truth_path = out_dir / f"{video_id}.truth.json"
+    stream_path, truth_path = out_dir / f"{video_id}.jsonl", out_dir / f"{video_id}.truth.json"
     streams.write_stream(stream, stream_path)  # looked up on the module, so wrappers see it
-    truth_path.write_text(json.dumps(truth.to_dict(), sort_keys=True) + "\n",
-                          encoding="utf-8")
+    truth_path.write_text(json.dumps(truth.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
     return stream_path, truth_path
 
 

@@ -52,7 +52,7 @@ def test_benchmark_reads_the_bench_report_and_truth_boxes(tmp_path):
     report = bench_stream(parse_stream(tmp_path / "input.jsonl")).to_dict()
     assert {"per_frame", "per_window"} <= report.keys()
     true_boxes = json.loads(json.dumps(truth.to_dict()))["true_boxes"]
-    assert len(true_boxes) == len(stream[1])
+    assert len(true_boxes) == report["n_frames"]
     hands = {str(h) for h in truth.hand_ids}
     for frame in true_boxes:
         assert set(frame) == hands
@@ -71,7 +71,7 @@ def test_track_workload_set_up_builds_its_stream(monkeypatch):
     for name, workload in workloads.TRACK_WORKLOADS.items():
         assert synth_input.synth_spec(name, 1).duration_s == workload["duration_s"]
         (_, frames), truth = generate_stream(synth_input.synth_spec(name, 1, 0.2), 0)
-        assert len(frames) == round(0.2 * workload["fps"])
+        assert len(list(frames)) == round(0.2 * workload["fps"])
         assert len(truth.hand_ids) == (workload["lanes"] or 2)
 
 
@@ -165,8 +165,9 @@ def test_traced_associate_is_called_once_per_step_and_bench_times_track_row(monk
     monkeypatch.setattr(tracking.SortTracker, "step", counted("step", tracking.SortTracker.step))
     monkeypatch.setattr(bench, "track_row", counted("track_row", bench.track_row))
     monkeypatch.setattr(bench, "step_summary", counted("step_summary", bench.step_summary))
-    stream, _ = generate_stream(SynthSpec(seed=2, fps=10.0, duration_s=3.0,
-                                          with_keypoints=True), 0)
+    (header, frames), _ = generate_stream(SynthSpec(seed=2, fps=10.0, duration_s=3.0,
+                                                    with_keypoints=True), 0)
+    stream = (header, list(frames))
     n = len(stream[1])
     assert sum("kps" in row for row in track_stream(stream[1])) > n // 2
     assert calls == {"associate": n, "step": n, "track_row": 0, "step_summary": 0}

@@ -147,12 +147,13 @@ def test_eval_boxes_memory_grows_by_under_64_bytes_per_predicted_box(tmp_path):
     assert growth <= 64, growth
 
 
-def test_skill_memory_grows_by_under_5_kb_per_tracks_row(tmp_path):
+def test_skill_memory_grows_by_under_1_5_kb_per_tracks_row(tmp_path):
     import tracemalloc
 
     # `skill` reads its tracks rows once, keeping per hand and row a frame, a
-    # centroid, a size and nine skill points until the clips are sliced; holding
-    # every decoded row, keypoints included, took the peak up by 10.7 KB a row
+    # centroid, a size and nine skill points in typed arrays until the clips are
+    # sliced; holding every decoded row, keypoints included, took the peak up by
+    # 10.7 KB a row, and holding those numbers as tuples and lists by 3.6 KB
     def files(seconds):
         stream = _keypoint_stream_file(tmp_path / f"{seconds}.jsonl", seconds)
         tracks, clips = tmp_path / f"{seconds}.tracks.jsonl", tmp_path / f"{seconds}.clips.json"
@@ -177,7 +178,54 @@ def test_skill_memory_grows_by_under_5_kb_per_tracks_row(tmp_path):
     short, long = files(20.0), files(80.0)
     peak(*short)  # lazy imports stay out of the peaks
     growth = (peak(*long) - peak(*short)) / (long[2] - short[2])
-    assert growth <= 5 * 1024, growth
+    assert growth <= 1.5 * 1024, growth
+
+
+def _peak_growth_per_frame(argv, seconds_option, fps=30.0):
+    """How much the tracemalloc peak of `main(argv)` grows per generated frame
+    from a 20-s to an 80-s stream, `seconds_option(seconds)` giving the options
+    that set the stream's length."""
+    import tracemalloc
+
+    def peak(seconds):
+        tracemalloc.start()
+        try:
+            assert main([*argv, *seconds_option(seconds)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20.0)  # lazy imports stay out of the peaks
+    return (peak(80.0) - peak(20.0)) / (60.0 * fps)
+
+
+def test_bench_memory_grows_by_under_512_bytes_per_generated_frame(tmp_path):
+    # `bench` without --in tracks and steps the generator's frames as they are
+    # made, and the ground truth it does not read is never built: holding the
+    # frames in a list, and the truth's boxes, took the peak up by about 1.3 KB a frame
+    growth = _peak_growth_per_frame(["bench", "--out", str(tmp_path / "b.json")],
+                                    lambda seconds: ["--minutes", str(seconds / 60.0)])
+    assert growth <= 512, growth
+
+
+def test_synth_memory_grows_by_under_2_5_kb_per_keypoint_frame(tmp_path):
+    # `synth` writes each frame's line as the generator makes the frame; what
+    # grows is the truth sidecar, made after the stream is written. Holding the
+    # frames in a list took the peak up by about 4.5 KB a frame
+    growth = _peak_growth_per_frame(
+        ["synth", "--with-keypoints", "--dropout", "0.05", "--jitter", "2",
+         "--out", str(tmp_path)], lambda seconds: ["--duration", str(seconds)])
+    assert growth <= 2.5 * 1024, growth
+
+
+def test_synth_that_fails_midway_leaves_no_stream_file(tmp_path, capsys):
+    # frames are made as the stream file is written, so a box that a jitter of
+    # 1e6 px pushes past the frame's left edge fails the write, which removes
+    # `<path>.tmp`: no stream file is left, as when every frame was made first
+    out = tmp_path / "out"
+    assert main(["synth", "--jitter", "1e6", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("invariant violation: box x_max must be >= 0")
+    assert list(out.iterdir()) == []
 
 
 # the command's peak resident set in kB, printed after it runs: VmHWM, as on
@@ -321,14 +369,15 @@ def test_clips_from_tracks_explicit_and_inferred(tmp_path):
     rows = list(track_stream(frames, TrackerConfig(min_hits=1)))
     base = {"video_id": stream.video_id, "start": 0, "end": 140,
             "operator_id": "o", "experience": "experienced", "knot_count": 3}
-    inferred = clips_from_tracks(stream, rows, [base])[0]
+    inferred = clips_from_tracks(stream, rows, [base], "clips.json")[0]
     assert inferred.left is not None and inferred.right is not None
     # left hand sits left of right hand by mean centroid x
     assert inferred.left.points[:, 0].mean() < inferred.right.points[:, 0].mean()
     ids = sorted({tid for row in rows for tid in row["tracks"]})
     assert len(ids) == 2
     as_inferred, swapped = (
-        clips_from_tracks(stream, rows, [{**base, "left_track": left, "right_track": right}])[0]
+        clips_from_tracks(stream, rows, [{**base, "left_track": left, "right_track": right}],
+                          "clips.json")[0]
         for left, right in (ids, ids[::-1]))
     if not np.array_equal(as_inferred.left.points, inferred.left.points):
         as_inferred, swapped = swapped, as_inferred
@@ -856,6 +905,7 @@ def test_zero_corruption_pipeline_recovers_ground_truth(monkeypatch):
     # and sequence features reproduce the generator's totals
     spec = SynthSpec(seed=31, n_videos=1, fps=30.0, duration_s=40.0)
     (stream, frames), truth = generate_stream(spec, 0)
+    frames = list(frames)
     q, r = scaled_noise(1e-6, 1e-12)
     monkeypatch.setattr(tracking, "_PROCESS_VAR", q)
     monkeypatch.setattr(tracking, "_MEASUREMENT_VAR", r)
@@ -1317,28 +1367,39 @@ _INPUT_ERRORS = {
     "header without fps": (_TRACK, {"s.jsonl": _stream_text({"video_id": "v"})},
                            "line 1: first line must be a header with video_id and fps"),
     "empty tracks file": (["skill", "--tracks", "@t.jsonl", "--clips", "@c.json"],
-                          {"t.jsonl": "", "c.json": "[]"}, "empty tracks file: "),
+                          {"t.jsonl": "", "c.json": "[]"}, "empty tracks file in @t.jsonl\n"),
     "tracks rows out of order": (["skill", "--tracks", "@t.jsonl", "--clips", "@c.json"], {
         "t.jsonl": _tracks_text(0, 2, 1), "c.json": "[]"},
-        "line 4: tracks row frame 1 is not above the frame before it"),
+        "line 4: tracks row frame 1 is not above the frame before it in @t.jsonl\n"),
     "tracks row repeated": (["skill", "--tracks", "@t.jsonl", "--clips", "@c.json"], {
         "t.jsonl": _tracks_text(0, 1, 1), "c.json": "[]"},
         "line 4: tracks row frame 1 is not above the frame before it"),
     # skill checks the tracks header, then the clip list's JSON and that it is a
-    # list, then each tracks row as it reads it, then each clip against the rows
+    # list, then each tracks row as it reads it, then each clip against the rows;
+    # each message names the file it is about
+    "tracks header and clip list both not JSON on line 1": (_SKILL, {
+        "t.jsonl": "{\n" + _tracks_text(0).split("\n", 1)[1], "c.json": "[{"},
+        "line 1: invalid JSON: Expecting property name enclosed in double quotes "
+        "in @t.jsonl\n"),
     "bad tracks row past the last clip": (_SKILL, {
         "t.jsonl": _tracks_text(0, 1, 2, 3) + _BAD_ROW, "c.json": json.dumps([_CLIP])},
-        "line 6: tracks row needs 'tracks' mapping integer track ids"),
+        "line 6: tracks row needs 'tracks' mapping integer track ids to [x_min, y_min, x_max, "
+        "y_max] with 0 <= x_min < x_max and 0 <= y_min < y_max in @t.jsonl\n"),
+    "bad clip": (_SKILL, {
+        "t.jsonl": _tracks_text(0, 1), "c.json": json.dumps([{**_CLIP, "knot_count": None}])},
+        "clip 1 needs to be an object with video_id, operator_id, experience and integer "
+        "start, end and knot_count; check knot_count in @c.json\n"),
     "bad tracks row and bad clip": (_SKILL, {
         "t.jsonl": _tracks_text(0, 1, 2, 3) + _BAD_ROW,
         "c.json": json.dumps([{**_CLIP, "knot_count": None}])},
         "line 6: tracks row needs 'tracks' mapping integer track ids"),
     "bad tracks row and a clip list not JSON": (_SKILL, {
         "t.jsonl": _tracks_text(0, 1, 2, 3) + _BAD_ROW, "c.json": "[{"},
-        "line 1: invalid JSON: "),
+        "line 1: invalid JSON: Expecting property name enclosed in double quotes "
+        "in @c.json\n"),
     "bad tracks row and a clip list not a list": (_SKILL, {
         "t.jsonl": _tracks_text(0, 1, 2, 3) + _BAD_ROW, "c.json": json.dumps(_CLIP)},
-        "a clip list must be a JSON list of clip objects"),
+        "a clip list must be a JSON list of clip objects in @c.json\n"),
     "bad stream file among streams": (["signature", "--streams", "@d"], {
         "d/a.jsonl": _stream_text(), "d/b.jsonl": _stream_text(t=...)},
         "line 2: frame record needs 'frame' and 't': 't' in @d/b.jsonl\n"),
@@ -1417,8 +1478,8 @@ _BAD_HEADERS = {
 @pytest.mark.parametrize("header, code", list(_BAD_HEADERS.values()), ids=list(_BAD_HEADERS))
 def test_cli_tracks_header_gets_the_stream_header_verdict(tmp_path, capsys, header, code):
     # a tracks file starts with the header line a stream file does, and `skill`
-    # checks it as `track` does: the same exit code and line-1 message, the
-    # stream's naming its file
+    # checks it as `track` does: the same exit code and line-1 message, each
+    # naming its own file
     stream_path, tracks_path, clips_path = (tmp_path / n for n in ("s.jsonl", "t.jsonl", "c.json"))
     stream_path.write_text(_stream_text(header))
     tracks_path.write_text("\n".join([json.dumps(header), *_tracks_text(0).splitlines()[1:]]))
@@ -1430,8 +1491,27 @@ def test_cli_tracks_header_gets_the_stream_header_verdict(tmp_path, capsys, head
     skill_err = capsys.readouterr().err
     verdict = "input error" if code == 1 else "invariant violation"
     assert skill_err.startswith(f"{verdict}: line 1: "), skill_err
-    assert skill_err == track_err.replace(f" in {stream_path}", "")
+    assert skill_err.endswith(f" in {tracks_path}\n"), skill_err
+    assert (skill_err.replace(f" in {tracks_path}", "")
+            == track_err.replace(f" in {stream_path}", ""))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "s.jsonl", "t.jsonl"]
+
+
+def test_cli_skill_errors_on_line_1_of_either_file_name_that_file(tmp_path, capsys):
+    # the same JSON error on line 1 of the tracks file and of the clip list
+    # reads differently: each message ends naming the file it is about
+    tracks_path, clips_path = tmp_path / "t.jsonl", tmp_path / "c.json"
+    errors = []
+    for tracks, clips in (("{\n", "[]"), (_tracks_text(0), "[{")):
+        tracks_path.write_text(tracks)
+        clips_path.write_text(clips)
+        assert main(["skill", "--tracks", str(tracks_path), "--clips", str(clips_path),
+                     "--out", str(tmp_path / "out.csv")]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] != errors[1]
+    assert errors[0].startswith("input error: line 1: invalid JSON: "), errors[0]
+    assert errors[0].endswith(f" in {tracks_path}\n"), errors[0]
+    assert errors[1] == errors[0].replace(str(tracks_path), str(clips_path))
 
 
 @pytest.mark.parametrize("argv, files, message", list(_INPUT_ERRORS.values()),

@@ -313,11 +313,16 @@ def _first_frames(stream, n):
     return header, frames[:n]
 
 
+def _generated(spec):
+    """The stream `generate_stream` makes for `spec`, its frames in a list."""
+    (header, frames), _ = generate_stream(spec, 0)
+    return header, list(frames)
+
+
 def test_pck_counts_truth_frames_the_predictor_skipped():
     # a predictor that emits only the first half of the stream finds half
     # the hands: PCK agrees with hand AP instead of reading 1.0
-    stream, _ = generate_stream(SynthSpec(seed=3, fps=10, duration_s=4,
-                                          with_keypoints=True), 0)
+    stream = _generated(SynthSpec(seed=3, fps=10, duration_s=4, with_keypoints=True))
     half = _first_frames(stream, len(stream[1]) // 2)
     report = evaluate_keypoints(half, stream)
     assert report["mean_pck"] == 0.5
@@ -328,11 +333,10 @@ def test_pck_counts_truth_frames_the_predictor_skipped():
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_pck_matches_naive_oracle_on_partial_corrupted_predictions(seed):
-    truth, _ = generate_stream(SynthSpec(seed=seed, fps=10, duration_s=4,
-                                         with_keypoints=True), 0)
+    truth = _generated(SynthSpec(seed=seed, fps=10, duration_s=4, with_keypoints=True))
     spec = SynthSpec(seed=seed, fps=10, duration_s=4, with_keypoints=True,
                      corruption=CorruptionSpec(dropout_rate=0.2, jitter_sigma=3.0))
-    pred = _first_frames(generate_stream(spec, 0)[0], 25)
+    pred = _first_frames(_generated(spec), 25)
     for alpha in (0.05, 0.2):
         report = evaluate_keypoints(pred, truth, alpha=alpha)
         assert report["mean_pck"] == naive_pck(_keypoints_by_frame(pred),

@@ -241,11 +241,13 @@ def test_boxes_are_exact_tuples_wherever_they_are_made(tmp_path):
     def owner_boxes(frames):
         return [k.owner_box for fr in frames for k in fr.keypoints]
 
-    stream, truth = generate_stream(SynthSpec(seed=2, duration_s=1.0, with_keypoints=True), 0)
+    (header, frames), truth = generate_stream(
+        SynthSpec(seed=2, duration_s=1.0, with_keypoints=True), 0)
+    stream = (header, list(frames))
     assert_exact(frame_boxes(stream[1]))
     assert_exact(owner_boxes(stream[1]))
     assert_exact(b for frame in truth.true_boxes for b in frame.values())
-    assert_exact(frame_boxes(truth_stream_from_ground_truth(stream, truth)[1]))
+    assert_exact(frame_boxes(truth_stream_from_ground_truth(header, truth)[1]))
     path = tmp_path / "s.jsonl"
     write_stream(stream, path)
     _, parsed = parse_stream(path)
@@ -496,7 +498,8 @@ def test_keypoint_text_checks_give_the_verdict_of_decoding(tmp_path, capsys, cas
 
 def test_written_keypoint_lines_are_not_decoded_in_full(tmp_path, monkeypatch):
     spec = SynthSpec(seed=2, fps=10.0, duration_s=2.0, with_keypoints=True)
-    stream, _ = generate_stream(spec, 0)
+    (header, frames), _ = generate_stream(spec, 0)
+    stream = (header, list(frames))
     write_stream(stream, tmp_path / "s.jsonl")
     decoded = []
     monkeypatch.setattr(streams, "_decode",

@@ -98,6 +98,7 @@ def test_zero_corruption_detections_equal_ground_truth():
 
 def test_true_path_length_matches_independent_recomputation():
     (_, frames), truth = generate_stream(small_spec(), 0)
+    frames = list(frames)
     # re-derive each hand's path by walking the emitted detections
     n_hands = len(truth.hand_ids)
     for h in truth.hand_ids:

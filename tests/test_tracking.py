@@ -861,6 +861,7 @@ def test_keypoint_entries_follow_their_detections_as_iou_pairing_paired_them(
                      hands=LANES if lanes else SynthSpec().hands,
                      corruption=CorruptionSpec(dropout_rate=dropout, jitter_sigma=jitter))
     (_, frames), _ = generate_stream(spec, 0)
+    frames = list(frames)
     reference = SortTracker()
     paired = 0
     with warnings.catch_warnings(record=True) as caught:
