@@ -227,9 +227,9 @@ def tracking_oracle_report(rows, truth: GroundTruth) -> dict:
     """Compare tracker output rows (from `track_stream`) against generator
     ground truth.
 
-    Reports whether emitted track ids form a bijection onto true hand ids and
-    how many identity switches occurred (changes in the track id following
-    each true hand between consecutive matched frames).
+    Reports whether the matched track ids form a bijection onto the true hand
+    ids and how many identity switches occurred (changes in the track id
+    following each true hand between consecutive matched frames).
     """
     follow = {h: [] for h in truth.hand_ids}
     track_to_gt = {}
@@ -250,7 +250,7 @@ def tracking_oracle_report(rows, truth: GroundTruth) -> dict:
         switches += sum(1 for a, b in zip(tids, tids[1:]) if a != b)
         if tids:
             majority[h] = max(set(tids), key=tids.count)
-    bijection = (len(majority) == len(truth.hand_ids)
+    bijection = (len(majority) == len(track_to_gt) == len(truth.hand_ids)
                  and len(set(majority.values())) == len(truth.hand_ids)
                  and all(len(g) == 1 for g in track_to_gt.values()))
     return {"video_id": truth.video_id,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import pairwise
 from pathlib import Path
@@ -244,11 +244,23 @@ def generate_stream(spec: SynthSpec, index: int = 0):
 
 def write_synth_files(stream, truth: GroundTruth, out_dir):
     """Write a (header, frames) stream as `<video_id>.jsonl`, then its
-    `<video_id>.truth.json` sidecar, into `out_dir`; returns both paths."""
+    `<video_id>.truth.json` sidecar, into `out_dir`; returns both paths. The sidecar
+    is `json.dumps(truth.to_dict(), sort_keys=True)` and a newline, its true boxes
+    made 256 frames at a time as `_hand_boxes` makes them, not in `truth.true_boxes`."""
     out_dir, video_id = Path(out_dir), stream[0].video_id
     stream_path, truth_path = out_dir / f"{video_id}.jsonl", out_dir / f"{video_id}.truth.json"
     streams.write_stream(stream, stream_path)  # looked up on the module, so wrappers see it
-    truth_path.write_text(json.dumps(truth.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
+    head, key, tail = json.dumps(replace(truth, positions=[]).to_dict(),  # no boxes
+                                 sort_keys=True).partition('"true_boxes": [')
+    half = np.array([HAND_BOX_WIDTH, HAND_BOX_HEIGHT]) / 2.0
+    with truth_path.open("w", encoding="utf-8") as fh:
+        fh.write(head + key)
+        for start in range(0, len(truth.actions), 256):
+            rows = [np.hstack([np.maximum(c - half, 0.0), c + half]).tolist()
+                    for c in (p[start:start + 256] for p in truth.positions)]
+            block = [{str(h): b for h, b in enumerate(frame)} for frame in zip(*rows)]
+            fh.write((", " if start else "") + json.dumps(block, sort_keys=True)[1:-1])
+        fh.write(tail + "\n")
     return stream_path, truth_path
 
 

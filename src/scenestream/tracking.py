@@ -207,7 +207,8 @@ def _overlap_scores(tracks, dets) -> list[dict[int, float]]:
     """Per track corner row, {detection index: IoU} over the detection rows
     it overlaps. A track whose corners cross (it left the frame) or are NaN
     overlaps nothing. Otherwise, for finite rows, a pair is kept exactly when
-    `streams.iou` has ix > 0 and iy > 0, and scored in its operation order."""
+    `streams.iou` has ix > 0 and iy > 0, and scored in its operation order.
+    `associate` scores pairs the same way, and builds these only for its solver."""
     rows = [(j, c0, c1, c2, c3, (c2 - c0) * (c3 - c1))
             for j, (c0, c1, c2, c3) in enumerate(dets)]
     scores = []
@@ -243,25 +244,37 @@ def associate(track_boxes, det_boxes, iou_threshold):
     (the factor 2 leaves room for rounding in the solver's summed totals).
     Tracks with no overlap pair only at score 0, which the threshold
     dissolves. The best pairs at or above the threshold are therefore the
-    solver's matches.
+    solver's matches. One scan checks this as it scores the pairs that
+    `_overlap_scores` keeps, holding per track only its best detection and best
+    and second-best scores; at the first track that breaks it, the scan stops
+    and the solver settles the frame.
     """
-    scores = _overlap_scores(track_boxes, det_boxes)
-    pairs, taken, certain = [], set(), True
-    for i, row in enumerate(scores):
+    rows = [(j, c0, c1, c2, c3, (c2 - c0) * (c3 - c1))
+            for j, (c0, c1, c2, c3) in enumerate(det_boxes)]
+    matches, taken = [], set()
+    for i, (a0, a1, a2, a3) in enumerate(track_boxes):
+        area = (a2 - a0) * (a3 - a1)
         best, top, second = None, 0.0, 0.0
-        for j, score in row.items():
-            if score > top:
-                best, top, second = j, score, top
-            elif score > second:
-                second = score
-        if best is not None:
-            certain = certain and top - second > 2 * _TIE_TOL and best not in taken
-            taken.add(best)
-            pairs.append((i, best))
-    if not certain:
-        pairs = _lexmin_optimal_pairs(
-            np.array([[row.get(j, 0.0) for j in range(len(det_boxes))] for row in scores]))
-    matches = [(i, j) for i, j in pairs if scores[i].get(j, 0.0) >= iou_threshold]
+        for j, c0, c1, c2, c3, det_area in rows if a0 < a2 and a1 < a3 else ():
+            if c0 < a2 and a0 < c2 and c1 < a3 and a1 < c3:
+                inter = (((c2 if c2 < a2 else a2) - (c0 if c0 > a0 else a0))
+                         * ((c3 if c3 < a3 else a3) - (c1 if c1 > a1 else a1)))
+                score = inter / (area + det_area - inter)
+                if score > top:
+                    best, top, second = j, score, top
+                elif score > second:
+                    second = score
+        if best is None:
+            continue
+        if top - second <= 2 * _TIE_TOL or best in taken:
+            scores = _overlap_scores(track_boxes, det_boxes)
+            pairs = _lexmin_optimal_pairs(
+                np.array([[row.get(j, 0.0) for j in range(len(det_boxes))] for row in scores]))
+            matches = [(i, j) for i, j in pairs if scores[i].get(j, 0.0) >= iou_threshold]
+            break
+        taken.add(best)
+        if top >= iou_threshold:
+            matches.append((i, best))
     matched_d = {j for _, j in matches}
     return matches, [j for j in range(len(det_boxes)) if j not in matched_d]
 

@@ -38,6 +38,7 @@ from scenestream.synth import (
     _bounded_walk,
     _walk,
     CorruptionSpec,
+    HandMotionSpec,
     OPENING_FRACTION,
     PHASES,
     PROCEDURE_CLASSES,
@@ -182,6 +183,22 @@ def test_synth_files_round_trip(tmp_path):
         assert truth["video_id"] == stream.video_id
         assert len(frames) == len(truth["actions"])
         assert frames[0].keypoints[0].points.shape == (21, 3)
+
+
+@pytest.mark.parametrize("n_hands", [2, 12])
+def test_truth_sidecar_is_the_sorted_to_dict_dump(tmp_path, n_hands):
+    # the sidecar's true boxes are made and written 256 frames at a time: 40 s
+    # spans four blocks and part of a fifth, 12 hands sort "10" and "11" before
+    # "2", and a hand near the corner has its box clamped at 0
+    hands = (HandMotionSpec(region=(1.0, 1.0, 40.0, 40.0)),
+             *(HandMotionSpec(region=(60.0 + 103.0 * i, 150.0, 90.0 + 103.0 * i, 570.0))
+               for i in range(n_hands - 1)))
+    stream, truth = generate_stream(small_spec(duration_s=40.0, hands=hands), 0)
+    _, truth_path = synth.write_synth_files(stream, truth, tmp_path)
+    assert "true_boxes" not in vars(truth)  # the writer leaves the truth's cache unfilled
+    assert truth_path.read_text(encoding="utf-8") == (
+        json.dumps(truth.to_dict(), sort_keys=True) + "\n")
+    assert min(truth.true_boxes[0][0]) == 0.0
 
 
 def test_crossing_hands_keep_identity_against_generator_truth():

@@ -472,14 +472,17 @@ def test_overlap_scores_equal_scalar_iou_bit_for_bit():
 
 def test_overlap_scores_leave_out_predictions_past_the_edge_and_nan():
     # corners of predictions that left over the left or top edge after
-    # clamping, and a NaN in each corner; the array form scores them all 0
+    # clamping, a row crossed on both axes (ix and iy both negative), and a
+    # NaN in each corner; the array form scores them all 0, and `associate`,
+    # which scores pairs itself, matches none of them
     nan = math.nan
     gone = [[0.0, 10.0, -4.0, 50.0], [0.0, 0.0, 30.0, 0.0], [0.0, 0.0, 0.0, 0.0],
-            [0.0, 30.0, 40.0, 10.0], [30.0, 0.0, 10.0, 40.0],
+            [0.0, 30.0, 40.0, 10.0], [30.0, 0.0, 10.0, 40.0], [30.0, 30.0, 10.0, 10.0],
             [nan, 0.0, 40.0, 40.0], [0.0, nan, 40.0, 40.0], [0.0, nan, 40.0, nan],
             [0.0, 0.0, nan, 40.0], [0.0, 0.0, 40.0, nan]]
     dets = [box(0, 0, 40, 40), box(0, 10, 1, 50)]
     assert _overlap_scores(gone, dets) == [{}] * len(gone)
+    assert associate(gone, dets, 0.05) == ([], [0, 1])
     assert np.array_equal(oracles.iou_matrix(np.array(gone), oracles.box_corners(dets)),
                           np.zeros((len(gone), 2)))
 
@@ -570,6 +573,80 @@ def test_associate_equals_array_associate(monkeypatch):
         assert associate(tracks, dets, threshold) == (matches, unmatched_dets)
         certified += len(solved) == calls
     assert 300 < certified < 2700 and len(solved) > 300
+
+
+def _certified_then_failing(rng, failure):
+    """Track rows and detection rows where the certificate of `associate` holds
+    for the first k tracks, each alone in its lane of 100 px with one
+    detection, and fails at track k + 1 by `failure`: a best detection an
+    earlier track took, or a best score within 2e-9 of the second. Random
+    tracks and detections follow, and a NaN or crossed track row may sit
+    among the first k."""
+    k = int(rng.integers(1, 5))
+    tracks, dets = [], []
+    for lane in range(k):
+        x, y = 100.0 * lane + float(rng.uniform(0, 20)), float(rng.uniform(0, 40))
+        tracks.append([x, y, x + 40.0, y + 40.0])
+        dx, dy = (float(v) for v in rng.uniform(-3, 3, size=2))
+        dets.append([x + dx, y + dy, x + 40.0, y + 40.0])
+    if failure == "taken":  # an earlier track's box, shifted by less than its detection's jitter
+        shift = float(rng.uniform(-0.5, 0.5))
+        tracks.append([v + shift for v in tracks[int(rng.integers(0, k))]])
+    else:  # a near or exact tie in the next lane
+        track, pair = _tied_pair(rng, float(rng.choice([0.0, rng.uniform(0.0, 1.5e-9)])))
+        offset = 100.0 * k
+        tracks.append([track[0] + offset, track[1], track[2] + offset, track[3]])
+        dets += [[d[0] + offset, d[1], d[2] + offset, d[3]] for d in pair]
+    if rng.random() < 0.5:
+        gone = [0.0, 0.0, 40.0, math.nan] if rng.random() < 0.5 else [0.0, 10.0, -4.0, 50.0]
+        tracks.insert(int(rng.integers(0, k + 1)), gone)
+    for _ in range(int(rng.integers(0, 3))):  # past the lanes
+        x, y = float(rng.uniform(100.0 * (k + 1), 100.0 * (k + 3))), float(rng.uniform(0, 40))
+        (tracks if rng.random() < 0.5 else dets).append([x, y, x + 30.0, y + 30.0])
+    dets = [dets[j] for j in rng.permutation(len(dets))]
+    return tracks, dets, float(rng.choice([0.05, 0.3, 0.5]))
+
+
+@pytest.mark.parametrize("failure", ["taken", "tie"])
+def test_associate_equals_array_associate_when_the_certificate_fails_after_k_tracks(
+        failure, monkeypatch):
+    # the scan checks the certificate track by track and hands the frame to
+    # the solver at the first track that breaks it
+    solved = []
+    real = tracking._lexmin_optimal_pairs
+    monkeypatch.setattr(tracking, "_lexmin_optimal_pairs",
+                        lambda score: solved.append(score.shape) or real(score))
+    rng = np.random.default_rng(39 if failure == "taken" else 40)
+    for case in range(300):
+        tracks, dets, threshold = _certified_then_failing(rng, failure)
+        matches, _, unmatched_dets = oracles.array_associate(
+            np.array(tracks).reshape(-1, 4), np.array(dets).reshape(-1, 4), threshold)
+        assert associate(tracks, dets, threshold) == (matches, unmatched_dets), case
+        assert len(solved) == case + 1, case
+
+
+def test_associate_scores_pairs_as_overlap_scores_bit_for_bit(monkeypatch):
+    # the scan scores pairs with its own copy of `_overlap_scores`' arithmetic:
+    # when no solve runs, a threshold equal to a track's best score keeps its
+    # pair and the next float above dissolves it, so the two scores are equal
+    solved = []
+    monkeypatch.setattr(tracking, "_lexmin_optimal_pairs",
+                        lambda score: solved.append(score) or [])
+    rng = np.random.default_rng(41)
+    pinned = 0
+    for _ in range(1500):
+        tracks, dets, _ = _association_case(rng)
+        for i, row in enumerate(_overlap_scores(tracks, dets)):
+            if not row:
+                continue
+            best = max(row, key=row.get)
+            calls = len(solved)
+            kept = (i, best) in associate(tracks, dets, row[best])[0]
+            dissolved = (i, best) not in associate(tracks, dets, np.nextafter(row[best], 2.0))[0]
+            if len(solved) == calls:
+                assert kept and dissolved, (tracks, dets, i)
+                pinned += 1
+    assert pinned > 500
 
 
 @settings(max_examples=150, deadline=None)
