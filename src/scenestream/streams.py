@@ -74,8 +74,8 @@ def iou(a, b) -> float:
     when disjoint."""
     ax0, ay0, ax1, ay1 = a
     bx0, by0, bx1, by1 = b
-    ix = min(ax1, bx1) - max(ax0, bx0)
-    iy = min(ay1, by1) - max(ay0, by0)
+    ix = (bx1 if bx1 < ax1 else ax1) - (bx0 if bx0 > ax0 else ax0)
+    iy = (by1 if by1 < ay1 else ay1) - (by0 if by0 > ay0 else ay0)
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy

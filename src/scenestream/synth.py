@@ -219,7 +219,7 @@ def generate_stream(spec: SynthSpec, index: int = 0):
                     out_box = box(max(x0 + dx, 0.0), max(y0 + dy, 0.0), x1 + dx, y1 + dy)
                 conf = corruption.confidence_mean
                 if corruption.confidence_sigma > 0:
-                    conf = float(np.clip(rng.normal(conf, corruption.confidence_sigma), 0.0, 1.0))
+                    conf = min(max(rng.normal(conf, corruption.confidence_sigma), 0.0), 1.0)
                 dets.append(Detection(box=out_box, category=HAND, confidence=conf))
                 if spec.with_keypoints:
                     kps.append(HandKeypoints(np.column_stack(
@@ -350,12 +350,12 @@ def generate_tie_clips(spec: SkillCohortSpec):
     for experience, target, pose_rate in TIE_GROUPS:
         for op_idx in range(spec.operators_per_group):
             operator_id = f"{experience[:3]}-{op_idx}"
-            op_mult = float(np.clip(rng.normal(1.0, TIE_OPERATOR_SIGMA), 0.5, 1.5))
+            op_mult = min(max(rng.normal(1.0, TIE_OPERATOR_SIGMA), 0.5), 1.5)
             for clip_idx in range(spec.clips_per_operator):
-                clip_mult = float(np.clip(rng.normal(1.0, TIE_CLIP_SIGMA), 0.5, 1.5))
+                clip_mult = min(max(rng.normal(1.0, TIE_CLIP_SIGMA), 0.5), 1.5)
                 hands, truth = {}, {}
                 for hand, home in (("left", (400.0, 500.0)), ("right", (900.0, 500.0))):
-                    hand_mult = float(np.clip(rng.normal(1.0, TIE_CLIP_SIGMA / 2), 0.8, 1.2))
+                    hand_mult = min(max(rng.normal(1.0, TIE_CLIP_SIGMA / 2), 0.8), 1.2)
                     length_hl = target * op_mult * clip_mult * hand_mult
                     step_len = length_hl * size / n_steps
                     hands[hand] = Trajectory(

@@ -15,12 +15,12 @@ then (p00, p01, p11) of the uv and s blocks, then r's variance. At a few
 hands these scalar loops cost less than numpy calls on small arrays, and they
 keep numpy's operation order (float64 `+ - * /` and `sqrt` round correctly
 in both), so every box is bit-identical to the array form. Each frame runs
-one `predict` over every track, one `associate` and one Joseph-form `update`
-over matched tracks, whose loop picks the tracks to emit, with the detection
-each took, as the birth loop does. After `predict` each position variance is
-at least its process variance (F P F^T adds [1 1] P [1 1]^T >= 0 of a PSD
-block), so each innovation variance p00 + R is at least 2 and no gain
-divides by 0.
+one `predict` over every track and one Joseph-form `update`, in place, over
+the tracks `associate` matched; each returns the corners its loop computes,
+which `associate` matches on and the step emits. After `predict` each
+position variance is at least its process variance (F P F^T adds [1 1] P
+[1 1]^T >= 0 of a PSD block), so each innovation variance p00 + R is at
+least 2 and no gain divides by 0.
 """
 
 from __future__ import annotations
@@ -68,42 +68,44 @@ def _measurements(corners) -> list[list[float]]:
     return z
 
 
+def _corner_row(u, v, s, r) -> list[float]:
+    """Corners, clamped at 0, of the box of center (u, v), area s and aspect r.
+    Each clamp is `lo if x <= lo else x`, np.maximum(x, lo): NaN stays NaN."""
+    s = _AREA_EPS if s <= _AREA_EPS else s
+    half_w = sqrt(s * (_AREA_EPS if r <= _AREA_EPS else r))
+    half_w, half_h = half_w / 2.0, s / half_w / 2.0
+    x0, y0 = u - half_w, v - half_h
+    return [0.0 if x0 <= 0.0 else x0, 0.0 if y0 <= 0.0 else y0, u + half_w, v + half_h]
+
+
 def _state_corners(filters) -> list[list[float]]:
-    """Corners, clamped at 0, of each filter's box. Each clamp is `lo if x <= lo
-    else x`, which is np.maximum(x, lo): a NaN position stays NaN."""
-    corners = []
-    for filt in filters:
-        u, v, s, r = filt[0], filt[1], filt[2], filt[3]
-        s = _AREA_EPS if s <= _AREA_EPS else s
-        half_w = sqrt(s * (_AREA_EPS if r <= _AREA_EPS else r))
-        half_w, half_h = half_w / 2.0, s / half_w / 2.0
-        x0, y0 = u - half_w, v - half_h
-        corners.append([0.0 if x0 <= 0.0 else x0, 0.0 if y0 <= 0.0 else y0,
-                        u + half_w, v + half_h])
-    return corners
+    return [_corner_row(filt[0], filt[1], filt[2], filt[3]) for filt in filters]
 
 
 # ------------------------------------------------------------ Kalman kernels
 
 def predict(filters, process_var):
-    """Advance every track's filter one frame under constant velocity.
+    """Advance every track's filter one frame under constant velocity; returns
+    (the new filters, `_corner_row` of each).
 
     Per block P becomes F P F^T + Q with F = [[1, 1], [0, 1]], and r's
     variance grows by its process variance; an area that reaches 0 or below
     is forced positive.
     """
     (qa0, qa1), (qs0, qs1), qr = process_var
-    out = []
+    out, corners = [], []
     for u, v, s, r, du, dv, ds, a00, a01, a11, s00, s01, s11, r00 in filters:
-        s += ds
-        out.append([u + du, v + dv, _AREA_EPS if s <= 0 else s, r, du, dv, ds,
-                    a00 + 2.0 * a01 + a11 + qa0, a01 + a11, a11 + qa1,
+        u, v, s = u + du, v + dv, s + ds
+        s = _AREA_EPS if s <= 0 else s
+        out.append([u, v, s, r, du, dv, ds, a00 + 2.0 * a01 + a11 + qa0, a01 + a11, a11 + qa1,
                     s00 + 2.0 * s01 + s11 + qs0, s01 + s11, s11 + qs1, r00 + qr])
-    return out
+        corners.append(_corner_row(u, v, s, r))
+    return out, corners
 
 
-def update(filters, z, meas_var):
-    """Joseph-form update of every track's filter against its measurement z.
+def update(filters, matches, z, meas_var):
+    """Joseph-form update, in place, of filters[i] against z[j] for each (i, j)
+    in matches; returns the updated filters' `_corner_row`s in match order.
 
     Per block, with S = p00 + R and gain k = (p00, p01) / S, P becomes
     (I - kH) P (I - kH)^T + R k k^T with H = [1, 0]; u and v share the uv one,
@@ -111,9 +113,10 @@ def update(filters, z, meas_var):
     and aspect that reach 0 or below are forced positive.
     """
     ra, rs, rr = meas_var
-    out = []
-    for (u, v, s, r, du, dv, ds,
-         a00, a01, a11, s00, s01, s11, r00), (zu, zv, zs, zr) in zip(filters, z):
+    corners = []
+    for i, j in matches:
+        u, v, s, r, du, dv, ds, a00, a01, a11, s00, s01, s11, r00 = filters[i]
+        zu, zv, zs, zr = z[j]
         sa, ss, sr = a00 + ra, s00 + rs, r00 + rr
         ka0, ka1 = a00 / sa, a01 / sa
         ks0, ks1 = s00 / ss, s01 / ss
@@ -124,11 +127,12 @@ def update(filters, z, meas_var):
         s00, s01, s11 = (js * js * s00 + ks0 * ks0 * rs, js * (s01 - ks1 * s00) + ks0 * ks1 * rs,
                          s11 - ks1 * (2.0 * s01 - ks1 * ss))
         iu, iv, i_s = zu - u, zv - v, zs - s
-        s, r = s + ks0 * i_s, r + kr * (zr - r)
-        out.append([u + ka0 * iu, v + ka0 * iv, _AREA_EPS if s <= 0 else s,
-                    _AREA_EPS if r <= 0 else r, du + ka1 * iu, dv + ka1 * iv,
-                    ds + ks1 * i_s, a00, a01, a11, s00, s01, s11, jr * jr * r00 + kr * kr * rr])
-    return out
+        u, v, s, r = u + ka0 * iu, v + ka0 * iv, s + ks0 * i_s, r + kr * (zr - r)
+        s, r = _AREA_EPS if s <= 0 else s, _AREA_EPS if r <= 0 else r
+        filters[i] = [u, v, s, r, du + ka1 * iu, dv + ka1 * iv, ds + ks1 * i_s,
+                      a00, a01, a11, s00, s01, s11, jr * jr * r00 + kr * kr * rr]
+        corners.append(_corner_row(u, v, s, r))
+    return corners
 
 
 def new_track(corners) -> list[float]:
@@ -310,21 +314,18 @@ class SortTracker:
         young = self.frame_count <= cfg.min_hits
         det_rows = [d.box for d in frame.detections if d.category == HAND]
 
-        filters = predict(self.filters, _PROCESS_VAR)
+        filters, predicted = predict(self.filters, _PROCESS_VAR)
         ids, hits = self.ids, self.hits
         since = [t + 1 for t in self.time_since_update]
-        matches, unmatched_dets = associate(
-            _state_corners(filters), det_rows, cfg.iou_threshold)
-        emit = []  # (id, filter, det) of matched tracks, then of newborns: in id order
+        matches, unmatched_dets = associate(predicted, det_rows, cfg.iou_threshold)
+        emit = []  # (id, corners, det) of matched tracks, then of newborns: in id order
         if matches:
-            z = _measurements([det_rows[j] for _, j in matches])
-            updated = update([filters[i] for i, _ in matches], z, _MEASUREMENT_VAR)
-            for (i, j), filt in zip(matches, updated):
-                filters[i] = filt
+            updated = update(filters, matches, _measurements(det_rows), _MEASUREMENT_VAR)
+            for (i, j), c in zip(matches, updated):
                 hits[i] += 1
                 since[i] = 0
                 if young or hits[i] >= cfg.min_hits:
-                    emit.append((ids[i], filt, j))
+                    emit.append((ids[i], c, j))
 
         if since and max(since) > cfg.max_age:
             keep = [t <= cfg.max_age for t in since]
@@ -336,9 +337,8 @@ class SortTracker:
             hits.append(1)
             since.append(0)
             if young or cfg.min_hits <= 1:
-                emit.append((self._next_id, filters[-1], j))
+                emit.append((self._next_id, _state_corners(filters[-1:])[0], j))
             self._next_id += 1
         self.ids, self.filters, self.hits, self.time_since_update = ids, filters, hits, since
         # a NaN corner fails every comparison, so its track is dropped too
-        return [(tid, c, j) for (tid, _, j), c in zip(emit, _state_corners(f for _, f, _ in emit))
-                if c[0] < c[2] < inf and c[1] < c[3] < inf]
+        return [(tid, c, j) for tid, c, j in emit if c[0] < c[2] < inf and c[1] < c[3] < inf]

@@ -4,7 +4,9 @@ Everything here is deliberately naive (loops, enumeration, rasterization) and
 shares no code with the library paths it checks, except that `array_associate`
 runs the library's assignment solver, which the brute-force tests check alone,
 and `TwoPassSort` steps with the library's kernels to check how
-`SortTracker.step` combines them.
+`SortTracker.step` combines them. It takes its boxes from
+`tracking._state_corners` of the filters, not from the corners `predict` and
+`update` return, so it also checks that the step emits those corners.
 """
 
 import itertools
@@ -205,12 +207,15 @@ def iou_keypoint_entries(emitted, keypoints, match_iou=0.5):
 
 class TwoPassSort:
     """SORT over the module kernels of `tracking` with the emit and death rules
-    in separate passes: after the update every track is aged and kept while
-    `time_since_update <= max_age`, newborns are appended, then a pass over
-    all tracks emits those updated this frame with min_hits hits (any, while
-    the stream is younger than min_hits), dropping boxes that are not finite
-    or whose corners cross. Each emitted track carries the index of the hand
-    detection it took, kept in a column of its own through the death filter."""
+    in separate passes, and every box from `tracking._state_corners` of the
+    filters, never from the corners `predict` and `update` return: associate
+    on the predicted filters, update the matched ones in place, then every
+    track is aged and kept while `time_since_update <= max_age`, newborns are
+    appended, then a pass over all tracks emits those updated this frame with
+    min_hits hits (any, while the stream is younger than min_hits), dropping
+    boxes that are not finite or whose corners cross. Each emitted track
+    carries the index of the hand detection it took, kept in a column of its
+    own through the death filter."""
 
     def __init__(self, config):
         self.config = config
@@ -221,18 +226,17 @@ class TwoPassSort:
         cfg = self.config
         self.frame_count += 1
         det_rows = [d.box for d in frame.detections if d.category == HAND]
-        filters = tracking.predict(self.filters, tracking._PROCESS_VAR)
+        filters, _ = tracking.predict(self.filters, tracking._PROCESS_VAR)
         hits = list(self.hits)
         since = [t + 1 for t in self.time_since_update]
         took = [None] * len(filters)  # the detection index each track took this frame
         matches, unmatched_dets = tracking.associate(
             tracking._state_corners(filters), det_rows, cfg.iou_threshold)
         if matches:
-            hit = [i for i, _ in matches]
-            z = tracking._measurements([det_rows[j] for _, j in matches])
-            for (i, j), filt in zip(matches, tracking.update([filters[i] for i in hit], z,
-                                                             tracking._MEASUREMENT_VAR)):
-                filters[i], hits[i], since[i], took[i] = filt, hits[i] + 1, 0, j
+            tracking.update(filters, matches, tracking._measurements(det_rows),
+                            tracking._MEASUREMENT_VAR)
+            for i, j in matches:
+                hits[i], since[i], took[i] = hits[i] + 1, 0, j
         keep = [t <= cfg.max_age for t in since]
         ids, filters, hits, since, took = ([x for x, k in zip(column, keep) if k]
                                            for column in (self.ids, filters, hits, since, took))

@@ -70,6 +70,36 @@ def test_iou_disjoint_is_zero():
     assert iou(box(0, 0, 1, 1), box(1, 0, 2, 1)) == 0.0
 
 
+@pytest.mark.parametrize("a, b", [
+    ((0.0, 0.0, 2.0, 2.0), (2.0, 0.0, 4.0, 2.0)),  # touching edges
+    ((0.0, 0.0, 2.0, 2.0), (0.0, 2.0, 2.0, 4.0)),
+    ((0.0, 0.0, 2.0, 2.0), (-0.0, 0.0, 2.0, 2.0)),  # tied corners
+    ((3.0, 0.0, 1.0, 2.0), (0.0, 0.0, 2.0, 2.0)),  # crossed boxes
+    ((0.0, 0.0, 2.0, 2.0), (1.0, 3.0, 2.0, 1.0)),
+    ((3.0, 3.0, 1.0, 1.0), (3.0, 3.0, 1.0, 1.0)),
+    *[(tuple(math.nan if k == i else v for k, v in enumerate((0.0, 0.0, 2.0, 2.0))),
+       (1.0, 1.0, 3.0, 3.0)) for i in range(4)],  # NaN corners
+    ((0.0, 0.0, 2.0, 2.0), (1.0, 1.0, math.nan, 3.0)),
+    ((0.0, 0.0, math.nan, 2.0), (5.0, 0.0, 1.0, 2.0)),  # NaN against a crossed box
+    ((math.nan, 0.0, 2.0, 2.0), (5.0, 0.0, 1.0, 2.0)),
+    ((0.0, 0.0, 2.0, math.nan), (0.0, 5.0, 2.0, 1.0)),
+    ((0.0, math.nan, 2.0, 2.0), (0.0, 5.0, 2.0, 1.0)),
+])
+def test_iou_takes_min_and_max_as_the_builtins_do(a, b):
+    # iou's conditional expressions pick the corner that min() and max() pick,
+    # ties and NaN included, on boxes that `box` would reject too
+    def min_max_iou(a, b):
+        ix = min(a[2], b[2]) - max(a[0], b[0])
+        iy = min(a[3], b[3]) - max(a[1], b[1])
+        if ix <= 0 or iy <= 0:
+            return 0.0
+        inter = ix * iy
+        return inter / ((a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter)
+
+    for x, y in ((a, b), (b, a)):
+        assert repr(iou(x, y)) == repr(min_max_iou(x, y))
+
+
 def test_iou_worked_example_matches_grid_oracle():
     a, b = box(0, 0, 2, 2), box(1, 1, 3, 3)
     expected = grid_iou(a, b)

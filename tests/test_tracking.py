@@ -121,7 +121,7 @@ def test_box_measurement_roundtrip():
 
 def test_predict_zero_velocity_keeps_box_and_grows_covariance():
     kalman = one_track([50, 60, 400, 1.0])
-    out = predict(kalman, Q)
+    out, _ = predict(kalman, Q)
     assert _state_corners(out)[0] == pytest.approx(_state_corners(kalman)[0], abs=1e-9)
     assert trace(out)[0] > trace(kalman)[0]
     assert positions(out)[0][2] == 400.0
@@ -137,7 +137,7 @@ def test_predict_zero_velocity_keeps_box_and_grows_covariance():
 
 
 def test_predict_advances_center_by_velocity():
-    out = predict(one_track([50, 60, 400, 1.0], vel=[2.0, 0, 0]), Q)
+    out, _ = predict(one_track([50, 60, 400, 1.0], vel=[2.0, 0, 0]), Q)
     assert positions(out)[0][0] == pytest.approx(52.0, abs=1e-12)
     assert positions(out)[0][1] == pytest.approx(60.0, abs=1e-12)
 
@@ -146,14 +146,14 @@ def test_predict_ten_steps_matches_linear_extrapolation():
     pos, vel = [100.0, 80.0, 900.0, 1.0], [1.5, -0.5, 0.0]
     kalman = one_track(pos, vel)
     for _ in range(10):
-        kalman = predict(kalman, Q)
+        kalman, _ = predict(kalman, Q)
     # closed-form straight-line oracle
     assert positions(kalman)[0][0] == pytest.approx(pos[0] + 10 * vel[0], abs=1e-9)
     assert positions(kalman)[0][1] == pytest.approx(pos[1] + 10 * vel[1], abs=1e-9)
 
 
 def test_predict_clamps_degenerate_area():
-    out = predict(one_track([50, 60, 1.0, 1.0], vel=[0, 0, -5.0]), Q)
+    out, _ = predict(one_track([50, 60, 1.0, 1.0], vel=[0, 0, -5.0]), Q)
     assert positions(out)[0][2] == tracking._AREA_EPS
 
 
@@ -176,7 +176,7 @@ def test_state_corners_clamp_like_np_maximum():
     want = array_corners(np.array(pos))
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
-    out = predict(one_track([50.0, 60.0, nan, 1.0]), Q)
+    out, _ = predict(one_track([50.0, 60.0, nan, 1.0]), Q)
     assert math.isnan(positions(out)[0][2])
 
 
@@ -236,7 +236,8 @@ def test_associate_matches_brute_force_up_to_6x6(n, m, seed):
 def test_update_zero_innovation_keeps_mean_shrinks_covariance():
     z = _measurements(rows(box(40, 50, 60, 90)))
     kalman = one_track(z[0])
-    out = update(kalman, z, R)
+    out = [list(f) for f in kalman]
+    update(out, [(0, 0)], z, R)
     assert stacked(out)[:2, 0] == pytest.approx(stacked(kalman)[:2, 0], abs=1e-12)
     assert trace(out)[0] < trace(kalman)[0]
     # the tracker counts a matched frame as a hit and resets the coasting count
@@ -254,8 +255,8 @@ def test_update_repeated_measurements_converge_to_measurement():
     kalman = born(box(100, 60, 140, 120))
     errs = []
     for k in range(2000):
-        kalman = predict(kalman, Q)
-        kalman = update(kalman, z, R)
+        kalman, _ = predict(kalman, Q)
+        update(kalman, [(0, 0)], z, R)
         rel = np.abs(np.subtract(positions(kalman)[0], z[0])) / np.maximum(np.abs(z[0]), 1.0)
         errs.append(np.max(rel))
     assert errs[-1] < 1e-9
@@ -270,8 +271,8 @@ def test_update_covariance_symmetric_psd():
     for k in range(25):
         jitter = rng.normal(0, 2, size=2)
         b = box(10 + jitter[0] + k, 10 + jitter[1], 40 + jitter[0] + k, 60 + jitter[1])
-        kalman = predict(kalman, Q)
-        kalman = update(kalman, _measurements(rows(b)), R)
+        kalman, _ = predict(kalman, Q)
+        update(kalman, [(0, 0)], _measurements(rows(b)), R)
         p00, p01, p11 = stacked(kalman)[2:, 0]
         assert p00.min() >= -1e-9 and p11.min() >= -1e-9
         assert (p00 * p11 - p01 * p01).min() >= -1e-9
@@ -286,12 +287,12 @@ def test_predicted_variances_keep_every_innovation_variance_positive(monkeypatch
     real, predicted = tracking.predict, []
 
     def checked(filters, process_var):
-        out = real(filters, process_var)
+        out, corners = real(filters, process_var)
         for f in out:
             assert f[7] >= qa and f[10] >= qs and f[13] >= qr, f
             assert all(map(math.isfinite, f[7:])), f
         predicted.append(len(out))
-        return out
+        return out, corners
 
     monkeypatch.setattr(tracking, "predict", checked)
     rng = np.random.default_rng(17)
@@ -719,17 +720,19 @@ def test_batched_kernels_equal_batch_of_one_bit_for_bit():
         for _ in range(int(rng.integers(0, 6))):
             dx, dy = rng.normal(0, 3, size=2)
             z = _measurements(rows(box(x + dx, y + dy, x + dx + 60, y + dy + 80)))
-            kalman = predict(kalman, Q)
-            kalman = update(kalman, z, R)
+            kalman, _ = predict(kalman, Q)
+            update(kalman, [(0, 0)], z, R)
         tracks += kalman
         dets.append(box(x + 2, y + 1, x + 63, y + 80))
     z = _measurements(dets)
-    predicted = predict(tracks, Q)
-    updated = update(tracks, z, R)
+    predicted, _ = predict(tracks, Q)
+    updated = [list(f) for f in tracks]
+    update(updated, [(k, k) for k in range(6)], z, R)
     for k in range(6):
-        one = predict(tracks[k:k + 1], Q)
+        one, _ = predict(tracks[k:k + 1], Q)
         assert predicted[k] == one[0]
-        one = update(tracks[k:k + 1], z[k:k + 1], R)
+        one = [list(tracks[k])]
+        update(one, [(0, 0)], z[k:k + 1], R)
         assert updated[k] == one[0]
 
 
@@ -747,7 +750,7 @@ def test_kernels_equal_the_array_form_bit_for_bit():
         kalman[0][6] = -float(rng.uniform(1e3, 1e5))  # area shrinks past 0
         for _ in range(15):
             want, _ = oracles.array_predict(stacked(kalman), q)
-            kalman = predict(kalman, Q)
+            kalman, _ = predict(kalman, Q)
             assert np.array_equal(stacked(kalman), want)
             hit = sorted(rng.choice(len(kalman), size=int(rng.integers(1, len(kalman) + 1)),
                                     replace=False).tolist())
@@ -755,11 +758,9 @@ def test_kernels_equal_the_array_form_bit_for_bit():
                  for k in hit]
             want, want_ok, _ = oracles.array_update(
                 stacked(kalman)[:, hit], np.array(z), np.array(per_axis(R)))
-            updated = update([kalman[k] for k in hit], z, R)
-            assert np.array_equal(stacked(updated), want)
+            update(kalman, list(zip(hit, range(len(hit)))), z, R)
+            assert np.array_equal(stacked([kalman[k] for k in hit]), want)
             assert want_ok.all()
-            for k, filt in zip(hit, updated):
-                kalman[k] = filt
 
 
 def test_non_finite_inputs_propagate_like_the_array_form():
@@ -783,8 +784,58 @@ def test_non_finite_inputs_propagate_like_the_array_form():
     for kalman, z in cases:
         with np.errstate(invalid="ignore"):
             want, _, _ = oracles.array_update(stacked(kalman), np.array(z), r)
-        out = update(kalman, z, R)
+        out = [list(f) for f in kalman]
+        update(out, [(0, 0)], z, R)
         assert np.array_equal(stacked(out)[kept], want[kept], equal_nan=True), (kalman, z)
+
+
+_EPS = tracking._AREA_EPS
+_EDGE = st.sampled_from([0.0, -0.0, _EPS, _EPS / 2, -_EPS, math.nan, math.inf, -math.inf])
+
+
+def _track_with_edges(drawn):
+    """(filter, measurement, matched) of one track from finite entries, with
+    each (entry index, value) of `edges` written over them."""
+    state, cov, meas, matched, edges = drawn
+    entries = state + cov + meas
+    for k, value in edges:
+        entries[k] = value
+    return entries[:14], entries[14:], matched
+
+
+_TRACK = st.tuples(st.lists(st.floats(-1e3, 1e3), min_size=7, max_size=7),  # u .. ds
+                   st.lists(st.floats(0.0, 1e4), min_size=7, max_size=7),  # covariance
+                   st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),  # measurement
+                   st.booleans(),
+                   st.lists(st.tuples(st.integers(0, 17), _EDGE), max_size=3)
+                   ).map(_track_with_edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tracks=st.lists(_TRACK, min_size=1, max_size=5))
+@example(tracks=[
+    ([5.0, 3.0, 2e-6, 5e-7, 0.0, 0.0, -1e-6, *[10.0] * 7], [7.0, 3.0, -3.0, -1.0], True),
+    ([1.0, -2.0, 400.0, 1.0, 0.5, 0.0, 0.0, *[10.0] * 7], [2.5, -2.0, 5e-7, 1e-6], True),
+    ([math.nan, 3.0, 400.0, 1.0, 1.0, math.inf, 0.0, *[10.0] * 7],
+     [math.nan, -math.inf, 400.0, 1.0], True),
+    ([1.0, 2.0, 400.0, 1.0, 0.0, 0.0, 0.0, *[10.0] * 7], [1.0, 2.0, 400.0, 1.0], False)])
+def test_kernel_corners_are_the_state_corners_of_their_filters(tracks):
+    # the corners `predict` and `update` return are `_state_corners` of the
+    # filters they leave, through every clamp and non-finite entry (compared by
+    # repr, so NaN and -0.0 must match too), and `update` replaces only the
+    # matched filters; track i's measurement is z[n - 1 - i]. The example pins
+    # areas and aspects at and below _AREA_EPS, negative corners clamped to 0,
+    # and NaN and inf entries
+    n = len(tracks)
+    predicted, corners = predict([filt for filt, _, _ in tracks], Q)
+    assert repr(corners) == repr(_state_corners(predicted))
+    z = [meas for _, meas, _ in reversed(tracks)]
+    matches = [(i, n - 1 - i) for i, (_, _, matched) in enumerate(tracks) if matched]
+    before = list(predicted)
+    corners = update(predicted, matches, z, R)
+    assert repr(corners) == repr(_state_corners([predicted[i] for i, _ in matches]))
+    assert all(predicted[i] is before[i]
+               for i, (_, _, matched) in enumerate(tracks) if not matched)
 
 
 def test_kernels_equal_the_array_form_over_2000_frames():
@@ -803,7 +854,7 @@ def test_kernels_equal_the_array_form_over_2000_frames():
     first_seen = {}
     for t in range(2000):
         array, _ = oracles.array_predict(array, q)
-        kalman = predict(kalman, Q)
+        kalman, _ = predict(kalman, Q)
         assert np.array_equal(stacked(kalman), array)
         assert not array[[1, 3, 4], :, 3].any()
         hit = []
@@ -819,8 +870,7 @@ def test_kernels_equal_the_array_form_over_2000_frames():
                                            [2, 2, 300, 0.05])] for c, k in zip(x, hit)]
         want, want_ok, _ = oracles.array_update(array[:, hit], np.array(z), r)
         array[:, hit] = want
-        for k, filt in zip(hit, update([kalman[k] for k in hit], z, R)):
-            kalman[k] = filt
+        update(kalman, list(zip(hit, range(len(hit)))), z, R)
         assert np.array_equal(stacked(kalman), array)
         assert want_ok.all() and not array[[1, 3, 4], :, 3].any()
         first_seen.setdefault(tuple(kalman[0][7:]), t)
@@ -847,7 +897,7 @@ def _oracle_sequence(seed, frames=60, noise=(1.0, 1.0)):
             oracles.append(SevenStateKalman(corners, *noise))
             kalman.append(new_track(corners.tolist()))
             yield kalman, oracles
-        kalman = predict(kalman, q)
+        kalman, _ = predict(kalman, q)
         for oracle in oracles:
             oracle.predict()
         yield kalman, oracles
@@ -866,9 +916,8 @@ def _oracle_sequence(seed, frames=60, noise=(1.0, 1.0)):
             corners.append([x, y, x + t[2] + rng.normal(0, 2), y + t[3] + rng.normal(0, 2)])
         if hit:
             corners = np.array(corners)
-            updated = update([kalman[k] for k in hit], _measurements(corners.tolist()), r)
-            for k, filt, c in zip(hit, updated, corners):
-                kalman[k] = filt
+            update(kalman, list(zip(hit, range(len(hit)))), _measurements(corners.tolist()), r)
+            for k, c in zip(hit, corners):
                 oracles[k].update(c)
             yield kalman, oracles
 
